@@ -72,12 +72,25 @@ def parse_box(text: str, n: int, margin: int = 0) -> TruncationBox:
 def parse_finite_module(spec: str, n: int):
     """Parse "wedge:r" or "hw:a1,a2,..." into a finite-dimensional module."""
     kind, _, rest = spec.partition(":")
+    if kind not in ("wedge", "hw"):
+        raise ArgumentError(f"unknown module spec {spec!r}, use wedge:r or hw:a1,..")
+    try:
+        numbers = tuple(int(p) for p in rest.split(","))
+    except ValueError as exc:
+        raise ArgumentError(f"bad module spec {spec!r}, expected integers") from exc
     if kind == "wedge":
-        return make_wedge_module(n, int(rest))
-    if kind == "hw":
-        psi = tuple(int(p) for p in rest.split(","))
-        return make_hw_module(psi, n)
-    raise ArgumentError(f"unknown module spec {spec!r}, use wedge:r or hw:a1,..")
+        if len(numbers) != 1:
+            raise ArgumentError(f"bad module spec {spec!r}, use wedge:r")
+        return make_wedge_module(n, numbers[0])
+    return make_hw_module(numbers, n)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational such as "1/2" (an argparse type)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
 def _run_one(task):
@@ -161,7 +174,7 @@ def cmd_verify(args) -> int:
     tasks = []
     if args.suite == "all":
         tasks = [
-            ("iota-hom", {"n": n, "deg": args.deg or 3}),
+            ("iota-hom", {"n": n, "deg": 3 if args.deg is None else args.deg}),
             ("eq-cubic", {"n": n, "lo": -1, "hi": 2}),
             ("derham", {"n": n, "count": 25, "seed": args.seed}),
             ("unique-submodule", {"n": n}),
@@ -173,7 +186,7 @@ def cmd_verify(args) -> int:
             tasks.append(("g-u", {"n": n, "delta_hi": 1, "key_radius": 2}))
             tasks.append(("h-ln", {"n": n, "delta_hi": 1, "key_radius": 2}))
     elif args.suite == "iota-hom":
-        tasks = [("iota-hom", {"n": n, "deg": args.deg or 4})]
+        tasks = [("iota-hom", {"n": n, "deg": 4 if args.deg is None else args.deg})]
     elif args.suite in ("eq-cubic", "eq-quartic"):
         lo, hi = parse_window(args.alpha_window or "-2..3")
         kwargs = {"n": n, "lo": lo, "hi": hi}
@@ -206,6 +219,11 @@ def cmd_verify(args) -> int:
     else:
         raise ArgumentError(f"unknown suite {args.suite!r}")
     report = run_suite(tasks, jobs=args.jobs, timings=args.timings)
+    empty = [c["check"] for c in report["checks"] if not c["checked"]]
+    if empty:
+        raise ArgumentError(
+            f"the configuration leaves nothing to check in {', '.join(empty)}"
+        )
     return _finish(report, args)
 
 
@@ -413,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--margin", type=int, default=2)
     v.add_argument("--seed", type=int, default=None,
                    help="override SHENWEYL_SEED for sampled checks")
-    v.add_argument("--lambda", dest="lam", default="1/2",
+    v.add_argument("--lambda", dest="lam", type=parse_rational, default="1/2",
                    help="shift for Laurent factors in the standard profiles")
     v.set_defaults(fn=cmd_verify)
 

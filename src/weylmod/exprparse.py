@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import ArgumentError, StructureError
 from .indices import mi_zero
 from .tensorop import TensorOperator, tensor
+from .terms import TermMap
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module
@@ -86,29 +87,19 @@ class Wedge:
         return Wedge(sign, tuple(sorted(merged)))
 
 
-class VectorLiteral:
+class VectorLiteral(TermMap):
     """Unbound module vector: {(key tuple, wedge tuple): coeff}."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms):
-        self.rank = rank
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self._set({k: c for k, c in terms.items() if c != 0}, rank=rank)
 
-    def combine(self, other: "VectorLiteral", sign: int) -> "VectorLiteral":
-        if self.rank != other.rank:
-            raise StructureError("rank mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            new = terms.get(k, 0) + sign * c
-            if new == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = new
+    def _context(self):
+        return (self.rank,)
+
+    def _like(self, terms, other=None):
         return VectorLiteral(self.rank, terms)
-
-    def scale(self, s) -> "VectorLiteral":
-        return VectorLiteral(self.rank, {k: c * s for k, c in self.terms.items()})
 
     def bind(self, module_p: WeightModuleP, module_m: SLModule | None = None) -> FVector:
         """Attach the literal to concrete modules, validating support."""
@@ -134,7 +125,7 @@ class VectorLiteral:
         if not self.terms:
             return "0"
         parts = []
-        for (key, wedge), c in sorted(self.terms.items()):
+        for (key, wedge), c in self.sorted_items():
             factors = []
             for i, b in enumerate(key):
                 if b == 1:
@@ -343,7 +334,8 @@ def _add(a, b, sign: int):
         )
         if rank is None:
             raise StructureError("cannot add bare wedge labels")
-        return _coerce_literal(a, rank).combine(_coerce_literal(b, rank), sign)
+        left, right = _coerce_literal(a, rank), _coerce_literal(b, rank)
+        return left + right if sign == 1 else left - right
     # scalars widen to the structured side
     if isinstance(a, (int, Fraction)):
         return _add(_promote_scalar(a, b), b, sign)
@@ -370,8 +362,6 @@ def _mul(a, b):
             return a * b
         if isinstance(b, Wedge):
             raise StructureError("scale wedge labels after tensoring")
-        if isinstance(b, VectorLiteral):
-            return b.scale(a)
         return b * a
     if isinstance(b, (int, Fraction)):
         return _mul(b, a)

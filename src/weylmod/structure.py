@@ -23,6 +23,7 @@ from .derham import (
 from .indices import TruncationBox
 from .linalg import RowBasis
 from .tensorop import shen_iota
+from .terms import accumulate
 from .vectorfields import L_op, VectorField, is_divergence_free
 from .weightmod import (
     FVector,
@@ -249,15 +250,9 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             if hit is None:
                 continue
             target, cols = hit
-            out = {}
-            for pos in support:
-                c = vec[pos]
-                for dst, m in cols[pos]:
-                    new = out.get(dst, 0) + c * m
-                    if new == 0:
-                        out.pop(dst, None)
-                    else:
-                        out[dst] = new
+            out = accumulate(
+                {}, ((dst, vec[pos] * m) for pos in support for dst, m in cols[pos])
+            )
             applications += 1
             if out:
                 dense = [0] * len(engine.labels[target])

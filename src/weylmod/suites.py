@@ -23,16 +23,21 @@ from .derham import (
 from .indices import TruncationBox, mi_sub, mi_unit
 from .structure import GeneratorSet, evidence_simplicity
 from .tensorop import (
-    TensorOperator,
+    CHECK_NODE,
+    CUBIC_PREDICTION,
+    CUBIC_WEIGHTS,
+    QUARTIC_PREDICTION,
+    QUARTIC_WEIGHTS,
+    cubic_m_factors,
     cubic_m_product,
-    interpolate_coefficients,
+    cubic_target,
     iota_hom_residual,
+    node_combination,
+    quartic_m_factors,
     quartic_m_product,
-    special_operator,
-    tensor,
+    quartic_target,
 )
-from .ugl import E
-from .vectorfields import L_op, monomial_field
+from .vectorfields import monomial_field
 from .weightmod import (
     Factor,
     FVector,
@@ -40,7 +45,6 @@ from .weightmod import (
     make_wedge_module,
     sn_act,
 )
-from .weyl import WeylElement
 
 
 DEFAULT_SEED = 20240801
@@ -86,122 +90,77 @@ def check_iota_hom(n: int, deg: int):
     }
 
 
-_CUBIC_WEIGHTS = {3: Fraction(-1, 6), 2: Fraction(1, 2), 1: Fraction(-1, 2), 0: Fraction(1, 6)}
-_QUARTIC_WEIGHTS = {
-    3: Fraction(-1, 12),
-    2: Fraction(1, 2),
-    1: Fraction(-1),
-    0: Fraction(5, 6),
-    -1: Fraction(-1, 4),
-}
+def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
+                    prediction):
+    """One interpolation identity over every alpha in the window.
+
+    ``cases`` lists (index args, lower bound on alpha).  Per alpha the check
+    needs three things: the fixed weights turn the node products into the
+    target; the product at CHECK_NODE equals the prediction from the node
+    products, which certifies the degree in m that the weights assume; and,
+    when alpha is above the lower bound, every right-hand factor demotes to a
+    polynomial field.
+    """
+    failures = []
+    checked = 0
+    residual_terms = 0
+    membership_checked = 0
+    nodes = (*weights, CHECK_NODE)
+    for args, lower in cases:
+        for alpha in itertools.product(range(lo, hi + 1), repeat=n):
+            products = {m: product(alpha, *args, m) for m in nodes}
+            checked += 1
+            residual = target(alpha, *args) - node_combination(products, weights)
+            residual_terms += len(residual.terms)
+            ok = residual.is_zero() and (
+                node_combination(products, prediction) == products[CHECK_NODE]
+            )
+            if ok and all(a >= b for a, b in zip(alpha, lower)):
+                membership_checked += 1
+                ok = not any(
+                    f.element.demote().laurent
+                    for m in weights
+                    for f in factors(alpha, *args, m)
+                )
+            if not ok:
+                failures.append({"alpha": list(alpha), **dict(zip("ij", args))})
+    return {
+        "check": check,
+        "params": {"n": n, "window": [lo, hi]},
+        "checked": checked,
+        "residual_terms": residual_terms,
+        "polynomialWitnesses": membership_checked,
+        "failures": failures[:10],
+        "pass": not failures,
+    }
+
+
+def _lower_bound(n: int, i: int, j: int):
+    """2 e_i - e_j, the corner of the admissible alpha windows: above it
+    the identities have polynomial factors and the lemmas apply."""
+    return mi_sub(tuple(2 * x for x in mi_unit(i, n)), mi_unit(j, n))
 
 
 def check_eq_cubic(n: int, lo: int = -2, hi: int = 3, pairs=None):
-    """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2.
-
-    Checks the fixed rational combination and, node for node, the exact
-    interpolation recovering the same leading operator; also records whether
-    the right-hand factors demote to polynomial mode when alpha admits it.
-    """
+    """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2."""
     if pairs is None:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    failures = []
-    checked = 0
-    residual_terms = 0
-    membership_checked = 0
-    for i, j in pairs:
-        for alpha in itertools.product(range(lo, hi + 1), repeat=n):
-            products = {m: cubic_m_product(alpha, i, j, m) for m in range(4)}
-            target = tensor(
-                WeylElement.t_power(
-                    mi_sub(
-                        tuple(a + b for a, b in zip(alpha, mi_unit(j, n))),
-                        tuple(2 * x for x in mi_unit(i, n)),
-                    ),
-                    laurent=True,
-                ),
-                E(i, j, n) * E(i, j, n),
-            )
-            rhs = TensorOperator.zero(n, laurent=True)
-            for m, c in _CUBIC_WEIGHTS.items():
-                rhs = rhs + products[m] * c
-            checked += 1
-            residual = target - rhs
-            residual_terms += len(residual.terms)
-            ok = residual.is_zero()
-            coeffs = interpolate_coefficients(
-                [products[m] for m in range(4)], list(range(4))
-            )
-            ok = ok and coeffs[3] == target * Fraction(-1)
-            if ok and all(
-                alpha[s] >= (2 if s == i - 1 else (-1 if s == j - 1 else 0))
-                for s in range(n)
-            ):
-                membership_checked += 1
-                for m in range(4):
-                    shift = tuple(m * x for x in mi_unit(i, n))
-                    left = L_op(i, j, mi_sub(alpha, shift), laurent=True)
-                    right = monomial_field(shift, j, laurent=True)
-                    if left.element.demote().laurent or right.element.demote().laurent:
-                        ok = False
-            if not ok:
-                failures.append({"alpha": list(alpha), "i": i, "j": j})
-    return {
-        "check": "eq-cubic",
-        "params": {"n": n, "window": [lo, hi]},
-        "checked": checked,
-        "residual_terms": residual_terms,
-        "polynomialWitnesses": membership_checked,
-        "failures": failures[:10],
-        "pass": not failures,
-    }
+    return _check_identity(
+        "eq-cubic", n, lo, hi, [((i, j), _lower_bound(n, i, j)) for i, j in pairs],
+        cubic_target, cubic_m_product, cubic_m_factors,
+        CUBIC_WEIGHTS, CUBIC_PREDICTION,
+    )
 
 
 def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
-    """The five-point identity recovering the g operator, plus the exact
-    Vandermonde reconstruction from the same five products."""
+    """The five-point identity recovering the g operator."""
     if i_list is None:
         i_list = list(range(1, n - 1))
-    failures = []
-    checked = 0
-    residual_terms = 0
-    membership_checked = 0
-    nodes = [-1, 0, 1, 2, 3]
-    for i in i_list:
-        for alpha in itertools.product(range(lo, hi + 1), repeat=n):
-            products = {m: quartic_m_product(alpha, i, m) for m in nodes}
-            g = special_operator("g", alpha, i)
-            rhs = TensorOperator.zero(n, laurent=True)
-            for m, c in _QUARTIC_WEIGHTS.items():
-                rhs = rhs + products[m] * c
-            checked += 1
-            residual = g - rhs
-            residual_terms += len(residual.terms)
-            ok = residual.is_zero()
-            coeffs = interpolate_coefficients([products[m] for m in nodes], nodes)
-            ok = ok and coeffs[3] == g
-            if ok and all(
-                alpha[s] >= (2 if s == i - 1 else (-1 if s == i + 1 else 0))
-                for s in range(n)
-            ):
-                membership_checked += 1
-                for m in nodes:
-                    shift = tuple(m * x for x in mi_unit(i, n))
-                    left = L_op(i, i + 2, mi_sub(alpha, shift), laurent=True)
-                    right = L_op(i, i + 1, shift, laurent=True)
-                    if left.element.demote().laurent or right.element.demote().laurent:
-                        ok = False
-            if not ok:
-                failures.append({"alpha": list(alpha), "i": i})
-    return {
-        "check": "eq-quartic",
-        "params": {"n": n, "window": [lo, hi]},
-        "checked": checked,
-        "residual_terms": residual_terms,
-        "polynomialWitnesses": membership_checked,
-        "failures": failures[:10],
-        "pass": not failures,
-    }
+    return _check_identity(
+        "eq-quartic", n, lo, hi, [((i,), _lower_bound(n, i, i + 2)) for i in i_list],
+        quartic_target, quartic_m_product, quartic_m_factors,
+        QUARTIC_WEIGHTS, QUARTIC_PREDICTION,
+    )
 
 
 def standard_profiles(n: int, shift=Fraction(1, 2)):
@@ -229,24 +188,20 @@ def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
     return TruncationBox(tuple(lower), tuple(upper))
 
 
-def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
-              shift="1/2"):
-    """g = u on every p (x) v over the admissible alpha window."""
+def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
+    """Run one operator lemma over every profile, degree, index and alpha in
+    the admissible window."""
     if profiles is None:
         profiles = standard_profiles(n, Fraction(shift))
     sub = []
-    ok = True
     for name, P in profiles.items():
         key_box = _profile_key_box(P, key_radius)
         for r in range(2, n):
             for i in range(1, n - 1):
-                base = mi_sub(
-                    tuple(2 * x for x in mi_unit(i, n)), mi_unit(i + 2, n)
-                )
+                base = _lower_bound(n, i, i + 2)
                 for delta in itertools.product(range(delta_hi + 1), repeat=n):
                     alpha = tuple(b + d for b, d in zip(base, delta))
-                    report = verify_g_equals_u(alpha, i, P, r, key_box)
-                    ok = ok and report["pass"]
+                    report = lemma(alpha, i, P, r, key_box)
                     sub.append(
                         {
                             "profile": name,
@@ -258,51 +213,29 @@ def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
                         }
                     )
     return {
-        "check": "g-equals-u",
+        "check": check,
         "params": {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
         "cases": len(sub),
         "checked": sum(s["checked"] for s in sub),
         "failures": [s for s in sub if not s["pass"]][:10],
-        "pass": ok,
+        "pass": all(s["pass"] for s in sub),
     }
+
+
+def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
+              shift="1/2"):
+    """g = u on every p (x) v over the admissible alpha window."""
+    return _check_lemma(
+        "g-equals-u", verify_g_equals_u, n, delta_hi, key_radius, profiles, shift
+    )
 
 
 def check_h_ln(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
                shift="1/2"):
     """h annihilates the de Rham image over the admissible alpha window."""
-    if profiles is None:
-        profiles = standard_profiles(n, Fraction(shift))
-    sub = []
-    ok = True
-    for name, P in profiles.items():
-        key_box = _profile_key_box(P, key_radius)
-        for r in range(2, n):
-            for i in range(1, n - 1):
-                base = mi_sub(
-                    tuple(2 * x for x in mi_unit(i, n)), mi_unit(i + 2, n)
-                )
-                for delta in itertools.product(range(delta_hi + 1), repeat=n):
-                    alpha = tuple(b + d for b, d in zip(base, delta))
-                    report = verify_h_annihilates(alpha, i, P, r, key_box)
-                    ok = ok and report["pass"]
-                    sub.append(
-                        {
-                            "profile": name,
-                            "r": r,
-                            "i": i,
-                            "alpha": list(alpha),
-                            "checked": report["checked"],
-                            "pass": report["pass"],
-                        }
-                    )
-    return {
-        "check": "h-annihilates",
-        "params": {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
-        "cases": len(sub),
-        "checked": sum(s["checked"] for s in sub),
-        "failures": [s for s in sub if not s["pass"]][:10],
-        "pass": ok,
-    }
+    return _check_lemma(
+        "h-annihilates", verify_h_annihilates, n, delta_hi, key_radius, profiles, shift
+    )
 
 
 def _random_fvector(rng, P, M, nterms=3, radius=3):

@@ -14,20 +14,21 @@ from fractions import Fraction
 from .errors import ArgumentError, StructureError
 from .indices import mi_add, mi_sub, mi_unit, mi_zero
 from .linalg import invert
-from .ugl import E, UglElement
+from .terms import SCALARS, TermMap, accumulate
+from .ugl import E, UglElement, pbw_product
 from .vectorfields import L_op, VectorField, bracket, monomial_field
 from .weyl import WeylElement, _d_on_t
 
 
-class TensorOperator:
+class TensorOperator(TermMap):
     """Sparse element of (Laurent-)Weyl tensor U(gl_n).
 
     Terms map (weyl monomial, PBW monomial) pairs to exact coefficients;
-    both factors are kept in their canonical orders, so a residual that
-    cancels term-by-term leaves an empty map and equality is bit-exact.
+    both factors are normal-ordered, so a residual that cancels term-by-term
+    leaves an empty map and equality is bit-exact.
     """
 
-    __slots__ = ("rank", "laurent", "terms")
+    __slots__ = ("rank", "laurent")
 
     def __init__(self, rank: int, terms=None, laurent: bool = False):
         cleaned = {}
@@ -41,12 +42,14 @@ class TensorOperator:
                 if not laurent and any(b < 0 for b in t_exp):
                     raise StructureError("negative t exponent in polynomial mode")
                 cleaned[(wmono, pmono)] = coeff
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "laurent", laurent)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items(), key=_term_key)))
+        self._set(cleaned, rank=rank, laurent=laurent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorOperator is immutable")
+    def _context(self):
+        return (self.rank,)
+
+    def _like(self, terms, other=None):
+        laurent = self.laurent or (other is not None and other.laurent)
+        return TensorOperator(self.rank, terms, laurent)
 
     @property
     def mode(self) -> str:
@@ -61,71 +64,11 @@ class TensorOperator:
         z = mi_zero(rank)
         return cls(rank, {((z, z), ()): 1}, laurent)
 
-    def _combine(self, other: TensorOperator, sign: int) -> TensorOperator:
-        if self.rank != other.rank:
-            raise StructureError(f"rank mismatch: {self.rank} vs {other.rank}")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + sign * coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return TensorOperator(self.rank, terms, self.laurent or other.laurent)
-
-    def __add__(self, other: TensorOperator) -> TensorOperator:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: TensorOperator) -> TensorOperator:
-        return self._combine(other, -1)
-
-    def __neg__(self) -> TensorOperator:
-        return TensorOperator(
-            self.rank, {k: -c for k, c in self.terms.items()}, self.laurent
-        )
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorOperator(
-                self.rank,
-                {k: c * other for k, c in self.terms.items()},
-                self.laurent,
-            )
-        if self.rank != other.rank:
-            raise StructureError(f"rank mismatch: {self.rank} vs {other.rank}")
-        n = self.rank
-        out = {}
-        for ((b1, g1), p1), c1 in self.terms.items():
-            left_ugl = UglElement(n, {p1: 1})
-            for ((b2, g2), p2), c2 in other.terms.items():
-                base = c1 * c2
-                pbw = (left_ugl * UglElement(n, {p2: 1})).terms
-                for wcoeff, k in _d_on_t(g1, b2):
-                    t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                    d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
-                    for pmono, pcoeff in pbw.items():
-                        key = ((t_exp, d_exp), pmono)
-                        new = out.get(key, 0) + base * wcoeff * pcoeff
-                        if new == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = new
-        return TensorOperator(n, out, self.laurent or other.laurent)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        if isinstance(other, SCALARS):
+            return self._scale(other)
+        self._check_same(other)
+        return self._like(accumulate({}, _product_terms(self, other)), other)
 
     def demote(self) -> TensorOperator:
         """Polynomial-mode copy when every t exponent allows it, else self."""
@@ -135,18 +78,11 @@ class TensorOperator:
             return TensorOperator(self.rank, self.terms, laurent=False)
         return self
 
-    def weyl_factors(self):
-        """The distinct Weyl monomials with their U(gl) cofactors."""
-        out = {}
-        for (wmono, pmono), coeff in self.terms.items():
-            out.setdefault(wmono, {})[pmono] = coeff
-        return {w: UglElement(self.rank, part) for w, part in out.items()}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for ((t_exp, d_exp), pmono), coeff in self.terms.items():
+        for ((t_exp, d_exp), pmono), coeff in self.sorted_items():
             weyl = WeylElement(self.rank, {(t_exp, d_exp): 1}, laurent=True)
             ugl = UglElement(self.rank, {pmono: 1})
             body = f"{weyl} (x) {ugl}"
@@ -171,14 +107,25 @@ class TensorOperator:
                     "factors": [[i, j, e] for (i, j), e in pmono],
                     "coeff": str(Fraction(c)),
                 }
-                for ((te, de), pmono), c in self.terms.items()
+                for ((te, de), pmono), c in self.sorted_items()
             ],
         }
 
 
-def _term_key(item):
-    (wmono, pmono), _ = item
-    return (wmono, tuple((g, e) for g, e in pmono))
+def _product_terms(a: TensorOperator, b: TensorOperator):
+    """The (monomial, coeff) pairs of a * b before collection: the Weyl
+    factors normal-order through _d_on_t, the PBW factors through
+    pbw_product."""
+    for ((b1, g1), p1), c1 in a.terms.items():
+        for ((b2, g2), p2), c2 in b.terms.items():
+            base = c1 * c2
+            pbw = pbw_product(p1, p2)
+            for wcoeff, k in _d_on_t(g1, b2):
+                t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
+                d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
+                wbase = base * wcoeff
+                for pmono, pcoeff in pbw.items():
+                    yield ((t_exp, d_exp), pmono), wbase * pcoeff
 
 
 def tensor(a: WeylElement, u: UglElement) -> TensorOperator:
@@ -205,25 +152,18 @@ def shen_iota(x: VectorField) -> TensorOperator:
     Laurent extension of the same formula.
     """
     n = x.rank
-    terms = {}
 
-    def bump(key, coeff):
-        new = terms.get(key, 0) + coeff
-        if new == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = new
+    def images():
+        for (t_exp, d_exp), coeff in x.element.terms.items():
+            i = d_exp.index(1) + 1
+            yield ((t_exp, d_exp), ()), coeff
+            for s in range(1, n + 1):
+                a_s = t_exp[s - 1]
+                if a_s != 0:
+                    shifted = mi_sub(t_exp, mi_unit(s, n))
+                    yield ((shifted, mi_zero(n)), (((s, i), 1),)), coeff * a_s
 
-    for (t_exp, d_exp), coeff in x.element.terms.items():
-        i = d_exp.index(1) + 1
-        bump(((t_exp, d_exp), ()), coeff)
-        for s in range(1, n + 1):
-            a_s = t_exp[s - 1]
-            if a_s == 0:
-                continue
-            shifted = mi_sub(t_exp, mi_unit(s, n))
-            bump(((shifted, mi_zero(n)), (((s, i), 1),)), coeff * a_s)
-    return TensorOperator(n, terms, x.laurent)
+    return TensorOperator(n, accumulate({}, images()), x.laurent)
 
 
 def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
@@ -330,71 +270,117 @@ def _op_h(alpha, i, n, beta, lau) -> TensorOperator:
     return out
 
 
-def iota_hat_L(i: int, j: int, alpha) -> TensorOperator:
-    """Laurent-mode image of the generator attached to (i, j, alpha)."""
-    return shen_iota(L_op(i, j, alpha, laurent=True))
+def interpolation_matrix(nodes):
+    """Inverse Vandermonde matrix of pairwise-distinct integer nodes.
+
+    Row k maps the values at the nodes to the m^k coefficient of the
+    interpolating polynomial.  The exact inversion also certifies the
+    matrix nonsingular.
+    """
+    return invert([[m**k for k in range(len(nodes))] for m in nodes])
+
+
+# one node beyond both windows; the product there certifies the degree in m
+CHECK_NODE = 4
+
+
+def _identity_weights(nodes, sign):
+    """Both identities read off the m^3 coefficient of their node products,
+    which is row 3 of the inverse Vandermonde matrix: the cubic products
+    carry minus the target there (sign -1), the quartic products the g
+    operator itself.  Also returns the weights that predict the product at
+    CHECK_NODE from the node products."""
+    inv = interpolation_matrix(nodes)
+    weights = {m: sign * w for m, w in zip(nodes, inv[3])}
+    prediction = {
+        m: sum(row[t] * CHECK_NODE**k for k, row in enumerate(inv))
+        for t, m in enumerate(nodes)
+    }
+    return weights, prediction
+
+
+CUBIC_NODES = (0, 1, 2, 3)
+QUARTIC_NODES = (-1, 0, 1, 2, 3)
+CUBIC_WEIGHTS, CUBIC_PREDICTION = _identity_weights(CUBIC_NODES, -1)
+QUARTIC_WEIGHTS, QUARTIC_PREDICTION = _identity_weights(QUARTIC_NODES, 1)
+
+
+def node_combination(products, weights) -> TensorOperator:
+    """sum_m weights[m] * products[m] over the nodes listed in weights."""
+    rank = products[next(iter(weights))].rank
+    acc = TensorOperator.zero(rank, laurent=True)
+    for m, w in weights.items():
+        acc = acc + products[m] * w
+    return acc
+
+
+def cubic_m_factors(alpha, i: int, j: int, m: int):
+    """The fields L_ij^(alpha - m e_i) and t^(m e_i) d_j (Laurent mode)."""
+    alpha = tuple(alpha)
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
+    return (
+        L_op(i, j, mi_sub(alpha, shift), laurent=True),
+        monomial_field(shift, j, laurent=True),
+    )
 
 
 def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
     """iota_hat(L_ij^(alpha - m e_i)) * iota_hat(t^(m e_i) d_j)."""
+    left, right = cubic_m_factors(alpha, i, j, m)
+    return shen_iota(left) * shen_iota(right)
+
+
+def cubic_target(alpha, i: int, j: int) -> TensorOperator:
+    """t^(alpha+e_j-2e_i) (x) E_ij^2, the left side of the cubic identity."""
     alpha = tuple(alpha)
     n = len(alpha)
-    left = iota_hat_L(i, j, mi_sub(alpha, tuple(m * x for x in mi_unit(i, n))))
-    right = shen_iota(
-        monomial_field(tuple(m * x for x in mi_unit(i, n)), j, laurent=True)
-    )
-    return left * right
+    if i == j:
+        raise ArgumentError("indices must differ")
+    exp = mi_sub(mi_add(alpha, mi_unit(j, n)), tuple(2 * x for x in mi_unit(i, n)))
+    return tensor(WeylElement.t_power(exp, laurent=True), E(i, j, n) * E(i, j, n))
 
 
 def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
     """Residual of the four-point identity expressing t^(alpha+e_j-2e_i) E_ij^2.
 
     Zero for every integer alpha; the right-hand side is the fixed rational
-    combination of the products at m = 3, 2, 1, 0.
+    combination CUBIC_WEIGHTS of the products at m = 0, 1, 2, 3.
     """
+    target = cubic_target(alpha, i, j)
+    products = {m: cubic_m_product(alpha, i, j, m) for m in CUBIC_NODES}
+    return target - node_combination(products, CUBIC_WEIGHTS)
+
+
+def quartic_m_factors(alpha, i: int, m: int):
+    """The fields L_(i,i+2)^(alpha - m e_i) and L_(i,i+1)^(m e_i) (Laurent mode)."""
     alpha = tuple(alpha)
-    n = len(alpha)
-    if i == j:
-        raise ArgumentError("indices must differ")
-    target_exp = mi_sub(mi_add(alpha, mi_unit(j, n)), tuple(2 * x for x in mi_unit(i, n)))
-    target = tensor(
-        WeylElement.t_power(target_exp, laurent=True), E(i, j, n) * E(i, j, n)
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
+    return (
+        L_op(i, i + 2, mi_sub(alpha, shift), laurent=True),
+        L_op(i, i + 1, shift, laurent=True),
     )
-    rhs = (
-        cubic_m_product(alpha, i, j, 3) * Fraction(-1, 6)
-        + cubic_m_product(alpha, i, j, 2) * Fraction(1, 2)
-        + cubic_m_product(alpha, i, j, 1) * Fraction(-1, 2)
-        + cubic_m_product(alpha, i, j, 0) * Fraction(1, 6)
-    )
-    return target - rhs
 
 
 def quartic_m_product(alpha, i: int, m: int) -> TensorOperator:
     """iota_hat(L_(i,i+2)^(alpha - m e_i)) * iota_hat(L_(i,i+1)^(m e_i))."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    shift = tuple(m * x for x in mi_unit(i, n))
-    left = iota_hat_L(i, i + 2, mi_sub(alpha, shift))
-    right = iota_hat_L(i, i + 1, shift)
-    return left * right
+    left, right = quartic_m_factors(alpha, i, m)
+    return shen_iota(left) * shen_iota(right)
+
+
+def quartic_target(alpha, i: int) -> TensorOperator:
+    """The g operator, the left side of the quartic identity."""
+    return special_operator("g", alpha, i)
 
 
 def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     """Residual of the five-point identity recovering the g operator.
 
     Zero for every integer alpha; the right-hand side combines the products
-    at m = 3, 2, 1, 0, -1 with the fixed rational weights.
+    at m = -1, 0, 1, 2, 3 with the fixed rational QUARTIC_WEIGHTS.
     """
-    alpha = tuple(alpha)
-    _special_indices(alpha, i)
-    rhs = (
-        quartic_m_product(alpha, i, 3) * Fraction(-1, 12)
-        + quartic_m_product(alpha, i, 2) * Fraction(1, 2)
-        + quartic_m_product(alpha, i, 1) * Fraction(-1)
-        + quartic_m_product(alpha, i, 0) * Fraction(5, 6)
-        + quartic_m_product(alpha, i, -1) * Fraction(-1, 4)
-    )
-    return special_operator("g", alpha, i) - rhs
+    target = quartic_target(alpha, i)
+    products = {m: quartic_m_product(alpha, i, m) for m in QUARTIC_NODES}
+    return target - node_combination(products, QUARTIC_WEIGHTS)
 
 
 def interpolate_coefficients(values, nodes):
@@ -407,14 +393,6 @@ def interpolate_coefficients(values, nodes):
     """
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")
-    deg = len(nodes) - 1
-    vander = [[Fraction(m) ** k for k in range(deg + 1)] for m in nodes]
-    inv = invert(vander)
-    rank = values[0].rank
-    coeffs = []
-    for k in range(deg + 1):
-        acc = TensorOperator.zero(rank, laurent=True)
-        for t_idx, val in enumerate(values):
-            acc = acc + val * inv[k][t_idx]
-        coeffs.append(acc)
-    return coeffs
+    inv = interpolation_matrix(nodes)
+    products = dict(enumerate(values))
+    return [node_combination(products, dict(enumerate(row))) for row in inv]

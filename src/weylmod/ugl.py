@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, StructureError
 from .indices import binomial
+from .terms import SCALARS, TermMap, accumulate
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
 
@@ -68,21 +69,44 @@ def _normalize_seq(seq):
         if e == a:
             corrections.append((-1, (c, b)))
         for coeff, gen in corrections:
-            sub = seq[:spot] + (gen,) + seq[spot + 2:]
-            for mono, c2 in _normalize_seq(sub).items():
-                new = result.get(mono, 0) + coeff * c2
-                if new == 0:
-                    result.pop(mono, None)
-                else:
-                    result[mono] = new
+            sub = _normalize_seq(seq[:spot] + (gen,) + seq[spot + 2:])
+            accumulate(result, ((mono, coeff * c2) for mono, c2 in sub.items()))
     _NORMAL_CACHE[seq] = result
     return result
 
 
-class UglElement:
-    """Sparse element of U(gl_n) in PBW normal form."""
+def pbw_product(m1, m2):
+    """The product of two PBW monomials as {normal monomial: integer coeff}.
 
-    __slots__ = ("rank", "terms")
+    When the last factor of m1 already precedes (or equals) the first factor
+    of m2 in canonical order, the product is the concatenation with the
+    touching powers merged; otherwise the joined word is rewritten.  The
+    result may be shared: treat it as read-only.
+    """
+    if not m1 or not m2:
+        return {m1 + m2: 1}
+    (g1, e1), (g2, e2) = m1[-1], m2[0]
+    if g1 == g2:
+        return {m1[:-1] + ((g1, e1 + e2),) + m2[1:]: 1}
+    if _gen_key(g1) < _gen_key(g2):
+        return {m1 + m2: 1}
+    return _normalize_seq(_seq_from_mono(m1) + _seq_from_mono(m2))
+
+
+def _mono_sort(item):
+    mono = item[0]
+    return tuple((_gen_key(g), e) for g, e in mono)
+
+
+class UglElement(TermMap):
+    """Sparse element of U(gl_n) in PBW normal form.
+
+    Text and JSON list the monomials in the order of their generator keys.
+    """
+
+    __slots__ = ("rank",)
+
+    _sort_key = staticmethod(_mono_sort)
 
     def __init__(self, rank: int, terms=None):
         cleaned = {}
@@ -94,14 +118,16 @@ class UglElement:
                     if not (1 <= i <= rank and 1 <= j <= rank) or e <= 0:
                         raise StructureError(f"bad PBW factor E[{i},{j}]^{e}")
                 keys = [_gen_key(g) for g, _ in mono]
-                if keys != sorted(keys) or len(set(keys)) != len(keys):
+                if any(a >= b for a, b in zip(keys, keys[1:])):
                     raise StructureError(f"monomial not in canonical order: {mono}")
                 cleaned[tuple(mono)] = coeff
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items(), key=_mono_sort)))
+        self._set(cleaned, rank=rank)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UglElement is immutable")
+    def _context(self):
+        return (self.rank,)
+
+    def _like(self, terms, other=None):
+        return UglElement(self.rank, terms)
 
     @classmethod
     def zero(cls, rank: int) -> UglElement:
@@ -111,65 +137,23 @@ class UglElement:
     def one(cls, rank: int) -> UglElement:
         return cls(rank, {(): 1})
 
-    def _combine(self, other: UglElement, sign: int) -> UglElement:
-        if self.rank != other.rank:
-            raise StructureError(f"rank mismatch: {self.rank} vs {other.rank}")
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + sign * coeff
-            if new == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = new
-        return UglElement(self.rank, terms)
-
-    def __add__(self, other: UglElement) -> UglElement:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: UglElement) -> UglElement:
-        return self._combine(other, -1)
-
-    def __neg__(self) -> UglElement:
-        return UglElement(self.rank, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UglElement(self.rank, {m: c * other for m, c in self.terms.items()})
-        if self.rank != other.rank:
-            raise StructureError(f"rank mismatch: {self.rank} vs {other.rank}")
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                base = c1 * c2
-                word = _seq_from_mono(m1) + _seq_from_mono(m2)
-                for mono, c in _normalize_seq(word).items():
-                    new = out.get(mono, 0) + base * c
-                    if new == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = new
-        return UglElement(self.rank, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if isinstance(other, SCALARS):
+            return self._scale(other)
+        self._check_same(other)
+        products = (
+            (mono, c1 * c2 * c)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+            for mono, c in pbw_product(m1, m2).items()
+        )
+        return UglElement(self.rank, accumulate({}, products))
 
     def __pow__(self, k: int) -> UglElement:
         out = UglElement.one(self.rank)
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UglElement):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def filtration_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
@@ -178,7 +162,7 @@ class UglElement:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.sorted_items():
             factors = [
                 f"E[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono
             ]
@@ -203,7 +187,7 @@ class UglElement:
                     "factors": [[i, j, e] for (i, j), e in mono],
                     "coeff": str(Fraction(c)),
                 }
-                for mono, c in self.terms.items()
+                for mono, c in self.sorted_items()
             ],
         }
 
@@ -216,24 +200,11 @@ class UglElement:
         return UglElement(obj["rank"], terms)
 
 
-def _mono_sort(item):
-    mono = item[0]
-    return tuple((_gen_key(g), e) for g, e in mono)
-
-
 def E(i: int, j: int, n: int) -> UglElement:
     """The matrix unit E_ij as an element of U(gl_n), 1-based."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ArgumentError(f"indices ({i},{j}) out of range 1..{n}")
     return UglElement(n, {(((i, j), 1),): 1})
-
-
-def identity_matrix_element(n: int) -> UglElement:
-    """The identity matrix I = sum_i E_ii inside U(gl_n)."""
-    out = UglElement.zero(n)
-    for i in range(1, n + 1):
-        out = out + E(i, i, n)
-    return out
 
 
 def _cartan_in_split_basis(n: int):
@@ -279,13 +250,10 @@ def in_usl(u: UglElement) -> bool:
                     key = (h_exp, a)
                     base[key] = base.get(key, Fraction(0)) + c_bin * c_h
             poly = _poly_mul(poly, base)
-        for (h_exp, i_exp), c in poly.items():
-            key = (context, h_exp, i_exp)
-            new = collected.get(key, 0) + coeff * c
-            if new == 0:
-                collected.pop(key, None)
-            else:
-                collected[key] = new
+        accumulate(
+            collected,
+            (((context, h_exp, i_exp), coeff * c) for (h_exp, i_exp), c in poly.items()),
+        )
     return all(i_exp == 0 for (_, _, i_exp) in collected)
 
 
@@ -307,13 +275,9 @@ def _h_power(h_row, e: int, n: int):
 
 
 def _poly_mul(p1, p2):
-    out = {}
-    for (h1, i1), c1 in p1.items():
-        for (h2, i2), c2 in p2.items():
-            key = (tuple(a + b for a, b in zip(h1, h2)), i1 + i2)
-            new = out.get(key, Fraction(0)) + c1 * c2
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-    return out
+    products = (
+        ((tuple(a + b for a, b in zip(h1, h2)), i1 + i2), c1 * c2)
+        for (h1, i1), c1 in p1.items()
+        for (h2, i2), c2 in p2.items()
+    )
+    return accumulate({}, products)

@@ -23,6 +23,7 @@ from .errors import ArgumentError, DomainError, StructureError
 from .indices import falling
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
+from .terms import TermMap, accumulate
 from .vectorfields import VectorField, is_divergence_free
 from .weyl import WeylElement
 
@@ -148,7 +149,11 @@ def parse_module_descriptor(text: str) -> WeightModuleP:
             elif token.startswith("laurent"):
                 inner = token[len("laurent"):].strip()
                 if inner.startswith("(") and inner.endswith(")"):
-                    factors.append(Factor(LAURENT, Fraction(inner[1:-1])))
+                    try:
+                        shift = Fraction(inner[1:-1])
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise ArgumentError(f"bad factor token {token!r}") from exc
+                    factors.append(Factor(LAURENT, shift))
                 elif not inner:
                     factors.append(Factor(LAURENT))
                 else:
@@ -190,10 +195,10 @@ def _monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     return coeff, tuple(out)
 
 
-class PVector:
+class PVector(TermMap):
     """Sparse vector in a weight module, keyed by integer offsets."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: WeightModuleP, terms=None):
         cleaned = {}
@@ -205,46 +210,18 @@ class PVector:
                 if not module.supports_key(key):
                     raise StructureError(f"key {key} outside the support")
                 cleaned[key] = coeff
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+        self._set(cleaned, module=module)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PVector is immutable")
+    def _context(self):
+        return (self.module,)
 
-    def __add__(self, other: PVector) -> PVector:
-        if self.module != other.module:
-            raise StructureError("vectors live in different modules")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+    def _like(self, terms, other=None):
         return PVector(self.module, terms)
-
-    def __sub__(self, other: PVector) -> PVector:
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> PVector:
-        return PVector(self.module, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PVector):
-            return NotImplemented
-        return self.module == other.module and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*t^{k}" for k, c in self.terms.items()).replace(
+        return " + ".join(f"{c}*t^{k}" for k, c in self.sorted_items()).replace(
             "+ -", "- "
         )
 
@@ -260,19 +237,16 @@ def weyl_act(a: WeylElement, v: PVector, allow_laurent: bool = False) -> PVector
         raise DomainError("laurent-mode operator acting on a module")
     if a.rank != v.module.rank:
         raise StructureError("rank mismatch")
-    out = {}
-    for (t_exp, d_exp), c in a.terms.items():
-        for key, cv in v.terms.items():
-            hit = _monomial_on_key(v.module, key, t_exp, d_exp)
-            if hit is None:
-                continue
-            coeff, new_key = hit
-            new = out.get(new_key, 0) + c * cv * coeff
-            if new == 0:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = new
-    return PVector(v.module, out)
+
+    def images():
+        for (t_exp, d_exp), c in a.terms.items():
+            for key, cv in v.terms.items():
+                hit = _monomial_on_key(v.module, key, t_exp, d_exp)
+                if hit is not None:
+                    coeff, new_key = hit
+                    yield new_key, c * cv * coeff
+
+    return PVector(v.module, accumulate({}, images()))
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +281,25 @@ class SLModule:
 
     def apply_gen(self, i: int, j: int, vec: dict) -> dict:
         cols = self.matrices[(i, j)]
-        out = {}
-        for src, c in vec.items():
-            for dst, m in cols[src]:
-                new = out.get(dst, 0) + c * m
-                if new == 0:
-                    out.pop(dst, None)
-                else:
-                    out[dst] = new
-        return out
+        return accumulate(
+            {}, ((dst, c * m) for src, c in vec.items() for dst, m in cols[src])
+        )
 
     def apply_pbw(self, pmono, vec: dict) -> dict:
-        """Apply a PBW monomial, rightmost factor first."""
-        gens = []
-        for (i, j), e in pmono:
-            gens.extend([(i, j)] * e)
-        for i, j in reversed(gens):
-            if not vec:
-                return {}
-            vec = self.apply_gen(i, j, vec)
-        return vec
+        """Apply a PBW monomial, rightmost factor first.
+
+        Every path through the factor matrices is carried to the end and
+        collected once, so a monomial costs one accumulation, not one per
+        factor.
+        """
+        if not pmono:
+            return vec
+        paths = vec.items()
+        for (i, j), e in reversed(pmono):
+            cols = self.matrices[(i, j)]
+            for _ in range(e):
+                paths = [(dst, c * m) for src, c in paths for dst, m in cols[src]]
+        return accumulate({}, paths)
 
     def check_commutators(self) -> bool:
         """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on every basis vector."""
@@ -335,36 +308,21 @@ class SLModule:
         for i, j, k, l in itertools.product(idx, repeat=4):
             for src in range(self.dim):
                 vec = {src: 1}
-                lhs = _dict_sub(
-                    self.apply_gen(i, j, self.apply_gen(k, l, vec)),
-                    self.apply_gen(k, l, self.apply_gen(i, j, vec)),
-                )
+                lhs = self.apply_gen(i, j, self.apply_gen(k, l, vec))
+                swapped = self.apply_gen(k, l, self.apply_gen(i, j, vec))
+                accumulate(lhs, ((d, -c) for d, c in swapped.items()))
                 rhs = {}
                 if j == k:
-                    rhs = _dict_add(rhs, self.apply_gen(i, l, vec))
+                    accumulate(rhs, self.apply_gen(i, l, vec).items())
                 if l == i:
-                    rhs = _dict_sub(rhs, self.apply_gen(k, j, vec))
+                    negated = self.apply_gen(k, j, vec)
+                    accumulate(rhs, ((d, -c) for d, c in negated.items()))
                 if lhs != rhs:
                     return False
         return True
 
     def __repr__(self):
         return self.name
-
-
-def _dict_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        new = out.get(k, 0) + v
-        if new == 0:
-            out.pop(k, None)
-        else:
-            out[k] = new
-    return out
-
-
-def _dict_sub(a: dict, b: dict) -> dict:
-    return _dict_add(a, {k: -v for k, v in b.items()})
 
 
 @lru_cache(maxsize=None)
@@ -565,10 +523,10 @@ def _insert_dense(basis: RowBasis, vec: dict, ncols: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class FVector:
+class FVector(TermMap):
     """Sparse vector of the tensor module built from P and M."""
 
-    __slots__ = ("module_p", "module_m", "terms")
+    __slots__ = ("module_p", "module_m")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):
         if module_p.rank != module_m.rank:
@@ -584,12 +542,14 @@ class FVector:
                 if not 0 <= midx < module_m.dim:
                     raise StructureError(f"bad basis index {midx}")
                 cleaned[(key, midx)] = coeff
-        object.__setattr__(self, "module_p", module_p)
-        object.__setattr__(self, "module_m", module_m)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+        self._set(cleaned, module_p=module_p, module_m=module_m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FVector is immutable")
+    def _context(self):
+        # SLModule compares by identity
+        return (self.module_p, self.module_m)
+
+    def _like(self, terms, other=None):
+        return FVector(self.module_p, self.module_m, terms)
 
     @classmethod
     def basis(cls, module_p, module_m, key, label_or_index) -> FVector:
@@ -598,47 +558,6 @@ class FVector:
         else:
             midx = module_m.labels.index(label_or_index)
         return cls(module_p, module_m, {(tuple(key), midx): 1})
-
-    def _check_same(self, other: FVector):
-        if self.module_p != other.module_p or self.module_m is not other.module_m:
-            raise StructureError("vectors live in different modules")
-
-    def __add__(self, other: FVector) -> FVector:
-        self._check_same(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return FVector(self.module_p, self.module_m, terms)
-
-    def __sub__(self, other: FVector) -> FVector:
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> FVector:
-        return FVector(
-            self.module_p,
-            self.module_m,
-            {k: c * scalar for k, c in self.terms.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FVector):
-            return NotImplemented
-        return (
-            self.module_p == other.module_p
-            and self.module_m is other.module_m
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def weight_of(self, key, midx):
         return tuple(k + w for k, w in zip(key, self.module_m.weights[midx]))
@@ -650,7 +569,7 @@ class FVector:
         if not self.terms:
             return "0"
         parts = []
-        for (key, midx), c in self.terms.items():
+        for (key, midx), c in self.sorted_items():
             parts.append(f"{c}*t^{key}(x){self.module_m.labels[midx]}")
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -670,30 +589,27 @@ def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FV
     if T.rank != w.module_p.rank:
         raise StructureError("rank mismatch")
     module_p, module_m = w.module_p, w.module_m
-    out = {}
     # group the module vector by M index so each PBW application is done once
     by_midx: dict = {}
     for (key, midx), cv in w.terms.items():
         by_midx.setdefault(midx, []).append((key, cv))
-    for ((t_exp, d_exp), pmono), c in T.terms.items():
-        for midx, entries in by_midx.items():
-            mvec = module_m.apply_pbw(pmono, {midx: 1})
-            if not mvec:
-                continue
-            for key, cv in entries:
-                hit = _monomial_on_key(module_p, key, t_exp, d_exp)
-                if hit is None:
+
+    def images():
+        for ((t_exp, d_exp), pmono), c in T.terms.items():
+            for midx, entries in by_midx.items():
+                mvec = module_m.apply_pbw(pmono, {midx: 1})
+                if not mvec:
                     continue
-                coeff, new_key = hit
-                base = c * cv * coeff
-                for dst, mc in mvec.items():
-                    k2 = (new_key, dst)
-                    new = out.get(k2, 0) + base * mc
-                    if new == 0:
-                        out.pop(k2, None)
-                    else:
-                        out[k2] = new
-    return FVector(module_p, module_m, out)
+                for key, cv in entries:
+                    hit = _monomial_on_key(module_p, key, t_exp, d_exp)
+                    if hit is None:
+                        continue
+                    coeff, new_key = hit
+                    base = c * cv * coeff
+                    for dst, mc in mvec.items():
+                        yield (new_key, dst), base * mc
+
+    return FVector(module_p, module_m, accumulate({}, images()))
 
 
 def sn_act(x: VectorField, w: FVector) -> FVector:

@@ -3,8 +3,8 @@
 An element is a finite sum of monomials t^beta * d^gamma (all t factors to
 the left of all derivative factors) with exact rational coefficients.
 ``laurent=True`` admits negative t exponents; derivative exponents are always
-nonnegative.  Values are immutable once built: every operation allocates a
-fresh element, so sharing across threads is safe.
+nonnegative.  Values are immutable once built (see ``weylmod.terms``): every
+operation allocates a fresh element, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError, StructureError
 from .indices import binomial, falling, mi_zero
+from .terms import SCALARS, TermMap, accumulate
 
 
 def _d_on_t(gamma, beta):
@@ -43,15 +44,14 @@ def _d_on_t(gamma, beta):
         yield coeff, tuple(k for k, _ in combo)
 
 
-class WeylElement:
+class WeylElement(TermMap):
     """Sparse normal-ordered element of the (Laurent) Weyl algebra.
 
-    Terms are stored sorted lexicographically on (tExp, dExp), so equal
-    elements have identical representations and serialization is
-    deterministic.
+    Terms map (tExp, dExp) pairs to coefficients; text and JSON list them
+    lexicographically on (tExp, dExp), so serialization is deterministic.
     """
 
-    __slots__ = ("rank", "laurent", "terms")
+    __slots__ = ("rank", "laurent")
 
     def __init__(self, rank: int, terms=None, laurent: bool = False):
         cleaned = {}
@@ -68,12 +68,15 @@ class WeylElement:
                         f"negative t exponent {t_exp} in polynomial mode"
                     )
                 cleaned[(tuple(t_exp), tuple(d_exp))] = coeff
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "laurent", laurent)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+        self._set(cleaned, rank=rank, laurent=laurent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+    def _context(self):
+        # the mode flag is bookkeeping, not part of the value
+        return (self.rank,)
+
+    def _like(self, terms, other=None):
+        laurent = self.laurent or (other is not None and other.laurent)
+        return WeylElement(self.rank, terms, laurent)
 
     @property
     def mode(self) -> str:
@@ -104,53 +107,11 @@ class WeylElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _combine(self, other: WeylElement, sign: int) -> WeylElement:
-        _check_same_rank(self, other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + sign * coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return WeylElement(self.rank, terms, self.laurent or other.laurent)
-
-    def __add__(self, other: WeylElement) -> WeylElement:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: WeylElement) -> WeylElement:
-        return self._combine(other, -1)
-
-    def __neg__(self) -> WeylElement:
-        return WeylElement(
-            self.rank, {k: -c for k, c in self.terms.items()}, self.laurent
-        )
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return WeylElement(
-                self.rank, {k: c * other for k, c in self.terms.items()}, self.laurent
-            )
-        _check_same_rank(self, other)
-        out = {}
-        for (b1, g1), c1 in self.terms.items():
-            for (b2, g2), c2 in other.terms.items():
-                base = c1 * c2
-                for coeff, k in _d_on_t(g1, b2):
-                    t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                    d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
-                    key = (t_exp, d_exp)
-                    new = out.get(key, 0) + base * coeff
-                    if new == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = new
-        return WeylElement(self.rank, out, self.laurent or other.laurent)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if isinstance(other, SCALARS):
+            return self._scale(other)
+        self._check_same(other)
+        return self._like(accumulate({}, _product_terms(self, other)), other)
 
     def __pow__(self, k: int) -> WeylElement:
         if k < 0:
@@ -160,18 +121,7 @@ class WeylElement:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        # mode flags are bookkeeping, not part of the value
-        return self.rank == other.rank and self.terms == other.terms
-
-    __hash__ = None
-
     # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_polynomial_in_t(self) -> bool:
         return all(all(g == 0 for g in d_exp) for _, d_exp in self.terms)
@@ -196,28 +146,24 @@ class WeylElement:
         """
         if self.laurent:
             raise DomainError("laurent-mode operator cannot act on polynomials")
-        _check_same_rank(self, p)
+        self._check_same(p)
         if p.laurent or not p.is_polynomial_in_t():
             raise DomainError("operand is not a polynomial in t")
-        out = {}
         zero = mi_zero(self.rank)
-        for (beta, gamma), c in self.terms.items():
-            for (mu, _), cp in p.terms.items():
-                coeff = c * cp
-                for m, g in zip(mu, gamma):
-                    coeff *= falling(m, g)
-                    if coeff == 0:
-                        break
-                if coeff == 0:
-                    continue
-                exp = tuple(m - g + b for m, g, b in zip(mu, gamma, beta))
-                key = (exp, zero)
-                new = out.get(key, 0) + coeff
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return WeylElement(self.rank, out, laurent=False)
+
+        def images():
+            for (beta, gamma), c in self.terms.items():
+                for (mu, _), cp in p.terms.items():
+                    coeff = c * cp
+                    for m, g in zip(mu, gamma):
+                        coeff *= falling(m, g)
+                        if coeff == 0:
+                            break
+                    if coeff != 0:
+                        exp = tuple(m - g + b for m, g, b in zip(mu, gamma, beta))
+                        yield (exp, zero), coeff
+
+        return WeylElement(self.rank, accumulate({}, images()), laurent=False)
 
     # -- formatting ---------------------------------------------------------
 
@@ -225,7 +171,7 @@ class WeylElement:
         if not self.terms:
             return "0"
         parts = []
-        for (t_exp, d_exp), coeff in self.terms.items():
+        for (t_exp, d_exp), coeff in self.sorted_items():
             factors = []
             for i, b in enumerate(t_exp):
                 if b == 1:
@@ -256,7 +202,7 @@ class WeylElement:
             "mode": self.mode,
             "terms": [
                 {"tExp": list(te), "dExp": list(de), "coeff": str(Fraction(c))}
-                for (te, de), c in self.terms.items()
+                for (te, de), c in self.sorted_items()
             ],
         }
 
@@ -269,9 +215,15 @@ class WeylElement:
         return WeylElement(obj["rank"], terms, obj["mode"] == "laurent")
 
 
-def _check_same_rank(a: WeylElement, b: WeylElement) -> None:
-    if a.rank != b.rank:
-        raise StructureError(f"rank mismatch: {a.rank} vs {b.rank}")
+def _product_terms(a: WeylElement, b: WeylElement):
+    """The (monomial, coeff) pairs of a * b before collection."""
+    for (b1, g1), c1 in a.terms.items():
+        for (b2, g2), c2 in b.terms.items():
+            base = c1 * c2
+            for coeff, k in _d_on_t(g1, b2):
+                t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
+                d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
+                yield (t_exp, d_exp), base * coeff
 
 
 def t(i: int, n: int) -> WeylElement:
@@ -295,18 +247,14 @@ def fourier(a: WeylElement) -> WeylElement:
     """
     if a.laurent:
         raise DomainError("fourier is defined on polynomial-mode elements")
-    out = {}
-    for (beta, gamma), c in a.terms.items():
-        sign = -1 if sum(gamma) % 2 else 1
-        base = c * sign
-        # the image of the monomial is (+/-) d^beta t^gamma, normal-ordered
-        for coeff, k in _d_on_t(beta, gamma):
-            t_exp = tuple(g - x for g, x in zip(gamma, k))
-            d_exp = tuple(b - x for b, x in zip(beta, k))
-            key = (t_exp, d_exp)
-            new = out.get(key, 0) + base * coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-    return WeylElement(a.rank, out, laurent=False)
+
+    def images():
+        for (beta, gamma), c in a.terms.items():
+            base = c * (-1 if sum(gamma) % 2 else 1)
+            # the image of the monomial is (+/-) d^beta t^gamma, normal-ordered
+            for coeff, k in _d_on_t(beta, gamma):
+                t_exp = tuple(g - x for g, x in zip(gamma, k))
+                d_exp = tuple(b - x for b, x in zip(beta, k))
+                yield (t_exp, d_exp), base * coeff
+
+    return WeylElement(a.rank, accumulate({}, images()), laurent=False)

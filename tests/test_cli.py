@@ -9,7 +9,10 @@ from weylmod.errors import ArgumentError
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -54,6 +57,21 @@ def test_config_error_exit_code(capsys):
     )
     assert code == 2
     assert "error:" in err
+    for argv in (
+        ["verify", "iota-hom", "--n", "2", "--deg", "-1"],
+        ["verify", "eq-cubic", "--n", "2", "--alpha-window=2..1"],
+        ["verify", "g-u", "--n", "2"],
+        ["verify", "derham", "--n", "2", "--lambda", "abc"],
+        ["structure", "simplicity", "--P", "[poly,poly]", "--M", "hw:a"],
+        ["structure", "simplicity", "--P", "[laurent(x)]", "--M", "wedge:1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, argv
+    # --deg 0 is a real configuration, not a stand-in for the default
+    code, out, _ = run_cli(capsys, "verify", "iota-hom", "--n", "2", "--deg", "0")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["params"]["deg"] == 0
 
 
 def test_reports_are_byte_deterministic(capsys):

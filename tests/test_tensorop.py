@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from weylmod import suites
 from weylmod.errors import ArgumentError
 from weylmod.indices import mi_add, mi_sub, mi_unit
+from weylmod.suites import check_eq_cubic, check_eq_quartic
 from weylmod.tensorop import (
+    CHECK_NODE,
+    CUBIC_PREDICTION,
+    CUBIC_WEIGHTS,
+    QUARTIC_PREDICTION,
+    QUARTIC_WEIGHTS,
     TensorOperator,
     cubic_identity_residual,
     cubic_m_product,
@@ -127,8 +134,11 @@ def test_iota_of_generators_lands_in_usl():
                     continue
                 image = shen_iota(L_op(i, j, alpha))
                 # the U(gl) cofactor of every Weyl monomial is an sl member
-                for _, part in image.weyl_factors().items():
-                    assert in_usl(part)
+                cofactors = {}
+                for (wmono, pmono), coeff in image.terms.items():
+                    cofactors.setdefault(wmono, {})[pmono] = coeff
+                for part in cofactors.values():
+                    assert in_usl(UglElement(n, part))
 
 
 def test_special_operator_f_at_zero():
@@ -244,6 +254,41 @@ def test_quartic_interpolation_recovers_g():
     for k, c in enumerate(coeffs):
         predicted = predicted + c * Fraction(4) ** k
     assert predicted == quartic_m_product(alpha, i, 4)
+
+
+def test_identity_weights_match_the_displayed_identities():
+    # derived from row 3 of the inverse Vandermonde matrix of the nodes
+    assert CUBIC_WEIGHTS == {
+        3: Fraction(-1, 6), 2: Fraction(1, 2), 1: Fraction(-1, 2), 0: Fraction(1, 6)
+    }
+    assert QUARTIC_WEIGHTS == {
+        3: Fraction(-1, 12), 2: Fraction(1, 2), 1: Fraction(-1), 0: Fraction(5, 6),
+        -1: Fraction(-1, 4),
+    }
+    # fourth and fifth finite differences vanish on cubics and quartics
+    assert CUBIC_PREDICTION == {0: -1, 1: 4, 2: -6, 3: 4}
+    assert QUARTIC_PREDICTION == {-1: 1, 0: -5, 1: 10, 2: -10, 3: 5}
+
+
+@pytest.mark.parametrize("kind", ["cubic", "quartic"])
+def test_degree_certificate_catches_a_tampered_product(monkeypatch, kind):
+    # a product off the polynomial in m leaves the residual at zero, since
+    # the residual never reads it, but fails the check-node certificate
+    n, check, name = (2, check_eq_cubic, "cubic_m_product") if kind == "cubic" else (
+        3, check_eq_quartic, "quartic_m_product")
+    honest = getattr(suites, name)
+    extra = tensor(WeylElement.one(n, laurent=True), E(1, 2, n))
+
+    def tampered(*args):
+        value = honest(*args)
+        return value + extra if args[-1] == CHECK_NODE else value
+
+    assert check(n, lo=0, hi=1)["pass"]
+    monkeypatch.setattr(suites, name, tampered)
+    report = check(n, lo=0, hi=1)
+    assert not report["pass"]
+    assert report["residual_terms"] == 0
+    assert len(report["failures"]) == report["checked"]
 
 
 def test_demote():

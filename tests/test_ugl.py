@@ -4,7 +4,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from weylmod.ugl import E, UglElement, identity_matrix_element, in_usl
+from weylmod.ugl import E, UglElement, in_usl
+
+
+def identity_matrix(n):
+    """I = sum_i E_ii inside U(gl_n)."""
+    return sum((E(i, i, n) for i in range(1, n + 1)), UglElement.zero(n))
 
 
 def random_ugl(rng, n, deg=2, nterms=2):
@@ -61,7 +66,7 @@ def test_in_usl_examples():
     for n in (2, 3):
         h1 = E(1, 1, n) - E(2, 2, n)
         assert in_usl(h1)
-        assert not in_usl(identity_matrix_element(n))
+        assert not in_usl(identity_matrix(n))
         assert not in_usl(E(1, 1, n))
         assert in_usl(E(1, 2, n))
         assert in_usl(UglElement.zero(n))
@@ -70,14 +75,14 @@ def test_in_usl_examples():
 def test_in_usl_cartan_oracle():
     # E_11 = h-combination + I/n: the I coordinate is 1/n, never zero
     for n in (2, 3, 4):
-        diff = E(1, 1, n) * n - identity_matrix_element(n)
+        diff = E(1, 1, n) * n - identity_matrix(n)
         assert in_usl(diff)
 
 
 def test_in_usl_scalars():
     # constants are in U(sl_n); multiples of I are not
     assert in_usl(UglElement.one(3) * Fraction(5, 2))
-    assert not in_usl(identity_matrix_element(3) * Fraction(1, 3))
+    assert not in_usl(identity_matrix(3) * Fraction(1, 3))
 
 
 def test_in_usl_closed_under_products():
