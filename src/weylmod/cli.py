@@ -20,6 +20,7 @@ from .derham import partial_span, pi, pi_image, pi_kernel
 from .exprparse import (
     ParseError,
     VectorLiteral,
+    _weyl_to_literal,
     format_vector,
     parse_expr,
 )
@@ -244,7 +245,7 @@ def cmd_derham(args) -> int:
             raise ArgumentError("pi needs --input")
         value = parse_expr(args.input, n)
         if isinstance(value, WeylElement):
-            value = _weyl_as_literal(value, n)
+            value = _weyl_to_literal(value, n)
         if not isinstance(value, VectorLiteral):
             raise ArgumentError("--input must be a module vector")
         vec = value.bind(P)
@@ -284,7 +285,7 @@ def cmd_structure(args) -> int:
             if isinstance(value, (int, Fraction)):
                 value = WeylElement.one(n) * value
             if isinstance(value, WeylElement):
-                value = _weyl_as_literal(value, n)
+                value = _weyl_to_literal(value, n)
             if not isinstance(value, VectorLiteral):
                 raise ArgumentError(f"seed {text!r} is not a module vector")
             vec = value.bind(P, module_m)
@@ -327,15 +328,6 @@ def cmd_structure(args) -> int:
     raise ArgumentError(f"unknown structure action {args.action!r}")
 
 
-def _weyl_as_literal(a: WeylElement, n: int) -> VectorLiteral:
-    terms = {}
-    for (t_exp, d_exp), c in a.terms.items():
-        if any(d_exp):
-            raise ArgumentError("module vectors cannot contain derivatives")
-        terms[(t_exp, ())] = c
-    return VectorLiteral(n, terms)
-
-
 # -- act and parse -----------------------------------------------------------
 
 
@@ -345,7 +337,7 @@ def cmd_act(args) -> int:
     op_value = parse_expr(args.op, n)
     vec_value = parse_expr(args.vector, n)
     if isinstance(vec_value, WeylElement):
-        vec_value = _weyl_as_literal(vec_value, n)
+        vec_value = _weyl_to_literal(vec_value, n)
     if not isinstance(vec_value, VectorLiteral):
         raise ArgumentError("--vector must be a module vector")
     vec = vec_value.bind(P)

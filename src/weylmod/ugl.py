@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError, DomainError, StructureError
 from .indices import binomial
 from .terms import SCALARS, TermMap, accumulate
 
@@ -150,6 +150,8 @@ class UglElement(TermMap):
         return UglElement(self.rank, accumulate({}, products))
 
     def __pow__(self, k: int) -> UglElement:
+        if k < 0:
+            raise DomainError("negative powers are not defined")
         out = UglElement.one(self.rank)
         for _ in range(k):
             out = out * self

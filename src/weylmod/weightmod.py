@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import falling
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
 from .terms import TermMap, accumulate
@@ -35,19 +34,25 @@ LAURENT = "laurent"
 class Factor:
     """One coordinate factor of a weight module."""
 
-    __slots__ = ("kind", "shift")
+    __slots__ = ("kind", "shift", "line")
 
     def __init__(self, kind: str, shift=None):
         if kind not in (POLY, TWIST, LAURENT):
             raise ArgumentError(f"unknown factor kind {kind!r}")
+        # (kind, q, p): the true exponent of key k is (q k + p) / q, so
+        # lambda = p / q on a Laurent line and q = 1, p = 0 elsewhere
         if kind == LAURENT:
             shift = Fraction(shift if shift is not None else Fraction(1, 2))
             if shift.denominator == 1:
                 raise StructureError("laurent shift must not be an integer")
+            line = (kind, shift.denominator, shift.numerator)
         elif shift is not None:
             raise ArgumentError(f"{kind} factor takes no shift")
+        else:
+            line = (kind, 1, 0)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "line", line)
 
     def __setattr__(self, name, value):
         raise AttributeError("Factor is immutable")
@@ -82,7 +87,7 @@ class Factor:
 class WeightModuleP:
     """A simple weight module presented as a product of coordinate factors."""
 
-    __slots__ = ("rank", "factors")
+    __slots__ = ("rank", "factors", "lines", "integral")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -90,6 +95,10 @@ class WeightModuleP:
             raise ArgumentError("need at least one factor")
         object.__setattr__(self, "rank", len(factors))
         object.__setattr__(self, "factors", factors)
+        lines = tuple([f.line for f in factors])
+        object.__setattr__(self, "lines", lines)
+        # without a Laurent line every q is 1 and every coefficient an int
+        object.__setattr__(self, "integral", all(q == 1 for _, q, _ in lines))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightModuleP is immutable")
@@ -171,28 +180,49 @@ def parse_module_descriptor(text: str) -> WeightModuleP:
     return WeightModuleP(factors)
 
 
+def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
+    """Apply t^b d^g to the basis vector at key in exact integers.
+
+    Returns (numerator, new key) or None.  On line l the derivative factor
+    is the falling factorial of the true exponent (q k + p) / q; its q^g
+    multiple prod_(j<g) (q (k - j) + p) is an integer, so the coefficient is
+    the numerator over prod_l q_l^(g_l).  Boundary rules per factor: a
+    polynomial line kills keys that would turn negative, a twisted quotient
+    kills keys that would reach zero or above.
+    """
+    num = 1
+    out = []
+    for (kind, q, p), k, b, g in zip(module.lines, key, t_exp, d_exp):
+        new = k - g + b
+        if kind == POLY and new < 0 or kind == TWIST and new > -1:
+            return None
+        if g:
+            x = q * k + p
+            for _ in range(g):
+                num *= x
+                x -= q
+        out.append(new)
+    if num == 0:
+        return None
+    return num, tuple(out)
+
+
 def _monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     """Apply t^b d^g to the basis vector at key.  Returns (coeff, key) or None.
 
-    Boundary rules per factor: a polynomial line kills keys that would turn
-    negative, a twisted quotient kills keys that would reach zero or above,
-    and the coefficient is the product of falling factorials of the true
-    exponents.
+    The coefficient is an int unless a Laurent line carries a derivative;
+    then it is a Fraction in lowest terms.
     """
-    coeff = 1
-    out = []
-    for f, k, b, g in zip(module.factors, key, t_exp, d_exp):
-        c = falling(f.exponent(k), g)
-        if c == 0:
-            return None
-        new = k - g + b
-        if f.kind == POLY and new < 0:
-            return None
-        if f.kind == TWIST and new > -1:
-            return None
-        coeff *= c
-        out.append(new)
-    return coeff, tuple(out)
+    hit = _scaled_monomial_on_key(module, key, t_exp, d_exp)
+    if hit is None or module.integral:
+        return hit
+    den = 1
+    for (_, q, _), g in zip(module.lines, d_exp):
+        den *= q**g
+    if den == 1:
+        return hit
+    num, new_key = hit
+    return Fraction(num, den), new_key
 
 
 class PVector(TermMap):

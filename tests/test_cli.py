@@ -134,6 +134,15 @@ def test_act_command(capsys):
     assert json.loads(out)["result"] == "t[1]"
 
 
+def test_act_vector_with_derivative_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "act", "--op", "t[1]", "--vector", "t[1]*d[2]", "--P", "[poly,poly]",
+    )
+    assert code == 2 and not out
+    assert "module vectors cannot contain derivatives" in err
+    assert "Traceback" not in err
+
+
 def test_structure_simplicity_cli(capsys):
     code, out, _ = run_cli(
         capsys, "structure", "simplicity", "--P", "[poly,poly]", "--ambient",

@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from weylmod.derham import (
     _action_table,
+    _derham_sources,
+    _failing_sources,
     _lemma_report,
     partial_span,
     pi,
@@ -260,25 +263,108 @@ def test_h_nonzero_off_the_image():
     assert report["pass"]
 
 
+LEMMA_PROFILES = {
+    "poly": (WeightModuleP.polynomial(4), TruncationBox((0,) * 4, (1,) * 4)),
+    "laurent": (
+        WeightModuleP.laurent(4, Fraction(-7, 5)),
+        TruncationBox((-1,) * 4, (0,) * 4),
+    ),
+    "one-twist": (
+        WeightModuleP([Factor("twist")] + [Factor("poly")] * 3),
+        TruncationBox((-2, 0, 0, 0), (-1, 1, 1, 1)),
+    ),
+}
+
+
 def test_lemma_report_names_exactly_the_vectors_not_killed():
-    # h is nonzero on part of F at n = 4; the batched evaluation behind the
+    # h is nonzero on part of F at n = 4; the integer evaluation behind the
     # lemma reports must name the same basis vectors as the direct action
     n = 4
-    P = WeightModuleP.polynomial(n)
     wedge2 = make_wedge_module(n, 2)
     alpha = (2, 0, 0, 0)
     h = special_operator("h", alpha, 1).demote()
-    box = TruncationBox((0,) * n, (1,) * n)
-    sources = [(key, midx) for key in box.keys() for midx in range(wedge2.dim)]
-    table = _action_table(P, h, wedge2)
-    report = _lemma_report("h", alpha, 1, P, 2, table, sources, wedge2.labels)
-    expected = [
-        {"key": list(key), "label": str(wedge2.labels[midx])}
-        for key, midx in sources
-        if not tensor_act(h, FVector.basis(P, wedge2, key, midx)).is_zero()
-    ]
-    assert expected and report["failures"] == expected
-    assert not report["pass"] and report["checked"] == len(sources)
+    for P, box in LEMMA_PROFILES.values():
+        sources = [(key, midx) for key in box.keys() for midx in range(wedge2.dim)]
+        table = _action_table(P, h, wedge2)
+        report = _lemma_report("h", alpha, 1, P, 2, table, sources, wedge2.labels)
+        expected = [
+            {"key": list(key), "label": str(wedge2.labels[midx])}
+            for key, midx in sources
+            if not tensor_act(h, FVector.basis(P, wedge2, key, midx)).is_zero()
+        ]
+        assert expected and report["failures"] == expected, repr(P)
+        assert not report["pass"] and report["checked"] == len(sources)
+
+
+def test_failing_sources_cancel_across_derivative_degrees():
+    # X (t_1 d_1 - lambda_1 - k0) kills exactly the keys with k_1 = k0, but
+    # only once monomials of different derivative degree cancel on the key:
+    # the integer scaling of the table must keep their ratios exact
+    rng = random.Random(29)
+    k0 = 1
+    for shift in (Fraction(-7, 5), Fraction(5, 3), Fraction(3, 4), Fraction(-1, 3)):
+        P = WeightModuleP([Factor("laurent", shift), Factor("poly")])
+        euler = WeylElement.monomial((1, 0), (1, 0)) - (shift + k0) * WeylElement.one(2)
+        for _ in range(5):
+            X = WeylElement.zero(2)
+            for _ in range(3):
+                X = X + WeylElement.monomial(
+                    (rng.randint(0, 2), rng.randint(0, 2)),
+                    (rng.randint(0, 2), rng.randint(0, 1)),
+                    Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                )
+            op = X * euler
+            table = [[(t_exp, d_exp, {0: 1}, c) for (t_exp, d_exp), c in op.terms.items()]]
+            sources = [((k1, k2), 0) for k1 in range(-2, 4) for k2 in range(3)]
+            expected = set()
+            for key, midx in sources:
+                image = {}
+                for (t_exp, d_exp), c in op.terms.items():
+                    hit = oracles.monomial_on_key(P, key, t_exp, d_exp)
+                    if hit is not None:
+                        image[hit[1]] = image.get(hit[1], 0) + c * hit[0]
+                if any(image.values()):
+                    expected.add((key, midx))
+            assert expected and all(key[0] != k0 for key, _ in expected)
+            assert _failing_sources(P, table, sources) == expected, (shift, op)
+
+
+def test_lemma_report_that_checked_nothing_fails():
+    P = WeightModuleP.polynomial(4)
+    outside = TruncationBox((-3,) * 4, (-1,) * 4)
+    for lemma in (verify_g_equals_u, verify_h_annihilates):
+        report = lemma((2, 0, 0, 0), 1, P, 2, outside)
+        assert report["checked"] == 0 and report["failures"] == []
+        assert not report["pass"]
+
+
+def test_derham_sources_match_the_per_label_rule():
+    # the per-key live set must keep exactly the labels that the per-label
+    # rule keeps: some d_l with l outside the label survives on the key
+    n = 4
+    dropped = {}
+    for name, (P, box) in LEMMA_PROFILES.items():
+        box = TruncationBox(
+            tuple(k - 1 for k in box.lower), tuple(k + 1 for k in box.upper)
+        )
+        keys = [key for key in box.keys() if P.supports_key(key)]
+        for r in (1, 2):
+            labels = make_wedge_module(n, r).labels
+            expected = [
+                (key, midx)
+                for key in keys
+                for midx, label in enumerate(labels)
+                if any(
+                    oracles.monomial_on_key(P, key, (0,) * n, mi_unit(l, n))
+                    is not None
+                    for l in range(1, n + 1)
+                    if l not in label
+                )
+            ]
+            assert _derham_sources(P, labels, box) == expected, (name, r)
+            dropped[name, r] = len(keys) * len(labels) - len(expected)
+    # the rule has something to drop where poly lines meet their edge
+    assert dropped["poly", 1] > 0 and dropped["one-twist", 2] > 0
 
 
 def test_submodule_preservation_operator():

@@ -4,6 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from weylmod.errors import DomainError
 from weylmod.ugl import E, UglElement, in_usl
 
 
@@ -60,6 +63,14 @@ def test_mul_associative_random():
             b = random_ugl(rng, n)
             c = random_ugl(rng, n)
             assert (a * b) * c == a * (b * c)
+
+
+def test_powers():
+    a = E(1, 2, 2)
+    assert a**0 == UglElement.one(2)
+    assert a**2 == a * a
+    with pytest.raises(DomainError):
+        a ** -1
 
 
 def test_in_usl_examples():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from weylmod.errors import ArgumentError, DomainError, StructureError
@@ -16,6 +17,8 @@ from weylmod.weightmod import (
     FVector,
     PVector,
     WeightModuleP,
+    _monomial_on_key,
+    _scaled_monomial_on_key,
     make_hw_module,
     make_wedge_module,
     parse_module_descriptor,
@@ -36,6 +39,44 @@ def test_factor_kinds():
     assert lam.supports(-5) and lam.exponent(3) == Fraction(7, 2)
     with pytest.raises(StructureError):
         Factor("laurent", 2)
+
+
+ORACLE_SHIFTS = tuple(Fraction(s) for s in ("1/2", "-7/5", "5/3", "3/4", "-1/3"))
+
+
+def assert_matches_oracle(P, key, t_exp, d_exp):
+    expected = oracles.monomial_on_key(P, key, t_exp, d_exp)
+    hit = _monomial_on_key(P, key, t_exp, d_exp)
+    scaled = _scaled_monomial_on_key(P, key, t_exp, d_exp)
+    if expected is None:
+        assert hit is None and scaled is None
+        return
+    coeff, new_key = expected
+    assert hit == expected and type(hit[0]) is type(coeff)
+    den = math.prod(f.shift.denominator ** g for f, g in zip(P.factors, d_exp)
+                    if f.kind == "laurent")
+    assert type(scaled[0]) is int
+    assert Fraction(scaled[0], den) == coeff and scaled[1] == new_key
+
+
+def test_monomial_on_key_matches_fraction_oracle():
+    factors = [Factor("poly"), Factor("twist")] + [
+        Factor("laurent", s) for s in ORACLE_SHIFTS
+    ]
+    # every single line: keys on both sides of the poly (0 | -1) and twist
+    # (-1 | 0) support edges, derivative degrees up to 5
+    for f in factors:
+        P = WeightModuleP([f])
+        for k, b, g in itertools.product(range(-7, 8), range(3), range(6)):
+            assert_matches_oracle(P, (k,), (b,), (g,))
+    # mixed rank-3 profiles
+    rng = random.Random(83)
+    for _ in range(3000):
+        P = WeightModuleP([rng.choice(factors) for _ in range(3)])
+        key = tuple(rng.randint(-4, 4) for _ in range(3))
+        t_exp = tuple(rng.randint(0, 3) for _ in range(3))
+        d_exp = tuple(rng.randint(0, 5) for _ in range(3))
+        assert_matches_oracle(P, key, t_exp, d_exp)
 
 
 def test_descriptor_round_trip():
