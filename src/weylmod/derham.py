@@ -8,8 +8,6 @@ box only chooses which weights to materialize.
 
 from __future__ import annotations
 
-import math
-
 from .errors import ArgumentError, StructureError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, nullspace
@@ -263,17 +261,14 @@ def _action_table(P: WeightModuleP, op: TensorOperator, M: SLModule):
     return table
 
 
-def _scaled_table(P: WeightModuleP, table):
-    """The action table in exact integers, for ``_failing_sources``.
+def _merged_rows(table):
+    """Per m-index list of ((t_exp, d_exp), {dst: coeff}): the entries of one
+    Weyl monomial summed, and the monomials whose sum cancels dropped.
 
-    Entries of one m-index with the same Weyl monomial are merged.  Every
-    merged c*mc is multiplied by the common denominator D and by
-    q_l^(G_l - g_l), G_l the largest derivative degree on line l, so an image
-    term is the true coefficient times D * prod_l q_l^(G_l) for every source:
-    the zero tests do not change.  Returns the monomials and, per m-index, a
-    list of (monomial index, [(dst, int)]).
+    A monomial sends a key to the same key and coefficient whatever entry it
+    comes from, so the merged rows act exactly as the table does.
     """
-    merged = []
+    rows = []
     for entries in table:
         by_mono = {}
         for t_exp, d_exp, mvec, c in entries:
@@ -281,66 +276,32 @@ def _scaled_table(P: WeightModuleP, table):
                 by_mono.setdefault((t_exp, d_exp), {}),
                 ((dst, c * mc) for dst, mc in mvec.items()),
             )
-        merged.append({mono: terms for mono, terms in by_mono.items() if terms})
-    top = [0] * P.rank
-    den = 1
-    for by_mono in merged:
-        for (_, d_exp), terms in by_mono.items():
-            top = [max(a, g) for a, g in zip(top, d_exp)]
-            for v in terms.values():
-                den = math.lcm(den, v.denominator)
-    monos = {}
-    scaled = []
-    for by_mono in merged:
-        rows = []
-        for mono, terms in by_mono.items():
-            factor = den
-            for (_, q, _), a, g in zip(P.lines, top, mono[1]):
-                factor *= q ** (a - g)
-            row = []
-            for dst, v in terms.items():
-                v *= factor
-                if v.denominator != 1:
-                    raise StructureError("action table did not scale to integers")
-                row.append((dst, v.numerator))
-            rows.append((monos.setdefault(mono, len(monos)), row))
-        scaled.append(rows)
-    return list(monos), scaled
+        rows.append([(mono, terms) for mono, terms in by_mono.items() if terms])
+    return rows
 
 
 def _failing_sources(P, table, sources):
     """The basis vectors (key, midx) among ``sources`` that the tabulated
     operator does not kill.
 
-    Runs on the integer-scaled table; each operator monomial is evaluated
-    once per key, for all the labels of that key.  A source whose m-index
-    has no entry left after merging is killed on every key.
+    Every image term is keyed by its source as well, so one accumulation
+    serves the whole list: a source fails exactly when one of its image
+    terms survives.  A source whose merged row is empty is killed on every
+    key and costs nothing.
     """
-    monos, scaled = _scaled_table(P, table)
-    by_key = {}
-    for key, midx in sources:
-        if scaled[midx]:
-            by_key.setdefault(key, []).append(midx)
-    failing = set()
-    unset = object()
-    for key, midxs in by_key.items():
-        hits = [unset] * len(monos)
-        for midx in midxs:
-            image = {}
-            for m, row in scaled[midx]:
-                hit = hits[m]
-                if hit is unset:
-                    t_exp, d_exp = monos[m]
-                    hit = hits[m] = _scaled_monomial_on_key(P, key, t_exp, d_exp)
+    rows = _merged_rows(table)
+
+    def images():
+        for key, midx in sources:
+            for (t_exp, d_exp), terms in rows[midx]:
+                hit = _monomial_on_key(P, key, t_exp, d_exp)
                 if hit is None:
                     continue
-                num, new_key = hit
-                for dst, c in row:
-                    slot = (new_key, dst)
-                    image[slot] = image.get(slot, 0) + c * num
-            if any(image.values()):
-                failing.add((key, midx))
-    return failing
+                coeff, new_key = hit
+                for dst, c in terms.items():
+                    yield (key, midx, new_key, dst), c * coeff
+
+    return {(key, midx) for key, midx, _, _ in accumulate({}, images())}
 
 
 def _lemma_report(check, alpha, i, P, r, table, sources, labels):

@@ -20,6 +20,7 @@ from .derham import (
     verify_g_equals_u,
     verify_h_annihilates,
 )
+from .errors import ArgumentError
 from .indices import TruncationBox, mi_sub, mi_unit
 from .structure import GeneratorSet, evidence_simplicity
 from .tensorop import (
@@ -202,6 +203,12 @@ def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
                 for delta in itertools.product(range(delta_hi + 1), repeat=n):
                     alpha = tuple(b + d for b, d in zip(base, delta))
                     report = lemma(alpha, i, P, r, key_box)
+                    if not report["checked"]:
+                        # an empty case is a bad key box, not a lemma failure
+                        raise ArgumentError(
+                            f"the configuration leaves nothing to check in {check}"
+                            f" on the {name} profile (keyRadius {key_radius})"
+                        )
                     sub.append(
                         {
                             "profile": name,

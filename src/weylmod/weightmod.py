@@ -34,25 +34,19 @@ LAURENT = "laurent"
 class Factor:
     """One coordinate factor of a weight module."""
 
-    __slots__ = ("kind", "shift", "line")
+    __slots__ = ("kind", "shift")
 
     def __init__(self, kind: str, shift=None):
         if kind not in (POLY, TWIST, LAURENT):
             raise ArgumentError(f"unknown factor kind {kind!r}")
-        # (kind, q, p): the true exponent of key k is (q k + p) / q, so
-        # lambda = p / q on a Laurent line and q = 1, p = 0 elsewhere
         if kind == LAURENT:
             shift = Fraction(shift if shift is not None else Fraction(1, 2))
             if shift.denominator == 1:
                 raise StructureError("laurent shift must not be an integer")
-            line = (kind, shift.denominator, shift.numerator)
         elif shift is not None:
             raise ArgumentError(f"{kind} factor takes no shift")
-        else:
-            line = (kind, 1, 0)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "line", line)
 
     def __setattr__(self, name, value):
         raise AttributeError("Factor is immutable")
@@ -95,7 +89,16 @@ class WeightModuleP:
             raise ArgumentError("need at least one factor")
         object.__setattr__(self, "rank", len(factors))
         object.__setattr__(self, "factors", factors)
-        lines = tuple([f.line for f in factors])
+        # (kind, q, p) per factor: the true exponent of key k is (q k + p) / q,
+        # so lambda = p / q on a Laurent line and q = 1, p = 0 elsewhere
+        lines = tuple(
+            [
+                (f.kind, f.shift.denominator, f.shift.numerator)
+                if f.kind == LAURENT
+                else (f.kind, 1, 0)
+                for f in factors
+            ]
+        )
         object.__setattr__(self, "lines", lines)
         # without a Laurent line every q is 1 and every coefficient an int
         object.__setattr__(self, "integral", all(q == 1 for _, q, _ in lines))
@@ -117,9 +120,6 @@ class WeightModuleP:
 
     def supports_key(self, key) -> bool:
         return all(f.supports(k) for f, k in zip(self.factors, key))
-
-    def exponents(self, key):
-        return tuple(f.exponent(k) for f, k in zip(self.factors, key))
 
     def basis_vector(self, key) -> PVector:
         key = tuple(key)

@@ -74,6 +74,19 @@ def test_config_error_exit_code(capsys):
     assert json.loads(out)["checks"][0]["params"]["deg"] == 0
 
 
+def test_lemma_suite_with_an_empty_case_exits_2(capsys):
+    # at key radius 0 the poly key 0 has no de Rham image, so the poly h
+    # cases check nothing while the Laurent ones still check something; the
+    # twist key box is empty for both lemmas
+    for suite, message in (("h-ln", "leaves nothing to check"), ("g-u", "empty box")):
+        code, out, err = run_cli(
+            capsys, "verify", suite, "--n", "3", "--delta-window", "0",
+            "--key-radius", "0",
+        )
+        assert code == 2 and not out, suite
+        assert message in err and "Traceback" not in err, suite
+
+
 def test_reports_are_byte_deterministic(capsys):
     args = ["verify", "derham", "--n", "2", "--count", "15"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -21,6 +21,7 @@ from weylmod.derham import (
 )
 from weylmod.errors import ArgumentError
 from weylmod.indices import TruncationBox, mi_unit
+from weylmod.suites import check_g_u, check_h_ln
 from weylmod.tensorop import special_operator, tensor
 from weylmod.ugl import E
 from weylmod.vectorfields import L_op
@@ -277,7 +278,7 @@ LEMMA_PROFILES = {
 
 
 def test_lemma_report_names_exactly_the_vectors_not_killed():
-    # h is nonzero on part of F at n = 4; the integer evaluation behind the
+    # h is nonzero on part of F at n = 4; the merged evaluation behind the
     # lemma reports must name the same basis vectors as the direct action
     n = 4
     wedge2 = make_wedge_module(n, 2)
@@ -299,7 +300,7 @@ def test_lemma_report_names_exactly_the_vectors_not_killed():
 def test_failing_sources_cancel_across_derivative_degrees():
     # X (t_1 d_1 - lambda_1 - k0) kills exactly the keys with k_1 = k0, but
     # only once monomials of different derivative degree cancel on the key:
-    # the integer scaling of the table must keep their ratios exact
+    # merging the table per monomial must keep their ratios exact
     rng = random.Random(29)
     k0 = 1
     for shift in (Fraction(-7, 5), Fraction(5, 3), Fraction(3, 4), Fraction(-1, 3)):
@@ -336,6 +337,15 @@ def test_lemma_report_that_checked_nothing_fails():
         report = lemma((2, 0, 0, 0), 1, P, 2, outside)
         assert report["checked"] == 0 and report["failures"] == []
         assert not report["pass"]
+
+
+def test_lemma_suite_rejects_a_case_that_checked_nothing():
+    # on the poly profile at key radius 0 the only key is 0, which every d_l
+    # kills: the h cases check nothing, which is a bad box, not a failure
+    profiles = {"poly": WeightModuleP.polynomial(3)}
+    with pytest.raises(ArgumentError, match="leaves nothing to check"):
+        check_h_ln(3, delta_hi=0, key_radius=0, profiles=profiles)
+    assert check_g_u(3, delta_hi=0, key_radius=0, profiles=profiles)["pass"]
 
 
 def test_derham_sources_match_the_per_label_rule():
