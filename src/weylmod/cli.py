@@ -94,6 +94,17 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
+def positive_int(text: str) -> int:
+    """A worker count of at least 1 (an argparse type)."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _run_one(task):
     name, kwargs = task
     return SUITES[name](**kwargs)
@@ -103,11 +114,14 @@ def run_suite(tasks, jobs: int = 1, timings: bool = False):
     """Execute (suite-name, kwargs) tasks and assemble the report.
 
     A failing check never cancels its siblings; results keep task order and
-    the report is deterministic unless timings are requested.
+    the report is deterministic unless timings are requested.  The pool
+    never has more workers than tasks, since it may start all of them at
+    its first submit.
     """
     checks = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             started = time.monotonic()
             results = list(pool.map(_run_one, tasks))
             elapsed = time.monotonic() - started
@@ -399,7 +413,7 @@ def cmd_parse(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=positive_int, default=1)
     common.add_argument("--timings", action="store_true",
                         help="include wall times (breaks byte determinism)")
     parser = argparse.ArgumentParser(

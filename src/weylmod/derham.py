@@ -393,21 +393,34 @@ def _derham_sources(P: WeightModuleP, labels, key_box: TruncationBox):
 
     The image of p (x) v has one term per l outside the label of v, so it
     is nonzero exactly when the set of l whose d_l does not kill the key is
-    not inside the label.
+    not inside the label.  On a supported key, d_l kills the key or not by
+    k_l alone (the other lines keep their keys), so the live k values of
+    each line are tabulated once over the box: n x box-width evaluations,
+    not n per key.
     """
     n = P.rank
+    keys = [key for key in key_box.keys() if P.supports_key(key)]
+    if not keys:
+        return []
     zero = mi_zero(n)
-    units = [(l, mi_unit(l, n)) for l in range(1, n + 1)]
+    base = keys[0]
+    live_ks = []
+    for l in range(1, n + 1):
+        e_l = mi_unit(l, n)
+        live = set()
+        for k in range(key_box.lower[l - 1], key_box.upper[l - 1] + 1):
+            key = base[: l - 1] + (k,) + base[l:]
+            if _scaled_monomial_on_key(P, key, zero, e_l):
+                live.add(k)
+        live_ks.append(live)
+    kept = {}  # live set -> the label indices it leaves a nonzero image on
     sources = []
-    for key in key_box.keys():
-        if not P.supports_key(key):
-            continue
-        live = {
-            l
-            for l, e_l in units
-            if _scaled_monomial_on_key(P, key, zero, e_l) is not None
-        }
-        sources.extend(
-            (key, midx) for midx, label in enumerate(labels) if not live.issubset(label)
-        )
+    for key in keys:
+        live = frozenset(l for l, ks in enumerate(live_ks, 1) if key[l - 1] in ks)
+        midxs = kept.get(live)
+        if midxs is None:
+            midxs = kept[live] = [
+                midx for midx, label in enumerate(labels) if not live.issubset(label)
+            ]
+        sources.extend((key, midx) for midx in midxs)
     return sources

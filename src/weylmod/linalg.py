@@ -1,13 +1,19 @@
-"""Dense exact-rational linear algebra for small matrices.
+"""Dense exact linear algebra for small matrices.
 
-Everything works on lists of lists of Fraction/int.  Sizes stay tiny in this
-library (weight blocks rarely exceed a few dozen columns), so clarity beats
-asymptotics.
+``rref``, ``nullspace`` and ``invert`` work on lists of lists of
+Fraction/int.  ``RowBasis``, the incremental echelon basis behind every
+closure and graded subspace, is fraction-free: it keeps primitive integer
+rows, clears the denominators of a rational input once, and eliminates by
+integer cross-multiplication, so its inner loop never builds a Fraction.
+Sizes stay tiny in this library (weight blocks rarely exceed a few dozen
+columns), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ArgumentError
 
@@ -70,56 +76,95 @@ def mat_vec(matrix, vec):
     return [sum(m * v for m, v in zip(row, vec)) for row in matrix]
 
 
-class RowBasis:
-    """Incrementally maintained reduced-echelon basis of a subspace.
+def clear_denominators(vec):
+    """An integer multiple of a rational vector: every entry times the lcm of
+    the denominators.  Integer entries come back as they are."""
+    den = 0  # stays 0 while every entry is an int
+    for x in vec:
+        if type(x) is not int:
+            den = lcm(den or 1, x.denominator)
+    if not den:
+        return list(vec)
+    return [x.numerator * (den // x.denominator) for x in vec]
 
-    Rows are dense lists over a fixed column count.  ``insert`` returns True
+
+class RowBasis:
+    """Incrementally maintained echelon basis of a subspace, in integers.
+
+    Rows are dense lists over a fixed column count.  Each stored row is a
+    primitive integer vector (gcd 1, positive pivot) with a zero in every
+    other row's pivot column: the reduced echelon rows of the span, each
+    scaled to its unique primitive integer multiple.  ``rows`` gives the
+    reduced echelon form itself, with unit pivots.  ``insert`` returns True
     when the vector enlarged the span.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []      # kept in reduced echelon form
+        self._rows = []     # primitive integer rows, in pivot order
         self.pivots = []    # pivot column of each row, strictly increasing
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The reduced row echelon form of the span (Fraction entries)."""
+        return [
+            [Fraction(x, row[p]) for x in row]
+            for row, p in zip(self._rows, self.pivots)
+        ]
 
     def reduce(self, vec):
-        """Residual of vec after subtracting its projection onto the span."""
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
+        """A nonzero integer multiple of the residual of vec modulo the span,
+        or the zero vector exactly when vec lies in the span.
+
+        Callers only test the result for zero or insert it, so it is not
+        normalised: elimination cross-multiplies and never divides.
+        """
+        vec = clear_denominators(vec)
+        for row, p in zip(self._rows, self.pivots):
             f = vec[p]
-            if f != 0:
-                for c in range(p, self.ncols):
-                    vec[c] -= f * row[c]
+            if f:
+                a = row[p]
+                if a == 1:
+                    vec = [x - f * y for x, y in zip(vec, row)]
+                else:
+                    g = gcd(a, f)
+                    a //= g
+                    f //= g
+                    vec = [a * x - f * y for x, y in zip(vec, row)]
         return vec
 
     def insert(self, vec) -> bool:
         res = self.reduce(vec)
-        lead = next((c for c in range(self.ncols) if res[c] != 0), None)
+        lead = next((c for c, x in enumerate(res) if x), None)
         if lead is None:
             return False
-        inv = Fraction(1, 1) / Fraction(res[lead])
-        res = [inv * x for x in res]
-        for i, row in enumerate(self.rows):
+        g = gcd(*res)
+        if res[lead] < 0:
+            g = -g
+        if g != 1:
+            res = [x // g for x in res]
+        a = res[lead]
+        rows = self._rows
+        for i, row in enumerate(rows):
             f = row[lead]
-            if f != 0:
-                self.rows[i] = [x - f * y for x, y in zip(row, res)]
-        at = next((i for i, p in enumerate(self.pivots) if p > lead), len(self.pivots))
-        self.rows.insert(at, res)
+            if f:
+                # a > 0 and res is zero at the pivot of row, so that pivot
+                # stays positive
+                h = gcd(a, f)
+                row = [(a // h) * x - (f // h) * y for x, y in zip(row, res)]
+                h = gcd(*row)
+                rows[i] = [x // h for x in row] if h != 1 else row
+        at = bisect_right(self.pivots, lead)
+        rows.insert(at, res)
         self.pivots.insert(at, lead)
         return True
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains_basis(self, other: "RowBasis") -> bool:
-        return all(self.contains(row) for row in other.rows)
-
-    def copy(self) -> "RowBasis":
-        dup = RowBasis(self.ncols)
-        dup.rows = [list(r) for r in self.rows]
-        dup.pivots = list(self.pivots)
-        return dup
+        return all(self.contains(row) for row in other._rows)

@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from math import gcd, lcm, prod
 
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError, DomainError, StructureError
 from .derham import (
     GradedSubspace,
+    _action_table,
+    _merged_rows,
     ambient_labels,
     partial_span,
     pi_image,
     pi_kernel,
 )
 from .indices import TruncationBox
-from .linalg import RowBasis
+from .linalg import RowBasis, clear_denominators
 from .tensorop import shen_iota
 from .terms import accumulate
 from .vectorfields import L_op, VectorField, is_divergence_free
@@ -29,8 +32,9 @@ from .weightmod import (
     FVector,
     SLModule,
     WeightModuleP,
+    _scaled_monomial_on_key,
     make_wedge_module,
-    tensor_act,
+    tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
 )
 
 
@@ -81,7 +85,8 @@ class GeneratorSet:
 
 
 class ClosureEngine:
-    """Caches ambient labels and per-(generator, weight) action matrices."""
+    """Caches ambient labels, per-generator integer action tables and
+    per-(generator, weight) action matrices."""
 
     def __init__(
         self,
@@ -102,13 +107,72 @@ class ClosureEngine:
             for w, labs in self.labels.items()
         }
         self.mod = mod
+        self._tables = {}
         self._matrices = {}
 
     def ambient_dims(self):
         return {w: len(labs) for w, labs in self.labels.items()}
 
+    def _table(self, gi: int):
+        """Integer action rows of generator gi and their common denominator,
+        built on first use.
+
+        The rows are those of ``derham._merged_rows`` (the PBW part applied
+        once per term and m-index, not once per column), as per m-index
+        lists of (t_exp, d_exp, {dst: coeff}).  Each coeff is multiplied by
+        ``den`` / prod_l q_l^(g_l), with ``den`` the lcm over the table, so
+        that coeff times the integer numerator of ``_scaled_monomial_on_key``
+        is the exact image coefficient times ``den``.
+        """
+        hit = self._tables.get(gi)
+        if hit is not None:
+            return hit
+        op = self.iotas[gi]
+        if op.laurent:
+            op = op.demote()
+            if op.laurent:
+                raise DomainError("laurent-mode operator acting on a module")
+        P = self.module_p
+        if op.rank != P.rank:
+            raise StructureError("rank mismatch")
+        qs = [q for _, q, _ in P.lines]
+        rows = [
+            [
+                (t_exp, d_exp, prod(q**g for q, g in zip(qs, d_exp)), terms)
+                for (t_exp, d_exp), terms in row
+            ]
+            for row in _merged_rows(_action_table(P, op, self.module_m))
+        ]
+        den = lcm(
+            *(q_g * c.denominator for row in rows for _, _, q_g, terms in row
+              for c in terms.values())
+        )
+        rows = [
+            [
+                (
+                    t_exp,
+                    d_exp,
+                    {
+                        dst: c.numerator * (den // q_g) // c.denominator
+                        for dst, c in terms.items()
+                    },
+                )
+                for t_exp, d_exp, q_g, terms in row
+            ]
+            for row in rows
+        ]
+        hit = self._tables[gi] = (rows, den)
+        return hit
+
     def matrix(self, gi: int, w):
-        """Columns of generator gi at weight w, or None when it leaves the box."""
+        """(target weight, columns, scale) of generator gi at weight w, or
+        None when it leaves the box.
+
+        Column j lists (position, coeff) pairs: the image of basis vector j,
+        multiplied by ``scale``, the lcm of the denominators in the block.
+        A closure is a span, so one nonzero scale per block changes nothing
+        it computes, and its arithmetic stays in ints.
+        """
         key = (gi, w)
         if key in self._matrices:
             return self._matrices[key]
@@ -116,21 +180,29 @@ class ClosureEngine:
         if not self.box.contains(target):
             self._matrices[key] = None
             return None
+        labels = self.labels[w]
+        rows, den = self._table(gi) if labels else ((), 1)
         slots = self.slots[target]
+        P = self.module_p
         cols = []
-        for lab_key, midx in self.labels[w]:
-            image = tensor_act(
-                self.iotas[gi],
-                FVector.basis(self.module_p, self.module_m, lab_key, midx),
-            )
+        for lab_key, midx in labels:
             col = []
-            for (k2, m2), c in image.terms.items():
-                pos = slots.get((k2, m2))
+            for lab, c in accumulate({}, _row_image(P, lab_key, rows[midx])).items():
+                pos = slots.get(lab)
                 if pos is None:
                     raise StructureError("generator action left its weight block")
                 col.append((pos, c))
             cols.append(col)
-        out = (target, cols)
+        scale = 1
+        if den != 1:
+            # the block holds its exact entries times den; dividing by the
+            # gcd of den and every entry leaves them times their lcm
+            # denominator
+            g = gcd(den, *(c for col in cols for _, c in col))
+            scale = den // g
+            if g != 1:
+                cols = [[(pos, c // g) for pos, c in col] for col in cols]
+        out = (target, cols, scale)
         self._matrices[key] = out
         return out
 
@@ -150,6 +222,17 @@ class ClosureEngine:
                 dense[slot[lab]] = c
             out.append((w, dense))
         return out
+
+
+def _row_image(P, key, row):
+    """(label, coeff) terms of one integer action row on the basis vector at
+    key; their sum is the scaled image of that basis vector."""
+    for t_exp, d_exp, terms in row:
+        hit = _scaled_monomial_on_key(P, key, t_exp, d_exp)
+        if hit is not None:
+            num, new_key = hit
+            for dst, c in terms.items():
+                yield (new_key, dst), c * num
 
 
 class ClosureReport:
@@ -238,7 +321,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
 
     for seed in seeds:
         for w, dense in engine.vector_to_dense(seed):
-            insert(w, dense)
+            insert(w, clear_denominators(dense))
     applications = 0
     while queue:
         if stop_at_target and deficit == 0:
@@ -249,15 +332,14 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             hit = engine.matrix(gi, w)
             if hit is None:
                 continue
-            target, cols = hit
-            out = accumulate(
-                {}, ((dst, vec[pos] * m) for pos in support for dst, m in cols[pos])
-            )
+            target, cols, _ = hit
+            dense = [0] * len(engine.labels[target])
+            for pos in support:
+                x = vec[pos]
+                for dst, m in cols[pos]:
+                    dense[dst] += x * m
             applications += 1
-            if out:
-                dense = [0] * len(engine.labels[target])
-                for dst, c in out.items():
-                    dense[dst] = c
+            if any(dense):
                 insert(target, dense)
     dims = {w: blocks[w].dim if w in blocks else 0 for w in box.keys()}
     ambient = engine.ambient_dims()

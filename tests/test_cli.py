@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from weylmod import cli
 from weylmod.cli import main, parse_box, parse_window
 from weylmod.errors import ArgumentError
 
@@ -120,6 +121,40 @@ def test_parallel_jobs_match_serial(capsys):
     parallel = run_cli(capsys, "verify", "all", "--n", "2", "--jobs", "2")
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+
+
+def test_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "bounded", "--n", "2", "--jobs", jobs)
+        assert code == 2 and not out
+        assert "--jobs" in err and "at least 1" in err
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # a stand-in pool that records its size and runs the tasks in process,
+    # so no worker is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    tasks = [("bounded", {"n": 2}), ("bounded", {"n": 3})]
+    report = cli.run_suite(tasks, jobs=5000)
+    assert sizes == [2]
+    assert report["summary"] == {"total": 2, "passed": 2, "failed": 0}
+    cli.run_suite(tasks[:1], jobs=5000)
+    assert sizes == [2]  # one task runs in process, without a pool
 
 
 def test_derham_commands(capsys):

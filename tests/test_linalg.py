@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import oracles
 from weylmod.errors import ArgumentError
 from weylmod.linalg import RowBasis, invert, mat_vec, nullspace, rank, rref
 
@@ -75,6 +77,69 @@ def test_row_basis_is_rref():
         reduced, pivots = rref(rows)
         assert basis.rows == reduced
         assert basis.pivots == pivots
+
+
+def random_rational_rows(rng, count, cols):
+    """Sparse rational rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.3:
+            picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+            row = [sum(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * r[c]
+                       for r in picks) for c in range(cols)]
+        else:
+            row = [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 12)))
+                if rng.random() < 0.6 else 0
+                for _ in range(cols)
+            ]
+        rows.append(row)
+    return rows
+
+
+def test_row_basis_matches_fraction_oracle():
+    # random rational matrices in random insertion orders: the integer basis
+    # must keep the span, echelon form and membership of the Fraction basis
+    rng = random.Random(89)
+    for trial in range(300):
+        cols = rng.randint(1, 9)
+        rows = random_rational_rows(rng, rng.randint(1, 10), cols)
+        rng.shuffle(rows)
+        basis = RowBasis(cols)
+        oracle = oracles.RowBasis(cols)
+        for row in rows:
+            assert basis.insert(row) == oracle.insert(row)
+        reduced, pivots = rref(rows)
+        assert basis.rows == oracle.rows == reduced, trial
+        assert basis.pivots == oracle.pivots == pivots
+        assert basis.dim == oracle.dim == len(reduced)
+        # stored rows: primitive integers, positive pivot, zero at other pivots
+        for row, p in zip(basis._rows, basis.pivots):
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and row[p] > 0
+            assert all(row[q] == 0 for q in basis.pivots if q != p)
+        probes = random_rational_rows(rng, 4, cols) + rows[:2]
+        probes.append([x * 7 for x in rows[-1]])
+        for vec in probes:
+            assert basis.contains(vec) == oracle.contains(vec)
+            got = basis.reduce(vec)
+            want = oracle.reduce(vec)
+            if not any(want):
+                assert not any(got)
+                continue
+            lead = next(c for c, x in enumerate(want) if x)
+            scale = Fraction(got[lead]) / want[lead]
+            assert scale != 0
+            assert got == [scale * x for x in want]
+
+
+def test_row_basis_reduce_stays_integral():
+    basis = RowBasis(3)
+    basis.insert([Fraction(1, 2), Fraction(1, 3), 0])
+    basis.insert([0, 2, 4])
+    residual = basis.reduce([3, 1, 1])
+    assert all(type(x) is int for x in residual) and any(residual)
+    assert basis.rows == [[1, 0, Fraction(-4, 3)], [0, 1, 2]]
 
 
 def test_row_basis_contains_basis():

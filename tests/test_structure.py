@@ -1,23 +1,31 @@
 """Submodule closure, simplicity evidence, and the subquotient inventory."""
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from weylmod.derham import partial_span, pi_image, pi_kernel
-from weylmod.errors import ArgumentError
+from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import TruncationBox
 from weylmod.structure import (
     ClosureEngine,
+    Generator,
     GeneratorSet,
     closure,
     evidence_simplicity,
     subquotient_inventory,
 )
+from weylmod.tensorop import shen_iota
+from weylmod.vectorfields import L_op
 from weylmod.weightmod import (
+    Factor,
     FVector,
     WeightModuleP,
     make_hw_module,
     make_wedge_module,
     sn_act,
+    tensor_act,
 )
 
 
@@ -29,6 +37,76 @@ def test_default_generator_set():
     # default shifts stay within one step per coordinate
     for g in gens.members:
         assert all(-1 <= s <= 1 for s in g.shift)
+
+
+def test_engine_columns_are_scaled_tensor_act_columns():
+    # each cached block is the tensor_act matrix times its recorded scale,
+    # the lcm of the block's denominators, with every entry an int
+    cube = TruncationBox((0,) * 3, (3,) * 3, margin=1)
+    cases = [
+        (WeightModuleP.polynomial(3), cube),
+        (WeightModuleP.twisted(3), TruncationBox((-4,) * 3, (-1,) * 3, margin=1)),
+        (
+            WeightModuleP([Factor("twist"), Factor("poly"), Factor("poly")]),
+            TruncationBox((-3, 0, 0), (0, 3, 3), margin=1),
+        ),
+        (
+            WeightModuleP.laurent(3, Fraction(-7, 5)),
+            TruncationBox((-2,) * 3, (1,) * 3, margin=1),
+        ),
+    ]
+    runs = [(P, make_wedge_module(3, r), box) for P, box in cases for r in (0, 1, 2)]
+    hw = make_hw_module((2,), 2)
+    square = TruncationBox((-2, -2), (2, 2), margin=1)
+    runs += [
+        (WeightModuleP.polynomial(2), hw, TruncationBox((0, 0), (4, 4), margin=1)),
+        (WeightModuleP.laurent(2, Fraction(-7, 5)), hw, square),
+    ]
+    scales = set()
+    for P, M, box in runs:
+        gens = GeneratorSet.default(P.rank)
+        engine = ClosureEngine(P, M, gens, box)
+        weights = sorted(box.inner_keys())[::3]
+        for w in weights:
+            for gi, g in enumerate(gens.members):
+                target = tuple(a + b for a, b in zip(w, g.shift))
+                hit = engine.matrix(gi, w)
+                if not box.contains(target):
+                    assert hit is None
+                    continue
+                got_target, cols, scale = hit
+                assert got_target == target
+                assert len(cols) == len(engine.labels[w])
+                scales.add(scale)
+                slots = engine.slots[target]
+                dens = [1]
+                for (key, midx), col in zip(engine.labels[w], cols):
+                    assert all(type(c) is int and c for _, c in col)
+                    image = tensor_act(shen_iota(g.field), FVector.basis(P, M, key, midx))
+                    expected = {slots[lab]: c * scale for lab, c in image.terms.items()}
+                    assert dict(col) == expected, (P, M.name, w, g.name, key, midx)
+                    dens += [Fraction(c).denominator for c in image.terms.values()]
+                assert scale == lcm(*dens)
+    # the Laurent blocks carry a denominator, the others do not
+    assert 1 in scales and any(s % 5 == 0 for s in scales)
+
+
+def test_engine_keeps_the_action_errors():
+    A = WeightModuleP.polynomial(2)
+    triv = make_wedge_module(2, 0)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    # a Laurent field that does not demote cannot act on the module
+    # (GeneratorSet itself already refuses it, so it is put in afterwards)
+    laurent = GeneratorSet([])
+    laurent.members = [Generator("x", L_op(1, 2, (-2, 0), laurent=True), (-2, 0))]
+    engine = ClosureEngine(A, triv, laurent, box)
+    with pytest.raises(DomainError):
+        engine.matrix(0, (3, 2))
+    # a generator whose recorded shift is wrong leaves its weight block
+    wrong = GeneratorSet([Generator("y", L_op(1, 2, (0, 0)), (1, 0))])
+    engine = ClosureEngine(A, triv, wrong, box)
+    with pytest.raises(StructureError, match="left its weight block"):
+        engine.matrix(0, (2, 1))
 
 
 def test_closure_of_constants_is_a_line():
