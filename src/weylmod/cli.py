@@ -179,6 +179,18 @@ def _finish(report, args) -> int:
     return 0
 
 
+def _finish_one(check, args) -> int:
+    """Emit a single check as a one-check report."""
+    passed = int(check["pass"])
+    report = {
+        "schema": SCHEMA,
+        "checks": [check],
+        "summary": {"total": 1, "passed": passed, "failed": 1 - passed},
+        "pass": check["pass"],
+    }
+    return _finish(report, args)
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -315,30 +327,9 @@ def cmd_structure(args) -> int:
         report = evidence_simplicity(
             P, module_m, args.ambient, box, r=args.r, gens=gens
         )
-        wrapped = {
-            "schema": SCHEMA,
-            "checks": [report],
-            "summary": {
-                "total": 1,
-                "passed": int(report["pass"]),
-                "failed": int(not report["pass"]),
-            },
-            "pass": report["pass"],
-        }
-        return _finish(wrapped, args)
+        return _finish_one(report, args)
     if args.action == "inventory":
-        report = subquotient_inventory(P, args.r, box)
-        wrapped = {
-            "schema": SCHEMA,
-            "checks": [report],
-            "summary": {
-                "total": 1,
-                "passed": int(report["pass"]),
-                "failed": int(not report["pass"]),
-            },
-            "pass": report["pass"],
-        }
-        return _finish(wrapped, args)
+        return _finish_one(subquotient_inventory(P, args.r, box), args)
     raise ArgumentError(f"unknown structure action {args.action!r}")
 
 
@@ -411,11 +402,9 @@ def cmd_parse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument("--jobs", type=positive_int, default=1)
-    common.add_argument("--timings", action="store_true",
-                        help="include wall times (breaks byte determinism)")
+    # --format applies to the commands that emit check reports
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "tsv"), default="json")
     parser = argparse.ArgumentParser(
         prog="weylmod",
         description="Exact verification suite for divergence-free vector "
@@ -424,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a named verification suite",
-                       parents=[common])
+                       parents=[formatted])
+    v.add_argument("--jobs", type=positive_int, default=1)
+    v.add_argument("--timings", action="store_true",
+                   help="include wall times (breaks byte determinism)")
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--deg", type=int, default=None)
@@ -441,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shift for Laurent factors in the standard profiles")
     v.set_defaults(fn=cmd_verify)
 
-    dr = sub.add_parser("derham", help="de Rham maps and graded subspaces",
-                        parents=[common])
+    dr = sub.add_parser("derham", help="de Rham maps and graded subspaces")
     dr.add_argument("action", choices=("pi", "gen-ln", "gen-ln-tilde", "delta-p"))
     dr.add_argument("--P", required=True, help='module descriptor, e.g. "[poly,poly]"')
     dr.add_argument("--r", type=int, default=1)
@@ -453,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     dr.set_defaults(fn=cmd_derham)
 
     st = sub.add_parser("structure", help="closures, simplicity evidence, inventory",
-                        parents=[common])
+                        parents=[formatted])
     st.add_argument("action", choices=("closure", "simplicity", "inventory"))
     st.add_argument("--P", "--module", dest="P", required=True)
     st.add_argument("--M", default=None, help="wedge:r or hw:a1,a2,...")
@@ -465,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--gen-cap", type=int, default=1)
     st.set_defaults(fn=cmd_structure)
 
-    ac = sub.add_parser("act", help="apply an operator to a module vector",
-                        parents=[common])
+    ac = sub.add_parser("act", help="apply an operator to a module vector")
     ac.add_argument("--op", required=True)
     ac.add_argument("--vector", required=True)
     ac.add_argument("--P", required=True)
@@ -475,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     ac.add_argument("--allow-laurent", action="store_true")
     ac.set_defaults(fn=cmd_act)
 
-    pa = sub.add_parser("parse", help="parse and canonicalize an expression",
-                        parents=[common])
+    pa = sub.add_parser("parse", help="parse and canonicalize an expression")
     pa.add_argument("expr")
     pa.add_argument("--n", type=int, default=None)
     pa.set_defaults(fn=cmd_parse)

@@ -8,16 +8,22 @@ box only chooses which weights to materialize.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ArgumentError, StructureError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, nullspace
 from .terms import accumulate
-from .tensorop import TensorOperator, special_operator
+from .tensorop import special_operator
 from .weightmod import (
     FVector,
     SLModule,
     WeightModuleP,
+    _action_table,
+    _integer_rows,
     _monomial_on_key,
+    _row_image,
+    _rows_on_terms,
     _scaled_monomial_on_key,
     make_wedge_module as wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
@@ -29,6 +35,35 @@ def wedge_degree(M: SLModule) -> int:
     if M is not wedge_module(M.rank, r):
         raise ArgumentError("module is not an exterior power")
     return r
+
+
+def _derham_table(n: int, r: int):
+    """The de Rham map from degree r in the table format of
+    ``weightmod._action_table``: per source label, one entry
+    (0, e_l, {target label: sign}, 1) per l outside the label, for the term
+    d_l p (x) e_l wedge v, the sign moving e_l to its sorted place."""
+    source = wedge_module(n, r)
+    index = {lab: pos for pos, lab in enumerate(wedge_module(n, r + 1).labels)}
+    zero = mi_zero(n)
+    table = []
+    for label in source.labels:
+        entries = []
+        for l in range(1, n + 1):
+            if l not in label:
+                crossings = sum(1 for x in label if x < l)
+                sign = -1 if crossings % 2 else 1
+                dst = index[tuple(sorted(label + (l,)))]
+                entries.append((zero, mi_unit(l, n), {dst: sign}, 1))
+        table.append(entries)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _derham_rows(P: WeightModuleP, r: int):
+    """The integer rows of ``_derham_table(n, r)`` on P and their common
+    denominator, built once per (P, r) and shared by every caller: treat
+    them as read-only."""
+    return _integer_rows(P, _derham_table(P.rank, r))
 
 
 def pi(w: FVector, k: int | None = None) -> FVector:
@@ -44,27 +79,8 @@ def pi(w: FVector, k: int | None = None) -> FVector:
         raise ArgumentError(f"vector lives in degree {r}, not {k}")
     if r > n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
-    source = w.module_m
-    target = wedge_module(n, r + 1)
-    index = {lab: pos for pos, lab in enumerate(target.labels)}
-    zero = mi_zero(n)
-
-    def images():
-        for (key, midx), c in w.terms.items():
-            label = source.labels[midx]
-            for l in range(1, n + 1):
-                if l in label:
-                    continue
-                hit = _monomial_on_key(P, key, zero, mi_unit(l, n))
-                if hit is None:
-                    continue
-                coeff, new_key = hit
-                crossings = sum(1 for x in label if x < l)
-                sign = -1 if crossings % 2 else 1
-                new_label = tuple(sorted(label + (l,)))
-                yield (new_key, index[new_label]), c * coeff * sign
-
-    return FVector(P, target, accumulate({}, images()))
+    rows, den = _derham_rows(P, r)
+    return FVector(P, wedge_module(n, r + 1), _rows_on_terms(P, rows, den, w.terms))
 
 
 def ambient_labels(P: WeightModuleP, M: SLModule, weight):
@@ -92,9 +108,6 @@ class GradedSubspace:
 
     def weights(self):
         return sorted(self.labels)
-
-    def ambient_dim_at(self, weight) -> int:
-        return len(self.labels.get(weight, ()))
 
     def dim_at(self, weight) -> int:
         block = self.blocks.get(weight)
@@ -176,32 +189,40 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     """Echelonized span of the de Rham images inside degree r, per weight.
 
     Every generating image is concentrated at a single weight, so the span
-    is exact at each weight the box selects.
+    is exact at each weight the box selects.  The images are taken from the
+    integer de Rham rows, scaled by their common denominator, which leaves
+    every span as it is.
     """
     n = P.rank
     if not 1 <= r <= n:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
     source = wedge_module(n, r - 1)
-    target = wedge_module(n, r)
-    out = GradedSubspace(P, target, box.keys())
+    rows, _ = _derham_rows(P, r - 1)
+    out = GradedSubspace(P, wedge_module(n, r), box.keys())
     for w in box.keys():
         for midx in range(source.dim):
             key = tuple(a - b for a, b in zip(w, source.weights[midx]))
             if not P.supports_key(key):
                 continue
-            image = pi(FVector.basis(P, source, key, midx))
-            if not image.is_zero():
-                out.insert(image)
+            image = accumulate({}, _row_image(P, key, rows[midx]))
+            if image:
+                out.blocks[w].insert(out._coords(w, image))
     return out
 
 
 def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
-    """Kernel of the degree-r de Rham map, weight block by weight block."""
+    """Kernel of the degree-r de Rham map, weight block by weight block.
+
+    The images are taken from the integer de Rham rows; their common
+    denominator scales each block's matrix as a whole, which leaves its
+    kernel as it is.
+    """
     n = P.rank
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     source = wedge_module(n, r)
     target = wedge_module(n, r + 1)
+    rows, _ = _derham_rows(P, r)
     out = GradedSubspace(P, source, box.keys())
     for w in box.keys():
         labels = out.labels[w]
@@ -209,16 +230,12 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
             continue
         target_labels = ambient_labels(P, target, w)
         slot = {lab: pos for pos, lab in enumerate(target_labels)}
-        rows = []
-        for key, midx in labels:
-            image = pi(FVector.basis(P, source, key, midx))
-            vec = [0] * len(target_labels)
-            for (k2, m2), c in image.terms.items():
-                vec[slot[(k2, m2)]] = c
-            rows.append(vec)
-        # rows[i] is the image of basis vector i; kernel combinations come
-        # from the transposed system
-        matrix = [[rows[i][c] for i in range(len(labels))] for c in range(len(target_labels))]
+        # column i holds the image of basis vector i: kernel combinations
+        # are the right kernel of this matrix
+        matrix = [[0] * len(labels) for _ in target_labels]
+        for i, (key, midx) in enumerate(labels):
+            for lab, c in _row_image(P, key, rows[midx]):
+                matrix[slot[lab]][i] += c
         for combo in nullspace(matrix, len(labels)):
             terms = {lab: c for lab, c in zip(labels, combo) if c != 0}
             out.insert(FVector(P, source, terms))
@@ -247,61 +264,41 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     return out
 
 
-def _action_table(P: WeightModuleP, op: TensorOperator, M: SLModule):
-    """Per m-index list of (t_exp, d_exp, m-image, coeff) with the PBW part
-    applied once; evaluating on many keys then skips all object building."""
-    table = []
-    for midx in range(M.dim):
-        entries = []
-        for ((t_exp, d_exp), pmono), c in op.terms.items():
-            mvec = M.apply_pbw(pmono, {midx: 1})
-            if mvec:
-                entries.append((t_exp, d_exp, mvec, c))
-        table.append(entries)
-    return table
-
-
-def _merged_rows(table):
-    """Per m-index list of ((t_exp, d_exp), {dst: coeff}): the entries of one
-    Weyl monomial summed, and the monomials whose sum cancels dropped.
-
-    A monomial sends a key to the same key and coefficient whatever entry it
-    comes from, so the merged rows act exactly as the table does.
-    """
-    rows = []
-    for entries in table:
-        by_mono = {}
-        for t_exp, d_exp, mvec, c in entries:
-            accumulate(
-                by_mono.setdefault((t_exp, d_exp), {}),
-                ((dst, c * mc) for dst, mc in mvec.items()),
-            )
-        rows.append([(mono, terms) for mono, terms in by_mono.items() if terms])
-    return rows
-
-
 def _failing_sources(P, table, sources):
     """The basis vectors (key, midx) among ``sources`` that the tabulated
     operator does not kill.
 
     Every image term is keyed by its source as well, so one accumulation
     serves the whole list: a source fails exactly when one of its image
-    terms survives.  A source whose merged row is empty is killed on every
+    terms survives.  A source whose integer row is empty is killed on every
     key and costs nothing.
     """
-    rows = _merged_rows(table)
+    rows, _ = _integer_rows(P, table)
 
     def images():
         for key, midx in sources:
-            for (t_exp, d_exp), terms in rows[midx]:
-                hit = _monomial_on_key(P, key, t_exp, d_exp)
-                if hit is None:
-                    continue
-                coeff, new_key = hit
-                for dst, c in terms.items():
-                    yield (key, midx, new_key, dst), c * coeff
+            row = rows[midx]
+            if row:
+                for lab, c in _row_image(P, key, row):
+                    yield (key, midx, lab), c
 
-    return {(key, midx) for key, midx, _, _ in accumulate({}, images())}
+    return {(key, midx) for key, midx, _ in accumulate({}, images())}
+
+
+def _after_derham(table, n: int, r: int):
+    """The table of an operator on degree r composed after the de Rham map
+    from degree r - 1, per source label.  The map only appends a derivative
+    factor on the right, so the two-step action equals the action of the
+    composed monomials exactly."""
+    return [
+        [
+            (t_exp, tuple(g + u for g, u in zip(d_exp, d_l)), mvec, c * sign)
+            for _, d_l, pvec, _ in entries
+            for dst, sign in pvec.items()
+            for t_exp, d_exp, mvec, c in table[dst]
+        ]
+        for entries in _derham_table(n, r - 1)
+    ]
 
 
 def _lemma_report(check, alpha, i, P, r, table, sources, labels):
@@ -335,7 +332,7 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
         raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
     diff = special_operator("g", alpha, i) - special_operator("u", alpha, i)
     wedge = wedge_module(n, r)
-    table = _action_table(P, diff.demote(), wedge)
+    table = _action_table(diff.demote(), wedge)
     sources = [
         (key, midx)
         for key in key_box.keys()
@@ -346,41 +343,15 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
 
 
 def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
-    """h applied to the de Rham spanning vectors of degree r.
-
-    The composite (h after the de Rham map) is tabulated once per source
-    label: the map only appends a derivative factor on the right, so the
-    two-step action equals the action of the composed monomials exactly.
-    """
+    """h applied to the de Rham spanning vectors of degree r, through the
+    composite table of h after the de Rham map."""
     n = P.rank
     alpha = tuple(alpha)
     if not 2 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
     h = special_operator("h", alpha, i)
     source = wedge_module(n, r - 1)
-    wedge = wedge_module(n, r)
-    table = _action_table(P, h.demote(), wedge)
-    index = {lab: pos for pos, lab in enumerate(wedge.labels)}
-    composite = []
-    for label in source.labels:
-        entries = []
-        for l in range(1, n + 1):
-            if l in label:
-                continue
-            crossings = sum(1 for x in label if x < l)
-            sign = -1 if crossings % 2 else 1
-            dst = index[tuple(sorted(label + (l,)))]
-            e_l = mi_unit(l, n)
-            for t_exp, d_exp, mvec, c in table[dst]:
-                entries.append(
-                    (
-                        t_exp,
-                        tuple(g + u for g, u in zip(d_exp, e_l)),
-                        mvec,
-                        c * sign,
-                    )
-                )
-        composite.append(entries)
+    composite = _after_derham(_action_table(h.demote(), wedge_module(n, r)), n, r)
     sources = _derham_sources(P, source.labels, key_box)
     return _lemma_report(
         "h-annihilates", alpha, i, P, r, composite, sources, source.labels

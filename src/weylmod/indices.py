@@ -54,22 +54,10 @@ def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mi_neg(a: MultiIndex) -> MultiIndex:
-    return tuple(-x for x in a)
-
-
 def mi_geq(a: MultiIndex, b: MultiIndex) -> bool:
     """Componentwise partial order: a >= b iff a_i >= b_i for all i."""
     check_rank(a, b)
     return all(x >= y for x, y in zip(a, b))
-
-
-def mi_abs_sum(a: MultiIndex) -> int:
-    return sum(abs(x) for x in a)
-
-
-def mi_total(a: MultiIndex) -> int:
-    return sum(a)
 
 
 def falling(x, k: int):

@@ -165,6 +165,3 @@ class RowBasis:
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
-
-    def contains_basis(self, other: "RowBasis") -> bool:
-        return all(self.contains(row) for row in other._rows)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from math import gcd, lcm, prod
+from math import gcd
 
-from .errors import ArgumentError, DomainError, StructureError
+from .errors import ArgumentError, StructureError
 from .derham import (
     GradedSubspace,
-    _action_table,
-    _merged_rows,
     ambient_labels,
     partial_span,
     pi_image,
@@ -32,7 +30,10 @@ from .weightmod import (
     FVector,
     SLModule,
     WeightModuleP,
-    _scaled_monomial_on_key,
+    _acting_form,
+    _action_table,
+    _integer_rows,
+    _row_image,
     make_wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
 )
@@ -114,54 +115,13 @@ class ClosureEngine:
         return {w: len(labs) for w, labs in self.labels.items()}
 
     def _table(self, gi: int):
-        """Integer action rows of generator gi and their common denominator,
-        built on first use.
-
-        The rows are those of ``derham._merged_rows`` (the PBW part applied
-        once per term and m-index, not once per column), as per m-index
-        lists of (t_exp, d_exp, {dst: coeff}).  Each coeff is multiplied by
-        ``den`` / prod_l q_l^(g_l), with ``den`` the lcm over the table, so
-        that coeff times the integer numerator of ``_scaled_monomial_on_key``
-        is the exact image coefficient times ``den``.
-        """
+        """Integer action rows of generator gi and their common denominator
+        (``weightmod._integer_rows``), built on first use."""
         hit = self._tables.get(gi)
-        if hit is not None:
-            return hit
-        op = self.iotas[gi]
-        if op.laurent:
-            op = op.demote()
-            if op.laurent:
-                raise DomainError("laurent-mode operator acting on a module")
-        P = self.module_p
-        if op.rank != P.rank:
-            raise StructureError("rank mismatch")
-        qs = [q for _, q, _ in P.lines]
-        rows = [
-            [
-                (t_exp, d_exp, prod(q**g for q, g in zip(qs, d_exp)), terms)
-                for (t_exp, d_exp), terms in row
-            ]
-            for row in _merged_rows(_action_table(P, op, self.module_m))
-        ]
-        den = lcm(
-            *(q_g * c.denominator for row in rows for _, _, q_g, terms in row
-              for c in terms.values())
-        )
-        rows = [
-            [
-                (
-                    t_exp,
-                    d_exp,
-                    {
-                        dst: c.numerator * (den // q_g) // c.denominator
-                        for dst, c in terms.items()
-                    },
-                )
-                for t_exp, d_exp, q_g, terms in row
-            ]
-            for row in rows
-        ]
-        hit = self._tables[gi] = (rows, den)
+        if hit is None:
+            op = _acting_form(self.iotas[gi], self.module_p)
+            table = _action_table(op, self.module_m)
+            hit = self._tables[gi] = _integer_rows(self.module_p, table)
         return hit
 
     def matrix(self, gi: int, w):
@@ -224,17 +184,6 @@ class ClosureEngine:
         return out
 
 
-def _row_image(P, key, row):
-    """(label, coeff) terms of one integer action row on the basis vector at
-    key; their sum is the scaled image of that basis vector."""
-    for t_exp, d_exp, terms in row:
-        hit = _scaled_monomial_on_key(P, key, t_exp, d_exp)
-        if hit is not None:
-            num, new_key = hit
-            for dst, c in terms.items():
-                yield (new_key, dst), c * num
-
-
 class ClosureReport:
     """Per-weight dimensions of a closure plus its classification."""
 
@@ -251,9 +200,6 @@ class ClosureReport:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def inner_dims(self):
-        return {w: d for w, d in self.dims.items() if self.box.contains_inner(w)}
 
     def first_unreached(self):
         if self.target_dims is None:
@@ -615,6 +561,16 @@ def _dims_json(dims):
     ]
 
 
+def _delta_dim(module_p, w) -> int:
+    """dim of the derivative span at weight w, in closed form: 1 exactly when
+    P supports w and some d_l reaches w, i.e. line l is polynomial or
+    Laurent, or twisted with w_l <= -2."""
+    return int(
+        module_p.supports_key(w)
+        and any(f.kind != "twist" or k <= -2 for f, k in zip(module_p.factors, w))
+    )
+
+
 def _match_candidates(module_p, r, box, layers):
     """Cross-check every named nontrivial layer against an independently
     computed candidate dimension profile."""
@@ -634,17 +590,22 @@ def _match_candidates(module_p, r, box, layers):
                 w: (1 if module_p.supports_key(w) else 0) for w in box.keys()
             }
         elif name == "deltaP":
-            candidate = partial_span(module_p, box).dims()
+            candidate = {w: _delta_dim(module_p, w) for w in box.keys()}
+        elif name == f"image({r})":
+            # rank-nullity: the image of the degree r - 1 map is its source
+            # block less its kernel
+            source = make_wedge_module(n, r - 1)
+            kernel = pi_kernel(module_p, r - 1, box)
+            candidate = {
+                w: len(ambient_labels(module_p, source, w)) - kernel.dim_at(w)
+                for w in box.keys()
+            }
         elif name.startswith("image("):
             rr = int(name[len("image("):-1])
             candidate = pi_image(module_p, rr, box).dims()
         elif name == "deltaP (shifted)":
-            shifted_box = TruncationBox(
-                tuple(x - 1 for x in box.lower), tuple(x - 1 for x in box.upper)
-            )
-            delta = partial_span(module_p, shifted_box).dims()
             candidate = {
-                w: delta.get(tuple(x - 1 for x in w), 0) for w in box.keys()
+                w: _delta_dim(module_p, tuple(x - 1 for x in w)) for w in box.keys()
             }
         elif name == "P/constants (shifted)":
             candidate = {

@@ -157,9 +157,6 @@ class UglElement(TermMap):
             out = out * self
         return out
 
-    def filtration_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from .errors import ArgumentError, DomainError, StructureError
 from .linalg import RowBasis
@@ -604,6 +605,115 @@ class FVector(TermMap):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False):
+    """T as it acts on a module over module_p: a Laurent-mode operator is
+    demoted to polynomial mode unless allow_laurent, and refused when it
+    does not demote."""
+    if T.laurent and not allow_laurent:
+        T = T.demote()
+        if T.laurent:
+            raise DomainError("laurent-mode operator acting on a module")
+    if T.rank != module_p.rank:
+        raise StructureError("rank mismatch")
+    return T
+
+
+# Every operator on F(P, M) goes through one pipeline: ``_action_table``
+# applies the U(gl_n) part once per (term, m-index), ``_integer_rows``
+# merges the entries per Weyl monomial over one common denominator, and
+# ``_row_image`` evaluates a row on a key in ints.
+
+
+def _action_table(op: TensorOperator, M: SLModule, midxs=None):
+    """Per m-index list of (t_exp, d_exp, m-image, coeff): the action of op
+    on F(P, M) with the PBW part applied once per term.
+
+    Only the m-indices in ``midxs`` (default all) get entries; the others
+    get an empty list.
+    """
+    table = []
+    for midx in range(M.dim):
+        entries = []
+        if midxs is None or midx in midxs:
+            for ((t_exp, d_exp), pmono), c in op.terms.items():
+                mvec = M.apply_pbw(pmono, {midx: 1})
+                if mvec:
+                    entries.append((t_exp, d_exp, mvec, c))
+        table.append(entries)
+    return table
+
+
+def _integer_rows(module_p: WeightModuleP, table):
+    """(rows, den): the table as integer rows over one common denominator.
+
+    ``rows[midx]`` lists (t_exp, d_exp, {dst: coeff}): the entries of one
+    Weyl monomial summed, and the monomials whose sum cancels dropped (a
+    monomial sends a key to the same key and coefficient whatever entry it
+    comes from).  Each coeff is the exact sum times den / prod_l q_l^(g_l),
+    den being the lcm over the table, so coeff times the numerator from
+    ``_scaled_monomial_on_key`` is den times the exact image coefficient.
+    """
+    qs = [q for _, q, _ in module_p.lines]
+    merged = []
+    den = 1
+    for entries in table:
+        by_mono = {}
+        for t_exp, d_exp, mvec, c in entries:
+            accumulate(
+                by_mono.setdefault((t_exp, d_exp), {}),
+                ((dst, c * mc) for dst, mc in mvec.items()),
+            )
+        row = []
+        for (t_exp, d_exp), terms in by_mono.items():
+            if terms:
+                q_g = prod(q**g for q, g in zip(qs, d_exp))
+                den = lcm(den, *(q_g * c.denominator for c in terms.values()))
+                row.append((t_exp, d_exp, q_g, terms))
+        merged.append(row)
+    rows = [
+        [
+            (
+                t_exp,
+                d_exp,
+                {
+                    dst: c.numerator * (den // q_g) // c.denominator
+                    for dst, c in terms.items()
+                },
+            )
+            for t_exp, d_exp, q_g, terms in row
+        ]
+        for row in merged
+    ]
+    return rows, den
+
+
+def _row_image(module_p: WeightModuleP, key, row):
+    """((new key, dst), coeff) terms of one integer row on the basis vector
+    at key; their sum is den times the image of that basis vector."""
+    for t_exp, d_exp, terms in row:
+        hit = _scaled_monomial_on_key(module_p, key, t_exp, d_exp)
+        if hit is not None:
+            num, new_key = hit
+            for dst, c in terms.items():
+                yield (new_key, dst), c * num
+
+
+def _rows_on_terms(module_p: WeightModuleP, rows, den, terms):
+    """The exact image {(key, dst): coeff} of the vector with the given
+    {(key, midx): coeff} terms under integer rows over den."""
+    out = accumulate(
+        {},
+        (
+            (lab, cv * c)
+            for (key, midx), cv in terms.items()
+            for lab, c in _row_image(module_p, key, rows[midx])
+        ),
+    )
+    if den != 1:
+        out = {lab: Fraction(c, den) for lab, c in out.items()}
+    return out
+
+
 def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FVector:
     """Action of a tensor operator: (a (x) u)(p (x) v) = (a p) (x) (u v).
 
@@ -612,34 +722,12 @@ def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FV
     factor action applies with the support boundary sending escaped keys to
     zero.
     """
-    if T.laurent and not allow_laurent:
-        if T.demote().laurent:
-            raise DomainError("laurent-mode operator acting on a module")
-        T = T.demote()
-    if T.rank != w.module_p.rank:
-        raise StructureError("rank mismatch")
     module_p, module_m = w.module_p, w.module_m
-    # group the module vector by M index so each PBW application is done once
-    by_midx: dict = {}
-    for (key, midx), cv in w.terms.items():
-        by_midx.setdefault(midx, []).append((key, cv))
-
-    def images():
-        for ((t_exp, d_exp), pmono), c in T.terms.items():
-            for midx, entries in by_midx.items():
-                mvec = module_m.apply_pbw(pmono, {midx: 1})
-                if not mvec:
-                    continue
-                for key, cv in entries:
-                    hit = _monomial_on_key(module_p, key, t_exp, d_exp)
-                    if hit is None:
-                        continue
-                    coeff, new_key = hit
-                    base = c * cv * coeff
-                    for dst, mc in mvec.items():
-                        yield (new_key, dst), base * mc
-
-    return FVector(module_p, module_m, accumulate({}, images()))
+    T = _acting_form(T, module_p, allow_laurent)
+    # only the m-indices of w are tabulated
+    table = _action_table(T, module_m, {midx for _, midx in w.terms})
+    rows, den = _integer_rows(module_p, table)
+    return FVector(module_p, module_m, _rows_on_terms(module_p, rows, den, w.terms))
 
 
 def sn_act(x: VectorField, w: FVector) -> FVector:

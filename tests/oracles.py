@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+from weylmod.errors import DomainError, StructureError
 from weylmod.indices import falling
+from weylmod.weightmod import FVector, make_wedge_module
 
 
 def monomial_on_key(P, key, t_exp, d_exp):
@@ -23,6 +25,65 @@ def monomial_on_key(P, key, t_exp, d_exp):
         coeff *= c
         out.append(new)
     return coeff, tuple(out)
+
+
+def tensor_act(T, w, allow_laurent=False):
+    """(a (x) u)(p (x) v) = (a p) (x) (u v), term by term: the PBW part
+    applied per m-index and each Weyl monomial evaluated with
+    ``monomial_on_key``.  This is the direct action that the tabulated
+    integer evaluator of ``weylmod.weightmod`` replaced."""
+    if T.laurent and not allow_laurent:
+        if T.demote().laurent:
+            raise DomainError("laurent-mode operator acting on a module")
+        T = T.demote()
+    if T.rank != w.module_p.rank:
+        raise StructureError("rank mismatch")
+    module_p, module_m = w.module_p, w.module_m
+    by_midx = {}
+    for (key, midx), cv in w.terms.items():
+        by_midx.setdefault(midx, []).append((key, cv))
+    out = {}
+    for ((t_exp, d_exp), pmono), c in T.terms.items():
+        for midx, entries in by_midx.items():
+            mvec = module_m.apply_pbw(pmono, {midx: 1})
+            if not mvec:
+                continue
+            for key, cv in entries:
+                hit = monomial_on_key(module_p, key, t_exp, d_exp)
+                if hit is None:
+                    continue
+                coeff, new_key = hit
+                for dst, mc in mvec.items():
+                    lab = (new_key, dst)
+                    out[lab] = out.get(lab, 0) + c * cv * coeff * mc
+    return FVector(module_p, module_m, out)
+
+
+def derham(w):
+    """The de Rham map p (x) v -> sum_l d_l p (x) e_l wedge v on a vector over
+    an exterior power, with the sign of e_l wedge v read off the
+    permutation that sorts (l, v_1, ..., v_r)."""
+    P, M = w.module_p, w.module_m
+    n = P.rank
+    r = len(M.labels[0])
+    target = make_wedge_module(n, r + 1)
+    out = {}
+    for (key, midx), c in w.terms.items():
+        label = M.labels[midx]
+        for l in range(1, n + 1):
+            if l in label:
+                continue
+            d_l = tuple(int(s == l) for s in range(1, n + 1))
+            hit = monomial_on_key(P, key, (0,) * n, d_l)
+            if hit is None:
+                continue
+            word = (l,) + tuple(label)
+            inversions = sum(
+                1 for a, x in enumerate(word) for y in word[a + 1:] if x > y
+            )
+            lab = (hit[1], target.labels.index(tuple(sorted(word))))
+            out[lab] = out.get(lab, 0) + c * hit[0] * (-1) ** inversions
+    return FVector(P, target, out)
 
 
 class RowBasis:

@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, exit codes, output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,30 @@ def test_parallel_jobs_match_serial(capsys):
     assert serial[1] == parallel[1]
 
 
+def test_flags_only_where_they_act(capsys):
+    # --jobs and --timings belong to verify, --format to verify and
+    # structure; any other command rejects them
+    rejected = [
+        ("structure", "simplicity", "--P", "[poly,poly]", "--ambient", "F",
+         "--M", "wedge:1", "--jobs", "2"),
+        ("structure", "inventory", "--P", "[poly,poly]", "--r", "0", "--timings"),
+        ("derham", "pi", "--P", "[poly,poly]", "--input", "t[1]", "--format", "tsv"),
+        ("act", "--op", "t[1]", "--vector", "t[1]", "--P", "[poly,poly]",
+         "--format", "json"),
+        ("parse", "t[1]", "--jobs", "1"),
+    ]
+    for argv in rejected:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "unrecognized arguments" in err, argv
+    code, out, _ = run_cli(
+        capsys, "structure", "inventory", "--P", "[poly,poly]", "--r", "0",
+        "--box", "0..4", "--format", "tsv",
+    )
+    assert code == 0 and out.startswith("check\tpass\tdetail\n")
+    assert "subquotient-inventory\tok" in out
+
+
 def test_jobs_below_one_exits_2(capsys):
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "bounded", "--n", "2", "--jobs", jobs)
@@ -209,3 +234,17 @@ def test_structure_inventory_cli(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["checks"][0]["nontrivial"] == ["P/constants"]
+
+
+CLI_DATA = Path(__file__).parent / "data" / "cli"
+
+
+def test_cli_output_bytes(capsys):
+    # de Rham, structure and act outputs over poly, twisted, Laurent and
+    # mixed modules, generated before the action table was shared
+    cases = json.loads((CLI_DATA / "commands.json").read_text())
+    assert len(cases) == 20
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == case["exit"], case["name"]
+        assert out == (CLI_DATA / f"{case['name']}.out").read_text(), case["name"]

@@ -141,12 +141,3 @@ def test_row_basis_reduce_stays_integral():
     assert all(type(x) is int for x in residual) and any(residual)
     assert basis.rows == [[1, 0, Fraction(-4, 3)], [0, 1, 2]]
 
-
-def test_row_basis_contains_basis():
-    big = RowBasis(3)
-    small = RowBasis(3)
-    big.insert([1, 0, 0])
-    big.insert([0, 1, 0])
-    small.insert([1, 2, 0])
-    assert big.contains_basis(small)
-    assert not small.contains_basis(big)

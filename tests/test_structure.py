@@ -3,11 +3,14 @@
 from fractions import Fraction
 from math import lcm
 
+import oracles
 import pytest
 
 from weylmod.derham import partial_span, pi_image, pi_kernel
 from weylmod.errors import ArgumentError, DomainError, StructureError
+from weylmod import structure
 from weylmod.indices import TruncationBox
+from weylmod.linalg import RowBasis
 from weylmod.structure import (
     ClosureEngine,
     Generator,
@@ -25,7 +28,6 @@ from weylmod.weightmod import (
     make_hw_module,
     make_wedge_module,
     sn_act,
-    tensor_act,
 )
 
 
@@ -40,8 +42,9 @@ def test_default_generator_set():
 
 
 def test_engine_columns_are_scaled_tensor_act_columns():
-    # each cached block is the tensor_act matrix times its recorded scale,
-    # the lcm of the block's denominators, with every entry an int
+    # each cached block is the matrix of the direct action (the oracle)
+    # times its recorded scale, the lcm of the block's denominators, with
+    # every entry an int
     cube = TruncationBox((0,) * 3, (3,) * 3, margin=1)
     cases = [
         (WeightModuleP.polynomial(3), cube),
@@ -82,7 +85,9 @@ def test_engine_columns_are_scaled_tensor_act_columns():
                 dens = [1]
                 for (key, midx), col in zip(engine.labels[w], cols):
                     assert all(type(c) is int and c for _, c in col)
-                    image = tensor_act(shen_iota(g.field), FVector.basis(P, M, key, midx))
+                    image = oracles.tensor_act(
+                        shen_iota(g.field), FVector.basis(P, M, key, midx)
+                    )
                     expected = {slots[lab]: c * scale for lab, c in image.terms.items()}
                     assert dict(col) == expected, (P, M.name, w, g.name, key, midx)
                     dens += [Fraction(c).denominator for c in image.terms.values()]
@@ -311,3 +316,36 @@ def test_inventory_A3_r2():
     report = subquotient_inventory(A, 2, box)
     assert report["nontrivial"] == ["P/constants (shifted)", "image(2)"]
     assert report["pass"]
+
+
+def test_inventory_fails_on_a_corrupted_layer(monkeypatch):
+    # the deltaP layer and the bottom image(r) layer are checked against
+    # computations of their own (a closed form and rank-nullity from the
+    # kernel one degree down), so emptying one block of the span behind
+    # the layer makes exactly that match, and the inventory, fail
+    def emptied(make):
+        def corrupted(*args):
+            space = make(*args)
+            w = next(w for w in space.weights() if space.dim_at(w))
+            space.blocks[w] = RowBasis(len(space.labels[w]))
+            return space
+
+        return corrupted
+
+    cases = [
+        ("partial_span", WeightModuleP.twisted(2), 0,
+         TruncationBox((-4, -4), (-1, -1)), "deltaP"),
+        ("partial_span", WeightModuleP.laurent(2, Fraction(-7, 5)), 0,
+         TruncationBox((-3, -3), (3, 3)), "deltaP"),
+        ("pi_image", WeightModuleP.polynomial(3), 2,
+         TruncationBox((0, 0, 0), (3, 3, 3)), "image(2)"),
+        ("pi_image", WeightModuleP.twisted(3), 2,
+         TruncationBox((-3, -3, -3), (0, 0, 0)), "image(2)"),
+    ]
+    for name, P, r, box, layer in cases:
+        assert subquotient_inventory(P, r, box)["pass"]
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, name, emptied(getattr(structure, name)))
+            report = subquotient_inventory(P, r, box)
+        failed = [m["layer"] for m in report["candidateMatches"] if not m["match"]]
+        assert failed == [layer] and not report["pass"], (name, P)

@@ -9,8 +9,8 @@ import oracles
 import pytest
 
 from weylmod.errors import ArgumentError, DomainError, StructureError
-from weylmod.tensorop import from_weyl, shen_iota, tensor
-from weylmod.ugl import E
+from weylmod.tensorop import TensorOperator, from_weyl, shen_iota, tensor
+from weylmod.ugl import E, _gen_key
 from weylmod.vectorfields import L_op, VectorField, bracket
 from weylmod.weightmod import (
     Factor,
@@ -308,6 +308,49 @@ def test_sn_act_rejects_divergent_field():
     w = FVector.basis(A, triv, (1, 0), 0)
     with pytest.raises(DomainError):
         sn_act(VectorField(t(1, 2) * d(1, 2)), w)
+
+
+def test_tensor_act_matches_the_direct_oracle():
+    # the tabulated integer evaluation against the term-by-term action, with
+    # rational coefficients over poly, twisted, Laurent and mixed lines,
+    # Laurent-mode operators included
+    rng = random.Random(71)
+    n = 3
+    modules = [
+        WeightModuleP.polynomial(n),
+        WeightModuleP.twisted(n),
+        WeightModuleP.laurent(n, Fraction(-7, 5)),
+        WeightModuleP(
+            [Factor("poly"), Factor("laurent", Fraction(2, 3)), Factor("twist")]
+        ),
+    ]
+    finite = [make_wedge_module(n, r) for r in range(n + 1)] + [make_hw_module((1, 1), n)]
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for _ in range(120):
+        laurent = rng.random() < 0.3
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            t_exp = tuple(rng.randint(-2 if laurent else 0, 2) for _ in range(n))
+            d_exp = tuple(rng.randint(0, 2) for _ in range(n))
+            picked = sorted(rng.sample(gens, rng.randint(0, 2)), key=_gen_key)
+            pmono = tuple((g, rng.randint(1, 2)) for g in picked)
+            terms[((t_exp, d_exp), pmono)] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        op = TensorOperator(n, terms, laurent)
+        P = rng.choice(modules)
+        M = rng.choice(finite)
+        vec = {}
+        for _ in range(rng.randint(1, 3)):
+            key = tuple(
+                rng.randint(-3, -1)
+                if f.kind == "twist"
+                else rng.randint(0 if f.kind == "poly" else -3, 3)
+                for f in P.factors
+            )
+            vec[(key, rng.randrange(M.dim))] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        w = FVector(P, M, vec)
+        assert tensor_act(op, w, allow_laurent=True) == oracles.tensor_act(
+            op, w, allow_laurent=True
+        ), (op, w)
 
 
 def test_tensor_act_respects_products():
