@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -106,17 +107,27 @@ def positive_int(text: str) -> int:
 
 
 def _run_one(task):
+    """One suite's check record.  A suite that crashes yields a failing
+    record naming the error, with the traceback on stderr; configuration
+    errors still propagate."""
     name, kwargs = task
-    return SUITES[name](**kwargs)
+    try:
+        return SUITES[name](**kwargs)
+    except (ArgumentError, StructureError):
+        raise
+    except Exception as exc:
+        traceback.print_exc()
+        return {"check": name, "error": f"{type(exc).__name__}: {exc}",
+                "pass": False}
 
 
 def run_suite(tasks, jobs: int = 1, timings: bool = False):
     """Execute (suite-name, kwargs) tasks and assemble the report.
 
-    A failing check never cancels its siblings; results keep task order and
-    the report is deterministic unless timings are requested.  The pool
-    never has more workers than tasks, since it may start all of them at
-    its first submit.
+    A failing or crashing check never cancels its siblings; results keep
+    task order and the report is deterministic unless timings are
+    requested.  The pool never has more workers than tasks, since it may
+    start all of them at its first submit.
     """
     checks = []
     workers = min(jobs, len(tasks))
@@ -246,7 +257,9 @@ def cmd_verify(args) -> int:
     else:
         raise ArgumentError(f"unknown suite {args.suite!r}")
     report = run_suite(tasks, jobs=args.jobs, timings=args.timings)
-    empty = [c["check"] for c in report["checks"] if not c["checked"]]
+    empty = [
+        c["check"] for c in report["checks"] if "error" not in c and not c["checked"]
+    ]
     if empty:
         raise ArgumentError(
             f"the configuration leaves nothing to check in {', '.join(empty)}"
@@ -303,6 +316,8 @@ def cmd_structure(args) -> int:
     if args.action == "closure":
         if not args.seed:
             raise ArgumentError("closure needs --seed")
+        if args.format != "json":
+            raise ArgumentError("closure prints a JSON report only; drop --format")
         gens = GeneratorSet.default(n, cap=args.gen_cap)
         seeds = []
         module_m = None

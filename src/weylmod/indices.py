@@ -19,15 +19,6 @@ Scalar = Fraction
 MultiIndex = tuple  # tuple[int, ...]
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a reduced fraction."""
-    return Fraction(text.strip())
-
-
-def format_scalar(value) -> str:
-    return str(Fraction(value))
-
-
 def check_rank(a: MultiIndex, b: MultiIndex) -> None:
     if len(a) != len(b):
         raise StructureError(f"rank mismatch: {len(a)} vs {len(b)}")
@@ -75,20 +66,6 @@ def binomial(m: int, k: int) -> int:
     for j in range(k):
         out = out * (m - j) // (j + 1)
     return out
-
-
-def format_multiindex(a: MultiIndex) -> str:
-    return "(" + ",".join(str(x) for x in a) + ")"
-
-
-def parse_multiindex(text: str) -> MultiIndex:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(",") if p.strip()]
-    if not parts:
-        raise StructureError(f"empty multi-index: {text!r}")
-    return tuple(int(p) for p in parts)
 
 
 class TruncationBox:

@@ -10,6 +10,9 @@ divergence-free generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import ArgumentError, StructureError
 from .indices import mi_add, mi_sub, mi_unit, mi_zero
@@ -305,13 +308,58 @@ CUBIC_WEIGHTS, CUBIC_PREDICTION = _identity_weights(CUBIC_NODES, -1)
 QUARTIC_WEIGHTS, QUARTIC_PREDICTION = _identity_weights(QUARTIC_NODES, 1)
 
 
+def _scaled(weights):
+    """The weights over one common denominator D: (integer numerators, D)."""
+    den = lcm(1, *(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+
+
+def _combine(values, rows):
+    """One Laurent-mode operator per (numerators, D) row: the sum of
+    numerators[t] * values[t], divided by D.
+
+    Each monomial's coefficients over the values are gathered into one
+    vector, every row is applied to it in integers, and only the survivors
+    are divided by D, so a term that cancels never builds a Fraction.
+    """
+    ranks = {v.rank for v in values}
+    if len(ranks) != 1:
+        raise StructureError(f"node products differ in rank: {sorted(ranks)}")
+    (rank,) = ranks
+    width = len(values)
+    vectors = {}
+    for t, value in enumerate(values):
+        for key, c in value.terms.items():
+            vec = vectors.get(key)
+            if vec is None:
+                vectors[key] = vec = [0] * width
+            vec[t] = c
+    out = []
+    for nums, den in rows:
+        terms = {}
+        for key, vec in vectors.items():
+            total = sum(map(mul, nums, vec))
+            if total:
+                terms[key] = _divide(total, den)
+        out.append(TensorOperator(rank, terms, laurent=True))
+    return out
+
+
+def _divide(total, den):
+    """total / den, kept an int when den divides it."""
+    if type(total) is int:
+        q, r = divmod(total, den)
+        return Fraction(total, den) if r else q
+    return total / den
+
+
 def node_combination(products, weights) -> TensorOperator:
-    """sum_m weights[m] * products[m] over the nodes listed in weights."""
-    rank = products[next(iter(weights))].rank
-    acc = TensorOperator.zero(rank, laurent=True)
-    for m, w in weights.items():
-        acc = acc + products[m] * w
-    return acc
+    """sum_m weights[m] * products[m] over the nodes listed in weights, in
+    integers over the weights' common denominator (see ``_combine``)."""
+    if not weights:
+        raise ArgumentError("need at least one node")
+    values = [products[m] for m in weights]
+    return _combine(values, [_scaled(list(weights.values()))])[0]
 
 
 def cubic_m_factors(alpha, i: int, j: int, m: int):
@@ -383,16 +431,24 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     return target - node_combination(products, QUARTIC_WEIGHTS)
 
 
+@lru_cache(maxsize=64)
+def _interpolation_rows(nodes: tuple):
+    """The rows of ``interpolation_matrix(nodes)``, each as its integer
+    numerators over its common denominator; cached per node tuple."""
+    return tuple(_scaled(row) for row in interpolation_matrix(nodes))
+
+
 def interpolate_coefficients(values, nodes):
     """Exact polynomial interpolation over tensor operators.
 
     Given operator values P(m) at pairwise-distinct integer nodes, return the
     coefficient operators [c_0, ..., c_(deg)] with P(m) = sum c_k m^k.  The
-    solve inverts the Vandermonde matrix over the rationals, which also
-    certifies it nonsingular.
+    inverse Vandermonde matrix is computed once per node tuple (the exact
+    inversion also certifies it nonsingular) and kept as integer rows over a
+    common denominator.  Each monomial's values over the nodes form one
+    vector; every row is applied to it in integers and the survivors are
+    divided once, so each coefficient is built as one operator.
     """
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")
-    inv = interpolation_matrix(nodes)
-    products = dict(enumerate(values))
-    return [node_combination(products, dict(enumerate(row))) for row in inv]
+    return _combine(values, _interpolation_rows(tuple(nodes)))

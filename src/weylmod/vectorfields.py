@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import mi_add, mi_unit, mi_zero
+from .terms import accumulate
 from .weyl import WeylElement
 
 
@@ -34,18 +35,6 @@ class VectorField:
     @property
     def laurent(self) -> bool:
         return self.element.laurent
-
-    @classmethod
-    def from_components(cls, components, laurent: bool = False) -> VectorField:
-        """Build sum_i f_i d_i from the coefficient polynomials f_i."""
-        n = len(components)
-        terms = {}
-        for i, f in enumerate(components):
-            for (t_exp, _), coeff in f.terms.items():
-                key = (t_exp, tuple(1 if k == i else 0 for k in range(n)))
-                terms[key] = terms.get(key, 0) + coeff
-        lau = laurent or any(f.laurent for f in components)
-        return cls(WeylElement(n, terms, lau))
 
     def components(self):
         """Coefficient polynomials f_1..f_n with self = sum f_i d_i."""
@@ -89,23 +78,36 @@ class VectorField:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket of vector fields.
+    """Lie bracket of vector fields, by the closed monomial formula
 
-    Computed componentwise, [x, y]_i = sum_j (f_j d_j(g_i) - g_j d_j(f_i)),
-    which agrees with the commutator x*y - y*x in the Weyl algebra.
+        [t^a d_i, t^b d_j] = b_i t^(a+b-e_i) d_j - a_j t^(a+b-e_j) d_i
+
+    (d_i = d/dt_i), summed over every pair of terms in one pass.  It agrees
+    with the commutator x*y - y*x in the Weyl algebra, whose second-order
+    terms cancel.
     """
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
-    fs = x.components()
-    gs = y.components()
-    comps = []
-    for i in range(n):
-        acc = WeylElement.zero(n, x.laurent or y.laurent)
-        for j in range(n):
-            acc = acc + fs[j] * _derivative(gs[i], j) - gs[j] * _derivative(fs[i], j)
-        comps.append(acc)
-    return VectorField.from_components(comps, x.laurent or y.laurent)
+    units = [mi_unit(i, n) for i in range(1, n + 1)]
+    right = [(b, g.index(1), c) for (b, g), c in y.element.terms.items()]
+
+    def lowered(a, b, k):
+        exp = [p + q for p, q in zip(a, b)]
+        exp[k] -= 1
+        return tuple(exp)
+
+    def terms():
+        for (a, g), c1 in x.element.terms.items():
+            i = g.index(1)
+            for b, j, c2 in right:
+                if b[i]:
+                    yield (lowered(a, b, i), units[j]), c1 * c2 * b[i]
+                if a[j]:
+                    yield (lowered(a, b, j), units[i]), -c1 * c2 * a[j]
+
+    laurent = x.laurent or y.laurent
+    return VectorField(WeylElement(n, accumulate({}, terms()), laurent))
 
 
 def _derivative(f: WeylElement, j: int) -> WeylElement:

@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
-from weylmod.errors import DomainError, StructureError
+from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling
+from weylmod.linalg import invert
+from weylmod.tensorop import TensorOperator
+from weylmod.vectorfields import VectorField
 from weylmod.weightmod import FVector, make_wedge_module
+from weylmod.weyl import WeylElement
 
 
 def monomial_on_key(P, key, t_exp, d_exp):
@@ -127,3 +131,55 @@ class RowBasis:
 
     def contains(self, vec):
         return all(x == 0 for x in self.reduce(vec))
+
+
+def bracket(x, y):
+    """The componentwise bracket [x, y]_i = sum_j (f_j d_j(g_i) - g_j d_j(f_i))
+    in Weyl-element arithmetic, which the one-pass monomial formula of
+    ``weylmod.vectorfields.bracket`` replaced."""
+    if x.rank != y.rank:
+        raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
+    n = x.rank
+    laurent = x.laurent or y.laurent
+    fs = x.components()
+    gs = y.components()
+    terms = {}
+    for i in range(n):
+        acc = WeylElement.zero(n, laurent)
+        for j in range(n):
+            acc = acc + fs[j] * _derivative(gs[i], j) - gs[j] * _derivative(fs[i], j)
+        unit = tuple(int(k == i) for k in range(n))
+        for (t_exp, _), coeff in acc.terms.items():
+            terms[(t_exp, unit)] = coeff
+    return VectorField(WeylElement(n, terms, laurent))
+
+
+def _derivative(f, j):
+    """d/dt_j of a (Laurent) polynomial, 0-based j."""
+    terms = {}
+    for (t_exp, d_exp), coeff in f.terms.items():
+        if t_exp[j]:
+            new = list(t_exp)
+            new[j] -= 1
+            terms[(tuple(new), d_exp)] = coeff * t_exp[j]
+    return WeylElement(f.rank, terms, f.laurent)
+
+
+def node_combination(products, weights):
+    """sum_m weights[m] * products[m] by scaling and adding whole operators in
+    Fraction arithmetic, starting from the Laurent-mode zero."""
+    rank = products[next(iter(weights))].rank
+    acc = TensorOperator.zero(rank, laurent=True)
+    for m, w in weights.items():
+        acc = acc + products[m] * w
+    return acc
+
+
+def interpolate_coefficients(values, nodes):
+    """The coefficient operators of the interpolating polynomial, one
+    ``node_combination`` per row of the inverse Vandermonde matrix."""
+    if len(values) != len(nodes) or not values:
+        raise ArgumentError("need one value per node")
+    inv = invert([[m**k for k in range(len(nodes))] for m in nodes])
+    products = dict(enumerate(values))
+    return [node_combination(products, dict(enumerate(row))) for row in inv]

@@ -182,6 +182,61 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [2]  # one task runs in process, without a pool
 
 
+def _boom(**kwargs):
+    raise RuntimeError("stand-in suite crashed")
+
+
+def _bad_config(**kwargs):
+    raise ArgumentError("stand-in configuration error")
+
+
+def test_crashing_suite_is_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "bounded", _boom)
+    code, out, err = run_cli(capsys, "verify", "bounded", "--n", "2")
+    assert code == 1
+    assert "Traceback" in err and "RuntimeError: stand-in suite crashed" in err
+    report = json.loads(out)
+    assert report["checks"] == [{
+        "check": "bounded",
+        "error": "RuntimeError: stand-in suite crashed",
+        "pass": False,
+    }]
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    code, out, _ = run_cli(capsys, "verify", "bounded", "--n", "2", "--format", "tsv")
+    assert code == 1 and "bounded\tFAIL" in out
+
+
+def test_crashing_suite_spares_its_siblings_under_jobs(monkeypatch):
+    # the pool's forked workers see the stand-in in the suite table
+    monkeypatch.setitem(cli.SUITES, "boom", _boom)
+    tasks = [("bounded", {"n": 2}), ("boom", {}), ("bounded", {"n": 2})]
+    serial = cli.run_suite(tasks, jobs=1)
+    parallel = cli.run_suite(tasks, jobs=2)
+    assert serial == parallel
+    assert [c["pass"] for c in parallel["checks"]] == [True, False, True]
+    assert parallel["checks"][1]["error"] == "RuntimeError: stand-in suite crashed"
+    assert not parallel["pass"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_configuration_error_in_a_suite_still_exits_2(monkeypatch, jobs):
+    monkeypatch.setitem(cli.SUITES, "bad", _bad_config)
+    with pytest.raises(ArgumentError):
+        cli.run_suite([("bounded", {"n": 2}), ("bad", {})], jobs=jobs)
+
+
+def test_structure_closure_takes_json_only(capsys):
+    argv = ["structure", "closure", "--P", "[poly,poly]", "--seed", "t[1]",
+            "--box", "0..4"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(default)["closure"]["dims"]
+    code, explicit, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and explicit == default
+    code, out, err = run_cli(capsys, *argv, "--format", "tsv")
+    assert code == 2 and not out
+    assert "error:" in err and "--format" in err
+
+
 def test_derham_commands(capsys):
     code, out, _ = run_cli(
         capsys, "derham", "pi", "--P", "[poly,poly]", "--input", "t[1]*t[2]"

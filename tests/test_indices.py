@@ -9,13 +9,9 @@ from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import (
     TruncationBox,
     falling,
-    format_multiindex,
-    format_scalar,
     mi_add,
     mi_geq,
     mi_unit,
-    parse_multiindex,
-    parse_scalar,
 )
 
 
@@ -33,9 +29,6 @@ def test_scalar_canonical_form():
     assert (Fraction(2, 4).numerator, Fraction(2, 4).denominator) == (1, 2)
     assert Fraction(-3, -6) == Fraction(1, 2)
     assert Fraction(0, 7) == Fraction(0, 1)
-    assert parse_scalar("6/8") == Fraction(3, 4)
-    assert format_scalar(Fraction(3, 4)) == "3/4"
-    assert format_scalar(5) == "5"
 
 
 def test_mi_add_examples():
@@ -75,11 +68,6 @@ def test_falling_factorial():
     assert falling(0, 1) == 0
     assert falling(-3, 2) == 12
     assert falling(Fraction(1, 2), 2) == Fraction(-1, 4)
-
-
-def test_multiindex_text_round_trip():
-    for mi in [(1, 0), (-2, 3, 0), (0,)]:
-        assert parse_multiindex(format_multiindex(mi)) == mi
 
 
 def test_box_basics():
