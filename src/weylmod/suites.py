@@ -29,11 +29,12 @@ from .tensorop import (
     CUBIC_WEIGHTS,
     QUARTIC_PREDICTION,
     QUARTIC_WEIGHTS,
+    _combine,
+    _scaled,
     cubic_m_factors,
     cubic_m_product,
     cubic_target,
     iota_hom_residual,
-    node_combination,
     quartic_m_factors,
     quartic_m_product,
     quartic_target,
@@ -106,16 +107,16 @@ def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
     checked = 0
     residual_terms = 0
     membership_checked = 0
-    nodes = (*weights, CHECK_NODE)
+    rows = [_scaled(list(weights.values())),
+            _scaled([prediction[m] for m in weights])]
     for args, lower in cases:
         for alpha in itertools.product(range(lo, hi + 1), repeat=n):
-            products = {m: product(alpha, *args, m) for m in nodes}
+            values = [product(alpha, *args, m) for m in weights]
+            combined, predicted = _combine(values, rows)
             checked += 1
-            residual = target(alpha, *args) - node_combination(products, weights)
+            residual = target(alpha, *args) - combined
             residual_terms += len(residual.terms)
-            ok = residual.is_zero() and (
-                node_combination(products, prediction) == products[CHECK_NODE]
-            )
+            ok = residual.is_zero() and predicted == product(alpha, *args, CHECK_NODE)
             if ok and all(a >= b for a, b in zip(alpha, lower)):
                 membership_checked += 1
                 ok = not any(

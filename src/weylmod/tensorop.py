@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import ArgumentError, StructureError
 from .indices import mi_add, mi_sub, mi_unit, mi_zero
@@ -47,12 +47,32 @@ class TensorOperator(TermMap):
                 cleaned[(wmono, pmono)] = coeff
         self._set(cleaned, rank=rank, laurent=laurent)
 
+    @classmethod
+    def _from_kernel(cls, rank: int, terms: dict, laurent: bool) -> TensorOperator:
+        """An operator over a term map that a kernel of this library built
+        (``accumulate`` or ``_combine``): no zero coefficients, every
+        exponent of length rank, and no negative t exponent in polynomial
+        mode, all by construction.  The map is adopted, not copied or
+        re-checked.  Input from outside goes through ``__init__``.
+        """
+        op = cls(rank, None, laurent)
+        op._set(terms)
+        return op
+
     def _context(self):
         return (self.rank,)
 
     def _like(self, terms, other=None):
+        # every TermMap caller passes a collected map: sums, differences,
+        # negations and products keep rank and polynomial-mode signs
         laurent = self.laurent or (other is not None and other.laurent)
-        return TensorOperator(self.rank, terms, laurent)
+        return TensorOperator._from_kernel(self.rank, terms, laurent)
+
+    def _scale(self, scalar):
+        # a zero scalar leaves zero coefficients, which only __init__ drops
+        return TensorOperator(
+            self.rank, {k: c * scalar for k, c in self.terms.items()}, self.laurent
+        )
 
     @property
     def mode(self) -> str:
@@ -122,13 +142,14 @@ def _product_terms(a: TensorOperator, b: TensorOperator):
     for ((b1, g1), p1), c1 in a.terms.items():
         for ((b2, g2), p2), c2 in b.terms.items():
             base = c1 * c2
-            pbw = pbw_product(p1, p2)
+            pbw = pbw_product(p1, p2).items()
+            t_sum = tuple(map(add, b1, b2))
+            d_sum = tuple(map(add, g1, g2))
             for wcoeff, k in _d_on_t(g1, b2):
-                t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
+                wmono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
                 wbase = base * wcoeff
-                for pmono, pcoeff in pbw.items():
-                    yield ((t_exp, d_exp), pmono), wbase * pcoeff
+                for pmono, pcoeff in pbw:
+                    yield (wmono, pmono), wbase * pcoeff
 
 
 def tensor(a: WeylElement, u: UglElement) -> TensorOperator:
@@ -155,18 +176,18 @@ def shen_iota(x: VectorField) -> TensorOperator:
     Laurent extension of the same formula.
     """
     n = x.rank
+    zero = mi_zero(n)
 
     def images():
         for (t_exp, d_exp), coeff in x.element.terms.items():
             i = d_exp.index(1) + 1
             yield ((t_exp, d_exp), ()), coeff
-            for s in range(1, n + 1):
-                a_s = t_exp[s - 1]
+            for s, a_s in enumerate(t_exp, 1):
                 if a_s != 0:
-                    shifted = mi_sub(t_exp, mi_unit(s, n))
-                    yield ((shifted, mi_zero(n)), (((s, i), 1),)), coeff * a_s
+                    shifted = t_exp[: s - 1] + (a_s - 1,) + t_exp[s:]
+                    yield ((shifted, zero), (((s, i), 1),)), coeff * a_s
 
-    return TensorOperator(n, accumulate({}, images()), x.laurent)
+    return TensorOperator._from_kernel(n, accumulate({}, images()), x.laurent)
 
 
 def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
@@ -341,7 +362,7 @@ def _combine(values, rows):
             total = sum(map(mul, nums, vec))
             if total:
                 terms[key] = _divide(total, den)
-        out.append(TensorOperator(rank, terms, laurent=True))
+        out.append(TensorOperator._from_kernel(rank, terms, laurent=True))
     return out
 
 

@@ -73,6 +73,10 @@ class TermMap:
         raise NotImplementedError
 
     def _check_same(self, other) -> None:
+        if type(other) is not type(self):
+            raise StructureError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self._context() != other._context():
             raise StructureError(
                 f"{type(self).__name__} operands do not match: "

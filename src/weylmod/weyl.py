@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 from .errors import DomainError, StructureError
 from .indices import binomial, falling, mi_zero
@@ -20,28 +22,42 @@ from .terms import SCALARS, TermMap, accumulate
 def _d_on_t(gamma, beta):
     """Normal ordering of d^gamma * t^beta.
 
-    Yields (coeff, k) with k componentwise <= gamma so that
+    Returns a tuple of (coeff, k) with k componentwise <= gamma so that
 
         d^gamma t^beta = sum coeff * t^(beta-k) d^(gamma-k).
+
+    gamma = 0 is the identity; every other pair is read from a table built
+    once per (gamma, beta).
+    """
+    if not any(gamma):
+        return ((1, gamma),)
+    return _normal_order_table(gamma, beta)
+
+
+@lru_cache(maxsize=4096)
+def _normal_order_table(gamma, beta):
+    """The (coeff, k) expansion of d^gamma t^beta for gamma != 0.
 
     Expanding by the closed product formula (binomials times falling
     factorials per coordinate) instead of one-step rewriting keeps
     intermediate results linear in the output size.
     """
-    per_coord = []
-    for g, b in zip(gamma, beta):
-        top = g if b < 0 else min(g, b)
-        choices = []
-        for k in range(top + 1):
-            c = binomial(g, k) * falling(b, k)
-            if c != 0:
-                choices.append((k, c))
-        per_coord.append(choices)
-    for combo in itertools.product(*per_coord):
+    out = []
+    for combo in itertools.product(*map(_coord_choices, gamma, beta)):
         coeff = 1
         for _, c in combo:
             coeff *= c
-        yield coeff, tuple(k for k, _ in combo)
+        out.append((coeff, tuple(k for k, _ in combo)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=512)
+def _coord_choices(g, b):
+    """The (k, binomial(g, k) * falling(b, k)) pairs of d^g t^b in one
+    coordinate, zeros left out."""
+    top = g if b < 0 else min(g, b)
+    choices = ((k, binomial(g, k) * falling(b, k)) for k in range(top + 1))
+    return tuple((k, c) for k, c in choices if c != 0)
 
 
 class WeylElement(TermMap):
@@ -220,10 +236,11 @@ def _product_terms(a: WeylElement, b: WeylElement):
     for (b1, g1), c1 in a.terms.items():
         for (b2, g2), c2 in b.terms.items():
             base = c1 * c2
+            t_sum = tuple(map(add, b1, b2))
+            d_sum = tuple(map(add, g1, g2))
             for coeff, k in _d_on_t(g1, b2):
-                t_exp = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                d_exp = tuple(x + y - z for x, y, z in zip(g1, g2, k))
-                yield (t_exp, d_exp), base * coeff
+                mono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
+                yield mono, base * coeff
 
 
 def t(i: int, n: int) -> WeylElement:

@@ -11,6 +11,29 @@ from weylmod.weightmod import FVector, make_wedge_module
 from weylmod.weyl import WeylElement
 
 
+def d_on_t(gamma, beta):
+    """d^gamma * t^beta normal-ordered by one-step rewriting,
+    d_i t^b = t^b d_i + b_i t^(b - e_i), in Fraction arithmetic.  Returns
+    {k: coeff} with d^gamma t^beta = sum coeff * t^(beta-k) d^(gamma-k)."""
+    n = len(gamma)
+    # normal-ordered terms {(t exponent, d exponent): coeff}; the d factors
+    # applied so far stand to the right of every t factor
+    terms = {(tuple(beta), (0,) * n): Fraction(1)}
+    for i, g in enumerate(gamma):
+        for _ in range(g):
+            out = {}
+            for (b, d), c in terms.items():
+                raised = d[:i] + (d[i] + 1,) + d[i + 1:]
+                out[(b, raised)] = out.get((b, raised), 0) + c
+                if b[i] != 0:
+                    lowered = b[:i] + (b[i] - 1,) + b[i + 1:]
+                    out[(lowered, d)] = out.get((lowered, d), 0) + c * b[i]
+            terms = {key: c for key, c in out.items() if c != 0}
+    return {
+        tuple(g - x for g, x in zip(gamma, d)): c for (_, d), c in terms.items()
+    }
+
+
 def monomial_on_key(P, key, t_exp, d_exp):
     """t^b d^g on the basis vector at key, in Fraction arithmetic: falling
     factorials of the true exponents, with the support boundary rules.

@@ -12,9 +12,12 @@ import oracles
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.tensorop import (
     TensorOperator,
+    _combine,
+    _scaled,
     interpolate_coefficients,
     iota_hom_residual,
     node_combination,
+    shen_iota,
     tensor,
 )
 from weylmod.ugl import E, UglElement
@@ -200,6 +203,53 @@ def test_repeated_nodes_and_count_mismatch(case, data):
         interpolate_coefficients(values[:-1], nodes)
     with pytest.raises(ArgumentError):
         interpolate_coefficients(values, [])
+
+
+def _assert_well_formed(op):
+    """What __init__ would check, on an operator that skipped it."""
+    rebuilt = TensorOperator(op.rank, op.terms, op.laurent)
+    assert rebuilt == op and rebuilt.laurent == op.laurent
+    assert list(rebuilt.terms.items()) == list(op.terms.items())
+    assert all(c != 0 for c in op.terms.values())
+    assert all(len(t) == len(d) == op.rank for (t, d), _ in op.terms)
+    if not op.laurent:
+        assert all(b >= 0 for (t_exp, _), _ in op.terms for b in t_exp)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_kernel_built_operators_pass_the_public_checks(n, data):
+    a, b = data.draw(operators(n)), data.draw(operators(n))
+    x, y = data.draw(fields(n)), data.draw(fields(n))
+    weights = [data.draw(st.one_of(st.just(0), coeffs)) for _ in range(2)]
+    built = [a * b, b * a, a + b, a - b, a - a, -a, shen_iota(x), shen_iota(y),
+             shen_iota(x) * shen_iota(y), iota_hom_residual(x, y),
+             *_combine([a, b], [_scaled(weights), _scaled([1, -1])])]
+    for op in built:
+        _assert_well_formed(op)
+    assert (a * 0).terms == {} and (0 * b).terms == {}
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_public_constructor_still_checks(n, extra, data):
+    z = (0,) * n
+    short = (0,) * (n + extra)
+    with pytest.raises(StructureError):
+        TensorOperator(n, {((short, z), ()): 1})
+    with pytest.raises(StructureError):
+        TensorOperator(n, {((z, short), ()): 1})
+    i = data.draw(st.integers(0, n - 1))
+    negative = z[:i] + (-data.draw(st.integers(1, 3)),) + z[i + 1:]
+    with pytest.raises(StructureError):
+        TensorOperator(n, {((negative, z), ()): 1})
+    assert TensorOperator(n, {((negative, z), ()): 1}, laurent=True).laurent
+    assert TensorOperator(n, {((z, z), ()): 0}).terms == {}
+    # a sum with another element type is refused, not adopted unchecked
+    with pytest.raises(StructureError):
+        TensorOperator.one(n) + WeylElement.one(n)
+    with pytest.raises(StructureError):
+        TensorOperator.one(n) * WeylElement.one(n)
 
 
 @PROPERTY

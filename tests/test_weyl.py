@@ -1,10 +1,13 @@
 """Normal-ordered multiplication, the polynomial action oracle, Fourier."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from weylmod import weyl
 from weylmod.errors import DomainError, StructureError
 from weylmod.weyl import WeylElement, d, fourier, t
 
@@ -113,6 +116,43 @@ def test_action_is_module_homomorphism():
         b = random_element(rng, 2, deg=2, nterms=2)
         p = random_poly(rng, 2, deg=3, nterms=3)
         assert (a * b).apply_poly(p) == a.apply_poly(b.apply_poly(p))
+    # derivative degree up to 3 reaches more of the normal-ordering table
+    for n in (1, 2, 3):
+        for _ in range(10):
+            a = random_element(rng, n, deg=3, nterms=2)
+            b = random_element(rng, n, deg=3, nterms=2)
+            p = random_poly(rng, n, deg=4, nterms=3)
+            assert (a * b).apply_poly(p) == a.apply_poly(b.apply_poly(p))
+
+
+def _check_table(gamma, beta):
+    table = weyl._d_on_t(gamma, beta)
+    assert isinstance(table, tuple)
+    got = {k: c for c, k in table}
+    assert len(got) == len(table)
+    assert all(c != 0 for c in got.values())
+    assert got == oracles.d_on_t(gamma, beta)
+
+
+def test_normal_order_table_matches_rewriting():
+    # every gamma in [0,3]^n and beta in [-3,4]^n, zero and negative
+    # coordinates included, then seeded samples at n = 3, 4
+    for n in (1, 2):
+        for gamma in itertools.product(range(4), repeat=n):
+            for beta in itertools.product(range(-3, 5), repeat=n):
+                _check_table(gamma, beta)
+    rng = random.Random(47)
+    for n in (3, 4):
+        for _ in range(150):
+            gamma = tuple(rng.randint(0, 3) for _ in range(n))
+            beta = tuple(rng.randint(-3, 4) for _ in range(n))
+            _check_table(gamma, beta)
+
+
+def test_normal_order_caches_are_bounded():
+    for cached in (weyl._normal_order_table, weyl._coord_choices):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 def test_normal_order_canonical():
