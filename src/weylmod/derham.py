@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import ArgumentError, StructureError
 from .indices import TruncationBox, mi_unit, mi_zero
-from .linalg import RowBasis, nullspace
+from .linalg import RowBasis, kernel
 from .terms import accumulate
 from .tensorop import special_operator
 from .weightmod import (
@@ -20,6 +20,7 @@ from .weightmod import (
     SLModule,
     WeightModuleP,
     _action_table,
+    _block_columns,
     _integer_rows,
     _monomial_on_key,
     _row_image,
@@ -27,6 +28,7 @@ from .weightmod import (
     _scaled_monomial_on_key,
     make_wedge_module as wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
+    wedge_insert,
 )
 
 
@@ -42,18 +44,16 @@ def _derham_table(n: int, r: int):
     ``weightmod._action_table``: per source label, one entry
     (0, e_l, {target label: sign}, 1) per l outside the label, for the term
     d_l p (x) e_l wedge v, the sign moving e_l to its sorted place."""
-    source = wedge_module(n, r)
     index = {lab: pos for pos, lab in enumerate(wedge_module(n, r + 1).labels)}
     zero = mi_zero(n)
     table = []
-    for label in source.labels:
+    for label in wedge_module(n, r).labels:
         entries = []
         for l in range(1, n + 1):
-            if l not in label:
-                crossings = sum(1 for x in label if x < l)
-                sign = -1 if crossings % 2 else 1
-                dst = index[tuple(sorted(label + (l,)))]
-                entries.append((zero, mi_unit(l, n), {dst: sign}, 1))
+            hit = wedge_insert(l, label)
+            if hit is not None:
+                sign, dst = hit
+                entries.append((zero, mi_unit(l, n), {index[dst]: sign}, 1))
         table.append(entries)
     return table
 
@@ -94,16 +94,22 @@ def ambient_labels(P: WeightModuleP, M: SLModule, weight):
 
 
 class GradedSubspace:
-    """Weight-indexed family of echelonized subspaces of a tensor module."""
+    """Weight-indexed family of echelonized subspaces of a tensor module.
+
+    The window's ambient is built here once: ``labels[w]`` lists the basis
+    labels (key, m-index) at weight w, ``slots[w]`` maps each to its
+    position, and ``blocks[w]`` is the echelon basis over those positions.
+    """
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, weights):
         self.module_p = module_p
         self.module_m = module_m
         self.labels = {}
+        self.slots = {}
         self.blocks = {}
         for w in weights:
-            labels = ambient_labels(module_p, module_m, w)
-            self.labels[w] = labels
+            labels = self.labels[w] = ambient_labels(module_p, module_m, w)
+            self.slots[w] = {lab: pos for pos, lab in enumerate(labels)}
             self.blocks[w] = RowBasis(len(labels))
 
     def weights(self):
@@ -119,41 +125,38 @@ class GradedSubspace:
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks.values())
 
-    def _coords(self, weight, terms):
-        labels = self.labels[weight]
-        slot = {lab: pos for pos, lab in enumerate(labels)}
-        vec = [0] * len(labels)
-        for lab, c in terms.items():
-            if lab not in slot:
-                raise StructureError(f"label {lab} missing at weight {weight}")
-            vec[slot[lab]] = c
-        return vec
-
-    def split_by_weight(self, v: FVector):
+    def to_dense(self, v: FVector):
+        """{weight: dense coordinates} of v, in the order its weights first
+        occur, or None when v is not a vector of the window: a term lies
+        outside it, or v is over other modules."""
+        if v.module_p != self.module_p or v.module_m is not self.module_m:
+            return None
         parts = {}
-        for (key, midx), c in v.terms.items():
-            w = v.weight_of(key, midx)
-            parts.setdefault(w, {})[(key, midx)] = c
+        for lab, c in v.terms.items():
+            w = v.weight_of(*lab)
+            pos = self.slots.get(w, {}).get(lab)
+            if pos is None:
+                return None
+            dense = parts.get(w)
+            if dense is None:
+                dense = parts[w] = [0] * len(self.labels[w])
+            dense[pos] = c
         return parts
 
     def insert(self, v: FVector) -> bool:
+        parts = self.to_dense(v)
+        if parts is None:
+            raise StructureError("vector is not in the subspace window")
         grew = False
-        for w, terms in self.split_by_weight(v).items():
-            if w not in self.blocks:
-                raise StructureError(f"weight {w} outside the subspace window")
-            if self.blocks[w].insert(self._coords(w, terms)):
-                grew = True
+        for w, dense in parts.items():
+            grew |= self.blocks[w].insert(dense)
         return grew
 
     def contains(self, v: FVector) -> bool:
-        for w, terms in self.split_by_weight(v).items():
-            block = self.blocks.get(w)
-            if block is None or not block.contains(self._coords(w, terms)):
-                return False
-        return True
-
-    def covers(self, weight) -> bool:
-        return weight in self.blocks
+        parts = self.to_dense(v)
+        return parts is not None and all(
+            self.blocks[w].contains(dense) for w, dense in parts.items()
+        )
 
     def basis_vectors(self, weight):
         block = self.blocks.get(weight)
@@ -200,13 +203,16 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     rows, _ = _derham_rows(P, r - 1)
     out = GradedSubspace(P, wedge_module(n, r), box.keys())
     for w in box.keys():
-        for midx in range(source.dim):
-            key = tuple(a - b for a, b in zip(w, source.weights[midx]))
-            if not P.supports_key(key):
-                continue
-            image = accumulate({}, _row_image(P, key, rows[midx]))
-            if image:
-                out.blocks[w].insert(out._coords(w, image))
+        # the source basis at w, without building a window for it
+        keys = (tuple(a - b for a, b in zip(w, mw)) for mw in source.weights)
+        labels = [(key, midx) for midx, key in enumerate(keys) if P.supports_key(key)]
+        block = out.blocks[w]
+        for col in _block_columns(P, rows, labels, out.slots[w]):
+            if col:
+                dense = [0] * block.ncols
+                for pos, c in col:
+                    dense[pos] = c
+                block.insert(dense)
     return out
 
 
@@ -220,25 +226,14 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     n = P.rank
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
-    source = wedge_module(n, r)
-    target = wedge_module(n, r + 1)
     rows, _ = _derham_rows(P, r)
-    out = GradedSubspace(P, source, box.keys())
+    out = GradedSubspace(P, wedge_module(n, r), box.keys())
+    target = GradedSubspace(P, wedge_module(n, r + 1), box.keys())
     for w in box.keys():
         labels = out.labels[w]
-        if not labels:
-            continue
-        target_labels = ambient_labels(P, target, w)
-        slot = {lab: pos for pos, lab in enumerate(target_labels)}
-        # column i holds the image of basis vector i: kernel combinations
-        # are the right kernel of this matrix
-        matrix = [[0] * len(labels) for _ in target_labels]
-        for i, (key, midx) in enumerate(labels):
-            for lab, c in _row_image(P, key, rows[midx]):
-                matrix[slot[lab]][i] += c
-        for combo in nullspace(matrix, len(labels)):
-            terms = {lab: c for lab, c in zip(labels, combo) if c != 0}
-            out.insert(FVector(P, source, terms))
+        if labels:
+            cols = _block_columns(P, rows, labels, target.slots[w])
+            out.blocks[w] = kernel(cols, len(target.labels[w]))
     return out
 
 

@@ -22,7 +22,7 @@ from .tensorop import TensorOperator, tensor
 from .terms import TermMap
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
-from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module
+from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
 from .weyl import WeylElement
 
 
@@ -75,16 +75,16 @@ class Wedge:
         self.labels = labels
 
     def join(self, other: "Wedge") -> "Wedge":
-        merged = list(self.labels)
+        # self wedge other = e_a1 wedge (e_a2 wedge (... wedge other))
         sign = self.sign * other.sign
-        for x in other.labels:
-            if x in merged:
+        label = other.labels
+        for x in reversed(self.labels):
+            hit = wedge_insert(x, label)
+            if hit is None:
                 return Wedge(0, ())
-            below = sum(1 for y in merged if y > x)
-            if below % 2:
-                sign = -sign
-            merged.append(x)
-        return Wedge(sign, tuple(sorted(merged)))
+            s, label = hit
+            sign *= s
+        return Wedge(sign, label)
 
 
 class VectorLiteral(TermMap):
@@ -322,12 +322,8 @@ def _coerce_literal(v, rank: int) -> VectorLiteral:
 def _add(a, b, sign: int):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return a + sign * b
-    if isinstance(a, WeylElement) and isinstance(b, WeylElement):
-        return a + b * sign if sign == 1 else a - b
-    if isinstance(a, UglElement) and isinstance(b, UglElement):
-        return a + b * sign if sign == 1 else a - b
-    if isinstance(a, TensorOperator) and isinstance(b, TensorOperator):
-        return a + b * sign if sign == 1 else a - b
+    if type(a) is type(b) and isinstance(a, TermMap):
+        return a + b if sign == 1 else a - b
     if isinstance(a, (Wedge, VectorLiteral)) or isinstance(b, (Wedge, VectorLiteral)):
         rank = a.rank if isinstance(a, (VectorLiteral, WeylElement)) else getattr(
             b, "rank", None

@@ -1,12 +1,12 @@
 """Dense exact linear algebra for small matrices.
 
-``rref``, ``nullspace`` and ``invert`` work on lists of lists of
-Fraction/int.  ``RowBasis``, the incremental echelon basis behind every
-closure and graded subspace, is fraction-free: it keeps primitive integer
-rows, clears the denominators of a rational input once, and eliminates by
-integer cross-multiplication, so its inner loop never builds a Fraction.
-Sizes stay tiny in this library (weight blocks rarely exceed a few dozen
-columns), so clarity beats asymptotics.
+``rref`` and ``invert`` (the interpolation inverse) work on lists of lists
+of Fraction/int.  ``RowBasis``, the incremental echelon basis behind every
+closure, graded subspace and de Rham kernel, is fraction-free: it keeps
+primitive integer rows, clears the denominators of a rational input once,
+and eliminates by integer cross-multiplication, so its inner loop never
+builds a Fraction.  Sizes stay tiny in this library (weight blocks rarely
+exceed a few dozen columns), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -44,24 +44,6 @@ def rref(rows):
     return [row for row in rows if any(x != 0 for x in row)], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def nullspace(rows, ncols: int):
-    """Basis of the right kernel of the matrix, one row per kernel vector."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -Fraction(reduced[r][fc])
-        basis.append(vec)
-    return basis
-
-
 def invert(matrix):
     """Exact inverse of a square matrix; raises on singular input."""
     n = len(matrix)
@@ -70,10 +52,6 @@ def invert(matrix):
     if pivots != list(range(n)):
         raise ArgumentError("matrix is singular")
     return [row[n:] for row in reduced]
-
-
-def mat_vec(matrix, vec):
-    return [sum(m * v for m, v in zip(row, vec)) for row in matrix]
 
 
 def clear_denominators(vec):
@@ -165,3 +143,29 @@ class RowBasis:
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
+
+
+def kernel(columns, height: int) -> RowBasis:
+    """The echelon basis of the right kernel of a matrix given by sparse
+    columns, each a list of (row, entry) pairs over ``height`` rows.
+
+    Row i of the augmented matrix is (column i | e_i).  A combination of
+    those rows has a zero column part exactly when its e part is in the
+    kernel, so the echelon rows that pivot in the e part span it; being
+    primitive, reduced and zero in the column part, their e parts are the
+    kernel's own echelon rows.
+    """
+    width = height + len(columns)
+    augmented = RowBasis(width)
+    for i, col in enumerate(columns):
+        row = [0] * width
+        for pos, c in col:
+            row[pos] = c
+        row[height + i] = 1
+        augmented.insert(row)
+    out = RowBasis(len(columns))
+    for row, p in zip(augmented._rows, augmented.pivots):
+        if p >= height:
+            out._rows.append(row[height:])
+            out.pivots.append(p - height)
+    return out

@@ -16,7 +16,6 @@ from math import gcd
 from .errors import ArgumentError, StructureError
 from .derham import (
     GradedSubspace,
-    ambient_labels,
     partial_span,
     pi_image,
     pi_kernel,
@@ -24,16 +23,17 @@ from .derham import (
 from .indices import TruncationBox
 from .linalg import RowBasis, clear_denominators
 from .tensorop import shen_iota
-from .terms import accumulate
 from .vectorfields import L_op, VectorField, is_divergence_free
 from .weightmod import (
+    POLY,
+    TWIST,
     FVector,
     SLModule,
     WeightModuleP,
     _acting_form,
     _action_table,
+    _block_columns,
     _integer_rows,
-    _row_image,
     make_wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
 )
@@ -86,8 +86,9 @@ class GeneratorSet:
 
 
 class ClosureEngine:
-    """Caches ambient labels, per-generator integer action tables and
-    per-(generator, weight) action matrices."""
+    """The ambient window of the box (a ``GradedSubspace``), with cached
+    per-generator integer action tables and per-(generator, weight) action
+    matrices."""
 
     def __init__(
         self,
@@ -102,17 +103,10 @@ class ClosureEngine:
         self.box = box
         self.gens = gens.members
         self.iotas = [shen_iota(g.field) for g in self.gens]
-        self.labels = {w: ambient_labels(module_p, module_m, w) for w in box.keys()}
-        self.slots = {
-            w: {lab: pos for pos, lab in enumerate(labs)}
-            for w, labs in self.labels.items()
-        }
+        self.ambient = GradedSubspace(module_p, module_m, box.keys())
         self.mod = mod
         self._tables = {}
         self._matrices = {}
-
-    def ambient_dims(self):
-        return {w: len(labs) for w, labs in self.labels.items()}
 
     def _table(self, gi: int):
         """Integer action rows of generator gi and their common denominator
@@ -140,19 +134,9 @@ class ClosureEngine:
         if not self.box.contains(target):
             self._matrices[key] = None
             return None
-        labels = self.labels[w]
+        labels = self.ambient.labels[w]
         rows, den = self._table(gi) if labels else ((), 1)
-        slots = self.slots[target]
-        P = self.module_p
-        cols = []
-        for lab_key, midx in labels:
-            col = []
-            for lab, c in accumulate({}, _row_image(P, lab_key, rows[midx])).items():
-                pos = slots.get(lab)
-                if pos is None:
-                    raise StructureError("generator action left its weight block")
-                col.append((pos, c))
-            cols.append(col)
+        cols = _block_columns(self.module_p, rows, labels, self.ambient.slots[target])
         scale = 1
         if den != 1:
             # the block holds its exact entries times den; dividing by the
@@ -164,23 +148,6 @@ class ClosureEngine:
                 cols = [[(pos, c // g) for pos, c in col] for col in cols]
         out = (target, cols, scale)
         self._matrices[key] = out
-        return out
-
-    def vector_to_dense(self, v: FVector):
-        """Split an in-box vector into (weight, dense coordinates) pairs."""
-        parts = {}
-        for (key, midx), c in v.terms.items():
-            w = v.weight_of(key, midx)
-            if w not in self.slots:
-                raise ArgumentError(f"seed weight {w} outside the box")
-            parts.setdefault(w, {})[(key, midx)] = c
-        out = []
-        for w, terms in parts.items():
-            dense = [0] * len(self.labels[w])
-            slot = self.slots[w]
-            for lab, c in terms.items():
-                dense[slot[lab]] = c
-            out.append((w, dense))
         return out
 
 
@@ -249,12 +216,13 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     blocks: dict = {}
     queue: deque = deque()
     deficit = sum(target_dims.values()) if target_dims else None
+    labels = engine.ambient.labels
 
     def insert(w, dense):
         nonlocal deficit
         basis = blocks.get(w)
         if basis is None:
-            basis = blocks[w] = RowBasis(len(engine.labels[w]))
+            basis = blocks[w] = RowBasis(len(labels[w]))
         if engine.mod is not None:
             dense = engine.mod.blocks[w].reduce(dense)
         before = basis.dim
@@ -266,7 +234,10 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
         return True
 
     for seed in seeds:
-        for w, dense in engine.vector_to_dense(seed):
+        parts = engine.ambient.to_dense(seed)
+        if parts is None:
+            raise ArgumentError("seed is not a vector of the box window")
+        for w, dense in parts.items():
             insert(w, clear_denominators(dense))
     applications = 0
     while queue:
@@ -279,7 +250,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             if hit is None:
                 continue
             target, cols, _ = hit
-            dense = [0] * len(engine.labels[target])
+            dense = [0] * len(labels[target])
             for pos in support:
                 x = vec[pos]
                 for dst, m in cols[pos]:
@@ -288,7 +259,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             if any(dense):
                 insert(target, dense)
     dims = {w: blocks[w].dim if w in blocks else 0 for w in box.keys()}
-    ambient = engine.ambient_dims()
+    ambient = {w: len(labs) for w, labs in labels.items()}
     classification = _classify(box, dims, ambient)
     boundary = sorted(
         w for w, d in dims.items() if d and not box.contains_inner(w)
@@ -342,7 +313,7 @@ def evidence_simplicity(
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
         engine = ClosureEngine(module_p, module_m, gens, box)
-        target = {w: len(engine.labels[w]) for w in box.inner_keys()}
+        target = {w: len(engine.ambient.labels[w]) for w in box.inner_keys()}
         seeds, seed_tags = _full_module_seeds(module_p, module_m, box, engine)
     elif ambient == "Ln":
         if r is None:
@@ -365,17 +336,17 @@ def evidence_simplicity(
         module_m = make_wedge_module(n, r)
         engine = ClosureEngine(module_p, module_m, gens, box, mod=kernel)
         target = {
-            w: len(engine.labels[w]) - kernel.dim_at(w) for w in box.inner_keys()
+            w: len(kernel.labels[w]) - kernel.dim_at(w) for w in box.inner_keys()
         }
         seeds = []
         seed_tags = []
         for w in box.inner_keys():
             block = kernel.blocks[w]
-            for pos in range(len(engine.labels[w])):
-                dense = [0] * len(engine.labels[w])
+            labels = kernel.labels[w]
+            for pos, (key, midx) in enumerate(labels):
+                dense = [0] * len(labels)
                 dense[pos] = 1
-                if any(c != 0 for c in block.reduce(dense)):
-                    key, midx = engine.labels[w][pos]
+                if any(block.reduce(dense)):
                     seeds.append(FVector.basis(module_p, module_m, key, midx))
                     seed_tags.append({"weight": list(w), "index": pos})
     else:
@@ -445,13 +416,16 @@ def _full_module_seeds(module_p, module_m, box, engine):
     seeds = []
     tags = []
     for w in box.inner_keys():
-        labels = engine.labels[w]
+        labels = engine.ambient.labels[w]
         taken = RowBasis(len(labels))
         if sub is not None:
+            # sub has the same window, so its echelon rows are coordinates
+            # over these labels
             for pos, vec in enumerate(sub.basis_vectors(w)):
                 seeds.append(vec)
                 tags.append({"weight": list(w), "index": pos, "kind": "submodule-row"})
-                taken.insert(next(iter(engine.vector_to_dense(vec)))[1])
+            for row in sub.blocks[w].rows:
+                taken.insert(row)
         for pos, (key, midx) in enumerate(labels):
             dense = [0] * len(labels)
             dense[pos] = 1
@@ -468,7 +442,7 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
     n = module_p.rank
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
-    all_poly = all(f.kind == "poly" for f in module_p.factors)
+    all_poly = all(f.kind == POLY for f in module_p.factors)
     triv = make_wedge_module(n, 0)
     layers = []
     if r == 0:
@@ -496,12 +470,9 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
         chain = {"F": full, "deltaP": delta}
     else:
         image = pi_image(module_p, r, box).dims()
-        kernel = pi_kernel(module_p, r, box).dims()
-        engine_labels = {
-            w: len(ambient_labels(module_p, make_wedge_module(n, r), w))
-            for w in box.keys()
-        }
-        full = engine_labels
+        kernel_space = pi_kernel(module_p, r, box)
+        kernel = kernel_space.dims()
+        full = {w: len(kernel_space.labels[w]) for w in box.keys()}
         gap = {w: kernel[w] - image[w] for w in box.keys()}
         quotient = {w: full[w] - kernel[w] for w in box.keys()}
         chain = {"image": image, "kernel": kernel, "F": full}
@@ -567,7 +538,7 @@ def _delta_dim(module_p, w) -> int:
     Laurent, or twisted with w_l <= -2."""
     return int(
         module_p.supports_key(w)
-        and any(f.kind != "twist" or k <= -2 for f, k in zip(module_p.factors, w))
+        and any(f.kind != TWIST or k <= -2 for f, k in zip(module_p.factors, w))
     )
 
 
@@ -594,11 +565,9 @@ def _match_candidates(module_p, r, box, layers):
         elif name == f"image({r})":
             # rank-nullity: the image of the degree r - 1 map is its source
             # block less its kernel
-            source = make_wedge_module(n, r - 1)
             kernel = pi_kernel(module_p, r - 1, box)
             candidate = {
-                w: len(ambient_labels(module_p, source, w)) - kernel.dim_at(w)
-                for w in box.keys()
+                w: len(kernel.labels[w]) - kernel.dim_at(w) for w in box.keys()
             }
         elif name.startswith("image("):
             rr = int(name[len("image("):-1])

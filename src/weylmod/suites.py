@@ -41,6 +41,8 @@ from .tensorop import (
 )
 from .vectorfields import monomial_field
 from .weightmod import (
+    POLY,
+    TWIST,
     Factor,
     FVector,
     WeightModuleP,
@@ -170,7 +172,7 @@ def standard_profiles(n: int, shift=Fraction(1, 2)):
     return {
         "poly": WeightModuleP.polynomial(n),
         "laurent": WeightModuleP.laurent(n, shift),
-        "one-twist": WeightModuleP([Factor("twist")] + [Factor("poly")] * (n - 1)),
+        "one-twist": WeightModuleP([Factor(TWIST)] + [Factor(POLY)] * (n - 1)),
     }
 
 
@@ -178,10 +180,10 @@ def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
     lower = []
     upper = []
     for f in P.factors:
-        if f.kind == "poly":
+        if f.kind == POLY:
             lower.append(0)
             upper.append(radius)
-        elif f.kind == "twist":
+        elif f.kind == TWIST:
             lower.append(-radius)
             upper.append(-1)
         else:
@@ -247,17 +249,12 @@ def check_h_ln(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
 
 
 def _random_fvector(rng, P, M, nterms=3, radius=3):
+    """Random terms with keys drawn from the profile's key box."""
+    box = _profile_key_box(P, radius)
     terms = {}
     for _ in range(nterms):
-        key = []
-        for f in P.factors:
-            if f.kind == "poly":
-                key.append(rng.randint(0, radius))
-            elif f.kind == "twist":
-                key.append(rng.randint(-radius, -1))
-            else:
-                key.append(rng.randint(-radius, radius))
-        terms[(tuple(key), rng.randrange(M.dim))] = rng.randint(-4, 4)
+        key = tuple(rng.randint(lo, hi) for lo, hi in zip(box.lower, box.upper))
+        terms[(key, rng.randrange(M.dim))] = rng.randint(-4, 4)
     return FVector(P, M, terms)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import binomial
 from .terms import SCALARS, TermMap, accumulate
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
@@ -206,77 +205,24 @@ def E(i: int, j: int, n: int) -> UglElement:
     return UglElement(n, {(((i, j), 1),): 1})
 
 
-def _cartan_in_split_basis(n: int):
-    """Coefficient rows expressing E_ii - I/n over h_1..h_{n-1}.
-
-    Row i-1 holds the h coordinates of the traceless part of E_ii, where
-    h_k = E_kk - E_(k+1)(k+1).
-    """
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(
-            [
-                Fraction(n - k, n) if k >= i else Fraction(-k, n)
-                for k in range(1, n)
-            ]
-        )
-    return rows
-
-
 def in_usl(u: UglElement) -> bool:
     """Whether u lies in the subalgebra U(sl_n) of U(gl_n).
 
-    Each PBW monomial splits into off-diagonal factors and a commutative
-    Cartan part.  Substituting E_ii = (traceless part) + I/n turns the Cartan
-    part into a polynomial in the split basis (h_1..h_{n-1}, I); membership
-    means no monomial with an I factor survives.
+    Each PBW monomial is (lowering)(Cartan)(raising) with a commutative
+    Cartan part, a polynomial in E_11..E_nn.  In the coordinates h_k =
+    E_kk - E_(k+1)(k+1) and the central I = sum_i E_ii, U(gl_n) is
+    U(sl_n)[I], so u lies in U(sl_n) exactly when no Cartan part depends on
+    I.  The derivation sum_i d/dE_ii kills every h_k and sends I to n: it is
+    n d/dI, and u lies in U(sl_n) exactly when it kills u.
     """
-    n = u.rank
-    split = _cartan_in_split_basis(n)
-    collected = {}
+    derived = {}
     for mono, coeff in u.terms.items():
-        context = tuple((g, e) for g, e in mono if g[0] != g[1])
-        diag = [(g[0], e) for g, e in mono if g[0] == g[1]]
-        # expand prod_i (H_i + I/n)^(e_i) as a polynomial in (h_*, I)
-        poly = {((0,) * (n - 1), 0): Fraction(1)}
-        for i, e in diag:
-            h_row = split[i - 1]
-            base = {}
-            for a in range(e + 1):
-                # (I/n)^a * H_i^(e-a), H_i expanded multinomially below
-                c_bin = binomial(e, a) * Fraction(1, n) ** a
-                for h_exp, c_h in _h_power(h_row, e - a, n).items():
-                    key = (h_exp, a)
-                    base[key] = base.get(key, Fraction(0)) + c_bin * c_h
-            poly = _poly_mul(poly, base)
         accumulate(
-            collected,
-            (((context, h_exp, i_exp), coeff * c) for (h_exp, i_exp), c in poly.items()),
+            derived,
+            (
+                (mono[:k] + (((g, e - 1),) if e > 1 else ()) + mono[k + 1:], coeff * e)
+                for k, (g, e) in enumerate(mono)
+                if g[0] == g[1]
+            ),
         )
-    return all(i_exp == 0 for (_, _, i_exp) in collected)
-
-
-def _h_power(h_row, e: int, n: int):
-    """(sum_k h_row[k] h_k)^e as {h exponent tuple: coefficient}."""
-    poly = {(0,) * (n - 1): Fraction(1)}
-    for _ in range(e):
-        step = {}
-        for exp, c in poly.items():
-            for k, coef in enumerate(h_row):
-                if coef == 0:
-                    continue
-                new_exp = list(exp)
-                new_exp[k] += 1
-                key = tuple(new_exp)
-                step[key] = step.get(key, Fraction(0)) + c * coef
-        poly = step
-    return poly
-
-
-def _poly_mul(p1, p2):
-    products = (
-        ((tuple(a + b for a, b in zip(h1, h2)), i1 + i2), c1 * c2)
-        for (h1, i1), c1 in p1.items()
-        for (h2, i2), c2 in p2.items()
-    )
-    return accumulate({}, products)
+    return not derived

@@ -389,16 +389,26 @@ def make_wedge_module(n: int, r: int) -> SLModule:
     return SLModule(n, labels, weights, matrices, Fraction(r), name=f"wedge({n},{r})")
 
 
+def wedge_insert(l: int, label):
+    """e_l wedge v for the sorted wedge label v: (sign, sorted label), the
+    sign moving e_l past the factors below it, or None when l is in v."""
+    if l in label:
+        return None
+    below = sum(1 for x in label if x < l)
+    return (-1 if below % 2 else 1), tuple(sorted(label + (l,)))
+
+
 def wedge_replace(label, j: int, i: int):
-    """Replace the factor e_j by e_i inside a sorted wedge label."""
+    """Replace the factor e_j by e_i inside a sorted wedge label: move e_j to
+    the front, then insert e_i in its place."""
     if j not in label:
         return None
-    if i != j and i in label:
+    rest = tuple(x for x in label if x != j)
+    hit = wedge_insert(i, rest)
+    if hit is None:
         return None
-    rest = [x for x in label if x != j]
-    crossings = sum(1 for x in rest if min(i, j) < x < max(i, j))
-    sign = -1 if crossings % 2 else 1
-    return sign, tuple(sorted(rest + [i]))
+    sign, new_label = hit
+    return sign * wedge_insert(j, rest)[0], new_label
 
 
 def tensor_module(m1: SLModule, m2: SLModule) -> SLModule:
@@ -620,8 +630,9 @@ def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False
 
 # Every operator on F(P, M) goes through one pipeline: ``_action_table``
 # applies the U(gl_n) part once per (term, m-index), ``_integer_rows``
-# merges the entries per Weyl monomial over one common denominator, and
-# ``_row_image`` evaluates a row on a key in ints.
+# merges the entries per Weyl monomial over one common denominator,
+# ``_row_image`` evaluates a row on a key in ints, and ``_block_columns``
+# gathers those images over a whole weight block.
 
 
 def _action_table(op: TensorOperator, M: SLModule, midxs=None):
@@ -696,6 +707,24 @@ def _row_image(module_p: WeightModuleP, key, row):
             num, new_key = hit
             for dst, c in terms.items():
                 yield (new_key, dst), c * num
+
+
+def _block_columns(module_p: WeightModuleP, rows, labels, slots):
+    """The images of the basis vectors ``labels`` of one weight block under
+    integer rows, one column per label: the (position, coeff) pairs of the
+    nonzero image terms, positioned by ``slots``, the label positions of
+    the target block.  Each coeff is the rows' common denominator times the
+    exact one."""
+    cols = []
+    for key, midx in labels:
+        col = []
+        for lab, c in accumulate({}, _row_image(module_p, key, rows[midx])).items():
+            pos = slots.get(lab)
+            if pos is None:
+                raise StructureError("generator action left its weight block")
+            col.append((pos, c))
+        cols.append(col)
+    return cols
 
 
 def _rows_on_terms(module_p: WeightModuleP, rows, den, terms):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling
-from weylmod.linalg import invert
+from weylmod.linalg import invert, rref
 from weylmod.tensorop import TensorOperator
 from weylmod.vectorfields import VectorField
 from weylmod.weightmod import FVector, make_wedge_module
@@ -104,13 +104,20 @@ def derham(w):
             hit = monomial_on_key(P, key, (0,) * n, d_l)
             if hit is None:
                 continue
-            word = (l,) + tuple(label)
-            inversions = sum(
-                1 for a, x in enumerate(word) for y in word[a + 1:] if x > y
-            )
-            lab = (hit[1], target.labels.index(tuple(sorted(word))))
-            out[lab] = out.get(lab, 0) + c * hit[0] * (-1) ** inversions
+            sign, word = wedge_sort((l,) + tuple(label))
+            lab = (hit[1], target.labels.index(word))
+            out[lab] = out.get(lab, 0) + c * hit[0] * sign
     return FVector(P, target, out)
+
+
+def wedge_sort(word):
+    """e_w1 wedge ... wedge e_wk as (sign, sorted word): the sign of the
+    permutation that sorts the word, read off its inversions; None when a
+    factor repeats."""
+    if len(set(word)) < len(word):
+        return None
+    inversions = sum(1 for a, x in enumerate(word) for y in word[a + 1:] if x > y)
+    return (-1) ** inversions, tuple(sorted(word))
 
 
 class RowBasis:
@@ -206,3 +213,61 @@ def interpolate_coefficients(values, nodes):
     inv = invert([[m**k for k in range(len(nodes))] for m in nodes])
     products = dict(enumerate(values))
     return [node_combination(products, dict(enumerate(row))) for row in inv]
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel from the Fraction reduced echelon form: one
+    vector per free column, with 1 there and minus that column's entries at
+    the pivots."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -Fraction(reduced[r][fc])
+        basis.append(vec)
+    return basis
+
+
+def in_usl(u):
+    """U(sl_n) membership by expansion: substitute E_ii = H_i + I/n in every
+    Cartan part, H_i the traceless part written over h_k = E_kk -
+    E_(k+1)(k+1), expand multinomially, and require that no term with a
+    power of I survives."""
+    n = u.rank
+    # H_i in the h basis: row i - 1 holds its h_1..h_(n-1) coordinates
+    split = [
+        [Fraction(n - k, n) if k >= i else Fraction(-k, n) for k in range(1, n)]
+        for i in range(1, n + 1)
+    ]
+
+    def mul(p1, p2):
+        out = {}
+        for (h1, i1), c1 in p1.items():
+            for (h2, i2), c2 in p2.items():
+                key = (tuple(a + b for a, b in zip(h1, h2)), i1 + i2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return {k: c for k, c in out.items() if c != 0}
+
+    collected = {}
+    for mono, coeff in u.terms.items():
+        context = tuple((g, e) for g, e in mono if g[0] != g[1])
+        poly = {((0,) * (n - 1), 0): Fraction(1)}
+        for g, e in mono:
+            if g[0] != g[1]:
+                continue
+            linear = {
+                (tuple(int(k == j) for k in range(n - 1)), 0): c
+                for j, c in enumerate(split[g[0] - 1])
+                if c != 0
+            }
+            linear[((0,) * (n - 1), 1)] = Fraction(1, n)
+            for _ in range(e):
+                poly = mul(poly, linear)
+        for (h_exp, i_exp), c in poly.items():
+            key = (context, h_exp, i_exp)
+            collected[key] = collected.get(key, 0) + coeff * c
+    return all(i_exp == 0 for (_, _, i_exp), c in collected.items() if c != 0)

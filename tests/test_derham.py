@@ -19,7 +19,7 @@ from weylmod.derham import (
     verify_g_equals_u,
     verify_h_annihilates,
 )
-from weylmod.errors import ArgumentError
+from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.suites import check_g_u, check_h_ln
 from weylmod.tensorop import special_operator, tensor
@@ -135,6 +135,16 @@ def test_pi_image_examples():
     vec = FVector.basis(A, wedge1, (0, 1), (1,)) + FVector.basis(A, wedge1, (1, 0), (2,))
     assert ln1.contains(vec)
     assert not ln1.contains(FVector.basis(A, wedge1, (0, 1), (1,)))
+    # a vector with a term outside the window, or over other modules, is in
+    # no subspace of it, and inserting one raises before any block changes
+    outside = vec + FVector.basis(A, wedge1, (4, 4), (1,))
+    other = FVector(WeightModuleP.laurent(n), wedge1, vec.terms)
+    assert not ln1.contains(outside) and not ln1.contains(other)
+    dims = ln1.dims()
+    for bad in (FVector.basis(A, wedge1, (0, 2), (1,)) + outside, other):
+        with pytest.raises(StructureError, match="not in the subspace window"):
+            ln1.insert(bad)
+    assert ln1.dims() == dims
 
 
 def test_pi_image_top_degree_matches_partial_span():

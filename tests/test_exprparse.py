@@ -1,14 +1,17 @@
 """Expression grammar: parsing, typing rules, round trips."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.exprparse import (
     ParseError,
     VectorLiteral,
+    Wedge,
     format_vector,
     infer_rank,
     parse_expr,
@@ -146,6 +149,21 @@ def test_tensor_operator_round_trip():
         WeylElement.one(2), E(1, 1, 2)
     )
     assert parse_expr(str(op), 2) == op
+
+
+def test_wedge_join_matches_the_permutation_sign():
+    for n in range(1, 6):
+        labels = [
+            c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)
+        ]
+        for a in labels:
+            for b in labels:
+                hit = oracles.wedge_sort(a + b)
+                got = Wedge(1, a).join(Wedge(-1, b))
+                if hit is None:
+                    assert got.sign == 0, (a, b)
+                else:
+                    assert (got.sign, got.labels) == (-hit[0], hit[1]), (a, b)
 
 
 def test_vector_round_trip():

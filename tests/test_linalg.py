@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from weylmod.errors import ArgumentError
-from weylmod.linalg import RowBasis, invert, mat_vec, nullspace, rank, rref
+from weylmod.linalg import RowBasis, invert, kernel, rref
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -21,15 +21,33 @@ def test_rref_simple():
     assert pivots == [0]
 
 
-def test_nullspace_annihilates():
+def test_kernel_matches_fraction_nullspace():
+    # the integer kernel of the augmented rows (column i | e_i) spans the
+    # Fraction nullspace: equal reduced echelon forms, columns - rank rows
     rng = random.Random(81)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols)
-        kernel = nullspace(m, cols)
-        assert len(kernel) == cols - rank(m)
-        for vec in kernel:
-            assert all(x == 0 for x in mat_vec(m, vec))
+    for trial in range(200):
+        height, width = rng.randint(0, 5), rng.randint(1, 6)
+        m = random_matrix(rng, height, width, lo=-3, hi=3)
+        if height and rng.random() < 0.3:
+            # a dependent column, so kernels of every size occur
+            j, k = rng.sample(range(width), 2) if width > 1 else (0, 0)
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for row in m:
+                row[j] = row[k] * f
+        columns = [
+            [(i, m[i][j]) for i in range(height) if m[i][j]] for j in range(width)
+        ]
+        got = kernel(columns, height)
+        want = oracles.nullspace(m, width)
+        assert got.dim == width - len(rref(m)[0]) == len(want), trial
+        assert got.rows == rref(want)[0], trial
+        # a valid integer basis: primitive rows, positive pivots, reduced
+        for row, p in zip(got._rows, got.pivots):
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and row[p] > 0
+            assert all(row[q] == 0 for q in got.pivots if q != p)
+        for vec in got.rows:
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in m)
 
 
 def test_invert_round_trip():
@@ -37,7 +55,7 @@ def test_invert_round_trip():
     done = 0
     while done < 10:
         m = random_matrix(rng, 3, 3)
-        if rank(m) < 3:
+        if len(rref(m)[0]) < 3:
             continue
         inv = invert(m)
         prod = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]

@@ -79,11 +79,11 @@ def test_engine_columns_are_scaled_tensor_act_columns():
                     continue
                 got_target, cols, scale = hit
                 assert got_target == target
-                assert len(cols) == len(engine.labels[w])
+                assert len(cols) == len(engine.ambient.labels[w])
                 scales.add(scale)
-                slots = engine.slots[target]
+                slots = engine.ambient.slots[target]
                 dens = [1]
-                for (key, midx), col in zip(engine.labels[w], cols):
+                for (key, midx), col in zip(engine.ambient.labels[w], cols):
                     assert all(type(c) is int and c for _, c in col)
                     image = oracles.tensor_act(
                         shen_iota(g.field), FVector.basis(P, M, key, midx)
@@ -155,6 +155,15 @@ def test_closure_rejects_empty_seed_list():
     box = TruncationBox((0, 0), (5, 5), margin=2)
     with pytest.raises(ArgumentError):
         closure([], GeneratorSet.default(2), box)
+    # a seed term outside the box, or a seed over other modules, is refused
+    A = WeightModuleP.polynomial(2)
+    triv = make_wedge_module(2, 0)
+    seed = FVector.basis(A, triv, (1, 0), 0)
+    outside = seed + FVector.basis(A, triv, (9, 0), 0)
+    other = FVector(WeightModuleP.laurent(2), triv, seed.terms)
+    for seeds in ([outside], [seed, other]):
+        with pytest.raises(ArgumentError, match="not a vector of the box window"):
+            closure(seeds, GeneratorSet.default(2), box)
 
 
 def test_closure_monotone_and_idempotent():

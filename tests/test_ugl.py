@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from weylmod.errors import DomainError
@@ -120,6 +121,30 @@ def test_degree_two_usl_membership_with_diagonal():
     assert in_usl(h1 * h2)
     assert in_usl(h1 * h1 + h2)
     assert not in_usl(E(1, 1, n) * E(2, 2, n))
+
+
+def test_in_usl_matches_the_expansion_oracle():
+    # the derivation test against the expansion over (h_1..h_(n-1), I), on
+    # elements of U(sl_n) with, half the time, a Cartan or I term added
+    rng = random.Random(23)
+    members = 0
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        sl = [E(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        sl += [E(k, k, n) - E(k + 1, k + 1, n) for k in range(1, n)]
+        u = UglElement.one(n) * rng.randint(-2, 2)
+        for _ in range(rng.randint(1, 3)):
+            term = UglElement.one(n) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3)):
+                term = term * rng.choice(sl)
+            u = u + term
+        if rng.random() < 0.5:
+            extra = rng.choice([identity_matrix(n), E(rng.randint(1, n), rng.randint(1, n), n)])
+            u = u + extra * rng.choice(sl) * rng.randint(-2, 2)
+        want = oracles.in_usl(u)
+        assert in_usl(u) == want, (trial, u)
+        members += want
+    assert 100 < members < 280
 
 
 def test_json_round_trip():

@@ -24,6 +24,8 @@ from weylmod.weightmod import (
     parse_module_descriptor,
     sn_act,
     tensor_act,
+    wedge_insert,
+    wedge_replace,
     weyl_act,
     weyl_dimension,
 )
@@ -194,6 +196,21 @@ def test_wedge_sign():
     # E_31 on e_1 ^ e_2 = e_3 ^ e_2 = -(e_2 ^ e_3)
     out = M.apply_gen(3, 1, {M.labels.index((1, 2)): 1})
     assert out == {M.labels.index((2, 3)): -1}
+
+
+def test_wedge_insert_and_replace_match_the_permutation_sign():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for label in itertools.combinations(range(1, n + 1), r):
+                for l in range(1, n + 1):
+                    assert wedge_insert(l, label) == oracles.wedge_sort((l,) + label)
+                    for i in range(1, n + 1):
+                        want = None
+                        if l in label:
+                            want = oracles.wedge_sort(
+                                tuple(i if x == l else x for x in label)
+                            )
+                        assert wedge_replace(label, l, i) == want, (label, l, i)
 
 
 def test_wedge_argument_check():
