@@ -35,6 +35,13 @@ def mi_unit(i: int, n: int) -> MultiIndex:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
+def check_integer_exponents(alpha) -> None:
+    """Refuse a Fraction, float or other non-int exponent: exact stays exact."""
+    for a in alpha:
+        if not isinstance(a, int):
+            raise ArgumentError(f"exponent {a!r} in {tuple(alpha)} is not an integer")
+
+
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     check_rank(a, b)
     return tuple(x + y for x, y in zip(a, b))

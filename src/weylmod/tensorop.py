@@ -15,7 +15,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import ArgumentError, StructureError
-from .indices import mi_add, mi_sub, mi_unit, mi_zero
+from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_zero
 from .linalg import invert
 from .terms import SCALARS, TermMap, accumulate
 from .ugl import E, UglElement, pbw_product
@@ -142,7 +142,7 @@ def _product_terms(a: TensorOperator, b: TensorOperator):
     for ((b1, g1), p1), c1 in a.terms.items():
         for ((b2, g2), p2), c2 in b.terms.items():
             base = c1 * c2
-            pbw = pbw_product(p1, p2).items()
+            pbw = pbw_product(p1, p2)
             t_sum = tuple(map(add, b1, b2))
             d_sum = tuple(map(add, g1, g2))
             for wcoeff, k in _d_on_t(g1, b2):
@@ -191,107 +191,140 @@ def shen_iota(x: VectorField) -> TensorOperator:
 
 
 def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
-    """iota([x, y]) - (iota(x) iota(y) - iota(y) iota(x)); zero by contract."""
+    """iota([x, y]) - [iota(x), iota(y)]; zero by contract.  The commutator
+    terms are added to iota([x, y]) as they are produced, in the order
+    iota(y) iota(x) - iota(x) iota(y), which is minus the commutator."""
     lhs = shen_iota(bracket(x, y))
-    ix = shen_iota(x)
-    iy = shen_iota(y)
-    return lhs - (ix * iy - iy * ix)
+    terms = accumulate(dict(lhs.terms), _commutator_terms(shen_iota(y), shen_iota(x)))
+    return TensorOperator._from_kernel(lhs.rank, terms, lhs.laurent)
 
 
-def _special_indices(alpha, i: int):
-    n = len(alpha)
-    if not 1 <= i <= n - 2:
-        raise ArgumentError(f"index {i} out of range 1..{n - 2}")
-    return n, mi_unit(i, n), mi_unit(i + 1, n), mi_unit(i + 2, n)
+def commutator(a: TensorOperator, b: TensorOperator) -> TensorOperator:
+    """a * b - b * a in one pass over the term pairs."""
+    a._check_same(b)
+    return a._like(accumulate({}, _commutator_terms(a, b)), b)
+
+
+def _commutator_terms(a: TensorOperator, b: TensorOperator):
+    """The (monomial, coeff) pairs of a * b - b * a before collection.
+
+    The k = 0 terms of d^g1 t^b2 and d^g2 t^b1 both give the monomial
+    t^(b1+b2) d^(g1+g2), so they enter once, with the PBW commutator
+    p1 p2 - p2 p1, and not at all when that vanishes (for instance when
+    either PBW part is 1).  Only the k != 0 terms of the two orders are
+    emitted apart, with the PBW products of their own order.
+    """
+    right = [(b2, g2, p2, c2, any(g2)) for ((b2, g2), p2), c2 in b.terms.items()]
+    for ((b1, g1), p1), c1 in a.terms.items():
+        lowers = any(g1)
+        for b2, g2, p2, c2, lowers2 in right:
+            base = c1 * c2
+            t_sum = tuple(map(add, b1, b2))
+            d_sum = tuple(map(add, g1, g2))
+            if p1 and p2:
+                ab, ba = pbw_product(p1, p2), pbw_product(p2, p1)
+                if ab != ba:
+                    pbw = accumulate(dict(ab), ((m, -c) for m, c in ba))
+                    for pmono, pcoeff in pbw.items():
+                        yield ((t_sum, d_sum), pmono), base * pcoeff
+            if lowers:
+                yield from _lowered(base, t_sum, d_sum, _d_on_t(g1, b2), p1, p2)
+            if lowers2:
+                yield from _lowered(-base, t_sum, d_sum, _d_on_t(g2, b1), p2, p1)
+
+
+def _lowered(base, t_sum, d_sum, choices, p1, p2):
+    """The k != 0 terms of one order of a term pair: choices is the
+    ``_d_on_t`` expansion, whose first pair is k = 0."""
+    if len(choices) > 1:
+        pbw = pbw_product(p1, p2)
+        for wcoeff, k in choices[1:]:
+            wmono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
+            wbase = base * wcoeff
+            for pmono, pcoeff in pbw:
+                yield (wmono, pmono), wbase * pcoeff
+
+
+SPECIAL_KINDS = ("f", "g", "h", "u")
 
 
 def special_operator(kind: str, alpha, i: int) -> TensorOperator:
     """The named operators built from the degree-two matrix-unit products.
 
-    All four are Laurent-mode in general; beta below is
-    alpha + e_(i+1) + e_(i+2) - e_i.
+    All four are Laurent-mode in general; their terms are the rows of
+    ``_special_rows``, collected in one pass.
     """
     alpha = tuple(alpha)
-    n, ei, ei1, ei2 = _special_indices(alpha, i)
-    beta = mi_sub(mi_add(alpha, mi_add(ei1, ei2)), ei)
-    lau = True
-    if kind == "g":
-        return _op_f(alpha, i, n, ei, ei1, ei2, lau) + _g_minus_f(
-            alpha, i, n, ei, ei1, ei2, beta, lau
-        )
-    if kind == "f":
-        return _op_f(alpha, i, n, ei, ei1, ei2, lau)
-    if kind == "u":
-        out = _op_h(alpha, i, n, beta, lau)
-        for s in range(1, n + 1):
-            prod = WeylElement.monomial(mi_zero(n), mi_unit(s, n)) * WeylElement.t_power(
-                beta, laurent=True
-            )
-            out = out - tensor(prod, E(s, i + 2, n) * E(i, i + 1, n))
-        return out
-    if kind == "h":
-        return _op_h(alpha, i, n, beta, lau)
-    raise ArgumentError(f"unknown operator kind {kind!r}")
-
-
-def _op_f(alpha, i, n, ei, ei1, ei2, lau) -> TensorOperator:
-    a_i = alpha[i - 1]
-    a_i2 = alpha[i + 1]
-    out = tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), 1 + a_i2, laurent=lau),
-        E(i, i, n) * E(i, i + 1, n) - E(i, i + 1, n),
-    )
-    out = out - tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=lau),
-        E(i, i + 2, n) * E(i, i, n),
-    )
-    out = out - tensor(
-        WeylElement.t_power(
-            mi_sub(mi_add(alpha, mi_add(ei1, ei2)), mi_add(ei, ei)), a_i, laurent=lau
+    n = len(alpha)
+    if not 1 <= i <= n - 2:
+        raise ArgumentError(f"index {i} out of range 1..{n - 2}")
+    if kind not in SPECIAL_KINDS:
+        raise ArgumentError(f"unknown operator kind {kind!r}")
+    check_integer_exponents(alpha)
+    terms = accumulate(
+        {},
+        (
+            (((t_exp, d_exp), pmono), coeff * pcoeff)
+            for coeff, t_exp, d_exp, word in _special_rows(kind, alpha, i)
+            for pmono, pcoeff in pbw_product(*word)
         ),
-        E(i, i + 2, n) * E(i, i + 1, n),
     )
-    return out
+    return TensorOperator._from_kernel(n, terms, laurent=True)
 
 
-def _g_minus_f(alpha, i, n, ei, ei1, ei2, beta, lau) -> TensorOperator:
-    out = tensor(
-        WeylElement.monomial(beta, mi_unit(i + 1, n), laurent=lau), E(i, i + 2, n)
-    )
-    out = out - tensor(
-        WeylElement.monomial(beta, mi_unit(i + 2, n), laurent=lau), E(i, i + 1, n)
-    )
-    for s in range(1, n + 1):
-        a_s = alpha[s - 1]
-        if a_s != 0:
-            out = out - tensor(
-                WeylElement.t_power(mi_sub(beta, mi_unit(s, n)), a_s, laurent=lau),
-                E(s, i + 2, n) * E(i, i + 1, n),
-            )
-    out = out - tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), laurent=lau),
-        E(i + 2, i + 2, n) * E(i, i + 1, n),
-    )
-    out = out + tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=lau),
-        E(i, i + 2, n) * E(i + 1, i + 1, n),
-    )
-    return out
+def _special_rows(kind: str, alpha, i: int):
+    """The terms of a special operator as rows (coeff, t_exp, d_exp, word):
+    coeff * t^t_exp d^d_exp (x) the product of the word's two PBW
+    monomials, each one matrix unit or 1.  f and h are listed term by term,
+    g as f + (g - f), and u keeps its definition
+    u = h - sum_s (d_s t^beta) (x) E_(s,i+2) E_(i,i+1), with
+    beta = alpha + e_(i+1) + e_(i+2) - e_i and d_s t^beta normal-ordered by
+    ``_d_on_t``.  Rows with a zero coefficient are left out.
+    """
+    n = len(alpha)
+    zero = mi_zero(n)
+    units = [mi_unit(s, n) for s in range(1, n + 1)]
+    e_i, e_i1, e_i2 = units[i - 1 : i + 2]
+    beta = mi_sub(mi_add(alpha, mi_add(e_i1, e_i2)), e_i)
+    f1 = mi_add(mi_sub(alpha, e_i), e_i1)
+    f2 = mi_add(mi_sub(alpha, e_i), e_i2)
 
+    def unit(a, b):
+        return (((a, b), 1),)
 
-def _op_h(alpha, i, n, beta, lau) -> TensorOperator:
-    out = tensor(
-        WeylElement.monomial(beta, mi_unit(i + 1, n), laurent=lau), E(i, i + 2, n)
-    )
-    out = out - tensor(
-        WeylElement.monomial(beta, mi_unit(i + 2, n), laurent=lau), E(i, i + 1, n)
-    )
-    for s in range(1, n + 1):
-        out = out + tensor(
-            WeylElement.monomial(beta, mi_unit(s, n), laurent=lau),
-            E(s, i + 2, n) * E(i, i + 1, n),
-        )
-    return out
+    # the one-unit PBW monomials E_ii, E_(i,i+1), E_(i,i+2), and per s the
+    # word E_(s,i+2) E_(i,i+1) with its e_s
+    E_ii, E_i1, E_i2 = unit(i, i), unit(i, i + 1), unit(i, i + 2)
+    s_words = [(e_s, (unit(s, i + 2), E_i1)) for s, e_s in enumerate(units, 1)]
+    rows = []
+    if kind in ("f", "g"):
+        a_i2 = 1 + alpha[i + 1]
+        rows += [
+            (a_i2, f1, zero, (E_ii, E_i1)),
+            (-a_i2, f1, zero, (E_i1, ())),
+            (-1, f2, zero, (E_i2, E_ii)),
+            (-alpha[i - 1], mi_sub(beta, e_i), zero, (E_i2, E_i1)),
+        ]
+    if kind != "f":
+        rows += [(1, beta, e_i1, (E_i2, ())), (-1, beta, e_i2, (E_i1, ()))]
+    if kind == "g":
+        rows += [
+            (-a_s, tuple(map(sub, beta, e_s)), zero, word)
+            for a_s, (e_s, word) in zip(alpha, s_words)
+        ]
+        rows += [
+            (-1, f1, zero, (unit(i + 2, i + 2), E_i1)),
+            (1, f2, zero, (E_i2, unit(i + 1, i + 1))),
+        ]
+    if kind in ("h", "u"):
+        rows += [(1, beta, e_s, word) for e_s, word in s_words]
+    if kind == "u":
+        rows += [
+            (-c, tuple(map(sub, beta, k)), tuple(map(sub, e_s, k)), word)
+            for e_s, word in s_words
+            for c, k in _d_on_t(e_s, beta)
+        ]
+    return [row for row in rows if row[0]]
 
 
 def interpolation_matrix(nodes):

@@ -12,6 +12,7 @@ are safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ArgumentError, DomainError, StructureError
 from .terms import SCALARS, TermMap, accumulate
@@ -74,22 +75,23 @@ def _normalize_seq(seq):
     return result
 
 
+@lru_cache(maxsize=4096)
 def pbw_product(m1, m2):
-    """The product of two PBW monomials as {normal monomial: integer coeff}.
+    """The product of two PBW monomials as a tuple of (normal monomial,
+    integer coeff) pairs, read from a bounded memo.
 
     When the last factor of m1 already precedes (or equals) the first factor
     of m2 in canonical order, the product is the concatenation with the
-    touching powers merged; otherwise the joined word is rewritten.  The
-    result may be shared: treat it as read-only.
+    touching powers merged; otherwise the joined word is rewritten.
     """
     if not m1 or not m2:
-        return {m1 + m2: 1}
+        return ((m1 + m2, 1),)
     (g1, e1), (g2, e2) = m1[-1], m2[0]
     if g1 == g2:
-        return {m1[:-1] + ((g1, e1 + e2),) + m2[1:]: 1}
+        return ((m1[:-1] + ((g1, e1 + e2),) + m2[1:], 1),)
     if _gen_key(g1) < _gen_key(g2):
-        return {m1 + m2: 1}
-    return _normalize_seq(_seq_from_mono(m1) + _seq_from_mono(m2))
+        return ((m1 + m2, 1),)
+    return tuple(_normalize_seq(_seq_from_mono(m1) + _seq_from_mono(m2)).items())
 
 
 def _mono_sort(item):
@@ -144,7 +146,7 @@ class UglElement(TermMap):
             (mono, c1 * c2 * c)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
-            for mono, c in pbw_product(m1, m2).items()
+            for mono, c in pbw_product(m1, m2)
         )
         return UglElement(self.rank, accumulate({}, products))
 

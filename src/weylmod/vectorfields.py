@@ -7,7 +7,7 @@ degree exactly one, i.e. sum_i f_i d_i with f_i (Laurent) polynomials.
 from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import mi_add, mi_unit, mi_zero
+from .indices import check_integer_exponents, mi_add, mi_unit, mi_zero
 from .terms import accumulate
 from .weyl import WeylElement
 
@@ -150,9 +150,9 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
 
     expanded to (1+alpha_j) t^(alpha+e_i) d/dt_i - (1+alpha_i) t^(alpha+e_j) d/dt_j.
 
-    In polynomial mode the final exponents of the surviving terms must be
-    nonnegative (alpha entries of -1 at i or j are fine: the matching
-    coefficient vanishes).
+    Every alpha entry must be an int.  In polynomial mode the final
+    exponents of the surviving terms must be nonnegative (alpha entries of
+    -1 at i or j are fine: the matching coefficient vanishes).
     """
     alpha = tuple(alpha)
     n = len(alpha)
@@ -160,6 +160,7 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
         raise ArgumentError("indices must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ArgumentError(f"indices out of range 1..{n}")
+    check_integer_exponents(alpha)
     ci = 1 + alpha[j - 1]
     cj = 1 + alpha[i - 1]
     terms = {}

@@ -26,8 +26,8 @@ def _d_on_t(gamma, beta):
 
         d^gamma t^beta = sum coeff * t^(beta-k) d^(gamma-k).
 
-    gamma = 0 is the identity; every other pair is read from a table built
-    once per (gamma, beta).
+    The first pair is always (1, 0).  gamma = 0 is the identity; every
+    other pair is read from a table built once per (gamma, beta).
     """
     if not any(gamma):
         return ((1, gamma),)

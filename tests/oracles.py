@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+from weylmod import tensorop
 from weylmod.errors import ArgumentError, DomainError, StructureError
-from weylmod.indices import falling
+from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.linalg import invert, rref
-from weylmod.tensorop import TensorOperator
+from weylmod.tensorop import TensorOperator, tensor
+from weylmod.ugl import E
 from weylmod.vectorfields import VectorField
 from weylmod.weightmod import FVector, make_wedge_module
 from weylmod.weyl import WeylElement
@@ -271,3 +273,100 @@ def in_usl(u):
             key = (context, h_exp, i_exp)
             collected[key] = collected.get(key, 0) + coeff * c
     return all(i_exp == 0 for (_, _, i_exp), c in collected.items() if c != 0)
+
+
+def iota_hom_residual(x, y):
+    """iota([x, y]) - (iota(x) iota(y) - iota(y) iota(x)) from two full
+    products, which the one-pass commutator replaced.  The bracket is read
+    from ``weylmod.tensorop`` at call time, as the library reads it."""
+    lhs = tensorop.shen_iota(tensorop.bracket(x, y))
+    ix = tensorop.shen_iota(x)
+    iy = tensorop.shen_iota(y)
+    return lhs - (ix * iy - iy * ix)
+
+
+def special_operator(kind, alpha, i):
+    """The special operators as chains of Weyl, U(gl) and tensor
+    temporaries, one ``tensor`` per display term: the builders that the
+    term table of ``weylmod.tensorop`` replaced."""
+    alpha = tuple(alpha)
+    n = len(alpha)
+    if not 1 <= i <= n - 2:
+        raise ArgumentError(f"index {i} out of range 1..{n - 2}")
+    ei, ei1, ei2 = mi_unit(i, n), mi_unit(i + 1, n), mi_unit(i + 2, n)
+    beta = mi_sub(mi_add(alpha, mi_add(ei1, ei2)), ei)
+    if kind == "g":
+        return _op_f(alpha, i, n, ei, ei1, ei2) + _g_minus_f(alpha, i, n, ei, ei1, ei2, beta)
+    if kind == "f":
+        return _op_f(alpha, i, n, ei, ei1, ei2)
+    if kind == "u":
+        out = _op_h(alpha, i, n, beta)
+        for s in range(1, n + 1):
+            prod = WeylElement.monomial(mi_zero(n), mi_unit(s, n)) * WeylElement.t_power(
+                beta, laurent=True
+            )
+            out = out - tensor(prod, E(s, i + 2, n) * E(i, i + 1, n))
+        return out
+    if kind == "h":
+        return _op_h(alpha, i, n, beta)
+    raise ArgumentError(f"unknown operator kind {kind!r}")
+
+
+def _op_f(alpha, i, n, ei, ei1, ei2):
+    a_i = alpha[i - 1]
+    a_i2 = alpha[i + 1]
+    out = tensor(
+        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), 1 + a_i2, laurent=True),
+        E(i, i, n) * E(i, i + 1, n) - E(i, i + 1, n),
+    )
+    out = out - tensor(
+        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
+        E(i, i + 2, n) * E(i, i, n),
+    )
+    out = out - tensor(
+        WeylElement.t_power(
+            mi_sub(mi_add(alpha, mi_add(ei1, ei2)), mi_add(ei, ei)), a_i, laurent=True
+        ),
+        E(i, i + 2, n) * E(i, i + 1, n),
+    )
+    return out
+
+
+def _g_minus_f(alpha, i, n, ei, ei1, ei2, beta):
+    out = tensor(
+        WeylElement.monomial(beta, mi_unit(i + 1, n), laurent=True), E(i, i + 2, n)
+    )
+    out = out - tensor(
+        WeylElement.monomial(beta, mi_unit(i + 2, n), laurent=True), E(i, i + 1, n)
+    )
+    for s in range(1, n + 1):
+        a_s = alpha[s - 1]
+        if a_s != 0:
+            out = out - tensor(
+                WeylElement.t_power(mi_sub(beta, mi_unit(s, n)), a_s, laurent=True),
+                E(s, i + 2, n) * E(i, i + 1, n),
+            )
+    out = out - tensor(
+        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), laurent=True),
+        E(i + 2, i + 2, n) * E(i, i + 1, n),
+    )
+    out = out + tensor(
+        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
+        E(i, i + 2, n) * E(i + 1, i + 1, n),
+    )
+    return out
+
+
+def _op_h(alpha, i, n, beta):
+    out = tensor(
+        WeylElement.monomial(beta, mi_unit(i + 1, n), laurent=True), E(i, i + 2, n)
+    )
+    out = out - tensor(
+        WeylElement.monomial(beta, mi_unit(i + 2, n), laurent=True), E(i, i + 1, n)
+    )
+    for s in range(1, n + 1):
+        out = out + tensor(
+            WeylElement.monomial(beta, mi_unit(s, n), laurent=True),
+            E(s, i + 2, n) * E(i, i + 1, n),
+        )
+    return out

@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from weylmod import tensorop
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.tensorop import (
+    SPECIAL_KINDS,
     TensorOperator,
     _combine,
     _scaled,
+    commutator,
     interpolate_coefficients,
     iota_hom_residual,
     node_combination,
     shen_iota,
+    special_operator,
     tensor,
 )
 from weylmod.ugl import E, UglElement
@@ -72,10 +76,10 @@ def field_triples(draw):
 
 
 @st.composite
-def operators(draw, n, laurent=None):
+def operators(draw, n, laurent=None, word=2):
     """A sum of up to three a (x) u with rational coefficients: a a Weyl
-    monomial (negative t exponents in Laurent mode) and u one of 1, E_ij or
-    E_ij E_kl, so both factors stay in normal form."""
+    monomial (negative t exponents in Laurent mode) and u a product of at
+    most ``word`` matrix units, so both factors stay in normal form."""
     if laurent is None:
         laurent = draw(st.booleans())
     low = -2 if laurent else 0
@@ -85,7 +89,7 @@ def operators(draw, n, laurent=None):
         t_exp = tuple(draw(st.integers(low, 2)) for _ in range(n))
         d_exp = tuple(draw(st.integers(0, 2)) for _ in range(n))
         u = UglElement.one(n)
-        for i, j in draw(st.lists(st.sampled_from(units), max_size=2)):
+        for i, j in draw(st.lists(st.sampled_from(units), max_size=word)):
             u = u * E(i, j, n)
         a = WeylElement.monomial(t_exp, d_exp, draw(coeffs), laurent=laurent)
         total = total + tensor(a, u)
@@ -137,6 +141,75 @@ def test_jacobi_identity(triple):
 def test_iota_is_a_homomorphism_on_multi_term_fields(pair):
     x, y = pair
     assert iota_hom_residual(x, y).is_zero()
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_commutator_matches_two_products(n, laurent, data):
+    # PBW words of up to three matrix units, so products of two parts of
+    # degree 2 or more go through the rewriting
+    a = data.draw(operators(n, laurent, word=3))
+    b = data.draw(operators(n, word=3))
+    out = commutator(a, b)
+    assert out == a * b - b * a
+    assert out.laurent == (a.laurent or b.laurent)
+    assert all(c != 0 for c in out.terms.values())
+
+
+def test_commutator_sees_the_rewriting():
+    # [E_21 E_12, E_12 E_21] = 0 only after the PBW rewriting cancels;
+    # [t^2 E_12 E_23, d E_21] keeps a Weyl term and a PBW term
+    n = 3
+    one = WeylElement.one(n)
+    a = tensor(one, E(2, 1, n) * E(1, 2, n))
+    assert commutator(a, tensor(one, E(1, 2, n) * E(2, 1, n))).is_zero()
+    t2 = WeylElement.monomial((2, 0, 0), (0, 0, 0))
+    d1 = WeylElement.monomial((0, 0, 0), (1, 0, 0))
+    x = tensor(t2, E(1, 2, n) * E(2, 3, n))
+    y = tensor(d1, E(2, 1, n))
+    out = commutator(x, y)
+    assert out == x * y - y * x and len(out.terms) > 2
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_commutator_is_antisymmetric(n, data):
+    a = data.draw(operators(n, word=3))
+    b = data.draw(operators(n, word=3))
+    assert commutator(a, b) == -commutator(b, a)
+    assert commutator(a, a).is_zero()
+    with pytest.raises(StructureError):
+        commutator(a, TensorOperator.zero(n + 1))
+
+
+def _doubled_bracket(x, y):
+    return bracket(x, y) * 2
+
+
+@PROPERTY
+@given(field_pairs())
+def test_iota_hom_residual_matches_two_product_oracle(pair):
+    x, y = pair
+    assert iota_hom_residual(x, y) == oracles.iota_hom_residual(x, y)
+    # a wrong bracket leaves iota(2[x, y]) - [iota x, iota y] = iota([x, y]),
+    # which both paths must report, and which is zero only with [x, y]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensorop, "bracket", _doubled_bracket)
+        wrong = iota_hom_residual(x, y)
+        assert wrong == oracles.iota_hom_residual(x, y)
+    assert wrong == shen_iota(bracket(x, y))
+    assert wrong.is_zero() == bracket(x, y).is_zero()
+
+
+def test_wrong_bracket_fails_the_iota_hom_check(monkeypatch):
+    x = monomial_field((0, 0), 1)
+    y = monomial_field((1, 0), 2)
+    assert iota_hom_residual(x, y).is_zero()
+    monkeypatch.setattr(tensorop, "bracket", _doubled_bracket)
+    wrong = iota_hom_residual(x, y)
+    assert not wrong.is_zero()
+    assert wrong == oracles.iota_hom_residual(x, y)
+    assert wrong == shen_iota(monomial_field((0, 0), 2))
 
 
 @PROPERTY
@@ -224,7 +297,13 @@ def test_kernel_built_operators_pass_the_public_checks(n, data):
     weights = [data.draw(st.one_of(st.just(0), coeffs)) for _ in range(2)]
     built = [a * b, b * a, a + b, a - b, a - a, -a, shen_iota(x), shen_iota(y),
              shen_iota(x) * shen_iota(y), iota_hom_residual(x, y),
+             commutator(a, b), commutator(b, a),
              *_combine([a, b], [_scaled(weights), _scaled([1, -1])])]
+    # the special operators need three coordinates
+    rank = data.draw(st.integers(3, 5))
+    alpha = tuple(data.draw(st.integers(-3, 4)) for _ in range(rank))
+    i = data.draw(st.integers(1, rank - 2))
+    built += [special_operator(kind, alpha, i) for kind in SPECIAL_KINDS]
     for op in built:
         _assert_well_formed(op)
     assert (a * 0).terms == {} and (0 * b).terms == {}

@@ -1,13 +1,15 @@
 """The tensor algebra, the iota embedding, and the interpolation identities."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from weylmod import suites
 from weylmod.errors import ArgumentError
-from weylmod.indices import mi_add, mi_sub, mi_unit
+from weylmod.indices import mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.suites import check_eq_cubic, check_eq_quartic
 from weylmod.tensorop import (
     CHECK_NODE,
@@ -15,6 +17,7 @@ from weylmod.tensorop import (
     CUBIC_WEIGHTS,
     QUARTIC_PREDICTION,
     QUARTIC_WEIGHTS,
+    SPECIAL_KINDS,
     TensorOperator,
     cubic_identity_residual,
     cubic_m_product,
@@ -197,6 +200,86 @@ def test_special_operator_argument_checks():
         special_operator("g", (0, 0), 1)  # needs i <= n - 2
     with pytest.raises(ArgumentError):
         special_operator("q", (0, 0, 0), 1)
+    # the index range is checked before the kind
+    with pytest.raises(ArgumentError, match="out of range"):
+        special_operator("q", (0, 0, 0), 2)
+    # exact stays exact: a rational or float exponent is refused
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 1.0):
+        for kind in SPECIAL_KINDS:
+            with pytest.raises(ArgumentError, match="not an integer"):
+                special_operator(kind, (bad, 0, 0), 1)
+            with pytest.raises(ArgumentError, match="not an integer"):
+                special_operator(kind, (0, 0, 0, bad), 2)
+
+
+def _assert_matches_chain_oracle(kind, alpha, i):
+    built = special_operator(kind, alpha, i)
+    expected = oracles.special_operator(kind, alpha, i)
+    assert built == expected, (kind, alpha, i)
+    assert built.mode == "laurent"
+    assert all(c != 0 for c in built.terms.values())
+    return built
+
+
+def test_special_operators_match_the_chain_builders():
+    for alpha in itertools.product(range(-3, 4), repeat=3):
+        for kind in SPECIAL_KINDS:
+            _assert_matches_chain_oracle(kind, alpha, 1)
+    rng = random.Random(59)
+    for n in (4, 5):
+        for _ in range(300):
+            alpha = tuple(rng.randint(-3, 4) for _ in range(n))
+            i = rng.randint(1, n - 2)
+            for kind in SPECIAL_KINDS:
+                _assert_matches_chain_oracle(kind, alpha, i)
+
+
+def test_special_operator_rows_that_vanish():
+    # a zero row coefficient leaves its monomial out, not stored as 0
+    n, i = 4, 2
+    z = mi_zero(n)
+    e = {s: mi_unit(s, n) for s in range(1, n + 1)}
+    ii, ij, ik = ((i, i), 1), ((i, i + 1), 1), ((i, i + 2), 1)
+
+    def key(t_exp, *factors):
+        return ((t_exp, z), factors)
+
+    def f_rows(alpha):
+        beta = mi_sub(mi_add(alpha, mi_add(e[i + 1], e[i + 2])), e[i])
+        return (
+            key(mi_add(mi_sub(alpha, e[i]), e[i + 1]), ii, ij),
+            key(mi_sub(beta, e[i]), ij, ik),
+        )
+
+    generic = (1, 2, 1, 1)
+    top, third = f_rows(generic)
+    f = _assert_matches_chain_oracle("f", generic, i)
+    assert top in f.terms and third in f.terms
+    # alpha_i = 0 drops the alpha_i t^(beta-e_i) E_(i,i+2) E_(i,i+1) row
+    alpha = (1, 0, 1, 1)
+    top, third = f_rows(alpha)
+    for kind in ("f", "g"):
+        op = _assert_matches_chain_oracle(kind, alpha, i)
+        assert top in op.terms and third not in op.terms
+    # alpha_(i+2) = -1 drops the (1 + alpha_(i+2)) rows
+    alpha = (1, 2, 1, -1)
+    top, third = f_rows(alpha)
+    f = _assert_matches_chain_oracle("f", alpha, i)
+    assert top not in f.terms and third in f.terms
+    assert key(mi_add(mi_sub(alpha, e[i]), e[i + 1]), ij) not in f.terms
+    # beta_s = 0 drops the beta_s t^(beta-e_s) term of d_s t^beta in u, and
+    # alpha_s = 0 the matching row of g
+    alpha = (0, 2, 1, 1)
+    beta = mi_sub(mi_add(alpha, mi_add(e[i + 1], e[i + 2])), e[i])
+    assert beta[0] == 0
+    low = key(mi_sub(beta, e[1]), ((1, i + 2), 1), ij)
+    u = _assert_matches_chain_oracle("u", alpha, i)
+    g = _assert_matches_chain_oracle("g", alpha, i)
+    assert low not in u.terms and low not in g.terms
+    busy = key(mi_sub(beta, e[4]), ((4, i + 2), 1), ij)
+    assert beta[3] != 0 and busy in u.terms
+    for kind in ("h", "u"):
+        _assert_matches_chain_oracle(kind, alpha, i)
 
 
 def test_cubic_identity_examples():

@@ -114,7 +114,16 @@ def test_pbw_product_matches_word_rewriting():
             m1 = random_pbw_monomial(rng, n)
             m2 = random_pbw_monomial(rng, n)
             word = _seq_from_mono(m1) + _seq_from_mono(m2)
-            assert pbw_product(m1, m2) == _normalize_seq(word)
+            product = pbw_product(m1, m2)
+            # a shared read-only tuple of pairs, one per monomial
+            assert type(product) is tuple
+            assert len({mono for mono, _ in product}) == len(product)
+            assert dict(product) == _normalize_seq(word)
+
+
+def test_pbw_product_cache_is_bounded():
+    maxsize = pbw_product.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_tensor_product_is_associative():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,12 @@ def test_L_op_argument_checks():
     with pytest.raises(DomainError):
         L_op(1, 2, (-2, 0))
     assert L_op(1, 2, (-2, 0), laurent=True).element.laurent
+    # exact stays exact: a rational or float exponent is refused, in both
+    # modes, instead of yielding t[1]^(1/2) or float coefficients
+    for bad in ((0.5, 0), (Fraction(1, 2), 0), (0, Fraction(3)), (1.0, 0)):
+        for laurent in (False, True):
+            with pytest.raises(ArgumentError, match="not an integer"):
+                L_op(1, 2, bad, laurent=laurent)
 
 
 def test_L_op_reduces_to_partial():
