@@ -316,6 +316,17 @@ def _lemma_report(check, alpha, i, P, r, table, sources, labels):
     }
 
 
+@lru_cache(maxsize=64)
+def _supported_keys(P: WeightModuleP, lower, upper):
+    """The keys of the box [lower, upper] that P supports, in box order.
+
+    A lemma grid checks many operators over a few (P, box) profiles, so the
+    filter runs once per profile.  The bounds are the cache key, since a
+    ``TruncationBox`` is not hashable.
+    """
+    return tuple(key for key in TruncationBox(lower, upper).keys() if P.supports_key(key))
+
+
 def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
     """(g - u) applied to p (x) v for every wedge label v and key in the box.
 
@@ -330,8 +341,7 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
     table = _action_table(diff.demote(), wedge)
     sources = [
         (key, midx)
-        for key in key_box.keys()
-        if P.supports_key(key)
+        for key in _supported_keys(P, key_box.lower, key_box.upper)
         for midx in range(wedge.dim)
     ]
     return _lemma_report("g-equals-u", alpha, i, P, r, table, sources, wedge.labels)
@@ -365,7 +375,7 @@ def _derham_sources(P: WeightModuleP, labels, key_box: TruncationBox):
     not n per key.
     """
     n = P.rank
-    keys = [key for key in key_box.keys() if P.supports_key(key)]
+    keys = _supported_keys(P, key_box.lower, key_box.upper)
     if not keys:
         return []
     zero = mi_zero(n)

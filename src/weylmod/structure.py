@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import cached_property
 from math import gcd
+from operator import add
 
 from .errors import ArgumentError, StructureError
 from .derham import (
@@ -87,8 +89,12 @@ class GeneratorSet:
 
 class ClosureEngine:
     """The ambient window of the box (a ``GradedSubspace``), with cached
-    per-generator integer action tables and per-(generator, weight) action
-    matrices."""
+    per-generator integer action tables, per-weight move lists and
+    per-(generator, weight) action matrices.
+
+    ``capacity[w]`` is the dimension of the window at w, less that of
+    ``mod`` for a quotient: no closure block at w grows beyond it.
+    """
 
     def __init__(
         self,
@@ -105,8 +111,13 @@ class ClosureEngine:
         self.iotas = [shen_iota(g.field) for g in self.gens]
         self.ambient = GradedSubspace(module_p, module_m, box.keys())
         self.mod = mod
+        self.capacity = {
+            w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
+            for w, labels in self.ambient.labels.items()
+        }
         self._tables = {}
         self._matrices = {}
+        self._moves = {}
 
     def _table(self, gi: int):
         """Integer action rows of generator gi and their common denominator
@@ -116,6 +127,19 @@ class ClosureEngine:
             op = _acting_form(self.iotas[gi], self.module_p)
             table = _action_table(op, self.module_m)
             hit = self._tables[gi] = _integer_rows(self.module_p, table)
+        return hit
+
+    def moves(self, w):
+        """The (generator index, target weight) pairs of weight w whose
+        target lies in the window, listed once per weight."""
+        hit = self._moves.get(w)
+        if hit is None:
+            labels = self.ambient.labels
+            hit = self._moves[w] = []
+            for gi, g in enumerate(self.gens):
+                target = tuple(map(add, w, g.shift))
+                if target in labels:
+                    hit.append((gi, target))
         return hit
 
     def matrix(self, gi: int, w):
@@ -130,8 +154,8 @@ class ClosureEngine:
         key = (gi, w)
         if key in self._matrices:
             return self._matrices[key]
-        target = tuple(a + b for a, b in zip(w, self.gens[gi].shift))
-        if not self.box.contains(target):
+        target = tuple(map(add, w, self.gens[gi].shift))
+        if target not in self.ambient.labels:
             self._matrices[key] = None
             return None
         labels = self.ambient.labels[w]
@@ -152,27 +176,50 @@ class ClosureEngine:
 
 
 class ClosureReport:
-    """Per-weight dimensions of a closure plus its classification."""
+    """Per-weight dimensions of a closure plus its classification.
 
-    def __init__(self, box, dims, ambient_dims, classification, boundary_weights,
-                 target_dims=None, reached_target=None, applications=0):
+    Built from the closure's echelon blocks; ``dims``, ``ambient_dims``,
+    ``classification`` and ``boundary_weights`` are computed on first
+    read, since most callers only read ``reached_target``.
+    """
+
+    def __init__(self, box, blocks, labels, target_dims=None, reached_target=None,
+                 applications=0):
         self.box = box
-        self.dims = dims
-        self.ambient_dims = ambient_dims
-        self.classification = classification
-        self.boundary_weights = boundary_weights
+        self._blocks = blocks
+        self._labels = labels
         self.target_dims = target_dims
         self.reached_target = reached_target
         self.applications = applications
 
+    @cached_property
+    def dims(self):
+        blocks = self._blocks
+        return {w: blocks[w].dim if w in blocks else 0 for w in self.box.keys()}
+
+    @cached_property
+    def ambient_dims(self):
+        return {w: len(labels) for w, labels in self._labels.items()}
+
+    @cached_property
+    def classification(self) -> str:
+        return _classify(self.box, self.dims, self.ambient_dims)
+
+    @cached_property
+    def boundary_weights(self):
+        return sorted(
+            w for w, d in self.dims.items() if d and not self.box.contains_inner(w)
+        )
+
     def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return sum(block.dim for block in self._blocks.values())
 
     def first_unreached(self):
-        if self.target_dims is None:
+        if self.target_dims is None or self.reached_target:
             return None
+        blocks = self._blocks
         for w in sorted(self.target_dims):
-            if self.dims.get(w, 0) < self.target_dims[w]:
+            if (blocks[w].dim if w in blocks else 0) < self.target_dims[w]:
                 return w
         return None
 
@@ -200,12 +247,28 @@ class ClosureReport:
 
 def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             engine: ClosureEngine | None = None, target_dims=None,
-            stop_at_target: bool = False) -> ClosureReport:
+            stop_at_target: bool = False, *, _bound: GradedSubspace | None = None,
+            _certified=None) -> ClosureReport:
     """Least in-box subspace containing the seeds and closed under the
     generators whose application stays inside the outer box.
 
     ``target_dims`` (weight -> dim over the inner box) enables early exit
     once every listed block is full; the report is honest either way.
+
+    A generator is not applied where its target block already has the
+    dimension of a subspace known to contain the closure there, since its
+    image would add nothing: the window (``engine.capacity``), or the
+    private ``_bound``, a submodule over the engine's window that contains
+    the seeds.  Every vector that grows the closure is checked against
+    ``_bound``, and one outside it raises ``StructureError``; the skip
+    itself trusts the bound to be closed, so only exact submodules
+    (``pi_image``, ``partial_span``) are passed.
+
+    The private ``_certified`` maps a weight to seed vectors (integer block
+    coordinates, reduced modulo ``engine.mod``) whose closures reached
+    ``target_dims``.  The least fixed point that contains one of them
+    contains its closure as well, so the closure counts as reached, and
+    stops with ``stop_at_target``, once a block it grows contains one.
     """
     seeds = list(seeds)
     if not seeds:
@@ -213,25 +276,39 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     if engine is None:
         first = seeds[0]
         engine = ClosureEngine(first.module_p, first.module_m, gens, box)
+    labels = engine.ambient.labels
+    mod = engine.mod
+    if _bound is None:
+        room = dict(engine.capacity)
+    else:
+        if (_bound.module_p != engine.module_p or _bound.module_m is not engine.module_m
+                or _bound.labels.keys() != labels.keys()):
+            raise StructureError("the bound is not a subspace of the closure's window")
+        room = {w: block.dim for w, block in _bound.blocks.items()}
+    certified = _certified or {}
     blocks: dict = {}
     queue: deque = deque()
     deficit = sum(target_dims.values()) if target_dims else None
-    labels = engine.ambient.labels
+    hit_certificate = False
 
     def insert(w, dense):
-        nonlocal deficit
+        nonlocal deficit, hit_certificate
         basis = blocks.get(w)
         if basis is None:
             basis = blocks[w] = RowBasis(len(labels[w]))
-        if engine.mod is not None:
-            dense = engine.mod.blocks[w].reduce(dense)
+        if mod is not None:
+            dense = mod.blocks[w].reduce(dense)
         before = basis.dim
         if not basis.insert(dense):
-            return False
-        if target_dims and w in target_dims and before < target_dims[w]:
+            return
+        if _bound is not None and any(_bound.blocks[w].reduce(dense)):
+            raise StructureError(f"the closure left its bound at weight {list(w)}")
+        room[w] -= 1
+        if deficit and before < target_dims.get(w, 0):
             deficit -= 1
+        if w in certified and any(basis.contains(c) for c in certified[w]):
+            hit_certificate = True
         queue.append((w, dense))
-        return True
 
     for seed in seeds:
         parts = engine.ambient.to_dense(seed)
@@ -241,15 +318,14 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             insert(w, clear_denominators(dense))
     applications = 0
     while queue:
-        if stop_at_target and deficit == 0:
+        if stop_at_target and (deficit == 0 or hit_certificate):
             break
         w, vec = queue.popleft()
         support = [pos for pos, c in enumerate(vec) if c != 0]
-        for gi in range(len(engine.gens)):
-            hit = engine.matrix(gi, w)
-            if hit is None:
+        for gi, target in engine.moves(w):
+            if not room[target]:
                 continue
-            target, cols, _ = hit
+            _, cols, _ = engine.matrix(gi, w)
             dense = [0] * len(labels[target])
             for pos in support:
                 x = vec[pos]
@@ -258,17 +334,11 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             applications += 1
             if any(dense):
                 insert(target, dense)
-    dims = {w: blocks[w].dim if w in blocks else 0 for w in box.keys()}
-    ambient = {w: len(labs) for w, labs in labels.items()}
-    classification = _classify(box, dims, ambient)
-    boundary = sorted(
-        w for w, d in dims.items() if d and not box.contains_inner(w)
-    )
     reached = None
     if target_dims is not None:
-        reached = all(dims.get(w, 0) >= t for w, t in target_dims.items())
+        reached = hit_certificate or not deficit
     return ClosureReport(
-        box, dims, ambient, classification, boundary,
+        box, blocks, labels,
         target_dims=target_dims, reached_target=reached, applications=applications,
     )
 
@@ -305,16 +375,22 @@ def evidence_simplicity(
     by the kernel submodule at degree r).  Basis-seed cyclicity is necessary
     but weaker than simplicity: arbitrary-vector seeds are not enumerated,
     and the report says so.
+
+    A seed inside a known submodule (the Ln and deltaP seeds, the image
+    rows of F) is closed with that submodule as its bound, and a seed whose
+    closure reached the target certifies every later closure that comes to
+    contain it (see ``closure``).
     """
     n = module_p.rank
     if gens is None:
         gens = GeneratorSet.default(n)
+    bound = None
     if ambient == "F":
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
         engine = ClosureEngine(module_p, module_m, gens, box)
         target = {w: len(engine.ambient.labels[w]) for w in box.inner_keys()}
-        seeds, seed_tags = _full_module_seeds(module_p, module_m, box, engine)
+        seeds, seed_tags, bound = _full_module_seeds(module_p, module_m, box, engine)
     elif ambient == "Ln":
         if r is None:
             raise ArgumentError("ambient Ln needs r")
@@ -323,12 +399,14 @@ def evidence_simplicity(
         engine = ClosureEngine(module_p, module_m, gens, box)
         target = _subspace_target(subspace, box)
         seeds, seed_tags = _subspace_seeds(subspace, box)
+        bound = subspace
     elif ambient == "deltaP":
         subspace = partial_span(module_p, box)
         module_m = make_wedge_module(n, 0)
         engine = ClosureEngine(module_p, module_m, gens, box)
         target = _subspace_target(subspace, box)
         seeds, seed_tags = _subspace_seeds(subspace, box)
+        bound = subspace
     elif ambient == "quotient":
         if r is None:
             raise ArgumentError("ambient quotient needs r")
@@ -356,18 +434,28 @@ def evidence_simplicity(
         raise ArgumentError("ambient space is empty on the inner box")
     results = []
     overall = True
+    certified = {}  # weight -> seeds whose closures reached the target
     for seed, tag in zip(seeds, seed_tags):
+        inside = ambient != "F" or tag["kind"] == "submodule-row"
         report = closure(
-            [seed], gens, box, engine=engine, target_dims=target, stop_at_target=True
+            [seed], gens, box, engine=engine, target_dims=target, stop_at_target=True,
+            _bound=bound if inside else None, _certified=certified,
         )
         ok = bool(report.reached_target)
         overall = overall and ok
         entry = dict(tag)
         entry["pass"] = ok
-        if not ok:
+        if ok:
+            # every seed here lies in a single weight block
+            ((w, dense),) = engine.ambient.to_dense(seed).items()
+            dense = clear_denominators(dense)
+            if engine.mod is not None:
+                dense = engine.mod.blocks[w].reduce(dense)
+            certified.setdefault(w, []).append(dense)
+        else:
             first = report.first_unreached()
             entry["firstUnreached"] = list(first) if first else None
-            entry["closureDims"] = sum(report.dims.values())
+            entry["closureDims"] = report.total_dim()
         results.append(entry)
     return {
         "check": f"simplicity-evidence[{ambient}]",
@@ -401,7 +489,8 @@ def _subspace_seeds(subspace: GradedSubspace, box: TruncationBox):
 
 def _full_module_seeds(module_p, module_m, box, engine):
     """Seed basis for the full tensor module, adapted to the canonical
-    submodule when the finite factor is an exterior power.
+    submodule when the finite factor is an exterior power, and that
+    submodule (None for other factors).
 
     Each inner weight block is seeded by the de Rham image rows (these are
     the seeds that expose non-simplicity: their closures stay inside the
@@ -432,7 +521,7 @@ def _full_module_seeds(module_p, module_m, box, engine):
             if taken.insert(dense):
                 seeds.append(FVector.basis(module_p, module_m, key, midx))
                 tags.append({"weight": list(w), "index": pos, "kind": "basis"})
-    return seeds, tags
+    return seeds, tags, sub
 
 
 def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):

@@ -1,11 +1,12 @@
 """Independent reference implementations that the tests compare against."""
 
+from collections import deque
 from fractions import Fraction
 
 from weylmod import tensorop
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
-from weylmod.linalg import invert, rref
+from weylmod.linalg import RowBasis as IntRowBasis, invert, rref
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.ugl import E
 from weylmod.vectorfields import VectorField
@@ -370,3 +371,68 @@ def _op_h(alpha, i, n, beta):
             E(s, i + 2, n) * E(i, i + 1, n),
         )
     return out
+
+
+class ClosureOracle:
+    """What ``closure`` below found: the dimension at every weight of the
+    window, and the target verdict."""
+
+    def __init__(self, dims, target_dims):
+        self.dims = dims
+        self.target_dims = target_dims
+        self.reached_target = None
+        if target_dims is not None:
+            self.reached_target = all(dims[w] >= t for w, t in target_dims.items())
+
+    def total_dim(self):
+        return sum(self.dims.values())
+
+    def first_unreached(self):
+        if self.target_dims is None:
+            return None
+        for w in sorted(self.target_dims):
+            if self.dims[w] < self.target_dims[w]:
+                return w
+        return None
+
+
+def closure(seeds, gens, box, engine, target_dims=None, stop_at_target=False, **_):
+    """The closure as a plain breadth-first search, without saturation
+    pruning or seed certificates: every queued vector meets every
+    generator whose target lies in the box, through the engine's action
+    matrices (which ``test_engine_columns_are_scaled_tensor_act_columns``
+    checks against ``tensor_act``).  It takes the arguments of
+    ``structure.closure`` and ignores its private bound and certificates,
+    so it can stand in for it inside ``evidence_simplicity``."""
+    labels = engine.ambient.labels
+    blocks = {w: IntRowBasis(len(labs)) for w, labs in labels.items()}
+    queue = deque()
+    missing = dict(target_dims or {})
+    deficit = sum(missing.values())
+
+    def insert(w, dense):
+        nonlocal deficit
+        if engine.mod is not None:
+            dense = engine.mod.blocks[w].reduce(dense)
+        if blocks[w].insert(dense):
+            if missing.get(w, 0) > 0:
+                missing[w] -= 1
+                deficit -= 1
+            queue.append((w, dense))
+
+    for seed in seeds:
+        for w, dense in engine.ambient.to_dense(seed).items():
+            insert(w, dense)
+    while queue and not (stop_at_target and target_dims and deficit == 0):
+        w, vec = queue.popleft()
+        for gi in range(len(engine.gens)):
+            hit = engine.matrix(gi, w)
+            if hit is None:
+                continue
+            target, cols, _ = hit
+            dense = [0] * len(labels[target])
+            for pos, x in enumerate(vec):
+                for dst, m in cols[pos]:
+                    dense[dst] += x * m
+            insert(target, dense)
+    return ClosureOracle({w: b.dim for w, b in blocks.items()}, target_dims)

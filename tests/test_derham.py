@@ -12,6 +12,7 @@ from weylmod.derham import (
     _derham_sources,
     _failing_sources,
     _lemma_report,
+    _supported_keys,
     partial_span,
     pi,
     pi_image,
@@ -418,6 +419,25 @@ def test_derham_sources_match_the_per_label_rule():
             dropped[name, r] = len(keys) * len(labels) - len(expected)
     # the rule has something to drop where poly lines meet their edge
     assert dropped["poly", 1] > 0 and dropped["one-twist", 2] > 0
+
+
+def test_supported_keys_are_memoised_per_profile():
+    # one filter per (P, box bounds); profiles that share a box keep apart
+    box = TruncationBox((-2,) * 3, (2,) * 3)
+    profiles = [
+        WeightModuleP.polynomial(3),
+        WeightModuleP.twisted(3),
+        WeightModuleP.laurent(3, Fraction(-7, 5)),
+        WeightModuleP([Factor("twist"), Factor("poly"), Factor("poly")]),
+    ]
+    _supported_keys.cache_clear()
+    for P in profiles:
+        got = _supported_keys(P, box.lower, box.upper)
+        assert got == tuple(key for key in box.keys() if P.supports_key(key))
+        assert _supported_keys(P, box.lower, box.upper) is got
+    assert len({_supported_keys(P, box.lower, box.upper) for P in profiles}) == 4
+    info = _supported_keys.cache_info()
+    assert info.currsize == 4 and info.maxsize is not None
 
 
 def test_submodule_preservation_operator():

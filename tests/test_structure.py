@@ -358,3 +358,194 @@ def test_inventory_fails_on_a_corrupted_layer(monkeypatch):
             report = subquotient_inventory(P, r, box)
         failed = [m["layer"] for m in report["candidateMatches"] if not m["match"]]
         assert failed == [layer] and not report["pass"], (name, P)
+
+
+# -- saturation pruning and seed certificates ---------------------------------
+
+_A2 = WeightModuleP.polynomial(2)
+_A3 = WeightModuleP.polynomial(3)
+_CUBE2 = TruncationBox((0, 0), (5, 5), margin=2)
+_CUBE3 = TruncationBox((0,) * 3, (4,) * 3, margin=2)
+
+# (P, M, ambient, box, r): the evidence ambients of criteria 8-10 on small boxes
+PRUNING_CASES = [
+    (_A2, make_hw_module((2,), 2), "F", _CUBE2, None),
+    (_A3, make_wedge_module(3, 1), "F", _CUBE3, None),
+    (_A3, make_wedge_module(3, 2), "F", _CUBE3, None),
+    (_A3, None, "Ln", _CUBE3, 2),
+    (
+        WeightModuleP([Factor("twist"), Factor("poly"), Factor("poly")]),
+        None, "Ln", TruncationBox((-5, 0, 0), (-1, 4, 4), margin=2), 2,
+    ),
+    (WeightModuleP.laurent(3), None, "Ln", TruncationBox((-2,) * 3, (2,) * 3, margin=2), 2),
+    (WeightModuleP.twisted(2), None, "deltaP", TruncationBox((-6, -6), (-1, -1), margin=2), None),
+    (_A2, None, "quotient", _CUBE2, 1),
+    (_A3, None, "quotient", TruncationBox((0,) * 3, (5,) * 3, margin=2), 2),
+]
+
+
+def _recorded_evidence(monkeypatch, P, M, ambient, box, r):
+    """The evidence report and the (seeds, engine, bound) of every closure
+    it ran."""
+    calls = []
+    pruned = structure.closure
+
+    def recording(seeds, gens, box, engine=None, **kw):
+        calls.append((seeds, engine, kw.get("_bound")))
+        return pruned(seeds, gens, box, engine=engine, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(structure, "closure", recording)
+        report = evidence_simplicity(P, M, ambient, box, r=r)
+    return report, calls
+
+
+PRUNING_IDS = [
+    "F-hw2-poly2", "F-wedge1-poly3", "F-wedge2-poly3", "Ln-poly3", "Ln-one-twist3",
+    "Ln-laurent3", "deltaP-twisted2", "quotient1-poly2", "quotient2-poly3",
+]
+
+
+@pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
+def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
+    P, M, ambient, box, r = case
+    gens = GeneratorSet.default(P.rank)
+    report, calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    # the same report dict seed by seed, FAIL seeds' closureDims included
+    with monkeypatch.context() as patch:
+        patch.setattr(structure, "closure", oracles.closure)
+        assert evidence_simplicity(P, M, ambient, box, r=r) == report
+    # full closures (no target, no certificate) have the same dims at every
+    # weight, with the window bound alone and with the submodule bound
+    sample = calls[:: max(1, len(calls) // 6)] + calls[-1:]
+    for seeds, engine, bound in sample:
+        want = oracles.closure(seeds, gens, box, engine).dims
+        assert closure(seeds, gens, box, engine=engine).dims == want
+        if bound is not None:
+            assert closure(seeds, gens, box, engine=engine, _bound=bound).dims == want
+
+
+def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
+    # the F(A3, wedge^1) image seeds run to their fixed point inside the
+    # image, the basis seeds stop at the first certified seed
+    _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
+    gens = GeneratorSet.default(3)
+    seeds, engine, bound = calls[0]
+    assert bound is not None
+    pruned = closure(seeds, gens, _CUBE3, engine=engine, _bound=bound)
+    plain = closure(seeds, gens, _CUBE3, engine=engine)
+    assert pruned.dims == plain.dims
+    assert pruned.applications < plain.applications
+    target = {w: len(engine.ambient.labels[w]) for w in _CUBE3.inner_keys()}
+    basis = [s for s, _, b in calls if b is None]
+    first = closure(basis[0], gens, _CUBE3, engine=engine, target_dims=target,
+                    stop_at_target=True)
+    assert first.reached_target
+    ((w, dense),) = engine.ambient.to_dense(basis[0][0]).items()
+    later = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target,
+                    stop_at_target=True, _certified={w: [dense]})
+    alone = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target,
+                    stop_at_target=True)
+    assert later.reached_target and alone.reached_target
+    assert later.applications < alone.applications
+
+
+def test_certificate_stopped_report_reads_as_reached():
+    gens = GeneratorSet.default(2)
+    engine = ClosureEngine(_A2, make_wedge_module(2, 0), gens, _CUBE2)
+    target = {w: 1 for w in _CUBE2.inner_keys()}
+    seed = FVector.basis(_A2, engine.module_m, (2, 1), 0)
+    # the seed is its own certificate: the closure stops before any move
+    report = closure([seed], gens, _CUBE2, engine=engine, target_dims=target,
+                     stop_at_target=True, _certified={(2, 1): [[1]]})
+    assert report.applications == 0 and report.total_dim() == 1
+    assert report.reached_target is True
+    assert report.first_unreached() is None
+    obj = report.to_json_obj()
+    assert obj["reachedTarget"] is True and obj["firstUnreached"] is None
+
+
+def test_certificates_keep_fail_seeds_failing(monkeypatch):
+    # F(A2, wedge^1): the image rows fail with the closureDims the unpruned,
+    # uncertified search gives, whatever the basis seeds certify
+    M = make_wedge_module(2, 1)
+    report = evidence_simplicity(_A2, M, "F", _CUBE2)
+    with monkeypatch.context() as patch:
+        patch.setattr(structure, "closure", oracles.closure)
+        plain = evidence_simplicity(_A2, M, "F", _CUBE2)
+    failing = [s for s in report["seeds"] if not s["pass"]]
+    assert failing and not report["pass"]
+    assert all(s["kind"] == "submodule-row" for s in failing)
+    assert failing == [s for s in plain["seeds"] if not s["pass"]]
+    assert any(s["pass"] and s["kind"] == "basis" for s in report["seeds"])
+
+
+def test_quotient_certificates_compare_modulo_the_kernel(monkeypatch):
+    # the two basis seeds at one weight of F(A2, wedge^1)/kernel agree up to
+    # a scalar modulo the kernel, so the second closure starts out holding
+    # the first, certified seed
+    applications = []
+    pruned = structure.closure
+
+    def recording(*args, **kw):
+        report = pruned(*args, **kw)
+        applications.append(report.applications)
+        return report
+
+    monkeypatch.setattr(structure, "closure", recording)
+    report = evidence_simplicity(_A2, None, "quotient", _CUBE2, r=1)
+    assert report["pass"]
+    weights = [tuple(s["weight"]) for s in report["seeds"]]
+    repeats = [a for i, a in enumerate(applications) if weights[i] in weights[:i]]
+    assert applications[0] > 0
+    assert repeats and all(a == 0 for a in repeats)
+
+
+def test_a_wrong_bound_raises():
+    gens = GeneratorSet.default(2)
+    wedge1 = make_wedge_module(2, 1)
+    engine = ClosureEngine(_A2, wedge1, gens, _CUBE2)
+    image = pi_image(_A2, 1, _CUBE2)
+    basis_seed = FVector.basis(_A2, wedge1, (2, 1), 0)
+    assert not image.contains(basis_seed)
+    # a bound that does not contain the seed
+    with pytest.raises(StructureError, match="left its bound"):
+        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=image)
+    # a bound over another module: the derivative span lives in degree 0
+    with pytest.raises(StructureError, match="not a subspace of the closure's window"):
+        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=partial_span(_A2, _CUBE2))
+    # a bound that holds the seed but is not closed: the image with the
+    # seed's whole weight block added
+    widened = pi_image(_A2, 1, _CUBE2)
+    widened.insert(basis_seed)
+    with pytest.raises(StructureError, match="left its bound"):
+        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=widened)
+    # the image itself bounds its own seeds
+    seed = image.basis_vectors((2, 1))[0]
+    bounded = closure([seed], gens, _CUBE2, engine=engine, _bound=image)
+    assert bounded.dims == closure([seed], gens, _CUBE2, engine=engine).dims
+
+
+def test_move_lists_stay_in_the_window():
+    gens = GeneratorSet.default(3)
+    engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
+    for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4)]:
+        moves = engine.moves(w)
+        assert moves is engine.moves(w)
+        expected = [
+            (gi, tuple(a + b for a, b in zip(w, g.shift)))
+            for gi, g in enumerate(gens.members)
+            if _CUBE3.contains(tuple(a + b for a, b in zip(w, g.shift)))
+        ]
+        assert moves == expected
+        assert all(engine.matrix(gi, w)[0] == t for gi, t in moves)
+
+
+def test_image_submodule_is_cyclic_at_n4():
+    # the degree 2 and 3 images at n = 4: every image basis seed on the 16
+    # inner weights reaches the whole image there
+    P = WeightModuleP.polynomial(4)
+    box = TruncationBox((0,) * 4, (5,) * 4, margin=2)
+    for r in (2, 3):
+        report = evidence_simplicity(P, None, "Ln", box, r=r)
+        assert report["pass"] and len(report["seeds"]) == 48, r
