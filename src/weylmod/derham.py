@@ -4,11 +4,17 @@ graded submodules they generate, and the operator lemmas about them.
 All subspaces are stored per weight: the maps never move weight, so each
 weight block is an exact finite-dimensional linear-algebra problem and the
 box only chooses which weights to materialize.
+
+Everything that depends only on the profile, (P, r, box) or (P, M, box), is
+built once and kept in a bounded memo: the weight windows, the image,
+kernel and derivative spans (frozen, so a caller that grows one takes a
+``copy()``) and the lemma source lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ArgumentError, StructureError
 from .indices import TruncationBox, mi_unit, mi_zero
@@ -39,11 +45,13 @@ def wedge_degree(M: SLModule) -> int:
     return r
 
 
+@lru_cache(maxsize=16)
 def _derham_table(n: int, r: int):
     """The de Rham map from degree r in the table format of
     ``weightmod._action_table``: per source label, one entry
     (0, e_l, {target label: sign}, 1) per l outside the label, for the term
-    d_l p (x) e_l wedge v, the sign moving e_l to its sorted place."""
+    d_l p (x) e_l wedge v, the sign moving e_l to its sorted place.  Built
+    once per (n, r) and shared: treat it as read-only."""
     index = {lab: pos for pos, lab in enumerate(wedge_module(n, r + 1).labels)}
     zero = mi_zero(n)
     table = []
@@ -58,7 +66,7 @@ def _derham_table(n: int, r: int):
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _derham_rows(P: WeightModuleP, r: int):
     """The integer rows of ``_derham_table(n, r)`` on P and their common
     denominator, built once per (P, r) and shared by every caller: treat
@@ -85,32 +93,53 @@ def pi(w: FVector, k: int | None = None) -> FVector:
 
 def ambient_labels(P: WeightModuleP, M: SLModule, weight):
     """Basis labels (key, m-index) of the tensor module at one weight."""
-    out = []
-    for midx in range(M.dim):
-        key = tuple(w - x for w, x in zip(weight, M.weights[midx]))
-        if P.supports_key(key):
-            out.append((key, midx))
-    return out
+    keys = (tuple(w - x for w, x in zip(weight, mw)) for mw in M.weights)
+    return tuple((key, midx) for midx, key in enumerate(keys) if P.supports_key(key))
+
+
+@lru_cache(maxsize=8)
+def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
+    """(labels, slots) of F(P, M) over the weights of the box: ``labels[w]``
+    is the tuple of basis labels (key, m-index) at weight w and
+    ``slots[w]`` maps each to its position.  Built once per (P, M, box) and
+    shared, read-only, by every subspace and closure engine over it."""
+    labels = {}
+    slots = {}
+    for w in box.keys():
+        labs = labels[w] = ambient_labels(P, M, w)
+        slots[w] = MappingProxyType({lab: pos for pos, lab in enumerate(labs)})
+    return MappingProxyType(labels), MappingProxyType(slots)
 
 
 class GradedSubspace:
     """Weight-indexed family of echelonized subspaces of a tensor module.
 
-    The window's ambient is built here once: ``labels[w]`` lists the basis
-    labels (key, m-index) at weight w, ``slots[w]`` maps each to its
-    position, and ``blocks[w]`` is the echelon basis over those positions.
+    ``labels`` and ``slots`` are the shared window of (P, M, box) (see
+    ``_window``), and ``blocks[w]`` is the echelon basis over the positions
+    at weight w.  The memoised spaces (``pi_image``, ``pi_kernel``,
+    ``partial_span``) are frozen: their ``insert`` raises, and ``copy()``
+    gives a mutable space with blocks of its own.
     """
 
-    def __init__(self, module_p: WeightModuleP, module_m: SLModule, weights):
+    def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox):
         self.module_p = module_p
         self.module_m = module_m
-        self.labels = {}
-        self.slots = {}
-        self.blocks = {}
-        for w in weights:
-            labels = self.labels[w] = ambient_labels(module_p, module_m, w)
-            self.slots[w] = {lab: pos for pos, lab in enumerate(labels)}
-            self.blocks[w] = RowBasis(len(labels))
+        self.labels, self.slots = _window(module_p, module_m, box)
+        self.blocks = {w: RowBasis(len(labels)) for w, labels in self.labels.items()}
+        self.frozen = False
+
+    def _freeze(self) -> GradedSubspace:
+        self.blocks = MappingProxyType(self.blocks)
+        self.frozen = True
+        return self
+
+    def copy(self) -> GradedSubspace:
+        """A mutable copy over the same window."""
+        out = GradedSubspace.__new__(GradedSubspace)
+        out.__dict__.update(self.__dict__)
+        out.blocks = {w: block.copy() for w, block in self.blocks.items()}
+        out.frozen = False
+        return out
 
     def weights(self):
         return sorted(self.labels)
@@ -144,6 +173,8 @@ class GradedSubspace:
         return parts
 
     def insert(self, v: FVector) -> bool:
+        if self.frozen:
+            raise StructureError("a memoised subspace is read-only; insert into copy()")
         parts = self.to_dense(v)
         if parts is None:
             raise StructureError("vector is not in the subspace window")
@@ -188,8 +219,10 @@ class GradedSubspace:
         }
 
 
+@lru_cache(maxsize=4)
 def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
-    """Echelonized span of the de Rham images inside degree r, per weight.
+    """Echelonized span of the de Rham images inside degree r, per weight;
+    frozen and memoised per (P, r, box).
 
     Every generating image is concentrated at a single weight, so the span
     is exact at each weight the box selects.  The images are taken from the
@@ -201,23 +234,22 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
     source = wedge_module(n, r - 1)
     rows, _ = _derham_rows(P, r - 1)
-    out = GradedSubspace(P, wedge_module(n, r), box.keys())
+    out = GradedSubspace(P, wedge_module(n, r), box)
     for w in box.keys():
-        # the source basis at w, without building a window for it
-        keys = (tuple(a - b for a, b in zip(w, mw)) for mw in source.weights)
-        labels = [(key, midx) for midx, key in enumerate(keys) if P.supports_key(key)]
         block = out.blocks[w]
-        for col in _block_columns(P, rows, labels, out.slots[w]):
+        for col in _block_columns(P, rows, ambient_labels(P, source, w), out.slots[w]):
             if col:
                 dense = [0] * block.ncols
                 for pos, c in col:
                     dense[pos] = c
                 block.insert(dense)
-    return out
+    return out._freeze()
 
 
+@lru_cache(maxsize=4)
 def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
-    """Kernel of the degree-r de Rham map, weight block by weight block.
+    """Kernel of the degree-r de Rham map, weight block by weight block;
+    frozen and memoised per (P, r, box).
 
     The images are taken from the integer de Rham rows; their common
     denominator scales each block's matrix as a whole, which leaves its
@@ -227,21 +259,22 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     rows, _ = _derham_rows(P, r)
-    out = GradedSubspace(P, wedge_module(n, r), box.keys())
-    target = GradedSubspace(P, wedge_module(n, r + 1), box.keys())
-    for w in box.keys():
-        labels = out.labels[w]
+    out = GradedSubspace(P, wedge_module(n, r), box)
+    target_labels, target_slots = _window(P, wedge_module(n, r + 1), box)
+    for w, labels in out.labels.items():
         if labels:
-            cols = _block_columns(P, rows, labels, target.slots[w])
-            out.blocks[w] = kernel(cols, len(target.labels[w]))
-    return out
+            cols = _block_columns(P, rows, labels, target_slots[w])
+            out.blocks[w] = kernel(cols, len(target_labels[w]))
+    return out._freeze()
 
 
+@lru_cache(maxsize=4)
 def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
-    """Span of the images of the plain derivative operators inside P."""
+    """Span of the images of the plain derivative operators inside P;
+    frozen and memoised per (P, box)."""
     n = P.rank
     triv = wedge_module(n, 0)
-    out = GradedSubspace(P, triv, box.keys())
+    out = GradedSubspace(P, triv, box)
     zero = mi_zero(n)
     for w in box.keys():
         if not P.supports_key(w):
@@ -256,26 +289,30 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
             coeff, new_key = hit
             if coeff != 0 and new_key == w:
                 out.insert(FVector(P, triv, {(w, 0): coeff}))
-    return out
+    return out._freeze()
 
 
 def _failing_sources(P, table, sources):
     """The basis vectors (key, midx) among ``sources`` that the tabulated
-    operator does not kill.
+    operator does not kill; ``sources`` lists (key, midxs) pairs, one basis
+    vector per midx.
 
     Every image term is keyed by its source as well, so one accumulation
     serves the whole list: a source fails exactly when one of its image
     terms survives.  A source whose integer row is empty is killed on every
-    key and costs nothing.
+    key and costs nothing, and when every row is empty nothing is walked.
     """
     rows, _ = _integer_rows(P, table)
+    if not any(rows):
+        return set()
 
     def images():
-        for key, midx in sources:
-            row = rows[midx]
-            if row:
-                for lab, c in _row_image(P, key, row):
-                    yield (key, midx, lab), c
+        for key, midxs in sources:
+            for midx in midxs:
+                row = rows[midx]
+                if row:
+                    for lab, c in _row_image(P, key, row):
+                        yield (key, midx, lab), c
 
     return {(key, midx) for key, midx, _ in accumulate({}, images())}
 
@@ -296,16 +333,19 @@ def _after_derham(table, n: int, r: int):
     ]
 
 
-def _lemma_report(check, alpha, i, P, r, table, sources, labels):
+def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
     """Report of an operator lemma: the tabulated operator must kill every
-    source basis vector."""
+    source basis vector ((key, midxs) pairs as in ``_failing_sources``,
+    ``checked`` of them in all)."""
     failing = _failing_sources(P, table, sources)
-    failures = [
-        {"key": list(key), "label": str(labels[midx])}
-        for key, midx in sources
-        if (key, midx) in failing
-    ]
-    checked = len(sources)
+    failures = []
+    if failing:
+        failures = [
+            {"key": list(key), "label": str(labels[midx])}
+            for key, midxs in sources
+            for midx in midxs
+            if (key, midx) in failing
+        ]
     return {
         "check": check,
         "params": {"alpha": list(alpha), "i": i, "P": repr(P), "r": r},
@@ -317,14 +357,22 @@ def _lemma_report(check, alpha, i, P, r, table, sources, labels):
 
 
 @lru_cache(maxsize=64)
-def _supported_keys(P: WeightModuleP, lower, upper):
-    """The keys of the box [lower, upper] that P supports, in box order.
+def _supported_keys(P: WeightModuleP, box: TruncationBox):
+    """The keys of the box that P supports, in box order.
 
     A lemma grid checks many operators over a few (P, box) profiles, so the
-    filter runs once per profile.  The bounds are the cache key, since a
-    ``TruncationBox`` is not hashable.
+    filter runs once per profile.
     """
-    return tuple(key for key in TruncationBox(lower, upper).keys() if P.supports_key(key))
+    return tuple(key for key in box.keys() if P.supports_key(key))
+
+
+@lru_cache(maxsize=32)
+def _wedge_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
+    """(sources, count): (key, midxs) for every supported key of the box,
+    every basis vector of F(P, wedge^r) there, listed once per profile."""
+    midxs = tuple(range(wedge_module(P.rank, r).dim))
+    keys = _supported_keys(P, key_box)
+    return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
 
 
 def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
@@ -339,12 +387,10 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
     diff = special_operator("g", alpha, i) - special_operator("u", alpha, i)
     wedge = wedge_module(n, r)
     table = _action_table(diff.demote(), wedge)
-    sources = [
-        (key, midx)
-        for key in _supported_keys(P, key_box.lower, key_box.upper)
-        for midx in range(wedge.dim)
-    ]
-    return _lemma_report("g-equals-u", alpha, i, P, r, table, sources, wedge.labels)
+    sources, checked = _wedge_sources(P, r, key_box)
+    return _lemma_report(
+        "g-equals-u", alpha, i, P, r, table, sources, checked, wedge.labels
+    )
 
 
 def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
@@ -357,15 +403,17 @@ def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: Trunc
     h = special_operator("h", alpha, i)
     source = wedge_module(n, r - 1)
     composite = _after_derham(_action_table(h.demote(), wedge_module(n, r)), n, r)
-    sources = _derham_sources(P, source.labels, key_box)
+    sources, checked = _derham_sources(P, r - 1, key_box)
     return _lemma_report(
-        "h-annihilates", alpha, i, P, r, composite, sources, source.labels
+        "h-annihilates", alpha, i, P, r, composite, sources, checked, source.labels
     )
 
 
-def _derham_sources(P: WeightModuleP, labels, key_box: TruncationBox):
-    """The basis vectors (key, midx) of the box whose de Rham image is not
-    zero: a vector whose image is zero spans nothing to check.
+@lru_cache(maxsize=32)
+def _derham_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
+    """(sources, count): the basis vectors of F(P, wedge^r) over the box
+    whose de Rham image is not zero, as (key, midxs) pairs, listed once per
+    profile: a vector whose image is zero spans nothing to check.
 
     The image of p (x) v has one term per l outside the label of v, so it
     is nonzero exactly when the set of l whose d_l does not kill the key is
@@ -375,9 +423,10 @@ def _derham_sources(P: WeightModuleP, labels, key_box: TruncationBox):
     not n per key.
     """
     n = P.rank
-    keys = _supported_keys(P, key_box.lower, key_box.upper)
+    labels = wedge_module(n, r).labels
+    keys = _supported_keys(P, key_box)
     if not keys:
-        return []
+        return (), 0
     zero = mi_zero(n)
     base = keys[0]
     live_ks = []
@@ -395,8 +444,9 @@ def _derham_sources(P: WeightModuleP, labels, key_box: TruncationBox):
         live = frozenset(l for l, ks in enumerate(live_ks, 1) if key[l - 1] in ks)
         midxs = kept.get(live)
         if midxs is None:
-            midxs = kept[live] = [
+            midxs = kept[live] = tuple(
                 midx for midx, label in enumerate(labels) if not live.issubset(label)
-            ]
-        sources.extend((key, midx) for midx in midxs)
-    return sources
+            )
+        if midxs:
+            sources.append((key, midxs))
+    return tuple(sources), sum(len(midxs) for _, midxs in sources)

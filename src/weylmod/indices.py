@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import ArgumentError, StructureError
@@ -28,11 +29,17 @@ def mi_zero(n: int) -> MultiIndex:
     return (0,) * n
 
 
+@lru_cache(maxsize=16)
+def mi_units(n: int) -> tuple:
+    """The unit vectors (e_1, ..., e_n), built once per rank."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
 def mi_unit(i: int, n: int) -> MultiIndex:
     """Unit vector e_i, 1-based."""
     if not 1 <= i <= n:
         raise ArgumentError(f"index {i} out of range 1..{n}")
-    return tuple(1 if k == i - 1 else 0 for k in range(n))
+    return mi_units(n)[i - 1]
 
 
 def check_integer_exponents(alpha) -> None:
@@ -81,7 +88,12 @@ class TruncationBox:
     The outer box is [lower, upper] componentwise; the inner box shrinks both
     bounds by ``margin``.  Closure computations apply generators only when the
     result stays inside the outer box and judge completeness on the inner box.
+
+    A box is immutable and hashes on (lower, upper, margin), so the
+    per-profile memos of ``derham`` and ``structure`` key on it directly.
     """
+
+    __slots__ = ("lower", "upper", "margin", "inner_lower", "inner_upper")
 
     def __init__(self, lower: MultiIndex, upper: MultiIndex, margin: int = 0):
         lower = tuple(lower)
@@ -97,11 +109,14 @@ class TruncationBox:
             raise ArgumentError(
                 f"empty inner box: lower={lower} upper={upper} margin={margin}"
             )
-        self.lower = lower
-        self.upper = upper
-        self.margin = margin
-        self.inner_lower = inner_lo
-        self.inner_upper = inner_hi
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "inner_lower", inner_lo)
+        object.__setattr__(self, "inner_upper", inner_hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncationBox is immutable")
 
     @property
     def rank(self) -> int:
@@ -123,13 +138,6 @@ class TruncationBox:
         ]
         return itertools.product(*ranges)
 
-    def expand(self, pad: int) -> "TruncationBox":
-        return TruncationBox(
-            tuple(x - pad for x in self.lower),
-            tuple(x + pad for x in self.upper),
-            self.margin,
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncationBox)
@@ -137,6 +145,9 @@ class TruncationBox:
             and self.upper == other.upper
             and self.margin == other.margin
         )
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper, self.margin))
 
     def __repr__(self) -> str:
         return f"TruncationBox({self.lower}, {self.upper}, margin={self.margin})"

@@ -77,6 +77,8 @@ class RowBasis:
     when the vector enlarged the span.
     """
 
+    __slots__ = ("ncols", "_rows", "pivots")
+
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows = []     # primitive integer rows, in pivot order
@@ -143,6 +145,14 @@ class RowBasis:
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
+
+    def copy(self) -> RowBasis:
+        """An independent basis of the same span (rows are replaced on
+        insert, never edited in place, so the row lists are shared)."""
+        out = RowBasis(self.ncols)
+        out._rows = list(self._rows)
+        out.pivots = list(self.pivots)
+        return out
 
 
 def kernel(columns, height: int) -> RowBasis:

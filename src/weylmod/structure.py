@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import add
 
@@ -53,14 +53,22 @@ class Generator:
 
 
 class GeneratorSet:
-    """Ordered list of generators; default is the L window with small alpha."""
+    """Ordered tuple of generators; default is the L window with small alpha.
+
+    ``iotas`` holds the ``shen_iota`` image of every member, computed once
+    per set on first use.
+    """
 
     def __init__(self, members):
-        members = list(members)
+        members = tuple(members)
         for g in members:
             if not is_divergence_free(g.field):
                 raise StructureError(f"generator {g.name} has nonzero divergence")
         self.members = members
+
+    @cached_property
+    def iotas(self):
+        return tuple(shen_iota(g.field) for g in self.members)
 
     def __len__(self):
         return len(self.members)
@@ -70,21 +78,28 @@ class GeneratorSet:
 
     @classmethod
     def default(cls, n: int, cap: int = 1) -> GeneratorSet:
-        """All L generators with -e_i-e_j <= alpha <= cap componentwise.
+        """All L generators with -e_i-e_j <= alpha <= cap componentwise,
+        built once per (n, cap) (``_default_generators``): treat the
+        returned set as read-only.
 
         With cap = 1 every weight shift stays within 1 per coordinate, which
         the default margin of 2 covers with room to spare.
         """
-        members = []
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            lows = [-1 if s in (i - 1, j - 1) else 0 for s in range(n)]
-            for alpha in itertools.product(*[range(lo, cap + 1) for lo in lows]):
-                field = L_op(i, j, alpha)
-                if field.is_zero():
-                    continue
-                name = f"L[{i},{j};(" + ",".join(str(a) for a in alpha) + ")]"
-                members.append(Generator(name, field, alpha))
-        return cls(members)
+        return _default_generators(n, cap)
+
+
+@lru_cache(maxsize=8)
+def _default_generators(n: int, cap: int) -> GeneratorSet:
+    members = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        lows = [-1 if s in (i - 1, j - 1) else 0 for s in range(n)]
+        for alpha in itertools.product(*[range(lo, cap + 1) for lo in lows]):
+            field = L_op(i, j, alpha)
+            if field.is_zero():
+                continue
+            name = f"L[{i},{j};(" + ",".join(str(a) for a in alpha) + ")]"
+            members.append(Generator(name, field, alpha))
+    return GeneratorSet(members)
 
 
 class ClosureEngine:
@@ -108,8 +123,8 @@ class ClosureEngine:
         self.module_m = module_m
         self.box = box
         self.gens = gens.members
-        self.iotas = [shen_iota(g.field) for g in self.gens]
-        self.ambient = GradedSubspace(module_p, module_m, box.keys())
+        self.iotas = gens.iotas
+        self.ambient = GradedSubspace(module_p, module_m, box)
         self.mod = mod
         self.capacity = {
             w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
@@ -173,6 +188,14 @@ class ClosureEngine:
         out = (target, cols, scale)
         self._matrices[key] = out
         return out
+
+
+@lru_cache(maxsize=1)
+def _engine(module_p, module_m, gens, box, mod=None) -> ClosureEngine:
+    """The closure engine of evidence_simplicity, memoised per (P, M, gens,
+    box, mod).  Its tables, move lists and matrices depend on nothing else,
+    so a shared engine changes no closure."""
+    return ClosureEngine(module_p, module_m, gens, box, mod=mod)
 
 
 class ClosureReport:
@@ -388,7 +411,7 @@ def evidence_simplicity(
     if ambient == "F":
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
-        engine = ClosureEngine(module_p, module_m, gens, box)
+        engine = _engine(module_p, module_m, gens, box)
         target = {w: len(engine.ambient.labels[w]) for w in box.inner_keys()}
         seeds, seed_tags, bound = _full_module_seeds(module_p, module_m, box, engine)
     elif ambient == "Ln":
@@ -396,14 +419,14 @@ def evidence_simplicity(
             raise ArgumentError("ambient Ln needs r")
         subspace = pi_image(module_p, r, box)
         module_m = make_wedge_module(n, r)
-        engine = ClosureEngine(module_p, module_m, gens, box)
+        engine = _engine(module_p, module_m, gens, box)
         target = _subspace_target(subspace, box)
         seeds, seed_tags = _subspace_seeds(subspace, box)
         bound = subspace
     elif ambient == "deltaP":
         subspace = partial_span(module_p, box)
         module_m = make_wedge_module(n, 0)
-        engine = ClosureEngine(module_p, module_m, gens, box)
+        engine = _engine(module_p, module_m, gens, box)
         target = _subspace_target(subspace, box)
         seeds, seed_tags = _subspace_seeds(subspace, box)
         bound = subspace
@@ -412,7 +435,7 @@ def evidence_simplicity(
             raise ArgumentError("ambient quotient needs r")
         kernel = pi_kernel(module_p, r, box)
         module_m = make_wedge_module(n, r)
-        engine = ClosureEngine(module_p, module_m, gens, box, mod=kernel)
+        engine = _engine(module_p, module_m, gens, box, kernel)
         target = {
             w: len(kernel.labels[w]) - kernel.dim_at(w) for w in box.inner_keys()
         }

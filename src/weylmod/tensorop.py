@@ -15,7 +15,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .errors import ArgumentError, StructureError
-from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_zero
+from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_units, mi_zero
 from .linalg import invert
 from .terms import SCALARS, TermMap, accumulate
 from .ugl import E, UglElement, pbw_product
@@ -283,7 +283,7 @@ def _special_rows(kind: str, alpha, i: int):
     """
     n = len(alpha)
     zero = mi_zero(n)
-    units = [mi_unit(s, n) for s in range(1, n + 1)]
+    units = mi_units(n)
     e_i, e_i1, e_i2 = units[i - 1 : i + 2]
     beta = mi_sub(mi_add(alpha, mi_add(e_i1, e_i2)), e_i)
     f1 = mi_add(mi_sub(alpha, e_i), e_i1)

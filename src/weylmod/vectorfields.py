@@ -7,7 +7,7 @@ degree exactly one, i.e. sum_i f_i d_i with f_i (Laurent) polynomials.
 from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import check_integer_exponents, mi_add, mi_unit, mi_zero
+from .indices import check_integer_exponents, mi_unit, mi_units, mi_zero
 from .terms import accumulate
 from .weyl import WeylElement
 
@@ -89,7 +89,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
-    units = [mi_unit(i, n) for i in range(1, n + 1)]
+    units = mi_units(n)
     right = [(b, g.index(1), c) for (b, g), c in y.element.terms.items()]
 
     def lowered(a, b, k):
@@ -163,13 +163,12 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
     check_integer_exponents(alpha)
     ci = 1 + alpha[j - 1]
     cj = 1 + alpha[i - 1]
+    e_i, e_j = mi_units(n)[i - 1], mi_units(n)[j - 1]
     terms = {}
     if ci != 0:
-        exp = mi_add(alpha, mi_unit(i, n))
-        terms[(exp, tuple(mi_unit(i, n)))] = ci
+        terms[(tuple(a + e for a, e in zip(alpha, e_i)), e_i)] = ci
     if cj != 0:
-        exp = mi_add(alpha, mi_unit(j, n))
-        key = (exp, tuple(mi_unit(j, n)))
+        key = (tuple(a + e for a, e in zip(alpha, e_j)), e_j)
         terms[key] = terms.get(key, 0) - cj
     if not laurent:
         for (t_exp, _), coeff in list(terms.items()):
@@ -185,7 +184,7 @@ def monomial_field(t_exp, i: int, coeff=1, laurent=None) -> VectorField:
     t_exp = tuple(t_exp)
     n = len(t_exp)
     return VectorField(
-        WeylElement.monomial(t_exp, tuple(mi_unit(i, n)), coeff, laurent)
+        WeylElement.monomial(t_exp, mi_unit(i, n), coeff, laurent)
     )
 
 

@@ -468,15 +468,28 @@ def weyl_dimension(psi, n: int) -> int:
 def make_hw_module(psi, n: int) -> SLModule:
     """Simple module with highest weight sum psi_k delta_k, as a gl_n-module.
 
-    Realized inside a tensor product of exterior powers: start from the
-    product of the wedge highest-weight vectors and close under the lowering
-    generators, echelonizing per weight.  The identity matrix acts by the
-    total tensor degree.  Dimension is checked against the Weyl formula.
+    The exterior powers are the wedge modules themselves: psi = 0 gives
+    ``make_wedge_module(n, 0)`` and psi = e_r gives ``make_wedge_module(n,
+    r)``, one object per exterior power, so every check that recognises an
+    exterior power by identity sees it.  Every other psi is built by
+    ``_lowering_closure``.
     """
     psi = tuple(psi)
+    weyl_dimension(psi, n)  # validates psi
+    if sum(psi) <= 1:
+        r = psi.index(1) + 1 if any(psi) else 0
+        return make_wedge_module(n, r)
+    return _lowering_closure(psi, n)
+
+
+def _lowering_closure(psi, n: int) -> SLModule:
+    """The simple module of highest weight psi inside a tensor product of
+    exterior powers: start from the product of the wedge highest-weight
+    vectors and close under the lowering generators, echelonizing per
+    weight.  The identity matrix acts by the total tensor degree.
+    Dimension is checked against the Weyl formula.
+    """
     expected_dim = weyl_dimension(psi, n)
-    if all(p == 0 for p in psi):
-        return make_wedge_module(n, 0)
     ambient = None
     for k in range(1, n):
         for _ in range(psi[k - 1]):

@@ -281,6 +281,16 @@ def test_structure_simplicity_cli(capsys):
     assert not report["pass"]
 
 
+def test_hw_fundamental_weight_exits_1_like_wedge(capsys):
+    # hw:1,0 at n = 3 is the exterior power wedge^1, which the paper proves
+    # reducible: the evidence fails and the command exits 1
+    base = ["structure", "simplicity", "--P", "[poly,poly,poly]", "--box", "0..4",
+            "--margin", "2"]
+    code, out, _ = run_cli(capsys, *base, "--M", "hw:1,0")
+    assert code == 1
+    assert (code, out) == run_cli(capsys, *base, "--M", "wedge:1")[:2]
+
+
 def test_structure_inventory_cli(capsys):
     code, out, _ = run_cli(
         capsys, "structure", "inventory", "--P", "[poly,poly]", "--r", "0",

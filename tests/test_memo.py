@@ -1,0 +1,245 @@
+"""The per-profile memos: bounded, keyed by every input they depend on, and
+invisible in every report."""
+
+import sys
+from fractions import Fraction
+
+import oracles
+import pytest
+
+import weylmod  # the package import loads every library module
+from test_derham import LEMMA_PROFILES
+from test_structure import PRUNING_CASES
+from weylmod import derham, structure
+from weylmod.derham import (
+    partial_span,
+    pi_image,
+    pi_kernel,
+    verify_g_equals_u,
+    verify_h_annihilates,
+)
+from weylmod.errors import StructureError
+from weylmod.indices import TruncationBox
+from weylmod.linalg import RowBasis
+from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inventory
+from weylmod.weightmod import FVector, WeightModuleP, make_wedge_module
+
+# the one memo that must keep every entry: vectors over an exterior power
+# compare their module by identity
+IDENTITY_MEMO = "weylmod.weightmod.make_wedge_module"
+
+
+def _memos():
+    """Every ``functools.lru_cache`` memo of the library, by qualified name:
+    module-level functions and the methods of its classes."""
+    found = {}
+    for name, module in sorted(sys.modules.items()):
+        if module is None or not (name == "weylmod" or name.startswith("weylmod.")):
+            continue
+        for obj in list(vars(module).values()):
+            candidates = [obj]
+            if isinstance(obj, type) and obj.__module__ == name:
+                candidates = [getattr(v, "__func__", v) for v in vars(obj).values()]
+            for c in candidates:
+                if hasattr(c, "cache_info") and getattr(c, "__module__", None) == name:
+                    found[f"{name}.{c.__qualname__}"] = c
+    return found
+
+
+def clear_memos():
+    for name, memo in _memos().items():
+        if name != IDENTITY_MEMO:
+            memo.cache_clear()
+
+
+def test_every_memo_is_bounded():
+    memos = _memos()
+    for name in (
+        "weylmod.indices.mi_units",
+        "weylmod.derham._derham_table",
+        "weylmod.derham._derham_rows",
+        "weylmod.derham._window",
+        "weylmod.derham.pi_image",
+        "weylmod.derham.pi_kernel",
+        "weylmod.derham.partial_span",
+        "weylmod.derham._supported_keys",
+        "weylmod.derham._wedge_sources",
+        "weylmod.derham._derham_sources",
+        "weylmod.structure._default_generators",
+        "weylmod.structure._engine",
+        IDENTITY_MEMO,
+    ):
+        assert name in memos, name
+    unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
+    assert unbounded == [IDENTITY_MEMO]
+    assert make_wedge_module(3, 1) is make_wedge_module(3, 1)
+
+
+_A2 = WeightModuleP.polynomial(2)
+_A3 = WeightModuleP.polynomial(3)
+
+INVENTORY_CASES = [
+    (_A2, 0, TruncationBox((0, 0), (4, 4))),
+    (WeightModuleP.twisted(2), 0, TruncationBox((-4, -4), (-1, -1))),
+    (WeightModuleP.laurent(2, Fraction(-7, 5)), 0, TruncationBox((-3, -3), (3, 3))),
+    (_A2, 1, TruncationBox((0, 0), (4, 4))),
+    (_A3, 1, TruncationBox((0,) * 3, (3,) * 3)),
+    (_A3, 2, TruncationBox((0,) * 3, (3,) * 3)),
+    (WeightModuleP.twisted(3), 2, TruncationBox((-3,) * 3, (0,) * 3)),
+]
+
+
+def _cold_and_warm(calls):
+    """The results of (fn, args) calls with every memo cleared before each
+    call, and with every call made twice in a row after the whole list ran
+    once (so each is served by warm memos, from itself or its neighbours)."""
+    cold = []
+    for fn, args in calls:
+        clear_memos()
+        cold.append(fn(*args))
+    for fn, args in calls:
+        fn(*args)
+    warm = []
+    for fn, args in calls:
+        fn(*args)
+        warm.append(fn(*args))
+    return cold, warm
+
+
+def test_evidence_cold_equals_warm():
+    # the nine ambients share P, boxes, spaces and engines among them
+    calls = [(evidence_simplicity, case) for case in PRUNING_CASES]
+    cold, warm = _cold_and_warm(calls)
+    assert cold == warm
+    assert [report["pass"] for report in cold] == [True, False, False] + [True] * 6
+
+
+def test_inventory_cold_equals_warm():
+    cold, warm = _cold_and_warm([(subquotient_inventory, case) for case in INVENTORY_CASES])
+    assert cold == warm and all(report["pass"] for report in cold)
+
+
+def test_lemma_cold_equals_warm():
+    calls = []
+    for P, box in LEMMA_PROFILES.values():
+        for alpha, i, r in (((2, 0, 0, 0), 1, 2), ((1, 2, 0, -1), 2, 3), ((0, 1, 1, 0), 1, 3)):
+            calls += [(verify_g_equals_u, (alpha, i, P, r, box)),
+                      (verify_h_annihilates, (alpha, i, P, r, box))]
+    cold, warm = _cold_and_warm(calls)
+    assert cold == warm and all(report["pass"] for report in cold)
+
+
+def _outside_vector(space):
+    """A basis vector of the space's window that the space does not contain."""
+    for w in space.weights():
+        for key, midx in space.labels[w]:
+            vec = FVector.basis(space.module_p, space.module_m, key, midx)
+            if not space.contains(vec):
+                return w, vec
+    raise AssertionError("the space fills its window")
+
+
+def test_memoised_spaces_are_frozen_and_copies_grow():
+    box = TruncationBox((0, 0), (4, 4))
+    twisted = WeightModuleP.twisted(2)
+    tbox = TruncationBox((-4, -4), (-1, -1))
+    clear_memos()
+    spaces = [
+        (pi_image, (_A2, 1, box)),
+        (pi_kernel, (_A2, 1, box)),
+        (partial_span, (twisted, tbox)),
+    ]
+    for make, args in spaces:
+        space = make(*args)
+        assert space.frozen and make(*args) is space
+        w, vec = _outside_vector(space)
+        dims = space.dims()
+        with pytest.raises(StructureError, match="read-only"):
+            space.insert(vec)
+        with pytest.raises(TypeError):
+            space.blocks[w] = RowBasis(len(space.labels[w]))
+        grown = space.copy()
+        assert grown.labels is space.labels and not grown.frozen
+        assert grown.insert(vec) and grown.dim_at(w) == dims[w] + 1
+        # the Fraction echelon oracle spans the same block
+        oracle = oracles.RowBasis(len(space.labels[w]))
+        for row in space.blocks[w].rows + [grown.to_dense(vec)[w]]:
+            oracle.insert(row)
+        assert oracle.dim == grown.dim_at(w)
+        assert all(grown.blocks[w].contains(row) for row in oracle.rows)
+        # the memoised space is untouched: it equals a cold build
+        assert space.dims() == dims and not space.contains(vec)
+        assert space.to_json_obj() == make.__wrapped__(*args).to_json_obj()
+
+
+def test_memos_are_keyed_by_p():
+    # laurent(1/2) and laurent(1/3) have the same support, and so the same
+    # keys and dimensions: a memo keyed without P would hand one the other's
+    # space, whose vectors it does not contain
+    box = TruncationBox((-1,) * 3, (1,) * 3)
+    wedge1 = make_wedge_module(3, 1)
+    wedge2 = make_wedge_module(3, 2)
+    gens = GeneratorSet.default(3)
+    clear_memos()
+    seen = []
+    for shift in (Fraction(1, 2), Fraction(1, 3)):
+        P = WeightModuleP.laurent(3, shift)
+        image = pi_image(P, 2, box)
+        assert image.module_p == P
+        checked = 0
+        for key in box.keys():
+            for midx in range(wedge1.dim):
+                out = oracles.derham(FVector.basis(P, wedge1, key, midx))
+                if not out.is_zero() and box.contains(out.weights()[0]):
+                    assert image.contains(out)
+                    checked += 1
+        assert checked > 0
+        seen.append((image, pi_kernel(P, 1, box), partial_span(P, box),
+                     derham._window(P, wedge2, box), structure._engine(P, wedge2, gens, box),
+                     derham._derham_sources(P, 1, box), derham._wedge_sources(P, 2, box)))
+    halves, thirds = seen
+    assert all(a is not b for a, b in zip(halves, thirds))
+    assert not halves[0].contains(
+        oracles.derham(FVector.basis(thirds[0].module_p, wedge1, (1, 0, 0), 1))
+    )
+
+
+def test_memos_are_keyed_by_margin():
+    # the outer box alone fixes what these memos build, but a box is its
+    # bounds and its margin: two boxes that differ in the margin only do not
+    # share an entry
+    narrow = TruncationBox((0,) * 3, (4,) * 3, margin=1)
+    wide = TruncationBox((0,) * 3, (4,) * 3, margin=2)
+    assert narrow != wide
+    wedge1 = make_wedge_module(3, 1)
+    gens = GeneratorSet.default(3)
+    builds = [
+        lambda box: pi_image(_A3, 2, box),
+        lambda box: pi_kernel(_A3, 1, box),
+        lambda box: partial_span(_A3, box),
+        lambda box: derham._window(_A3, wedge1, box),
+        lambda box: structure._engine(_A3, wedge1, gens, box),
+        lambda box: derham._supported_keys(_A3, box),
+        lambda box: derham._derham_sources(_A3, 1, box),
+        lambda box: derham._wedge_sources(_A3, 2, box),
+    ]
+    clear_memos()
+    for build in builds:
+        first = build(narrow)
+        assert build(narrow) is first
+        assert build(wide) is not first
+    reports = [evidence_simplicity(_A3, wedge1, "F", box) for box in (narrow, wide)]
+    assert [r["params"]["margin"] for r in reports] == [1, 2]
+    assert len(reports[0]["seeds"]) > len(reports[1]["seeds"])
+
+
+def test_hw_module_of_a_fundamental_weight_shares_the_engine():
+    # hw:e_r is the exterior power itself, so its evidence reuses the
+    # engine that wedge:r built
+    box = TruncationBox((0,) * 3, (4,) * 3, margin=2)
+    clear_memos()
+    evidence_simplicity(_A3, make_wedge_module(3, 1), "F", box)
+    before = structure._engine.cache_info()
+    evidence_simplicity(_A3, weylmod.make_hw_module((1, 0), 3), "F", box)
+    after = structure._engine.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses

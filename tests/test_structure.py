@@ -334,7 +334,7 @@ def test_inventory_fails_on_a_corrupted_layer(monkeypatch):
     # the layer makes exactly that match, and the inventory, fail
     def emptied(make):
         def corrupted(*args):
-            space = make(*args)
+            space = make(*args).copy()
             w = next(w for w in space.weights() if space.dim_at(w))
             space.blocks[w] = RowBasis(len(space.labels[w]))
             return space
@@ -516,7 +516,7 @@ def test_a_wrong_bound_raises():
         closure([basis_seed], gens, _CUBE2, engine=engine, _bound=partial_span(_A2, _CUBE2))
     # a bound that holds the seed but is not closed: the image with the
     # seed's whole weight block added
-    widened = pi_image(_A2, 1, _CUBE2)
+    widened = pi_image(_A2, 1, _CUBE2).copy()
     widened.insert(basis_seed)
     with pytest.raises(StructureError, match="left its bound"):
         closure([basis_seed], gens, _CUBE2, engine=engine, _bound=widened)
@@ -549,3 +549,19 @@ def test_image_submodule_is_cyclic_at_n4():
     for r in (2, 3):
         report = evidence_simplicity(P, None, "Ln", box, r=r)
         assert report["pass"] and len(report["seeds"]) == 48, r
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (3, 2), (4, 1), (4, 3)])
+def test_hw_module_of_a_fundamental_weight_reports_as_the_exterior_power(n, r):
+    # hw:e_r is the exterior power itself, so the F evidence seeds the de
+    # Rham image rows and fails on the module the paper proves reducible,
+    # as wedge:r does; a lowering-closure copy got basis seeds only and
+    # passed
+    psi = tuple(int(k == r - 1) for k in range(n - 1))
+    P = WeightModuleP.polynomial(n)
+    box = TruncationBox((0,) * n, (4,) * n, margin=2)
+    hw = evidence_simplicity(P, make_hw_module(psi, n), "F", box)
+    wedge = evidence_simplicity(P, make_wedge_module(n, r), "F", box)
+    assert hw == wedge
+    assert not hw["pass"] and hw["params"]["M"] == f"wedge({n},{r})"
+    assert any(s["kind"] == "submodule-row" and not s["pass"] for s in hw["seeds"])

@@ -17,6 +17,7 @@ from weylmod.weightmod import (
     FVector,
     PVector,
     WeightModuleP,
+    _lowering_closure,
     _monomial_on_key,
     _scaled_monomial_on_key,
     make_hw_module,
@@ -250,11 +251,15 @@ def test_hw_module_adjoint_of_sl2():
 
 
 def test_hw_module_matches_wedge():
+    # make_hw_module returns the exterior power itself for psi = e_r; the
+    # lowering closure it would otherwise run is checked against it
     for n in (2, 3, 4):
         for r in range(1, n):
             psi = tuple(1 if k == r - 1 else 0 for k in range(n - 1))
-            hw = make_hw_module(psi, n)
             wedge = make_wedge_module(n, r)
+            assert make_hw_module(psi, n) is wedge
+            hw = _lowering_closure(psi, n)
+            assert hw.central == wedge.central and hw.check_commutators()
             assert hw.dim == wedge.dim
             assert sorted(hw.weights) == sorted(wedge.weights)
             # equal trace of every diagonal generator
