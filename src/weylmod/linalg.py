@@ -1,8 +1,9 @@
 """Dense exact linear algebra for small matrices.
 
-``rref`` and ``invert`` (the interpolation inverse) work on lists of lists
-of Fraction/int.  ``RowBasis``, the incremental echelon basis behind every
-closure, graded subspace and de Rham kernel, is fraction-free: it keeps
+``rref``, the Fraction reduced echelon form, works on lists of lists of
+Fraction/int; the library no longer calls it, and the tests keep it as an
+oracle.  ``RowBasis``, the incremental echelon basis behind every closure,
+graded subspace and de Rham kernel, is fraction-free: it keeps
 primitive integer rows, clears the denominators of a rational input once,
 and eliminates by integer cross-multiplication, so its inner loop never
 builds a Fraction.  Sizes stay tiny in this library (weight blocks rarely
@@ -14,8 +15,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import ArgumentError
 
 
 def rref(rows):
@@ -42,16 +41,6 @@ def rref(rows):
         if r == len(rows):
             break
     return [row for row in rows if any(x != 0 for x in row)], pivots
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ArgumentError("matrix is singular")
-    return [row[n:] for row in reduced]
 
 
 def clear_denominators(vec):

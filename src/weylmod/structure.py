@@ -73,9 +73,6 @@ class GeneratorSet:
     def __len__(self):
         return len(self.members)
 
-    def names(self):
-        return [g.name for g in self.members]
-
     @classmethod
     def default(cls, n: int, cap: int = 1) -> GeneratorSet:
         """All L generators with -e_i-e_j <= alpha <= cap componentwise,

@@ -4,22 +4,22 @@ This module hosts the algebra map iota from vector fields into the tensor
 algebra, its Laurent extension, the named operators built from degree-two
 matrix-unit products, and the exact interpolation identities that express
 t^alpha tensor E_ij^2 (and the g operator) through products of images of
-divergence-free generators.
+divergence-free generators.  Those node products are built once per
+(n, i, j, m) over a symbolic alpha and evaluated at each alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import ArgumentError, StructureError
 from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_units, mi_zero
-from .linalg import invert
-from .terms import SCALARS, TermMap, accumulate
+from .terms import SCALARS, Poly, TermMap, accumulate
 from .ugl import E, UglElement, pbw_product
-from .vectorfields import L_op, VectorField, bracket, monomial_field
+from .vectorfields import L_op, VectorField, _L_terms, bracket, check_L_args, monomial_field
 from .weyl import WeylElement, _d_on_t
 
 
@@ -328,13 +328,25 @@ def _special_rows(kind: str, alpha, i: int):
 
 
 def interpolation_matrix(nodes):
-    """Inverse Vandermonde matrix of pairwise-distinct integer nodes.
+    """Inverse Vandermonde matrix of pairwise-distinct integer nodes, in
+    closed form.
 
-    Row k maps the values at the nodes to the m^k coefficient of the
-    interpolating polynomial.  The exact inversion also certifies the
-    matrix nonsingular.
+    Entry (k, t) is the m^k coefficient of the Lagrange basis polynomial
+    prod_(s != t) (m - m_s) / (m_t - m_s), so row k maps the values at the
+    nodes to the m^k coefficient of the interpolating polynomial.
     """
-    return invert([[m**k for k in range(len(nodes))] for m in nodes])
+    nodes = tuple(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise ArgumentError(f"interpolation nodes {nodes} repeat a node")
+    columns = []
+    for t, m_t in enumerate(nodes):
+        coeffs, den = [1], 1  # prod (m - m_s), lowest degree first
+        for s, m_s in enumerate(nodes):
+            if s != t:
+                coeffs = [a - m_s * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+                den *= m_t - m_s
+        columns.append([Fraction(c, den) for c in coeffs])
+    return [list(row) for row in zip(*columns)]
 
 
 # one node beyond both windows; the product there certifies the degree in m
@@ -427,9 +439,9 @@ def cubic_m_factors(alpha, i: int, j: int, m: int):
 
 
 def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
-    """iota_hat(L_ij^(alpha - m e_i)) * iota_hat(t^(m e_i) d_j)."""
-    left, right = cubic_m_factors(alpha, i, j, m)
-    return shen_iota(left) * shen_iota(right)
+    """iota_hat(L_ij^(alpha - m e_i)) * iota_hat(t^(m e_i) d_j), read off
+    the node template of (n, i, j, m) at alpha (see ``_node_product``)."""
+    return _node_product("cubic", alpha, i, j, m)
 
 
 def cubic_target(alpha, i: int, j: int) -> TensorOperator:
@@ -464,9 +476,94 @@ def quartic_m_factors(alpha, i: int, m: int):
 
 
 def quartic_m_product(alpha, i: int, m: int) -> TensorOperator:
-    """iota_hat(L_(i,i+2)^(alpha - m e_i)) * iota_hat(L_(i,i+1)^(m e_i))."""
-    left, right = quartic_m_factors(alpha, i, m)
-    return shen_iota(left) * shen_iota(right)
+    """iota_hat(L_(i,i+2)^(alpha - m e_i)) * iota_hat(L_(i,i+1)^(m e_i)),
+    read off the node template of (n, i, m) at alpha."""
+    return _node_product("quartic", alpha, i, i + 2, m)
+
+
+def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
+    """A node product at alpha: the arguments get the checks of ``L_op`` on
+    the left factor (a non-int m leaves a non-int entry in alpha - m e_i,
+    since m * 0 keeps the type of m), then the template of
+    (kind, n, i, j, m) is evaluated at alpha.
+
+    Every template row is coeff * t^(alpha+offset) d^d_exp (x) pmono with
+    coeff a polynomial in alpha.  Distinct rows have distinct offsets or
+    distinct (d_exp, pmono), so they stay distinct at every alpha, and the
+    value is exact: the terms of the direct product, with the rows whose
+    coefficient vanishes at alpha dropped.
+    """
+    alpha = tuple(alpha)
+    n = len(alpha)
+    shift = tuple(m * x for x in mi_unit(i, n))
+    check_L_args(i, j, mi_sub(alpha, shift))
+    parts, rows = _node_template(kind, n, i, j, m)
+    values = []
+    for part in parts:
+        value = 0
+        for c, powers in part:
+            for s, e in powers:
+                c *= alpha[s] ** e
+            value += c
+        values.append(value)
+    terms = {}
+    for offset, d_exp, pmono, index, scale in rows:
+        c = values[index]
+        if c:
+            terms[((tuple(map(add, alpha, offset)), d_exp), pmono)] = scale * c
+    return TensorOperator._from_kernel(n, terms, laurent=True)
+
+
+@lru_cache(maxsize=256)
+def _node_template(kind: str, n: int, i: int, j: int, m: int):
+    """The node product of (kind, n, i, j, m) over a symbolic alpha, built
+    once by the library's own kernels: ``_L_terms`` on the symbols of
+    ``terms.Poly``, ``shen_iota`` and ``_product_terms``.  Only the left
+    factor carries alpha, and ``_d_on_t`` reads only the right factor's t
+    exponent, so the product is exact over the symbols.
+
+    Returns (parts, rows).  Each coefficient is split into an integer
+    scale times a primitive part (``_primitive``); parts lists the distinct
+    parts, so one evaluation serves every row that shares one.  A row is
+    (offset, d_exp, pmono, part index, scale), with t exponent
+    alpha + offset.  A t exponent of any other shape (an entry without its
+    symbol, or with a multiple of it) would let two rows meet at some
+    alpha, so it raises ``StructureError``.
+    """
+    symbols = Poly.symbols(n)
+    shift = tuple(m * x for x in mi_unit(i, n))
+    left = VectorField(WeylElement(n, _L_terms(i, j, mi_sub(symbols, shift)), True))
+    if kind == "cubic":
+        right = monomial_field(shift, j, laurent=True)
+    else:
+        right = L_op(i, i + 1, shift, laurent=True)
+    product = accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
+    parts = {}
+    rows = []
+    for ((t_exp, d_exp), pmono), coeff in product.items():
+        offset = tuple(b - a for a, b in zip(symbols, t_exp))
+        if any(type(c) is not int for c in offset):
+            raise StructureError(f"t exponent {t_exp} is not alpha plus an integer offset")
+        scale, part = _primitive(coeff)
+        rows.append((offset, d_exp, pmono, parts.setdefault(part, len(parts)), scale))
+    return tuple(parts), tuple(rows)
+
+
+def _primitive(coeff):
+    """(scale, part) with coeff = scale * part.  A polynomial's scale is the
+    gcd of its int coefficients, signed so that the part's lowest term is
+    positive, and a constant is its own scale over the part 1.  The part is
+    listed for evaluation as ((c, ((s, e), ...)), ...): the sum of the
+    terms c * prod alpha[s]**e, in a canonical order."""
+    if type(coeff) is not Poly:
+        return coeff, ((1, ()),)
+    scale = gcd(*coeff.terms.values())
+    if coeff.terms[min(coeff.terms)] < 0:
+        scale = -scale
+    terms = sorted((coeff / scale).terms.items())
+    return scale, tuple(
+        (c, tuple((s, e) for s, e in enumerate(exps) if e)) for exps, c in terms
+    )
 
 
 def quartic_target(alpha, i: int) -> TensorOperator:
@@ -497,11 +594,11 @@ def interpolate_coefficients(values, nodes):
 
     Given operator values P(m) at pairwise-distinct integer nodes, return the
     coefficient operators [c_0, ..., c_(deg)] with P(m) = sum c_k m^k.  The
-    inverse Vandermonde matrix is computed once per node tuple (the exact
-    inversion also certifies it nonsingular) and kept as integer rows over a
-    common denominator.  Each monomial's values over the nodes form one
-    vector; every row is applied to it in integers and the survivors are
-    divided once, so each coefficient is built as one operator.
+    inverse Vandermonde matrix (``interpolation_matrix``) is built once per
+    node tuple and kept as integer rows over a common denominator.  Each
+    monomial's values over the nodes form one vector; every row is applied
+    to it in integers and the survivors are divided once, so each
+    coefficient is built as one operator.
     """
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")

@@ -7,6 +7,10 @@ module vector, and the parser's unbound vector literal) derive from
 per-term validation in ``__init__``, a sort key, and their product or
 action.
 
+``Poly`` is the one coefficient that is not a number: an exact polynomial
+in the symbols of a multi-index, for products built once over a symbolic
+exponent and evaluated per exponent.
+
 Terms are stored in the order they were produced.  Dict equality ignores
 that order, so the canonical order is imposed only where text leaves the
 program: ``__str__``, ``__repr__`` and ``to_json_obj`` iterate
@@ -16,7 +20,7 @@ program: ``__str__``, ``__repr__`` and ``to_json_obj`` iterate
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import StructureError
 
@@ -121,3 +125,101 @@ class TermMap:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+class Poly:
+    """Exact polynomial in the symbols a_1..a_n, as a coefficient.
+
+    Terms map exponent tuples (one entry per symbol) to nonzero int or
+    Fraction coefficients.  Every operation hands back a plain scalar when
+    its result is constant, so a ``Poly`` is never constant: it is truthy
+    and equals no scalar, and ``accumulate`` drops it only once it cancels
+    to the scalar 0.  It hashes on its terms, so a symbolic exponent tuple
+    can key a term map.
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    def __init__(self, terms: dict):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", hash(frozenset(terms.items())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @staticmethod
+    def symbols(n: int) -> tuple:
+        """The symbols (a_1, ..., a_n)."""
+        return tuple(Poly({tuple(int(k == s) for k in range(n)): 1}) for s in range(n))
+
+    def _items(self, other):
+        if isinstance(other, Poly):
+            return other.terms.items()
+        if isinstance(other, SCALARS):
+            return (((0,) * len(next(iter(self.terms))), other),)
+        return None
+
+    def __add__(self, other):
+        items = self._items(other)
+        if items is None:
+            return NotImplemented
+        return _collected(accumulate(dict(self.terms), items))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return Poly({e: c * other for e, c in self.terms.items()}) if other else 0
+        if not isinstance(other, Poly):
+            return NotImplemented
+        pairs = (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return _collected(accumulate({}, pairs))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, den: int):
+        if type(den) is not int:
+            return NotImplemented
+        quotients = ((e, Fraction(c, den)) for e, c in self.terms.items())
+        return Poly({e: q.numerator if q.denominator == 1 else q for e, q in quotients})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.terms == other.terms
+        return False if isinstance(other, SCALARS) else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        parts = []
+        for exps, c in sorted(self.terms.items()):
+            factors = [f"a{s}^{e}" if e > 1 else f"a{s}" for s, e in enumerate(exps, 1) if e]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            parts.append("*".join(factors))
+        return f"Poly({' + '.join(parts)})"
+
+
+def _collected(terms: dict):
+    """A collected term map as a Poly, or as a scalar when it is constant."""
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        ((exps, c),) = terms.items()
+        if not any(exps):
+            return c
+    return Poly(terms)

@@ -191,14 +191,6 @@ class UglElement(TermMap):
             ],
         }
 
-    @staticmethod
-    def from_json_obj(obj) -> UglElement:
-        terms = {}
-        for rec in obj["terms"]:
-            mono = tuple(((i, j), e) for i, j, e in rec["factors"])
-            terms[mono] = Fraction(rec["coeff"])
-        return UglElement(obj["rank"], terms)
-
 
 def E(i: int, j: int, n: int) -> UglElement:
     """The matrix unit E_ij as an element of U(gl_n), 1-based."""

@@ -154,6 +154,20 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
     exponents of the surviving terms must be nonnegative (alpha entries of
     -1 at i or j are fine: the matching coefficient vanishes).
     """
+    alpha = check_L_args(i, j, alpha)
+    terms = _L_terms(i, j, alpha)
+    if not laurent:
+        for t_exp, _ in terms:
+            if any(b < 0 for b in t_exp):
+                raise DomainError(
+                    f"alpha={alpha} yields a Laurent monomial in polynomial mode"
+                )
+    return VectorField(WeylElement(len(alpha), terms, laurent))
+
+
+def check_L_args(i: int, j: int, alpha) -> tuple:
+    """The argument checks of ``L_op``: distinct indices in range and
+    integer exponents.  Returns alpha as a tuple."""
     alpha = tuple(alpha)
     n = len(alpha)
     if i == j:
@@ -161,22 +175,24 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ArgumentError(f"indices out of range 1..{n}")
     check_integer_exponents(alpha)
-    ci = 1 + alpha[j - 1]
-    cj = 1 + alpha[i - 1]
-    e_i, e_j = mi_units(n)[i - 1], mi_units(n)[j - 1]
+    return alpha
+
+
+def _L_terms(i: int, j: int, alpha) -> dict:
+    """The terms of L_ij^alpha, unchecked, zero coefficients left out.
+
+    Only sums and products touch alpha, so its entries may also be the
+    symbols of ``terms.Poly``: a coefficient that vanishes at some alpha
+    then stays a polynomial, and the caller drops it after evaluation.
+    """
+    units = mi_units(len(alpha))
     terms = {}
-    if ci != 0:
-        terms[(tuple(a + e for a, e in zip(alpha, e_i)), e_i)] = ci
-    if cj != 0:
-        key = (tuple(a + e for a, e in zip(alpha, e_j)), e_j)
-        terms[key] = terms.get(key, 0) - cj
-    if not laurent:
-        for (t_exp, _), coeff in list(terms.items()):
-            if coeff != 0 and any(b < 0 for b in t_exp):
-                raise DomainError(
-                    f"alpha={alpha} yields a Laurent monomial in polynomial mode"
-                )
-    return VectorField(WeylElement(n, terms, laurent))
+    for a, b, sign in ((i, j, 1), (j, i, -1)):
+        coeff = sign * (1 + alpha[b - 1])
+        if coeff != 0:
+            e_a = units[a - 1]
+            terms[(tuple(x + e for x, e in zip(alpha, e_a)), e_a)] = coeff
+    return terms
 
 
 def monomial_field(t_exp, i: int, coeff=1, laurent=None) -> VectorField:

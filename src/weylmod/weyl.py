@@ -222,14 +222,6 @@ class WeylElement(TermMap):
             ],
         }
 
-    @staticmethod
-    def from_json_obj(obj) -> WeylElement:
-        terms = {
-            (tuple(rec["tExp"]), tuple(rec["dExp"])): Fraction(rec["coeff"])
-            for rec in obj["terms"]
-        }
-        return WeylElement(obj["rank"], terms, obj["mode"] == "laurent")
-
 
 def _product_terms(a: WeylElement, b: WeylElement):
     """The (monomial, coeff) pairs of a * b before collection."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 from weylmod import tensorop
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
-from weylmod.linalg import RowBasis as IntRowBasis, invert, rref
+from weylmod.linalg import RowBasis as IntRowBasis, rref
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.ugl import E
 from weylmod.vectorfields import VectorField
@@ -206,6 +206,17 @@ def node_combination(products, weights):
     for m, w in weights.items():
         acc = acc + products[m] * w
     return acc
+
+
+def invert(matrix):
+    """Exact inverse of a square matrix by Fraction elimination; raises on
+    singular input."""
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ArgumentError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def interpolate_coefficients(values, nodes):

@@ -34,7 +34,7 @@ from weylmod.weightmod import (
 def test_default_generator_set():
     gens = GeneratorSet.default(2)
     assert len(gens) > 0
-    names = gens.names()
+    names = [g.name for g in gens.members]
     assert "L[1,2;(0,0)]" in names
     # default shifts stay within one step per coordinate
     for g in gens.members:

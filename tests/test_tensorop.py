@@ -2,29 +2,40 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from weylmod import suites
-from weylmod.errors import ArgumentError
+from weylmod import suites, tensorop
+from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.suites import check_eq_cubic, check_eq_quartic
 from weylmod.tensorop import (
     CHECK_NODE,
+    CUBIC_NODES,
     CUBIC_PREDICTION,
     CUBIC_WEIGHTS,
+    QUARTIC_NODES,
     QUARTIC_PREDICTION,
     QUARTIC_WEIGHTS,
     SPECIAL_KINDS,
     TensorOperator,
     cubic_identity_residual,
+    cubic_m_factors,
     cubic_m_product,
     from_weyl,
     interpolate_coefficients,
+    interpolation_matrix,
     iota_hom_residual,
     quartic_identity_residual,
+    quartic_m_factors,
     quartic_m_product,
     shen_iota,
     special_operator,
@@ -380,3 +391,151 @@ def test_demote():
     assert op.laurent and not op.demote().laurent
     op2 = tensor(WeylElement.t_power((-1, 0), laurent=True), E(1, 2, n))
     assert op2.demote().laurent
+
+
+# the node products are read off templates built once per (n, i, j, m) over
+# a symbolic alpha; the direct product of the two iota images is the oracle
+@lru_cache(maxsize=None)
+def _iota(field_args):
+    kind, *args = field_args
+    if kind == "L":
+        return shen_iota(L_op(*args, laurent=True))
+    return shen_iota(monomial_field(*args, laurent=True))
+
+
+def _direct(kind, alpha, i, j, m):
+    """shen_iota(left) * shen_iota(right) of the factor fields."""
+    if kind == "cubic":
+        left, right = cubic_m_factors(alpha, i, j, m)
+    else:
+        left, right = quartic_m_factors(alpha, i, m)
+    return shen_iota(left) * shen_iota(right)
+
+
+def _direct_cached(kind, alpha, i, j, m):
+    """``_direct`` with the iota images shared between the (alpha, m) that
+    give the same factor."""
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
+    left = _iota(("L", i, j, mi_sub(alpha, shift)))
+    if kind == "cubic":
+        return left * _iota(("t", shift, j))
+    return left * _iota(("L", i, i + 1, shift))
+
+
+def _node_cases(kind, n):
+    if kind == "cubic":
+        return [((i, j), (i, j)) for i, j in itertools.permutations(range(1, n + 1), 2)]
+    return [((i,), (i, i + 2)) for i in range(1, n - 1)]
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("cubic", 2), ("cubic", 3), ("cubic", 4), ("quartic", 3), ("quartic", 4)]
+)
+def test_template_products_match_the_direct_product(kind, n):
+    product = cubic_m_product if kind == "cubic" else quartic_m_product
+    nodes = (*(CUBIC_NODES if kind == "cubic" else QUARTIC_NODES), CHECK_NODE)
+    checked = 0
+    for args, (i, j) in _node_cases(kind, n):
+        for m in nodes:
+            for alpha in itertools.product(range(-2, 4), repeat=n):
+                got = product(alpha, *args, m)
+                assert got == _direct_cached(kind, alpha, i, j, m), (alpha, args, m)
+                assert got.laurent
+                checked += 1
+        _iota.cache_clear()
+    assert checked == len(_node_cases(kind, n)) * len(nodes) * 6**n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_template_products_on_a_wider_window(data):
+    # entries of -1 make a coefficient of L_op vanish, and entries of 0 drop
+    # an iota term: the template keeps those rows and drops them at alpha
+    n = data.draw(st.integers(2, 5))
+    kind = data.draw(st.sampled_from(["cubic", "quartic"] if n >= 3 else ["cubic"]))
+    args, (i, j) = data.draw(st.sampled_from(_node_cases(kind, n)))
+    entries = st.one_of(st.just(-1), st.just(0), st.integers(-7, 7))
+    alpha = tuple(data.draw(entries) for _ in range(n))
+    m = data.draw(st.integers(-3, 6))
+    product = cubic_m_product if kind == "cubic" else quartic_m_product
+    assert product(alpha, *args, m) == _direct(kind, alpha, i, j, m)
+
+
+def test_template_rows_are_alpha_plus_an_offset(monkeypatch):
+    # a left factor whose t exponent is 2 alpha would let two rows meet at
+    # alpha = 0, so the template refuses to compile it
+    tensorop._node_template.cache_clear()
+
+    def doubled_terms(i, j, alpha):
+        return {(tuple(2 * a for a in alpha), (1, 0)): 1}
+
+    monkeypatch.setattr(tensorop, "_L_terms", doubled_terms)
+    with pytest.raises(StructureError, match="integer offset"):
+        cubic_m_product((0, 0), 1, 2, 0)
+    monkeypatch.undo()
+    tensorop._node_template.cache_clear()
+    assert cubic_m_product((0, 0), 1, 2, 0) == _direct("cubic", (0, 0), 1, 2, 0)
+
+
+def test_wrong_cubic_weight_leaves_a_residual(monkeypatch):
+    alpha, i, j = (1, 0, 2), 1, 3
+    assert cubic_identity_residual(alpha, i, j).is_zero()
+    monkeypatch.setattr(tensorop, "CUBIC_WEIGHTS", {**CUBIC_WEIGHTS, 2: Fraction(1, 3)})
+    assert not cubic_identity_residual(alpha, i, j).is_zero()
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [
+        ("cubic", ((Fraction(1, 2), 0), 1, 2, 1)),
+        ("cubic", ((0, Fraction(3, 2), 1), 2, 3, 0)),
+        ("cubic", ((0, 0), 1, 1, 0)),
+        ("cubic", ((0, 0), 1, 3, 2)),
+        ("cubic", ((0, 0), 3, 1, 2)),
+        ("cubic", ((0, 0), 0, 1, 2)),
+        ("quartic", ((Fraction(1, 2), 0, 0), 1, 2)),
+        ("quartic", ((0, 0, 0), 2, 0)),
+        ("quartic", ((0, 0, 0), 0, 1)),
+        ("quartic", ((0, 0), 1, 1)),
+        # alpha_i - m is an int here, so only the node itself is at fault
+        ("cubic", ((Fraction(1, 2), 0), 1, 2, Fraction(1, 2))),
+        ("quartic", ((Fraction(1, 2), 0, 0), 1, Fraction(1, 2))),
+    ],
+)
+def test_template_products_raise_what_the_direct_product_raises(kind, args):
+    product, factors = (
+        (cubic_m_product, cubic_m_factors) if kind == "cubic"
+        else (quartic_m_product, quartic_m_factors)
+    )
+    error = _raised(product, *args)
+    assert error[0] is ArgumentError
+    assert error == _raised(factors, *args)
+
+
+def test_templates_are_built_on_first_use_only():
+    code = (
+        "import weylmod\n"
+        "from weylmod import tensorop\n"
+        "assert tensorop._node_template.cache_info().currsize == 0\n"
+        "tensorop.cubic_m_product((0, 1), 1, 2, 3)\n"
+        "assert tensorop._node_template.cache_info().currsize == 1\n"
+    )
+    src = str(Path(tensorop.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+
+
+def test_interpolation_matrix_matches_the_inverse_oracle():
+    rng = random.Random(12)
+    cases = [CUBIC_NODES, QUARTIC_NODES, (CHECK_NODE,)]
+    cases += [tuple(rng.sample(range(-9, 10), rng.randint(1, 6))) for _ in range(40)]
+    for nodes in cases:
+        vandermonde = [[m**k for k in range(len(nodes))] for m in nodes]
+        assert interpolation_matrix(nodes) == oracles.invert(vandermonde), nodes
+    with pytest.raises(ArgumentError):
+        interpolation_matrix((0, 1, 0))

@@ -4,13 +4,16 @@ with their reference paths, and reports keep their bytes."""
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylmod.cli import main
 from weylmod.tensorop import TensorOperator
-from weylmod.terms import accumulate
+from weylmod.terms import Poly, accumulate
 from weylmod.ugl import (
     UglElement,
     _gen_key,
@@ -24,9 +27,10 @@ from weylmod.weyl import WeylElement
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_all_report_bytes(capsys, n):
-    # generated before terms were stored in production order
+    # n = 2, 3 generated before terms were stored in production order, and
+    # n = 4 before the node products were read off symbolic templates
     assert main(["verify", "all", "--n", str(n)]) == 0
     expected = (DATA / f"verify_all_n{n}.json").read_text()
     assert capsys.readouterr().out == expected
@@ -132,3 +136,56 @@ def test_tensor_product_is_associative():
         for _ in range(4):
             a, b, c = (random_tensor(rng, n, 2, laurent) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def polys(draw, n):
+    """An int, or a sum of up to four scaled monomials in Poly.symbols(n)."""
+    symbols = Poly.symbols(n)
+    total = draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 4))):
+        term = draw(st.integers(-3, 3))
+        for s in range(n):
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * symbols[s]
+        total = total + term
+    return total
+
+
+def _at(p, point):
+    """The value of a Poly or scalar at a point, term by term."""
+    if not isinstance(p, Poly):
+        return p
+    return sum(c * prod(a**e for a, e in zip(point, exps)) for exps, c in p.terms.items())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_poly_arithmetic_commutes_with_evaluation(data):
+    n = data.draw(st.integers(1, 3))
+    p, q = data.draw(polys(n)), data.draw(polys(n))
+    point = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+    den = data.draw(st.integers(1, 5))
+    for value, expected in (
+        (p + q, _at(p, point) + _at(q, point)),
+        (p - q, _at(p, point) - _at(q, point)),
+        (p * q, _at(p, point) * _at(q, point)),
+        (-p, -_at(p, point)),
+        (p * 3 - 1, 3 * _at(p, point) - 1),
+    ):
+        assert _at(value, point) == expected
+    if isinstance(p, Poly):
+        assert _at(p / den, point) == Fraction(_at(p, point), den)
+        assert (p * den) / den == p
+        # a Poly is never constant: it is truthy and equals no scalar
+        assert p and p != _at(p, point) and hash(p + 0) == hash(p)
+    # a result that is constant comes back as a plain int
+    assert type(p - p) is int and p - p == 0
+    assert type((p + 2) - p) is int
+
+
+def test_poly_keys_a_term_map():
+    a1, a2 = Poly.symbols(2)
+    terms = accumulate({}, [((a1 + 1, a2), a1), ((1 + a1, a2), -a1), ((a1, a2 - 1), 2)])
+    assert terms == {(a1, a2 - 1): 2}
+    assert repr((a1 + 1) * (a2 - 2) - 3 * a1 * a1) == "Poly(-2 + a2 + -2*a1 + a1*a2 + -3*a1^2)"

