@@ -356,13 +356,9 @@ def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
     }
 
 
-@lru_cache(maxsize=64)
 def _supported_keys(P: WeightModuleP, box: TruncationBox):
-    """The keys of the box that P supports, in box order.
-
-    A lemma grid checks many operators over a few (P, box) profiles, so the
-    filter runs once per profile.
-    """
+    """The keys of the box that P supports, in box order (its callers are
+    memoised per profile)."""
     return tuple(key for key in box.keys() if P.supports_key(key))
 
 

@@ -19,11 +19,11 @@ from fractions import Fraction
 from .errors import ArgumentError, StructureError
 from .indices import mi_zero
 from .tensorop import TensorOperator, tensor
-from .terms import TermMap
+from .terms import TermMap, power_text
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
-from .weyl import WeylElement
+from .weyl import WeylElement, d, t
 
 
 class ParseError(ValueError):
@@ -121,27 +121,12 @@ class VectorLiteral(TermMap):
             terms[(key, index[wedge])] = c
         return FVector(module_p, module_m, terms)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (key, wedge), c in self.sorted_items():
-            factors = []
-            for i, b in enumerate(key):
-                if b == 1:
-                    factors.append(f"t[{i + 1}]")
-                elif b != 0:
-                    factors.append(f"t[{i + 1}]^{b}")
-            body = "*".join(factors) if factors else "1"
-            if wedge:
-                body += " (x) " + "^".join(f"e[{x}]" for x in wedge)
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _text(self, mono) -> str:
+        key, wedge = mono
+        body = "*".join(power_text("t", key)) or "1"
+        if wedge:
+            body += " (x) " + "^".join(f"e[{x}]" for x in wedge)
+        return body
 
 
 def format_vector(v: FVector) -> str:
@@ -255,11 +240,7 @@ class _Parser:
             if name in ("t", "d"):
                 i = int(args)
                 _check_index(i, n, pos)
-                exp = tuple(1 if k == i - 1 else 0 for k in range(n))
-                zero = mi_zero(n)
-                if name == "t":
-                    return WeylElement.monomial(exp, zero)
-                return WeylElement.monomial(zero, exp)
+                return t(i, n) if name == "t" else d(i, n)
             if name == "E":
                 i, j = (int(p) for p in args.split(","))
                 _check_index(i, n, pos)

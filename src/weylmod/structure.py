@@ -266,13 +266,12 @@ class ClosureReport:
 
 
 def closure(seeds, gens: GeneratorSet, box: TruncationBox,
-            engine: ClosureEngine | None = None, target_dims=None,
-            stop_at_target: bool = False, *, _bound: GradedSubspace | None = None,
-            _certified=None) -> ClosureReport:
+            engine: ClosureEngine | None = None, target_dims=None, *,
+            _bound: GradedSubspace | None = None, _certified=None) -> ClosureReport:
     """Least in-box subspace containing the seeds and closed under the
     generators whose application stays inside the outer box.
 
-    ``target_dims`` (weight -> dim over the inner box) enables early exit
+    ``target_dims`` (weight -> dim over the inner box) stops the closure
     once every listed block is full; the report is honest either way.
 
     A generator is not applied where its target block already has the
@@ -287,8 +286,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     The private ``_certified`` maps a weight to seed vectors (integer block
     coordinates, reduced modulo ``engine.mod``) whose closures reached
     ``target_dims``.  The least fixed point that contains one of them
-    contains its closure as well, so the closure counts as reached, and
-    stops with ``stop_at_target``, once a block it grows contains one.
+    contains its closure as well, so the closure counts as reached and
+    stops once a block it grows contains one.
     """
     seeds = list(seeds)
     if not seeds:
@@ -338,7 +337,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
             insert(w, clear_denominators(dense))
     applications = 0
     while queue:
-        if stop_at_target and (deficit == 0 or hit_certificate):
+        if target_dims is not None and (deficit == 0 or hit_certificate):
             break
         w, vec = queue.popleft()
         support = [pos for pos, c in enumerate(vec) if c != 0]
@@ -458,7 +457,7 @@ def evidence_simplicity(
     for seed, tag in zip(seeds, seed_tags):
         inside = ambient != "F" or tag["kind"] == "submodule-row"
         report = closure(
-            [seed], gens, box, engine=engine, target_dims=target, stop_at_target=True,
+            [seed], gens, box, engine=engine, target_dims=target,
             _bound=bound if inside else None, _certified=certified,
         )
         ok = bool(report.reached_target)
@@ -552,13 +551,11 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     all_poly = all(f.kind == POLY for f in module_p.factors)
-    triv = make_wedge_module(n, 0)
     layers = []
     if r == 0:
         full = {
             w: (1 if module_p.supports_key(w) else 0) for w in box.keys()
         }
-        delta = partial_span(module_p, box).dims()
         if all_poly:
             # chain 0 < constants < P
             const = {w: (1 if w == (0,) * n else 0) for w in box.keys()}
@@ -572,11 +569,11 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
             )
         else:
             # chain 0 <= deltaP <= P with trivial quotient
+            delta = partial_span(module_p, box).dims()
             layers.append(_layer("deltaP", delta, trivial=False))
             gap = {w: full[w] - delta.get(w, 0) for w in box.keys()}
             if any(gap.values()):
                 layers.append(_layer("P/deltaP", gap, trivial=True))
-        chain = {"F": full, "deltaP": delta}
     else:
         image = pi_image(module_p, r, box).dims()
         kernel_space = pi_kernel(module_p, r, box)
@@ -584,7 +581,6 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
         full = {w: len(kernel_space.labels[w]) for w in box.keys()}
         gap = {w: kernel[w] - image[w] for w in box.keys()}
         quotient = {w: full[w] - kernel[w] for w in box.keys()}
-        chain = {"image": image, "kernel": kernel, "F": full}
         # bottom layer
         if r == 1:
             name = "P/constants" if all_poly else "P (via de Rham)"

@@ -326,7 +326,6 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
             box,
             engine=engine,
             target_dims=target,
-            stop_at_target=True,
         )
         checked += 1
         if not report.reached_target:

@@ -18,7 +18,7 @@ from operator import add, mul, sub
 from .errors import ArgumentError, StructureError
 from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_units, mi_zero
 from .terms import SCALARS, Poly, TermMap, accumulate
-from .ugl import E, UglElement, pbw_product
+from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import L_op, VectorField, _L_terms, bracket, check_L_args, monomial_field
 from .weyl import WeylElement, _d_on_t
 
@@ -101,37 +101,22 @@ class TensorOperator(TermMap):
             return TensorOperator(self.rank, self.terms, laurent=False)
         return self
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for ((t_exp, d_exp), pmono), coeff in self.sorted_items():
-            weyl = WeylElement(self.rank, {(t_exp, d_exp): 1}, laurent=True)
-            ugl = UglElement(self.rank, {pmono: 1})
-            body = f"{weyl} (x) {ugl}"
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+    @staticmethod
+    def _text(mono) -> str:
+        wmono, pmono = mono
+        return f"{WeylElement._text(wmono) or 1} (x) {pbw_text(pmono) or 1}"
 
     def to_json_obj(self):
         return {
             "rank": self.rank,
             "mode": self.mode,
-            "terms": [
-                {
-                    "tExp": list(te),
-                    "dExp": list(de),
-                    "factors": [[i, j, e] for (i, j), e in pmono],
-                    "coeff": str(Fraction(c)),
+            "terms": self._json_terms(
+                lambda m: {
+                    "tExp": list(m[0][0]),
+                    "dExp": list(m[0][1]),
+                    "factors": pbw_json(m[1]),
                 }
-                for ((te, de), pmono), c in self.sorted_items()
-            ],
+            ),
         }
 
 
@@ -451,7 +436,7 @@ def cubic_target(alpha, i: int, j: int) -> TensorOperator:
     if i == j:
         raise ArgumentError("indices must differ")
     exp = mi_sub(mi_add(alpha, mi_unit(j, n)), tuple(2 * x for x in mi_unit(i, n)))
-    return tensor(WeylElement.t_power(exp, laurent=True), E(i, j, n) * E(i, j, n))
+    return TensorOperator(n, {((exp, mi_zero(n)), (((i, j), 2),)): 1}, laurent=True)
 
 
 def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:

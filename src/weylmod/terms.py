@@ -4,8 +4,8 @@ A term map sends hashable monomials to nonzero exact coefficients.  The
 element classes (Weyl algebra, U(gl_n), tensor operators, the two kinds of
 module vector, and the parser's unbound vector literal) derive from
 ``TermMap`` and keep only what is their own: their context fields, the
-per-term validation in ``__init__``, a sort key, and their product or
-action.
+per-term validation in ``__init__``, a sort key, the text of one monomial,
+and their product or action.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -13,8 +13,8 @@ exponent and evaluated per exponent.
 
 Terms are stored in the order they were produced.  Dict equality ignores
 that order, so the canonical order is imposed only where text leaves the
-program: ``__str__``, ``__repr__`` and ``to_json_obj`` iterate
-``sorted_items()``.
+program: the one text writer ``TermMap.__repr__`` and the one JSON term
+writer ``TermMap._json_terms`` iterate ``sorted_items()``.
 """
 
 from __future__ import annotations
@@ -49,12 +49,23 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def power_text(name: str, exps) -> list:
+    """The factors ``name[i]^e`` of a multi-index (1-based), zero exponents
+    left out and an exponent of 1 not written."""
+    return [
+        f"{name}[{i}]" if e == 1 else f"{name}[{i}]^{e}"
+        for i, e in enumerate(exps, 1)
+        if e
+    ]
+
+
 class TermMap:
     """Immutable sparse map from monomials to nonzero exact coefficients.
 
     Subclasses provide ``_context()`` (the fields two operands must share,
-    also compared by ``==``) and ``_like(terms, other)`` (a new element in
-    the context of self, joined with that of ``other`` when given).
+    also compared by ``==``), ``_like(terms, other)`` (a new element in
+    the context of self, joined with that of ``other`` when given) and
+    ``_text(mono)`` (the text of one monomial, empty for the unit).
     """
 
     __slots__ = ("terms",)
@@ -87,9 +98,37 @@ class TermMap:
                 f"{self._context()} vs {other._context()}"
             )
 
+    def _text(self, mono) -> str:
+        raise NotImplementedError
+
     def sorted_items(self):
         """The (monomial, coefficient) pairs in canonical order."""
         return sorted(self.terms.items(), key=self._sort_key)
+
+    def __repr__(self) -> str:
+        """The terms in canonical order: the coefficient alone for the unit
+        monomial, the monomial bare for 1 and negated for -1, else
+        ``c*monomial``; ``str`` falls through to this."""
+        parts = []
+        for mono, c in self.sorted_items():
+            text = self._text(mono)
+            if not text:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(text)
+            elif c == -1:
+                parts.append(f"-{text}")
+            else:
+                parts.append(f"{c}*{text}")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+    def _json_terms(self, fields) -> list:
+        """The JSON term records in canonical order: the dict
+        ``fields(mono)`` followed by the exact coefficient as a string."""
+        return [
+            {**fields(mono), "coeff": str(Fraction(c))}
+            for mono, c in self.sorted_items()
+        ]
 
     def __add__(self, other):
         self._check_same(other)

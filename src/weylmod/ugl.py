@@ -11,7 +11,6 @@ are safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArgumentError, DomainError, StructureError
@@ -94,6 +93,16 @@ def pbw_product(m1, m2):
     return tuple(_normalize_seq(_seq_from_mono(m1) + _seq_from_mono(m2)).items())
 
 
+def pbw_text(mono) -> str:
+    """A PBW monomial as ``E[i,j]^e`` factors; empty for the unit."""
+    return "*".join(f"E[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono)
+
+
+def pbw_json(mono) -> list:
+    """A PBW monomial as its [i, j, e] factors."""
+    return [[i, j, e] for (i, j), e in mono]
+
+
 def _mono_sort(item):
     mono = item[0]
     return tuple((_gen_key(g), e) for g, e in mono)
@@ -158,37 +167,12 @@ class UglElement(TermMap):
             out = out * self
         return out
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_items():
-            factors = [
-                f"E[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono
-            ]
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+    _text = staticmethod(pbw_text)
 
     def to_json_obj(self):
         return {
             "rank": self.rank,
-            "terms": [
-                {
-                    "factors": [[i, j, e] for (i, j), e in mono],
-                    "coeff": str(Fraction(c)),
-                }
-                for mono, c in self.sorted_items()
-            ],
+            "terms": self._json_terms(lambda m: {"factors": pbw_json(m)}),
         }
 
 

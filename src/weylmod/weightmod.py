@@ -249,12 +249,8 @@ class PVector(TermMap):
     def _like(self, terms, other=None):
         return PVector(self.module, terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*t^{k}" for k, c in self.sorted_items()).replace(
-            "+ -", "- "
-        )
+    def _text(self, key):
+        return f"t^{key}"
 
 
 def weyl_act(a: WeylElement, v: PVector, allow_laurent: bool = False) -> PVector:
@@ -619,13 +615,9 @@ class FVector(TermMap):
     def weights(self):
         return sorted({self.weight_of(key, midx) for key, midx in self.terms})
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (key, midx), c in self.sorted_items():
-            parts.append(f"{c}*t^{key}(x){self.module_m.labels[midx]}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _text(self, mono):
+        key, midx = mono
+        return f"t^{key}(x){self.module_m.labels[midx]}"
 
 
 def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False):

@@ -10,13 +10,12 @@ operation allocates a fresh element, so sharing across threads is safe.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
 from .errors import DomainError, StructureError
 from .indices import binomial, falling, mi_zero
-from .terms import SCALARS, TermMap, accumulate
+from .terms import SCALARS, TermMap, accumulate, power_text
 
 
 def _d_on_t(gamma, beta):
@@ -183,43 +182,18 @@ class WeylElement(TermMap):
 
     # -- formatting ---------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (t_exp, d_exp), coeff in self.sorted_items():
-            factors = []
-            for i, b in enumerate(t_exp):
-                if b == 1:
-                    factors.append(f"t[{i + 1}]")
-                elif b != 0:
-                    factors.append(f"t[{i + 1}]^{b}")
-            for i, g in enumerate(d_exp):
-                if g == 1:
-                    factors.append(f"d[{i + 1}]")
-                elif g != 0:
-                    factors.append(f"d[{i + 1}]^{g}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+    @staticmethod
+    def _text(mono) -> str:
+        t_exp, d_exp = mono
+        return "*".join(power_text("t", t_exp) + power_text("d", d_exp))
 
     def to_json_obj(self):
         return {
             "rank": self.rank,
             "mode": self.mode,
-            "terms": [
-                {"tExp": list(te), "dExp": list(de), "coeff": str(Fraction(c))}
-                for (te, de), c in self.sorted_items()
-            ],
+            "terms": self._json_terms(
+                lambda m: {"tExp": list(m[0]), "dExp": list(m[1])}
+            ),
         }
 
 

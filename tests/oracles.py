@@ -407,14 +407,15 @@ class ClosureOracle:
         return None
 
 
-def closure(seeds, gens, box, engine, target_dims=None, stop_at_target=False, **_):
+def closure(seeds, gens, box, engine, target_dims=None, **_):
     """The closure as a plain breadth-first search, without saturation
     pruning or seed certificates: every queued vector meets every
     generator whose target lies in the box, through the engine's action
     matrices (which ``test_engine_columns_are_scaled_tensor_act_columns``
     checks against ``tensor_act``).  It takes the arguments of
-    ``structure.closure`` and ignores its private bound and certificates,
-    so it can stand in for it inside ``evidence_simplicity``."""
+    ``structure.closure``, stops as it does once ``target_dims`` is full,
+    and ignores its private bound and certificates, so it can stand in for
+    it inside ``evidence_simplicity``."""
     labels = engine.ambient.labels
     blocks = {w: IntRowBasis(len(labs)) for w, labs in labels.items()}
     queue = deque()
@@ -434,7 +435,7 @@ def closure(seeds, gens, box, engine, target_dims=None, stop_at_target=False, **
     for seed in seeds:
         for w, dense in engine.ambient.to_dense(seed).items():
             insert(w, dense)
-    while queue and not (stop_at_target and target_dims and deficit == 0):
+    while queue and not (target_dims and deficit == 0):
         w, vec = queue.popleft()
         for gi in range(len(engine.gens)):
             hit = engine.matrix(gi, w)

@@ -306,9 +306,11 @@ CLI_DATA = Path(__file__).parent / "data" / "cli"
 
 def test_cli_output_bytes(capsys):
     # de Rham, structure and act outputs over poly, twisted, Laurent and
-    # mixed modules, generated before the action table was shared
+    # mixed modules, generated before the action table was shared, and
+    # parse outputs of every value kind, generated before the element
+    # classes shared one text and JSON writer
     cases = json.loads((CLI_DATA / "commands.json").read_text())
-    assert len(cases) == 20
+    assert len(cases) == 29
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"], case["name"]

@@ -62,7 +62,6 @@ def test_every_memo_is_bounded():
         "weylmod.derham.pi_image",
         "weylmod.derham.pi_kernel",
         "weylmod.derham.partial_span",
-        "weylmod.derham._supported_keys",
         "weylmod.derham._wedge_sources",
         "weylmod.derham._derham_sources",
         "weylmod.structure._default_generators",
@@ -220,7 +219,6 @@ def test_memos_are_keyed_by_margin():
         lambda box: partial_span(_A3, box),
         lambda box: derham._window(_A3, wedge1, box),
         lambda box: structure._engine(_A3, wedge1, gens, box),
-        lambda box: derham._supported_keys(_A3, box),
         lambda box: derham._derham_sources(_A3, 1, box),
         lambda box: derham._wedge_sources(_A3, 2, box),
     ]

@@ -438,14 +438,12 @@ def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
     assert pruned.applications < plain.applications
     target = {w: len(engine.ambient.labels[w]) for w in _CUBE3.inner_keys()}
     basis = [s for s, _, b in calls if b is None]
-    first = closure(basis[0], gens, _CUBE3, engine=engine, target_dims=target,
-                    stop_at_target=True)
+    first = closure(basis[0], gens, _CUBE3, engine=engine, target_dims=target)
     assert first.reached_target
     ((w, dense),) = engine.ambient.to_dense(basis[0][0]).items()
     later = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target,
-                    stop_at_target=True, _certified={w: [dense]})
-    alone = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target,
-                    stop_at_target=True)
+                    _certified={w: [dense]})
+    alone = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target)
     assert later.reached_target and alone.reached_target
     assert later.applications < alone.applications
 
@@ -457,7 +455,7 @@ def test_certificate_stopped_report_reads_as_reached():
     seed = FVector.basis(_A2, engine.module_m, (2, 1), 0)
     # the seed is its own certificate: the closure stops before any move
     report = closure([seed], gens, _CUBE2, engine=engine, target_dims=target,
-                     stop_at_target=True, _certified={(2, 1): [[1]]})
+                     _certified={(2, 1): [[1]]})
     assert report.applications == 0 and report.total_dim() == 1
     assert report.reached_target is True
     assert report.first_unreached() is None
