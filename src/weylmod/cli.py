@@ -37,6 +37,7 @@ from .tensorop import TensorOperator, from_weyl, shen_iota
 from .ugl import UglElement
 from .vectorfields import VectorField, is_divergence_free
 from .weightmod import (
+    DEFAULT_SHIFT,
     WeightModuleP,
     make_hw_module,
     make_wedge_module,
@@ -107,46 +108,23 @@ def positive_int(text: str) -> int:
 
 
 def _run_one(task):
-    """One suite's check record.  A suite that crashes yields a failing
-    record naming the error, with the traceback on stderr; configuration
-    errors still propagate."""
+    """One suite's check record and its wall time in ms.  A suite that
+    crashes yields a failing record naming the error, with the traceback on
+    stderr; configuration errors still propagate."""
     name, kwargs = task
+    started = time.monotonic()
     try:
-        return SUITES[name](**kwargs)
+        rec = SUITES[name](**kwargs)
     except (ArgumentError, StructureError):
         raise
     except Exception as exc:
         traceback.print_exc()
-        return {"check": name, "error": f"{type(exc).__name__}: {exc}",
-                "pass": False}
+        rec = {"check": name, "error": f"{type(exc).__name__}: {exc}", "pass": False}
+    return rec, int((time.monotonic() - started) * 1000)
 
 
-def run_suite(tasks, jobs: int = 1, timings: bool = False):
-    """Execute (suite-name, kwargs) tasks and assemble the report.
-
-    A failing or crashing check never cancels its siblings; results keep
-    task order and the report is deterministic unless timings are
-    requested.  The pool never has more workers than tasks, since it may
-    start all of them at its first submit.
-    """
-    checks = []
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            started = time.monotonic()
-            results = list(pool.map(_run_one, tasks))
-            elapsed = time.monotonic() - started
-        for rec in results:
-            checks.append(rec)
-        if timings and checks:
-            checks[-1]["wallTimeTotalMs"] = int(elapsed * 1000)
-    else:
-        for task in tasks:
-            started = time.monotonic()
-            rec = _run_one(task)
-            if timings:
-                rec["wallTimeMs"] = int((time.monotonic() - started) * 1000)
-            checks.append(rec)
+def _report(checks):
+    """The report envelope of a list of check records."""
     passed = sum(1 for c in checks if c.get("pass"))
     return {
         "schema": SCHEMA,
@@ -158,6 +136,27 @@ def run_suite(tasks, jobs: int = 1, timings: bool = False):
         },
         "pass": passed == len(checks),
     }
+
+
+def run_suite(tasks, jobs: int = 1, timings: bool = False):
+    """Execute (suite-name, kwargs) tasks and assemble the report.
+
+    A failing or crashing check never cancels its siblings; results keep
+    task order and the report is deterministic unless timings are
+    requested, which give every check its ``wallTimeMs``.  The pool never
+    has more workers than tasks, since it may start all of them at its
+    first submit.
+    """
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_one, tasks))
+    else:
+        results = [_run_one(task) for task in tasks]
+    if timings:
+        for rec, ms in results:
+            rec["wallTimeMs"] = ms
+    return _report([rec for rec, _ in results])
 
 
 def emit(report, fmt: str) -> str:
@@ -192,14 +191,7 @@ def _finish(report, args) -> int:
 
 def _finish_one(check, args) -> int:
     """Emit a single check as a one-check report."""
-    passed = int(check["pass"])
-    report = {
-        "schema": SCHEMA,
-        "checks": [check],
-        "summary": {"total": 1, "passed": passed, "failed": 1 - passed},
-        "pass": check["pass"],
-    }
-    return _finish(report, args)
+    return _finish(_report([check]), args)
 
 
 # -- verify ------------------------------------------------------------------
@@ -444,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--margin", type=int, default=2)
     v.add_argument("--seed", type=int, default=None,
                    help="override SHENWEYL_SEED for sampled checks")
-    v.add_argument("--lambda", dest="lam", type=parse_rational, default="1/2",
+    v.add_argument("--lambda", dest="lam", type=parse_rational, default=DEFAULT_SHIFT,
                    help="shift for Laurent factors in the standard profiles")
     v.set_defaults(fn=cmd_verify)
 

@@ -375,10 +375,6 @@ def _classify(box, dims, ambient) -> str:
     return "full-in-inner-box" if full else "proper"
 
 
-def _subspace_target(subspace: GradedSubspace, box: TruncationBox):
-    return {w: subspace.dim_at(w) for w in box.inner_keys()}
-
-
 def evidence_simplicity(
     module_p: WeightModuleP,
     module_m: SLModule | None,
@@ -395,81 +391,87 @@ def evidence_simplicity(
     but weaker than simplicity: arbitrary-vector seeds are not enumerated,
     and the report says so.
 
-    A seed inside a known submodule (the Ln and deltaP seeds, the image
-    rows of F) is closed with that submodule as its bound, and a seed whose
-    closure reached the target certifies every later closure that comes to
-    contain it (see ``closure``).
+    Each ambient is read as (M, sub, mod): ``sub`` is the canonical
+    submodule (the ambient itself for Ln and deltaP, the de Rham image for
+    F over an exterior power below the top degree) and ``mod`` the kernel a
+    quotient is taken by.  Each inner weight is seeded by the echelon rows
+    of ``sub``, closed with ``sub`` as their bound, and, where the ambient
+    is the whole module, by the basis vectors outside ``mod`` that complete
+    them: the image rows are the seeds that expose non-simplicity, since
+    their closures stay inside the image.  A seed whose closure reached the
+    target certifies every later closure that comes to contain it (see
+    ``closure``).
     """
     n = module_p.rank
     if gens is None:
         gens = GeneratorSet.default(n)
-    bound = None
+    sub = mod = None
     if ambient == "F":
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
-        engine = _engine(module_p, module_m, gens, box)
-        target = {w: len(engine.ambient.labels[w]) for w in box.inner_keys()}
-        seeds, seed_tags, bound = _full_module_seeds(module_p, module_m, box, engine)
+        for k in range(n):
+            if module_m is make_wedge_module(n, k):
+                sub = partial_span(module_p, box) if k == 0 else pi_image(module_p, k, box)
+                break
     elif ambient == "Ln":
         if r is None:
             raise ArgumentError("ambient Ln needs r")
-        subspace = pi_image(module_p, r, box)
         module_m = make_wedge_module(n, r)
-        engine = _engine(module_p, module_m, gens, box)
-        target = _subspace_target(subspace, box)
-        seeds, seed_tags = _subspace_seeds(subspace, box)
-        bound = subspace
+        sub = pi_image(module_p, r, box)
     elif ambient == "deltaP":
-        subspace = partial_span(module_p, box)
         module_m = make_wedge_module(n, 0)
-        engine = _engine(module_p, module_m, gens, box)
-        target = _subspace_target(subspace, box)
-        seeds, seed_tags = _subspace_seeds(subspace, box)
-        bound = subspace
+        sub = partial_span(module_p, box)
     elif ambient == "quotient":
         if r is None:
             raise ArgumentError("ambient quotient needs r")
-        kernel = pi_kernel(module_p, r, box)
         module_m = make_wedge_module(n, r)
-        engine = _engine(module_p, module_m, gens, box, kernel)
-        target = {
-            w: len(kernel.labels[w]) - kernel.dim_at(w) for w in box.inner_keys()
-        }
-        seeds = []
-        seed_tags = []
-        for w in box.inner_keys():
-            block = kernel.blocks[w]
-            labels = kernel.labels[w]
-            for pos, (key, midx) in enumerate(labels):
-                dense = [0] * len(labels)
-                dense[pos] = 1
-                if any(block.reduce(dense)):
-                    seeds.append(FVector.basis(module_p, module_m, key, midx))
-                    seed_tags.append({"weight": list(w), "index": pos})
+        mod = pi_kernel(module_p, r, box)
     else:
         raise ArgumentError(f"unknown ambient kind {ambient!r}")
-
+    engine = _engine(module_p, module_m, gens, box, mod)
+    whole = ambient in ("F", "quotient")
+    inner = list(box.inner_keys())
+    target = {w: engine.capacity[w] if whole else sub.dim_at(w) for w in inner}
     if not any(target.values()):
         raise ArgumentError("ambient space is empty on the inner box")
+
+    seeds = []  # (seed, weight, index, bound)
+    for w in inner:
+        labels = engine.ambient.labels[w]
+        taken = RowBasis(len(labels))
+        if sub is not None:
+            # sub has the engine's window, so its echelon rows are
+            # coordinates over these labels
+            for pos, vec in enumerate(sub.basis_vectors(w)):
+                seeds.append((vec, w, pos, sub))
+            for row in sub.blocks[w].rows:
+                taken.insert(row)
+        if not whole:
+            continue
+        for pos, (key, midx) in enumerate(labels):
+            dense = [0] * len(labels)
+            dense[pos] = 1
+            if (mod is None or any(mod.blocks[w].reduce(dense))) and taken.insert(dense):
+                seeds.append((FVector.basis(module_p, module_m, key, midx), w, pos, None))
     results = []
     overall = True
     certified = {}  # weight -> seeds whose closures reached the target
-    for seed, tag in zip(seeds, seed_tags):
-        inside = ambient != "F" or tag["kind"] == "submodule-row"
+    for seed, w, pos, bound in seeds:
         report = closure(
             [seed], gens, box, engine=engine, target_dims=target,
-            _bound=bound if inside else None, _certified=certified,
+            _bound=bound, _certified=certified,
         )
         ok = bool(report.reached_target)
         overall = overall and ok
-        entry = dict(tag)
+        entry = {"weight": list(w), "index": pos}
+        if ambient == "F":
+            entry["kind"] = "basis" if bound is None else "submodule-row"
         entry["pass"] = ok
         if ok:
-            # every seed here lies in a single weight block
-            ((w, dense),) = engine.ambient.to_dense(seed).items()
-            dense = clear_denominators(dense)
-            if engine.mod is not None:
-                dense = engine.mod.blocks[w].reduce(dense)
+            # every seed lies in the one weight block w
+            dense = clear_denominators(engine.ambient.to_dense(seed)[w])
+            if mod is not None:
+                dense = mod.blocks[w].reduce(dense)
             certified.setdefault(w, []).append(dense)
         else:
             first = report.first_unreached()
@@ -496,115 +498,84 @@ def evidence_simplicity(
     }
 
 
-def _subspace_seeds(subspace: GradedSubspace, box: TruncationBox):
-    seeds = []
-    tags = []
-    for w in box.inner_keys():
-        for pos, vec in enumerate(subspace.basis_vectors(w)):
-            seeds.append(vec)
-            tags.append({"weight": list(w), "index": pos})
-    return seeds, tags
-
-
-def _full_module_seeds(module_p, module_m, box, engine):
-    """Seed basis for the full tensor module, adapted to the canonical
-    submodule when the finite factor is an exterior power, and that
-    submodule (None for other factors).
-
-    Each inner weight block is seeded by the de Rham image rows (these are
-    the seeds that expose non-simplicity: their closures stay inside the
-    image) completed to the full block by standard basis vectors.
-    """
-    n = module_p.rank
-    sub = None
-    for r in range(0, n):
-        if module_m is make_wedge_module(n, r):
-            sub = partial_span(module_p, box) if r == 0 else pi_image(module_p, r, box)
-            break
-    seeds = []
-    tags = []
-    for w in box.inner_keys():
-        labels = engine.ambient.labels[w]
-        taken = RowBasis(len(labels))
-        if sub is not None:
-            # sub has the same window, so its echelon rows are coordinates
-            # over these labels
-            for pos, vec in enumerate(sub.basis_vectors(w)):
-                seeds.append(vec)
-                tags.append({"weight": list(w), "index": pos, "kind": "submodule-row"})
-            for row in sub.blocks[w].rows:
-                taken.insert(row)
-        for pos, (key, midx) in enumerate(labels):
-            dense = [0] * len(labels)
-            dense[pos] = 1
-            if taken.insert(dense):
-                seeds.append(FVector.basis(module_p, module_m, key, midx))
-                tags.append({"weight": list(w), "index": pos, "kind": "basis"})
-    return seeds, tags, sub
-
-
 def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
     """Graded dimensions of the canonical chain inside F(P, wedge^r) and the
     identification of its nontrivial layers by graded dimension.
+
+    Each layer is (name, dims, trivial, candidate): ``candidate`` is a
+    dimension profile computed independently of the layer, which the layer
+    must match (None for a trivial layer).
     """
     n = module_p.rank
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     all_poly = all(f.kind == POLY for f in module_p.factors)
+    keys = list(box.keys())
+    supports = module_p.supports_key
+
+    def profile(rule):
+        return {w: int(rule(w)) for w in keys}
+
+    def less(a, b):
+        return {w: a[w] - b.get(w, 0) for w in keys}
+
+    def below(w):
+        return tuple(x - 1 for x in w)
+
+    def nonconstant(w):
+        return supports(w) and w != (0,) * n
+
     layers = []
-    if r == 0:
-        full = {
-            w: (1 if module_p.supports_key(w) else 0) for w in box.keys()
-        }
-        if all_poly:
-            # chain 0 < constants < P
-            const = {w: (1 if w == (0,) * n else 0) for w in box.keys()}
-            layers.append(_layer("constants", const, trivial=True))
-            layers.append(
-                _layer(
-                    "P/constants",
-                    {w: full[w] - const[w] for w in box.keys()},
-                    trivial=False,
-                )
-            )
-        else:
-            # chain 0 <= deltaP <= P with trivial quotient
-            delta = partial_span(module_p, box).dims()
-            layers.append(_layer("deltaP", delta, trivial=False))
-            gap = {w: full[w] - delta.get(w, 0) for w in box.keys()}
-            if any(gap.values()):
-                layers.append(_layer("P/deltaP", gap, trivial=True))
+    if r == 0 and not all_poly:
+        # chain 0 <= deltaP <= P with trivial quotient
+        delta = partial_span(module_p, box).dims()
+        layers.append(("deltaP", delta, False, profile(lambda w: _delta_dim(module_p, w))))
+        gap = less(profile(supports), delta)
+        if any(gap.values()):
+            layers.append(("P/deltaP", gap, True, None))
     else:
-        image = pi_image(module_p, r, box).dims()
         kernel_space = pi_kernel(module_p, r, box)
         kernel = kernel_space.dims()
-        full = {w: len(kernel_space.labels[w]) for w in box.keys()}
-        gap = {w: kernel[w] - image[w] for w in box.keys()}
-        quotient = {w: full[w] - kernel[w] for w in box.keys()}
-        # bottom layer
-        if r == 1:
-            name = "P/constants" if all_poly else "P (via de Rham)"
+        full = {w: len(kernel_space.labels[w]) for w in keys}
+        if r == 0:
+            # chain 0 < constants < P, the constants being the kernel of d
+            layers.append(("constants", kernel, True, None))
+            layers.append(("P/constants", less(full, kernel), False, profile(nonconstant)))
         else:
-            name = f"image({r})"
-        layers.append(_layer(name, image, trivial=False))
-        if any(gap.values()):
-            layers.append(_layer("kernel/image", gap, trivial=True))
-        # top layer F / kernel
-        if r < n - 1:
-            layers.append(_layer(f"image({r + 1})", quotient, trivial=False))
-        else:
-            shift = (1,) * n
-            if all_poly:
-                const = {
-                    w: (1 if w == shift else 0) for w in box.keys()
-                }
-                rest = {w: quotient[w] - const[w] for w in box.keys()}
-                layers.append(_layer("constants (shifted)", const, trivial=True))
-                layers.append(_layer("P/constants (shifted)", rest, trivial=False))
+            image = pi_image(module_p, r, box).dims()
+            # bottom layer, the image of degree r - 1
+            if r == 1 and all_poly:
+                layers.append(("P/constants", image, False, profile(nonconstant)))
+            elif r == 1:
+                layers.append(("P (via de Rham)", image, False, profile(supports)))
             else:
-                layers.append(_layer("deltaP (shifted)", quotient, trivial=False))
-    matches = _match_candidates(module_p, r, box, layers)
-    nontrivial = [l["name"] for l in layers if not l["trivial"] and any(l["dims"].values())]
+                # rank-nullity: the image of the degree r - 1 map is its
+                # source block less its kernel
+                source = pi_kernel(module_p, r - 1, box)
+                layers.append((f"image({r})", image, False, {
+                    w: len(source.labels[w]) - source.dim_at(w) for w in keys
+                }))
+            gap = less(kernel, image)
+            if any(gap.values()):
+                layers.append(("kernel/image", gap, True, None))
+            # top layer F / kernel
+            quotient = less(full, kernel)
+            if r < n - 1:
+                layers.append((f"image({r + 1})", quotient, False,
+                               pi_image(module_p, r + 1, box).dims()))
+            elif all_poly:
+                const = profile(lambda w: w == (1,) * n)
+                layers.append(("constants (shifted)", const, True, None))
+                layers.append(("P/constants (shifted)", less(quotient, const), False,
+                               profile(lambda w: nonconstant(below(w)))))
+            else:
+                layers.append(("deltaP (shifted)", quotient, False,
+                               profile(lambda w: _delta_dim(module_p, below(w)))))
+    matches = [
+        {"layer": name, "match": all(dims.get(w, 0) == cand.get(w, 0) for w in keys)}
+        for name, dims, _, cand in layers
+        if cand is not None
+    ]
     return {
         "check": "subquotient-inventory",
         "params": {
@@ -614,21 +585,19 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
         },
         "layers": [
             {
-                "name": l["name"],
-                "trivial": l["trivial"],
-                "dims": _dims_json(l["dims"]),
-                "totalDim": sum(l["dims"].values()),
+                "name": name,
+                "trivial": trivial,
+                "dims": _dims_json(dims),
+                "totalDim": sum(dims.values()),
             }
-            for l in layers
+            for name, dims, trivial, _ in layers
         ],
-        "nontrivial": sorted(set(nontrivial)),
+        "nontrivial": sorted(
+            {name for name, dims, trivial, _ in layers if not trivial and any(dims.values())}
+        ),
         "candidateMatches": matches,
         "pass": all(m["match"] for m in matches),
     }
-
-
-def _layer(name, dims, trivial):
-    return {"name": name, "dims": dims, "trivial": trivial}
 
 
 def _dims_json(dims):
@@ -645,60 +614,3 @@ def _delta_dim(module_p, w) -> int:
         module_p.supports_key(w)
         and any(f.kind != TWIST or k <= -2 for f, k in zip(module_p.factors, w))
     )
-
-
-def _match_candidates(module_p, r, box, layers):
-    """Cross-check every named nontrivial layer against an independently
-    computed candidate dimension profile."""
-    n = module_p.rank
-    out = []
-    for layer in layers:
-        name = layer["name"]
-        dims = layer["dims"]
-        candidate = None
-        if name == "P/constants":
-            candidate = {
-                w: (1 if module_p.supports_key(w) and w != (0,) * n else 0)
-                for w in box.keys()
-            }
-        elif name == "P (via de Rham)":
-            candidate = {
-                w: (1 if module_p.supports_key(w) else 0) for w in box.keys()
-            }
-        elif name == "deltaP":
-            candidate = {w: _delta_dim(module_p, w) for w in box.keys()}
-        elif name == f"image({r})":
-            # rank-nullity: the image of the degree r - 1 map is its source
-            # block less its kernel
-            kernel = pi_kernel(module_p, r - 1, box)
-            candidate = {
-                w: len(kernel.labels[w]) - kernel.dim_at(w) for w in box.keys()
-            }
-        elif name.startswith("image("):
-            rr = int(name[len("image("):-1])
-            candidate = pi_image(module_p, rr, box).dims()
-        elif name == "deltaP (shifted)":
-            candidate = {
-                w: _delta_dim(module_p, tuple(x - 1 for x in w)) for w in box.keys()
-            }
-        elif name == "P/constants (shifted)":
-            candidate = {
-                w: (
-                    1
-                    if module_p.supports_key(tuple(x - 1 for x in w))
-                    and w != (1,) * n
-                    else 0
-                )
-                for w in box.keys()
-            }
-        if candidate is None:
-            continue
-        out.append(
-            {
-                "layer": name,
-                "match": all(
-                    dims.get(w, 0) == candidate.get(w, 0) for w in box.keys()
-                ),
-            }
-        )
-    return out

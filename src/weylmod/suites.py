@@ -41,6 +41,7 @@ from .tensorop import (
 )
 from .vectorfields import monomial_field
 from .weightmod import (
+    DEFAULT_SHIFT,
     POLY,
     TWIST,
     Factor,
@@ -52,6 +53,8 @@ from .weightmod import (
 
 
 DEFAULT_SEED = 20240801
+# the failures a report lists at most
+MAX_FAILURES = 10
 
 
 def get_seed(seed=None) -> int:
@@ -89,7 +92,7 @@ def check_iota_hom(n: int, deg: int):
         "params": {"n": n, "deg": deg},
         "checked": checked,
         "residual_terms": residual_terms,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 
@@ -134,7 +137,7 @@ def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
         "checked": checked,
         "residual_terms": residual_terms,
         "polynomialWitnesses": membership_checked,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 
@@ -167,7 +170,7 @@ def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
     )
 
 
-def standard_profiles(n: int, shift=Fraction(1, 2)):
+def standard_profiles(n: int, shift=DEFAULT_SHIFT):
     """The three weight-module profiles used throughout the evidence suites."""
     return {
         "poly": WeightModuleP.polynomial(n),
@@ -227,13 +230,13 @@ def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
         "params": {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
         "cases": len(sub),
         "checked": sum(s["checked"] for s in sub),
-        "failures": [s for s in sub if not s["pass"]][:10],
+        "failures": [s for s in sub if not s["pass"]][:MAX_FAILURES],
         "pass": all(s["pass"] for s in sub),
     }
 
 
 def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
-              shift="1/2"):
+              shift=DEFAULT_SHIFT):
     """g = u on every p (x) v over the admissible alpha window."""
     return _check_lemma(
         "g-equals-u", verify_g_equals_u, n, delta_hi, key_radius, profiles, shift
@@ -241,7 +244,7 @@ def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
 
 
 def check_h_ln(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
-               shift="1/2"):
+               shift=DEFAULT_SHIFT):
     """h annihilates the de Rham image over the admissible alpha window."""
     return _check_lemma(
         "h-annihilates", verify_h_annihilates, n, delta_hi, key_radius, profiles, shift
@@ -258,7 +261,7 @@ def _random_fvector(rng, P, M, nterms=3, radius=3):
     return FVector(P, M, terms)
 
 
-def check_derham(n: int, count: int = 100, seed=None, shift="1/2"):
+def check_derham(n: int, count: int = 100, seed=None, shift=DEFAULT_SHIFT):
     """Composite maps vanish; kernels at degree zero match the factor
     profile; the maps intertwine the generator action."""
     rng = random.Random(get_seed(seed))
@@ -296,7 +299,7 @@ def check_derham(n: int, count: int = 100, seed=None, shift="1/2"):
         "check": "derham",
         "params": {"n": n, "count": count, "seed": get_seed(seed)},
         "checked": checked,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 
@@ -336,12 +339,12 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
         "check": "unique-submodule",
         "params": {"n": n, "box": side, "margin": margin, "maxDeg": max_deg},
         "checked": checked,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 
 
-def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift="1/2"):
+def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT):
     """Graded dimensions of the derivative span per profile, plus simplicity
     evidence for the twisted profile and the containment S_n p in deltaP."""
     failures = []
@@ -391,12 +394,12 @@ def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift="1/2"):
         "check": "delta-p",
         "params": {"n": n, "radius": radius, "margin": margin},
         "checked": checked,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 
 
-def check_bounded_multiplicity(n: int, radius: int = 2, shift="1/2"):
+def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
     """Weight multiplicities of F(P, wedge^r) stay below the binomial bound."""
     import math
 
@@ -421,7 +424,7 @@ def check_bounded_multiplicity(n: int, radius: int = 2, shift="1/2"):
         "check": "bounded-multiplicity",
         "params": {"n": n, "radius": radius},
         "checked": checked,
-        "failures": failures[:10],
+        "failures": failures[:MAX_FAILURES],
         "pass": not failures,
     }
 

@@ -30,6 +30,8 @@ from .weyl import WeylElement
 POLY = "poly"
 TWIST = "twist"
 LAURENT = "laurent"
+# the Laurent shift lambda of a factor that names none
+DEFAULT_SHIFT = Fraction(1, 2)
 
 
 class Factor:
@@ -41,7 +43,7 @@ class Factor:
         if kind not in (POLY, TWIST, LAURENT):
             raise ArgumentError(f"unknown factor kind {kind!r}")
         if kind == LAURENT:
-            shift = Fraction(shift if shift is not None else Fraction(1, 2))
+            shift = Fraction(shift if shift is not None else DEFAULT_SHIFT)
             if shift.denominator == 1:
                 raise StructureError("laurent shift must not be an integer")
         elif shift is not None:
@@ -116,7 +118,7 @@ class WeightModuleP:
         return cls([Factor(TWIST)] * n)
 
     @classmethod
-    def laurent(cls, n: int, shift=Fraction(1, 2)) -> WeightModuleP:
+    def laurent(cls, n: int, shift=DEFAULT_SHIFT) -> WeightModuleP:
         return cls([Factor(LAURENT, shift)] * n)
 
     def supports_key(self, key) -> bool:

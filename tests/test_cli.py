@@ -124,6 +124,19 @@ def test_parallel_jobs_match_serial(capsys):
     assert serial[1] == parallel[1]
 
 
+def test_timings_time_every_check_under_jobs(capsys):
+    # --timings adds an int wallTimeMs to every check, with or without a
+    # pool, and nothing else
+    serial = json.loads(run_cli(capsys, "verify", "all", "--n", "2", "--jobs", "1")[1])
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "2", "--jobs", "2",
+                           "--timings")
+    assert code == 0
+    timed = json.loads(out)
+    for check in timed["checks"]:
+        assert type(check.pop("wallTimeMs")) is int, check["check"]
+    assert timed == serial
+
+
 def test_flags_only_where_they_act(capsys):
     # --jobs and --timings belong to verify, --format to verify and
     # structure; any other command rejects them
@@ -308,9 +321,11 @@ def test_cli_output_bytes(capsys):
     # de Rham, structure and act outputs over poly, twisted, Laurent and
     # mixed modules, generated before the action table was shared, and
     # parse outputs of every value kind, generated before the element
-    # classes shared one text and JSON writer
+    # classes shared one text and JSON writer, and inventories and evidence
+    # in every ambient, generated before the layer table and the one
+    # ambient rule of the structure checks
     cases = json.loads((CLI_DATA / "commands.json").read_text())
-    assert len(cases) == 29
+    assert len(cases) == 38
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"], case["name"]

@@ -271,6 +271,25 @@ def test_evidence_simplicity_quotient_of_wedge1():
     assert report["pass"]
 
 
+def test_evidence_configuration_errors():
+    # every ambient names what it is missing, and an ambient that is empty
+    # on the inner box is refused rather than passed
+    A2 = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    cases = [
+        (A2, "F", box, None, "ambient F needs the finite-dimensional factor"),
+        (A2, "Ln", box, None, "ambient Ln needs r"),
+        (A2, "quotient", box, None, "ambient quotient needs r"),
+        (A2, "Fx", box, 1, "unknown ambient kind 'Fx'"),
+        (WeightModuleP.twisted(2), "deltaP", TruncationBox((-2, -2), (0, 0), margin=1),
+         None, "ambient space is empty on the inner box"),
+    ]
+    for P, ambient, box, r, message in cases:
+        with pytest.raises(ArgumentError) as info:
+            evidence_simplicity(P, None, ambient, box, r=r)
+        assert str(info.value) == message, ambient
+
+
 def test_inventory_A2_r0():
     A = WeightModuleP.polynomial(2)
     box = TruncationBox((0, 0), (4, 4))
@@ -350,6 +369,8 @@ def test_inventory_fails_on_a_corrupted_layer(monkeypatch):
          TruncationBox((0, 0, 0), (3, 3, 3)), "image(2)"),
         ("pi_image", WeightModuleP.twisted(3), 2,
          TruncationBox((-3, -3, -3), (0, 0, 0)), "image(2)"),
+        ("pi_kernel", WeightModuleP.polynomial(2), 0,
+         TruncationBox((0, 0), (4, 4)), "P/constants"),
     ]
     for name, P, r, box, layer in cases:
         assert subquotient_inventory(P, r, box)["pass"]
