@@ -21,7 +21,7 @@ from .derham import partial_span, pi, pi_image, pi_kernel
 from .exprparse import (
     ParseError,
     VectorLiteral,
-    _weyl_to_literal,
+    _coerce_literal,
     format_vector,
     parse_expr,
 )
@@ -182,6 +182,12 @@ def emit(report, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _print_json(obj) -> int:
+    """Print a command's JSON output under the report schema."""
+    print(emit({"schema": SCHEMA, **obj}, "json"))
+    return 0
+
+
 def _finish(report, args) -> int:
     print(emit(report, args.format))
     if "pass" in report:
@@ -197,11 +203,30 @@ def _finish_one(check, args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+def _suite_options(args):
+    """The keyword arguments each named suite reads from the command line,
+    besides the rank."""
+    lo, hi = parse_window(args.alpha_window or "-2..3")
+    lemma = {"delta_hi": args.delta_window, "key_radius": args.key_radius,
+             "shift": args.lam}
+    return {
+        "iota-hom": {"deg": 4 if args.deg is None else args.deg},
+        "eq-cubic": {"lo": lo, "hi": hi,
+                     "pairs": [(args.i, args.j)] if args.i and args.j else None},
+        "eq-quartic": {"lo": lo, "hi": hi, "i_list": [args.i] if args.i else None},
+        "g-u": lemma,
+        "h-ln": lemma,
+        "derham": {"count": args.count, "seed": args.seed, "shift": args.lam},
+        "unique-submodule": {"margin": args.margin},
+        "delta-p": {"margin": args.margin, "shift": args.lam},
+        "bounded": {"shift": args.lam},
+    }
+
+
 def cmd_verify(args) -> int:
     n = args.n
     if n < 2:
         raise ArgumentError("rank must be at least 2")
-    tasks = []
     if args.suite == "all":
         tasks = [
             ("iota-hom", {"n": n, "deg": 3 if args.deg is None else args.deg}),
@@ -215,39 +240,8 @@ def cmd_verify(args) -> int:
             tasks.insert(2, ("eq-quartic", {"n": n, "lo": -1, "hi": 2}))
             tasks.append(("g-u", {"n": n, "delta_hi": 1, "key_radius": 2}))
             tasks.append(("h-ln", {"n": n, "delta_hi": 1, "key_radius": 2}))
-    elif args.suite == "iota-hom":
-        tasks = [("iota-hom", {"n": n, "deg": 4 if args.deg is None else args.deg})]
-    elif args.suite in ("eq-cubic", "eq-quartic"):
-        lo, hi = parse_window(args.alpha_window or "-2..3")
-        kwargs = {"n": n, "lo": lo, "hi": hi}
-        if args.suite == "eq-cubic" and args.i and args.j:
-            kwargs["pairs"] = [(args.i, args.j)]
-        if args.suite == "eq-quartic" and args.i:
-            kwargs["i_list"] = [args.i]
-        tasks = [(args.suite, kwargs)]
-    elif args.suite in ("g-u", "h-ln"):
-        tasks = [
-            (
-                args.suite,
-                {
-                    "n": n,
-                    "delta_hi": args.delta_window,
-                    "key_radius": args.key_radius,
-                    "shift": args.lam,
-                },
-            )
-        ]
-    elif args.suite == "derham":
-        tasks = [("derham", {"n": n, "count": args.count, "seed": args.seed,
-                             "shift": args.lam})]
-    elif args.suite == "unique-submodule":
-        tasks = [("unique-submodule", {"n": n, "margin": args.margin})]
-    elif args.suite == "delta-p":
-        tasks = [("delta-p", {"n": n, "margin": args.margin, "shift": args.lam})]
-    elif args.suite == "bounded":
-        tasks = [("bounded", {"n": n, "shift": args.lam})]
     else:
-        raise ArgumentError(f"unknown suite {args.suite!r}")
+        tasks = [(args.suite, {"n": n, **_suite_options(args)[args.suite]})]
     report = run_suite(tasks, jobs=args.jobs, timings=args.timings)
     empty = [
         c["check"] for c in report["checks"] if "error" not in c and not c["checked"]
@@ -268,22 +262,25 @@ def _module_from_args(args) -> WeightModuleP:
     return parse_module_descriptor(args.P)
 
 
+def _read_vector(flag: str, text: str, n: int) -> VectorLiteral:
+    """The module vector that a flag's text names; scalars, Weyl
+    polynomials and wedge labels read as vectors too."""
+    value = parse_expr(text, n)
+    try:
+        return _coerce_literal(value, n)
+    except StructureError as exc:
+        raise ArgumentError(f"{flag} {text!r} is not a module vector: {exc}") from exc
+
+
 def cmd_derham(args) -> int:
     P = _module_from_args(args)
     n = P.rank
     if args.action == "pi":
         if not args.input:
             raise ArgumentError("pi needs --input")
-        value = parse_expr(args.input, n)
-        if isinstance(value, WeylElement):
-            value = _weyl_to_literal(value, n)
-        if not isinstance(value, VectorLiteral):
-            raise ArgumentError("--input must be a module vector")
-        vec = value.bind(P)
-        image = pi(vec, args.k)
-        print(json.dumps({"schema": SCHEMA, "input": str(value),
-                          "image": format_vector(image)}, indent=2, sort_keys=True))
-        return 0
+        value = _read_vector("--input", args.input, n)
+        image = pi(value.bind(P), args.k)
+        return _print_json({"input": str(value), "image": format_vector(image)})
     box = parse_box(args.box or "-3..3", n, args.margin)
     if args.action == "gen-ln":
         space = pi_image(P, args.r, box)
@@ -293,9 +290,7 @@ def cmd_derham(args) -> int:
         space = partial_span(P, box)
     else:
         raise ArgumentError(f"unknown derham action {args.action!r}")
-    obj = {"schema": SCHEMA, "space": space.to_json_obj()}
-    print(json.dumps(obj, indent=2, sort_keys=True))
-    return 0
+    return _print_json({"space": space.to_json_obj()})
 
 
 # -- structure ---------------------------------------------------------------
@@ -314,20 +309,10 @@ def cmd_structure(args) -> int:
         seeds = []
         module_m = None
         for text in args.seed:
-            value = parse_expr(text, n)
-            if isinstance(value, (int, Fraction)):
-                value = WeylElement.one(n) * value
-            if isinstance(value, WeylElement):
-                value = _weyl_to_literal(value, n)
-            if not isinstance(value, VectorLiteral):
-                raise ArgumentError(f"seed {text!r} is not a module vector")
-            vec = value.bind(P, module_m)
+            vec = _read_vector("--seed", text, n).bind(P, module_m)
             module_m = vec.module_m
             seeds.append(vec)
-        report = closure(seeds, gens, box)
-        obj = {"schema": SCHEMA, "closure": report.to_json_obj()}
-        print(json.dumps(obj, indent=2, sort_keys=True))
-        return 0
+        return _print_json({"closure": closure(seeds, gens, box).to_json_obj()})
     if args.action == "simplicity":
         gens = GeneratorSet.default(n, cap=args.gen_cap)
         module_m = parse_finite_module(args.M, n) if args.M else None
@@ -347,12 +332,7 @@ def cmd_act(args) -> int:
     P = _module_from_args(args)
     n = P.rank
     op_value = parse_expr(args.op, n)
-    vec_value = parse_expr(args.vector, n)
-    if isinstance(vec_value, WeylElement):
-        vec_value = _weyl_to_literal(vec_value, n)
-    if not isinstance(vec_value, VectorLiteral):
-        raise ArgumentError("--vector must be a module vector")
-    vec = vec_value.bind(P)
+    vec = _read_vector("--vector", args.vector, n).bind(P)
     if args.via_iota:
         if not isinstance(op_value, WeylElement):
             raise ArgumentError("--via-iota needs a vector-field expression")
@@ -369,14 +349,7 @@ def cmd_act(args) -> int:
     else:
         raise ArgumentError("--op must be an operator expression")
     out = tensor_act(op, vec, allow_laurent=args.allow_laurent)
-    print(
-        json.dumps(
-            {"schema": SCHEMA, "result": format_vector(out)},
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return 0
+    return _print_json({"result": format_vector(out)})
 
 
 def cmd_parse(args) -> int:
@@ -395,14 +368,7 @@ def cmd_parse(args) -> int:
         kind, text, obj = "module-vector", str(value), str(value)
     else:
         raise ArgumentError(f"unexpected value {type(value).__name__}")
-    print(
-        json.dumps(
-            {"schema": SCHEMA, "kind": kind, "canonical": text, "value": obj},
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return 0
+    return _print_json({"kind": kind, "canonical": text, "value": obj})
 
 
 # -- argument wiring ---------------------------------------------------------

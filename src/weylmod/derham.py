@@ -28,7 +28,6 @@ from .weightmod import (
     _action_table,
     _block_columns,
     _integer_rows,
-    _monomial_on_key,
     _row_image,
     _rows_on_terms,
     _scaled_monomial_on_key,
@@ -271,7 +270,9 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
 @lru_cache(maxsize=4)
 def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     """Span of the images of the plain derivative operators inside P;
-    frozen and memoised per (P, box)."""
+    frozen and memoised per (P, box).  Each weight block has one label, so
+    the integer multiple of an image that ``_scaled_monomial_on_key`` gives
+    spans it as well as the image does."""
     n = P.rank
     triv = wedge_module(n, 0)
     out = GradedSubspace(P, triv, box)
@@ -283,12 +284,9 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
             src = tuple(w[s] + (1 if s == l - 1 else 0) for s in range(n))
             if not P.supports_key(src):
                 continue
-            hit = _monomial_on_key(P, src, zero, mi_unit(l, n))
-            if hit is None:
-                continue
-            coeff, new_key = hit
-            if coeff != 0 and new_key == w:
-                out.insert(FVector(P, triv, {(w, 0): coeff}))
+            hit = _scaled_monomial_on_key(P, src, zero, mi_unit(l, n))
+            if hit is not None:
+                out.insert(FVector(P, triv, {(w, 0): hit[0]}))
     return out._freeze()
 
 

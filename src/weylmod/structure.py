@@ -80,8 +80,11 @@ class GeneratorSet:
         returned set as read-only.
 
         With cap = 1 every weight shift stays within 1 per coordinate, which
-        the default margin of 2 covers with room to spare.
+        the default margin of 2 covers with room to spare.  Every cap >= 0
+        keeps L_ij at alpha = 0; a cap below 0 leaves no nonzero field.
         """
+        if cap < 0:
+            raise ArgumentError(f"generator cap {cap} leaves no generator, use a cap >= 0")
         return _default_generators(n, cap)
 
 

@@ -1,14 +1,16 @@
 """Named verification checks shared by the command line and the test suite.
 
-Every check is a plain top-level function returning a JSON-ready dict with
-at least {"check", "params", "pass"}; failures carry enough context to
-reproduce.  Randomized checks draw from a seed (SHENWEYL_SEED or the given
-value), so identical configurations produce identical reports.
+Every check is a plain top-level function returning the JSON-ready record
+of ``_record``; a check passes only when it looked at something and nothing
+failed, and failures carry enough context to reproduce.  Randomized checks
+draw from a seed (SHENWEYL_SEED or the given value), so identical
+configurations produce identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -22,7 +24,13 @@ from .derham import (
 )
 from .errors import ArgumentError
 from .indices import TruncationBox, mi_sub, mi_unit
-from .structure import GeneratorSet, evidence_simplicity
+from .structure import (
+    ClosureEngine,
+    GeneratorSet,
+    _delta_dim,
+    closure,
+    evidence_simplicity,
+)
 from .tensorop import (
     CHECK_NODE,
     CUBIC_PREDICTION,
@@ -63,14 +71,24 @@ def get_seed(seed=None) -> int:
     return int(os.environ.get("SHENWEYL_SEED", DEFAULT_SEED))
 
 
+def _record(check, params, checked, failures, **extra):
+    """The report of one check: the first MAX_FAILURES failures, and a pass
+    only when something was checked and nothing failed.  ``extra`` adds
+    the check's own counters."""
+    return {
+        "check": check,
+        "params": params,
+        "checked": checked,
+        "failures": failures[:MAX_FAILURES],
+        "pass": checked > 0 and not failures,
+        **extra,
+    }
+
+
 def _monomial_fields(n: int, deg: int):
-    out = []
-    for exp in itertools.product(range(deg + 1), repeat=n):
-        if sum(exp) > deg:
-            continue
-        for i in range(1, n + 1):
-            out.append((exp, i))
-    return out
+    """(exponent, index) of every monomial field t^exp d_i of degree <= deg."""
+    exps = itertools.product(range(deg + 1), repeat=n)
+    return [(exp, i) for exp in exps if sum(exp) <= deg for i in range(1, n + 1)]
 
 
 def check_iota_hom(n: int, deg: int):
@@ -87,14 +105,8 @@ def check_iota_hom(n: int, deg: int):
         if not residual.is_zero():
             residual_terms += len(residual.terms)
             failures.append({"x": [list(a_exp), i], "y": [list(b_exp), j]})
-    return {
-        "check": "iota-hom",
-        "params": {"n": n, "deg": deg},
-        "checked": checked,
-        "residual_terms": residual_terms,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record("iota-hom", {"n": n, "deg": deg}, checked, failures,
+                   residual_terms=residual_terms)
 
 
 def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
@@ -131,15 +143,8 @@ def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
                 )
             if not ok:
                 failures.append({"alpha": list(alpha), **dict(zip("ij", args))})
-    return {
-        "check": check,
-        "params": {"n": n, "window": [lo, hi]},
-        "checked": checked,
-        "residual_terms": residual_terms,
-        "polynomialWitnesses": membership_checked,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record(check, {"n": n, "window": [lo, hi]}, checked, failures,
+                   residual_terms=residual_terms, polynomialWitnesses=membership_checked)
 
 
 def _lower_bound(n: int, i: int, j: int):
@@ -174,32 +179,23 @@ def standard_profiles(n: int, shift=DEFAULT_SHIFT):
     """The three weight-module profiles used throughout the evidence suites."""
     return {
         "poly": WeightModuleP.polynomial(n),
-        "laurent": WeightModuleP.laurent(n, shift),
+        "laurent": WeightModuleP.laurent(n, Fraction(shift)),
         "one-twist": WeightModuleP([Factor(TWIST)] + [Factor(POLY)] * (n - 1)),
     }
 
 
 def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
-    lower = []
-    upper = []
-    for f in P.factors:
-        if f.kind == POLY:
-            lower.append(0)
-            upper.append(radius)
-        elif f.kind == TWIST:
-            lower.append(-radius)
-            upper.append(-1)
-        else:
-            lower.append(-radius)
-            upper.append(radius)
-    return TruncationBox(tuple(lower), tuple(upper))
+    """The keys within radius that each line of P supports."""
+    bounds = {POLY: (0, radius), TWIST: (-radius, -1)}
+    lower, upper = zip(*(bounds.get(f.kind, (-radius, radius)) for f in P.factors))
+    return TruncationBox(lower, upper)
 
 
 def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
     """Run one operator lemma over every profile, degree, index and alpha in
     the admissible window."""
     if profiles is None:
-        profiles = standard_profiles(n, Fraction(shift))
+        profiles = standard_profiles(n, shift)
     sub = []
     for name, P in profiles.items():
         key_box = _profile_key_box(P, key_radius)
@@ -225,14 +221,11 @@ def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
                             "pass": report["pass"],
                         }
                     )
-    return {
-        "check": check,
-        "params": {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
-        "cases": len(sub),
-        "checked": sum(s["checked"] for s in sub),
-        "failures": [s for s in sub if not s["pass"]][:MAX_FAILURES],
-        "pass": all(s["pass"] for s in sub),
-    }
+    return _record(
+        check, {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
+        sum(s["checked"] for s in sub), [s for s in sub if not s["pass"]],
+        cases=len(sub),
+    )
 
 
 def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
@@ -267,7 +260,7 @@ def check_derham(n: int, count: int = 100, seed=None, shift=DEFAULT_SHIFT):
     rng = random.Random(get_seed(seed))
     failures = []
     checked = 0
-    profiles = standard_profiles(n, Fraction(shift))
+    profiles = standard_profiles(n, shift)
     for k in range(n - 1):
         M = make_wedge_module(n, k)
         for _ in range(count):
@@ -295,20 +288,13 @@ def check_derham(n: int, count: int = 100, seed=None, shift=DEFAULT_SHIFT):
                         failures.append(
                             {"kind": "equivariance", "k": k, "gen": g.name}
                         )
-    return {
-        "check": "derham",
-        "params": {"n": n, "count": count, "seed": get_seed(seed)},
-        "checked": checked,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record("derham", {"n": n, "count": count, "seed": get_seed(seed)},
+                   checked, failures)
 
 
 def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int = 3):
     """The polynomial module: constants close to a line, anything else fills
     the inner box."""
-    from .structure import ClosureEngine, closure
-
     A = WeightModuleP.polynomial(n)
     triv = make_wedge_module(n, 0)
     box = TruncationBox((0,) * n, (side,) * n, margin=margin)
@@ -335,45 +321,32 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
             failures.append(
                 {"seed": list(key), "firstUnreached": list(report.first_unreached())}
             )
-    return {
-        "check": "unique-submodule",
-        "params": {"n": n, "box": side, "margin": margin, "maxDeg": max_deg},
-        "checked": checked,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record("unique-submodule",
+                   {"n": n, "box": side, "margin": margin, "maxDeg": max_deg},
+                   checked, failures)
 
 
 def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT):
-    """Graded dimensions of the derivative span per profile, plus simplicity
-    evidence for the twisted profile and the containment S_n p in deltaP."""
-    failures = []
-    profiles = standard_profiles(n, Fraction(shift))
-    boxes = {
-        "poly": TruncationBox((0,) * n, (radius,) * n, margin=margin),
-        "laurent": TruncationBox((-radius // 2,) * n, (radius // 2,) * n, margin=margin),
-        "one-twist": None,
-    }
-    checked = 0
-    for name, P in profiles.items():
-        if name == "one-twist":
-            continue
-        box = boxes[name]
-        delta = partial_span(P, box)
-        for w in box.keys():
-            expected = 1 if P.supports_key(w) else 0
-            checked += 1
-            if delta.dim_at(w) != expected:
-                failures.append({"kind": "dims", "profile": name, "weight": list(w)})
+    """Graded dimensions of the derivative span per profile against their
+    closed form, plus simplicity evidence for the twisted profile and the
+    containment S_n p in deltaP."""
+    profiles = standard_profiles(n, shift)
     AF = WeightModuleP.twisted(n)
     tbox = TruncationBox((-radius,) * n, (-1,) * n, margin=margin)
-    delta = partial_span(AF, tbox)
-    corner = (-1,) * n
-    for w in tbox.keys():
-        expected = 0 if w == corner else 1
-        checked += 1
-        if delta.dim_at(w) != expected:
-            failures.append({"kind": "dims", "profile": "twist", "weight": list(w)})
+    spans = (
+        ("poly", profiles["poly"], TruncationBox((0,) * n, (radius,) * n, margin=margin)),
+        ("laurent", profiles["laurent"],
+         TruncationBox((-radius // 2,) * n, (radius // 2,) * n, margin=margin)),
+        ("twist", AF, tbox),
+    )
+    failures = []
+    checked = 0
+    for name, P, box in spans:
+        delta = partial_span(P, box)
+        for w in box.keys():
+            checked += 1
+            if delta.dim_at(w) != _delta_dim(P, w):
+                failures.append({"kind": "dims", "profile": name, "weight": list(w)})
     evidence = evidence_simplicity(AF, None, "deltaP", tbox)
     checked += len(evidence["seeds"])
     if not evidence["pass"]:
@@ -390,25 +363,18 @@ def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT)
             checked += 1
             if not out.is_zero() and not span.contains(out):
                 failures.append({"kind": "containment", "gen": g.name, "key": list(key)})
-    return {
-        "check": "delta-p",
-        "params": {"n": n, "radius": radius, "margin": margin},
-        "checked": checked,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record("delta-p", {"n": n, "radius": radius, "margin": margin},
+                   checked, failures)
 
 
 def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
     """Weight multiplicities of F(P, wedge^r) stay below the binomial bound."""
-    import math
-
     failures = []
     checked = 0
     for r in range(n + 1):
         M = make_wedge_module(n, r)
         bound = math.comb(n, r)
-        for name, P in standard_profiles(n, Fraction(shift)).items():
+        for name, P in standard_profiles(n, shift).items():
             for mu in itertools.product(range(-radius, radius + 1), repeat=n):
                 count = sum(
                     1
@@ -420,13 +386,7 @@ def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
                 checked += 1
                 if count > bound:
                     failures.append({"profile": name, "r": r, "mu": list(mu)})
-    return {
-        "check": "bounded-multiplicity",
-        "params": {"n": n, "radius": radius},
-        "checked": checked,
-        "failures": failures[:MAX_FAILURES],
-        "pass": not failures,
-    }
+    return _record("bounded-multiplicity", {"n": n, "radius": radius}, checked, failures)
 
 
 SUITES = {

@@ -210,24 +210,6 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     return num, tuple(out)
 
 
-def _monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
-    """Apply t^b d^g to the basis vector at key.  Returns (coeff, key) or None.
-
-    The coefficient is an int unless a Laurent line carries a derivative;
-    then it is a Fraction in lowest terms.
-    """
-    hit = _scaled_monomial_on_key(module, key, t_exp, d_exp)
-    if hit is None or module.integral:
-        return hit
-    den = 1
-    for (_, q, _), g in zip(module.lines, d_exp):
-        den *= q**g
-    if den == 1:
-        return hit
-    num, new_key = hit
-    return Fraction(num, den), new_key
-
-
 class PVector(TermMap):
     """Sparse vector in a weight module, keyed by integer offsets."""
 
@@ -267,15 +249,11 @@ def weyl_act(a: WeylElement, v: PVector, allow_laurent: bool = False) -> PVector
     if a.rank != v.module.rank:
         raise StructureError("rank mismatch")
 
-    def images():
-        for (t_exp, d_exp), c in a.terms.items():
-            for key, cv in v.terms.items():
-                hit = _monomial_on_key(v.module, key, t_exp, d_exp)
-                if hit is not None:
-                    coeff, new_key = hit
-                    yield new_key, c * cv * coeff
-
-    return PVector(v.module, accumulate({}, images()))
+    # P is F(P, M) with M one-dimensional: one m-index, acted on by 1
+    table = [[(t_exp, d_exp, {0: 1}, c) for (t_exp, d_exp), c in a.terms.items()]]
+    rows, den = _integer_rows(v.module, table)
+    out = _rows_on_terms(v.module, rows, den, {(key, 0): c for key, c in v.terms.items()})
+    return PVector(v.module, {key: c for (key, _), c in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ import pytest
 from weylmod import cli
 from weylmod.cli import main, parse_box, parse_window
 from weylmod.errors import ArgumentError
+from weylmod.suites import (
+    check_eq_cubic,
+    check_eq_quartic,
+    check_g_u,
+    check_h_ln,
+    check_iota_hom,
+)
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +81,38 @@ def test_config_error_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "iota-hom", "--n", "2", "--deg", "0")
     assert code == 0
     assert json.loads(out)["checks"][0]["params"]["deg"] == 0
+
+
+def test_empty_configurations_fail():
+    # a check that looked at nothing does not pass: no monomial field below
+    # degree 0, an empty alpha window, and no quartic index, no lemma degree
+    # r in 2..n-1 at n = 2
+    for report in (
+        check_iota_hom(2, -1),
+        check_eq_cubic(2, lo=2, hi=1),
+        check_eq_quartic(2),
+        check_g_u(2),
+        check_h_ln(2),
+    ):
+        assert report["checked"] == 0, report["check"]
+        assert report["pass"] is False, report["check"]
+
+
+def test_negative_gen_cap_exits_2(capsys):
+    # every cap >= 0 keeps L[i,j] at alpha = 0; a cap below 0 leaves no
+    # generator, a configuration error rather than a FAIL verdict
+    for argv in (
+        ["structure", "simplicity", "--P", "[poly,poly]", "--M", "hw:2",
+         "--box", "0..5", "--gen-cap", "-1"],
+        ["structure", "closure", "--P", "[poly,poly]", "--seed", "t[1]",
+         "--box", "0..5", "--gen-cap", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "cap -1" in err and "Traceback" not in err, argv
+    code, _, _ = run_cli(capsys, "structure", "closure", "--P", "[poly,poly]",
+                         "--seed", "t[1]", "--box", "0..5", "--gen-cap", "0")
+    assert code == 0
 
 
 def test_lemma_suite_with_an_empty_case_exits_2(capsys):
@@ -275,6 +314,31 @@ def test_act_command(capsys):
     assert json.loads(out)["result"] == "t[1]"
 
 
+def test_vector_flags_read_one_grammar(capsys):
+    # --input, --vector and --seed read the same module vectors, scalars
+    # included, and name the flag when the text is not one
+    code, out, _ = run_cli(capsys, "derham", "pi", "--P", "[poly,poly]", "--input", "3")
+    assert code == 0 and json.loads(out)["image"] == "0"
+    code, out, _ = run_cli(
+        capsys, "act", "--op", "t[1]", "--vector", "3", "--P", "[poly,poly]"
+    )
+    assert code == 0 and json.loads(out)["result"] == "3*t[1]"
+    code, out, _ = run_cli(
+        capsys, "structure", "closure", "--P", "[poly,poly]", "--seed", "3",
+        "--box", "0..5",
+    )
+    assert code == 0 and json.loads(out)["closure"]["dims"]
+    for flag, argv in (
+        ("--input", ["derham", "pi", "--P", "[poly,poly]", "--input", "E[1,2]"]),
+        ("--vector", ["act", "--op", "t[1]", "--vector", "E[1,2]", "--P", "[poly,poly]"]),
+        ("--seed", ["structure", "closure", "--P", "[poly,poly]", "--seed", "E[1,2]"]),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, flag
+        assert f"{flag} 'E[1,2]' is not a module vector: " in err, flag
+        assert "Traceback" not in err, flag
+
+
 def test_act_vector_with_derivative_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "act", "--op", "t[1]", "--vector", "t[1]*d[2]", "--P", "[poly,poly]",
@@ -323,9 +387,10 @@ def test_cli_output_bytes(capsys):
     # parse outputs of every value kind, generated before the element
     # classes shared one text and JSON writer, and inventories and evidence
     # in every ambient, generated before the layer table and the one
-    # ambient rule of the structure checks
+    # ambient rule of the structure checks, and one report per single-suite
+    # verify command, generated before the suites shared one check record
     cases = json.loads((CLI_DATA / "commands.json").read_text())
-    assert len(cases) == 38
+    assert len(cases) == 48
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"], case["name"]
