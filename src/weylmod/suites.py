@@ -86,9 +86,15 @@ def _record(check, params, checked, failures, **extra):
 
 
 def _monomial_fields(n: int, deg: int):
-    """(exponent, index) of every monomial field t^exp d_i of degree <= deg."""
+    """(exponent, index, field) of every monomial field t^exp d_i of degree
+    <= deg, each field built once."""
     exps = itertools.product(range(deg + 1), repeat=n)
-    return [(exp, i) for exp in exps if sum(exp) <= deg for i in range(1, n + 1)]
+    return [
+        (exp, i, monomial_field(exp, i))
+        for exp in exps
+        if sum(exp) <= deg
+        for i in range(1, n + 1)
+    ]
 
 
 def check_iota_hom(n: int, deg: int):
@@ -97,9 +103,7 @@ def check_iota_hom(n: int, deg: int):
     failures = []
     checked = 0
     residual_terms = 0
-    for (a_exp, i), (b_exp, j) in itertools.product(fields, repeat=2):
-        x = monomial_field(a_exp, i)
-        y = monomial_field(b_exp, j)
+    for (a_exp, i, x), (b_exp, j, y) in itertools.product(fields, repeat=2):
         checked += 1
         residual = iota_hom_residual(x, y)
         if not residual.is_zero():

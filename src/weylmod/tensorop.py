@@ -176,12 +176,58 @@ def shen_iota(x: VectorField) -> TensorOperator:
 
 
 def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
-    """iota([x, y]) - [iota(x), iota(y)]; zero by contract.  The commutator
-    terms are added to iota([x, y]) as they are produced, in the order
-    iota(y) iota(x) - iota(x) iota(y), which is minus the commutator."""
-    lhs = shen_iota(bracket(x, y))
-    terms = accumulate(dict(lhs.terms), _commutator_terms(shen_iota(y), shen_iota(x)))
-    return TensorOperator._from_kernel(lhs.rank, terms, lhs.laurent)
+    """iota([x, y]) - [iota(x), iota(y)]; zero by contract.
+
+    The residual is bilinear in (x, y), so it is the sum over the term
+    pairs (c1 t^a d_i, c2 t^b d_j) of c1 c2 times the template of (n, i, j)
+    evaluated at (a, b) (``_iota_template``).  Evaluation is a ring map, so
+    the sum is the residual of the direct computation, term by term.
+    Exponents must be ints.
+    """
+    if x.rank != y.rank:
+        raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
+    n = x.rank
+    left = _exponent_terms(x)
+    right = _exponent_terms(y)
+    terms = {}
+    for a, i, c1 in left:
+        for b, j, c2 in right:
+            base = c1 * c2
+            values = _evaluated(_iota_template(n, i, j), a + b, tuple(map(add, a, b)))
+            accumulate(terms, ((key, base * c) for key, c in values.items()))
+    return TensorOperator._from_kernel(n, terms, x.laurent or y.laurent)
+
+
+def _exponent_terms(x: VectorField):
+    """The (t exponent, i, coeff) of every term coeff t^a d_i of a field,
+    its exponents checked to be ints."""
+    out = []
+    for (t_exp, d_exp), coeff in x.element.terms.items():
+        check_integer_exponents(t_exp)
+        out.append((t_exp, d_exp.index(1) + 1, coeff))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _iota_template(n: int, i: int, j: int):
+    """The residual iota([x, y]) - [iota(x), iota(y)] of x = t^a d_i and
+    y = t^b d_j over symbolic exponents, built once by the library's own
+    kernels: ``bracket``, ``shen_iota`` and ``_commutator_terms`` on the
+    2n symbols (a, b) of ``terms.Poly``, with ``_d_on_t`` over a symbolic
+    beta.  The commutator terms are added to iota([x, y]) as they are
+    produced, in the order iota(y) iota(x) - iota(x) iota(y), which is
+    minus the commutator.  Returns ``_template`` of the residual over the
+    base a + b: zero rows when iota is a homomorphism.
+    """
+    symbols = Poly.symbols(2 * n)
+    a, b = symbols[:n], symbols[n:]
+    x = monomial_field(a, i, laurent=True)
+    y = monomial_field(b, j, laurent=True)
+    terms = accumulate(
+        dict(shen_iota(bracket(x, y)).terms),
+        _commutator_terms(shen_iota(y), shen_iota(x)),
+    )
+    return _template(terms, tuple(map(add, a, b)))
 
 
 def commutator(a: TensorOperator, b: TensorOperator) -> TensorOperator:
@@ -470,32 +516,14 @@ def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
     """A node product at alpha: the arguments get the checks of ``L_op`` on
     the left factor (a non-int m leaves a non-int entry in alpha - m e_i,
     since m * 0 keeps the type of m), then the template of
-    (kind, n, i, j, m) is evaluated at alpha.
-
-    Every template row is coeff * t^(alpha+offset) d^d_exp (x) pmono with
-    coeff a polynomial in alpha.  Distinct rows have distinct offsets or
-    distinct (d_exp, pmono), so they stay distinct at every alpha, and the
-    value is exact: the terms of the direct product, with the rows whose
-    coefficient vanishes at alpha dropped.
+    (kind, n, i, j, m) is evaluated at alpha (``_evaluated``): the terms of
+    the direct product, exactly.
     """
     alpha = tuple(alpha)
     n = len(alpha)
     shift = tuple(m * x for x in mi_unit(i, n))
     check_L_args(i, j, mi_sub(alpha, shift))
-    parts, rows = _node_template(kind, n, i, j, m)
-    values = []
-    for part in parts:
-        value = 0
-        for c, powers in part:
-            for s, e in powers:
-                c *= alpha[s] ** e
-            value += c
-        values.append(value)
-    terms = {}
-    for offset, d_exp, pmono, index, scale in rows:
-        c = values[index]
-        if c:
-            terms[((tuple(map(add, alpha, offset)), d_exp), pmono)] = scale * c
+    terms = _evaluated(_node_template(kind, n, i, j, m), alpha, alpha)
     return TensorOperator._from_kernel(n, terms, laurent=True)
 
 
@@ -507,13 +535,7 @@ def _node_template(kind: str, n: int, i: int, j: int, m: int):
     factor carries alpha, and ``_d_on_t`` reads only the right factor's t
     exponent, so the product is exact over the symbols.
 
-    Returns (parts, rows).  Each coefficient is split into an integer
-    scale times a primitive part (``_primitive``); parts lists the distinct
-    parts, so one evaluation serves every row that shares one.  A row is
-    (offset, d_exp, pmono, part index, scale), with t exponent
-    alpha + offset.  A t exponent of any other shape (an entry without its
-    symbol, or with a multiple of it) would let two rows meet at some
-    alpha, so it raises ``StructureError``.
+    Returns ``_template`` of the product over the base alpha.
     """
     symbols = Poly.symbols(n)
     shift = tuple(m * x for x in mi_unit(i, n))
@@ -523,15 +545,56 @@ def _node_template(kind: str, n: int, i: int, j: int, m: int):
     else:
         right = L_op(i, i + 1, shift, laurent=True)
     product = accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
+    return _template(product, symbols)
+
+
+def _template(product: dict, base):
+    """A collected term map over symbolic exponents as (parts, rows).
+
+    Every t exponent must be base + an integer offset, base being a tuple
+    of ``Poly`` sums of distinct symbols.  Each coefficient is split into
+    an integer scale times a primitive part (``_primitive``); parts lists
+    the distinct parts, so one evaluation serves every row that shares
+    one.  A row is (offset, d_exp, pmono, part index, scale).  A t
+    exponent of any other shape (an entry without its symbols, or with a
+    multiple of them) would let two rows meet at some point, so it raises
+    ``StructureError``.
+    """
     parts = {}
     rows = []
     for ((t_exp, d_exp), pmono), coeff in product.items():
-        offset = tuple(b - a for a, b in zip(symbols, t_exp))
+        offset = tuple(e - s for s, e in zip(base, t_exp))
         if any(type(c) is not int for c in offset):
-            raise StructureError(f"t exponent {t_exp} is not alpha plus an integer offset")
+            raise StructureError(f"t exponent {t_exp} is not {base} plus an integer offset")
         scale, part = _primitive(coeff)
         rows.append((offset, d_exp, pmono, parts.setdefault(part, len(parts)), scale))
     return tuple(parts), tuple(rows)
+
+
+def _evaluated(template, point, base) -> dict:
+    """The term map of a ``_template`` with the symbols set to the ints of
+    point and the base to base; rows whose coefficient vanishes there are
+    left out.
+
+    Distinct rows have distinct offsets or distinct (d_exp, pmono), so
+    they stay distinct at every point, and the terms are exactly those of
+    the same kernels run on the integer exponents.
+    """
+    parts, rows = template
+    values = []
+    for part in parts:
+        value = 0
+        for c, powers in part:
+            for s, e in powers:
+                c *= point[s] ** e
+            value += c
+        values.append(value)
+    terms = {}
+    for offset, d_exp, pmono, index, scale in rows:
+        c = values[index]
+        if c:
+            terms[((tuple(map(add, base, offset)), d_exp), pmono)] = scale * c
+    return terms
 
 
 def _primitive(coeff):

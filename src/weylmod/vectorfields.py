@@ -202,8 +202,3 @@ def monomial_field(t_exp, i: int, coeff=1, laurent=None) -> VectorField:
     return VectorField(
         WeylElement.monomial(t_exp, mi_unit(i, n), coeff, laurent)
     )
-
-
-def commutator_in_weyl(x: VectorField, y: VectorField) -> WeylElement:
-    """x*y - y*x computed by Weyl normal ordering (cross-check for bracket)."""
-    return x.element * y.element - y.element * x.element

@@ -15,7 +15,7 @@ from operator import add, sub
 
 from .errors import DomainError, StructureError
 from .indices import binomial, falling, mi_zero
-from .terms import SCALARS, TermMap, accumulate, power_text
+from .terms import SCALARS, Poly, TermMap, accumulate, power_text
 
 
 def _d_on_t(gamma, beta):
@@ -26,7 +26,10 @@ def _d_on_t(gamma, beta):
         d^gamma t^beta = sum coeff * t^(beta-k) d^(gamma-k).
 
     The first pair is always (1, 0).  gamma = 0 is the identity; every
-    other pair is read from a table built once per (gamma, beta).
+    other pair is read from a table built once per (gamma, beta).  Entries
+    of beta may be ``terms.Poly`` symbols: the coefficients are then
+    polynomials in them, exact at every integer value (see
+    ``_coord_choices``).
     """
     if not any(gamma):
         return ((1, gamma),)
@@ -53,8 +56,10 @@ def _normal_order_table(gamma, beta):
 @lru_cache(maxsize=512)
 def _coord_choices(g, b):
     """The (k, binomial(g, k) * falling(b, k)) pairs of d^g t^b in one
-    coordinate, zeros left out."""
-    top = g if b < 0 else min(g, b)
+    coordinate, zeros left out.  A ``Poly`` b keeps every k <= g: its
+    falling factorial is a nonzero polynomial, which vanishes at an integer
+    exactly where an int b leaves k out (0 <= b < k)."""
+    top = g if isinstance(b, Poly) or b < 0 else min(g, b)
     choices = ((k, binomial(g, k) * falling(b, k)) for k in range(top + 1))
     return tuple((k, c) for k, c in choices if c != 0)
 

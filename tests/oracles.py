@@ -187,6 +187,12 @@ def bracket(x, y):
     return VectorField(WeylElement(n, terms, laurent))
 
 
+def commutator_in_weyl(x, y):
+    """x*y - y*x computed by Weyl normal ordering, in which the
+    second-order terms of the two products cancel."""
+    return x.element * y.element - y.element * x.element
+
+
 def _derivative(f, j):
     """d/dt_j of a (Laurent) polynomial, 0-based j."""
     terms = {}

@@ -67,6 +67,7 @@ def test_every_memo_is_bounded():
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
         "weylmod.tensorop._node_template",
+        "weylmod.tensorop._iota_template",
         IDENTITY_MEMO,
     ):
         assert name in memos, name

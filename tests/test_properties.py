@@ -2,6 +2,7 @@
 kernels against the Fraction oracles they replaced, and the laws the
 algebra obeys on random multi-term, Laurent and rational inputs."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from weylmod.tensorop import (
     _combine,
     _scaled,
     commutator,
+    from_weyl,
     interpolate_coefficients,
     iota_hom_residual,
     node_combination,
@@ -25,7 +27,7 @@ from weylmod.tensorop import (
     tensor,
 )
 from weylmod.ugl import E, UglElement
-from weylmod.vectorfields import bracket, commutator_in_weyl, monomial_field
+from weylmod.vectorfields import bracket, monomial_field
 from weylmod.weightmod import (
     Factor,
     FVector,
@@ -112,7 +114,7 @@ def valued_nodes(draw):
 def test_bracket_matches_commutator_and_componentwise_oracle(pair):
     x, y = pair
     out = bracket(x, y)
-    assert out.element == commutator_in_weyl(x, y)
+    assert out.element == oracles.commutator_in_weyl(x, y)
     expected = oracles.bracket(x, y)
     assert out == expected
     assert out.laurent == expected.laurent == (x.laurent or y.laurent)
@@ -186,6 +188,25 @@ def _doubled_bracket(x, y):
     return bracket(x, y) * 2
 
 
+def _doubled_iota_terms(x):
+    """shen_iota with every E_si coefficient a_s doubled."""
+    return 2 * shen_iota(x) - from_weyl(x.element)
+
+
+@contextmanager
+def _wrong_kernel(name, wrong):
+    """``tensorop.<name>`` replaced by wrong.  The iota templates are built
+    by that kernel, so the memo is cleared inside the patch and again
+    before it is lifted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensorop, name, wrong)
+        tensorop._iota_template.cache_clear()
+        try:
+            yield
+        finally:
+            tensorop._iota_template.cache_clear()
+
+
 @PROPERTY
 @given(field_pairs())
 def test_iota_hom_residual_matches_two_product_oracle(pair):
@@ -193,23 +214,36 @@ def test_iota_hom_residual_matches_two_product_oracle(pair):
     assert iota_hom_residual(x, y) == oracles.iota_hom_residual(x, y)
     # a wrong bracket leaves iota(2[x, y]) - [iota x, iota y] = iota([x, y]),
     # which both paths must report, and which is zero only with [x, y]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tensorop, "bracket", _doubled_bracket)
+    with _wrong_kernel("bracket", _doubled_bracket):
         wrong = iota_hom_residual(x, y)
         assert wrong == oracles.iota_hom_residual(x, y)
     assert wrong == shen_iota(bracket(x, y))
     assert wrong.is_zero() == bracket(x, y).is_zero()
+    with _wrong_kernel("shen_iota", _doubled_iota_terms):
+        assert iota_hom_residual(x, y) == oracles.iota_hom_residual(x, y)
 
 
-def test_wrong_bracket_fails_the_iota_hom_check(monkeypatch):
+def test_wrong_bracket_fails_the_iota_hom_check():
     x = monomial_field((0, 0), 1)
     y = monomial_field((1, 0), 2)
     assert iota_hom_residual(x, y).is_zero()
-    monkeypatch.setattr(tensorop, "bracket", _doubled_bracket)
-    wrong = iota_hom_residual(x, y)
-    assert not wrong.is_zero()
-    assert wrong == oracles.iota_hom_residual(x, y)
+    with _wrong_kernel("bracket", _doubled_bracket):
+        wrong = iota_hom_residual(x, y)
+        assert not wrong.is_zero()
+        assert wrong == oracles.iota_hom_residual(x, y)
     assert wrong == shen_iota(monomial_field((0, 0), 2))
+    assert iota_hom_residual(x, y).is_zero()
+
+
+def test_wrong_iota_coefficient_fails_the_iota_hom_check():
+    x = monomial_field((2, 0), 1)
+    y = monomial_field((0, 1), 1, Fraction(3, 2))
+    assert iota_hom_residual(x, y).is_zero()
+    with _wrong_kernel("shen_iota", _doubled_iota_terms):
+        wrong = iota_hom_residual(x, y)
+        assert not wrong.is_zero()
+        assert wrong == oracles.iota_hom_residual(x, y)
+    assert iota_hom_residual(x, y).is_zero()
 
 
 @PROPERTY

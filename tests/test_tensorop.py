@@ -103,6 +103,80 @@ def test_iota_hom_window():
             assert iota_hom_residual(x, y).is_zero()
 
 
+# iota_hom_residual reads one template per (n, i, j) over symbolic
+# exponents; the two-product residual of the oracles is the reference
+def _monomial_grid(n, exps, laurent):
+    return [
+        monomial_field(exp, i, laurent=laurent)
+        for exp in itertools.product(exps, repeat=n)
+        if laurent or sum(exp) <= 3
+        for i in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, exps, laurent",
+    [
+        (2, range(-2, 4), True),
+        (2, range(4), False),
+        (3, range(4), False),
+        # the oracle costs about 0.2 ms a pair, so the n = 3 Laurent grid
+        # is [-1, 1]^3 (6,561 pairs) and not [-2, 3]^3 (420k pairs)
+        (3, range(-1, 2), True),
+    ],
+)
+def test_iota_template_matches_the_two_product_residual(n, exps, laurent):
+    fields = _monomial_grid(n, exps, laurent)
+    for x, y in itertools.product(fields, repeat=2):
+        got = iota_hom_residual(x, y)
+        assert got == oracles.iota_hom_residual(x, y), (x, y)
+        assert got.laurent == laurent
+
+
+def test_iota_template_on_sums_the_zero_field_and_mixed_modes():
+    n = 3
+    x = monomial_field((1, 0, 2), 1, Fraction(2, 3)) + monomial_field(
+        (0, 3, 0), 2, Fraction(-5, 4)
+    )
+    y = monomial_field((-1, 2, 0), 3, Fraction(1, 2), laurent=True) + monomial_field(
+        (0, 0, -2), 1, 7, laurent=True
+    )
+    zero = VectorField(WeylElement.zero(n))
+    for a, b in [(x, y), (y, x), (x, x), (y, y), (x, zero), (zero, y), (zero, zero)]:
+        got = iota_hom_residual(a, b)
+        assert got == oracles.iota_hom_residual(a, b)
+        assert got.is_zero()
+        assert got.laurent == (a.laurent or b.laurent)
+
+
+def test_iota_hom_residual_refuses_non_int_exponents():
+    half = monomial_field((Fraction(1, 2), 0), 1, laurent=True)
+    y = monomial_field((0, 1), 1, laurent=True)
+    message = r"exponent Fraction\(1, 2\) in \(Fraction\(1, 2\), 0\) is not an integer"
+    for args in ((half, y), (y, half), (half + y, y)):
+        with pytest.raises(ArgumentError, match=message):
+            iota_hom_residual(*args)
+    with pytest.raises(StructureError, match="rank mismatch: 2 vs 3"):
+        iota_hom_residual(y, monomial_field((0, 0, 1), 1))
+
+
+def test_iota_template_rows_are_a_plus_b_plus_an_offset(monkeypatch):
+    # a bracket whose t exponent is 2a would let two rows meet at a = 0, so
+    # the template refuses to compile it
+    def doubled_exponent(x, y):
+        ((t_exp, d_exp),) = x.element.terms
+        return monomial_field(tuple(2 * e for e in t_exp), d_exp.index(1) + 1, laurent=True)
+
+    x = monomial_field((0, 1), 1)
+    tensorop._iota_template.cache_clear()
+    monkeypatch.setattr(tensorop, "bracket", doubled_exponent)
+    with pytest.raises(StructureError, match="integer offset"):
+        iota_hom_residual(x, x)
+    monkeypatch.undo()
+    tensorop._iota_template.cache_clear()
+    assert iota_hom_residual(x, x).is_zero()
+
+
 def test_iota_expanded_display():
     # the closed four-term expansion of iota(L_ij^alpha)
     for n in (2, 3):
@@ -522,9 +596,16 @@ def test_templates_are_built_on_first_use_only():
     code = (
         "import weylmod\n"
         "from weylmod import tensorop\n"
+        "from weylmod.vectorfields import monomial_field\n"
         "assert tensorop._node_template.cache_info().currsize == 0\n"
         "tensorop.cubic_m_product((0, 1), 1, 2, 3)\n"
         "assert tensorop._node_template.cache_info().currsize == 1\n"
+        "assert tensorop._iota_template.cache_info().currsize == 0\n"
+        "x, y = monomial_field((1, 0), 1), monomial_field((0, 2), 2)\n"
+        "assert tensorop.iota_hom_residual(x, y).is_zero()\n"
+        "assert tensorop._iota_template.cache_info().currsize == 1\n"
+        "tensorop.iota_hom_residual(y, x + y)\n"
+        "assert tensorop._iota_template.cache_info().currsize == 3\n"
     )
     src = str(Path(tensorop.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})

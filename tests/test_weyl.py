@@ -9,6 +9,7 @@ import pytest
 import oracles
 from weylmod import weyl
 from weylmod.errors import DomainError, StructureError
+from weylmod.terms import Poly
 from weylmod.weyl import WeylElement, d, fourier, t
 
 
@@ -147,6 +148,40 @@ def test_normal_order_table_matches_rewriting():
             gamma = tuple(rng.randint(0, 3) for _ in range(n))
             beta = tuple(rng.randint(-3, 4) for _ in range(n))
             _check_table(gamma, beta)
+
+
+def _at(coeff, point):
+    """A coefficient with the symbols of a ``Poly`` set to the ints of
+    point (a scalar is its own value)."""
+    if not isinstance(coeff, Poly):
+        return coeff
+    total = 0
+    for exps, c in coeff.terms.items():
+        for x, e in zip(point, exps):
+            c *= x**e
+        total += c
+    return total
+
+
+def test_symbolic_normal_order_table_evaluates_to_the_int_table():
+    # d^gamma t^beta over a symbolic beta (one symbol per coordinate, then
+    # a symbol beside an int coordinate), at every int beta in [-4,4]^n:
+    # the rows whose coefficient vanishes there are the pairs the int
+    # table leaves out
+    for n in (1, 2):
+        symbols = Poly.symbols(n)
+        for gamma in itertools.product(range(4), repeat=n):
+            symbolic = weyl._d_on_t(gamma, symbols)
+            assert symbolic[0] == (1, (0,) * n)
+            for beta in itertools.product(range(-4, 5), repeat=n):
+                values = [(_at(c, beta), k) for c, k in symbolic]
+                assert tuple(p for p in values if p[0]) == weyl._d_on_t(gamma, beta)
+    a = Poly.symbols(1)[0]
+    for g, b in itertools.product(range(4), range(-4, 5)):
+        mixed = weyl._d_on_t((g, 2), (a, b))
+        for x in range(-4, 5):
+            values = [(_at(c, (x,)), k) for c, k in mixed]
+            assert tuple(p for p in values if p[0]) == weyl._d_on_t((g, 2), (x, b))
 
 
 def test_normal_order_caches_are_bounded():
