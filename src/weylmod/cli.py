@@ -33,15 +33,16 @@ from .structure import (
     subquotient_inventory,
 )
 from .suites import SUITES
-from .tensorop import TensorOperator, from_weyl, shen_iota
+from .tensorop import TensorOperator, from_weyl
 from .ugl import UglElement
-from .vectorfields import VectorField, is_divergence_free
+from .vectorfields import VectorField
 from .weightmod import (
     DEFAULT_SHIFT,
     WeightModuleP,
     make_hw_module,
     make_wedge_module,
     parse_module_descriptor,
+    sn_act,
     tensor_act,
 )
 from .weyl import WeylElement
@@ -336,11 +337,8 @@ def cmd_act(args) -> int:
     if args.via_iota:
         if not isinstance(op_value, WeylElement):
             raise ArgumentError("--via-iota needs a vector-field expression")
-        field = VectorField(op_value)
-        if not is_divergence_free(field):
-            raise ArgumentError("--via-iota needs a divergence-free field")
-        op = shen_iota(field)
-    elif isinstance(op_value, WeylElement):
+        return _print_json({"result": format_vector(sn_act(VectorField(op_value), vec))})
+    if isinstance(op_value, WeylElement):
         op = from_weyl(op_value)
     elif isinstance(op_value, TensorOperator):
         op = op_value

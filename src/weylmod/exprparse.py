@@ -122,10 +122,12 @@ class VectorLiteral(TermMap):
         return FVector(module_p, module_m, terms)
 
     def _text(self, mono) -> str:
+        # the unit key is empty text, so a constant prints as its
+        # coefficient; beside a wedge label it stays 1, as in 1 (x) e[1]
         key, wedge = mono
-        body = "*".join(power_text("t", key)) or "1"
+        body = "*".join(power_text("t", key))
         if wedge:
-            body += " (x) " + "^".join(f"e[{x}]" for x in wedge)
+            body = f"{body or 1} (x) " + "^".join(f"e[{x}]" for x in wedge)
         return body
 
 

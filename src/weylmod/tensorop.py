@@ -20,7 +20,7 @@ from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_units,
 from .terms import SCALARS, Poly, TermMap, accumulate
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import L_op, VectorField, _L_terms, bracket, check_L_args, monomial_field
-from .weyl import WeylElement, _d_on_t
+from .weyl import WeylElement, _d_on_t, _monomial_product
 
 
 class TensorOperator(TermMap):
@@ -122,16 +122,13 @@ class TensorOperator(TermMap):
 
 def _product_terms(a: TensorOperator, b: TensorOperator):
     """The (monomial, coeff) pairs of a * b before collection: the Weyl
-    factors normal-order through _d_on_t, the PBW factors through
-    pbw_product."""
+    factors normal-order through ``weyl._monomial_product``, the PBW
+    factors through pbw_product."""
     for ((b1, g1), p1), c1 in a.terms.items():
         for ((b2, g2), p2), c2 in b.terms.items():
             base = c1 * c2
             pbw = pbw_product(p1, p2)
-            t_sum = tuple(map(add, b1, b2))
-            d_sum = tuple(map(add, g1, g2))
-            for wcoeff, k in _d_on_t(g1, b2):
-                wmono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
+            for wmono, wcoeff in _monomial_product(b1, g1, b2, g2):
                 wbase = base * wcoeff
                 for pmono, pcoeff in pbw:
                     yield (wmono, pmono), wbase * pcoeff
@@ -210,70 +207,21 @@ def _exponent_terms(x: VectorField):
 
 @lru_cache(maxsize=256)
 def _iota_template(n: int, i: int, j: int):
-    """The residual iota([x, y]) - [iota(x), iota(y)] of x = t^a d_i and
-    y = t^b d_j over symbolic exponents, built once by the library's own
-    kernels: ``bracket``, ``shen_iota`` and ``_commutator_terms`` on the
-    2n symbols (a, b) of ``terms.Poly``, with ``_d_on_t`` over a symbolic
-    beta.  The commutator terms are added to iota([x, y]) as they are
-    produced, in the order iota(y) iota(x) - iota(x) iota(y), which is
-    minus the commutator.  Returns ``_template`` of the residual over the
-    base a + b: zero rows when iota is a homomorphism.
+    """The residual iota([x, y]) + iota(y) iota(x) - iota(x) iota(y) of
+    x = t^a d_i and y = t^b d_j over symbolic exponents, built once by the
+    library's own kernels: ``bracket``, ``shen_iota`` and ``_product_terms``
+    in both orders, on the 2n symbols (a, b) of ``terms.Poly``, with
+    ``_d_on_t`` over a symbolic beta.  Returns ``_template`` of the
+    residual over the base a + b: zero rows when iota is a homomorphism.
     """
     symbols = Poly.symbols(2 * n)
     a, b = symbols[:n], symbols[n:]
     x = monomial_field(a, i, laurent=True)
     y = monomial_field(b, j, laurent=True)
-    terms = accumulate(
-        dict(shen_iota(bracket(x, y)).terms),
-        _commutator_terms(shen_iota(y), shen_iota(x)),
-    )
+    ix, iy = shen_iota(x), shen_iota(y)
+    terms = accumulate(dict(shen_iota(bracket(x, y)).terms), _product_terms(iy, ix))
+    accumulate(terms, ((mono, -c) for mono, c in _product_terms(ix, iy)))
     return _template(terms, tuple(map(add, a, b)))
-
-
-def commutator(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    """a * b - b * a in one pass over the term pairs."""
-    a._check_same(b)
-    return a._like(accumulate({}, _commutator_terms(a, b)), b)
-
-
-def _commutator_terms(a: TensorOperator, b: TensorOperator):
-    """The (monomial, coeff) pairs of a * b - b * a before collection.
-
-    The k = 0 terms of d^g1 t^b2 and d^g2 t^b1 both give the monomial
-    t^(b1+b2) d^(g1+g2), so they enter once, with the PBW commutator
-    p1 p2 - p2 p1, and not at all when that vanishes (for instance when
-    either PBW part is 1).  Only the k != 0 terms of the two orders are
-    emitted apart, with the PBW products of their own order.
-    """
-    right = [(b2, g2, p2, c2, any(g2)) for ((b2, g2), p2), c2 in b.terms.items()]
-    for ((b1, g1), p1), c1 in a.terms.items():
-        lowers = any(g1)
-        for b2, g2, p2, c2, lowers2 in right:
-            base = c1 * c2
-            t_sum = tuple(map(add, b1, b2))
-            d_sum = tuple(map(add, g1, g2))
-            if p1 and p2:
-                ab, ba = pbw_product(p1, p2), pbw_product(p2, p1)
-                if ab != ba:
-                    pbw = accumulate(dict(ab), ((m, -c) for m, c in ba))
-                    for pmono, pcoeff in pbw.items():
-                        yield ((t_sum, d_sum), pmono), base * pcoeff
-            if lowers:
-                yield from _lowered(base, t_sum, d_sum, _d_on_t(g1, b2), p1, p2)
-            if lowers2:
-                yield from _lowered(-base, t_sum, d_sum, _d_on_t(g2, b1), p2, p1)
-
-
-def _lowered(base, t_sum, d_sum, choices, p1, p2):
-    """The k != 0 terms of one order of a term pair: choices is the
-    ``_d_on_t`` expansion, whose first pair is k = 0."""
-    if len(choices) > 1:
-        pbw = pbw_product(p1, p2)
-        for wcoeff, k in choices[1:]:
-            wmono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
-            wbase = base * wcoeff
-            for pmono, pcoeff in pbw:
-                yield (wmono, pmono), wbase * pcoeff
 
 
 SPECIAL_KINDS = ("f", "g", "h", "u")

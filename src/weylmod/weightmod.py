@@ -124,12 +124,6 @@ class WeightModuleP:
     def supports_key(self, key) -> bool:
         return all(f.supports(k) for f, k in zip(self.factors, key))
 
-    def basis_vector(self, key) -> PVector:
-        key = tuple(key)
-        if not self.supports_key(key):
-            raise DomainError(f"key {key} outside the support")
-        return PVector(self, {key: 1})
-
     def __eq__(self, other):
         return isinstance(other, WeightModuleP) and self.factors == other.factors
 
@@ -307,26 +301,6 @@ class SLModule:
             for _ in range(e):
                 paths = [(dst, c * m) for src, c in paths for dst, m in cols[src]]
         return accumulate({}, paths)
-
-    def check_commutators(self) -> bool:
-        """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on every basis vector."""
-        n = self.rank
-        idx = range(1, n + 1)
-        for i, j, k, l in itertools.product(idx, repeat=4):
-            for src in range(self.dim):
-                vec = {src: 1}
-                lhs = self.apply_gen(i, j, self.apply_gen(k, l, vec))
-                swapped = self.apply_gen(k, l, self.apply_gen(i, j, vec))
-                accumulate(lhs, ((d, -c) for d, c in swapped.items()))
-                rhs = {}
-                if j == k:
-                    accumulate(rhs, self.apply_gen(i, l, vec).items())
-                if l == i:
-                    negated = self.apply_gen(k, j, vec)
-                    accumulate(rhs, ((d, -c) for d, c in negated.items()))
-                if lhs != rhs:
-                    return False
-        return True
 
     def __repr__(self):
         return self.name

@@ -121,10 +121,6 @@ class WeylElement(TermMap):
             laurent = any(b < 0 for b in t_exp)
         return cls(len(t_exp), {(t_exp, d_exp): coeff}, laurent)
 
-    @classmethod
-    def t_power(cls, t_exp, coeff=1, laurent=None) -> WeylElement:
-        return cls.monomial(tuple(t_exp), mi_zero(len(t_exp)), coeff, laurent)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
@@ -202,15 +198,25 @@ class WeylElement(TermMap):
         }
 
 
+def _monomial_product(b1, g1, b2, g2):
+    """The normal-ordered (monomial, coeff) pairs of t^b1 d^g1 * t^b2 d^g2:
+    the one product rule of the library.  d^g1 t^b2 is expanded by
+    ``_d_on_t``, and every term keeps the outer t^b1 and d^g2.  The first
+    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1."""
+    t_sum = tuple(map(add, b1, b2))
+    d_sum = tuple(map(add, g1, g2))
+    return [
+        ((tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k))), coeff)
+        for coeff, k in _d_on_t(g1, b2)
+    ]
+
+
 def _product_terms(a: WeylElement, b: WeylElement):
     """The (monomial, coeff) pairs of a * b before collection."""
     for (b1, g1), c1 in a.terms.items():
         for (b2, g2), c2 in b.terms.items():
             base = c1 * c2
-            t_sum = tuple(map(add, b1, b2))
-            d_sum = tuple(map(add, g1, g2))
-            for coeff, k in _d_on_t(g1, b2):
-                mono = (tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k)))
+            for mono, coeff in _monomial_product(b1, g1, b2, g2):
                 yield mono, base * coeff
 
 
@@ -236,13 +242,13 @@ def fourier(a: WeylElement) -> WeylElement:
     if a.laurent:
         raise DomainError("fourier is defined on polynomial-mode elements")
 
+    zero = mi_zero(a.rank)
+
     def images():
         for (beta, gamma), c in a.terms.items():
             base = c * (-1 if sum(gamma) % 2 else 1)
-            # the image of the monomial is (+/-) d^beta t^gamma, normal-ordered
-            for coeff, k in _d_on_t(beta, gamma):
-                t_exp = tuple(g - x for g, x in zip(gamma, k))
-                d_exp = tuple(b - x for b, x in zip(beta, k))
-                yield (t_exp, d_exp), base * coeff
+            # the image of the monomial is (+/-) d^beta t^gamma
+            for mono, coeff in _monomial_product(zero, beta, gamma, zero):
+                yield mono, base * coeff
 
     return WeylElement(a.rank, accumulate({}, images()), laurent=False)

@@ -1,5 +1,6 @@
 """Independent reference implementations that the tests compare against."""
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
@@ -8,10 +9,48 @@ from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.linalg import RowBasis as IntRowBasis, rref
 from weylmod.tensorop import TensorOperator, tensor
+from weylmod.terms import accumulate
 from weylmod.ugl import E
 from weylmod.vectorfields import VectorField
-from weylmod.weightmod import FVector, make_wedge_module
+from weylmod.weightmod import FVector, PVector, make_wedge_module
 from weylmod.weyl import WeylElement
+
+
+def t_power(t_exp, coeff=1, laurent=None):
+    """The Weyl monomial coeff * t^t_exp, Laurent when an exponent is
+    negative unless laurent says otherwise."""
+    t_exp = tuple(t_exp)
+    return WeylElement.monomial(t_exp, mi_zero(len(t_exp)), coeff, laurent)
+
+
+def basis_vector(P, key):
+    """The basis vector of the weight module P at key, which must lie in
+    its support."""
+    key = tuple(key)
+    if not P.supports_key(key):
+        raise DomainError(f"key {key} outside the support")
+    return PVector(P, {key: 1})
+
+
+def check_commutators(M):
+    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on every basis vector
+    of the gl_n-module M."""
+    idx = range(1, M.rank + 1)
+    for i, j, k, l in itertools.product(idx, repeat=4):
+        for src in range(M.dim):
+            vec = {src: 1}
+            lhs = M.apply_gen(i, j, M.apply_gen(k, l, vec))
+            swapped = M.apply_gen(k, l, M.apply_gen(i, j, vec))
+            accumulate(lhs, ((d, -c) for d, c in swapped.items()))
+            rhs = {}
+            if j == k:
+                accumulate(rhs, M.apply_gen(i, l, vec).items())
+            if l == i:
+                negated = M.apply_gen(k, j, vec)
+                accumulate(rhs, ((d, -c) for d, c in negated.items()))
+            if lhs != rhs:
+                return False
+    return True
 
 
 def d_on_t(gamma, beta):
@@ -295,8 +334,9 @@ def in_usl(u):
 
 def iota_hom_residual(x, y):
     """iota([x, y]) - (iota(x) iota(y) - iota(y) iota(x)) from two full
-    products, which the one-pass commutator replaced.  The bracket is read
-    from ``weylmod.tensorop`` at call time, as the library reads it."""
+    products of the operators, where the library reads the residual off
+    one symbolic template per (n, i, j).  The bracket is read from
+    ``weylmod.tensorop`` at call time, as the library reads it."""
     lhs = tensorop.shen_iota(tensorop.bracket(x, y))
     ix = tensorop.shen_iota(x)
     iy = tensorop.shen_iota(y)
@@ -320,7 +360,7 @@ def special_operator(kind, alpha, i):
     if kind == "u":
         out = _op_h(alpha, i, n, beta)
         for s in range(1, n + 1):
-            prod = WeylElement.monomial(mi_zero(n), mi_unit(s, n)) * WeylElement.t_power(
+            prod = WeylElement.monomial(mi_zero(n), mi_unit(s, n)) * t_power(
                 beta, laurent=True
             )
             out = out - tensor(prod, E(s, i + 2, n) * E(i, i + 1, n))
@@ -334,15 +374,15 @@ def _op_f(alpha, i, n, ei, ei1, ei2):
     a_i = alpha[i - 1]
     a_i2 = alpha[i + 1]
     out = tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), 1 + a_i2, laurent=True),
+        t_power(mi_add(mi_sub(alpha, ei), ei1), 1 + a_i2, laurent=True),
         E(i, i, n) * E(i, i + 1, n) - E(i, i + 1, n),
     )
     out = out - tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
+        t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
         E(i, i + 2, n) * E(i, i, n),
     )
     out = out - tensor(
-        WeylElement.t_power(
+        t_power(
             mi_sub(mi_add(alpha, mi_add(ei1, ei2)), mi_add(ei, ei)), a_i, laurent=True
         ),
         E(i, i + 2, n) * E(i, i + 1, n),
@@ -361,15 +401,15 @@ def _g_minus_f(alpha, i, n, ei, ei1, ei2, beta):
         a_s = alpha[s - 1]
         if a_s != 0:
             out = out - tensor(
-                WeylElement.t_power(mi_sub(beta, mi_unit(s, n)), a_s, laurent=True),
+                t_power(mi_sub(beta, mi_unit(s, n)), a_s, laurent=True),
                 E(s, i + 2, n) * E(i, i + 1, n),
             )
     out = out - tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei1), laurent=True),
+        t_power(mi_add(mi_sub(alpha, ei), ei1), laurent=True),
         E(i + 2, i + 2, n) * E(i, i + 1, n),
     )
     out = out + tensor(
-        WeylElement.t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
+        t_power(mi_add(mi_sub(alpha, ei), ei2), laurent=True),
         E(i, i + 2, n) * E(i + 1, i + 1, n),
     )
     return out

@@ -314,6 +314,19 @@ def test_act_command(capsys):
     assert json.loads(out)["result"] == "t[1]"
 
 
+def test_act_via_iota_refusals_exit_2(capsys):
+    # --via-iota acts through sn_act, so its refusals carry sn_act's messages
+    base = ["act", "--vector", "t[1]", "--P", "[poly,poly]", "--via-iota"]
+    for op, message in (
+        ("t[1]*d[1]", "field is not divergence free"),
+        ("t[1]^-1*d[1]", "laurent-mode field acting on a module"),
+        ("E[1,2]", "--via-iota needs a vector-field expression"),
+    ):
+        code, out, err = run_cli(capsys, *base, "--op", op)
+        assert code == 2 and not out, op
+        assert f"error: {message}" in err and "Traceback" not in err, op
+
+
 def test_vector_flags_read_one_grammar(capsys):
     # --input, --vector and --seed read the same module vectors, scalars
     # included, and name the flag when the text is not one

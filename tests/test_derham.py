@@ -438,7 +438,7 @@ def test_submodule_preservation_operator():
     image = pi_image(P, 2, box)
     op = None
     for s in range(1, n + 1):
-        prod = WeylElement.monomial((0,) * n, mi_unit(s, n)) * WeylElement.t_power(beta)
+        prod = WeylElement.monomial((0,) * n, mi_unit(s, n)) * oracles.t_power(beta)
         term = tensor(prod, E(s, i + 2, n) * E(i, i + 1, n))
         op = term if op is None else op + term
     g = special_operator("g", alpha, i)

@@ -12,6 +12,7 @@ from weylmod.exprparse import (
     ParseError,
     VectorLiteral,
     Wedge,
+    _coerce_literal,
     format_vector,
     infer_rank,
     parse_expr,
@@ -72,6 +73,20 @@ def test_wedge_sign_and_collapse():
     lit = parse_expr("1 (x) e[2]^e[1]", 2)
     assert lit.terms == {((0, 0), (1, 2)): -1}
     assert parse_expr("1 (x) e[1]^e[1]", 2).terms == {}
+
+
+def test_constant_vector_terms_round_trip():
+    # a constant term prints as its coefficient, as in Weyl text; beside a
+    # wedge label the unit key stays 1.  Vectors are read as the vector
+    # flags read them (``_coerce_literal``)
+    for text, canonical in (
+        ("t[1]^-1*t[2]^2 - 2/3 + e[1]", "t[1]^-1*t[2]^2 - 2/3 + 1 (x) e[1]"),
+        ("3 - t[2]", "3 - t[2]"),
+        ("-1/3 (x) e[1]^e[2] + 2", "2 - 1/3*1 (x) e[1]^e[2]"),
+    ):
+        lit = _coerce_literal(parse_expr(text, 2), 2)
+        assert str(lit) == canonical
+        assert _coerce_literal(parse_expr(canonical, 2), 2) == lit
 
 
 def test_vector_sums():

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylmod import tensorop
+from weylmod import tensorop, weyl
 from weylmod.errors import ArgumentError, StructureError
+from weylmod.suites import check_iota_hom
 from weylmod.tensorop import (
     SPECIAL_KINDS,
     TensorOperator,
     _combine,
     _scaled,
-    commutator,
     from_weyl,
     interpolate_coefficients,
     iota_hom_residual,
@@ -36,7 +36,7 @@ from weylmod.weightmod import (
     make_wedge_module,
     tensor_act,
 )
-from weylmod.weyl import WeylElement, fourier
+from weylmod.weyl import WeylElement, _monomial_product, fourier
 
 # derandomized, so the tier-1 run is the same every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -145,43 +145,19 @@ def test_iota_is_a_homomorphism_on_multi_term_fields(pair):
     assert iota_hom_residual(x, y).is_zero()
 
 
-@PROPERTY
-@given(st.integers(1, 3), st.booleans(), st.data())
-def test_commutator_matches_two_products(n, laurent, data):
-    # PBW words of up to three matrix units, so products of two parts of
-    # degree 2 or more go through the rewriting
-    a = data.draw(operators(n, laurent, word=3))
-    b = data.draw(operators(n, word=3))
-    out = commutator(a, b)
-    assert out == a * b - b * a
-    assert out.laurent == (a.laurent or b.laurent)
-    assert all(c != 0 for c in out.terms.values())
-
-
-def test_commutator_sees_the_rewriting():
+def test_products_see_the_rewriting():
     # [E_21 E_12, E_12 E_21] = 0 only after the PBW rewriting cancels;
     # [t^2 E_12 E_23, d E_21] keeps a Weyl term and a PBW term
     n = 3
     one = WeylElement.one(n)
     a = tensor(one, E(2, 1, n) * E(1, 2, n))
-    assert commutator(a, tensor(one, E(1, 2, n) * E(2, 1, n))).is_zero()
+    b = tensor(one, E(1, 2, n) * E(2, 1, n))
+    assert (a * b - b * a).is_zero()
     t2 = WeylElement.monomial((2, 0, 0), (0, 0, 0))
     d1 = WeylElement.monomial((0, 0, 0), (1, 0, 0))
     x = tensor(t2, E(1, 2, n) * E(2, 3, n))
     y = tensor(d1, E(2, 1, n))
-    out = commutator(x, y)
-    assert out == x * y - y * x and len(out.terms) > 2
-
-
-@PROPERTY
-@given(st.integers(1, 3), st.data())
-def test_commutator_is_antisymmetric(n, data):
-    a = data.draw(operators(n, word=3))
-    b = data.draw(operators(n, word=3))
-    assert commutator(a, b) == -commutator(b, a)
-    assert commutator(a, a).is_zero()
-    with pytest.raises(StructureError):
-        commutator(a, TensorOperator.zero(n + 1))
+    assert len((x * y - y * x).terms) > 2
 
 
 def _doubled_bracket(x, y):
@@ -193,18 +169,28 @@ def _doubled_iota_terms(x):
     return 2 * shen_iota(x) - from_weyl(x.element)
 
 
+def _commuting_rule(b1, g1, b2, g2):
+    """The monomial product rule cut to its k = 0 term t^(b1+b2) d^(g1+g2),
+    as if t and d commuted."""
+    return _monomial_product(b1, g1, b2, g2)[:1]
+
+
 @contextmanager
-def _wrong_kernel(name, wrong):
-    """``tensorop.<name>`` replaced by wrong.  The iota templates are built
-    by that kernel, so the memo is cleared inside the patch and again
-    before it is lifted."""
+def _wrong_kernel(name, wrong, modules=(tensorop,)):
+    """``<module>.<name>`` replaced by wrong in each of modules.  The iota
+    and node templates are built by the library's kernels, so both memos
+    are cleared inside the patch and again before it is lifted."""
+    memos = (tensorop._iota_template, tensorop._node_template)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tensorop, name, wrong)
-        tensorop._iota_template.cache_clear()
+        for module in modules:
+            patch.setattr(module, name, wrong)
+        for memo in memos:
+            memo.cache_clear()
         try:
             yield
         finally:
-            tensorop._iota_template.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
 
 
 @PROPERTY
@@ -244,6 +230,21 @@ def test_wrong_iota_coefficient_fails_the_iota_hom_check():
         assert not wrong.is_zero()
         assert wrong == oracles.iota_hom_residual(x, y)
     assert iota_hom_residual(x, y).is_zero()
+
+
+def test_a_wrong_normal_ordering_rule_fails_the_checks():
+    # every product goes through one monomial rule; the closed-form bracket
+    # and the polynomial action do not, so they catch a wrong rule
+    a = WeylElement.monomial((0,), (2,))
+    b = WeylElement.monomial((2,), (1,))
+    p = oracles.t_power((3,))
+    assert (a * b).apply_poly(p) == a.apply_poly(b.apply_poly(p))
+    assert check_iota_hom(2, 2)["pass"]
+    with _wrong_kernel("_monomial_product", _commuting_rule, (weyl, tensorop)):
+        assert (a * b).apply_poly(p) != a.apply_poly(b.apply_poly(p))
+        report = check_iota_hom(2, 2)
+        assert not report["pass"] and report["residual_terms"] > 0
+    assert check_iota_hom(2, 2)["pass"]
 
 
 @PROPERTY
@@ -331,7 +332,6 @@ def test_kernel_built_operators_pass_the_public_checks(n, data):
     weights = [data.draw(st.one_of(st.just(0), coeffs)) for _ in range(2)]
     built = [a * b, b * a, a + b, a - b, a - a, -a, shen_iota(x), shen_iota(y),
              shen_iota(x) * shen_iota(y), iota_hom_residual(x, y),
-             commutator(a, b), commutator(b, a),
              *_combine([a, b], [_scaled(weights), _scaled([1, -1])])]
     # the special operators need three coordinates
     rank = data.draw(st.integers(3, 5))

@@ -91,24 +91,24 @@ def test_descriptor_round_trip():
 
 def test_weyl_act_polynomial_factor():
     P = WeightModuleP.polynomial(1)
-    v = P.basis_vector((2,))
-    assert weyl_act(d(1, 1), v) == 2 * P.basis_vector((1,))
-    assert weyl_act(d(1, 1), P.basis_vector((0,))).is_zero()
+    v = oracles.basis_vector(P, (2,))
+    assert weyl_act(d(1, 1), v) == 2 * oracles.basis_vector(P, (1,))
+    assert weyl_act(d(1, 1), oracles.basis_vector(P, (0,))).is_zero()
 
 
 def test_weyl_act_twisted_factor():
     P = WeightModuleP.twisted(1)
-    assert weyl_act(t(1, 1), P.basis_vector((-1,))).is_zero()
-    assert weyl_act(t(1, 1), P.basis_vector((-2,))) == P.basis_vector((-1,))
-    assert weyl_act(d(1, 1), P.basis_vector((-1,))) == -1 * P.basis_vector((-2,))
+    v = {k: oracles.basis_vector(P, (k,)) for k in (-2, -1)}
+    assert weyl_act(t(1, 1), v[-1]).is_zero()
+    assert weyl_act(t(1, 1), v[-2]) == v[-1]
+    assert weyl_act(d(1, 1), v[-1]) == -1 * v[-2]
 
 
 def test_weyl_act_laurent_factor():
     P = WeightModuleP.laurent(1)
-    assert weyl_act(d(1, 1), P.basis_vector((0,))) == Fraction(1, 2) * P.basis_vector(
-        (-1,)
-    )
-    assert weyl_act(t(1, 1), P.basis_vector((-1,))) == P.basis_vector((0,))
+    v = {k: oracles.basis_vector(P, (k,)) for k in (-1, 0)}
+    assert weyl_act(d(1, 1), v[0]) == Fraction(1, 2) * v[-1]
+    assert weyl_act(t(1, 1), v[-1]) == v[0]
 
 
 def test_weyl_act_module_axiom():
@@ -136,15 +136,15 @@ def test_weyl_act_module_axiom():
             if not P.supports_key(key):
                 key = tuple(-1 - abs(k) if f.kind == "twist" else abs(k)
                             for f, k in zip(P.factors, key))
-            v = P.basis_vector(key)
+            v = oracles.basis_vector(P, key)
             assert weyl_act(a * b, v) == weyl_act(a, weyl_act(b, v))
 
 
 def test_weyl_act_rejects_laurent():
     P = WeightModuleP.polynomial(1)
-    a = WeylElement.t_power((-1,))
+    a = oracles.t_power((-1,))
     with pytest.raises(DomainError):
-        weyl_act(a, P.basis_vector((2,)))
+        weyl_act(a, oracles.basis_vector(P, (2,)))
 
 
 def test_fourier_consistency_of_twisted_module():
@@ -167,7 +167,7 @@ def test_fourier_consistency_of_twisted_module():
     gens = [t(1, n), t(2, n), d(1, n), d(2, n)]
     for _ in range(40):
         key = (rng.randint(0, 4), rng.randint(0, 4))
-        v = A.basis_vector(key)
+        v = oracles.basis_vector(A, key)
         for a in gens:
             twisted = weyl_act(fourier(a), v)
             assert transport(twisted) == weyl_act(a, transport(v))
@@ -185,7 +185,7 @@ def test_wedge_module_examples():
             W = make_wedge_module(n, r)
             assert W.dim == math.comb(n, r)
             assert W.central == r
-            assert W.check_commutators()
+            assert oracles.check_commutators(W)
     assert make_wedge_module(3, 0).dim == 1
 
 
@@ -231,7 +231,7 @@ def test_weyl_dimension_oracle():
 def test_hw_module_natural():
     M = make_hw_module((1, 0), 3)
     assert M.dim == 3
-    assert M.check_commutators()
+    assert oracles.check_commutators(M)
     assert sorted(M.weights, reverse=True) == [
         (1, 0, 0),
         (0, 1, 0),
@@ -243,7 +243,7 @@ def test_hw_module_adjoint_of_sl2():
     M = make_hw_module((2,), 2)
     assert M.dim == 3
     assert M.central == 2
-    assert M.check_commutators()
+    assert oracles.check_commutators(M)
     assert sorted(M.weights, reverse=True) == [(2, 0), (1, 1), (0, 2)]
 
 
@@ -256,7 +256,7 @@ def test_hw_module_matches_wedge():
             wedge = make_wedge_module(n, r)
             assert make_hw_module(psi, n) is wedge
             hw = _lowering_closure(psi, n)
-            assert hw.central == wedge.central and hw.check_commutators()
+            assert hw.central == wedge.central and oracles.check_commutators(hw)
             assert hw.dim == wedge.dim
             assert sorted(hw.weights) == sorted(wedge.weights)
             # equal trace of every diagonal generator
@@ -274,7 +274,7 @@ def test_hw_module_matches_wedge():
 def test_hw_module_bigger_example():
     M = make_hw_module((1, 1), 3)
     assert M.dim == 8
-    assert M.check_commutators()
+    assert oracles.check_commutators(M)
 
 
 def test_hw_module_rejects_bad_weight():
