@@ -35,10 +35,18 @@ def mi_units(n: int) -> tuple:
     return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
+def check_index(i, hi: int) -> None:
+    """Refuse an index that is not an int in 1..hi.  A bool, float or
+    Fraction is refused even when it equals an int in range."""
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise ArgumentError(f"index {i!r} is not an integer")
+    if not 1 <= i <= hi:
+        raise ArgumentError(f"index {i} out of range 1..{hi}")
+
+
 def mi_unit(i: int, n: int) -> MultiIndex:
     """Unit vector e_i, 1-based."""
-    if not 1 <= i <= n:
-        raise ArgumentError(f"index {i} out of range 1..{n}")
+    check_index(i, n)
     return mi_units(n)[i - 1]
 
 

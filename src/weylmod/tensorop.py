@@ -5,7 +5,9 @@ algebra, its Laurent extension, the named operators built from degree-two
 matrix-unit products, and the exact interpolation identities that express
 t^alpha tensor E_ij^2 (and the g operator) through products of images of
 divergence-free generators.  Those node products are built once per
-(n, i, j, m) over a symbolic alpha and evaluated at each alpha.
+(n, i, j, m) over a symbolic alpha and evaluated at each alpha; each
+identity's residual is built once per (n, i, j) over the same symbols, so
+a template with no rows proves the identity for every integer alpha.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import ArgumentError, StructureError
-from .indices import check_integer_exponents, mi_add, mi_sub, mi_unit, mi_units, mi_zero
+from .indices import (
+    check_index,
+    check_integer_exponents,
+    mi_add,
+    mi_sub,
+    mi_unit,
+    mi_units,
+    mi_zero,
+)
 from .terms import SCALARS, Poly, TermMap, accumulate
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import L_op, VectorField, _L_terms, bracket, check_L_args, monomial_field
@@ -233,13 +243,22 @@ def special_operator(kind: str, alpha, i: int) -> TensorOperator:
     All four are Laurent-mode in general; their terms are the rows of
     ``_special_rows``, collected in one pass.
     """
+    alpha = _special_args(kind, alpha, i)
+    return _special_operator(kind, alpha, i)
+
+
+def _special_args(kind: str, alpha, i: int) -> tuple:
+    """The argument checks of ``special_operator``; returns alpha as a tuple."""
     alpha = tuple(alpha)
-    n = len(alpha)
-    if not 1 <= i <= n - 2:
-        raise ArgumentError(f"index {i} out of range 1..{n - 2}")
+    check_index(i, len(alpha) - 2)
     if kind not in SPECIAL_KINDS:
         raise ArgumentError(f"unknown operator kind {kind!r}")
     check_integer_exponents(alpha)
+    return alpha
+
+
+def _special_operator(kind: str, alpha, i: int) -> TensorOperator:
+    """``special_operator`` unchecked; alpha's entries may be symbols."""
     terms = accumulate(
         {},
         (
@@ -248,7 +267,7 @@ def special_operator(kind: str, alpha, i: int) -> TensorOperator:
             for pmono, pcoeff in pbw_product(*word)
         ),
     )
-    return TensorOperator._from_kernel(n, terms, laurent=True)
+    return TensorOperator._from_kernel(len(alpha), terms, laurent=True)
 
 
 def _special_rows(kind: str, alpha, i: int):
@@ -314,9 +333,7 @@ def interpolation_matrix(nodes):
     prod_(s != t) (m - m_s) / (m_t - m_s), so row k maps the values at the
     nodes to the m^k coefficient of the interpolating polynomial.
     """
-    nodes = tuple(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise ArgumentError(f"interpolation nodes {nodes} repeat a node")
+    nodes = _checked_nodes(nodes)
     columns = []
     for t, m_t in enumerate(nodes):
         coeffs, den = [1], 1  # prod (m - m_s), lowest degree first
@@ -326,6 +343,22 @@ def interpolation_matrix(nodes):
                 den *= m_t - m_s
         columns.append([Fraction(c, den) for c in coeffs])
     return [list(row) for row in zip(*columns)]
+
+
+def _checked_nodes(nodes) -> tuple:
+    """The nodes as a tuple, each an int or a Fraction and none repeated."""
+    nodes = tuple(nodes)
+    for m in nodes:
+        if not _is_exact(m):
+            raise ArgumentError(f"interpolation node {m!r} is not an int or a Fraction")
+    if len(set(nodes)) != len(nodes):
+        raise ArgumentError(f"interpolation nodes {nodes} repeat a node")
+    return nodes
+
+
+def _is_exact(value) -> bool:
+    """An int (not a bool) or a Fraction."""
+    return isinstance(value, SCALARS) and not isinstance(value, bool)
 
 
 # one node beyond both windows; the product there certifies the degree in m
@@ -403,6 +436,11 @@ def node_combination(products, weights) -> TensorOperator:
     integers over the weights' common denominator (see ``_combine``)."""
     if not weights:
         raise ArgumentError("need at least one node")
+    for m, w in weights.items():
+        if m not in products:
+            raise ArgumentError(f"no product at node {m!r}")
+        if not _is_exact(w):
+            raise ArgumentError(f"weight {w!r} at node {m!r} is not an int or a Fraction")
     values = [products[m] for m in weights]
     return _combine(values, [_scaled(list(weights.values()))])[0]
 
@@ -437,11 +475,14 @@ def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
     """Residual of the four-point identity expressing t^(alpha+e_j-2e_i) E_ij^2.
 
     Zero for every integer alpha; the right-hand side is the fixed rational
-    combination CUBIC_WEIGHTS of the products at m = 0, 1, 2, 3.
+    combination CUBIC_WEIGHTS of the products at m = 0, 1, 2, 3.  The
+    arguments get the checks of the target, then those of the node
+    product at m = 0; the residual is read off ``_residual_template``.
     """
-    target = cubic_target(alpha, i, j)
-    products = {m: cubic_m_product(alpha, i, j, m) for m in CUBIC_NODES}
-    return target - node_combination(products, CUBIC_WEIGHTS)
+    alpha = tuple(alpha)
+    cubic_target(alpha, i, j)
+    check_L_args(i, j, alpha)
+    return _at(_residual_template("cubic", len(alpha), i, j), alpha)
 
 
 def quartic_m_factors(alpha, i: int, m: int):
@@ -471,19 +512,27 @@ def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
     n = len(alpha)
     shift = tuple(m * x for x in mi_unit(i, n))
     check_L_args(i, j, mi_sub(alpha, shift))
-    terms = _evaluated(_node_template(kind, n, i, j, m), alpha, alpha)
-    return TensorOperator._from_kernel(n, terms, laurent=True)
+    return _at(_node_template(kind, n, i, j, m), alpha)
+
+
+def _at(template, alpha) -> TensorOperator:
+    """The Laurent-mode operator of a template over the base alpha,
+    evaluated at alpha (``_evaluated``)."""
+    return TensorOperator._from_kernel(len(alpha), _evaluated(template, alpha, alpha), True)
 
 
 @lru_cache(maxsize=256)
 def _node_template(kind: str, n: int, i: int, j: int, m: int):
+    """``_template`` of the node product ``_node_terms`` over the base alpha."""
+    return _template(_node_terms(kind, n, i, j, m), Poly.symbols(n))
+
+
+def _node_terms(kind: str, n: int, i: int, j: int, m: int) -> dict:
     """The node product of (kind, n, i, j, m) over a symbolic alpha, built
-    once by the library's own kernels: ``_L_terms`` on the symbols of
+    by the library's own kernels: ``_L_terms`` on the symbols of
     ``terms.Poly``, ``shen_iota`` and ``_product_terms``.  Only the left
     factor carries alpha, and ``_d_on_t`` reads only the right factor's t
     exponent, so the product is exact over the symbols.
-
-    Returns ``_template`` of the product over the base alpha.
     """
     symbols = Poly.symbols(n)
     shift = tuple(m * x for x in mi_unit(i, n))
@@ -492,8 +541,33 @@ def _node_template(kind: str, n: int, i: int, j: int, m: int):
         right = monomial_field(shift, j, laurent=True)
     else:
         right = L_op(i, i + 1, shift, laurent=True)
-    product = accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
-    return _template(product, symbols)
+    return accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
+
+
+@lru_cache(maxsize=128)
+def _residual_template(kind: str, n: int, i: int, j: int):
+    """The residual of the cubic (kind "cubic", indices i, j) or quartic
+    (kind "quartic", j = i + 2) identity over a symbolic alpha: the target
+    (``cubic_target``, or the g rows of ``_special_rows``) minus
+    ``node_combination`` of the node products ``_node_terms`` with the
+    identity's weights, all over the symbols of ``terms.Poly``.
+
+    Returns ``_template`` of the residual over the base alpha.  Evaluation
+    at alpha is a ring map that keeps distinct rows distinct, so the
+    residual at alpha is that of the per-alpha computation, term by term,
+    and a template with no rows proves the identity for every integer
+    alpha.
+    """
+    symbols = Poly.symbols(n)
+    if kind == "cubic":
+        target, weights = cubic_target(symbols, i, j), CUBIC_WEIGHTS
+    else:
+        target, weights = _special_operator("g", symbols, i), QUARTIC_WEIGHTS
+    products = {
+        m: TensorOperator._from_kernel(n, _node_terms(kind, n, i, j, m), True)
+        for m in weights
+    }
+    return _template((target - node_combination(products, weights)).terms, symbols)
 
 
 def _template(product: dict, base):
@@ -547,16 +621,23 @@ def _evaluated(template, point, base) -> dict:
 
 def _primitive(coeff):
     """(scale, part) with coeff = scale * part.  A polynomial's scale is the
-    gcd of its int coefficients, signed so that the part's lowest term is
-    positive, and a constant is its own scale over the part 1.  The part is
-    listed for evaluation as ((c, ((s, e), ...)), ...): the sum of the
-    terms c * prod alpha[s]**e, in a canonical order."""
+    gcd of its coefficients' numerators over the lcm of their denominators
+    (an int when that is whole), signed so that the part's lowest term is
+    positive; the part's coefficients are then coprime ints.  A constant is
+    its own scale over the part 1.  The part is listed for evaluation as
+    ((c, ((s, e), ...)), ...): the sum of the terms c * prod alpha[s]**e,
+    in a canonical order."""
     if type(coeff) is not Poly:
         return coeff, ((1, ()),)
-    scale = gcd(*coeff.terms.values())
+    values = coeff.terms.values()
+    scale = Fraction(
+        gcd(*(c.numerator for c in values)), lcm(*(c.denominator for c in values))
+    )
     if coeff.terms[min(coeff.terms)] < 0:
         scale = -scale
-    terms = sorted((coeff / scale).terms.items())
+    terms = sorted((exps, int(c / scale)) for exps, c in coeff.terms.items())
+    if scale.denominator == 1:
+        scale = scale.numerator
     return scale, tuple(
         (c, tuple((s, e) for s, e in enumerate(exps) if e)) for exps, c in terms
     )
@@ -571,11 +652,12 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     """Residual of the five-point identity recovering the g operator.
 
     Zero for every integer alpha; the right-hand side combines the products
-    at m = -1, 0, 1, 2, 3 with the fixed rational QUARTIC_WEIGHTS.
+    at m = -1, 0, 1, 2, 3 with the fixed rational QUARTIC_WEIGHTS.  The
+    arguments get the checks of the g operator (those of the node products
+    then hold); the residual is read off ``_residual_template``.
     """
-    target = quartic_target(alpha, i)
-    products = {m: quartic_m_product(alpha, i, m) for m in QUARTIC_NODES}
-    return target - node_combination(products, QUARTIC_WEIGHTS)
+    alpha = _special_args("g", alpha, i)
+    return _at(_residual_template("quartic", len(alpha), i, i + 2), alpha)
 
 
 @lru_cache(maxsize=64)
@@ -598,4 +680,5 @@ def interpolate_coefficients(values, nodes):
     """
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")
-    return _combine(values, _interpolation_rows(tuple(nodes)))
+    # checked before the memo: (0.0, 1.0) would hit the entry of (0, 1)
+    return _combine(values, _interpolation_rows(_checked_nodes(nodes)))

@@ -7,7 +7,7 @@ degree exactly one, i.e. sum_i f_i d_i with f_i (Laurent) polynomials.
 from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import check_integer_exponents, mi_unit, mi_units, mi_zero
+from .indices import check_index, check_integer_exponents, mi_unit, mi_units, mi_zero
 from .terms import accumulate
 from .weyl import WeylElement
 
@@ -172,8 +172,8 @@ def check_L_args(i: int, j: int, alpha) -> tuple:
     n = len(alpha)
     if i == j:
         raise ArgumentError("indices must differ")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ArgumentError(f"indices out of range 1..{n}")
+    check_index(i, n)
+    check_index(j, n)
     check_integer_exponents(alpha)
     return alpha
 

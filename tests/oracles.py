@@ -253,6 +253,37 @@ def node_combination(products, weights):
     return acc
 
 
+def cubic_identity_residual(alpha, i, j):
+    """The cubic identity's residual composed per alpha: the target minus
+    the weighted direct node products shen_iota(left) * shen_iota(right),
+    where the library reads it off one symbolic template per (n, i, j).
+    The target, factors, weights and iota are read from
+    ``weylmod.tensorop`` at call time, as the library reads them."""
+    target = tensorop.cubic_target(alpha, i, j)
+    products = {
+        m: _direct_product(tensorop.cubic_m_factors(alpha, i, j, m))
+        for m in tensorop.CUBIC_NODES
+    }
+    return target - node_combination(products, tensorop.CUBIC_WEIGHTS)
+
+
+def quartic_identity_residual(alpha, i):
+    """The quartic identity's residual composed per alpha, as
+    ``cubic_identity_residual``: the g operator minus the weighted direct
+    node products."""
+    target = tensorop.quartic_target(alpha, i)
+    products = {
+        m: _direct_product(tensorop.quartic_m_factors(alpha, i, m))
+        for m in tensorop.QUARTIC_NODES
+    }
+    return target - node_combination(products, tensorop.QUARTIC_WEIGHTS)
+
+
+def _direct_product(factors):
+    left, right = factors
+    return tensorop.shen_iota(left) * tensorop.shen_iota(right)
+
+
 def invert(matrix):
     """Exact inverse of a square matrix by Fraction elimination; raises on
     singular input."""

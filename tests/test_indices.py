@@ -8,11 +8,14 @@ import pytest
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import (
     TruncationBox,
+    check_index,
     falling,
     mi_add,
     mi_geq,
     mi_unit,
 )
+from weylmod.tensorop import cubic_identity_residual, cubic_m_product, special_operator
+from weylmod.vectorfields import L_op
 
 
 def test_scalar_exactness():
@@ -36,6 +39,27 @@ def test_mi_add_examples():
     assert mi_add((2, -1), (-2, 1)) == (0, 0)
     total = mi_add(mi_add(mi_unit(1, 3), mi_unit(2, 3)), mi_unit(3, 3))
     assert total == (1, 1, 1)
+
+
+def test_indices_must_be_ints():
+    # one check behind every 1-based index: a bool, float or Fraction that
+    # equals an int in range is refused, not used as a tuple index
+    cases = [
+        (check_index, (Fraction(1), 3), "index Fraction(1, 1) is not an integer"),
+        (check_index, (4, 3), "index 4 out of range 1..3"),
+        (mi_unit, (2.0, 3), "index 2.0 is not an integer"),
+        (mi_unit, (0, 3), "index 0 out of range 1..3"),
+        (L_op, (1, 2.0, (0, 0)), "index 2.0 is not an integer"),
+        (L_op, (1, 3, (0, 0)), "index 3 out of range 1..2"),
+        (cubic_identity_residual, ((0, 0), 1.0, 2), "index 1.0 is not an integer"),
+        (cubic_m_product, ((0, 0), 1.0, 2, 0), "index 1.0 is not an integer"),
+        (special_operator, ("h", (0, 0, 0), True), "index True is not an integer"),
+        (special_operator, ("h", (0, 0, 0), 2), "index 2 out of range 1..1"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ArgumentError) as info:
+            fn(*args)
+        assert str(info.value) == message, (fn.__name__, args)
 
 
 def test_mi_add_rank_mismatch():

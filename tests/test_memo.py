@@ -68,6 +68,7 @@ def test_every_memo_is_bounded():
         "weylmod.structure._engine",
         "weylmod.tensorop._node_template",
         "weylmod.tensorop._iota_template",
+        "weylmod.tensorop._residual_template",
         IDENTITY_MEMO,
     ):
         assert name in memos, name

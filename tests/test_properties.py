@@ -18,10 +18,12 @@ from weylmod.tensorop import (
     TensorOperator,
     _combine,
     _scaled,
+    cubic_identity_residual,
     from_weyl,
     interpolate_coefficients,
     iota_hom_residual,
     node_combination,
+    quartic_identity_residual,
     shen_iota,
     special_operator,
     tensor,
@@ -177,10 +179,11 @@ def _commuting_rule(b1, g1, b2, g2):
 
 @contextmanager
 def _wrong_kernel(name, wrong, modules=(tensorop,)):
-    """``<module>.<name>`` replaced by wrong in each of modules.  The iota
-    and node templates are built by the library's kernels, so both memos
-    are cleared inside the patch and again before it is lifted."""
-    memos = (tensorop._iota_template, tensorop._node_template)
+    """``<module>.<name>`` replaced by wrong in each of modules.  The iota,
+    node and residual templates are built by the library's kernels and
+    weights, so their memos are cleared inside the patch and again before
+    it is lifted."""
+    memos = (tensorop._iota_template, tensorop._node_template, tensorop._residual_template)
     with pytest.MonkeyPatch.context() as patch:
         for module in modules:
             patch.setattr(module, name, wrong)
@@ -230,6 +233,25 @@ def test_wrong_iota_coefficient_fails_the_iota_hom_check():
         assert not wrong.is_zero()
         assert wrong == oracles.iota_hom_residual(x, y)
     assert iota_hom_residual(x, y).is_zero()
+
+
+def test_wrong_iota_coefficient_fails_the_identities():
+    # the residual templates are built by shen_iota, so a wrong coefficient
+    # there must show in the residual read off them, term by term
+    cases = [
+        (cubic_identity_residual, oracles.cubic_identity_residual, ((1, 0, 2), 1, 3)),
+        (cubic_identity_residual, oracles.cubic_identity_residual, ((-2, 3), 2, 1)),
+        (quartic_identity_residual, oracles.quartic_identity_residual, ((0, 3, 0, 1), 2)),
+    ]
+    for residual, _, args in cases:
+        assert residual(*args).is_zero()
+    with _wrong_kernel("shen_iota", _doubled_iota_terms):
+        for residual, oracle, args in cases:
+            wrong = residual(*args)
+            assert not wrong.is_zero()
+            assert wrong == oracle(*args)
+    for residual, _, args in cases:
+        assert residual(*args).is_zero()
 
 
 def test_a_wrong_normal_ordering_rule_fails_the_checks():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_properties import _wrong_kernel
 from weylmod import suites, tensorop
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import mi_add, mi_sub, mi_unit, mi_zero
@@ -551,11 +552,76 @@ def test_template_rows_are_alpha_plus_an_offset(monkeypatch):
     assert cubic_m_product((0, 0), 1, 2, 0) == _direct("cubic", (0, 0), 1, 2, 0)
 
 
-def test_wrong_cubic_weight_leaves_a_residual(monkeypatch):
-    alpha, i, j = (1, 0, 2), 1, 3
-    assert cubic_identity_residual(alpha, i, j).is_zero()
-    monkeypatch.setattr(tensorop, "CUBIC_WEIGHTS", {**CUBIC_WEIGHTS, 2: Fraction(1, 3)})
-    assert not cubic_identity_residual(alpha, i, j).is_zero()
+def _assert_wrong_weight_leaves_a_residual(name, weights, residual, oracle, args):
+    # the residual templates are built with the weights, so the memo is
+    # cleared inside the patch and after it (``_wrong_kernel``)
+    assert residual(*args).is_zero()
+    with _wrong_kernel(name, weights):
+        wrong = residual(*args)
+        assert not wrong.is_zero()
+        assert wrong == oracle(*args)
+    assert residual(*args).is_zero()
+
+
+def test_wrong_cubic_weight_leaves_a_residual():
+    _assert_wrong_weight_leaves_a_residual(
+        "CUBIC_WEIGHTS", {**CUBIC_WEIGHTS, 2: Fraction(1, 3)},
+        cubic_identity_residual, oracles.cubic_identity_residual, ((1, 0, 2), 1, 3),
+    )
+
+
+def test_wrong_quartic_weight_leaves_a_residual():
+    _assert_wrong_weight_leaves_a_residual(
+        "QUARTIC_WEIGHTS", {**QUARTIC_WEIGHTS, 0: Fraction(1, 3)},
+        quartic_identity_residual, oracles.quartic_identity_residual, ((0, 3, 0, 1), 2),
+    )
+
+
+# the identities' residuals are read off one symbolic template per
+# (n, i[, j]); the per-alpha composition of the direct products is the oracle
+def _residual_cases(n):
+    cases = [(cubic_identity_residual, oracles.cubic_identity_residual, (i, j))
+             for i, j in itertools.permutations(range(1, n + 1), 2)]
+    cases += [(quartic_identity_residual, oracles.quartic_identity_residual, (i,))
+              for i in range(1, n - 1)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_templates_match_the_composition(n):
+    checked = 0
+    for residual, oracle, args in _residual_cases(n):
+        for alpha in itertools.product(range(-2, 4), repeat=n):
+            got = residual(alpha, *args)
+            assert got == oracle(alpha, *args), (alpha, args)
+            assert got.laurent
+            checked += 1
+    assert checked == (n * (n - 1) + n - 2) * 6**n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_residual_templates_on_a_wider_window(data):
+    n = data.draw(st.integers(4, 5))
+    residual, oracle, args = data.draw(st.sampled_from(_residual_cases(n)))
+    entries = st.one_of(st.just(-1), st.just(0), st.integers(-7, 7))
+    alpha = tuple(data.draw(entries) for _ in range(n))
+    assert residual(alpha, *args) == oracle(alpha, *args)
+
+
+def test_every_residual_template_has_no_rows():
+    # the all-alpha certificate: evaluation keeps distinct rows distinct,
+    # so a template with no rows is a residual that is zero at every alpha
+    tensorop._residual_template.cache_clear()
+    built = 0
+    for n in range(2, 6):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert tensorop._residual_template("cubic", n, i, j)[1] == (), (n, i, j)
+            built += 1
+        for i in range(1, n - 1):
+            assert tensorop._residual_template("quartic", n, i, i + 2)[1] == (), (n, i)
+            built += 1
+    assert built == tensorop._residual_template.cache_info().currsize == 46
 
 
 def _raised(fn, *args):
@@ -580,16 +646,60 @@ def _raised(fn, *args):
         # alpha_i - m is an int here, so only the node itself is at fault
         ("cubic", ((Fraction(1, 2), 0), 1, 2, Fraction(1, 2))),
         ("quartic", ((Fraction(1, 2), 0, 0), 1, Fraction(1, 2))),
+        ("cubic", ((0, 0), 1.0, 2, 0)),
+        ("quartic", ((0, 0, 0), True, 1)),
+        ("cubic-residual", ((Fraction(1, 2), 0), 1, 2)),
+        ("cubic-residual", ((0, Fraction(3, 2), 1), 2, 3)),
+        ("cubic-residual", ((0.5, 0), 1, 2)),
+        ("cubic-residual", ((0, 0), 1, 1)),
+        ("cubic-residual", ((0, 0), 1, 3)),
+        ("cubic-residual", ((0, 0), 3, 1)),
+        ("cubic-residual", ((0, 0), 3, 5)),
+        ("cubic-residual", ((0, 0), 0, 1)),
+        ("cubic-residual", ((0, 0), 1.0, 2)),
+        ("cubic-residual", ((0, 0), 1, Fraction(2))),
+        ("quartic-residual", ((Fraction(1, 2), 0, 0), 1)),
+        ("quartic-residual", ((0, 0, 0), 2)),
+        ("quartic-residual", ((0, 0, 0), 0)),
+        ("quartic-residual", ((0, 0), 1)),
+        ("quartic-residual", ((0, 0, 0), True)),
+        ("quartic-residual", ((0, 0, 0), 1.0)),
     ],
 )
 def test_template_products_raise_what_the_direct_product_raises(kind, args):
-    product, factors = (
-        (cubic_m_product, cubic_m_factors) if kind == "cubic"
-        else (quartic_m_product, quartic_m_factors)
-    )
-    error = _raised(product, *args)
+    library, oracle = {
+        "cubic": (cubic_m_product, cubic_m_factors),
+        "quartic": (quartic_m_product, quartic_m_factors),
+        "cubic-residual": (cubic_identity_residual, oracles.cubic_identity_residual),
+        "quartic-residual": (quartic_identity_residual, oracles.quartic_identity_residual),
+    }[kind]
+    error = _raised(library, *args)
     assert error[0] is ArgumentError
-    assert error == _raised(factors, *args)
+    assert error == _raised(oracle, *args)
+
+
+def test_inexact_nodes_and_weights_are_refused():
+    op = TensorOperator.one(2)
+    # the int nodes fill the memo of their rows first: float nodes that
+    # equal them must still be refused
+    interpolate_coefficients([op, op], [0, 1])
+    cases = [
+        (interpolate_coefficients, ([op, op], [0, 1.5]),
+         "interpolation node 1.5 is not an int or a Fraction"),
+        (interpolate_coefficients, ([op, op], [0.0, 1.0]),
+         "interpolation node 0.0 is not an int or a Fraction"),
+        (interpolation_matrix, ((True, 2),),
+         "interpolation node True is not an int or a Fraction"),
+        (tensorop.node_combination, ({0: op}, {0: 0.5}),
+         "weight 0.5 at node 0 is not an int or a Fraction"),
+        (tensorop.node_combination, ({0: op}, {1: 1}), "no product at node 1"),
+    ]
+    for fn, args, message in cases:
+        assert _raised(fn, *args) == (ArgumentError, message)
+    # int and Fraction nodes and weights keep working
+    half = Fraction(1, 2)
+    assert interpolate_coefficients([op, op], [half, 1])[1].is_zero()
+    assert tensorop.node_combination({half: op, 2: op}, {half: half, 2: 1}) == op * Fraction(3, 2)
 
 
 def test_templates_are_built_on_first_use_only():
@@ -606,6 +716,12 @@ def test_templates_are_built_on_first_use_only():
         "assert tensorop._iota_template.cache_info().currsize == 1\n"
         "tensorop.iota_hom_residual(y, x + y)\n"
         "assert tensorop._iota_template.cache_info().currsize == 3\n"
+        "assert tensorop._residual_template.cache_info().currsize == 0\n"
+        "assert tensorop.cubic_identity_residual((0, 1), 1, 2).is_zero()\n"
+        "assert tensorop.quartic_identity_residual((1, 0, 2), 1).is_zero()\n"
+        "tensorop.cubic_identity_residual((2, -1), 1, 2)\n"
+        "assert tensorop._residual_template.cache_info().currsize == 2\n"
+        "assert tensorop._node_template.cache_info().currsize == 1\n"
     )
     src = str(Path(tensorop.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
