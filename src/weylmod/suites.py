@@ -32,20 +32,15 @@ from .structure import (
     evidence_simplicity,
 )
 from .tensorop import (
-    CHECK_NODE,
-    CUBIC_PREDICTION,
-    CUBIC_WEIGHTS,
-    QUARTIC_PREDICTION,
-    QUARTIC_WEIGHTS,
-    _combine,
-    _scaled,
+    CUBIC_NODES,
+    QUARTIC_NODES,
+    _at,
+    _cubic_args,
+    _residual_template,
+    _special_args,
     cubic_m_factors,
-    cubic_m_product,
-    cubic_target,
     iota_hom_residual,
     quartic_m_factors,
-    quartic_m_product,
-    quartic_target,
 )
 from .vectorfields import monomial_field
 from .weightmod import (
@@ -113,41 +108,34 @@ def check_iota_hom(n: int, deg: int):
                    residual_terms=residual_terms)
 
 
-def _check_identity(check, n, lo, hi, cases, target, product, factors, weights,
-                    prediction):
+def _check_identity(kind, n, lo, hi, cases, factors, nodes):
     """One interpolation identity over every alpha in the window.
 
-    ``cases`` lists (index args, lower bound on alpha).  Per alpha the check
-    needs three things: the fixed weights turn the node products into the
-    target; the product at CHECK_NODE equals the prediction from the node
-    products, which certifies the degree in m that the weights assume; and,
-    when alpha is above the lower bound, every right-hand factor demotes to a
-    polynomial field.
+    ``cases`` lists (index args, j, lower bound on alpha); the callers give
+    each case the argument checks of the public residual function once, on
+    its lower bound, since every alpha of the window is a tuple of ints.
+    An alpha passes when the identity's residual and its degree certificate
+    vanish, both read off the symbolic templates of (kind, n, i, j) that the
+    public residual functions read (``tensorop._residual_template``), and,
+    above the lower bound, when every right-hand factor at the nodes
+    demotes to a polynomial field.
     """
     failures = []
-    checked = 0
-    residual_terms = 0
-    membership_checked = 0
-    rows = [_scaled(list(weights.values())),
-            _scaled([prediction[m] for m in weights])]
-    for args, lower in cases:
+    checked = residual_terms = membership_checked = 0
+    for args, j, lower in cases:
+        identity, degree = (_residual_template(kind, n, args[0], j, d) for d in (False, True))
         for alpha in itertools.product(range(lo, hi + 1), repeat=n):
-            values = [product(alpha, *args, m) for m in weights]
-            combined, predicted = _combine(values, rows)
             checked += 1
-            residual = target(alpha, *args) - combined
+            residual = _at(identity, alpha)
             residual_terms += len(residual.terms)
-            ok = residual.is_zero() and predicted == product(alpha, *args, CHECK_NODE)
+            ok = residual.is_zero() and _at(degree, alpha).is_zero()
             if ok and all(a >= b for a, b in zip(alpha, lower)):
                 membership_checked += 1
-                ok = not any(
-                    f.element.demote().laurent
-                    for m in weights
-                    for f in factors(alpha, *args, m)
-                )
+                ok = not any(f.element.demote().laurent
+                             for m in nodes for f in factors(alpha, *args, m))
             if not ok:
                 failures.append({"alpha": list(alpha), **dict(zip("ij", args))})
-    return _record(check, {"n": n, "window": [lo, hi]}, checked, failures,
+    return _record(f"eq-{kind}", {"n": n, "window": [lo, hi]}, checked, failures,
                    residual_terms=residual_terms, polynomialWitnesses=membership_checked)
 
 
@@ -161,22 +149,16 @@ def check_eq_cubic(n: int, lo: int = -2, hi: int = 3, pairs=None):
     """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2."""
     if pairs is None:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return _check_identity(
-        "eq-cubic", n, lo, hi, [((i, j), _lower_bound(n, i, j)) for i, j in pairs],
-        cubic_target, cubic_m_product, cubic_m_factors,
-        CUBIC_WEIGHTS, CUBIC_PREDICTION,
-    )
+    cases = [((i, j), j, _cubic_args(_lower_bound(n, i, j), i, j)) for i, j in pairs]
+    return _check_identity("cubic", n, lo, hi, cases, cubic_m_factors, CUBIC_NODES)
 
 
 def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
     """The five-point identity recovering the g operator."""
     if i_list is None:
         i_list = list(range(1, n - 1))
-    return _check_identity(
-        "eq-quartic", n, lo, hi, [((i,), _lower_bound(n, i, i + 2)) for i in i_list],
-        quartic_target, quartic_m_product, quartic_m_factors,
-        QUARTIC_WEIGHTS, QUARTIC_PREDICTION,
-    )
+    cases = [((i,), i + 2, _special_args("g", _lower_bound(n, i, i + 2), i)) for i in i_list]
+    return _check_identity("quartic", n, lo, hi, cases, quartic_m_factors, QUARTIC_NODES)
 
 
 def standard_profiles(n: int, shift=DEFAULT_SHIFT):

@@ -52,6 +52,8 @@ class TensorOperator(TermMap):
                 t_exp, d_exp = wmono
                 if len(t_exp) != rank or len(d_exp) != rank:
                     raise StructureError("weyl factor rank mismatch")
+                check_integer_exponents(t_exp)
+                check_integer_exponents(d_exp)
                 if not laurent and any(b < 0 for b in t_exp):
                     raise StructureError("negative t exponent in polynomial mode")
                 cleaned[(wmono, pmono)] = coeff
@@ -79,10 +81,9 @@ class TensorOperator(TermMap):
         return TensorOperator._from_kernel(self.rank, terms, laurent)
 
     def _scale(self, scalar):
-        # a zero scalar leaves zero coefficients, which only __init__ drops
-        return TensorOperator(
-            self.rank, {k: c * scalar for k, c in self.terms.items()}, self.laurent
-        )
+        # a nonzero scalar keeps every coefficient nonzero and every exponent
+        terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
+        return TensorOperator._from_kernel(self.rank, terms, self.laurent)
 
     @property
     def mode(self) -> str:
@@ -463,12 +464,27 @@ def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
 
 def cubic_target(alpha, i: int, j: int) -> TensorOperator:
     """t^(alpha+e_j-2e_i) (x) E_ij^2, the left side of the cubic identity."""
+    return _cubic_target(_cubic_args(alpha, i, j), i, j)
+
+
+def _cubic_args(alpha, i: int, j: int) -> tuple:
+    """The argument checks of ``cubic_target``: distinct indices in range,
+    j checked first, and integer exponents.  They include those of the
+    node products (``check_L_args``).  Returns alpha as a tuple."""
     alpha = tuple(alpha)
-    n = len(alpha)
     if i == j:
         raise ArgumentError("indices must differ")
+    check_index(j, len(alpha))
+    check_index(i, len(alpha))
+    check_integer_exponents(alpha)
+    return alpha
+
+
+def _cubic_target(alpha, i: int, j: int) -> TensorOperator:
+    """``cubic_target`` unchecked; alpha's entries may be symbols."""
+    n = len(alpha)
     exp = mi_sub(mi_add(alpha, mi_unit(j, n)), tuple(2 * x for x in mi_unit(i, n)))
-    return TensorOperator(n, {((exp, mi_zero(n)), (((i, j), 2),)): 1}, laurent=True)
+    return TensorOperator._from_kernel(n, {((exp, mi_zero(n)), (((i, j), 2),)): 1}, True)
 
 
 def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
@@ -476,13 +492,11 @@ def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
 
     Zero for every integer alpha; the right-hand side is the fixed rational
     combination CUBIC_WEIGHTS of the products at m = 0, 1, 2, 3.  The
-    arguments get the checks of the target, then those of the node
-    product at m = 0; the residual is read off ``_residual_template``.
+    arguments get the checks of the target (``_cubic_args``); the residual
+    is read off ``_residual_template``.
     """
-    alpha = tuple(alpha)
-    cubic_target(alpha, i, j)
-    check_L_args(i, j, alpha)
-    return _at(_residual_template("cubic", len(alpha), i, j), alpha)
+    alpha = _cubic_args(alpha, i, j)
+    return _at(_residual_template("cubic", len(alpha), i, j, False), alpha)
 
 
 def quartic_m_factors(alpha, i: int, m: int):
@@ -545,22 +559,29 @@ def _node_terms(kind: str, n: int, i: int, j: int, m: int) -> dict:
 
 
 @lru_cache(maxsize=128)
-def _residual_template(kind: str, n: int, i: int, j: int):
+def _residual_template(kind: str, n: int, i: int, j: int, degree: bool):
     """The residual of the cubic (kind "cubic", indices i, j) or quartic
     (kind "quartic", j = i + 2) identity over a symbolic alpha: the target
-    (``cubic_target``, or the g rows of ``_special_rows``) minus
+    (``_cubic_target``, or the g rows of ``_special_rows``) minus
     ``node_combination`` of the node products ``_node_terms`` with the
-    identity's weights, all over the symbols of ``terms.Poly``.
+    identity's weights, all over the symbols of ``terms.Poly``.  With
+    degree set, the residual of its degree certificate instead: the node
+    product at CHECK_NODE minus its prediction from the node products
+    (CUBIC_PREDICTION or QUARTIC_PREDICTION), which vanishes when the
+    products have the degree in m that the weights assume.
 
     Returns ``_template`` of the residual over the base alpha.  Evaluation
     at alpha is a ring map that keeps distinct rows distinct, so the
     residual at alpha is that of the per-alpha computation, term by term,
-    and a template with no rows proves the identity for every integer
-    alpha.
+    and a template with no rows proves the identity (or the certificate)
+    for every integer alpha.
     """
     symbols = Poly.symbols(n)
-    if kind == "cubic":
-        target, weights = cubic_target(symbols, i, j), CUBIC_WEIGHTS
+    if degree:
+        target = TensorOperator._from_kernel(n, _node_terms(kind, n, i, j, CHECK_NODE), True)
+        weights = CUBIC_PREDICTION if kind == "cubic" else QUARTIC_PREDICTION
+    elif kind == "cubic":
+        target, weights = _cubic_target(symbols, i, j), CUBIC_WEIGHTS
     else:
         target, weights = _special_operator("g", symbols, i), QUARTIC_WEIGHTS
     products = {
@@ -643,11 +664,6 @@ def _primitive(coeff):
     )
 
 
-def quartic_target(alpha, i: int) -> TensorOperator:
-    """The g operator, the left side of the quartic identity."""
-    return special_operator("g", alpha, i)
-
-
 def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     """Residual of the five-point identity recovering the g operator.
 
@@ -657,7 +673,7 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     then hold); the residual is read off ``_residual_template``.
     """
     alpha = _special_args("g", alpha, i)
-    return _at(_residual_template("quartic", len(alpha), i, i + 2), alpha)
+    return _at(_residual_template("quartic", len(alpha), i, i + 2, False), alpha)
 
 
 @lru_cache(maxsize=64)

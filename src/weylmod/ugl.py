@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ArgumentError, DomainError, StructureError
+from .errors import DomainError, StructureError
+from .indices import check_index
 from .terms import SCALARS, TermMap, accumulate
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
@@ -178,8 +179,8 @@ class UglElement(TermMap):
 
 def E(i: int, j: int, n: int) -> UglElement:
     """The matrix unit E_ij as an element of U(gl_n), 1-based."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ArgumentError(f"indices ({i},{j}) out of range 1..{n}")
+    check_index(i, n)
+    check_index(j, n)
     return UglElement(n, {(((i, j), 1),): 1})
 
 

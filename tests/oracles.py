@@ -3,11 +3,13 @@
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 from weylmod import tensorop
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.linalg import RowBasis as IntRowBasis, rref
+from weylmod.suites import MAX_FAILURES
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
 from weylmod.ugl import E
@@ -271,7 +273,7 @@ def quartic_identity_residual(alpha, i):
     """The quartic identity's residual composed per alpha, as
     ``cubic_identity_residual``: the g operator minus the weighted direct
     node products."""
-    target = tensorop.quartic_target(alpha, i)
+    target = tensorop.special_operator("g", alpha, i)
     products = {
         m: _direct_product(tensorop.quartic_m_factors(alpha, i, m))
         for m in tensorop.QUARTIC_NODES
@@ -282,6 +284,58 @@ def quartic_identity_residual(alpha, i):
 def _direct_product(factors):
     left, right = factors
     return tensorop.shen_iota(left) * tensorop.shen_iota(right)
+
+
+def check_identity(kind, n, lo, hi, extra=None):
+    """The eq-cubic or eq-quartic report over every index case and every
+    alpha in the window, composed per alpha from the node products: the
+    target minus their weighted combination, the product at CHECK_NODE
+    against its prediction from the node products, and, above the lower
+    bound 2 e_i - e_j, the membership of every right-hand factor.  A node
+    product is the direct product of the iota images of its factors, plus
+    ``extra(alpha, m)`` when extra is given.  Targets, factors, weights and
+    iota are read from ``weylmod.tensorop`` at call time."""
+    if kind == "cubic":
+        cases = [((i, j), j) for i, j in itertools.permutations(range(1, n + 1), 2)]
+        target, factors = tensorop.cubic_target, tensorop.cubic_m_factors
+        weights, prediction = tensorop.CUBIC_WEIGHTS, tensorop.CUBIC_PREDICTION
+    else:
+        cases = [((i,), i + 2) for i in range(1, n - 1)]
+        target = partial(tensorop.special_operator, "g")
+        factors = tensorop.quartic_m_factors
+        weights, prediction = tensorop.QUARTIC_WEIGHTS, tensorop.QUARTIC_PREDICTION
+
+    def product(alpha, args, m):
+        value = _direct_product(factors(alpha, *args, m))
+        return value if extra is None else value + extra(alpha, m)
+
+    failures = []
+    checked = residual_terms = witnesses = 0
+    for args, j in cases:
+        lower = mi_sub(tuple(2 * x for x in mi_unit(args[0], n)), mi_unit(j, n))
+        for alpha in itertools.product(range(lo, hi + 1), repeat=n):
+            checked += 1
+            products = {m: product(alpha, args, m) for m in (*weights, tensorop.CHECK_NODE)}
+            residual = target(alpha, *args) - node_combination(products, weights)
+            residual_terms += len(residual.terms)
+            predicted = node_combination(products, prediction)
+            ok = residual.is_zero() and predicted == products[tensorop.CHECK_NODE]
+            if ok and all(a >= b for a, b in zip(alpha, lower)):
+                witnesses += 1
+                ok = not any(
+                    f.element.demote().laurent for m in weights for f in factors(alpha, *args, m)
+                )
+            if not ok:
+                failures.append({"alpha": list(alpha), **dict(zip("ij", args))})
+    return {
+        "check": f"eq-{kind}",
+        "params": {"n": n, "window": [lo, hi]},
+        "checked": checked,
+        "failures": failures[:MAX_FAILURES],
+        "pass": checked > 0 and not failures,
+        "residual_terms": residual_terms,
+        "polynomialWitnesses": witnesses,
+    }
 
 
 def invert(matrix):

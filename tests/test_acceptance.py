@@ -53,7 +53,7 @@ def test_criterion_2_cubic_identity():
     started = time.monotonic()
     total = 0
     witnesses = 0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         result = check_eq_cubic(n, lo=-2, hi=3)
         assert result["pass"], result["failures"]
         total += result["checked"]
@@ -69,7 +69,7 @@ def test_criterion_3_quartic_identity():
     started = time.monotonic()
     total = 0
     witnesses = 0
-    for n in (3, 4):
+    for n in (3, 4, 5):
         result = check_eq_quartic(n, lo=-2, hi=3)
         assert result["pass"], result["failures"]
         total += result["checked"]

@@ -15,6 +15,7 @@ from weylmod.indices import (
     mi_unit,
 )
 from weylmod.tensorop import cubic_identity_residual, cubic_m_product, special_operator
+from weylmod.ugl import E
 from weylmod.vectorfields import L_op
 
 
@@ -55,6 +56,10 @@ def test_indices_must_be_ints():
         (cubic_m_product, ((0, 0), 1.0, 2, 0), "index 1.0 is not an integer"),
         (special_operator, ("h", (0, 0, 0), True), "index True is not an integer"),
         (special_operator, ("h", (0, 0, 0), 2), "index 2 out of range 1..1"),
+        (E, (1.0, 2, 3), "index 1.0 is not an integer"),
+        (E, (1, True, 3), "index True is not an integer"),
+        (E, (4, 2, 3), "index 4 out of range 1..3"),
+        (E, (1, 0, 3), "index 0 out of range 1..3"),
     ]
     for fn, args, message in cases:
         with pytest.raises(ArgumentError) as info:

@@ -19,7 +19,6 @@ from weylmod.tensorop import (
     _combine,
     _scaled,
     cubic_identity_residual,
-    from_weyl,
     interpolate_coefficients,
     iota_hom_residual,
     node_combination,
@@ -167,8 +166,11 @@ def _doubled_bracket(x, y):
 
 
 def _doubled_iota_terms(x):
-    """shen_iota with every E_si coefficient a_s doubled."""
-    return 2 * shen_iota(x) - from_weyl(x.element)
+    """shen_iota with every E_si coefficient a_s doubled: 2 shen_iota(x) -
+    x (x) 1, kernel-built, since x may carry symbolic exponents."""
+    op = shen_iota(x)
+    terms = {key: 2 * c if key[1] else c for key, c in op.terms.items()}
+    return TensorOperator._from_kernel(op.rank, terms, op.laurent)
 
 
 def _commuting_rule(b1, g1, b2, g2):
@@ -379,6 +381,11 @@ def test_public_constructor_still_checks(n, extra, data):
     with pytest.raises(StructureError):
         TensorOperator(n, {((negative, z), ()): 1})
     assert TensorOperator(n, {((negative, z), ()): 1}, laurent=True).laurent
+    # exact stays exact: a non-int t or d exponent is refused in either mode
+    half = z[:i] + (Fraction(1, 2),) + z[i + 1:]
+    for wmono in ((half, z), (z, half), (z[:i] + (1.0,) + z[i + 1:], z)):
+        with pytest.raises(ArgumentError, match="is not an integer"):
+            TensorOperator(n, {(wmono, ()): 1}, laurent=True)
     assert TensorOperator(n, {((z, z), ()): 0}).terms == {}
     # a sum with another element type is refused, not adopted unchecked
     with pytest.raises(StructureError):

@@ -31,6 +31,7 @@ from weylmod.tensorop import (
     cubic_identity_residual,
     cubic_m_factors,
     cubic_m_product,
+    cubic_target,
     from_weyl,
     interpolate_coefficients,
     interpolation_matrix,
@@ -42,6 +43,7 @@ from weylmod.tensorop import (
     special_operator,
     tensor,
 )
+from weylmod.terms import Poly, accumulate
 from weylmod.ugl import E, UglElement, in_usl
 from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weyl import WeylElement, d, t
@@ -383,6 +385,22 @@ def test_cubic_identity_examples():
         cubic_identity_residual((0, 0), 1, 1)
 
 
+def test_cubic_target_checks_its_arguments():
+    assert cubic_target((1, 0), 1, 2) == tensor(
+        oracles.t_power((-1, 1), laurent=True), E(1, 2, 2) * E(1, 2, 2)
+    )
+    cases = [
+        (((Fraction(1, 2), 0), 1, 2),
+         "exponent Fraction(1, 2) in (Fraction(1, 2), 0) is not an integer"),
+        (((0, 0.5), 1, 2), "exponent 0.5 in (0, 0.5) is not an integer"),
+        (((0, 0), 2, 2), "indices must differ"),
+        (((0, 0), 3, 5), "index 5 out of range 1..2"),
+        (((0, 0), 1.0, 2), "index 1.0 is not an integer"),
+    ]
+    for args, message in cases:
+        assert _raised(cubic_target, *args) == (ArgumentError, message), args
+
+
 def test_quartic_identity_examples():
     assert quartic_identity_residual((2, 0, 0), 1).is_zero()
     alpha = (2, 0, 0)
@@ -439,25 +457,62 @@ def test_identity_weights_match_the_displayed_identities():
     assert QUARTIC_PREDICTION == {-1: 1, 0: -5, 1: 10, 2: -10, 3: 5}
 
 
+def _tampered_node_terms(kind, n, i, j, m, honest=tensorop._node_terms):
+    """``tensorop._node_terms`` with t^alpha (x) E_12 added to the node
+    product at CHECK_NODE only: a product off the polynomial in m whose
+    template still compiles."""
+    terms = honest(kind, n, i, j, m)
+    if m == CHECK_NODE:
+        accumulate(terms, [(((Poly.symbols(n), mi_zero(n)), (((1, 2), 1),)), 1)])
+    return terms
+
+
+def _check_node_extra(alpha, m):
+    """The term ``_tampered_node_terms`` adds, at one alpha."""
+    n = len(alpha)
+    if m != CHECK_NODE:
+        return TensorOperator.zero(n, laurent=True)
+    return tensor(oracles.t_power(alpha, laurent=True), E(1, 2, n))
+
+
 @pytest.mark.parametrize("kind", ["cubic", "quartic"])
-def test_degree_certificate_catches_a_tampered_product(monkeypatch, kind):
-    # a product off the polynomial in m leaves the residual at zero, since
-    # the residual never reads it, but fails the check-node certificate
-    n, check, name = (2, check_eq_cubic, "cubic_m_product") if kind == "cubic" else (
-        3, check_eq_quartic, "quartic_m_product")
-    honest = getattr(suites, name)
-    extra = tensor(WeylElement.one(n, laurent=True), E(1, 2, n))
-
-    def tampered(*args):
-        value = honest(*args)
-        return value + extra if args[-1] == CHECK_NODE else value
-
+def test_degree_certificate_catches_a_tampered_product(kind):
+    # a product off the polynomial in m leaves the identity's residual at
+    # zero, since its template never reads the product at the check node,
+    # but fails the degree certificate at every alpha
+    n, check = (2, check_eq_cubic) if kind == "cubic" else (3, check_eq_quartic)
     assert check(n, lo=0, hi=1)["pass"]
-    monkeypatch.setattr(suites, name, tampered)
-    report = check(n, lo=0, hi=1)
+    with _wrong_kernel("_node_terms", _tampered_node_terms):
+        report = check(n, lo=0, hi=1)
     assert not report["pass"]
     assert report["residual_terms"] == 0
-    assert len(report["failures"]) == report["checked"]
+    assert len(report["failures"]) == report["checked"] == 8
+    assert check(n, lo=0, hi=1)["pass"]
+
+
+@pytest.mark.parametrize(
+    "kind, n, lo, hi", [("cubic", 2, -2, 3), ("cubic", 3, 0, 2), ("quartic", 3, -1, 2)]
+)
+def test_identity_suites_match_the_per_alpha_oracle(kind, n, lo, hi):
+    # the suites read each alpha off the residual templates; the oracle
+    # composes the direct node products per alpha
+    check = check_eq_cubic if kind == "cubic" else check_eq_quartic
+
+    def compared(extra=None):
+        report = check(n, lo, hi)
+        assert report == oracles.check_identity(kind, n, lo, hi, extra)
+        return report
+
+    assert compared()["pass"]
+    name = f"{kind.upper()}_WEIGHTS"
+    weights = getattr(tensorop, name)
+    with _wrong_kernel(name, {**weights, 2: weights[2] + 1}):
+        report = compared()
+    assert not report["pass"] and report["residual_terms"] > 0
+    with _wrong_kernel("_node_terms", _tampered_node_terms):
+        report = compared(_check_node_extra)
+    assert not report["pass"] and report["residual_terms"] == 0
+    assert len(report["failures"]) == suites.MAX_FAILURES
 
 
 def test_demote():
@@ -611,17 +666,21 @@ def test_residual_templates_on_a_wider_window(data):
 
 def test_every_residual_template_has_no_rows():
     # the all-alpha certificate: evaluation keeps distinct rows distinct,
-    # so a template with no rows is a residual that is zero at every alpha
+    # so a template with no rows is a residual that is zero at every alpha;
+    # so are the degree certificates, one per identity template
     tensorop._residual_template.cache_clear()
     built = 0
     for n in range(2, 6):
-        for i, j in itertools.permutations(range(1, n + 1), 2):
-            assert tensorop._residual_template("cubic", n, i, j)[1] == (), (n, i, j)
-            built += 1
-        for i in range(1, n - 1):
-            assert tensorop._residual_template("quartic", n, i, i + 2)[1] == (), (n, i)
-            built += 1
-    assert built == tensorop._residual_template.cache_info().currsize == 46
+        for degree in (False, True):
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                template = tensorop._residual_template("cubic", n, i, j, degree)
+                assert template[1] == (), (n, i, j, degree)
+                built += 1
+            for i in range(1, n - 1):
+                template = tensorop._residual_template("quartic", n, i, i + 2, degree)
+                assert template[1] == (), (n, i, degree)
+                built += 1
+    assert built == tensorop._residual_template.cache_info().currsize == 92
 
 
 def _raised(fn, *args):
@@ -722,6 +781,10 @@ def test_templates_are_built_on_first_use_only():
         "tensorop.cubic_identity_residual((2, -1), 1, 2)\n"
         "assert tensorop._residual_template.cache_info().currsize == 2\n"
         "assert tensorop._node_template.cache_info().currsize == 1\n"
+        # the suite adds the degree template of (n, i, j) to the identity's
+        "from weylmod.suites import check_eq_cubic\n"
+        "assert check_eq_cubic(2, 0, 1, pairs=[(1, 2)])['pass']\n"
+        "assert tensorop._residual_template.cache_info().currsize == 3\n"
     )
     src = str(Path(tensorop.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
