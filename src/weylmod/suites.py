@@ -36,11 +36,11 @@ from .tensorop import (
     QUARTIC_NODES,
     _at,
     _cubic_args,
+    _left_terms,
     _residual_template,
+    _right_terms,
     _special_args,
-    cubic_m_factors,
     iota_hom_residual,
-    quartic_m_factors,
 )
 from .vectorfields import monomial_field
 from .weightmod import (
@@ -108,35 +108,44 @@ def check_iota_hom(n: int, deg: int):
                    residual_terms=residual_terms)
 
 
-def _check_identity(kind, n, lo, hi, cases, factors, nodes):
+def _check_identity(kind, n, lo, hi, cases, nodes):
     """One interpolation identity over every alpha in the window.
 
     ``cases`` lists (index args, j, lower bound on alpha); the callers give
     each case the argument checks of the public residual function once, on
     its lower bound, since every alpha of the window is a tuple of ints.
-    An alpha passes when the identity's residual and its degree certificate
-    vanish, both read off the symbolic templates of (kind, n, i, j) that the
-    public residual functions read (``tensorop._residual_template``), and,
-    above the lower bound, when every right-hand factor at the nodes
-    demotes to a polynomial field.
+    An alpha passes when its case is certified (its node product has degree
+    below the node count in m) and its residual vanishes, both read off the
+    template of (kind, n, i, j) that the public residual functions read
+    (``tensorop._residual_template``), and, above the lower bound, when
+    every factor at the nodes is polynomial; the right factors do not
+    depend on alpha, so they are checked once per case.
     """
     failures = []
     checked = residual_terms = membership_checked = 0
     for args, j, lower in cases:
-        identity, degree = (_residual_template(kind, n, args[0], j, d) for d in (False, True))
+        i = args[0]
+        identity, degree = _residual_template(kind, n, i, j)
+        right_polynomial = all(_polynomial(_right_terms(kind, n, i, j, m)) for m in nodes)
         for alpha in itertools.product(range(lo, hi + 1), repeat=n):
             checked += 1
             residual = _at(identity, alpha)
             residual_terms += len(residual.terms)
-            ok = residual.is_zero() and _at(degree, alpha).is_zero()
+            ok = degree < len(nodes) and residual.is_zero()
             if ok and all(a >= b for a, b in zip(alpha, lower)):
                 membership_checked += 1
-                ok = not any(f.element.demote().laurent
-                             for m in nodes for f in factors(alpha, *args, m))
+                ok = right_polynomial and all(
+                    _polynomial(_left_terms(i, j, alpha, m)) for m in nodes
+                )
             if not ok:
                 failures.append({"alpha": list(alpha), **dict(zip("ij", args))})
     return _record(f"eq-{kind}", {"n": n, "window": [lo, hi]}, checked, failures,
                    residual_terms=residual_terms, polynomialWitnesses=membership_checked)
+
+
+def _polynomial(terms) -> bool:
+    """Whether no t exponent of a field's terms is negative (``L_op``'s check)."""
+    return all(b >= 0 for t_exp, _ in terms for b in t_exp)
 
 
 def _lower_bound(n: int, i: int, j: int):
@@ -150,7 +159,7 @@ def check_eq_cubic(n: int, lo: int = -2, hi: int = 3, pairs=None):
     if pairs is None:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     cases = [((i, j), j, _cubic_args(_lower_bound(n, i, j), i, j)) for i, j in pairs]
-    return _check_identity("cubic", n, lo, hi, cases, cubic_m_factors, CUBIC_NODES)
+    return _check_identity("cubic", n, lo, hi, cases, CUBIC_NODES)
 
 
 def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
@@ -158,7 +167,7 @@ def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
     if i_list is None:
         i_list = list(range(1, n - 1))
     cases = [((i,), i + 2, _special_args("g", _lower_bound(n, i, i + 2), i)) for i in i_list]
-    return _check_identity("quartic", n, lo, hi, cases, quartic_m_factors, QUARTIC_NODES)
+    return _check_identity("quartic", n, lo, hi, cases, QUARTIC_NODES)
 
 
 def standard_profiles(n: int, shift=DEFAULT_SHIFT):

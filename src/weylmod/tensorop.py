@@ -4,10 +4,11 @@ This module hosts the algebra map iota from vector fields into the tensor
 algebra, its Laurent extension, the named operators built from degree-two
 matrix-unit products, and the exact interpolation identities that express
 t^alpha tensor E_ij^2 (and the g operator) through products of images of
-divergence-free generators.  Those node products are built once per
-(n, i, j, m) over a symbolic alpha and evaluated at each alpha; each
-identity's residual is built once per (n, i, j) over the same symbols, so
-a template with no rows proves the identity for every integer alpha.
+divergence-free generators.  Each identity's node product is built once
+per (n, i, j) over a symbolic alpha and a symbolic node m; setting m gives
+the product at each node, evaluated per alpha, and the identity's residual
+over the same symbols, so a template with no rows and a product of degree
+below the node count in m prove the identity for every integer alpha.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .indices import (
 )
 from .terms import SCALARS, Poly, TermMap, accumulate
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
-from .vectorfields import L_op, VectorField, _L_terms, bracket, check_L_args, monomial_field
+from .vectorfields import VectorField, _L_terms, bracket, check_L_args
 from .weyl import WeylElement, _d_on_t, _monomial_product
 
 
@@ -189,31 +190,21 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     The residual is bilinear in (x, y), so it is the sum over the term
     pairs (c1 t^a d_i, c2 t^b d_j) of c1 c2 times the template of (n, i, j)
     evaluated at (a, b) (``_iota_template``).  Evaluation is a ring map, so
-    the sum is the residual of the direct computation, term by term.
-    Exponents must be ints.
+    the sum is the residual of the direct computation, term by term.  The
+    exponents are ints: ``WeylElement`` refuses any other.
     """
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
-    left = _exponent_terms(x)
-    right = _exponent_terms(y)
+    right = [(b, g.index(1) + 1, c) for (b, g), c in y.element.terms.items()]
     terms = {}
-    for a, i, c1 in left:
+    for (a, g), c1 in x.element.terms.items():
+        i = g.index(1) + 1
         for b, j, c2 in right:
             base = c1 * c2
             values = _evaluated(_iota_template(n, i, j), a + b, tuple(map(add, a, b)))
             accumulate(terms, ((key, base * c) for key, c in values.items()))
     return TensorOperator._from_kernel(n, terms, x.laurent or y.laurent)
-
-
-def _exponent_terms(x: VectorField):
-    """The (t exponent, i, coeff) of every term coeff t^a d_i of a field,
-    its exponents checked to be ints."""
-    out = []
-    for (t_exp, d_exp), coeff in x.element.terms.items():
-        check_integer_exponents(t_exp)
-        out.append((t_exp, d_exp.index(1) + 1, coeff))
-    return out
 
 
 @lru_cache(maxsize=256)
@@ -227,8 +218,8 @@ def _iota_template(n: int, i: int, j: int):
     """
     symbols = Poly.symbols(2 * n)
     a, b = symbols[:n], symbols[n:]
-    x = monomial_field(a, i, laurent=True)
-    y = monomial_field(b, j, laurent=True)
+    x = _symbolic_field(n, {(a, mi_unit(i, n)): 1})
+    y = _symbolic_field(n, {(b, mi_unit(j, n)): 1})
     ix, iy = shen_iota(x), shen_iota(y)
     terms = accumulate(dict(shen_iota(bracket(x, y)).terms), _product_terms(iy, ix))
     accumulate(terms, ((mono, -c) for mono, c in _product_terms(ix, iy)))
@@ -362,29 +353,14 @@ def _is_exact(value) -> bool:
     return isinstance(value, SCALARS) and not isinstance(value, bool)
 
 
-# one node beyond both windows; the product there certifies the degree in m
-CHECK_NODE = 4
-
-
-def _identity_weights(nodes, sign):
-    """Both identities read off the m^3 coefficient of their node products,
-    which is row 3 of the inverse Vandermonde matrix: the cubic products
-    carry minus the target there (sign -1), the quartic products the g
-    operator itself.  Also returns the weights that predict the product at
-    CHECK_NODE from the node products."""
-    inv = interpolation_matrix(nodes)
-    weights = {m: sign * w for m, w in zip(nodes, inv[3])}
-    prediction = {
-        m: sum(row[t] * CHECK_NODE**k for k, row in enumerate(inv))
-        for t, m in enumerate(nodes)
-    }
-    return weights, prediction
-
-
+# Both identities read off the m^3 coefficient of their node products, which
+# is row 3 of the inverse Vandermonde matrix when the products have degree
+# below the node count in m: the cubic products carry minus the target there,
+# the quartic products the g operator itself.
 CUBIC_NODES = (0, 1, 2, 3)
 QUARTIC_NODES = (-1, 0, 1, 2, 3)
-CUBIC_WEIGHTS, CUBIC_PREDICTION = _identity_weights(CUBIC_NODES, -1)
-QUARTIC_WEIGHTS, QUARTIC_PREDICTION = _identity_weights(QUARTIC_NODES, 1)
+CUBIC_WEIGHTS = {m: -w for m, w in zip(CUBIC_NODES, interpolation_matrix(CUBIC_NODES)[3])}
+QUARTIC_WEIGHTS = dict(zip(QUARTIC_NODES, interpolation_matrix(QUARTIC_NODES)[3]))
 
 
 def _scaled(weights):
@@ -446,16 +422,6 @@ def node_combination(products, weights) -> TensorOperator:
     return _combine(values, [_scaled(list(weights.values()))])[0]
 
 
-def cubic_m_factors(alpha, i: int, j: int, m: int):
-    """The fields L_ij^(alpha - m e_i) and t^(m e_i) d_j (Laurent mode)."""
-    alpha = tuple(alpha)
-    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
-    return (
-        L_op(i, j, mi_sub(alpha, shift), laurent=True),
-        monomial_field(shift, j, laurent=True),
-    )
-
-
 def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
     """iota_hat(L_ij^(alpha - m e_i)) * iota_hat(t^(m e_i) d_j), read off
     the node template of (n, i, j, m) at alpha (see ``_node_product``)."""
@@ -496,17 +462,7 @@ def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
     is read off ``_residual_template``.
     """
     alpha = _cubic_args(alpha, i, j)
-    return _at(_residual_template("cubic", len(alpha), i, j, False), alpha)
-
-
-def quartic_m_factors(alpha, i: int, m: int):
-    """The fields L_(i,i+2)^(alpha - m e_i) and L_(i,i+1)^(m e_i) (Laurent mode)."""
-    alpha = tuple(alpha)
-    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
-    return (
-        L_op(i, i + 2, mi_sub(alpha, shift), laurent=True),
-        L_op(i, i + 1, shift, laurent=True),
-    )
+    return _at(_residual_template("cubic", len(alpha), i, j)[0], alpha)
 
 
 def quartic_m_product(alpha, i: int, m: int) -> TensorOperator:
@@ -523,10 +479,9 @@ def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
     the direct product, exactly.
     """
     alpha = tuple(alpha)
-    n = len(alpha)
-    shift = tuple(m * x for x in mi_unit(i, n))
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
     check_L_args(i, j, mi_sub(alpha, shift))
-    return _at(_node_template(kind, n, i, j, m), alpha)
+    return _at(_node_template(kind, len(alpha), i, j, m), alpha)
 
 
 def _at(template, alpha) -> TensorOperator:
@@ -537,58 +492,75 @@ def _at(template, alpha) -> TensorOperator:
 
 @lru_cache(maxsize=256)
 def _node_template(kind: str, n: int, i: int, j: int, m: int):
-    """``_template`` of the node product ``_node_terms`` over the base alpha."""
-    return _template(_node_terms(kind, n, i, j, m), Poly.symbols(n))
+    """``_template`` of the node product of (kind, n, i, j) at m over alpha."""
+    return _template(_at_node(_node_terms(kind, n, i, j), m), Poly.symbols(n + 1)[:n])
 
 
-def _node_terms(kind: str, n: int, i: int, j: int, m: int) -> dict:
-    """The node product of (kind, n, i, j, m) over a symbolic alpha, built
-    by the library's own kernels: ``_L_terms`` on the symbols of
-    ``terms.Poly``, ``shen_iota`` and ``_product_terms``.  Only the left
-    factor carries alpha, and ``_d_on_t`` reads only the right factor's t
-    exponent, so the product is exact over the symbols.
+def _node_terms(kind: str, n: int, i: int, j: int) -> dict:
+    """The node product of (kind, n, i, j) over the n + 1 symbols of
+    ``terms.Poly``, alpha and the node m last, built by ``shen_iota`` and
+    ``_product_terms`` from the factors (``_left_terms``, ``_right_terms``).
+    Its t exponents are alpha plus integers: m only enters the coefficients.
     """
-    symbols = Poly.symbols(n)
-    shift = tuple(m * x for x in mi_unit(i, n))
-    left = VectorField(WeylElement(n, _L_terms(i, j, mi_sub(symbols, shift)), True))
-    if kind == "cubic":
-        right = monomial_field(shift, j, laurent=True)
-    else:
-        right = L_op(i, i + 1, shift, laurent=True)
+    symbols = Poly.symbols(n + 1)
+    alpha, m = symbols[:n], symbols[n]
+    left = _symbolic_field(n, _left_terms(i, j, alpha, m))
+    right = _symbolic_field(n, _right_terms(kind, n, i, j, m))
     return accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
 
 
-@lru_cache(maxsize=128)
-def _residual_template(kind: str, n: int, i: int, j: int, degree: bool):
-    """The residual of the cubic (kind "cubic", indices i, j) or quartic
-    (kind "quartic", j = i + 2) identity over a symbolic alpha: the target
-    (``_cubic_target``, or the g rows of ``_special_rows``) minus
-    ``node_combination`` of the node products ``_node_terms`` with the
-    identity's weights, all over the symbols of ``terms.Poly``.  With
-    degree set, the residual of its degree certificate instead: the node
-    product at CHECK_NODE minus its prediction from the node products
-    (CUBIC_PREDICTION or QUARTIC_PREDICTION), which vanishes when the
-    products have the degree in m that the weights assume.
+def _left_terms(i: int, j: int, alpha, m) -> dict:
+    """The left factor L_ij^(alpha - m e_i); alpha and m may be symbols."""
+    return _L_terms(i, j, mi_sub(alpha, tuple(m * x for x in mi_unit(i, len(alpha)))))
 
-    Returns ``_template`` of the residual over the base alpha.  Evaluation
-    at alpha is a ring map that keeps distinct rows distinct, so the
-    residual at alpha is that of the per-alpha computation, term by term,
-    and a template with no rows proves the identity (or the certificate)
-    for every integer alpha.
+
+def _right_terms(kind: str, n: int, i: int, j: int, m) -> dict:
+    """The right factor t^(m e_i) d_j (cubic) or L_(i,i+1)^(m e_i)
+    (quartic); m may be a symbol."""
+    shift = tuple(m * x for x in mi_unit(i, n))
+    return {(shift, mi_unit(j, n)): 1} if kind == "cubic" else _L_terms(i, i + 1, shift)
+
+
+def _symbolic_field(n: int, terms: dict) -> VectorField:
+    """The Laurent-mode field of a term map whose exponents may be symbols."""
+    return VectorField(WeylElement._from_kernel(n, terms, True))
+
+
+def _at_node(product: dict, m: int) -> dict:
+    """A product of ``_node_terms`` with m set to an int in each coefficient
+    (``Poly.at_last``, a ring map), vanishing terms left out.  The t
+    exponents are kept: one that carries m makes ``_template`` raise."""
+    return accumulate(
+        {}, ((key, c.at_last(m) if type(c) is Poly else c) for key, c in product.items())
+    )
+
+
+@lru_cache(maxsize=64)
+def _residual_template(kind: str, n: int, i: int, j: int):
+    """The cubic (kind "cubic", indices i, j) or quartic (kind "quartic",
+    j = i + 2) identity over a symbolic alpha, as (``_template`` of its
+    residual over the base alpha, degree in m of its node product).  The
+    residual is the target (``_cubic_target``, or the g rows of
+    ``_special_rows``) minus ``node_combination`` of the node product
+    ``_node_terms`` set at each node (``_at_node``) with the weights.
+
+    Evaluation at alpha is a ring map that keeps distinct rows distinct, so
+    the residual at alpha is that of the per-alpha computation, term by
+    term.  No rows and a degree below the node count prove the identity for
+    every integer alpha: the weights then read the product's m^3 coefficient.
     """
-    symbols = Poly.symbols(n)
-    if degree:
-        target = TensorOperator._from_kernel(n, _node_terms(kind, n, i, j, CHECK_NODE), True)
-        weights = CUBIC_PREDICTION if kind == "cubic" else QUARTIC_PREDICTION
-    elif kind == "cubic":
-        target, weights = _cubic_target(symbols, i, j), CUBIC_WEIGHTS
+    alpha = Poly.symbols(n + 1)[:n]
+    if kind == "cubic":
+        target, weights = _cubic_target(alpha, i, j), CUBIC_WEIGHTS
     else:
-        target, weights = _special_operator("g", symbols, i), QUARTIC_WEIGHTS
+        target, weights = _special_operator("g", alpha, i), QUARTIC_WEIGHTS
+    product = _node_terms(kind, n, i, j)
     products = {
-        m: TensorOperator._from_kernel(n, _node_terms(kind, n, i, j, m), True)
-        for m in weights
+        m: TensorOperator._from_kernel(n, _at_node(product, m), True) for m in weights
     }
-    return _template((target - node_combination(products, weights)).terms, symbols)
+    residual = (target - node_combination(products, weights)).terms
+    degree = max((e[-1] for c in product.values() if type(c) is Poly for e in c.terms), default=0)
+    return _template(residual, alpha), degree
 
 
 def _template(product: dict, base):
@@ -673,7 +645,7 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     then hold); the residual is read off ``_residual_template``.
     """
     alpha = _special_args("g", alpha, i)
-    return _at(_residual_template("quartic", len(alpha), i, i + 2, False), alpha)
+    return _at(_residual_template("quartic", len(alpha), i, i + 2)[0], alpha)
 
 
 @lru_cache(maxsize=64)

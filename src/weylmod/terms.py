@@ -235,6 +235,12 @@ class Poly:
         quotients = ((e, Fraction(c, den)) for e, c in self.terms.items())
         return Poly({e: q.numerator if q.denominator == 1 else q for e, q in quotients})
 
+    def at_last(self, value):
+        """The polynomial with its last symbol set to the int value, a ring
+        map: a Poly in the other symbols, or a scalar when constant."""
+        pairs = ((e[:-1] + (0,), c * value ** e[-1]) for e, c in self.terms.items())
+        return _collected(accumulate({}, pairs))
+
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.terms == other.terms

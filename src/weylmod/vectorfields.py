@@ -107,7 +107,8 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
                     yield (lowered(a, b, j), units[i]), -c1 * c2 * a[j]
 
     laurent = x.laurent or y.laurent
-    return VectorField(WeylElement(n, accumulate({}, terms()), laurent))
+    # kernel-built: the symbolic iota templates bracket over Poly exponents
+    return VectorField(WeylElement._from_kernel(n, accumulate({}, terms()), laurent))
 
 
 def _derivative(f: WeylElement, j: int) -> WeylElement:

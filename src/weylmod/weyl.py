@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import add, sub
 
 from .errors import DomainError, StructureError
-from .indices import binomial, falling, mi_zero
+from .indices import binomial, check_integer_exponents, falling, mi_zero
 from .terms import SCALARS, Poly, TermMap, accumulate, power_text
 
 
@@ -81,6 +81,8 @@ class WeylElement(TermMap):
                     continue
                 if len(t_exp) != rank or len(d_exp) != rank:
                     raise StructureError("monomial rank does not match element rank")
+                check_integer_exponents(t_exp)
+                check_integer_exponents(d_exp)
                 if any(g < 0 for g in d_exp):
                     raise StructureError(f"negative derivative exponent in {d_exp}")
                 if not laurent and any(b < 0 for b in t_exp):
@@ -89,6 +91,15 @@ class WeylElement(TermMap):
                     )
                 cleaned[(tuple(t_exp), tuple(d_exp))] = coeff
         self._set(cleaned, rank=rank, laurent=laurent)
+
+    @classmethod
+    def _from_kernel(cls, rank: int, terms: dict, laurent: bool) -> WeylElement:
+        """An element over a term map that a kernel of this library built,
+        adopted unchecked (its exponents may be ``terms.Poly`` symbols), as
+        ``TensorOperator._from_kernel``; outside input goes through __init__."""
+        element = cls(rank, None, laurent)
+        element._set(terms)
+        return element
 
     def _context(self):
         # the mode flag is bookkeeping, not part of the value

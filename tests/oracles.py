@@ -13,7 +13,7 @@ from weylmod.suites import MAX_FAILURES
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
 from weylmod.ugl import E
-from weylmod.vectorfields import VectorField
+from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weightmod import FVector, PVector, make_wedge_module
 from weylmod.weyl import WeylElement
 
@@ -255,6 +255,26 @@ def node_combination(products, weights):
     return acc
 
 
+def cubic_m_factors(alpha, i, j, m):
+    """The fields L_ij^(alpha - m e_i) and t^(m e_i) d_j (Laurent mode)."""
+    alpha = tuple(alpha)
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
+    return (
+        L_op(i, j, mi_sub(alpha, shift), laurent=True),
+        monomial_field(shift, j, laurent=True),
+    )
+
+
+def quartic_m_factors(alpha, i, m):
+    """The fields L_(i,i+2)^(alpha - m e_i) and L_(i,i+1)^(m e_i) (Laurent mode)."""
+    alpha = tuple(alpha)
+    shift = tuple(m * x for x in mi_unit(i, len(alpha)))
+    return (
+        L_op(i, i + 2, mi_sub(alpha, shift), laurent=True),
+        L_op(i, i + 1, shift, laurent=True),
+    )
+
+
 def cubic_identity_residual(alpha, i, j):
     """The cubic identity's residual composed per alpha: the target minus
     the weighted direct node products shen_iota(left) * shen_iota(right),
@@ -263,7 +283,7 @@ def cubic_identity_residual(alpha, i, j):
     ``weylmod.tensorop`` at call time, as the library reads them."""
     target = tensorop.cubic_target(alpha, i, j)
     products = {
-        m: _direct_product(tensorop.cubic_m_factors(alpha, i, j, m))
+        m: _direct_product(cubic_m_factors(alpha, i, j, m))
         for m in tensorop.CUBIC_NODES
     }
     return target - node_combination(products, tensorop.CUBIC_WEIGHTS)
@@ -275,7 +295,7 @@ def quartic_identity_residual(alpha, i):
     node products."""
     target = tensorop.special_operator("g", alpha, i)
     products = {
-        m: _direct_product(tensorop.quartic_m_factors(alpha, i, m))
+        m: _direct_product(quartic_m_factors(alpha, i, m))
         for m in tensorop.QUARTIC_NODES
     }
     return target - node_combination(products, tensorop.QUARTIC_WEIGHTS)
@@ -286,24 +306,43 @@ def _direct_product(factors):
     return tensorop.shen_iota(left) * tensorop.shen_iota(right)
 
 
+# one node beyond both windows: the product there, against its prediction
+# from the node products, samples the degree in m
+CHECK_NODE = 4
+
+
+def check_node_weights(nodes):
+    """The weights that predict a polynomial of degree below len(nodes) at
+    CHECK_NODE from its values at the nodes: the Lagrange basis there."""
+    weights = {}
+    for m in nodes:
+        w = Fraction(1)
+        for s in nodes:
+            if s != m:
+                w *= Fraction(CHECK_NODE - s, m - s)
+        weights[m] = w
+    return weights
+
+
 def check_identity(kind, n, lo, hi, extra=None):
     """The eq-cubic or eq-quartic report over every index case and every
     alpha in the window, composed per alpha from the node products: the
     target minus their weighted combination, the product at CHECK_NODE
     against its prediction from the node products, and, above the lower
-    bound 2 e_i - e_j, the membership of every right-hand factor.  A node
-    product is the direct product of the iota images of its factors, plus
-    ``extra(alpha, m)`` when extra is given.  Targets, factors, weights and
-    iota are read from ``weylmod.tensorop`` at call time."""
+    bound 2 e_i - e_j, the membership of every factor.  A node product is
+    the direct product of the iota images of its factors, plus
+    ``extra(alpha, m)`` when extra is given.  Targets, weights and iota are
+    read from ``weylmod.tensorop`` at call time."""
     if kind == "cubic":
         cases = [((i, j), j) for i, j in itertools.permutations(range(1, n + 1), 2)]
-        target, factors = tensorop.cubic_target, tensorop.cubic_m_factors
-        weights, prediction = tensorop.CUBIC_WEIGHTS, tensorop.CUBIC_PREDICTION
+        target, factors = tensorop.cubic_target, cubic_m_factors
+        weights = tensorop.CUBIC_WEIGHTS
     else:
         cases = [((i,), i + 2) for i in range(1, n - 1)]
         target = partial(tensorop.special_operator, "g")
-        factors = tensorop.quartic_m_factors
-        weights, prediction = tensorop.QUARTIC_WEIGHTS, tensorop.QUARTIC_PREDICTION
+        factors = quartic_m_factors
+        weights = tensorop.QUARTIC_WEIGHTS
+    prediction = check_node_weights(tuple(weights))
 
     def product(alpha, args, m):
         value = _direct_product(factors(alpha, *args, m))
@@ -315,11 +354,11 @@ def check_identity(kind, n, lo, hi, extra=None):
         lower = mi_sub(tuple(2 * x for x in mi_unit(args[0], n)), mi_unit(j, n))
         for alpha in itertools.product(range(lo, hi + 1), repeat=n):
             checked += 1
-            products = {m: product(alpha, args, m) for m in (*weights, tensorop.CHECK_NODE)}
+            products = {m: product(alpha, args, m) for m in (*weights, CHECK_NODE)}
             residual = target(alpha, *args) - node_combination(products, weights)
             residual_terms += len(residual.terms)
             predicted = node_combination(products, prediction)
-            ok = residual.is_zero() and predicted == products[tensorop.CHECK_NODE]
+            ok = residual.is_zero() and predicted == products[CHECK_NODE]
             if ok and all(a >= b for a, b in zip(alpha, lower)):
                 witnesses += 1
                 ok = not any(

@@ -28,7 +28,7 @@ from weylmod.tensorop import (
     tensor,
 )
 from weylmod.ugl import E, UglElement
-from weylmod.vectorfields import bracket, monomial_field
+from weylmod.vectorfields import VectorField, bracket, monomial_field
 from weylmod.weightmod import (
     Factor,
     FVector,
@@ -162,7 +162,11 @@ def test_products_see_the_rewriting():
 
 
 def _doubled_bracket(x, y):
-    return bracket(x, y) * 2
+    """2 bracket(x, y), kernel-built, since x and y may carry symbolic
+    exponents."""
+    z = bracket(x, y).element
+    terms = {key: 2 * c for key, c in z.terms.items()}
+    return VectorField(WeylElement._from_kernel(z.rank, terms, z.laurent))
 
 
 def _doubled_iota_terms(x):

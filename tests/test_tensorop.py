@@ -19,17 +19,13 @@ from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.suites import check_eq_cubic, check_eq_quartic
 from weylmod.tensorop import (
-    CHECK_NODE,
     CUBIC_NODES,
-    CUBIC_PREDICTION,
     CUBIC_WEIGHTS,
     QUARTIC_NODES,
-    QUARTIC_PREDICTION,
     QUARTIC_WEIGHTS,
     SPECIAL_KINDS,
     TensorOperator,
     cubic_identity_residual,
-    cubic_m_factors,
     cubic_m_product,
     cubic_target,
     from_weyl,
@@ -37,7 +33,6 @@ from weylmod.tensorop import (
     interpolation_matrix,
     iota_hom_residual,
     quartic_identity_residual,
-    quartic_m_factors,
     quartic_m_product,
     shen_iota,
     special_operator,
@@ -153,12 +148,14 @@ def test_iota_template_on_sums_the_zero_field_and_mixed_modes():
 
 
 def test_iota_hom_residual_refuses_non_int_exponents():
-    half = monomial_field((Fraction(1, 2), 0), 1, laurent=True)
+    # a field with a non-int exponent is refused where it is built, so the
+    # residual only ever meets int exponents
     y = monomial_field((0, 1), 1, laurent=True)
     message = r"exponent Fraction\(1, 2\) in \(Fraction\(1, 2\), 0\) is not an integer"
-    for args in ((half, y), (y, half), (half + y, y)):
-        with pytest.raises(ArgumentError, match=message):
-            iota_hom_residual(*args)
+    with pytest.raises(ArgumentError, match=message):
+        monomial_field((Fraction(1, 2), 0), 1, laurent=True)
+    with pytest.raises(ArgumentError, match=message):
+        y + VectorField(WeylElement._from_kernel(2, {((Fraction(1, 2), 0), (1, 0)): 1}, True))
     with pytest.raises(StructureError, match="rank mismatch: 2 vs 3"):
         iota_hom_residual(y, monomial_field((0, 0, 1), 1))
 
@@ -168,7 +165,8 @@ def test_iota_template_rows_are_a_plus_b_plus_an_offset(monkeypatch):
     # the template refuses to compile it
     def doubled_exponent(x, y):
         ((t_exp, d_exp),) = x.element.terms
-        return monomial_field(tuple(2 * e for e in t_exp), d_exp.index(1) + 1, laurent=True)
+        terms = {(tuple(2 * e for e in t_exp), d_exp): 1}
+        return VectorField(WeylElement._from_kernel(x.rank, terms, True))
 
     x = monomial_field((0, 1), 1)
     tensorop._iota_template.cache_clear()
@@ -452,38 +450,52 @@ def test_identity_weights_match_the_displayed_identities():
         3: Fraction(-1, 12), 2: Fraction(1, 2), 1: Fraction(-1), 0: Fraction(5, 6),
         -1: Fraction(-1, 4),
     }
-    # fourth and fifth finite differences vanish on cubics and quartics
-    assert CUBIC_PREDICTION == {0: -1, 1: 4, 2: -6, 3: 4}
-    assert QUARTIC_PREDICTION == {-1: 1, 0: -5, 1: 10, 2: -10, 3: 5}
+    # the oracle's check node weights: fourth and fifth finite differences
+    # vanish on cubics and quartics
+    assert oracles.check_node_weights(CUBIC_NODES) == {0: -1, 1: 4, 2: -6, 3: 4}
+    assert oracles.check_node_weights(QUARTIC_NODES) == {-1: 1, 0: -5, 1: 10, 2: -10, 3: 5}
 
 
-def _tampered_node_terms(kind, n, i, j, m, honest=tensorop._node_terms):
-    """``tensorop._node_terms`` with t^alpha (x) E_12 added to the node
-    product at CHECK_NODE only: a product off the polynomial in m whose
-    template still compiles."""
-    terms = honest(kind, n, i, j, m)
-    if m == CHECK_NODE:
-        accumulate(terms, [(((Poly.symbols(n), mi_zero(n)), (((1, 2), 1),)), 1)])
+def _vanishing_at_the_nodes(kind, m):
+    """The product of (m - node) over the identity's nodes: degree 4
+    (cubic) or 5 (quartic) in m, and zero at every node."""
+    value = 1
+    for node in CUBIC_NODES if kind == "cubic" else QUARTIC_NODES:
+        value = value * (m - node)
+    return value
+
+
+def _tampered_node_terms(kind, n, i, j, honest=tensorop._node_terms):
+    """``tensorop._node_terms`` with ``_vanishing_at_the_nodes`` times
+    t^alpha (x) E_12 added: a product of too high a degree in m that agrees
+    with the honest one at every node."""
+    terms = honest(kind, n, i, j)
+    symbols = Poly.symbols(n + 1)
+    key = ((symbols[:n], mi_zero(n)), (((1, 2), 1),))
+    accumulate(terms, [(key, _vanishing_at_the_nodes(kind, symbols[n]))])
     return terms
 
 
-def _check_node_extra(alpha, m):
-    """The term ``_tampered_node_terms`` adds, at one alpha."""
-    n = len(alpha)
-    if m != CHECK_NODE:
-        return TensorOperator.zero(n, laurent=True)
-    return tensor(oracles.t_power(alpha, laurent=True), E(1, 2, n))
+def _tampered_extra(kind):
+    """The term ``_tampered_node_terms`` adds, as ``extra(alpha, m)``."""
+
+    def extra(alpha, m):
+        term = tensor(oracles.t_power(alpha, laurent=True), E(1, 2, len(alpha)))
+        return term * _vanishing_at_the_nodes(kind, m)
+
+    return extra
 
 
 @pytest.mark.parametrize("kind", ["cubic", "quartic"])
 def test_degree_certificate_catches_a_tampered_product(kind):
-    # a product off the polynomial in m leaves the identity's residual at
-    # zero, since its template never reads the product at the check node,
-    # but fails the degree certificate at every alpha
-    n, check = (2, check_eq_cubic) if kind == "cubic" else (3, check_eq_quartic)
+    # a term that vanishes at every node leaves the identity's residual at
+    # zero, but raises the product's degree in m, so no alpha is certified
+    n, j, check = (2, 2, check_eq_cubic) if kind == "cubic" else (3, 3, check_eq_quartic)
     assert check(n, lo=0, hi=1)["pass"]
     with _wrong_kernel("_node_terms", _tampered_node_terms):
         report = check(n, lo=0, hi=1)
+        residual, degree = tensorop._residual_template(kind, n, 1, j)
+    assert residual[1] == () and degree == (4 if kind == "cubic" else 5)
     assert not report["pass"]
     assert report["residual_terms"] == 0
     assert len(report["failures"]) == report["checked"] == 8
@@ -510,7 +522,7 @@ def test_identity_suites_match_the_per_alpha_oracle(kind, n, lo, hi):
         report = compared()
     assert not report["pass"] and report["residual_terms"] > 0
     with _wrong_kernel("_node_terms", _tampered_node_terms):
-        report = compared(_check_node_extra)
+        report = compared(_tampered_extra(kind))
     assert not report["pass"] and report["residual_terms"] == 0
     assert len(report["failures"]) == suites.MAX_FAILURES
 
@@ -536,9 +548,9 @@ def _iota(field_args):
 def _direct(kind, alpha, i, j, m):
     """shen_iota(left) * shen_iota(right) of the factor fields."""
     if kind == "cubic":
-        left, right = cubic_m_factors(alpha, i, j, m)
+        left, right = oracles.cubic_m_factors(alpha, i, j, m)
     else:
-        left, right = quartic_m_factors(alpha, i, m)
+        left, right = oracles.quartic_m_factors(alpha, i, m)
     return shen_iota(left) * shen_iota(right)
 
 
@@ -563,7 +575,7 @@ def _node_cases(kind, n):
 )
 def test_template_products_match_the_direct_product(kind, n):
     product = cubic_m_product if kind == "cubic" else quartic_m_product
-    nodes = (*(CUBIC_NODES if kind == "cubic" else QUARTIC_NODES), CHECK_NODE)
+    nodes = (*(CUBIC_NODES if kind == "cubic" else QUARTIC_NODES), oracles.CHECK_NODE)
     checked = 0
     for args, (i, j) in _node_cases(kind, n):
         for m in nodes:
@@ -605,6 +617,48 @@ def test_template_rows_are_alpha_plus_an_offset(monkeypatch):
     monkeypatch.undo()
     tensorop._node_template.cache_clear()
     assert cubic_m_product((0, 0), 1, 2, 0) == _direct("cubic", (0, 0), 1, 2, 0)
+
+
+def test_a_t_exponent_that_carries_m_is_refused():
+    # t^(2m e_i) d_j leaves m in the product's t exponents, where setting m
+    # would move a row: neither template compiles
+    def doubled_shift(kind, n, i, j, m):
+        return {(tuple(2 * m * x for x in mi_unit(i, n)), mi_unit(j, n)): 1}
+
+    with _wrong_kernel("_right_terms", doubled_shift):
+        with pytest.raises(StructureError, match="integer offset"):
+            cubic_m_product((0, 0), 1, 2, 1)
+        with pytest.raises(StructureError, match="integer offset"):
+            cubic_identity_residual((0, 0), 1, 2)
+    assert cubic_identity_residual((0, 0), 1, 2).is_zero()
+
+
+@pytest.mark.parametrize(
+    "kind, n, lo, hi", [("cubic", 2, -1, 2), ("quartic", 3, -1, 2)]
+)
+def test_membership_check_fails_below_the_lower_bound(kind, n, lo, hi, monkeypatch):
+    # one step lower in i, the alpha with alpha_i = 1 are checked too; there
+    # the left factor's second term at m = 3, -(1 + alpha_i - m) t^(alpha -
+    # m e_i + e_j) d_j, is Laurent, so each of them fails, and only they
+    i, j = 1, (2 if kind == "cubic" else 3)
+    check = check_eq_cubic if kind == "cubic" else check_eq_quartic
+    args = {"pairs": [(i, j)]} if kind == "cubic" else {"i_list": [i]}
+    fields = {"i": i, "j": j} if kind == "cubic" else {"i": i}
+    honest = suites._lower_bound
+
+    def one_step_lower(n, i, j):
+        return mi_sub(honest(n, i, j), mi_unit(i, n))
+
+    assert check(n, lo, hi, **args)["pass"]
+    lower = one_step_lower(n, i, j)
+    monkeypatch.setattr(suites, "_lower_bound", one_step_lower)
+    report = check(n, lo, hi, **args)
+    window = itertools.product(range(lo, hi + 1), repeat=n)
+    above = [a for a in window if all(x >= y for x, y in zip(a, lower))]
+    failing = [{"alpha": list(a), **fields} for a in above if a[i - 1] == 1]
+    assert report["polynomialWitnesses"] == len(above)
+    assert report["failures"] == failing[: suites.MAX_FAILURES]
+    assert report["residual_terms"] == 0 and not report["pass"]
 
 
 def _assert_wrong_weight_leaves_a_residual(name, weights, residual, oracle, args):
@@ -666,21 +720,17 @@ def test_residual_templates_on_a_wider_window(data):
 
 def test_every_residual_template_has_no_rows():
     # the all-alpha certificate: evaluation keeps distinct rows distinct,
-    # so a template with no rows is a residual that is zero at every alpha;
-    # so are the degree certificates, one per identity template
+    # so a template with no rows is a residual that is zero at every alpha,
+    # and the node product has degree 3 (cubic) or 4 (quartic) in m, below
+    # the node count, so the weights read its m^3 coefficient
     tensorop._residual_template.cache_clear()
-    built = 0
-    for n in range(2, 6):
-        for degree in (False, True):
-            for i, j in itertools.permutations(range(1, n + 1), 2):
-                template = tensorop._residual_template("cubic", n, i, j, degree)
-                assert template[1] == (), (n, i, j, degree)
-                built += 1
-            for i in range(1, n - 1):
-                template = tensorop._residual_template("quartic", n, i, i + 2, degree)
-                assert template[1] == (), (n, i, degree)
-                built += 1
-    assert built == tensorop._residual_template.cache_info().currsize == 92
+    cases = [("cubic", n, i, j, 3) for n in range(2, 6)
+             for i, j in itertools.permutations(range(1, n + 1), 2)]
+    cases += [("quartic", n, i, i + 2, 4) for n in range(3, 6) for i in range(1, n - 1)]
+    for kind, n, i, j, degree in cases:
+        template, got = tensorop._residual_template(kind, n, i, j)
+        assert template[1] == () and got == degree, (kind, n, i, j)
+    assert len(cases) == tensorop._residual_template.cache_info().currsize == 46
 
 
 def _raised(fn, *args):
@@ -727,8 +777,8 @@ def _raised(fn, *args):
 )
 def test_template_products_raise_what_the_direct_product_raises(kind, args):
     library, oracle = {
-        "cubic": (cubic_m_product, cubic_m_factors),
-        "quartic": (quartic_m_product, quartic_m_factors),
+        "cubic": (cubic_m_product, oracles.cubic_m_factors),
+        "quartic": (quartic_m_product, oracles.quartic_m_factors),
         "cubic-residual": (cubic_identity_residual, oracles.cubic_identity_residual),
         "quartic-residual": (quartic_identity_residual, oracles.quartic_identity_residual),
     }[kind]
@@ -766,9 +816,14 @@ def test_templates_are_built_on_first_use_only():
         "import weylmod\n"
         "from weylmod import tensorop\n"
         "from weylmod.vectorfields import monomial_field\n"
+        # every node and residual template builds the product of its case once
+        "builds = []\n"
+        "honest = tensorop._node_terms\n"
+        "tensorop._node_terms = lambda *case: builds.append(case) or honest(*case)\n"
         "assert tensorop._node_template.cache_info().currsize == 0\n"
         "tensorop.cubic_m_product((0, 1), 1, 2, 3)\n"
         "assert tensorop._node_template.cache_info().currsize == 1\n"
+        "assert builds == [('cubic', 2, 1, 2)]\n"
         "assert tensorop._iota_template.cache_info().currsize == 0\n"
         "x, y = monomial_field((1, 0), 1), monomial_field((0, 2), 2)\n"
         "assert tensorop.iota_hom_residual(x, y).is_zero()\n"
@@ -781,10 +836,13 @@ def test_templates_are_built_on_first_use_only():
         "tensorop.cubic_identity_residual((2, -1), 1, 2)\n"
         "assert tensorop._residual_template.cache_info().currsize == 2\n"
         "assert tensorop._node_template.cache_info().currsize == 1\n"
-        # the suite adds the degree template of (n, i, j) to the identity's
+        "assert builds[1:] == [('cubic', 2, 1, 2), ('quartic', 3, 1, 3)]\n"
+        # the suite reads the residual template of (n, i, j) and its degree
+        # certificate, which the public residual function built
         "from weylmod.suites import check_eq_cubic\n"
         "assert check_eq_cubic(2, 0, 1, pairs=[(1, 2)])['pass']\n"
-        "assert tensorop._residual_template.cache_info().currsize == 3\n"
+        "assert tensorop._residual_template.cache_info().currsize == 2\n"
+        "assert len(builds) == 3\n"
     )
     src = str(Path(tensorop.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
@@ -792,7 +850,7 @@ def test_templates_are_built_on_first_use_only():
 
 def test_interpolation_matrix_matches_the_inverse_oracle():
     rng = random.Random(12)
-    cases = [CUBIC_NODES, QUARTIC_NODES, (CHECK_NODE,)]
+    cases = [CUBIC_NODES, QUARTIC_NODES, (oracles.CHECK_NODE,)]
     cases += [tuple(rng.sample(range(-9, 10), rng.randint(1, 6))) for _ in range(40)]
     for nodes in cases:
         vandermonde = [[m**k for k in range(len(nodes))] for m in nodes]

@@ -8,8 +8,9 @@ import pytest
 
 import oracles
 from weylmod import weyl
-from weylmod.errors import DomainError, StructureError
+from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.terms import Poly
+from weylmod.vectorfields import monomial_field
 from weylmod.weyl import WeylElement, d, fourier, t
 
 
@@ -59,6 +60,22 @@ def test_mul_d2_t2():
     for k in range(7):
         p = oracles.t_power((k,))
         assert prod.apply_poly(p) == (k + 1) * (k + 2) * p
+
+
+def test_non_int_exponents_are_refused():
+    # exact stays exact: t and d exponents must be ints, in either mode
+    half = Fraction(1, 2)
+    message = "exponent Fraction(1, 2) in (Fraction(1, 2),) is not an integer"
+    cases = [
+        (lambda: WeylElement(1, {((half,), (0,)): 1}, True), message),
+        (lambda: monomial_field((half,), 1, laurent=True), message),
+        (lambda: WeylElement(2, {((0, 0), (1.0, 0)): 1}),
+         "exponent 1.0 in (1.0, 0) is not an integer"),
+    ]
+    for build, expected in cases:
+        with pytest.raises(ArgumentError) as info:
+            build()
+        assert str(info.value) == expected
 
 
 def test_mul_rank_mismatch():
