@@ -271,22 +271,19 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
 def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     """Span of the images of the plain derivative operators inside P;
     frozen and memoised per (P, box).  Each weight block has one label, so
-    the integer multiple of an image that ``_scaled_monomial_on_key`` gives
-    spans it as well as the image does."""
+    the block is spanned by [1] as soon as some d_l reaches its weight with
+    a nonzero ``_scaled_monomial_on_key``."""
     n = P.rank
-    triv = wedge_module(n, 0)
-    out = GradedSubspace(P, triv, box)
+    out = GradedSubspace(P, wedge_module(n, 0), box)
     zero = mi_zero(n)
     for w in box.keys():
         if not P.supports_key(w):
             continue
         for l in range(1, n + 1):
             src = tuple(w[s] + (1 if s == l - 1 else 0) for s in range(n))
-            if not P.supports_key(src):
-                continue
-            hit = _scaled_monomial_on_key(P, src, zero, mi_unit(l, n))
-            if hit is not None:
-                out.insert(FVector(P, triv, {(w, 0): hit[0]}))
+            if P.supports_key(src) and _scaled_monomial_on_key(P, src, zero, mi_unit(l, n)):
+                out.blocks[w].insert([1])
+                break
     return out._freeze()
 
 

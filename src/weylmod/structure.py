@@ -36,6 +36,7 @@ from .weightmod import (
     _action_table,
     _block_columns,
     _integer_rows,
+    _rows_on_terms,
     make_wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
 )
@@ -55,8 +56,8 @@ class Generator:
 class GeneratorSet:
     """Ordered tuple of generators; default is the L window with small alpha.
 
-    ``iotas`` holds the ``shen_iota`` image of every member, computed once
-    per set on first use.
+    The constructor checks divergence once; every member then acts through
+    its rows in ``_member_rows``, built once per (member, P, M).
     """
 
     def __init__(self, members):
@@ -66,9 +67,11 @@ class GeneratorSet:
                 raise StructureError(f"generator {g.name} has nonzero divergence")
         self.members = members
 
-    @cached_property
-    def iotas(self):
-        return tuple(shen_iota(g.field) for g in self.members)
+    def act(self, gi: int, v: FVector) -> FVector:
+        """Member gi acting on v, as ``sn_act`` of its field does."""
+        P, M = v.module_p, v.module_m
+        rows, den = _member_rows(self.members[gi], P, M)
+        return FVector(P, M, _rows_on_terms(P, rows, den, v.terms))
 
     def __len__(self):
         return len(self.members)
@@ -102,10 +105,19 @@ def _default_generators(n: int, cap: int) -> GeneratorSet:
     return GeneratorSet(members)
 
 
+@lru_cache(maxsize=4096)
+def _member_rows(member: Generator, module_p: WeightModuleP, module_m: SLModule):
+    """The integer rows of the member's ``shen_iota`` on F(P, M) and their
+    common denominator (``weightmod._integer_rows``), shared: treat them as
+    read-only.  check_derham(4) fills 2,304 entries (192 members, 3 P, 4 M)."""
+    op = _acting_form(shen_iota(member.field), module_p)
+    return _integer_rows(module_p, _action_table(op, module_m))
+
+
 class ClosureEngine:
     """The ambient window of the box (a ``GradedSubspace``), with cached
-    per-generator integer action tables, per-weight move lists and
-    per-(generator, weight) action matrices.
+    per-weight move lists and per-(generator, weight) action matrices, the
+    latter assembled from the members' rows in ``_member_rows``.
 
     ``capacity[w]`` is the dimension of the window at w, less that of
     ``mod`` for a quotient: no closure block at w grows beyond it.
@@ -123,26 +135,14 @@ class ClosureEngine:
         self.module_m = module_m
         self.box = box
         self.gens = gens.members
-        self.iotas = gens.iotas
         self.ambient = GradedSubspace(module_p, module_m, box)
         self.mod = mod
         self.capacity = {
             w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
             for w, labels in self.ambient.labels.items()
         }
-        self._tables = {}
         self._matrices = {}
         self._moves = {}
-
-    def _table(self, gi: int):
-        """Integer action rows of generator gi and their common denominator
-        (``weightmod._integer_rows``), built on first use."""
-        hit = self._tables.get(gi)
-        if hit is None:
-            op = _acting_form(self.iotas[gi], self.module_p)
-            table = _action_table(op, self.module_m)
-            hit = self._tables[gi] = _integer_rows(self.module_p, table)
-        return hit
 
     def moves(self, w):
         """The (generator index, target weight) pairs of weight w whose
@@ -174,8 +174,9 @@ class ClosureEngine:
             self._matrices[key] = None
             return None
         labels = self.ambient.labels[w]
-        rows, den = self._table(gi) if labels else ((), 1)
-        cols = _block_columns(self.module_p, rows, labels, self.ambient.slots[target])
+        P, M = self.module_p, self.module_m
+        rows, den = _member_rows(self.gens[gi], P, M) if labels else ((), 1)
+        cols = _block_columns(P, rows, labels, self.ambient.slots[target])
         scale = 1
         if den != 1:
             # the block holds its exact entries times den; dividing by the

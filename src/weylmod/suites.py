@@ -51,7 +51,6 @@ from .weightmod import (
     FVector,
     WeightModuleP,
     make_wedge_module,
-    sn_act,
 )
 
 
@@ -277,9 +276,9 @@ def check_derham(n: int, count: int = 100, seed=None, shift=DEFAULT_SHIFT):
         for name, P in profiles.items():
             for _ in range(3):
                 w = _random_fvector(rng, P, M, nterms=2, radius=2)
-                for g in gens.members:
+                for gi, g in enumerate(gens.members):
                     checked += 1
-                    if pi(sn_act(g.field, w)) != sn_act(g.field, pi(w)):
+                    if pi(gens.act(gi, w)) != gens.act(gi, pi(w)):
                         failures.append(
                             {"kind": "equivariance", "k": k, "gen": g.name}
                         )
@@ -352,9 +351,9 @@ def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT)
     box = TruncationBox((0,) * n, (radius,) * n)
     span = partial_span(A, box)
     gens = GeneratorSet.default(n)
-    for g in gens.members:
+    for gi, g in enumerate(gens.members):
         for key in itertools.product(range(2), repeat=n):
-            out = sn_act(g.field, FVector.basis(A, triv, key, 0))
+            out = gens.act(gi, FVector.basis(A, triv, key, 0))
             checked += 1
             if not out.is_zero() and not span.contains(out):
                 failures.append({"kind": "containment", "gen": g.name, "key": list(key)})

@@ -77,14 +77,9 @@ class TensorOperator(TermMap):
 
     def _like(self, terms, other=None):
         # every TermMap caller passes a collected map: sums, differences,
-        # negations and products keep rank and polynomial-mode signs
+        # negations, scalings and products keep rank and polynomial-mode signs
         laurent = self.laurent or (other is not None and other.laurent)
         return TensorOperator._from_kernel(self.rank, terms, laurent)
-
-    def _scale(self, scalar):
-        # a nonzero scalar keeps every coefficient nonzero and every exponent
-        terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
-        return TensorOperator._from_kernel(self.rank, terms, self.laurent)
 
     @property
     def mode(self) -> str:
@@ -496,11 +491,14 @@ def _node_template(kind: str, n: int, i: int, j: int, m: int):
     return _template(_at_node(_node_terms(kind, n, i, j), m), Poly.symbols(n + 1)[:n])
 
 
+@lru_cache(maxsize=64)
 def _node_terms(kind: str, n: int, i: int, j: int) -> dict:
     """The node product of (kind, n, i, j) over the n + 1 symbols of
     ``terms.Poly``, alpha and the node m last, built by ``shen_iota`` and
     ``_product_terms`` from the factors (``_left_terms``, ``_right_terms``).
     Its t exponents are alpha plus integers: m only enters the coefficients.
+    Built once per case and shared by ``_node_template`` and
+    ``_residual_template``: treat it as read-only.
     """
     symbols = Poly.symbols(n + 1)
     alpha, m = symbols[:n], symbols[n]

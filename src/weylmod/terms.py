@@ -143,7 +143,8 @@ class TermMap:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def _scale(self, scalar):
-        return self._like({k: c * scalar for k, c in self.terms.items()})
+        # a nonzero scalar keeps every coefficient nonzero
+        return self._like({k: c * scalar for k, c in self.terms.items()} if scalar else {})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, SCALARS):

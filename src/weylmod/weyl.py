@@ -106,8 +106,9 @@ class WeylElement(TermMap):
         return (self.rank,)
 
     def _like(self, terms, other=None):
+        # every TermMap caller passes a collected map, as for TensorOperator
         laurent = self.laurent or (other is not None and other.laurent)
-        return WeylElement(self.rank, terms, laurent)
+        return WeylElement._from_kernel(self.rank, terms, laurent)
 
     @property
     def mode(self) -> str:

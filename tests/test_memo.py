@@ -2,6 +2,7 @@
 invisible in every report."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import oracles
@@ -10,7 +11,7 @@ import pytest
 import weylmod  # the package import loads every library module
 from test_derham import LEMMA_PROFILES
 from test_structure import PRUNING_CASES
-from weylmod import derham, structure
+from weylmod import derham, structure, suites, weightmod
 from weylmod.derham import (
     partial_span,
     pi_image,
@@ -66,6 +67,8 @@ def test_every_memo_is_bounded():
         "weylmod.derham._derham_sources",
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
+        "weylmod.structure._member_rows",
+        "weylmod.tensorop._node_terms",
         "weylmod.tensorop._node_template",
         "weylmod.tensorop._iota_template",
         "weylmod.tensorop._residual_template",
@@ -74,8 +77,13 @@ def test_every_memo_is_bounded():
         assert name in memos, name
     unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
     assert unbounded == [IDENTITY_MEMO]
-    # one memo holds the 46 residual templates of n <= 5
-    assert memos["weylmod.tensorop._residual_template"].cache_parameters()["maxsize"] >= 46
+    # one memo holds the 46 residual templates of n <= 5, and one the 46
+    # node products they are read off
+    for name in ("_residual_template", "_node_terms"):
+        assert memos[f"weylmod.tensorop.{name}"].cache_parameters()["maxsize"] >= 46
+    # and one the rows of the 192 members at n = 4 on 3 profiles x 4 wedges
+    rows = memos["weylmod.structure._member_rows"]
+    assert rows.cache_parameters()["maxsize"] >= 192 * 3 * 4
     assert make_wedge_module(3, 1) is make_wedge_module(3, 1)
 
 
@@ -121,6 +129,37 @@ def test_evidence_cold_equals_warm():
 def test_inventory_cold_equals_warm():
     cold, warm = _cold_and_warm([(subquotient_inventory, case) for case in INVENTORY_CASES])
     assert cold == warm and all(report["pass"] for report in cold)
+
+
+def test_suite_actions_cold_equal_warm():
+    # the suites act through the generator sets' memoised rows
+    calls = [(suites.check_derham, (3, 20)), (suites.check_delta_p, (3,)),
+             (suites.check_unique_submodule, (2,))]
+    cold, warm = _cold_and_warm(calls)
+    assert cold == warm and all(report["pass"] for report in cold)
+
+
+def test_derham_builds_each_generator_action_once(monkeypatch):
+    # the equivariance loop acts through the set: shen_iota runs once per
+    # (member, P, M) that it reaches, not once per action
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return weylmod.tensorop.shen_iota(x)
+
+    for module in (structure, weightmod):
+        monkeypatch.setattr(module, "shen_iota", counted)
+    clear_memos()
+    n = 3
+    assert suites.check_derham(n)["pass"]
+    # three profiles, each over the exterior powers 0..n-1
+    per_member = len(suites.standard_profiles(n)) * n
+    counts = Counter(map(id, calls))
+    assert calls and max(counts.values()) <= per_member
+    assert len(counts) == len(GeneratorSet.default(n))
+    assert len(calls) == structure._member_rows.cache_info().misses
+    clear_memos()
 
 
 def test_lemma_cold_equals_warm():
@@ -200,7 +239,8 @@ def test_memos_are_keyed_by_p():
         assert checked > 0
         seen.append((image, pi_kernel(P, 1, box), partial_span(P, box),
                      derham._window(P, wedge2, box), structure._engine(P, wedge2, gens, box),
-                     derham._derham_sources(P, 1, box), derham._wedge_sources(P, 2, box)))
+                     derham._derham_sources(P, 1, box), derham._wedge_sources(P, 2, box),
+                     structure._member_rows(gens.members[0], P, wedge2)))
     halves, thirds = seen
     assert all(a is not b for a, b in zip(halves, thirds))
     assert not halves[0].contains(

@@ -189,7 +189,8 @@ def _wrong_kernel(name, wrong, modules=(tensorop,)):
     node and residual templates are built by the library's kernels and
     weights, so their memos are cleared inside the patch and again before
     it is lifted."""
-    memos = (tensorop._iota_template, tensorop._node_template, tensorop._residual_template)
+    memos = (tensorop._iota_template, tensorop._node_terms, tensorop._node_template,
+             tensorop._residual_template)
     with pytest.MonkeyPatch.context() as patch:
         for module in modules:
             patch.setattr(module, name, wrong)

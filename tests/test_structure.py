@@ -1,5 +1,6 @@
 """Submodule closure, simplicity evidence, and the subquotient inventory."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -8,7 +9,7 @@ import pytest
 
 from weylmod.derham import partial_span, pi_image, pi_kernel
 from weylmod.errors import ArgumentError, DomainError, StructureError
-from weylmod import structure
+from weylmod import structure, suites
 from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import (
@@ -112,6 +113,22 @@ def test_engine_keeps_the_action_errors():
     engine = ClosureEngine(A, triv, wrong, box)
     with pytest.raises(StructureError, match="left its weight block"):
         engine.matrix(0, (2, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generators_act_as_sn_act(n):
+    # every member acting through its set's memoised rows matches the
+    # checked public action (the oracle), on random vectors of the three
+    # standard profiles over every exterior power
+    rng = random.Random(20261018 + n)
+    gens = GeneratorSet.default(n)
+    for name, P in suites.standard_profiles(n).items():
+        for k in range(n + 1):
+            M = make_wedge_module(n, k)
+            for _ in range(2):
+                v = suites._random_fvector(rng, P, M)
+                for gi, g in enumerate(gens.members):
+                    assert gens.act(gi, v) == sn_act(g.field, v), (name, k, g.name)
 
 
 def test_closure_of_constants_is_a_line():

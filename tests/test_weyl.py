@@ -9,7 +9,9 @@ import pytest
 import oracles
 from weylmod import weyl
 from weylmod.errors import ArgumentError, DomainError, StructureError
+from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import Poly
+from weylmod.ugl import E
 from weylmod.vectorfields import monomial_field
 from weylmod.weyl import WeylElement, d, fourier, t
 
@@ -76,6 +78,21 @@ def test_non_int_exponents_are_refused():
         with pytest.raises(ArgumentError) as info:
             build()
         assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+def test_scaling_by_zero_keeps_rank_and_mode(laurent):
+    # one scale rule for every term map: a zero scalar on either side gives
+    # the zero element of the same class, rank and mode
+    x = WeylElement(2, {((1, 0), (0, 1)): 3, ((0, 2), (0, 0)): Fraction(-1, 2)}, laurent)
+    cases = [(x, WeylElement), (tensor(x, E(1, 2, 2)), TensorOperator)]
+    for element, cls in cases:
+        for zero in (0, Fraction(0)):
+            for scaled in (element * zero, zero * element):
+                assert type(scaled) is cls and scaled.terms == {}
+                assert scaled.rank == 2 and scaled.laurent == laurent
+                assert scaled == cls.zero(2, laurent)
+        assert (element * 2).terms == {k: 2 * c for k, c in element.terms.items()}
 
 
 def test_mul_rank_mismatch():
