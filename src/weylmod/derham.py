@@ -8,7 +8,10 @@ box only chooses which weights to materialize.
 Everything that depends only on the profile, (P, r, box) or (P, M, box), is
 built once and kept in a bounded memo: the weight windows, the image,
 kernel and derivative spans (frozen, so a caller that grows one takes a
-``copy()``) and the lemma source lists.
+``copy()``) and the lemma source lists.  The operator lemmas read their
+action table off one template per (lemma, n, i, r) over a symbolic alpha
+(``_lemma_template``): a template with no rows proves the lemma for every
+integer alpha and every P at that (n, i, r).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from types import MappingProxyType
 from .errors import ArgumentError, StructureError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, kernel
-from .terms import accumulate
-from .tensorop import special_operator
+from .terms import Poly, accumulate
+from .tensorop import _evaluated, _special_args, _special_operator, _template
 from .weightmod import (
     FVector,
     SLModule,
@@ -366,18 +369,74 @@ def _wedge_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
     return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
 
 
+@lru_cache(maxsize=64)
+def _lemma_template(check: str, n: int, i: int, r: int):
+    """The action table of a lemma's operator on F(P, wedge^r) over a
+    symbolic alpha, built once per (check, n, i, r) by the library's own
+    kernels on the n symbols of ``terms.Poly``: g - u through
+    ``_action_table`` (check "g-equals-u"), or h through ``_action_table``
+    after the de Rham map from degree r - 1 (``_after_derham``, check
+    "h-annihilates").  The entries are merged per (source index, Weyl
+    monomial, target index) and kept as ``tensorop._template`` over the
+    base alpha, the pair (source index, target index) as its tag.
+
+    Evaluation at alpha is a ring map that keeps distinct rows distinct, so
+    the table at alpha is that of the per-alpha operator, entry by entry
+    after merging, which is all ``_integer_rows`` reads.  No rows prove
+    the lemma for every integer alpha and every P at (n, i, r).
+    """
+    alpha = Poly.symbols(n)
+    wedge = wedge_module(n, r)
+    if check == "g-equals-u":
+        op = _special_operator("g", alpha, i) - _special_operator("u", alpha, i)
+        table = _action_table(op, wedge)
+    else:
+        table = _after_derham(_action_table(_special_operator("h", alpha, i), wedge), n, r)
+    merged = accumulate(
+        {},
+        (
+            (((t_exp, d_exp), (src, dst)), c * mc)
+            for src, entries in enumerate(table)
+            for t_exp, d_exp, mvec, c in entries
+            for dst, mc in mvec.items()
+        ),
+    )
+    return _template(merged, alpha)
+
+
+def _lemma_table(check: str, alpha, i: int, r: int, size: int):
+    """The ``_action_table`` of a lemma's operator at alpha, over ``size``
+    source indices, read off ``_lemma_template``: one entry
+    (t_exp, d_exp, {dst: coeff}, 1) per term."""
+    table = [[] for _ in range(size)]
+    terms = _evaluated(_lemma_template(check, len(alpha), i, r), alpha, alpha)
+    for ((t_exp, d_exp), (src, dst)), c in terms.items():
+        table[src].append((t_exp, d_exp, {dst: c}, 1))
+    return table
+
+
+def _lemma_args(alpha, i: int, P: WeightModuleP, r: int) -> tuple:
+    """The argument checks of an operator lemma: alpha of length P.rank,
+    r in 2..n-1, and those of the special operators (``_special_args``,
+    the same for every kind).  Returns alpha as a tuple."""
+    alpha = tuple(alpha)
+    n = P.rank
+    if len(alpha) != n:
+        raise ArgumentError(f"alpha has length {len(alpha)}, but P has rank {n}")
+    if not 2 <= r <= n - 1:
+        raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
+    return _special_args("h", alpha, i)
+
+
 def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
-    """(g - u) applied to p (x) v for every wedge label v and key in the box.
+    """(g - u) applied to p (x) v for every wedge label v and key in the box,
+    through the table of ``_lemma_template``.
 
     Returns a report dict; "pass" means every residual vanished.
     """
-    n = P.rank
-    alpha = tuple(alpha)
-    if not 2 <= r <= n - 1:
-        raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
-    diff = special_operator("g", alpha, i) - special_operator("u", alpha, i)
-    wedge = wedge_module(n, r)
-    table = _action_table(diff.demote(), wedge)
+    alpha = _lemma_args(alpha, i, P, r)
+    wedge = wedge_module(P.rank, r)
+    table = _lemma_table("g-equals-u", alpha, i, r, wedge.dim)
     sources, checked = _wedge_sources(P, r, key_box)
     return _lemma_report(
         "g-equals-u", alpha, i, P, r, table, sources, checked, wedge.labels
@@ -386,17 +445,13 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
 
 def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
     """h applied to the de Rham spanning vectors of degree r, through the
-    composite table of h after the de Rham map."""
-    n = P.rank
-    alpha = tuple(alpha)
-    if not 2 <= r <= n - 1:
-        raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
-    h = special_operator("h", alpha, i)
-    source = wedge_module(n, r - 1)
-    composite = _after_derham(_action_table(h.demote(), wedge_module(n, r)), n, r)
+    composite table of h after the de Rham map (``_lemma_template``)."""
+    alpha = _lemma_args(alpha, i, P, r)
+    source = wedge_module(P.rank, r - 1)
+    table = _lemma_table("h-annihilates", alpha, i, r, source.dim)
     sources, checked = _derham_sources(P, r - 1, key_box)
     return _lemma_report(
-        "h-annihilates", alpha, i, P, r, composite, sources, checked, source.labels
+        "h-annihilates", alpha, i, P, r, table, sources, checked, source.labels
     )
 
 

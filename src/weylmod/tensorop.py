@@ -564,32 +564,34 @@ def _residual_template(kind: str, n: int, i: int, j: int):
 def _template(product: dict, base):
     """A collected term map over symbolic exponents as (parts, rows).
 
-    Every t exponent must be base + an integer offset, base being a tuple
-    of ``Poly`` sums of distinct symbols.  Each coefficient is split into
-    an integer scale times a primitive part (``_primitive``); parts lists
-    the distinct parts, so one evaluation serves every row that shares
-    one.  A row is (offset, d_exp, pmono, part index, scale).  A t
-    exponent of any other shape (an entry without its symbols, or with a
-    multiple of them) would let two rows meet at some point, so it raises
-    ``StructureError``.
+    The keys are ((t_exp, d_exp), tag): the tag, a PBW monomial for an
+    operator, is opaque here and carried through unchanged (the operator
+    lemmas put a (source, target) index pair there).  Every t exponent must
+    be base + an integer offset, base being a tuple of ``Poly`` sums of
+    distinct symbols.  Each coefficient is split into an integer scale
+    times a primitive part (``_primitive``); parts lists the distinct
+    parts, so one evaluation serves every row that shares one.  A row is
+    (offset, d_exp, tag, part index, scale).  A t exponent of any other
+    shape (an entry without its symbols, or with a multiple of them) would
+    let two rows meet at some point, so it raises ``StructureError``.
     """
     parts = {}
     rows = []
-    for ((t_exp, d_exp), pmono), coeff in product.items():
+    for ((t_exp, d_exp), tag), coeff in product.items():
         offset = tuple(e - s for s, e in zip(base, t_exp))
         if any(type(c) is not int for c in offset):
             raise StructureError(f"t exponent {t_exp} is not {base} plus an integer offset")
         scale, part = _primitive(coeff)
-        rows.append((offset, d_exp, pmono, parts.setdefault(part, len(parts)), scale))
+        rows.append((offset, d_exp, tag, parts.setdefault(part, len(parts)), scale))
     return tuple(parts), tuple(rows)
 
 
 def _evaluated(template, point, base) -> dict:
     """The term map of a ``_template`` with the symbols set to the ints of
     point and the base to base; rows whose coefficient vanishes there are
-    left out.
+    left out, and each row's opaque tag is its key's second slot.
 
-    Distinct rows have distinct offsets or distinct (d_exp, pmono), so
+    Distinct rows have distinct offsets or distinct (d_exp, tag), so
     they stay distinct at every point, and the terms are exactly those of
     the same kernels run on the integer exponents.
     """
@@ -603,10 +605,10 @@ def _evaluated(template, point, base) -> dict:
             value += c
         values.append(value)
     terms = {}
-    for offset, d_exp, pmono, index, scale in rows:
+    for offset, d_exp, tag, index, scale in rows:
         c = values[index]
         if c:
-            terms[((tuple(map(add, base, offset)), d_exp), pmono)] = scale * c
+            terms[((tuple(map(add, base, offset)), d_exp), tag)] = scale * c
     return terms
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import partial
 
 from weylmod import tensorop
+from weylmod.derham import _after_derham
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.linalg import RowBasis as IntRowBasis, rref
@@ -14,7 +15,7 @@ from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
 from weylmod.ugl import E
 from weylmod.vectorfields import L_op, VectorField, monomial_field
-from weylmod.weightmod import FVector, PVector, make_wedge_module
+from weylmod.weightmod import FVector, PVector, _action_table, make_wedge_module
 from weylmod.weyl import WeylElement
 
 
@@ -152,6 +153,21 @@ def derham(w):
             lab = (hit[1], target.labels.index(word))
             out[lab] = out.get(lab, 0) + c * hit[0] * sign
     return FVector(P, target, out)
+
+
+def lemma_table(check, alpha, i, r):
+    """The action table of an operator lemma's operator at one alpha, built
+    per alpha: ``special_operator`` (read from ``weylmod.tensorop`` at call
+    time), g - u or h, ``demote``, ``_action_table`` on the r-th exterior
+    power and, for h, ``_after_derham``.  This is the path that the
+    library's one symbolic table per (check, n, i, r) replaced."""
+    n = len(alpha)
+    wedge = make_wedge_module(n, r)
+    if check == "g-equals-u":
+        op = tensorop.special_operator("g", alpha, i) - tensorop.special_operator("u", alpha, i)
+        return _action_table(op.demote(), wedge)
+    h = tensorop.special_operator("h", alpha, i)
+    return _after_derham(_action_table(h.demote(), wedge), n, r)
 
 
 def wedge_sort(word):

@@ -2,16 +2,21 @@
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
 import pytest
 
+from weylmod import tensorop
 from weylmod.derham import (
     _after_derham,
     _derham_sources,
     _failing_sources,
     _lemma_report,
+    _lemma_table,
+    _lemma_template,
+    _wedge_sources,
     partial_span,
     pi,
     pi_image,
@@ -30,6 +35,7 @@ from weylmod.weightmod import (
     FVector,
     WeightModuleP,
     _action_table,
+    _integer_rows,
     make_wedge_module,
     sn_act,
     tensor_act,
@@ -385,6 +391,106 @@ def test_lemma_report_that_checked_nothing_fails():
         report = lemma((2, 0, 0, 0), 1, P, 2, outside)
         assert report["checked"] == 0 and report["failures"] == []
         assert not report["pass"]
+
+
+def test_lemmas_refuse_an_alpha_of_another_length():
+    # a table read off the template of another rank would check nothing
+    # that P can hold, so the length is refused before any work
+    P = WeightModuleP.polynomial(4)
+    box = TruncationBox((0,) * 4, (2,) * 4)
+    for lemma in (verify_g_equals_u, verify_h_annihilates):
+        for alpha in ((2, 0, -1, 0, 0), (2, 0, -1)):
+            message = f"alpha has length {len(alpha)}, but P has rank 4"
+            with pytest.raises(ArgumentError, match=message):
+                lemma(alpha, 1, P, 2, box)
+
+
+LEMMAS = {"g-equals-u": verify_g_equals_u, "h-annihilates": verify_h_annihilates}
+
+
+def _lemma_cases(n):
+    return [(check, i, r) for check in LEMMAS for i in range(1, n - 1) for r in range(2, n)]
+
+
+def test_every_lemma_template_has_no_rows():
+    # the all-alpha certificate: evaluation keeps distinct rows distinct,
+    # so a template with no rows is a table that is empty at every alpha,
+    # and the lemma holds for every integer alpha and every P
+    _lemma_template.cache_clear()
+    cases = [(check, n, i, r) for n in range(3, 7) for check, i, r in _lemma_cases(n)]
+    for case in cases:
+        assert _lemma_template(*case)[1] == (), case
+    assert len(cases) == _lemma_template.cache_info().currsize == 60
+
+
+_HONEST_ROWS = tensorop._special_rows
+
+
+def _drop_first_u_row(kind, alpha, i):
+    rows = _HONEST_ROWS(kind, alpha, i)
+    return rows[1:] if kind == "u" else rows
+
+
+def _double_first_h_row(kind, alpha, i):
+    rows = _HONEST_ROWS(kind, alpha, i)
+    if kind == "h":
+        (c, *rest), *others = rows
+        rows = [(2 * c, *rest), *others]
+    return rows
+
+
+@contextmanager
+def _wrong_rows(wrong):
+    """``tensorop._special_rows`` replaced by wrong.  The lemma templates
+    are built from those rows, so their memo is cleared inside the patch
+    and again before it is lifted."""
+    with pytest.MonkeyPatch.context() as patch:
+        if wrong is not None:
+            patch.setattr(tensorop, "_special_rows", wrong)
+        _lemma_template.cache_clear()
+        try:
+            yield
+        finally:
+            _lemma_template.cache_clear()
+
+
+def _merged(P, table):
+    """``_integer_rows`` of a table, each row as {Weyl monomial: terms}."""
+    rows, den = _integer_rows(P, table)
+    return [{(t_exp, d_exp): terms for t_exp, d_exp, terms in row} for row in rows], den
+
+
+@pytest.mark.parametrize("wrong", [None, _drop_first_u_row, _double_first_h_row])
+def test_lemma_tables_match_the_per_alpha_oracle(wrong):
+    # the tables read off the templates equal the per-alpha tables on every
+    # profile, and the reports name the oracle's failures, also when a
+    # wrong row makes a lemma fail
+    n = 4
+    failed = set()
+    with _wrong_rows(wrong):
+        for (check, i, r), alpha in itertools.product(
+            _lemma_cases(n), itertools.product(range(-1, 3), repeat=n)
+        ):
+            expected = oracles.lemma_table(check, alpha, i, r)
+            got = _lemma_table(check, alpha, i, r, len(expected))
+            source = make_wedge_module(n, r if check == "g-equals-u" else r - 1)
+            for P, box in LEMMA_PROFILES.values():
+                assert _merged(P, got) == _merged(P, expected), (check, alpha, i, r)
+                if check == "g-equals-u":
+                    sources, checked = _wedge_sources(P, r, box)
+                else:
+                    sources, checked = _derham_sources(P, r - 1, box)
+                report = LEMMAS[check](alpha, i, P, r, box)
+                assert report == _lemma_report(
+                    check, alpha, i, P, r, expected, sources, checked, source.labels
+                )
+                if report["failures"]:
+                    failed.add(check)
+    assert failed == {
+        None: set(),
+        _drop_first_u_row: {"g-equals-u"},
+        _double_first_h_row: {"h-annihilates"},
+    }[wrong]
 
 
 def test_lemma_suite_rejects_a_case_that_checked_nothing():

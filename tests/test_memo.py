@@ -23,7 +23,8 @@ from weylmod.errors import StructureError
 from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inventory
-from weylmod.weightmod import FVector, WeightModuleP, make_wedge_module
+from weylmod.tensorop import TensorOperator
+from weylmod.weightmod import FVector, SLModule, WeightModuleP, make_wedge_module
 
 # the one memo that must keep every entry: vectors over an exterior power
 # compare their module by identity
@@ -65,6 +66,7 @@ def test_every_memo_is_bounded():
         "weylmod.derham.partial_span",
         "weylmod.derham._wedge_sources",
         "weylmod.derham._derham_sources",
+        "weylmod.derham._lemma_template",
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
         "weylmod.structure._member_rows",
@@ -81,6 +83,8 @@ def test_every_memo_is_bounded():
     # node products they are read off
     for name in ("_residual_template", "_node_terms"):
         assert memos[f"weylmod.tensorop.{name}"].cache_parameters()["maxsize"] >= 46
+    # one the 60 lemma templates of n <= 6
+    assert memos["weylmod.derham._lemma_template"].cache_parameters()["maxsize"] >= 60
     # and one the rows of the 192 members at n = 4 on 3 profiles x 4 wedges
     rows = memos["weylmod.structure._member_rows"]
     assert rows.cache_parameters()["maxsize"] >= 192 * 3 * 4
@@ -170,6 +174,38 @@ def test_lemma_cold_equals_warm():
                       (verify_h_annihilates, (alpha, i, P, r, box))]
     cold, warm = _cold_and_warm(calls)
     assert cold == warm and all(report["pass"] for report in cold)
+    # each cold call built the template of its (lemma, n, i, r), and the
+    # warm calls read the six of them
+    assert derham._lemma_template.cache_info().currsize == 6
+
+
+def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
+    # with its template built, a lemma call evaluates the template: no
+    # special operator, no module action of a PBW monomial
+    P, box = LEMMA_PROFILES["poly"]
+    args = ((2, 0, 0, 0), 1, P, 2, box)
+    lemmas = (verify_g_equals_u, verify_h_annihilates)
+    for lemma in lemmas:
+        lemma(*args)
+    counts = Counter()
+    apply_pbw, init = SLModule.apply_pbw, TensorOperator.__init__
+
+    def counted_pbw(self, *rest):
+        counts["apply_pbw"] += 1
+        return apply_pbw(self, *rest)
+
+    def counted_init(self, *rest, **options):
+        counts["TensorOperator"] += 1
+        init(self, *rest, **options)
+
+    monkeypatch.setattr(SLModule, "apply_pbw", counted_pbw)
+    monkeypatch.setattr(TensorOperator, "__init__", counted_init)
+    assert all(lemma(*args)["pass"] for lemma in lemmas)
+    assert counts == Counter()
+    # the counters see the work of a cold build
+    clear_memos()
+    assert verify_g_equals_u(*args)["pass"]
+    assert counts["apply_pbw"] > 0 and counts["TensorOperator"] > 0
 
 
 def _outside_vector(space):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylmod import tensorop, weyl
+from weylmod import derham, tensorop, weyl
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.suites import check_iota_hom
 from weylmod.tensorop import (
@@ -186,11 +186,11 @@ def _commuting_rule(b1, g1, b2, g2):
 @contextmanager
 def _wrong_kernel(name, wrong, modules=(tensorop,)):
     """``<module>.<name>`` replaced by wrong in each of modules.  The iota,
-    node and residual templates are built by the library's kernels and
-    weights, so their memos are cleared inside the patch and again before
-    it is lifted."""
+    node, residual and lemma templates are built by the library's kernels
+    and weights, so their memos are cleared inside the patch and again
+    before it is lifted."""
     memos = (tensorop._iota_template, tensorop._node_terms, tensorop._node_template,
-             tensorop._residual_template)
+             tensorop._residual_template, derham._lemma_template)
     with pytest.MonkeyPatch.context() as patch:
         for module in modules:
             patch.setattr(module, name, wrong)

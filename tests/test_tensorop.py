@@ -847,6 +847,13 @@ def test_templates_are_built_on_first_use_only():
         "assert check_eq_cubic(2, 0, 1, pairs=[(1, 2)])['pass']\n"
         "assert tensorop._residual_template.cache_info().currsize == 2\n"
         "assert len(builds) == 3\n"
+        # a lemma call builds the template of its (lemma, n, i, r) only
+        "from weylmod import derham\n"
+        "assert derham._lemma_template.cache_info().currsize == 0\n"
+        "P = weylmod.WeightModuleP.polynomial(4)\n"
+        "box = weylmod.TruncationBox((0,) * 4, (1,) * 4)\n"
+        "assert derham.verify_h_annihilates((2, 0, 0, 0), 1, P, 2, box)['pass']\n"
+        "assert derham._lemma_template.cache_info().currsize == 1\n"
     )
     src = str(Path(tensorop.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
