@@ -92,14 +92,10 @@ class VectorLiteral(TermMap):
 
     __slots__ = ("rank",)
 
+    _fields = ("rank",)
+
     def __init__(self, rank: int, terms):
         self._set({k: c for k, c in terms.items() if c != 0}, rank=rank)
-
-    def _context(self):
-        return (self.rank,)
-
-    def _like(self, terms, other=None):
-        return VectorLiteral(self.rank, terms)
 
     def bind(self, module_p: WeightModuleP, module_m: SLModule | None = None) -> FVector:
         """Attach the literal to concrete modules, validating support."""

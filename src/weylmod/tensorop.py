@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import ArgumentError, StructureError
 from .indices import (
@@ -28,103 +28,10 @@ from .indices import (
     mi_units,
     mi_zero,
 )
-from .terms import SCALARS, Poly, TermMap, accumulate
+from .terms import SCALARS, Poly, accumulate
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import VectorField, _L_terms, bracket, check_L_args
-from .weyl import WeylElement, _d_on_t, _monomial_product
-
-
-class TensorOperator(TermMap):
-    """Sparse element of (Laurent-)Weyl tensor U(gl_n).
-
-    Terms map (weyl monomial, PBW monomial) pairs to exact coefficients;
-    both factors are normal-ordered, so a residual that cancels term-by-term
-    leaves an empty map and equality is bit-exact.
-    """
-
-    __slots__ = ("rank", "laurent")
-
-    def __init__(self, rank: int, terms=None, laurent: bool = False):
-        cleaned = {}
-        if terms:
-            for (wmono, pmono), coeff in terms.items():
-                if coeff == 0:
-                    continue
-                t_exp, d_exp = wmono
-                if len(t_exp) != rank or len(d_exp) != rank:
-                    raise StructureError("weyl factor rank mismatch")
-                check_integer_exponents(t_exp)
-                check_integer_exponents(d_exp)
-                if not laurent and any(b < 0 for b in t_exp):
-                    raise StructureError("negative t exponent in polynomial mode")
-                cleaned[(wmono, pmono)] = coeff
-        self._set(cleaned, rank=rank, laurent=laurent)
-
-    @classmethod
-    def _from_kernel(cls, rank: int, terms: dict, laurent: bool) -> TensorOperator:
-        """An operator over a term map that a kernel of this library built
-        (``accumulate`` or ``_combine``): no zero coefficients, every
-        exponent of length rank, and no negative t exponent in polynomial
-        mode, all by construction.  The map is adopted, not copied or
-        re-checked.  Input from outside goes through ``__init__``.
-        """
-        op = cls(rank, None, laurent)
-        op._set(terms)
-        return op
-
-    def _context(self):
-        return (self.rank,)
-
-    def _like(self, terms, other=None):
-        # every TermMap caller passes a collected map: sums, differences,
-        # negations, scalings and products keep rank and polynomial-mode signs
-        laurent = self.laurent or (other is not None and other.laurent)
-        return TensorOperator._from_kernel(self.rank, terms, laurent)
-
-    @property
-    def mode(self) -> str:
-        return "laurent" if self.laurent else "polynomial"
-
-    @classmethod
-    def zero(cls, rank: int, laurent: bool = False) -> TensorOperator:
-        return cls(rank, {}, laurent)
-
-    @classmethod
-    def one(cls, rank: int, laurent: bool = False) -> TensorOperator:
-        z = mi_zero(rank)
-        return cls(rank, {((z, z), ()): 1}, laurent)
-
-    def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self._scale(other)
-        self._check_same(other)
-        return self._like(accumulate({}, _product_terms(self, other)), other)
-
-    def demote(self) -> TensorOperator:
-        """Polynomial-mode copy when every t exponent allows it, else self."""
-        if not self.laurent:
-            return self
-        if all(all(b >= 0 for b in wm[0]) for wm, _ in self.terms):
-            return TensorOperator(self.rank, self.terms, laurent=False)
-        return self
-
-    @staticmethod
-    def _text(mono) -> str:
-        wmono, pmono = mono
-        return f"{WeylElement._text(wmono) or 1} (x) {pbw_text(pmono) or 1}"
-
-    def to_json_obj(self):
-        return {
-            "rank": self.rank,
-            "mode": self.mode,
-            "terms": self._json_terms(
-                lambda m: {
-                    "tExp": list(m[0][0]),
-                    "dExp": list(m[0][1]),
-                    "factors": pbw_json(m[1]),
-                }
-            ),
-        }
+from .weyl import WeylElement, WeylTerms, _d_on_t, _monomial_product
 
 
 def _product_terms(a: TensorOperator, b: TensorOperator):
@@ -139,6 +46,40 @@ def _product_terms(a: TensorOperator, b: TensorOperator):
                 wbase = base * wcoeff
                 for pmono, pcoeff in pbw:
                     yield (wmono, pmono), wbase * pcoeff
+
+
+class TensorOperator(WeylTerms):
+    """Sparse element of (Laurent-)Weyl tensor U(gl_n).
+
+    Terms map (weyl monomial, PBW monomial) pairs to exact coefficients;
+    both factors are normal-ordered, so a residual that cancels term-by-term
+    leaves an empty map and equality is bit-exact.  The checks, the mode
+    and the arithmetic are those of ``weyl.WeylTerms``.
+    """
+
+    __slots__ = ()
+
+    # perfbench's tracer wraps these two in each class's own namespace
+    __init__ = WeylTerms.__init__
+    __mul__ = WeylTerms.__mul__
+
+    _weyl = staticmethod(itemgetter(0))
+    _product_terms = staticmethod(_product_terms)
+
+    @classmethod
+    def one(cls, rank: int, laurent: bool = False) -> TensorOperator:
+        z = mi_zero(rank)
+        return cls(rank, {((z, z), ()): 1}, laurent)
+
+    @staticmethod
+    def _text(mono) -> str:
+        wmono, pmono = mono
+        return f"{WeylElement._text(wmono) or 1} (x) {pbw_text(pmono) or 1}"
+
+    @staticmethod
+    def _json_fields(mono) -> dict:
+        (t_exp, d_exp), pmono = mono
+        return {"tExp": list(t_exp), "dExp": list(d_exp), "factors": pbw_json(pmono)}
 
 
 def tensor(a: WeylElement, u: UglElement) -> TensorOperator:

@@ -3,9 +3,11 @@
 A term map sends hashable monomials to nonzero exact coefficients.  The
 element classes (Weyl algebra, U(gl_n), tensor operators, the two kinds of
 module vector, and the parser's unbound vector literal) derive from
-``TermMap`` and keep only what is their own: their context fields, the
-per-term validation in ``__init__``, a sort key, the text of one monomial,
-and their product or action.
+``TermMap`` and keep only what is their own: their context fields
+(``_fields``), the check of outside input in ``__init__``, a sort key, the
+text of one monomial, and their product or action.  An operation on valid
+operands yields a valid collected map, which ``_like`` adopts without
+calling ``__init__``.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -62,13 +64,16 @@ def power_text(name: str, exps) -> list:
 class TermMap:
     """Immutable sparse map from monomials to nonzero exact coefficients.
 
-    Subclasses provide ``_context()`` (the fields two operands must share,
-    also compared by ``==``), ``_like(terms, other)`` (a new element in
-    the context of self, joined with that of ``other`` when given) and
-    ``_text(mono)`` (the text of one monomial, empty for the unit).
+    Subclasses declare ``_fields``, the names of the fields two operands
+    must share (their values, ``_context()``, are also compared by ``==``),
+    and provide ``_text(mono)`` (the text of one monomial, empty for the
+    unit).  ``_like`` adopts the collected map of an operation on valid
+    operands without calling ``__init__``, which checks outside input.
     """
 
     __slots__ = ("terms",)
+
+    _fields = ()
 
     # orders (key, coeff) items for output; keys are unique, so by key
     _sort_key = staticmethod(itemgetter(0))
@@ -82,10 +87,14 @@ class TermMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _context(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self._fields)
 
     def _like(self, terms: dict, other=None):
-        raise NotImplementedError
+        """A new element with the fields of self over ``terms``, the
+        collected map of an operation with ``other``, adopted as it is."""
+        element = object.__new__(type(self))
+        element._set(terms, **{name: getattr(self, name) for name in self._fields})
+        return element
 
     def _check_same(self, other) -> None:
         if type(other) is not type(self):

@@ -117,6 +117,7 @@ class UglElement(TermMap):
 
     __slots__ = ("rank",)
 
+    _fields = ("rank",)
     _sort_key = staticmethod(_mono_sort)
 
     def __init__(self, rank: int, terms=None):
@@ -133,12 +134,6 @@ class UglElement(TermMap):
                     raise StructureError(f"monomial not in canonical order: {mono}")
                 cleaned[tuple(mono)] = coeff
         self._set(cleaned, rank=rank)
-
-    def _context(self):
-        return (self.rank,)
-
-    def _like(self, terms, other=None):
-        return UglElement(self.rank, terms)
 
     @classmethod
     def zero(cls, rank: int) -> UglElement:
@@ -158,7 +153,7 @@ class UglElement(TermMap):
             for m2, c2 in other.terms.items()
             for mono, c in pbw_product(m1, m2)
         )
-        return UglElement(self.rank, accumulate({}, products))
+        return self._like(accumulate({}, products))
 
     def __pow__(self, k: int) -> UglElement:
         if k < 0:

@@ -111,26 +111,20 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(WeylElement._from_kernel(n, accumulate({}, terms()), laurent))
 
 
-def _derivative(f: WeylElement, j: int) -> WeylElement:
-    """d/dt_j of a (Laurent) polynomial, 0-based j."""
-    terms = {}
-    for (t_exp, d_exp), coeff in f.terms.items():
-        if t_exp[j] == 0:
-            continue
-        new = list(t_exp)
-        new[j] -= 1
-        terms[(tuple(new), d_exp)] = coeff * t_exp[j]
-    return WeylElement(f.rank, terms, f.laurent)
-
-
 def divergence(x: VectorField) -> WeylElement:
-    """sum_i d_i(f_i) as a polynomial in t."""
+    """sum_i d_i(f_i) as a polynomial in t, in one pass over the terms of
+    x: each term c t^a d_i contributes c a_i t^(a - e_i)."""
     if x.laurent:
         raise DomainError("divergence expects a polynomial-mode field")
-    total = WeylElement.zero(x.rank)
-    for i, f in enumerate(x.components()):
-        total = total + _derivative(f, i)
-    return total
+    zero = mi_zero(x.rank)
+
+    def terms():
+        for (a, g), c in x.element.terms.items():
+            i = g.index(1)
+            if a[i]:
+                yield (a[:i] + (a[i] - 1,) + a[i + 1:], zero), c * a[i]
+
+    return WeylElement._from_kernel(x.rank, accumulate({}, terms()), False)
 
 
 def is_divergence_free(x: VectorField) -> bool:

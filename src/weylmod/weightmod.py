@@ -204,10 +204,21 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     return num, tuple(out)
 
 
+def _check_key(module: WeightModuleP, key) -> None:
+    """Refuse a vector key of another length than the module's rank, or
+    outside its support."""
+    if len(key) != module.rank:
+        raise StructureError(f"key {key} has length {len(key)}, module has rank {module.rank}")
+    if not module.supports_key(key):
+        raise StructureError(f"key {key} outside the support")
+
+
 class PVector(TermMap):
     """Sparse vector in a weight module, keyed by integer offsets."""
 
     __slots__ = ("module",)
+
+    _fields = ("module",)
 
     def __init__(self, module: WeightModuleP, terms=None):
         cleaned = {}
@@ -216,16 +227,9 @@ class PVector(TermMap):
                 if coeff == 0:
                     continue
                 key = tuple(key)
-                if not module.supports_key(key):
-                    raise StructureError(f"key {key} outside the support")
+                _check_key(module, key)
                 cleaned[key] = coeff
         self._set(cleaned, module=module)
-
-    def _context(self):
-        return (self.module,)
-
-    def _like(self, terms, other=None):
-        return PVector(self.module, terms)
 
     def _text(self, key):
         return f"t^{key}"
@@ -532,6 +536,9 @@ class FVector(TermMap):
 
     __slots__ = ("module_p", "module_m")
 
+    # SLModule compares by identity
+    _fields = ("module_p", "module_m")
+
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):
         if module_p.rank != module_m.rank:
             raise StructureError("rank mismatch between the two factors")
@@ -541,19 +548,11 @@ class FVector(TermMap):
                 if coeff == 0:
                     continue
                 key = tuple(key)
-                if not module_p.supports_key(key):
-                    raise StructureError(f"key {key} outside the support")
+                _check_key(module_p, key)
                 if not 0 <= midx < module_m.dim:
                     raise StructureError(f"bad basis index {midx}")
                 cleaned[(key, midx)] = coeff
         self._set(cleaned, module_p=module_p, module_m=module_m)
-
-    def _context(self):
-        # SLModule compares by identity
-        return (self.module_p, self.module_m)
-
-    def _like(self, terms, other=None):
-        return FVector(self.module_p, self.module_m, terms)
 
     @classmethod
     def basis(cls, module_p, module_m, key, label_or_index) -> FVector:

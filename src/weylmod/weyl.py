@@ -64,21 +64,48 @@ def _coord_choices(g, b):
     return tuple((k, c) for k, c in choices if c != 0)
 
 
-class WeylElement(TermMap):
-    """Sparse normal-ordered element of the (Laurent) Weyl algebra.
+def _monomial_product(b1, g1, b2, g2):
+    """The normal-ordered (monomial, coeff) pairs of t^b1 d^g1 * t^b2 d^g2:
+    the one product rule of the library.  d^g1 t^b2 is expanded by
+    ``_d_on_t``, and every term keeps the outer t^b1 and d^g2.  The first
+    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1."""
+    t_sum = tuple(map(add, b1, b2))
+    d_sum = tuple(map(add, g1, g2))
+    return [
+        ((tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k))), coeff)
+        for coeff, k in _d_on_t(g1, b2)
+    ]
 
-    Terms map (tExp, dExp) pairs to coefficients; text and JSON list them
-    lexicographically on (tExp, dExp), so serialization is deterministic.
+
+def _product_terms(a: WeylElement, b: WeylElement):
+    """The (monomial, coeff) pairs of a * b before collection."""
+    for (b1, g1), c1 in a.terms.items():
+        for (b2, g2), c2 in b.terms.items():
+            base = c1 * c2
+            for mono, coeff in _monomial_product(b1, g1, b2, g2):
+                yield mono, base * coeff
+
+
+class WeylTerms(TermMap):
+    """Term map of a rank whose keys carry a Weyl monomial (tExp, dExp),
+    read off a key by ``_weyl``: the base of ``WeylElement`` and
+    ``tensorop.TensorOperator``, which multiply by their ``_product_terms``.
+    ``laurent=True`` admits negative t exponents; the mode flag is
+    bookkeeping, left out of ``_context`` (and of ``==``), and a sum or
+    product is Laurent when either operand is.
     """
 
     __slots__ = ("rank", "laurent")
 
     def __init__(self, rank: int, terms=None, laurent: bool = False):
+        """Checks outside input: monomials of length rank, int exponents,
+        no negative d exponent, no negative t exponent in polynomial mode."""
         cleaned = {}
         if terms:
-            for (t_exp, d_exp), coeff in terms.items():
+            for key, coeff in terms.items():
                 if coeff == 0:
                     continue
+                t_exp, d_exp = self._weyl(key)
                 if len(t_exp) != rank or len(d_exp) != rank:
                     raise StructureError("monomial rank does not match element rank")
                 check_integer_exponents(t_exp)
@@ -89,36 +116,76 @@ class WeylElement(TermMap):
                     raise StructureError(
                         f"negative t exponent {t_exp} in polynomial mode"
                     )
-                cleaned[(tuple(t_exp), tuple(d_exp))] = coeff
+                cleaned[key] = coeff
         self._set(cleaned, rank=rank, laurent=laurent)
 
     @classmethod
-    def _from_kernel(cls, rank: int, terms: dict, laurent: bool) -> WeylElement:
-        """An element over a term map that a kernel of this library built,
-        adopted unchecked (its exponents may be ``terms.Poly`` symbols), as
-        ``TensorOperator._from_kernel``; outside input goes through __init__."""
+    def _from_kernel(cls, rank: int, terms: dict, laurent: bool):
+        """An element over a term map that a kernel of this library built
+        (``accumulate`` or ``tensorop._combine``), whose exponents may be
+        ``terms.Poly`` symbols: valid by construction, so the map is
+        adopted as it is and ``__init__`` sees no terms."""
         element = cls(rank, None, laurent)
         element._set(terms)
         return element
 
     def _context(self):
-        # the mode flag is bookkeeping, not part of the value
         return (self.rank,)
 
     def _like(self, terms, other=None):
-        # every TermMap caller passes a collected map, as for TensorOperator
         laurent = self.laurent or (other is not None and other.laurent)
-        return WeylElement._from_kernel(self.rank, terms, laurent)
+        return self._from_kernel(self.rank, terms, laurent)
 
     @property
     def mode(self) -> str:
         return "laurent" if self.laurent else "polynomial"
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def zero(cls, rank: int, laurent: bool = False) -> WeylElement:
+    def zero(cls, rank: int, laurent: bool = False):
         return cls(rank, {}, laurent)
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return self._scale(other)
+        self._check_same(other)
+        return self._like(accumulate({}, self._product_terms(self, other)), other)
+
+    def demote(self):
+        """Polynomial-mode copy when every t exponent allows it, else self."""
+        if not self.laurent:
+            return self
+        if all(b >= 0 for key in self.terms for b in self._weyl(key)[0]):
+            return self._from_kernel(self.rank, self.terms, False)
+        return self
+
+    def to_json_obj(self):
+        return {
+            "rank": self.rank,
+            "mode": self.mode,
+            "terms": self._json_terms(self._json_fields),
+        }
+
+
+class WeylElement(WeylTerms):
+    """Sparse normal-ordered element of the (Laurent) Weyl algebra.
+
+    Terms map (tExp, dExp) pairs to coefficients; text and JSON list them
+    lexicographically on (tExp, dExp), so serialization is deterministic.
+    """
+
+    __slots__ = ()
+
+    # perfbench's tracer wraps these two in each class's own namespace
+    __init__ = WeylTerms.__init__
+    __mul__ = WeylTerms.__mul__
+
+    @staticmethod
+    def _weyl(key):
+        return key
+
+    _product_terms = staticmethod(_product_terms)
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, rank: int, laurent: bool = False) -> WeylElement:
@@ -135,12 +202,6 @@ class WeylElement(TermMap):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self._scale(other)
-        self._check_same(other)
-        return self._like(accumulate({}, _product_terms(self, other)), other)
-
     def __pow__(self, k: int) -> WeylElement:
         if k < 0:
             raise DomainError("negative powers are not defined")
@@ -156,14 +217,6 @@ class WeylElement(TermMap):
 
     def d_degrees(self):
         return [sum(d_exp) for _, d_exp in self.terms]
-
-    def demote(self) -> WeylElement:
-        """Polynomial-mode copy when every t exponent allows it, else self."""
-        if not self.laurent:
-            return self
-        if all(all(b >= 0 for b in t_exp) for t_exp, _ in self.terms):
-            return WeylElement(self.rank, self.terms, laurent=False)
-        return self
 
     def apply_poly(self, p: WeylElement) -> WeylElement:
         """Natural action on a polynomial: t multiplies, d differentiates.
@@ -200,36 +253,9 @@ class WeylElement(TermMap):
         t_exp, d_exp = mono
         return "*".join(power_text("t", t_exp) + power_text("d", d_exp))
 
-    def to_json_obj(self):
-        return {
-            "rank": self.rank,
-            "mode": self.mode,
-            "terms": self._json_terms(
-                lambda m: {"tExp": list(m[0]), "dExp": list(m[1])}
-            ),
-        }
-
-
-def _monomial_product(b1, g1, b2, g2):
-    """The normal-ordered (monomial, coeff) pairs of t^b1 d^g1 * t^b2 d^g2:
-    the one product rule of the library.  d^g1 t^b2 is expanded by
-    ``_d_on_t``, and every term keeps the outer t^b1 and d^g2.  The first
-    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1."""
-    t_sum = tuple(map(add, b1, b2))
-    d_sum = tuple(map(add, g1, g2))
-    return [
-        ((tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k))), coeff)
-        for coeff, k in _d_on_t(g1, b2)
-    ]
-
-
-def _product_terms(a: WeylElement, b: WeylElement):
-    """The (monomial, coeff) pairs of a * b before collection."""
-    for (b1, g1), c1 in a.terms.items():
-        for (b2, g2), c2 in b.terms.items():
-            base = c1 * c2
-            for mono, coeff in _monomial_product(b1, g1, b2, g2):
-                yield mono, base * coeff
+    @staticmethod
+    def _json_fields(mono) -> dict:
+        return {"tExp": list(mono[0]), "dExp": list(mono[1])}
 
 
 def t(i: int, n: int) -> WeylElement:

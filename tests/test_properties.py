@@ -377,15 +377,19 @@ def test_kernel_built_operators_pass_the_public_checks(n, data):
 def test_public_constructor_still_checks(n, extra, data):
     z = (0,) * n
     short = (0,) * (n + extra)
-    with pytest.raises(StructureError):
+    # the Weyl factor is checked by the rules of WeylElement, with its messages
+    with pytest.raises(StructureError, match="monomial rank does not match element rank"):
         TensorOperator(n, {((short, z), ()): 1})
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="monomial rank does not match element rank"):
         TensorOperator(n, {((z, short), ()): 1})
     i = data.draw(st.integers(0, n - 1))
     negative = z[:i] + (-data.draw(st.integers(1, 3)),) + z[i + 1:]
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="negative t exponent .* in polynomial mode"):
         TensorOperator(n, {((negative, z), ()): 1})
     assert TensorOperator(n, {((negative, z), ()): 1}, laurent=True).laurent
+    for laurent in (False, True):
+        with pytest.raises(StructureError, match="negative derivative exponent in"):
+            TensorOperator(n, {((z, negative), ()): 1}, laurent)
     # exact stays exact: a non-int t or d exponent is refused in either mode
     half = z[:i] + (Fraction(1, 2),) + z[i + 1:]
     for wmono in ((half, z), (z, half), (z[:i] + (1.0,) + z[i + 1:], z)):

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylmod.cli import main
+from weylmod.errors import StructureError
+from weylmod.exprparse import VectorLiteral
 from weylmod.tensorop import TensorOperator
 from weylmod.terms import Poly, accumulate
 from weylmod.ugl import (
@@ -109,6 +111,70 @@ def test_insertion_order_never_shows():
             left = build(dict(halves[:3]))
             right = build(dict(halves[3:]))
             assert str(left + right) == str(right + left) == str(a)
+
+
+def adoption_cases():
+    """(constructor, term dict, an element of another context) for every
+    term-map class, the parser's vector literal included."""
+    rng = random.Random(53)
+    n = 3
+    literal = {
+        (tuple(rng.randint(-2, 2) for _ in range(n)), (rng.randint(1, n),)): random_coeff(rng)
+        for _ in range(6)
+    }
+    samples = [*element_samples(rng), (lambda t: VectorLiteral(n, t), literal)]
+    others = [
+        WeylElement.one(n - 1),
+        UglElement.one(n - 1),
+        TensorOperator.one(n - 1),
+        PVector(WeightModuleP.polynomial(n)),
+        FVector(WeightModuleP.laurent(n), make_wedge_module(n, 2)),
+        VectorLiteral(n - 1, {}),
+    ]
+    return [(build, terms, other) for (build, terms), other in zip(samples, others)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(6),
+    ids=["WeylElement", "UglElement", "TensorOperator", "PVector", "FVector", "VectorLiteral"],
+)
+def test_operation_results_are_adopted(monkeypatch, case):
+    # __init__ checks outside input once; a sum, difference, negation or
+    # scaling of valid elements adopts its collected map, keeping the type
+    # and fields of its operands
+    build, terms, other = adoption_cases()[case]
+    halves = list(terms.items())
+    a, b = build(dict(halves[:3])), build(dict(halves[3:]))
+    cls = type(a)
+    init = cls.__init__
+    checked = []
+
+    def counted(self, *args, **options):
+        # a term map handed to __init__ is checked term by term
+        if any(isinstance(x, dict) for x in (*args, *options.values())):
+            checked.append(args)
+        init(self, *args, **options)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    results = [a + b, a - b, -a, a * Fraction(-2, 3), 0 * a, a - a]
+    assert checked == []
+    expected = [
+        terms,
+        {**dict(halves[:3]), **{k: -c for k, c in halves[3:]}},
+        {k: -c for k, c in halves[:3]},
+        {k: c * Fraction(-2, 3) for k, c in halves[:3]},
+        {},
+        {},
+    ]
+    for result, want in zip(results, expected):
+        assert type(result) is cls and result._context() == a._context()
+        assert result == build(want)
+    # the counter sees the outside input of the expected elements
+    assert len(checked) == len(expected)
+    for combine in (lambda x, y: x + y, lambda x, y: y - x):
+        with pytest.raises(StructureError):
+            combine(a, other)
 
 
 def test_pbw_product_matches_word_rewriting():

@@ -70,6 +70,20 @@ def test_jacobi_identity():
             assert total.is_zero()
 
 
+def test_divergence_matches_the_componentwise_oracle():
+    # sum_i d_i(f_i) over the components, with the oracle's derivative
+    rng = random.Random(19)
+    for n in (1, 2, 3, 4):
+        fields = [VectorField(WeylElement.zero(n))]
+        fields += [random_field(rng, n, deg=3, nterms=rng.randint(1, 5)) for _ in range(30)]
+        for x in fields:
+            expected = WeylElement.zero(n)
+            for i, f in enumerate(x.components()):
+                expected = expected + oracles._derivative(f, i)
+            div = divergence(x)
+            assert div == expected and not div.laurent
+
+
 def test_divergence_examples():
     n = 2
     assert divergence(VectorField(t(1, n) * d(1, n))) == WeylElement.one(n)

@@ -455,3 +455,17 @@ def test_fvector_support_validation():
     triv = make_wedge_module(2, 0)
     with pytest.raises(StructureError):
         FVector(A, triv, {((-1, 0), 0): 1})
+
+
+def test_vectors_refuse_keys_of_another_length():
+    # a short key used to pass the support check, which zips the factors
+    # with the key, and pi then built a vector of rank-1 keys
+    A = WeightModuleP.polynomial(2)
+    triv = make_wedge_module(2, 0)
+    for key in ((3,), (1, 2, 3), ()):
+        with pytest.raises(StructureError, match="has length"):
+            FVector(A, triv, {(key, 0): 1})
+        with pytest.raises(StructureError, match="has length"):
+            PVector(A, {key: 1})
+    assert FVector(A, triv, {((3, 0), 0): 1}).terms == {((3, 0), 0): 1}
+    assert PVector(A, {(1, 2): 1}).terms == {(1, 2): 1}
