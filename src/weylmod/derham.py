@@ -7,11 +7,12 @@ box only chooses which weights to materialize.
 
 Everything that depends only on the profile, (P, r, box) or (P, M, box), is
 built once and kept in a bounded memo: the weight windows, the image,
-kernel and derivative spans (frozen, so a caller that grows one takes a
-``copy()``) and the lemma source lists.  The operator lemmas read their
-action table off one template per (lemma, n, i, r) over a symbolic alpha
-(``_lemma_template``): a template with no rows proves the lemma for every
-integer alpha and every P at that (n, i, r).
+kernel and derivative spans (values: each ``GradedSubspace`` is built once
+from its blocks, with a block at every window weight, which the closure
+reads directly) and the lemma source lists.  The operator lemmas read
+their action table off one template per (lemma, n, i, r) over a symbolic
+alpha (``_lemma_template``): a template with no rows proves the lemma for
+every integer alpha and every P at that (n, i, r).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, kernel
 from .terms import Poly, accumulate
@@ -105,6 +106,9 @@ def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
     is the tuple of basis labels (key, m-index) at weight w and
     ``slots[w]`` maps each to its position.  Built once per (P, M, box) and
     shared, read-only, by every subspace and closure engine over it."""
+    for what, rank in (("the box", box.rank), ("M", M.rank)):
+        if rank != P.rank:
+            raise ArgumentError(f"{what} has rank {rank}, but P has rank {P.rank}")
     labels = {}
     slots = {}
     for w in box.keys():
@@ -114,47 +118,40 @@ def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
 
 
 class GradedSubspace:
-    """Weight-indexed family of echelonized subspaces of a tensor module.
+    """Weight-indexed family of echelonized subspaces of a tensor module,
+    fixed at construction.
 
     ``labels`` and ``slots`` are the shared window of (P, M, box) (see
-    ``_window``), and ``blocks[w]`` is the echelon basis over the positions
-    at weight w.  The memoised spaces (``pi_image``, ``pi_kernel``,
-    ``partial_span``) are frozen: their ``insert`` raises, and ``copy()``
-    gives a mutable space with blocks of its own.
+    ``_window``), and ``blocks`` is a read-only mapping from window weights
+    to echelon bases over the positions there; a window weight without a
+    block has dimension 0, so ``GradedSubspace(P, M, box)`` is the window
+    itself, with no blocks.  A space that differs from another is built
+    anew, as ``GradedSubspace(P, M, box, {**space.blocks, w: block})``.
     """
 
-    def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox):
+    def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox,
+                 blocks=None):
         self.module_p = module_p
         self.module_m = module_m
         self.labels, self.slots = _window(module_p, module_m, box)
-        self.blocks = {w: RowBasis(len(labels)) for w, labels in self.labels.items()}
-        self.frozen = False
-
-    def _freeze(self) -> GradedSubspace:
-        self.blocks = MappingProxyType(self.blocks)
-        self.frozen = True
-        return self
-
-    def copy(self) -> GradedSubspace:
-        """A mutable copy over the same window."""
-        out = GradedSubspace.__new__(GradedSubspace)
-        out.__dict__.update(self.__dict__)
-        out.blocks = {w: block.copy() for w, block in self.blocks.items()}
-        out.frozen = False
-        return out
-
-    def weights(self):
-        return sorted(self.labels)
+        self.blocks = MappingProxyType(dict(blocks or {}))
+        for w, block in self.blocks.items():
+            if w not in self.labels or block.ncols != len(self.labels[w]):
+                raise ArgumentError(f"the block at weight {list(w)} does not fit the window")
 
     def dim_at(self, weight) -> int:
         block = self.blocks.get(weight)
         return block.dim if block else 0
 
     def dims(self):
-        return {w: self.blocks[w].dim for w in sorted(self.blocks)}
+        return {w: self.dim_at(w) for w in sorted(self.labels)}
 
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks.values())
+
+    def _rows(self, weight):
+        block = self.blocks.get(weight)
+        return block.rows if block else []
 
     def to_dense(self, v: FVector):
         """{weight: dense coordinates} of v, in the order its weights first
@@ -174,33 +171,20 @@ class GradedSubspace:
             dense[pos] = c
         return parts
 
-    def insert(self, v: FVector) -> bool:
-        if self.frozen:
-            raise StructureError("a memoised subspace is read-only; insert into copy()")
-        parts = self.to_dense(v)
-        if parts is None:
-            raise StructureError("vector is not in the subspace window")
-        grew = False
-        for w, dense in parts.items():
-            grew |= self.blocks[w].insert(dense)
-        return grew
-
     def contains(self, v: FVector) -> bool:
         parts = self.to_dense(v)
-        return parts is not None and all(
-            self.blocks[w].contains(dense) for w, dense in parts.items()
+        return parts is not None and not any(
+            any(self.blocks[w].reduce(dense) if w in self.blocks else dense)
+            for w, dense in parts.items()
         )
 
     def basis_vectors(self, weight):
-        block = self.blocks.get(weight)
-        if not block:
-            return []
-        labels = self.labels[weight]
-        out = []
-        for row in block.rows:
-            terms = {lab: c for lab, c in zip(labels, row) if c != 0}
-            out.append(FVector(self.module_p, self.module_m, terms))
-        return out
+        labels = self.labels.get(weight, ())
+        return [
+            FVector(self.module_p, self.module_m,
+                    {lab: c for lab, c in zip(labels, row) if c != 0})
+            for row in self._rows(weight)
+        ]
 
     def to_json_obj(self):
         return {
@@ -209,22 +193,22 @@ class GradedSubspace:
             "blocks": [
                 {
                     "weight": list(w),
-                    "dim": self.blocks[w].dim,
+                    "dim": self.dim_at(w),
                     "ambient": [
                         {"key": list(k), "label": str(self.module_m.labels[m])}
                         for k, m in self.labels[w]
                     ],
-                    "rows": [[str(x) for x in row] for row in self.blocks[w].rows],
+                    "rows": [[str(x) for x in row] for row in self._rows(w)],
                 }
-                for w in sorted(self.blocks)
+                for w in sorted(self.labels)
             ],
         }
 
 
 @lru_cache(maxsize=4)
 def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
-    """Echelonized span of the de Rham images inside degree r, per weight;
-    frozen and memoised per (P, r, box).
+    """Echelonized span of the de Rham images inside degree r, with a block
+    at every window weight; memoised per (P, r, box).
 
     Every generating image is concentrated at a single weight, so the span
     is exact at each weight the box selects.  The images are taken from the
@@ -234,24 +218,25 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     n = P.rank
     if not 1 <= r <= n:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
-    source = wedge_module(n, r - 1)
+    source, M = wedge_module(n, r - 1), wedge_module(n, r)
     rows, _ = _derham_rows(P, r - 1)
-    out = GradedSubspace(P, wedge_module(n, r), box)
+    labels, slots = _window(P, M, box)
+    blocks = {}
     for w in box.keys():
-        block = out.blocks[w]
-        for col in _block_columns(P, rows, ambient_labels(P, source, w), out.slots[w]):
+        block = blocks[w] = RowBasis(len(labels[w]))
+        for col in _block_columns(P, rows, ambient_labels(P, source, w), slots[w]):
             if col:
                 dense = [0] * block.ncols
                 for pos, c in col:
                     dense[pos] = c
                 block.insert(dense)
-    return out._freeze()
+    return GradedSubspace(P, M, box, blocks)
 
 
 @lru_cache(maxsize=4)
 def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
-    """Kernel of the degree-r de Rham map, weight block by weight block;
-    frozen and memoised per (P, r, box).
+    """Kernel of the degree-r de Rham map, weight block by weight block,
+    with a block at every window weight; memoised per (P, r, box).
 
     The images are taken from the integer de Rham rows; their common
     denominator scales each block's matrix as a whole, which leaves its
@@ -260,34 +245,37 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     n = P.rank
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
+    M = wedge_module(n, r)
     rows, _ = _derham_rows(P, r)
-    out = GradedSubspace(P, wedge_module(n, r), box)
+    labels, _ = _window(P, M, box)
     target_labels, target_slots = _window(P, wedge_module(n, r + 1), box)
-    for w, labels in out.labels.items():
-        if labels:
-            cols = _block_columns(P, rows, labels, target_slots[w])
-            out.blocks[w] = kernel(cols, len(target_labels[w]))
-    return out._freeze()
+    blocks = {
+        w: kernel(_block_columns(P, rows, labs, target_slots[w]), len(target_labels[w]))
+        for w, labs in labels.items()
+    }
+    return GradedSubspace(P, M, box, blocks)
 
 
 @lru_cache(maxsize=4)
 def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
-    """Span of the images of the plain derivative operators inside P;
-    frozen and memoised per (P, box).  Each weight block has one label, so
-    the block is spanned by [1] as soon as some d_l reaches its weight with
-    a nonzero ``_scaled_monomial_on_key``."""
+    """Span of the images of the plain derivative operators inside P, with
+    a block at every window weight; memoised per (P, box).  Each weight
+    block has at most one label, so the block is spanned by [1] as soon as
+    some d_l reaches its weight with a nonzero ``_scaled_monomial_on_key``."""
     n = P.rank
-    out = GradedSubspace(P, wedge_module(n, 0), box)
+    M = wedge_module(n, 0)
+    labels, _ = _window(P, M, box)
     zero = mi_zero(n)
+    blocks = {w: RowBasis(len(labs)) for w, labs in labels.items()}
     for w in box.keys():
         if not P.supports_key(w):
             continue
         for l in range(1, n + 1):
             src = tuple(w[s] + (1 if s == l - 1 else 0) for s in range(n))
             if P.supports_key(src) and _scaled_monomial_on_key(P, src, zero, mi_unit(l, n)):
-                out.blocks[w].insert([1])
+                blocks[w].insert([1])
                 break
-    return out._freeze()
+    return GradedSubspace(P, M, box, blocks)
 
 
 def _failing_sources(P, table, sources):
@@ -415,14 +403,17 @@ def _lemma_table(check: str, alpha, i: int, r: int, size: int):
     return table
 
 
-def _lemma_args(alpha, i: int, P: WeightModuleP, r: int) -> tuple:
-    """The argument checks of an operator lemma: alpha of length P.rank,
-    r in 2..n-1, and those of the special operators (``_special_args``,
-    the same for every kind).  Returns alpha as a tuple."""
+def _lemma_args(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox) -> tuple:
+    """The argument checks of an operator lemma: alpha of length P.rank, a
+    key box of P's rank, r in 2..n-1, and those of the special operators
+    (``_special_args``, the same for every kind).  Returns alpha as a
+    tuple."""
     alpha = tuple(alpha)
     n = P.rank
     if len(alpha) != n:
         raise ArgumentError(f"alpha has length {len(alpha)}, but P has rank {n}")
+    if key_box.rank != n:
+        raise ArgumentError(f"the key box has rank {key_box.rank}, but P has rank {n}")
     if not 2 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 2..{n - 1}")
     return _special_args("h", alpha, i)
@@ -434,7 +425,7 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
 
     Returns a report dict; "pass" means every residual vanished.
     """
-    alpha = _lemma_args(alpha, i, P, r)
+    alpha = _lemma_args(alpha, i, P, r, key_box)
     wedge = wedge_module(P.rank, r)
     table = _lemma_table("g-equals-u", alpha, i, r, wedge.dim)
     sources, checked = _wedge_sources(P, r, key_box)
@@ -446,7 +437,7 @@ def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: Truncati
 def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
     """h applied to the de Rham spanning vectors of degree r, through the
     composite table of h after the de Rham map (``_lemma_template``)."""
-    alpha = _lemma_args(alpha, i, P, r)
+    alpha = _lemma_args(alpha, i, P, r, key_box)
     source = wedge_module(P.rank, r - 1)
     table = _lemma_table("h-annihilates", alpha, i, r, source.dim)
     sources, checked = _derham_sources(P, r - 1, key_box)

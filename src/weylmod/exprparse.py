@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .errors import ArgumentError, StructureError
-from .indices import mi_zero
+from .indices import check_index, mi_zero
 from .tensorop import TensorOperator, tensor
 from .terms import TermMap, power_text
 from .ugl import E as ugl_E, UglElement
@@ -237,16 +237,14 @@ class _Parser:
         try:
             if name in ("t", "d"):
                 i = int(args)
-                _check_index(i, n, pos)
+                check_index(i, n)
                 return t(i, n) if name == "t" else d(i, n)
             if name == "E":
                 i, j = (int(p) for p in args.split(","))
-                _check_index(i, n, pos)
-                _check_index(j, n, pos)
                 return ugl_E(i, j, n)
             if name == "e":
                 i = int(args)
-                _check_index(i, n, pos)
+                check_index(i, n)
                 return Wedge(1, (i,))
             if name == "L":
                 head, alpha_text = args.split(";")
@@ -255,20 +253,14 @@ class _Parser:
                     int(p) for p in alpha_text.strip().strip("()").split(",")
                 )
                 if len(alpha) != n:
-                    raise ParseError(
-                        f"alpha has rank {len(alpha)}, expected {n}", pos
-                    )
-                _check_index(i, n, pos)
-                _check_index(j, n, pos)
+                    raise ArgumentError(f"alpha has rank {len(alpha)}, expected {n}")
+                # the index names itself before L_op's "indices must differ"
+                check_index(i, n)
+                check_index(j, n)
                 return L_op(i, j, alpha, laurent=True).element.demote()
         except (ValueError, ArgumentError) as exc:
             raise ParseError(str(exc), pos) from exc
         raise ParseError(f"unknown generator {name!r}", pos)
-
-
-def _check_index(i, n, pos):
-    if not 1 <= i <= n:
-        raise ParseError(f"index {i} out of range 1..{n}", pos)
 
 
 def _wedge_to_literal(w: Wedge, rank: int) -> VectorLiteral:

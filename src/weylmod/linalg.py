@@ -135,14 +135,6 @@ class RowBasis:
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
-    def copy(self) -> RowBasis:
-        """An independent basis of the same span (rows are replaced on
-        insert, never edited in place, so the row lists are shared)."""
-        out = RowBasis(self.ncols)
-        out._rows = list(self._rows)
-        out.pivots = list(self.pivots)
-        return out
-
 
 def kernel(columns, height: int) -> RowBasis:
     """The echelon basis of the right kernel of a matrix given by sparse

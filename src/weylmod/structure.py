@@ -115,9 +115,10 @@ def _member_rows(member: Generator, module_p: WeightModuleP, module_m: SLModule)
 
 
 class ClosureEngine:
-    """The ambient window of the box (a ``GradedSubspace``), with cached
-    per-weight move lists and per-(generator, weight) action matrices, the
-    latter assembled from the members' rows in ``_member_rows``.
+    """The ambient window of the box (a ``GradedSubspace`` with no
+    blocks), with cached per-weight move lists and per-(generator, weight)
+    action matrices, the latter assembled from the members' rows in
+    ``_member_rows``.
 
     ``capacity[w]`` is the dimension of the window at w, less that of
     ``mod`` for a quotient: no closure block at w grows beyond it.
@@ -409,6 +410,9 @@ def evidence_simplicity(
     n = module_p.rank
     if gens is None:
         gens = GeneratorSet.default(n)
+    if not gens.members:
+        # a set that cannot act fails every seed, which is no evidence
+        raise ArgumentError("the generator set is empty")
     sub = mod = None
     if ambient == "F":
         if module_m is None:

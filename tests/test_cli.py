@@ -115,6 +115,31 @@ def test_negative_gen_cap_exits_2(capsys):
     assert code == 0
 
 
+def test_simplicity_under_an_empty_generator_set_exits_2(capsys):
+    # at rank 1 there is no L[i,j], and a set that cannot act gives no
+    # evidence either way; a closure under it is no verdict and still runs
+    base = ["--P", "[poly]", "--M", "wedge:0", "--box", "0..5"]
+    code, out, err = run_cli(capsys, "structure", "simplicity", *base)
+    assert code == 2 and not out
+    assert "generator set is empty" in err and "Traceback" not in err
+    code, _, _ = run_cli(capsys, "structure", "closure", *base, "--seed", "t[1]")
+    assert code == 0
+
+
+def test_parse_errors_name_their_position_once(capsys):
+    for text, message in (
+        ("t[3]", "index 3 out of range 1..2"),
+        ("E[1,3]", "index 3 out of range 1..2"),
+        ("e[5]", "index 5 out of range 1..2"),
+        ("L[1,2;(0,0,0)]", "alpha has rank 3, expected 2"),
+        # the index is named ahead of L_op's "indices must differ"
+        ("L[3,3;(0,0)]", "index 3 out of range 1..2"),
+    ):
+        code, out, err = run_cli(capsys, "parse", text, "--n", "2")
+        assert code == 2 and not out, text
+        assert err == f"error: {message} (at position 0)\n", text
+
+
 def test_lemma_suite_with_an_empty_case_exits_2(capsys):
     # at key radius 0 the poly key 0 has no de Rham image, so the poly h
     # cases check nothing while the Laurent ones still check something; the

@@ -10,6 +10,7 @@ import pytest
 
 from weylmod import tensorop
 from weylmod.derham import (
+    GradedSubspace,
     _after_derham,
     _derham_sources,
     _failing_sources,
@@ -24,8 +25,10 @@ from weylmod.derham import (
     verify_g_equals_u,
     verify_h_annihilates,
 )
-from weylmod.errors import ArgumentError, StructureError
+from weylmod.errors import ArgumentError
 from weylmod.indices import TruncationBox, mi_unit
+from weylmod.linalg import RowBasis
+from weylmod.structure import subquotient_inventory
 from weylmod.suites import check_g_u, check_h_ln
 from weylmod.tensorop import special_operator, tensor
 from weylmod.ugl import E
@@ -142,17 +145,10 @@ def test_pi_image_examples():
     assert ln1.contains(vec)
     assert not ln1.contains(FVector.basis(A, wedge1, (0, 1), (1,)))
     # a vector with a term outside the window, or over other modules, is in
-    # no subspace of it, and inserting one (into a mutable copy of the
-    # memoised image) raises before any block changes
+    # no subspace of it
     outside = vec + FVector.basis(A, wedge1, (4, 4), (1,))
     other = FVector(WeightModuleP.laurent(n), wedge1, vec.terms)
     assert not ln1.contains(outside) and not ln1.contains(other)
-    grown = ln1.copy()
-    dims = ln1.dims()
-    for bad in (FVector.basis(A, wedge1, (0, 2), (1,)) + outside, other):
-        with pytest.raises(StructureError, match="not in the subspace window"):
-            grown.insert(bad)
-    assert grown.dims() == dims
 
 
 def test_pi_image_top_degree_matches_partial_span():
@@ -584,3 +580,55 @@ def test_graded_subspace_json():
     box = TruncationBox((0, 0), (2, 2))
     obj = pi_image(A, 1, box).to_json_obj()
     assert obj["blocks"] and all("weight" in b for b in obj["blocks"])
+
+
+def test_a_window_with_no_blocks_is_the_zero_space():
+    A = WeightModuleP.polynomial(2)
+    wedge1 = make_wedge_module(2, 1)
+    box = TruncationBox((0, 0), (2, 2))
+    window = GradedSubspace(A, wedge1, box)
+    assert window.blocks == {} and window.total_dim() == 0
+    assert window.dims() == {w: 0 for w in box.keys()}
+    assert window.contains(FVector(A, wedge1, {}))
+    for w in box.keys():
+        for key, midx in window.labels[w]:
+            assert not window.contains(FVector.basis(A, wedge1, key, midx))
+        assert window.basis_vectors(w) == []
+    # the report lists every window weight, as a space with blocks does
+    obj = window.to_json_obj()
+    image = pi_image(A, 1, box).to_json_obj()
+    assert [b["weight"] for b in obj["blocks"]] == [list(w) for w in sorted(box.keys())]
+    assert [b["ambient"] for b in obj["blocks"]] == [b["ambient"] for b in image["blocks"]]
+    assert all(b["dim"] == 0 and b["rows"] == [] for b in obj["blocks"])
+
+
+def test_graded_subspace_refuses_a_block_that_does_not_fit():
+    A = WeightModuleP.polynomial(2)
+    wedge1 = make_wedge_module(2, 1)
+    box = TruncationBox((0, 0), (2, 2))
+    for w, ncols in (((3, 0), 1), ((1, 1), 1), ((0, 0), 2)):
+        with pytest.raises(ArgumentError, match="does not fit the window"):
+            GradedSubspace(A, wedge1, box, {w: RowBasis(ncols)})
+    # the caller's mapping is copied, so it cannot change the space later
+    blocks = {(1, 1): RowBasis(2)}
+    space = GradedSubspace(A, wedge1, box, blocks)
+    blocks[(1, 0)] = RowBasis(1)
+    assert list(space.blocks) == [(1, 1)]
+
+
+def test_windows_and_key_boxes_refuse_another_rank():
+    P2, P3 = WeightModuleP.polynomial(2), WeightModuleP.polynomial(3)
+    box2 = TruncationBox((0, 0), (2, 2))
+    box3 = TruncationBox((0, 0, 0), (2, 2, 2))
+    box4 = TruncationBox((0,) * 4, (1,) * 4)
+    with pytest.raises(ArgumentError, match="the box has rank 3, but P has rank 2"):
+        pi_image(P2, 1, box3)
+    with pytest.raises(ArgumentError, match="the box has rank 3, but P has rank 2"):
+        subquotient_inventory(P2, 1, box3)
+    with pytest.raises(ArgumentError, match="M has rank 3, but P has rank 2"):
+        GradedSubspace(P2, make_wedge_module(3, 1), box2)
+    for lemma in (verify_g_equals_u, verify_h_annihilates):
+        for box in (box2, box4):
+            message = f"the key box has rank {box.rank}, but P has rank 3"
+            with pytest.raises(ArgumentError, match=message):
+                lemma((2, 0, -1), 1, P3, 2, box)

@@ -13,13 +13,13 @@ from test_derham import LEMMA_PROFILES
 from test_structure import PRUNING_CASES
 from weylmod import derham, structure, suites, weightmod
 from weylmod.derham import (
+    GradedSubspace,
     partial_span,
     pi_image,
     pi_kernel,
     verify_g_equals_u,
     verify_h_annihilates,
 )
-from weylmod.errors import StructureError
 from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inventory
@@ -210,7 +210,7 @@ def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
 
 def _outside_vector(space):
     """A basis vector of the space's window that the space does not contain."""
-    for w in space.weights():
+    for w in sorted(space.labels):
         for key, midx in space.labels[w]:
             vec = FVector.basis(space.module_p, space.module_m, key, midx)
             if not space.contains(vec):
@@ -218,7 +218,7 @@ def _outside_vector(space):
     raise AssertionError("the space fills its window")
 
 
-def test_memoised_spaces_are_frozen_and_copies_grow():
+def test_memoised_spaces_are_values_and_grown_spaces_are_new():
     box = TruncationBox((0, 0), (4, 4))
     twisted = WeightModuleP.twisted(2)
     tbox = TruncationBox((-4, -4), (-1, -1))
@@ -230,19 +230,23 @@ def test_memoised_spaces_are_frozen_and_copies_grow():
     ]
     for make, args in spaces:
         space = make(*args)
-        assert space.frozen and make(*args) is space
+        assert make(*args) is space
         w, vec = _outside_vector(space)
         dims = space.dims()
-        with pytest.raises(StructureError, match="read-only"):
-            space.insert(vec)
         with pytest.raises(TypeError):
             space.blocks[w] = RowBasis(len(space.labels[w]))
-        grown = space.copy()
-        assert grown.labels is space.labels and not grown.frozen
-        assert grown.insert(vec) and grown.dim_at(w) == dims[w] + 1
+        # a grown space is a new value over the same window
+        rows = space.blocks[w].rows + [space.to_dense(vec)[w]]
+        block = RowBasis(len(space.labels[w]))
+        for row in rows:
+            block.insert(row)
+        grown = GradedSubspace(space.module_p, space.module_m, args[-1],
+                               {**space.blocks, w: block})
+        assert grown.labels is space.labels and grown.contains(vec)
+        assert grown.dim_at(w) == dims[w] + 1
         # the Fraction echelon oracle spans the same block
         oracle = oracles.RowBasis(len(space.labels[w]))
-        for row in space.blocks[w].rows + [grown.to_dense(vec)[w]]:
+        for row in rows:
             oracle.insert(row)
         assert oracle.dim == grown.dim_at(w)
         assert all(grown.blocks[w].contains(row) for row in oracle.rows)

@@ -7,7 +7,7 @@ from math import lcm
 import oracles
 import pytest
 
-from weylmod.derham import partial_span, pi_image, pi_kernel
+from weylmod.derham import GradedSubspace, partial_span, pi_image, pi_kernel
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod import structure, suites
 from weylmod.indices import TruncationBox
@@ -370,10 +370,12 @@ def test_inventory_fails_on_a_corrupted_layer(monkeypatch):
     # the layer makes exactly that match, and the inventory, fail
     def emptied(make):
         def corrupted(*args):
-            space = make(*args).copy()
-            w = next(w for w in space.weights() if space.dim_at(w))
-            space.blocks[w] = RowBasis(len(space.labels[w]))
-            return space
+            space = make(*args)
+            w = next(w for w in sorted(space.labels) if space.dim_at(w))
+            empty = RowBasis(len(space.labels[w]))
+            # every builder takes the box last
+            return GradedSubspace(space.module_p, space.module_m, args[-1],
+                                  {**space.blocks, w: empty})
 
         return corrupted
 
@@ -551,9 +553,13 @@ def test_a_wrong_bound_raises():
     with pytest.raises(StructureError, match="not a subspace of the closure's window"):
         closure([basis_seed], gens, _CUBE2, engine=engine, _bound=partial_span(_A2, _CUBE2))
     # a bound that holds the seed but is not closed: the image with the
-    # seed's whole weight block added
-    widened = pi_image(_A2, 1, _CUBE2).copy()
-    widened.insert(basis_seed)
+    # seed added to its weight block
+    [(w, dense)] = image.to_dense(basis_seed).items()
+    block = RowBasis(len(image.labels[w]))
+    for row in image.blocks[w].rows + [dense]:
+        block.insert(row)
+    widened = GradedSubspace(_A2, wedge1, _CUBE2, {**image.blocks, w: block})
+    assert widened.contains(basis_seed)
     with pytest.raises(StructureError, match="left its bound"):
         closure([basis_seed], gens, _CUBE2, engine=engine, _bound=widened)
     # the image itself bounds its own seeds
