@@ -229,18 +229,21 @@ def cmd_verify(args) -> int:
     if n < 2:
         raise ArgumentError("rank must be at least 2")
     if args.suite == "all":
+        # the sizes are all's own; --lambda and --margin pass through
+        shift, margin = args.lam, args.margin
         tasks = [
             ("iota-hom", {"n": n, "deg": 3 if args.deg is None else args.deg}),
             ("eq-cubic", {"n": n, "lo": -1, "hi": 2}),
-            ("derham", {"n": n, "count": 25, "seed": args.seed}),
-            ("unique-submodule", {"n": n}),
-            ("delta-p", {"n": n}),
-            ("bounded", {"n": n}),
+            ("derham", {"n": n, "count": 25, "seed": args.seed, "shift": shift}),
+            ("unique-submodule", {"n": n, "margin": margin}),
+            ("delta-p", {"n": n, "margin": margin, "shift": shift}),
+            ("bounded", {"n": n, "shift": shift}),
         ]
         if n >= 3:
+            lemma = {"n": n, "delta_hi": 1, "key_radius": 2, "shift": shift}
             tasks.insert(2, ("eq-quartic", {"n": n, "lo": -1, "hi": 2}))
-            tasks.append(("g-u", {"n": n, "delta_hi": 1, "key_radius": 2}))
-            tasks.append(("h-ln", {"n": n, "delta_hi": 1, "key_radius": 2}))
+            tasks.append(("g-u", lemma))
+            tasks.append(("h-ln", lemma))
     else:
         tasks = [(args.suite, {"n": n, **_suite_options(args)[args.suite]})]
     report = run_suite(tasks, jobs=args.jobs, timings=args.timings)

@@ -1,14 +1,17 @@
 """Text grammar for algebra elements and module vectors.
 
 Tokens: ``t[i]``, ``d[i]`` (derivative), ``E[i,j]``, ``L[i,j;(a1,...,an)]``,
-wedge labels ``e[i1]^...^e[ir]``, integer and rational literals, ``+ - * ^``,
-parentheses, and the tensor separator ``(x)``.  ``^`` joins two wedge atoms
-and otherwise raises to an integer power; negative powers are allowed on
-single t monomials only (Laurent keys).
+wedge labels ``e[i]``, integer and rational literals, ``+ - * ^``,
+parentheses, and the tensor separator ``(x)``.  A wedge label is a module
+vector at the unit key, so scalar multiples and sums of labels are vectors
+too.  ``^`` joins two vectors of bare labels, bilinearly, and otherwise
+raises to an integer power; negative powers are allowed on single t
+monomials only (Laurent keys).
 
-Values evaluate to a Fraction, a WeylElement, a UglElement, a
-TensorOperator (Weyl part tensor U(gl) part), or an unbound module-vector
-literal that a command later binds to concrete modules.
+Every value is a scalar (int or Fraction) or a term map: a WeylElement, a
+UglElement, a TensorOperator (Weyl part tensor U(gl) part), or an unbound
+module-vector literal that a command later binds to concrete modules.  Sums
+and products are the term maps' own ``+``, ``-`` and ``*``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from fractions import Fraction
 
 from .errors import ArgumentError, StructureError
 from .indices import check_index, mi_zero
-from .tensorop import TensorOperator, tensor
-from .terms import TermMap, power_text
+from .tensorop import tensor
+from .terms import SCALARS, TermMap, accumulate, power_text
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
@@ -57,34 +60,15 @@ def tokenize(text: str):
             elif m.group("tensor"):
                 out.append(("tensor", "(x)", pos))
             elif m.group("number"):
-                out.append(("number", Fraction(m.group("number")), pos))
+                try:
+                    out.append(("number", Fraction(m.group("number")), pos))
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", pos) from None
             else:
                 out.append(("op", m.group("op"), pos))
         pos = m.end()
     out.append(("end", None, len(text)))
     return out
-
-
-class Wedge:
-    """An intermediate wedge-label value with a sign."""
-
-    __slots__ = ("sign", "labels")
-
-    def __init__(self, sign: int, labels: tuple):
-        self.sign = sign
-        self.labels = labels
-
-    def join(self, other: "Wedge") -> "Wedge":
-        # self wedge other = e_a1 wedge (e_a2 wedge (... wedge other))
-        sign = self.sign * other.sign
-        label = other.labels
-        for x in reversed(self.labels):
-            hit = wedge_insert(x, label)
-            if hit is None:
-                return Wedge(0, ())
-            s, label = hit
-            sign *= s
-        return Wedge(sign, label)
 
 
 class VectorLiteral(TermMap):
@@ -166,7 +150,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.parse_tensor()
-                value = _add(value, rhs, 1 if val == "+" else -1)
+                value = _add(value, rhs, 1 if val == "+" else -1, self.rank)
             else:
                 return value
 
@@ -200,13 +184,11 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            # wedge ^ wedge joins labels; anything else needs an integer
+            # a vector ^ e[...] joins wedge labels; anything else needs an
+            # integer
             nxt = self.peek()
-            if isinstance(base, Wedge) and nxt[0] == "gen" and nxt[1][0] == "e":
-                rhs = self.parse_power()
-                if not isinstance(rhs, Wedge):
-                    raise ParseError("wedge label expected after ^", pos)
-                return base.join(rhs)
+            if isinstance(base, VectorLiteral) and nxt[0] == "gen" and nxt[1][0] == "e":
+                return _wedge(base, self.parse_power())
             negative = False
             if nxt[0] == "op" and nxt[1] == "-":
                 self.next()
@@ -245,7 +227,7 @@ class _Parser:
             if name == "e":
                 i = int(args)
                 check_index(i, n)
-                return Wedge(1, (i,))
+                return VectorLiteral(n, {(mi_zero(n), (i,)): 1})
             if name == "L":
                 head, alpha_text = args.split(";")
                 i, j = (int(p) for p in head.split(","))
@@ -263,80 +245,54 @@ class _Parser:
         raise ParseError(f"unknown generator {name!r}", pos)
 
 
-def _wedge_to_literal(w: Wedge, rank: int) -> VectorLiteral:
-    if w.sign == 0:
-        return VectorLiteral(rank, {})
-    return VectorLiteral(rank, {(mi_zero(rank), w.labels): w.sign})
-
-
-def _weyl_to_literal(a: WeylElement, rank: int) -> VectorLiteral:
-    terms = {}
-    for (t_exp, d_exp), c in a.terms.items():
-        if any(d_exp):
-            raise StructureError("module vectors cannot contain derivatives")
-        terms[(t_exp, ())] = c
-    return VectorLiteral(rank, terms)
-
-
 def _coerce_literal(v, rank: int) -> VectorLiteral:
+    """v as a module vector: a scalar or a derivative-free Weyl polynomial
+    is a vector with no wedge labels."""
     if isinstance(v, VectorLiteral):
         return v
-    if isinstance(v, Wedge):
-        return _wedge_to_literal(v, rank)
-    if isinstance(v, WeylElement):
-        return _weyl_to_literal(v, rank)
-    if isinstance(v, (int, Fraction)):
-        return _weyl_to_literal(WeylElement.one(rank) * v, rank)
-    raise StructureError(f"cannot treat {type(v).__name__} as a module vector")
+    if isinstance(v, SCALARS):
+        v = WeylElement.one(rank) * v
+    if not isinstance(v, WeylElement):
+        raise StructureError(f"cannot treat {type(v).__name__} as a module vector")
+    if any(any(d_exp) for _, d_exp in v.terms):
+        raise StructureError("module vectors cannot contain derivatives")
+    return VectorLiteral(rank, {(t_exp, ()): c for (t_exp, _), c in v.terms.items()})
 
 
-def _add(a, b, sign: int):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return a + sign * b
-    if type(a) is type(b) and isinstance(a, TermMap):
-        return a + b if sign == 1 else a - b
-    if isinstance(a, (Wedge, VectorLiteral)) or isinstance(b, (Wedge, VectorLiteral)):
-        rank = a.rank if isinstance(a, (VectorLiteral, WeylElement)) else getattr(
-            b, "rank", None
-        )
-        if rank is None:
-            raise StructureError("cannot add bare wedge labels")
-        left, right = _coerce_literal(a, rank), _coerce_literal(b, rank)
-        return left + right if sign == 1 else left - right
-    # scalars widen to the structured side
-    if isinstance(a, (int, Fraction)):
-        return _add(_promote_scalar(a, b), b, sign)
-    if isinstance(b, (int, Fraction)):
-        return _add(a, _promote_scalar(b, a), sign)
-    raise StructureError(
-        f"cannot add {type(a).__name__} and {type(b).__name__}"
-    )
+def _wedge(a: VectorLiteral, b: VectorLiteral) -> VectorLiteral:
+    """a ^ b for two vectors of bare wedge labels (every key the unit),
+    term by term as e_a1 ^ (e_a2 ^ (... ^ label))."""
+    for v in (a, b):
+        if any(any(key) for key, _ in v.terms):
+            raise StructureError("only bare wedge labels join with ^")
+    terms = {}
+    for (key, wa), ca in a.terms.items():
+        for (_, label), c in b.terms.items():
+            c *= ca
+            for x in reversed(wa):
+                hit = wedge_insert(x, label)
+                if hit is None:
+                    break
+                sign, label = hit
+                c *= sign
+            else:
+                accumulate(terms, [((key, label), c)])
+    return a._like(terms)
 
 
-def _promote_scalar(s, like):
-    if isinstance(like, WeylElement):
-        return WeylElement.one(like.rank) * s
-    if isinstance(like, UglElement):
-        return UglElement.one(like.rank) * s
-    if isinstance(like, TensorOperator):
-        return TensorOperator.one(like.rank) * s
-    raise StructureError("cannot mix scalars with this value")
+def _add(a, b, sign: int, rank: int):
+    if isinstance(a, VectorLiteral) or isinstance(b, VectorLiteral):
+        a, b = _coerce_literal(a, rank), _coerce_literal(b, rank)
+    elif isinstance(a, SCALARS) and not isinstance(b, SCALARS):
+        a = type(b).one(rank) * a
+    elif isinstance(b, SCALARS) and not isinstance(a, SCALARS):
+        b = type(a).one(rank) * b
+    return a + sign * b
 
 
 def _mul(a, b):
-    if isinstance(a, (int, Fraction)):
-        if isinstance(b, (int, Fraction)):
-            return a * b
-        if isinstance(b, Wedge):
-            raise StructureError("scale wedge labels after tensoring")
-        return b * a
-    if isinstance(b, (int, Fraction)):
-        return _mul(b, a)
-    if isinstance(a, WeylElement) and isinstance(b, WeylElement):
-        return a * b
-    if isinstance(a, UglElement) and isinstance(b, UglElement):
-        return a * b
-    if isinstance(a, TensorOperator) and isinstance(b, TensorOperator):
+    if (isinstance(a, SCALARS) or isinstance(b, SCALARS)
+            or (type(a) is type(b) and not isinstance(a, VectorLiteral))):
         return a * b
     raise StructureError(
         f"cannot multiply {type(a).__name__} and {type(b).__name__}; "
@@ -345,9 +301,9 @@ def _mul(a, b):
 
 
 def _power(base, k: int, pos: int):
-    if isinstance(base, (int, Fraction)):
+    if isinstance(base, SCALARS):
         return Fraction(base) ** k
-    if isinstance(base, Wedge):
+    if isinstance(base, VectorLiteral):
         raise ParseError("wedge labels join with ^e[...], not powers", pos)
     if isinstance(base, WeylElement):
         if k >= 0:
@@ -369,21 +325,20 @@ def _power(base, k: int, pos: int):
 
 def _tensor_join(a, b, rank: int):
     # operator side: Weyl (x) U(gl)
-    if isinstance(a, (int, Fraction)):
+    if isinstance(a, SCALARS):
         a = WeylElement.one(rank) * a
     if isinstance(a, WeylElement) and isinstance(b, UglElement):
         return tensor(a, b)
-    if isinstance(a, WeylElement) and isinstance(b, (int, Fraction)):
+    if isinstance(a, WeylElement) and isinstance(b, SCALARS):
         return tensor(a, UglElement.one(a.rank) * b)
-    # vector side: polynomial part (x) wedge label
-    if isinstance(b, (Wedge, VectorLiteral)):
+    # vector side: polynomial part (x) wedge labels
+    if isinstance(b, VectorLiteral):
         left = _coerce_literal(a, rank)
-        right = _coerce_literal(b, rank)
         terms = {}
         for (k1, w1), c1 in left.terms.items():
             if w1:
                 raise StructureError("left tensor factor already has labels")
-            for (k2, w2), c2 in right.terms.items():
+            for (k2, w2), c2 in b.terms.items():
                 if any(k2):
                     raise StructureError("right tensor factor must be a label")
                 key = (k1, w1 + w2)
@@ -401,10 +356,10 @@ def infer_rank(text: str) -> int:
         if kind != "gen":
             continue
         name, args = val
-        if name == "L":
-            alpha_text = args.split(";")[1]
+        head, semicolon, alpha_text = args.partition(";")
+        if name == "L" and semicolon:
             return len([p for p in alpha_text.strip().strip("()").split(",") if p])
-        for piece in re.findall(r"-?\d+", args.split(";")[0]):
+        for piece in re.findall(r"-?\d+", head):
             best = max(best, int(piece))
     if best == 0:
         raise ArgumentError(f"cannot infer rank from {text!r}")
@@ -421,8 +376,6 @@ def parse_expr(text: str, n: int | None = None):
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
-    if isinstance(value, Wedge):
-        value = _wedge_to_literal(value, n)
     return value
 
 

@@ -308,7 +308,9 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
         if (_bound.module_p != engine.module_p or _bound.module_m is not engine.module_m
                 or _bound.labels.keys() != labels.keys()):
             raise StructureError("the bound is not a subspace of the closure's window")
-        room = {w: block.dim for w, block in _bound.blocks.items()}
+        # a window weight without a block has room 0
+        room = dict.fromkeys(labels, 0)
+        room.update((w, block.dim) for w, block in _bound.blocks.items())
     certified = _certified or {}
     blocks: dict = {}
     queue: deque = deque()
@@ -320,13 +322,18 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
         basis = blocks.get(w)
         if basis is None:
             basis = blocks[w] = RowBasis(len(labels[w]))
+        # a weight without a block in mod or _bound has dimension 0 there
         if mod is not None:
-            dense = mod.blocks[w].reduce(dense)
+            block = mod.blocks.get(w)
+            if block is not None:
+                dense = block.reduce(dense)
         before = basis.dim
         if not basis.insert(dense):
             return
-        if _bound is not None and any(_bound.blocks[w].reduce(dense)):
-            raise StructureError(f"the closure left its bound at weight {list(w)}")
+        if _bound is not None:
+            block = _bound.blocks.get(w)
+            if block is None or any(block.reduce(dense)):
+                raise StructureError(f"the closure left its bound at weight {list(w)}")
         room[w] -= 1
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1

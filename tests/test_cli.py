@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, exit codes, output formats."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,10 +135,57 @@ def test_parse_errors_name_their_position_once(capsys):
         ("L[1,2;(0,0,0)]", "alpha has rank 3, expected 2"),
         # the index is named ahead of L_op's "indices must differ"
         ("L[3,3;(0,0)]", "index 3 out of range 1..2"),
+        ("1/0", "zero denominator"),
     ):
         code, out, err = run_cli(capsys, "parse", text, "--n", "2")
         assert code == 2 and not out, text
         assert err == f"error: {message} (at position 0)\n", text
+    # a malformed L reads the same without --n, and every flag that reads an
+    # expression refuses a zero denominator at the literal
+    with_rank = run_cli(capsys, "parse", "L[1,2]", "--n", "2")
+    assert with_rank[0] == 2 and "(at position 0)" in with_rank[2]
+    assert run_cli(capsys, "parse", "L[1,2]") == with_rank
+    code, out, err = run_cli(
+        capsys, "derham", "pi", "--P", "[poly,poly]", "--input", "t[1] + 3/0"
+    )
+    assert code == 2 and not out
+    assert err == "error: zero denominator (at position 7)\n"
+
+
+def test_vector_value_errors_exit_2(capsys):
+    for text, message in (
+        ("E[1,2] + e[1]", "cannot treat UglElement as a module vector"),
+        ("(t[1] (x) e[1])^e[2]", "only bare wedge labels join with ^"),
+    ):
+        code, out, err = run_cli(capsys, "parse", text, "--n", "2")
+        assert code == 2 and not out, text
+        assert err == f"error: {message}\n", text
+
+
+def test_verify_all_reads_lambda_and_margin(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "2", "--margin", "1")
+    assert code == 0
+    margins = {c["check"]: c["params"].get("margin") for c in json.loads(out)["checks"]}
+    assert margins["unique-submodule"] == margins["delta-p"] == 1
+    # margin 3 leaves the side-5 box of unique-submodule no inner key
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "2", "--margin", "3")
+    assert code == 2 and not out and "empty inner box" in err
+    # every suite that reads a shift receives the flag's
+    received = {}
+
+    def stand_in(name):
+        def suite(**kwargs):
+            received[name] = kwargs
+            return {"check": name, "checked": 1, "pass": True}
+        return suite
+
+    for name in list(cli.SUITES):
+        monkeypatch.setitem(cli.SUITES, name, stand_in(name))
+    code, _, _ = run_cli(capsys, "verify", "all", "--n", "3", "--lambda", "1/3")
+    assert code == 0
+    shifted = {name for name, kwargs in received.items() if "shift" in kwargs}
+    assert shifted == {"derham", "delta-p", "bounded", "g-u", "h-ln"}
+    assert all(received[name]["shift"] == Fraction(1, 3) for name in shifted)
 
 
 def test_lemma_suite_with_an_empty_case_exits_2(capsys):

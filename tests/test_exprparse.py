@@ -11,8 +11,8 @@ from weylmod.errors import ArgumentError, StructureError
 from weylmod.exprparse import (
     ParseError,
     VectorLiteral,
-    Wedge,
     _coerce_literal,
+    _wedge,
     format_vector,
     infer_rank,
     parse_expr,
@@ -94,6 +94,23 @@ def test_vector_sums():
     assert lit.terms == {((1, 0), (2,)): 1, ((0, 1), (1,)): -1}
 
 
+def test_wedge_labels_are_vectors():
+    # a label is a vector at the unit key: scalar multiples, negations and
+    # sums of labels, and ^ over a sum, read as their (x) forms
+    for text, tensored in (
+        ("2*e[1]", "2 (x) e[1]"),
+        ("e[1]*2", "2 (x) e[1]"),
+        ("-e[1]", "-1 (x) e[1]"),
+        ("e[1]+e[2]", "1 (x) e[1] + 1 (x) e[2]"),
+        ("(e[1]+e[2])^e[3]", "1 (x) e[1]^e[3] + 1 (x) e[2]^e[3]"),
+    ):
+        got = parse_expr(text, 3)
+        assert isinstance(got, VectorLiteral), text
+        assert got == parse_expr(tensored, 3), text
+    assert parse_expr("e[1]", 2) == VectorLiteral(2, {((0, 0), (1,)): 1})
+    assert parse_expr("(e[1]-e[1])^e[2]", 2).is_zero()
+
+
 def test_negative_power_rules():
     assert parse_expr("t[1]^-2", 2).terms == {((-2, 0), (0, 0)): 1}
     with pytest.raises(ParseError):
@@ -107,6 +124,8 @@ def test_type_errors():
         parse_expr("t[1]*E[1,2]", 2)
     with pytest.raises(StructureError):
         parse_expr("t[1] + E[1,2]", 2)
+    with pytest.raises(StructureError, match="use \\(x\\)"):
+        parse_expr("e[1]*e[2]", 2)
     with pytest.raises(ParseError):
         parse_expr("t[1] +", 2)
     with pytest.raises(ParseError):
@@ -174,11 +193,14 @@ def test_wedge_join_matches_the_permutation_sign():
         for a in labels:
             for b in labels:
                 hit = oracles.wedge_sort(a + b)
-                got = Wedge(1, a).join(Wedge(-1, b))
+                got = _wedge(
+                    VectorLiteral(n, {((0,) * n, a): 1}),
+                    VectorLiteral(n, {((0,) * n, b): -1}),
+                )
                 if hit is None:
-                    assert got.sign == 0, (a, b)
+                    assert got.is_zero(), (a, b)
                 else:
-                    assert (got.sign, got.labels) == (-hit[0], hit[1]), (a, b)
+                    assert got.terms == {((0,) * n, hit[1]): -hit[0]}, (a, b)
 
 
 def test_vector_round_trip():

@@ -568,6 +568,23 @@ def test_a_wrong_bound_raises():
     assert bounded.dims == closure([seed], gens, _CUBE2, engine=engine).dims
 
 
+def test_a_weight_without_a_block_reads_as_dimension_zero():
+    # spaces built through the constructor hold no block where they are
+    # zero: modulo the zero space the closure is the unmodded one, and the
+    # zero space bounds no seed
+    P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 0)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    gens = GeneratorSet.default(2)
+    seed = FVector.basis(P, M, (1, 1), 0)
+    zero = GradedSubspace(P, M, box)
+    plain = closure([seed], gens, box)
+    assert plain.total_dim() == 25
+    modded = closure([seed], gens, box, engine=ClosureEngine(P, M, gens, box, mod=zero))
+    assert modded.dims == plain.dims
+    with pytest.raises(StructureError, match=r"left its bound at weight \[1, 1\]"):
+        closure([seed], gens, box, _bound=zero)
+
+
 def test_move_lists_stay_in_the_window():
     gens = GeneratorSet.default(3)
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
