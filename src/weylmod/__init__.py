@@ -27,7 +27,6 @@ from .tensorop import (
 from .weightmod import (
     Factor,
     FVector,
-    PVector,
     SLModule,
     WeightModuleP,
     make_hw_module,
@@ -35,7 +34,6 @@ from .weightmod import (
     parse_module_descriptor,
     sn_act,
     tensor_act,
-    weyl_act,
     weyl_dimension,
 )
 from .derham import (
@@ -85,7 +83,6 @@ __all__ = [
     "tensor",
     "Factor",
     "FVector",
-    "PVector",
     "SLModule",
     "WeightModuleP",
     "make_hw_module",
@@ -93,7 +90,6 @@ __all__ = [
     "parse_module_descriptor",
     "sn_act",
     "tensor_act",
-    "weyl_act",
     "weyl_dimension",
     "GradedSubspace",
     "partial_span",

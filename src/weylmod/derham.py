@@ -91,7 +91,7 @@ def pi(w: FVector, k: int | None = None) -> FVector:
     if r > n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     rows, den = _derham_rows(P, r)
-    return FVector(P, wedge_module(n, r + 1), _rows_on_terms(P, rows, den, w.terms))
+    return _rows_on_terms(wedge_module(n, r + 1), rows, den, w)
 
 
 def ambient_labels(P: WeightModuleP, M: SLModule, weight):
@@ -181,8 +181,8 @@ class GradedSubspace:
     def basis_vectors(self, weight):
         labels = self.labels.get(weight, ())
         return [
-            FVector(self.module_p, self.module_m,
-                    {lab: c for lab, c in zip(labels, row) if c != 0})
+            FVector._from_kernel({lab: c for lab, c in zip(labels, row) if c != 0},
+                                 module_p=self.module_p, module_m=self.module_m)
             for row in self._rows(weight)
         ]
 

@@ -46,6 +46,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# the argument form of each generator, named when its arguments are malformed
+_FORMS = {"t": "t[i]", "d": "d[i]", "e": "e[i]", "E": "E[i,j]", "L": "L[i,j;(a1,...,an)]"}
+
 
 def tokenize(text: str):
     out = []
@@ -240,8 +243,11 @@ class _Parser:
                 check_index(i, n)
                 check_index(j, n)
                 return L_op(i, j, alpha, laurent=True).element.demote()
-        except (ValueError, ArgumentError) as exc:
+        except ArgumentError as exc:
             raise ParseError(str(exc), pos) from exc
+        except ValueError as exc:
+            # int() or unpacking refused the arguments
+            raise ParseError(f"malformed {name}[...], expected {_FORMS[name]}", pos) from exc
         raise ParseError(f"unknown generator {name!r}", pos)
 
 

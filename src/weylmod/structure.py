@@ -71,7 +71,7 @@ class GeneratorSet:
         """Member gi acting on v, as ``sn_act`` of its field does."""
         P, M = v.module_p, v.module_m
         rows, den = _member_rows(self.members[gi], P, M)
-        return FVector(P, M, _rows_on_terms(P, rows, den, v.terms))
+        return _rows_on_terms(M, rows, den, v)
 
     def __len__(self):
         return len(self.members)
@@ -300,6 +300,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     if engine is None:
         first = seeds[0]
         engine = ClosureEngine(first.module_p, first.module_m, gens, box)
+    elif engine.box != box or engine.gens != gens.members:
+        raise ArgumentError("the engine was built for another box or generator set")
     labels = engine.ambient.labels
     mod = engine.mod
     if _bound is None:

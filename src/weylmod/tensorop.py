@@ -83,14 +83,14 @@ class TensorOperator(WeylTerms):
 
 
 def tensor(a: WeylElement, u: UglElement) -> TensorOperator:
-    """The simple tensor a (x) u, extended bilinearly over the terms."""
+    """The simple tensor a (x) u, extended bilinearly over the terms of
+    two valid operands, so its map is adopted."""
     if a.rank != u.rank:
         raise StructureError(f"rank mismatch: {a.rank} vs {u.rank}")
-    terms = {}
-    for wmono, wc in a.terms.items():
-        for pmono, pc in u.terms.items():
-            terms[(wmono, pmono)] = wc * pc
-    return TensorOperator(a.rank, terms, a.laurent)
+    terms = {
+        (wmono, pmono): wc * pc for wmono, wc in a.terms.items() for pmono, pc in u.terms.items()
+    }
+    return TensorOperator._from_kernel(terms, rank=a.rank, laurent=a.laurent)
 
 
 def from_weyl(a: WeylElement) -> TensorOperator:
@@ -117,7 +117,7 @@ def shen_iota(x: VectorField) -> TensorOperator:
                     shifted = t_exp[: s - 1] + (a_s - 1,) + t_exp[s:]
                     yield ((shifted, zero), (((s, i), 1),)), coeff * a_s
 
-    return TensorOperator._from_kernel(n, accumulate({}, images()), x.laurent)
+    return TensorOperator._from_kernel(accumulate({}, images()), rank=n, laurent=x.laurent)
 
 
 def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
@@ -140,7 +140,7 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
             base = c1 * c2
             values = _evaluated(_iota_template(n, i, j), a + b, tuple(map(add, a, b)))
             accumulate(terms, ((key, base * c) for key, c in values.items()))
-    return TensorOperator._from_kernel(n, terms, x.laurent or y.laurent)
+    return TensorOperator._from_kernel(terms, rank=n, laurent=x.laurent or y.laurent)
 
 
 @lru_cache(maxsize=256)
@@ -195,7 +195,7 @@ def _special_operator(kind: str, alpha, i: int) -> TensorOperator:
             for pmono, pcoeff in pbw_product(*word)
         ),
     )
-    return TensorOperator._from_kernel(len(alpha), terms, laurent=True)
+    return TensorOperator._from_kernel(terms, rank=len(alpha), laurent=True)
 
 
 def _special_rows(kind: str, alpha, i: int):
@@ -332,7 +332,7 @@ def _combine(values, rows):
             total = sum(map(mul, nums, vec))
             if total:
                 terms[key] = _divide(total, den)
-        out.append(TensorOperator._from_kernel(rank, terms, laurent=True))
+        out.append(TensorOperator._from_kernel(terms, rank=rank, laurent=True))
     return out
 
 
@@ -386,7 +386,8 @@ def _cubic_target(alpha, i: int, j: int) -> TensorOperator:
     """``cubic_target`` unchecked; alpha's entries may be symbols."""
     n = len(alpha)
     exp = mi_sub(mi_add(alpha, mi_unit(j, n)), tuple(2 * x for x in mi_unit(i, n)))
-    return TensorOperator._from_kernel(n, {((exp, mi_zero(n)), (((i, j), 2),)): 1}, True)
+    mono = ((exp, mi_zero(n)), (((i, j), 2),))
+    return TensorOperator._from_kernel({mono: 1}, rank=n, laurent=True)
 
 
 def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
@@ -423,7 +424,8 @@ def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
 def _at(template, alpha) -> TensorOperator:
     """The Laurent-mode operator of a template over the base alpha,
     evaluated at alpha (``_evaluated``)."""
-    return TensorOperator._from_kernel(len(alpha), _evaluated(template, alpha, alpha), True)
+    terms = _evaluated(template, alpha, alpha)
+    return TensorOperator._from_kernel(terms, rank=len(alpha), laurent=True)
 
 
 @lru_cache(maxsize=256)
@@ -462,7 +464,7 @@ def _right_terms(kind: str, n: int, i: int, j: int, m) -> dict:
 
 def _symbolic_field(n: int, terms: dict) -> VectorField:
     """The Laurent-mode field of a term map whose exponents may be symbols."""
-    return VectorField(WeylElement._from_kernel(n, terms, True))
+    return VectorField(WeylElement._from_kernel(terms, rank=n, laurent=True))
 
 
 def _at_node(product: dict, m: int) -> dict:
@@ -495,7 +497,7 @@ def _residual_template(kind: str, n: int, i: int, j: int):
         target, weights = _special_operator("g", alpha, i), QUARTIC_WEIGHTS
     product = _node_terms(kind, n, i, j)
     products = {
-        m: TensorOperator._from_kernel(n, _at_node(product, m), True) for m in weights
+        m: TensorOperator._from_kernel(_at_node(product, m), rank=n, laurent=True) for m in weights
     }
     residual = (target - node_combination(products, weights)).terms
     degree = max((e[-1] for c in product.values() if type(c) is Poly for e in c.terms), default=0)

@@ -1,13 +1,18 @@
 """Sparse term maps: the one data structure behind every algebra element.
 
 A term map sends hashable monomials to nonzero exact coefficients.  The
-element classes (Weyl algebra, U(gl_n), tensor operators, the two kinds of
-module vector, and the parser's unbound vector literal) derive from
+element classes (Weyl algebra, U(gl_n), tensor operators, the module
+vector of F(P, M), and the parser's unbound vector literal) derive from
 ``TermMap`` and keep only what is their own: their context fields
 (``_fields``), the check of outside input in ``__init__``, a sort key, the
-text of one monomial, and their product or action.  An operation on valid
-operands yields a valid collected map, which ``_like`` adopts without
-calling ``__init__``.
+text of one monomial, and their product or action.  A weight module P has
+no vector class of its own: it is F(P, wedge^0).
+
+Every term map has one adoption rule.  ``__init__`` checks input from
+outside the program; ``TermMap._from_kernel`` adopts a map that a kernel
+of this library built (an operation on valid operands, an action, a
+template evaluation), valid by construction, without calling
+``__init__``.  ``_like`` adopts through it.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -68,7 +73,8 @@ class TermMap:
     must share (their values, ``_context()``, are also compared by ``==``),
     and provide ``_text(mono)`` (the text of one monomial, empty for the
     unit).  ``_like`` adopts the collected map of an operation on valid
-    operands without calling ``__init__``, which checks outside input.
+    operands through ``_from_kernel``, without calling ``__init__``, which
+    checks outside input.
     """
 
     __slots__ = ("terms",)
@@ -89,12 +95,19 @@ class TermMap:
     def _context(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    @classmethod
+    def _from_kernel(cls, terms: dict, **fields):
+        """The element over ``terms`` and ``fields`` that a kernel of this
+        library built: valid by construction, so it is adopted as it is,
+        without ``__init__``.  The one constructor that skips the check."""
+        element = object.__new__(cls)
+        element._set(terms, **fields)
+        return element
+
     def _like(self, terms: dict, other=None):
         """A new element with the fields of self over ``terms``, the
         collected map of an operation with ``other``, adopted as it is."""
-        element = object.__new__(type(self))
-        element._set(terms, **{name: getattr(self, name) for name in self._fields})
-        return element
+        return self._from_kernel(terms, **{name: getattr(self, name) for name in self._fields})
 
     def _check_same(self, other) -> None:
         if type(other) is not type(self):

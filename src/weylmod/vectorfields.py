@@ -108,7 +108,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
     laurent = x.laurent or y.laurent
     # kernel-built: the symbolic iota templates bracket over Poly exponents
-    return VectorField(WeylElement._from_kernel(n, accumulate({}, terms()), laurent))
+    return VectorField(WeylElement._from_kernel(accumulate({}, terms()), rank=n, laurent=laurent))
 
 
 def divergence(x: VectorField) -> WeylElement:
@@ -124,7 +124,7 @@ def divergence(x: VectorField) -> WeylElement:
             if a[i]:
                 yield (a[:i] + (a[i] - 1,) + a[i + 1:], zero), c * a[i]
 
-    return WeylElement._from_kernel(x.rank, accumulate({}, terms()), False)
+    return WeylElement._from_kernel(accumulate({}, terms()), rank=x.rank, laurent=False)
 
 
 def is_divergence_free(x: VectorField) -> bool:

@@ -25,7 +25,6 @@ from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
 from .terms import TermMap, accumulate
 from .vectorfields import VectorField, is_divergence_free
-from .weyl import WeylElement
 
 POLY = "poly"
 TWIST = "twist"
@@ -135,10 +134,13 @@ class WeightModuleP:
 
 
 def parse_module_descriptor(text: str) -> WeightModuleP:
-    """Parse descriptors like "[poly, twist, laurent(1/2)]"."""
+    """Parse descriptors like "[poly, twist, laurent(1/2)]", refusing an
+    unbalanced parenthesis and an empty factor."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
+    if not body.strip():
+        raise ArgumentError(f"empty module descriptor {text!r}")
     factors = []
     depth = 0
     piece = ""
@@ -147,11 +149,9 @@ def parse_module_descriptor(text: str) -> WeightModuleP:
             token = piece.strip()
             piece = ""
             if not token:
-                continue
-            if token == POLY:
-                factors.append(Factor(POLY))
-            elif token == TWIST:
-                factors.append(Factor(TWIST))
+                raise ArgumentError(f"empty factor in module descriptor {text!r}")
+            if token in (POLY, TWIST):
+                factors.append(Factor(token))
             elif token.startswith("laurent"):
                 inner = token[len("laurent"):].strip()
                 if inner.startswith("(") and inner.endswith(")"):
@@ -167,13 +167,12 @@ def parse_module_descriptor(text: str) -> WeightModuleP:
             else:
                 raise ArgumentError(f"bad factor token {token!r}")
         else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0:
+                break
             piece += ch
-    if not factors:
-        raise ArgumentError(f"empty module descriptor {text!r}")
+    if depth:
+        raise ArgumentError(f"unbalanced parentheses in module descriptor {text!r}")
     return WeightModuleP(factors)
 
 
@@ -202,56 +201,6 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     if num == 0:
         return None
     return num, tuple(out)
-
-
-def _check_key(module: WeightModuleP, key) -> None:
-    """Refuse a vector key of another length than the module's rank, or
-    outside its support."""
-    if len(key) != module.rank:
-        raise StructureError(f"key {key} has length {len(key)}, module has rank {module.rank}")
-    if not module.supports_key(key):
-        raise StructureError(f"key {key} outside the support")
-
-
-class PVector(TermMap):
-    """Sparse vector in a weight module, keyed by integer offsets."""
-
-    __slots__ = ("module",)
-
-    _fields = ("module",)
-
-    def __init__(self, module: WeightModuleP, terms=None):
-        cleaned = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                key = tuple(key)
-                _check_key(module, key)
-                cleaned[key] = coeff
-        self._set(cleaned, module=module)
-
-    def _text(self, key):
-        return f"t^{key}"
-
-
-def weyl_act(a: WeylElement, v: PVector, allow_laurent: bool = False) -> PVector:
-    """Action of a Weyl element on a weight-module vector.
-
-    Polynomial-mode operators act exactly; Laurent-mode operators are only
-    admitted with allow_laurent=True, where keys pushed out of the support
-    contribute zero (the quotient-module boundary rule).
-    """
-    if a.laurent and not allow_laurent:
-        raise DomainError("laurent-mode operator acting on a module")
-    if a.rank != v.module.rank:
-        raise StructureError("rank mismatch")
-
-    # P is F(P, M) with M one-dimensional: one m-index, acted on by 1
-    table = [[(t_exp, d_exp, {0: 1}, c) for (t_exp, d_exp), c in a.terms.items()]]
-    rows, den = _integer_rows(v.module, table)
-    out = _rows_on_terms(v.module, rows, den, {(key, 0): c for key, c in v.terms.items()})
-    return PVector(v.module, {key: c for (key, _), c in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +481,9 @@ def _insert_dense(basis: RowBasis, vec: dict, ncols: int) -> bool:
 
 
 class FVector(TermMap):
-    """Sparse vector of the tensor module built from P and M."""
+    """Sparse vector of the tensor module F(P, M) = P (x) M.  A vector of P
+    itself is one of F(P, wedge^0), M = ``make_wedge_module(n, 0)``, on
+    which a Weyl element a acts as ``tensor_act(from_weyl(a), v)``."""
 
     __slots__ = ("module_p", "module_m")
 
@@ -540,6 +491,8 @@ class FVector(TermMap):
     _fields = ("module_p", "module_m")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):
+        """Checks outside input: factors of one rank, keys of that length
+        in the support of P, and basis indices of M."""
         if module_p.rank != module_m.rank:
             raise StructureError("rank mismatch between the two factors")
         cleaned = {}
@@ -548,7 +501,10 @@ class FVector(TermMap):
                 if coeff == 0:
                     continue
                 key = tuple(key)
-                _check_key(module_p, key)
+                if len(key) != module_p.rank:
+                    raise StructureError(f"key {key} has length {len(key)}, P has rank {module_p.rank}")
+                if not module_p.supports_key(key):
+                    raise StructureError(f"key {key} outside the support")
                 if not 0 <= midx < module_m.dim:
                     raise StructureError(f"bad basis index {midx}")
                 cleaned[(key, midx)] = coeff
@@ -685,20 +641,22 @@ def _block_columns(module_p: WeightModuleP, rows, labels, slots):
     return cols
 
 
-def _rows_on_terms(module_p: WeightModuleP, rows, den, terms):
-    """The exact image {(key, dst): coeff} of the vector with the given
-    {(key, midx): coeff} terms under integer rows over den."""
+def _rows_on_terms(module_m: SLModule, rows, den, w: FVector) -> FVector:
+    """The exact image of w under integer rows over den, a vector of
+    F(w.module_p, module_m), adopted: ``_scaled_monomial_on_key`` keeps
+    every key in the support and the rows' targets are indices of M."""
+    module_p = w.module_p
     out = accumulate(
         {},
         (
             (lab, cv * c)
-            for (key, midx), cv in terms.items()
+            for (key, midx), cv in w.terms.items()
             for lab, c in _row_image(module_p, key, rows[midx])
         ),
     )
     if den != 1:
         out = {lab: Fraction(c, den) for lab, c in out.items()}
-    return out
+    return FVector._from_kernel(out, module_p=module_p, module_m=module_m)
 
 
 def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FVector:
@@ -714,7 +672,7 @@ def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FV
     # only the m-indices of w are tabulated
     table = _action_table(T, module_m, {midx for _, midx in w.terms})
     rows, den = _integer_rows(module_p, table)
-    return FVector(module_p, module_m, _rows_on_terms(module_p, rows, den, w.terms))
+    return _rows_on_terms(module_m, rows, den, w)
 
 
 def sn_act(x: VectorField, w: FVector) -> FVector:

@@ -91,11 +91,13 @@ class WeylTerms(TermMap):
     read off a key by ``_weyl``: the base of ``WeylElement`` and
     ``tensorop.TensorOperator``, which multiply by their ``_product_terms``.
     ``laurent=True`` admits negative t exponents; the mode flag is
-    bookkeeping, left out of ``_context`` (and of ``==``), and a sum or
+    bookkeeping, left out of ``_fields`` (and so of ``==``), and a sum or
     product is Laurent when either operand is.
     """
 
     __slots__ = ("rank", "laurent")
+
+    _fields = ("rank",)
 
     def __init__(self, rank: int, terms=None, laurent: bool = False):
         """Checks outside input: monomials of length rank, int exponents,
@@ -119,22 +121,9 @@ class WeylTerms(TermMap):
                 cleaned[key] = coeff
         self._set(cleaned, rank=rank, laurent=laurent)
 
-    @classmethod
-    def _from_kernel(cls, rank: int, terms: dict, laurent: bool):
-        """An element over a term map that a kernel of this library built
-        (``accumulate`` or ``tensorop._combine``), whose exponents may be
-        ``terms.Poly`` symbols: valid by construction, so the map is
-        adopted as it is and ``__init__`` sees no terms."""
-        element = cls(rank, None, laurent)
-        element._set(terms)
-        return element
-
-    def _context(self):
-        return (self.rank,)
-
     def _like(self, terms, other=None):
         laurent = self.laurent or (other is not None and other.laurent)
-        return self._from_kernel(self.rank, terms, laurent)
+        return self._from_kernel(terms, rank=self.rank, laurent=laurent)
 
     @property
     def mode(self) -> str:
@@ -155,7 +144,7 @@ class WeylTerms(TermMap):
         if not self.laurent:
             return self
         if all(b >= 0 for key in self.terms for b in self._weyl(key)[0]):
-            return self._from_kernel(self.rank, self.terms, False)
+            return self._from_kernel(self.terms, rank=self.rank, laurent=False)
         return self
 
     def to_json_obj(self):
@@ -289,4 +278,4 @@ def fourier(a: WeylElement) -> WeylElement:
             for mono, coeff in _monomial_product(zero, beta, gamma, zero):
                 yield mono, base * coeff
 
-    return WeylElement(a.rank, accumulate({}, images()), laurent=False)
+    return WeylElement._from_kernel(accumulate({}, images()), rank=a.rank, laurent=False)

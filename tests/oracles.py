@@ -15,7 +15,7 @@ from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
 from weylmod.ugl import E
 from weylmod.vectorfields import L_op, VectorField, monomial_field
-from weylmod.weightmod import FVector, PVector, _action_table, make_wedge_module
+from weylmod.weightmod import FVector, _action_table, make_wedge_module
 from weylmod.weyl import WeylElement
 
 
@@ -27,12 +27,9 @@ def t_power(t_exp, coeff=1, laurent=None):
 
 
 def basis_vector(P, key):
-    """The basis vector of the weight module P at key, which must lie in
-    its support."""
-    key = tuple(key)
-    if not P.supports_key(key):
-        raise DomainError(f"key {key} outside the support")
-    return PVector(P, {key: 1})
+    """The basis vector of the weight module P = F(P, wedge^0) at key, which
+    must lie in its support."""
+    return FVector.basis(P, make_wedge_module(P.rank, 0), key, 0)
 
 
 def check_commutators(M):

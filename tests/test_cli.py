@@ -152,6 +152,32 @@ def test_parse_errors_name_their_position_once(capsys):
     assert err == "error: zero denominator (at position 7)\n"
 
 
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        ("L[1,2;]", "L[i,j;(a1,...,an)]"),
+        ("L[1,2]", "L[i,j;(a1,...,an)]"),
+        ("L[1;(0,0)]", "L[i,j;(a1,...,an)]"),
+        ("E[1]", "E[i,j]"),
+    ],
+)
+def test_malformed_generators_name_their_form(capsys, text, form):
+    # these used to print Python's own int() or unpacking message
+    name = text[0]
+    for rank in (["--n", "2"], []):
+        code, out, err = run_cli(capsys, "parse", text, *rank)
+        assert code == 2 and not out, text
+        assert err == f"error: malformed {name}[...], expected {form} (at position 0)\n"
+
+
+def test_malformed_module_descriptor_exits_2(capsys):
+    # the unclosed factor used to be dropped: the command ran on [poly]
+    for P in ("[poly, laurent(1/2]", "[poly,,poly]"):
+        code, out, err = run_cli(capsys, "derham", "delta-p", "--P", P, "--box", "0..1")
+        assert code == 2 and not out, P
+        assert err.startswith("error: ") and "Traceback" not in err, P
+
+
 def test_vector_value_errors_exit_2(capsys):
     for text, message in (
         ("E[1,2] + e[1]", "cannot treat UglElement as a module vector"),

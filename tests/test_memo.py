@@ -15,6 +15,7 @@ from weylmod import derham, structure, suites, weightmod
 from weylmod.derham import (
     GradedSubspace,
     partial_span,
+    pi,
     pi_image,
     pi_kernel,
     verify_g_equals_u,
@@ -189,6 +190,7 @@ def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
         lemma(*args)
     counts = Counter()
     apply_pbw, init = SLModule.apply_pbw, TensorOperator.__init__
+    adopt = TensorOperator._from_kernel
 
     def counted_pbw(self, *rest):
         counts["apply_pbw"] += 1
@@ -198,14 +200,51 @@ def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
         counts["TensorOperator"] += 1
         init(self, *rest, **options)
 
+    def counted_adopt(cls, terms, **fields):
+        # operators built by a kernel are adopted, not checked
+        counts["TensorOperator"] += 1
+        return adopt(terms, **fields)
+
     monkeypatch.setattr(SLModule, "apply_pbw", counted_pbw)
     monkeypatch.setattr(TensorOperator, "__init__", counted_init)
+    monkeypatch.setattr(TensorOperator, "_from_kernel", classmethod(counted_adopt))
     assert all(lemma(*args)["pass"] for lemma in lemmas)
     assert counts == Counter()
     # the counters see the work of a cold build
     clear_memos()
     assert verify_g_equals_u(*args)["pass"]
     assert counts["apply_pbw"] > 0 and counts["TensorOperator"] > 0
+
+
+def test_warm_pi_and_generator_actions_check_no_vector(monkeypatch):
+    # with its rows memoised, pi or a member's action reads the rows and
+    # adopts its image: no vector is checked again
+    n = 3
+    gens = GeneratorSet.default(n)
+    vectors = [
+        FVector.basis(P, make_wedge_module(n, r), key, 0)
+        for P, key in ((WeightModuleP.polynomial(n), (1, 2, 1)),
+                       (WeightModuleP.laurent(n), (-1, 0, 2)))
+        for r in range(n)
+    ]
+
+    def images():
+        return [pi(v) for v in vectors] + [gens.act(gi, v) for gi in (0, 5) for v in vectors]
+
+    cold = images()
+    hits = derham._derham_rows.cache_info().hits, structure._member_rows.cache_info().hits
+    init = FVector.__init__
+    checked = []
+
+    def counted(self, *args, **options):
+        checked.append(args)
+        init(self, *args, **options)
+
+    monkeypatch.setattr(FVector, "__init__", counted)
+    assert images() == cold and checked == []
+    assert derham._derham_rows.cache_info().hits == hits[0] + len(vectors)
+    assert structure._member_rows.cache_info().hits == hits[1] + 2 * len(vectors)
+    assert sum(not v.is_zero() for v in cold) > len(cold) // 2
 
 
 def _outside_vector(space):

@@ -166,7 +166,7 @@ def _doubled_bracket(x, y):
     exponents."""
     z = bracket(x, y).element
     terms = {key: 2 * c for key, c in z.terms.items()}
-    return VectorField(WeylElement._from_kernel(z.rank, terms, z.laurent))
+    return VectorField(WeylElement._from_kernel(terms, rank=z.rank, laurent=z.laurent))
 
 
 def _doubled_iota_terms(x):
@@ -174,7 +174,7 @@ def _doubled_iota_terms(x):
     x (x) 1, kernel-built, since x may carry symbolic exponents."""
     op = shen_iota(x)
     terms = {key: 2 * c if key[1] else c for key, c in op.terms.items()}
-    return TensorOperator._from_kernel(op.rank, terms, op.laurent)
+    return TensorOperator._from_kernel(terms, rank=op.rank, laurent=op.laurent)
 
 
 def _commuting_rule(b1, g1, b2, g2):

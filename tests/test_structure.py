@@ -585,6 +585,24 @@ def test_a_weight_without_a_block_reads_as_dimension_zero():
         closure([seed], gens, box, _bound=zero)
 
 
+def test_closure_refuses_an_engine_built_for_other_arguments():
+    # an engine over a smaller box used to give a report that died with
+    # KeyError: (0, 4), and a generator set other than the engine's was
+    # ignored
+    P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 0)
+    small, box = TruncationBox((0, 0), (3, 3)), TruncationBox((0, 0), (5, 5))
+    gens = GeneratorSet.default(2)
+    seed = FVector.basis(P, M, (1, 1), 0)
+    engine = ClosureEngine(P, M, gens, small)
+    with pytest.raises(ArgumentError, match="another box or generator set"):
+        closure([seed], gens, box, engine=engine)
+    other = GeneratorSet(gens.members[:1])
+    with pytest.raises(ArgumentError, match="another box or generator set"):
+        closure([seed], other, small, engine=engine)
+    fitting = closure([seed], gens, small, engine=engine)
+    assert fitting.to_json_obj() == closure([seed], gens, small).to_json_obj()
+
+
 def test_move_lists_stay_in_the_window():
     gens = GeneratorSet.default(3)
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)

@@ -168,7 +168,7 @@ def test_iota_template_rows_are_a_plus_b_plus_an_offset(monkeypatch):
     def doubled_exponent(x, y):
         ((t_exp, d_exp),) = x.element.terms
         terms = {(tuple(2 * e for e in t_exp), d_exp): 1}
-        return VectorField(WeylElement._from_kernel(x.rank, terms, True))
+        return VectorField(WeylElement._from_kernel(terms, rank=x.rank, laurent=True))
 
     x = monomial_field((0, 1), 1)
     tensorop._iota_template.cache_clear()

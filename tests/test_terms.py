@@ -4,6 +4,7 @@ with their reference paths, and reports keep their bytes."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import prod
 from pathlib import Path
 
@@ -12,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylmod.cli import main
+from weylmod.derham import pi, pi_image
 from weylmod.errors import StructureError
 from weylmod.exprparse import VectorLiteral
+from weylmod.indices import TruncationBox
+from weylmod.structure import GeneratorSet
+from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator
 from weylmod.terms import Poly, accumulate
 from weylmod.ugl import (
@@ -23,7 +28,7 @@ from weylmod.ugl import (
     _seq_from_mono,
     pbw_product,
 )
-from weylmod.weightmod import FVector, PVector, WeightModuleP, make_wedge_module
+from weylmod.weightmod import FVector, WeightModuleP, make_wedge_module, tensor_act
 from weylmod.weyl import WeylElement
 
 DATA = Path(__file__).parent / "data"
@@ -85,13 +90,11 @@ def element_samples(rng):
     ugl = {random_pbw_monomial(rng, n): random_coeff(rng) for _ in range(6)}
     tens = random_tensor(rng, n, nterms=6, laurent=True).terms
     keys = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
-    pvec = {k: random_coeff(rng) for k in keys}
     fvec = {(k, rng.randrange(M.dim)): random_coeff(rng) for k in keys}
     return [
         (lambda t: WeylElement(n, t, laurent=True), weyl),
         (lambda t: UglElement(n, t), ugl),
         (lambda t: TensorOperator(n, t, laurent=True), tens),
-        (lambda t: PVector(P, t), pvec),
         (lambda t: FVector(P, M, t), fvec),
     ]
 
@@ -127,7 +130,6 @@ def adoption_cases():
         WeylElement.one(n - 1),
         UglElement.one(n - 1),
         TensorOperator.one(n - 1),
-        PVector(WeightModuleP.polynomial(n)),
         FVector(WeightModuleP.laurent(n), make_wedge_module(n, 2)),
         VectorLiteral(n - 1, {}),
     ]
@@ -136,8 +138,8 @@ def adoption_cases():
 
 @pytest.mark.parametrize(
     "case",
-    range(6),
-    ids=["WeylElement", "UglElement", "TensorOperator", "PVector", "FVector", "VectorLiteral"],
+    range(5),
+    ids=["WeylElement", "UglElement", "TensorOperator", "FVector", "VectorLiteral"],
 )
 def test_operation_results_are_adopted(monkeypatch, case):
     # __init__ checks outside input once; a sum, difference, negation or
@@ -175,6 +177,52 @@ def test_operation_results_are_adopted(monkeypatch, case):
     for combine in (lambda x, y: x + y, lambda x, y: y - x):
         with pytest.raises(StructureError):
             combine(a, other)
+
+
+def kernel_calls(rng, n=3):
+    """(name, call) pairs, each call returning the vectors that one module
+    kernel builds (``pi``, ``tensor_act``, ``GeneratorSet.act`` or
+    ``basis_vectors``) from seeded inputs over the three standard profiles,
+    built beforehand."""
+    gens = GeneratorSet.default(n)
+    box = TruncationBox((-1,) * n, (2,) * n)
+    calls = []
+    for name, P in standard_profiles(n).items():
+        for r in range(n):
+            v = _random_fvector(rng, P, make_wedge_module(n, r))
+            op, gi = random_tensor(rng, n), rng.randrange(len(gens))
+            calls += [
+                (f"pi {name} {r}", lambda v=v: [pi(v)]),
+                (f"tensor_act {name} {r}", lambda op=op, v=v: [tensor_act(op, v)]),
+                (f"act {gi} {name} {r}", lambda gi=gi, v=v: [gens.act(gi, v)]),
+            ]
+        space = pi_image(P, 1, box)
+        calls += [(f"basis_vectors {name} {w}", partial(space.basis_vectors, w))
+                  for w in sorted(space.blocks)]
+    return calls
+
+
+def test_kernel_built_vectors_are_adopted_and_equal_checked_ones(monkeypatch):
+    # a kernel's output is valid by construction, so it is adopted without
+    # FVector.__init__, and the check of outside input accepts it unchanged
+    calls = kernel_calls(random.Random(59))
+    init = FVector.__init__
+    checked = []
+
+    def counted(self, *args, **options):
+        checked.append(args)
+        init(self, *args, **options)
+
+    monkeypatch.setattr(FVector, "__init__", counted)
+    results = [(name, v) for name, call in calls for v in call()]
+    assert checked == []
+    kinds = {name.split()[0] for name, v in results if not v.is_zero()}
+    assert kinds == {"pi", "tensor_act", "act", "basis_vectors"}
+    for name, v in results:
+        assert type(v) is FVector, name
+        again = FVector(v.module_p, v.module_m, v.terms)
+        assert v == again and v.terms == again.terms, name
+        assert v.module_m is again.module_m, name
 
 
 def test_pbw_product_matches_word_rewriting():

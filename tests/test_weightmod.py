@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import oracles
 import pytest
@@ -15,7 +16,6 @@ from weylmod.vectorfields import L_op, VectorField, bracket
 from weylmod.weightmod import (
     Factor,
     FVector,
-    PVector,
     WeightModuleP,
     _lowering_closure,
     _scaled_monomial_on_key,
@@ -26,7 +26,6 @@ from weylmod.weightmod import (
     tensor_act,
     wedge_insert,
     wedge_replace,
-    weyl_act,
     weyl_dimension,
 )
 from weylmod.weyl import WeylElement, d, fourier, t
@@ -89,26 +88,49 @@ def test_descriptor_round_trip():
     assert parse_module_descriptor(repr(mod)) == mod
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the unclosed factor used to be dropped, leaving [poly]
+        ("[poly, laurent(1/2]", "unbalanced parentheses"),
+        ("[poly, laurent1/2)]", "unbalanced parentheses"),
+        # an empty factor used to be skipped, leaving [poly,poly]
+        ("[poly,,poly]", "empty factor"),
+        ("[poly,]", "empty factor"),
+        ("[ ]", "empty module descriptor"),
+    ],
+)
+def test_descriptor_refuses_unbalanced_and_empty_factors(text, message):
+    with pytest.raises(ArgumentError, match=message):
+        parse_module_descriptor(text)
+
+
+def weyl_on_p(a, v, allow_laurent=False):
+    """The Weyl element a acting on a vector of P = F(P, wedge^0)."""
+    return tensor_act(from_weyl(a), v, allow_laurent)
+
+
 def test_weyl_act_polynomial_factor():
     P = WeightModuleP.polynomial(1)
     v = oracles.basis_vector(P, (2,))
-    assert weyl_act(d(1, 1), v) == 2 * oracles.basis_vector(P, (1,))
-    assert weyl_act(d(1, 1), oracles.basis_vector(P, (0,))).is_zero()
+    assert v.module_m is make_wedge_module(1, 0)
+    assert weyl_on_p(d(1, 1), v) == 2 * oracles.basis_vector(P, (1,))
+    assert weyl_on_p(d(1, 1), oracles.basis_vector(P, (0,))).is_zero()
 
 
 def test_weyl_act_twisted_factor():
     P = WeightModuleP.twisted(1)
     v = {k: oracles.basis_vector(P, (k,)) for k in (-2, -1)}
-    assert weyl_act(t(1, 1), v[-1]).is_zero()
-    assert weyl_act(t(1, 1), v[-2]) == v[-1]
-    assert weyl_act(d(1, 1), v[-1]) == -1 * v[-2]
+    assert weyl_on_p(t(1, 1), v[-1]).is_zero()
+    assert weyl_on_p(t(1, 1), v[-2]) == v[-1]
+    assert weyl_on_p(d(1, 1), v[-1]) == -1 * v[-2]
 
 
 def test_weyl_act_laurent_factor():
     P = WeightModuleP.laurent(1)
     v = {k: oracles.basis_vector(P, (k,)) for k in (-1, 0)}
-    assert weyl_act(d(1, 1), v[0]) == Fraction(1, 2) * v[-1]
-    assert weyl_act(t(1, 1), v[-1]) == v[0]
+    assert weyl_on_p(d(1, 1), v[0]) == Fraction(1, 2) * v[-1]
+    assert weyl_on_p(t(1, 1), v[-1]) == v[0]
 
 
 def test_weyl_act_module_axiom():
@@ -137,14 +159,33 @@ def test_weyl_act_module_axiom():
                 key = tuple(-1 - abs(k) if f.kind == "twist" else abs(k)
                             for f, k in zip(P.factors, key))
             v = oracles.basis_vector(P, key)
-            assert weyl_act(a * b, v) == weyl_act(a, weyl_act(b, v))
+            assert weyl_on_p(a * b, v) == weyl_on_p(a, weyl_on_p(b, v))
 
 
 def test_weyl_act_rejects_laurent():
     P = WeightModuleP.polynomial(1)
     a = oracles.t_power((-1,))
     with pytest.raises(DomainError):
-        weyl_act(a, oracles.basis_vector(P, (2,)))
+        weyl_on_p(a, oracles.basis_vector(P, (2,)))
+    # admitted, the key pushed out of the support contributes zero
+    assert weyl_on_p(a, oracles.basis_vector(P, (0,)), allow_laurent=True).is_zero()
+    assert weyl_on_p(a, oracles.basis_vector(P, (2,)), allow_laurent=True) == (
+        oracles.basis_vector(P, (1,))
+    )
+
+
+def test_weyl_act_demotes_laurent_mode():
+    # a Laurent-mode element whose t exponents are all >= 0 is demoted and
+    # acts as its polynomial-mode copy
+    P = WeightModuleP.polynomial(2)
+    a = WeylElement(2, {((1, 0), (0, 2)): 3, ((0, 1), (1, 0)): -1}, laurent=True)
+    v = oracles.basis_vector(P, (1, 3)) + 2 * oracles.basis_vector(P, (2, 0))
+    image = weyl_on_p(a, v)
+    assert image == weyl_on_p(a.demote(), v)
+    # 3 t1 d2^2 sends t1 t2^3 to 18 t1^2 t2; -t2 d1 sends t1 t2^3 to -t2^4
+    # and 2 t1^2 to -4 t1 t2
+    basis = partial(oracles.basis_vector, P)
+    assert image == 18 * basis((2, 1)) - basis((0, 4)) - 4 * basis((1, 1))
 
 
 def test_fourier_consistency_of_twisted_module():
@@ -153,15 +194,16 @@ def test_fourier_consistency_of_twisted_module():
     n = 2
     A = WeightModuleP.polynomial(n)
     AF = WeightModuleP.twisted(n)
+    triv = make_wedge_module(n, 0)
 
     def transport(v):
         terms = {}
-        for key, c in v.terms.items():
+        for (key, midx), c in v.terms.items():
             fact = 1
             for m in key:
                 fact *= math.factorial(m)
-            terms[tuple(-m - 1 for m in key)] = c * fact
-        return PVector(AF, terms)
+            terms[(tuple(-m - 1 for m in key), midx)] = c * fact
+        return FVector(AF, triv, terms)
 
     rng = random.Random(53)
     gens = [t(1, n), t(2, n), d(1, n), d(2, n)]
@@ -169,8 +211,8 @@ def test_fourier_consistency_of_twisted_module():
         key = (rng.randint(0, 4), rng.randint(0, 4))
         v = oracles.basis_vector(A, key)
         for a in gens:
-            twisted = weyl_act(fourier(a), v)
-            assert transport(twisted) == weyl_act(a, transport(v))
+            twisted = weyl_on_p(fourier(a), v)
+            assert transport(twisted) == weyl_on_p(a, transport(v))
 
 
 def test_wedge_module_examples():
@@ -465,7 +507,4 @@ def test_vectors_refuse_keys_of_another_length():
     for key in ((3,), (1, 2, 3), ()):
         with pytest.raises(StructureError, match="has length"):
             FVector(A, triv, {(key, 0): 1})
-        with pytest.raises(StructureError, match="has length"):
-            PVector(A, {key: 1})
     assert FVector(A, triv, {((3, 0), 0): 1}).terms == {((3, 0), 0): 1}
-    assert PVector(A, {(1, 2): 1}).terms == {(1, 2): 1}
