@@ -325,6 +325,8 @@ def cmd_structure(args) -> int:
         )
         return _finish_one(report, args)
     if args.action == "inventory":
+        if args.r is None:
+            raise ArgumentError("inventory needs --r")
         return _finish_one(subquotient_inventory(P, args.r, box), args)
     raise ArgumentError(f"unknown structure action {args.action!r}")
 

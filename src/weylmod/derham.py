@@ -342,21 +342,6 @@ def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
     }
 
 
-def _supported_keys(P: WeightModuleP, box: TruncationBox):
-    """The keys of the box that P supports, in box order (its callers are
-    memoised per profile)."""
-    return tuple(key for key in box.keys() if P.supports_key(key))
-
-
-@lru_cache(maxsize=32)
-def _wedge_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
-    """(sources, count): (key, midxs) for every supported key of the box,
-    every basis vector of F(P, wedge^r) there, listed once per profile."""
-    midxs = tuple(range(wedge_module(P.rank, r).dim))
-    keys = _supported_keys(P, key_box)
-    return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
-
-
 @lru_cache(maxsize=64)
 def _lemma_template(check: str, n: int, i: int, r: int):
     """The action table of a lemma's operator on F(P, wedge^r) over a
@@ -419,38 +404,42 @@ def _lemma_args(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox)
     return _special_args("h", alpha, i)
 
 
-def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
-    """(g - u) applied to p (x) v for every wedge label v and key in the box,
-    through the table of ``_lemma_template``.
+# the degree offset of each lemma's sources: g - u acts on F(P, wedge^r)
+# itself, h on the de Rham images of degree r - 1
+_SOURCE_OFFSET = {"g-equals-u": 0, "h-annihilates": 1}
 
-    Returns a report dict; "pass" means every residual vanished.
-    """
+
+def _verify_lemma(check: str, alpha, i: int, P: WeightModuleP, r: int,
+                  key_box: TruncationBox):
+    """The report of an operator lemma at alpha: its operator, read off
+    ``_lemma_template``, must kill every source of ``_lemma_sources`` in
+    degree r less the check's offset."""
     alpha = _lemma_args(alpha, i, P, r, key_box)
-    wedge = wedge_module(P.rank, r)
-    table = _lemma_table("g-equals-u", alpha, i, r, wedge.dim)
-    sources, checked = _wedge_sources(P, r, key_box)
-    return _lemma_report(
-        "g-equals-u", alpha, i, P, r, table, sources, checked, wedge.labels
-    )
+    offset = _SOURCE_OFFSET[check]
+    source = wedge_module(P.rank, r - offset)
+    table = _lemma_table(check, alpha, i, r, source.dim)
+    sources, checked = _lemma_sources(P, r - offset, key_box, bool(offset))
+    return _lemma_report(check, alpha, i, P, r, table, sources, checked, source.labels)
+
+
+def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
+    """(g - u) applied to p (x) v for every wedge label v and key in the box.
+    Returns a report dict; "pass" means every residual vanished."""
+    return _verify_lemma("g-equals-u", alpha, i, P, r, key_box)
 
 
 def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
     """h applied to the de Rham spanning vectors of degree r, through the
-    composite table of h after the de Rham map (``_lemma_template``)."""
-    alpha = _lemma_args(alpha, i, P, r, key_box)
-    source = wedge_module(P.rank, r - 1)
-    table = _lemma_table("h-annihilates", alpha, i, r, source.dim)
-    sources, checked = _derham_sources(P, r - 1, key_box)
-    return _lemma_report(
-        "h-annihilates", alpha, i, P, r, table, sources, checked, source.labels
-    )
+    composite table of h after the de Rham map."""
+    return _verify_lemma("h-annihilates", alpha, i, P, r, key_box)
 
 
-@lru_cache(maxsize=32)
-def _derham_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
-    """(sources, count): the basis vectors of F(P, wedge^r) over the box
-    whose de Rham image is not zero, as (key, midxs) pairs, listed once per
-    profile: a vector whose image is zero spans nothing to check.
+@lru_cache(maxsize=64)
+def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: bool):
+    """(sources, count): the basis vectors of F(P, wedge^r) over the keys of
+    the box that P supports, as (key, midxs) pairs, listed once per
+    profile; with ``spanning`` only those whose de Rham image is not zero,
+    since a vector whose image is zero spans nothing to check.
 
     The image of p (x) v has one term per l outside the label of v, so it
     is nonzero exactly when the set of l whose d_l does not kill the key is
@@ -461,7 +450,10 @@ def _derham_sources(P: WeightModuleP, r: int, key_box: TruncationBox):
     """
     n = P.rank
     labels = wedge_module(n, r).labels
-    keys = _supported_keys(P, key_box)
+    keys = tuple(key for key in key_box.keys() if P.supports_key(key))
+    if not spanning:
+        midxs = tuple(range(len(labels)))
+        return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
     if not keys:
         return (), 0
     zero = mi_zero(n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache
-from math import gcd
 from operator import add
 
 from .errors import ArgumentError, StructureError
@@ -134,10 +133,8 @@ class ClosureEngine:
     ):
         self.module_p = module_p
         self.module_m = module_m
-        self.box = box
         self.gens = gens.members
         self.ambient = GradedSubspace(module_p, module_m, box)
-        self.mod = mod
         self.capacity = {
             w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
             for w, labels in self.ambient.labels.items()
@@ -159,44 +156,28 @@ class ClosureEngine:
         return hit
 
     def matrix(self, gi: int, w):
-        """(target weight, columns, scale) of generator gi at weight w, or
-        None when it leaves the box.
-
-        Column j lists (position, coeff) pairs: the image of basis vector j,
-        multiplied by ``scale``, the lcm of the denominators in the block.
-        A closure is a span, so one nonzero scale per block changes nothing
-        it computes, and its arithmetic stays in ints.
-        """
-        key = (gi, w)
-        if key in self._matrices:
-            return self._matrices[key]
-        target = tuple(map(add, w, self.gens[gi].shift))
-        if target not in self.ambient.labels:
-            self._matrices[key] = None
-            return None
-        labels = self.ambient.labels[w]
-        P, M = self.module_p, self.module_m
-        rows, den = _member_rows(self.gens[gi], P, M) if labels else ((), 1)
-        cols = _block_columns(P, rows, labels, self.ambient.slots[target])
-        scale = 1
-        if den != 1:
-            # the block holds its exact entries times den; dividing by the
-            # gcd of den and every entry leaves them times their lcm
-            # denominator
-            g = gcd(den, *(c for col in cols for _, c in col))
-            scale = den // g
-            if g != 1:
-                cols = [[(pos, c // g) for pos, c in col] for col in cols]
-        out = (target, cols, scale)
-        self._matrices[key] = out
-        return out
+        """The columns of generator gi at weight w, for a move listed by
+        ``moves(w)``: column j lists (position, coeff) pairs, the image of
+        basis vector j times the denominator of the member's rows.  A
+        closure is a span, so one nonzero scale per block changes nothing
+        it computes, and its arithmetic stays in ints."""
+        cols = self._matrices.get((gi, w))
+        if cols is None:
+            g = self.gens[gi]
+            rows, _ = _member_rows(g, self.module_p, self.module_m)
+            target = tuple(map(add, w, g.shift))
+            cols = self._matrices[gi, w] = _block_columns(
+                self.module_p, rows, self.ambient.labels[w], self.ambient.slots[target]
+            )
+        return cols
 
 
 @lru_cache(maxsize=1)
 def _engine(module_p, module_m, gens, box, mod=None) -> ClosureEngine:
-    """The closure engine of evidence_simplicity, memoised per (P, M, gens,
-    box, mod).  Its tables, move lists and matrices depend on nothing else,
-    so a shared engine changes no closure."""
+    """The closure engine of (P, M, gens, box, mod), shared by every
+    closure over those inputs and by evidence_simplicity.  Its tables, move
+    lists and matrices depend on nothing else, so a shared engine changes
+    no closure."""
     return ClosureEngine(module_p, module_m, gens, box, mod=mod)
 
 
@@ -270,14 +251,18 @@ class ClosureReport:
         return obj
 
 
-def closure(seeds, gens: GeneratorSet, box: TruncationBox,
-            engine: ClosureEngine | None = None, target_dims=None, *,
-            _bound: GradedSubspace | None = None, _certified=None) -> ClosureReport:
+def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
+            _mod: GradedSubspace | None = None, _bound: GradedSubspace | None = None,
+            _certified=None) -> ClosureReport:
     """Least in-box subspace containing the seeds and closed under the
     generators whose application stays inside the outer box.
 
     ``target_dims`` (weight -> dim over the inner box) stops the closure
     once every listed block is full; the report is honest either way.
+
+    The closure runs on the shared engine of its inputs (``_engine``), the
+    private ``_mod`` included: a submodule over the window, modulo which
+    the closure of a quotient is taken.
 
     A generator is not applied where its target block already has the
     dimension of a subspace known to contain the closure there, since its
@@ -289,7 +274,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     (``pi_image``, ``partial_span``) are passed.
 
     The private ``_certified`` maps a weight to seed vectors (integer block
-    coordinates, reduced modulo ``engine.mod``) whose closures reached
+    coordinates, reduced modulo ``_mod``) whose closures reached
     ``target_dims``.  The least fixed point that contains one of them
     contains its closure as well, so the closure counts as reached and
     stops once a block it grows contains one.
@@ -297,13 +282,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
     seeds = list(seeds)
     if not seeds:
         raise ArgumentError("need at least one seed")
-    if engine is None:
-        first = seeds[0]
-        engine = ClosureEngine(first.module_p, first.module_m, gens, box)
-    elif engine.box != box or engine.gens != gens.members:
-        raise ArgumentError("the engine was built for another box or generator set")
+    engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
-    mod = engine.mod
     if _bound is None:
         room = dict(engine.capacity)
     else:
@@ -325,8 +305,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
         if basis is None:
             basis = blocks[w] = RowBasis(len(labels[w]))
         # a weight without a block in mod or _bound has dimension 0 there
-        if mod is not None:
-            block = mod.blocks.get(w)
+        if _mod is not None:
+            block = _mod.blocks.get(w)
             if block is not None:
                 dense = block.reduce(dense)
         before = basis.dim
@@ -358,7 +338,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox,
         for gi, target in engine.moves(w):
             if not room[target]:
                 continue
-            _, cols, _ = engine.matrix(gi, w)
+            cols = engine.matrix(gi, w)
             dense = [0] * len(labels[target])
             for pos in support:
                 x = vec[pos]
@@ -475,8 +455,8 @@ def evidence_simplicity(
     certified = {}  # weight -> seeds whose closures reached the target
     for seed, w, pos, bound in seeds:
         report = closure(
-            [seed], gens, box, engine=engine, target_dims=target,
-            _bound=bound, _certified=certified,
+            [seed], gens, box, target_dims=target,
+            _mod=mod, _bound=bound, _certified=certified,
         )
         ok = bool(report.reached_target)
         overall = overall and ok

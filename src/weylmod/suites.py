@@ -23,9 +23,8 @@ from .derham import (
     verify_h_annihilates,
 )
 from .errors import ArgumentError
-from .indices import TruncationBox, mi_sub, mi_unit
+from .indices import TruncationBox, check_index, mi_sub, mi_unit
 from .structure import (
-    ClosureEngine,
     GeneratorSet,
     _delta_dim,
     closure,
@@ -165,6 +164,8 @@ def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
     """The five-point identity recovering the g operator."""
     if i_list is None:
         i_list = list(range(1, n - 1))
+    for i in i_list:
+        check_index(i, n - 2)
     cases = [((i,), i + 2, _special_args("g", _lower_bound(n, i, i + 2), i)) for i in i_list]
     return _check_identity("quartic", n, lo, hi, cases, QUARTIC_NODES)
 
@@ -293,9 +294,8 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
     triv = make_wedge_module(n, 0)
     box = TruncationBox((0,) * n, (side,) * n, margin=margin)
     gens = GeneratorSet.default(n)
-    engine = ClosureEngine(A, triv, gens, box)
     failures = []
-    const = closure([FVector.basis(A, triv, (0,) * n, 0)], gens, box, engine=engine)
+    const = closure([FVector.basis(A, triv, (0,) * n, 0)], gens, box)
     if const.classification != "trivial-line" or const.total_dim() != 1:
         failures.append({"seed": [0] * n, "classification": const.classification})
     checked = 1
@@ -303,13 +303,7 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
     for key in itertools.product(range(max_deg + 1), repeat=n):
         if sum(key) > max_deg or key == (0,) * n:
             continue
-        report = closure(
-            [FVector.basis(A, triv, key, 0)],
-            gens,
-            box,
-            engine=engine,
-            target_dims=target,
-        )
+        report = closure([FVector.basis(A, triv, key, 0)], gens, box, target_dims=target)
         checked += 1
         if not report.reached_target:
             failures.append(

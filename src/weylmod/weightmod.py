@@ -83,7 +83,7 @@ class Factor:
 class WeightModuleP:
     """A simple weight module presented as a product of coordinate factors."""
 
-    __slots__ = ("rank", "factors", "lines", "integral")
+    __slots__ = ("rank", "factors", "lines")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -102,8 +102,6 @@ class WeightModuleP:
             ]
         )
         object.__setattr__(self, "lines", lines)
-        # without a Laurent line every q is 1 and every coefficient an int
-        object.__setattr__(self, "integral", all(q == 1 for _, q, _ in lines))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightModuleP is immutable")

@@ -5,7 +5,7 @@ from collections import deque
 from fractions import Fraction
 from functools import partial
 
-from weylmod import tensorop
+from weylmod import structure, tensorop
 from weylmod.derham import _after_derham
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
@@ -590,15 +590,16 @@ class ClosureOracle:
         return None
 
 
-def closure(seeds, gens, box, engine, target_dims=None, **_):
+def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     """The closure as a plain breadth-first search, without saturation
-    pruning or seed certificates: every queued vector meets every
-    generator whose target lies in the box, through the engine's action
-    matrices (which ``test_engine_columns_are_scaled_tensor_act_columns``
+    pruning or seed certificates: every queued vector meets every move of
+    its weight, through the block columns of the shared engine of the
+    inputs (which ``test_engine_columns_are_scaled_tensor_act_columns``
     checks against ``tensor_act``).  It takes the arguments of
     ``structure.closure``, stops as it does once ``target_dims`` is full,
     and ignores its private bound and certificates, so it can stand in for
     it inside ``evidence_simplicity``."""
+    engine = structure._engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
     blocks = {w: IntRowBasis(len(labs)) for w, labs in labels.items()}
     queue = deque()
@@ -607,8 +608,8 @@ def closure(seeds, gens, box, engine, target_dims=None, **_):
 
     def insert(w, dense):
         nonlocal deficit
-        if engine.mod is not None:
-            dense = engine.mod.blocks[w].reduce(dense)
+        if _mod is not None:
+            dense = _mod.blocks[w].reduce(dense)
         if blocks[w].insert(dense):
             if missing.get(w, 0) > 0:
                 missing[w] -= 1
@@ -620,11 +621,8 @@ def closure(seeds, gens, box, engine, target_dims=None, **_):
             insert(w, dense)
     while queue and not (target_dims and deficit == 0):
         w, vec = queue.popleft()
-        for gi in range(len(engine.gens)):
-            hit = engine.matrix(gi, w)
-            if hit is None:
-                continue
-            target, cols, _ = hit
+        for gi, target in engine.moves(w):
+            cols = engine.matrix(gi, w)
             dense = [0] * len(labels[target])
             for pos, x in enumerate(vec):
                 for dst, m in cols[pos]:

@@ -116,6 +116,25 @@ def test_negative_gen_cap_exits_2(capsys):
     assert code == 0
 
 
+def test_inventory_without_a_degree_exits_2(capsys):
+    # the subquotient chain is that of one exterior power: no --r is a
+    # configuration error, not a TypeError from the range check
+    code, out, err = run_cli(capsys, "structure", "inventory", "--P", "[poly,poly]",
+                             "--box", "0..4")
+    assert code == 2 and not out
+    assert "inventory needs --r" in err and "Traceback" not in err
+
+
+def test_quartic_index_out_of_range_names_the_index(capsys):
+    # at n = 3 the only quartic index is 1; the message names the index
+    # given, not the one two above it
+    code, out, err = run_cli(capsys, "verify", "eq-quartic", "--n", "3", "--i", "2")
+    assert code == 2 and not out
+    assert "index 2 out of range 1..1" in err
+    with pytest.raises(ArgumentError, match=r"index 3 out of range 1\.\.2"):
+        check_eq_quartic(4, i_list=[3])
+
+
 def test_simplicity_under_an_empty_generator_set_exits_2(capsys):
     # at rank 1 there is no L[i,j], and a set that cannot act gives no
     # evidence either way; a closure under it is no verdict and still runs

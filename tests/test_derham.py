@@ -12,12 +12,11 @@ from weylmod import tensorop
 from weylmod.derham import (
     GradedSubspace,
     _after_derham,
-    _derham_sources,
     _failing_sources,
     _lemma_report,
+    _lemma_sources,
     _lemma_table,
     _lemma_template,
-    _wedge_sources,
     partial_span,
     pi,
     pi_image,
@@ -472,10 +471,8 @@ def test_lemma_tables_match_the_per_alpha_oracle(wrong):
             source = make_wedge_module(n, r if check == "g-equals-u" else r - 1)
             for P, box in LEMMA_PROFILES.values():
                 assert _merged(P, got) == _merged(P, expected), (check, alpha, i, r)
-                if check == "g-equals-u":
-                    sources, checked = _wedge_sources(P, r, box)
-                else:
-                    sources, checked = _derham_sources(P, r - 1, box)
+                spanning = check == "h-annihilates"
+                sources, checked = _lemma_sources(P, r - spanning, box, spanning)
                 report = LEMMAS[check](alpha, i, P, r, box)
                 assert report == _lemma_report(
                     check, alpha, i, P, r, expected, sources, checked, source.labels
@@ -521,7 +518,7 @@ def test_derham_sources_match_the_per_label_rule():
                     if l not in label
                 )
             ]
-            sources, checked = _derham_sources(P, r, box)
+            sources, checked = _lemma_sources(P, r, box, True)
             got = [(key, midx) for key, midxs in sources for midx in midxs]
             assert got == expected and checked == len(expected), (name, r)
             dropped[name, r] = len(keys) * len(labels) - len(expected)

@@ -65,8 +65,7 @@ def test_every_memo_is_bounded():
         "weylmod.derham.pi_image",
         "weylmod.derham.pi_kernel",
         "weylmod.derham.partial_span",
-        "weylmod.derham._wedge_sources",
-        "weylmod.derham._derham_sources",
+        "weylmod.derham._lemma_sources",
         "weylmod.derham._lemma_template",
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
@@ -318,7 +317,7 @@ def test_memos_are_keyed_by_p():
         assert checked > 0
         seen.append((image, pi_kernel(P, 1, box), partial_span(P, box),
                      derham._window(P, wedge2, box), structure._engine(P, wedge2, gens, box),
-                     derham._derham_sources(P, 1, box), derham._wedge_sources(P, 2, box),
+                     derham._lemma_sources(P, 1, box, True), derham._lemma_sources(P, 2, box, False),
                      structure._member_rows(gens.members[0], P, wedge2)))
     halves, thirds = seen
     assert all(a is not b for a, b in zip(halves, thirds))
@@ -342,8 +341,8 @@ def test_memos_are_keyed_by_margin():
         lambda box: partial_span(_A3, box),
         lambda box: derham._window(_A3, wedge1, box),
         lambda box: structure._engine(_A3, wedge1, gens, box),
-        lambda box: derham._derham_sources(_A3, 1, box),
-        lambda box: derham._wedge_sources(_A3, 2, box),
+        lambda box: derham._lemma_sources(_A3, 1, box, True),
+        lambda box: derham._lemma_sources(_A3, 2, box, False),
     ]
     clear_memos()
     for build in builds:
@@ -357,11 +356,12 @@ def test_memos_are_keyed_by_margin():
 
 def test_hw_module_of_a_fundamental_weight_shares_the_engine():
     # hw:e_r is the exterior power itself, so its evidence reuses the
-    # engine that wedge:r built
+    # engine that wedge:r built, once for the evidence and once per closure
     box = TruncationBox((0,) * 3, (4,) * 3, margin=2)
     clear_memos()
     evidence_simplicity(_A3, make_wedge_module(3, 1), "F", box)
     before = structure._engine.cache_info()
-    evidence_simplicity(_A3, weylmod.make_hw_module((1, 0), 3), "F", box)
+    report = evidence_simplicity(_A3, weylmod.make_hw_module((1, 0), 3), "F", box)
     after = structure._engine.cache_info()
-    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1 + len(report["seeds"])

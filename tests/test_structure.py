@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import oracles
 import pytest
@@ -44,8 +43,7 @@ def test_default_generator_set():
 
 def test_engine_columns_are_scaled_tensor_act_columns():
     # each cached block is the matrix of the direct action (the oracle)
-    # times its recorded scale, the lcm of the block's denominators, with
-    # every entry an int
+    # times the denominator of the member's rows, with every entry an int
     cube = TruncationBox((0,) * 3, (3,) * 3, margin=1)
     cases = [
         (WeightModuleP.polynomial(3), cube),
@@ -72,18 +70,14 @@ def test_engine_columns_are_scaled_tensor_act_columns():
         engine = ClosureEngine(P, M, gens, box)
         weights = sorted(box.inner_keys())[::3]
         for w in weights:
-            for gi, g in enumerate(gens.members):
-                target = tuple(a + b for a, b in zip(w, g.shift))
-                hit = engine.matrix(gi, w)
-                if not box.contains(target):
-                    assert hit is None
-                    continue
-                got_target, cols, scale = hit
-                assert got_target == target
+            for gi, target in engine.moves(w):
+                g = gens.members[gi]
+                cols = engine.matrix(gi, w)
+                assert cols is engine.matrix(gi, w)
                 assert len(cols) == len(engine.ambient.labels[w])
+                scale = structure._member_rows(g, P, M)[1]
                 scales.add(scale)
                 slots = engine.ambient.slots[target]
-                dens = [1]
                 for (key, midx), col in zip(engine.ambient.labels[w], cols):
                     assert all(type(c) is int and c for _, c in col)
                     image = oracles.tensor_act(
@@ -91,10 +85,56 @@ def test_engine_columns_are_scaled_tensor_act_columns():
                     )
                     expected = {slots[lab]: c * scale for lab, c in image.terms.items()}
                     assert dict(col) == expected, (P, M.name, w, g.name, key, midx)
-                    dens += [Fraction(c).denominator for c in image.terms.values()]
-                assert scale == lcm(*dens)
     # the Laurent blocks carry a denominator, the others do not
     assert 1 in scales and any(s % 5 == 0 for s in scales)
+
+
+def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
+    # two closures over equal inputs share one engine from the memo, whose
+    # matrices the second finds built; every matrix asked for is a move
+    P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 1)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    gens = GeneratorSet.default(2)
+    seeds = [FVector.basis(P, M, (2, 1), 0)]
+    asked = []
+    traced = ClosureEngine.matrix
+
+    def matrix(engine, gi, w):
+        asked.append((gi, w, engine.moves(w)))
+        return traced(engine, gi, w)
+
+    monkeypatch.setattr(ClosureEngine, "matrix", matrix)
+    structure._engine.cache_clear()
+    first = closure(seeds, gens, box)
+    assert structure._engine.cache_info().misses == 1
+    engine = structure._engine(P, M, gens, box, None)
+    built = dict(engine._matrices)
+    assert built and asked
+    assert all(gi in dict(moves) for gi, _, moves in asked)
+    hits = structure._engine.cache_info().hits
+    second = closure(seeds, gens, box)
+    info = structure._engine.cache_info()
+    assert info.hits == hits + 1 and info.misses == 1
+    assert engine._matrices.keys() == built.keys()
+    assert all(engine._matrices[key] is cols for key, cols in built.items())
+    assert second.dims == first.dims == oracles.closure(seeds, gens, box).dims
+
+
+def test_quotient_closures_through_mod_equal_the_oracle():
+    # modulo the degree-1 kernel of F(A2, wedge^1) and the degree-2 kernel
+    # of F(A3, wedge^2), every basis seed's closure is the plain search's
+    for P, r, box in ((_A2, 1, _CUBE2), (_A3, 2, _CUBE3)):
+        M = make_wedge_module(P.rank, r)
+        kernel = pi_kernel(P, r, box)
+        gens = GeneratorSet.default(P.rank)
+        for w in list(box.inner_keys())[::4]:
+            for key, midx in kernel.labels[w]:
+                seeds = [FVector.basis(P, M, key, midx)]
+                got = closure(seeds, gens, box, _mod=kernel)
+                assert got.dims == oracles.closure(seeds, gens, box, _mod=kernel).dims
+                assert got.total_dim() <= sum(
+                    len(kernel.labels[v]) - kernel.dim_at(v) for v in box.keys()
+                )
 
 
 def test_engine_keeps_the_action_errors():
@@ -189,14 +229,13 @@ def test_closure_monotone_and_idempotent():
     triv = make_wedge_module(n, 0)
     box = TruncationBox((0, 0), (4, 4), margin=1)
     gens = GeneratorSet.default(n)
-    engine = ClosureEngine(A, triv, gens, box)
-    small = closure([FVector.basis(A, triv, (2, 2), 0)], gens, box, engine=engine)
+    small = closure([FVector.basis(A, triv, (2, 2), 0)], gens, box)
     seeds = [FVector.basis(A, triv, (2, 2), 0), FVector.basis(A, triv, (1, 0), 0)]
-    big = closure(seeds, gens, box, engine=engine)
+    big = closure(seeds, gens, box)
     for w in box.keys():
         assert small.dims[w] <= big.dims[w]
     # idempotence: reclosing from a spanning set of the closure changes nothing
-    again = closure(seeds, gens, box, engine=engine)
+    again = closure(seeds, gens, box)
     assert again.dims == big.dims
 
 
@@ -425,14 +464,14 @@ PRUNING_CASES = [
 
 
 def _recorded_evidence(monkeypatch, P, M, ambient, box, r):
-    """The evidence report and the (seeds, engine, bound) of every closure
-    it ran."""
+    """The evidence report and the (seeds, mod, bound) of every closure it
+    ran."""
     calls = []
     pruned = structure.closure
 
-    def recording(seeds, gens, box, engine=None, **kw):
-        calls.append((seeds, engine, kw.get("_bound")))
-        return pruned(seeds, gens, box, engine=engine, **kw)
+    def recording(seeds, gens, box, **kw):
+        calls.append((seeds, kw.get("_mod"), kw.get("_bound")))
+        return pruned(seeds, gens, box, **kw)
 
     with monkeypatch.context() as patch:
         patch.setattr(structure, "closure", recording)
@@ -458,11 +497,11 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
     # full closures (no target, no certificate) have the same dims at every
     # weight, with the window bound alone and with the submodule bound
     sample = calls[:: max(1, len(calls) // 6)] + calls[-1:]
-    for seeds, engine, bound in sample:
-        want = oracles.closure(seeds, gens, box, engine).dims
-        assert closure(seeds, gens, box, engine=engine).dims == want
+    for seeds, mod, bound in sample:
+        want = oracles.closure(seeds, gens, box, _mod=mod).dims
+        assert closure(seeds, gens, box, _mod=mod).dims == want
         if bound is not None:
-            assert closure(seeds, gens, box, engine=engine, _bound=bound).dims == want
+            assert closure(seeds, gens, box, _mod=mod, _bound=bound).dims == want
 
 
 def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
@@ -470,32 +509,30 @@ def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
     # image, the basis seeds stop at the first certified seed
     _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
     gens = GeneratorSet.default(3)
-    seeds, engine, bound = calls[0]
-    assert bound is not None
-    pruned = closure(seeds, gens, _CUBE3, engine=engine, _bound=bound)
-    plain = closure(seeds, gens, _CUBE3, engine=engine)
+    seeds, mod, bound = calls[0]
+    assert bound is not None and mod is None
+    pruned = closure(seeds, gens, _CUBE3, _bound=bound)
+    plain = closure(seeds, gens, _CUBE3)
     assert pruned.dims == plain.dims
     assert pruned.applications < plain.applications
-    target = {w: len(engine.ambient.labels[w]) for w in _CUBE3.inner_keys()}
+    window = GradedSubspace(_A3, make_wedge_module(3, 1), _CUBE3)
+    target = {w: len(window.labels[w]) for w in _CUBE3.inner_keys()}
     basis = [s for s, _, b in calls if b is None]
-    first = closure(basis[0], gens, _CUBE3, engine=engine, target_dims=target)
+    first = closure(basis[0], gens, _CUBE3, target_dims=target)
     assert first.reached_target
-    ((w, dense),) = engine.ambient.to_dense(basis[0][0]).items()
-    later = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target,
-                    _certified={w: [dense]})
-    alone = closure(basis[-1], gens, _CUBE3, engine=engine, target_dims=target)
+    ((w, dense),) = window.to_dense(basis[0][0]).items()
+    later = closure(basis[-1], gens, _CUBE3, target_dims=target, _certified={w: [dense]})
+    alone = closure(basis[-1], gens, _CUBE3, target_dims=target)
     assert later.reached_target and alone.reached_target
     assert later.applications < alone.applications
 
 
 def test_certificate_stopped_report_reads_as_reached():
     gens = GeneratorSet.default(2)
-    engine = ClosureEngine(_A2, make_wedge_module(2, 0), gens, _CUBE2)
     target = {w: 1 for w in _CUBE2.inner_keys()}
-    seed = FVector.basis(_A2, engine.module_m, (2, 1), 0)
+    seed = FVector.basis(_A2, make_wedge_module(2, 0), (2, 1), 0)
     # the seed is its own certificate: the closure stops before any move
-    report = closure([seed], gens, _CUBE2, engine=engine, target_dims=target,
-                     _certified={(2, 1): [[1]]})
+    report = closure([seed], gens, _CUBE2, target_dims=target, _certified={(2, 1): [[1]]})
     assert report.applications == 0 and report.total_dim() == 1
     assert report.reached_target is True
     assert report.first_unreached() is None
@@ -542,16 +579,15 @@ def test_quotient_certificates_compare_modulo_the_kernel(monkeypatch):
 def test_a_wrong_bound_raises():
     gens = GeneratorSet.default(2)
     wedge1 = make_wedge_module(2, 1)
-    engine = ClosureEngine(_A2, wedge1, gens, _CUBE2)
     image = pi_image(_A2, 1, _CUBE2)
     basis_seed = FVector.basis(_A2, wedge1, (2, 1), 0)
     assert not image.contains(basis_seed)
     # a bound that does not contain the seed
     with pytest.raises(StructureError, match="left its bound"):
-        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=image)
+        closure([basis_seed], gens, _CUBE2, _bound=image)
     # a bound over another module: the derivative span lives in degree 0
     with pytest.raises(StructureError, match="not a subspace of the closure's window"):
-        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=partial_span(_A2, _CUBE2))
+        closure([basis_seed], gens, _CUBE2, _bound=partial_span(_A2, _CUBE2))
     # a bound that holds the seed but is not closed: the image with the
     # seed added to its weight block
     [(w, dense)] = image.to_dense(basis_seed).items()
@@ -561,11 +597,11 @@ def test_a_wrong_bound_raises():
     widened = GradedSubspace(_A2, wedge1, _CUBE2, {**image.blocks, w: block})
     assert widened.contains(basis_seed)
     with pytest.raises(StructureError, match="left its bound"):
-        closure([basis_seed], gens, _CUBE2, engine=engine, _bound=widened)
+        closure([basis_seed], gens, _CUBE2, _bound=widened)
     # the image itself bounds its own seeds
     seed = image.basis_vectors((2, 1))[0]
-    bounded = closure([seed], gens, _CUBE2, engine=engine, _bound=image)
-    assert bounded.dims == closure([seed], gens, _CUBE2, engine=engine).dims
+    bounded = closure([seed], gens, _CUBE2, _bound=image)
+    assert bounded.dims == closure([seed], gens, _CUBE2).dims
 
 
 def test_a_weight_without_a_block_reads_as_dimension_zero():
@@ -579,28 +615,10 @@ def test_a_weight_without_a_block_reads_as_dimension_zero():
     zero = GradedSubspace(P, M, box)
     plain = closure([seed], gens, box)
     assert plain.total_dim() == 25
-    modded = closure([seed], gens, box, engine=ClosureEngine(P, M, gens, box, mod=zero))
+    modded = closure([seed], gens, box, _mod=zero)
     assert modded.dims == plain.dims
     with pytest.raises(StructureError, match=r"left its bound at weight \[1, 1\]"):
         closure([seed], gens, box, _bound=zero)
-
-
-def test_closure_refuses_an_engine_built_for_other_arguments():
-    # an engine over a smaller box used to give a report that died with
-    # KeyError: (0, 4), and a generator set other than the engine's was
-    # ignored
-    P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 0)
-    small, box = TruncationBox((0, 0), (3, 3)), TruncationBox((0, 0), (5, 5))
-    gens = GeneratorSet.default(2)
-    seed = FVector.basis(P, M, (1, 1), 0)
-    engine = ClosureEngine(P, M, gens, small)
-    with pytest.raises(ArgumentError, match="another box or generator set"):
-        closure([seed], gens, box, engine=engine)
-    other = GeneratorSet(gens.members[:1])
-    with pytest.raises(ArgumentError, match="another box or generator set"):
-        closure([seed], other, small, engine=engine)
-    fitting = closure([seed], gens, small, engine=engine)
-    assert fitting.to_json_obj() == closure([seed], gens, small).to_json_obj()
 
 
 def test_move_lists_stay_in_the_window():
@@ -615,7 +633,6 @@ def test_move_lists_stay_in_the_window():
             if _CUBE3.contains(tuple(a + b for a, b in zip(w, g.shift)))
         ]
         assert moves == expected
-        assert all(engine.matrix(gi, w)[0] == t for gi, t in moves)
 
 
 def test_image_submodule_is_cyclic_at_n4():
