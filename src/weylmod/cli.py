@@ -208,13 +208,15 @@ def _suite_options(args):
     """The keyword arguments each named suite reads from the command line,
     besides the rank."""
     lo, hi = parse_window(args.alpha_window or "-2..3")
+    i, j = args.i, args.j
+    if args.suite == "eq-cubic" and (i is None) != (j is None):
+        raise ArgumentError("eq-cubic needs both --i and --j")
     lemma = {"delta_hi": args.delta_window, "key_radius": args.key_radius,
              "shift": args.lam}
     return {
         "iota-hom": {"deg": 4 if args.deg is None else args.deg},
-        "eq-cubic": {"lo": lo, "hi": hi,
-                     "pairs": [(args.i, args.j)] if args.i and args.j else None},
-        "eq-quartic": {"lo": lo, "hi": hi, "i_list": [args.i] if args.i else None},
+        "eq-cubic": {"lo": lo, "hi": hi, "pairs": None if i is None else [(i, j)]},
+        "eq-quartic": {"lo": lo, "hi": hi, "i_list": None if i is None else [i]},
         "g-u": lemma,
         "h-ln": lemma,
         "derham": {"count": args.count, "seed": args.seed, "shift": args.lam},
@@ -283,7 +285,7 @@ def cmd_derham(args) -> int:
         if not args.input:
             raise ArgumentError("pi needs --input")
         value = _read_vector("--input", args.input, n)
-        image = pi(value.bind(P), args.k)
+        image = pi(value.bind(P))
         return _print_json({"input": str(value), "image": format_vector(image)})
     box = parse_box(args.box or "-3..3", n, args.margin)
     if args.action == "gen-ln":
@@ -413,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("action", choices=("pi", "gen-ln", "gen-ln-tilde", "delta-p"))
     dr.add_argument("--P", required=True, help='module descriptor, e.g. "[poly,poly]"')
     dr.add_argument("--r", type=int, default=1)
-    dr.add_argument("--k", type=int, default=None)
     dr.add_argument("--input", default=None, help="vector expression for pi")
     dr.add_argument("--box", default=None, help="e.g. --box=-3..5")
     dr.add_argument("--margin", type=int, default=0)

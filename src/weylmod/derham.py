@@ -77,17 +77,15 @@ def _derham_rows(P: WeightModuleP, r: int):
     return _integer_rows(P, _derham_table(P.rank, r))
 
 
-def pi(w: FVector, k: int | None = None) -> FVector:
+def pi(w: FVector) -> FVector:
     """The de Rham map p (x) v -> sum_l d_l(p) (x) e_l wedge v.
 
-    ``w`` lives over the k-th exterior power with 0 <= k <= n-1; the image
+    ``w``'s module is the k-th exterior power, 0 <= k <= n-1; the image
     lives over the (k+1)-st and has the same weight.
     """
     P = w.module_p
     n = P.rank
     r = wedge_degree(w.module_m)
-    if k is not None and k != r:
-        raise ArgumentError(f"vector lives in degree {r}, not {k}")
     if r > n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     rows, den = _derham_rows(P, r)

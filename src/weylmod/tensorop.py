@@ -277,16 +277,11 @@ def _checked_nodes(nodes) -> tuple:
     """The nodes as a tuple, each an int or a Fraction and none repeated."""
     nodes = tuple(nodes)
     for m in nodes:
-        if not _is_exact(m):
+        if not isinstance(m, SCALARS) or isinstance(m, bool):
             raise ArgumentError(f"interpolation node {m!r} is not an int or a Fraction")
     if len(set(nodes)) != len(nodes):
         raise ArgumentError(f"interpolation nodes {nodes} repeat a node")
     return nodes
-
-
-def _is_exact(value) -> bool:
-    """An int (not a bool) or a Fraction."""
-    return isinstance(value, SCALARS) and not isinstance(value, bool)
 
 
 # Both identities read off the m^3 coefficient of their node products, which
@@ -306,21 +301,17 @@ def _scaled(weights):
 
 
 def _combine(values, rows):
-    """One Laurent-mode operator per (numerators, D) row: the sum of
-    numerators[t] * values[t], divided by D.
+    """One term map per (numerators, D) row: the sum of numerators[t] *
+    values[t] over the term maps values, divided by D.
 
     Each monomial's coefficients over the values are gathered into one
     vector, every row is applied to it in integers, and only the survivors
     are divided by D, so a term that cancels never builds a Fraction.
     """
-    ranks = {v.rank for v in values}
-    if len(ranks) != 1:
-        raise StructureError(f"node products differ in rank: {sorted(ranks)}")
-    (rank,) = ranks
     width = len(values)
     vectors = {}
     for t, value in enumerate(values):
-        for key, c in value.terms.items():
+        for key, c in value.items():
             vec = vectors.get(key)
             if vec is None:
                 vectors[key] = vec = [0] * width
@@ -332,7 +323,7 @@ def _combine(values, rows):
             total = sum(map(mul, nums, vec))
             if total:
                 terms[key] = _divide(total, den)
-        out.append(TensorOperator._from_kernel(terms, rank=rank, laurent=True))
+        out.append(terms)
     return out
 
 
@@ -342,20 +333,6 @@ def _divide(total, den):
         q, r = divmod(total, den)
         return Fraction(total, den) if r else q
     return total / den
-
-
-def node_combination(products, weights) -> TensorOperator:
-    """sum_m weights[m] * products[m] over the nodes listed in weights, in
-    integers over the weights' common denominator (see ``_combine``)."""
-    if not weights:
-        raise ArgumentError("need at least one node")
-    for m, w in weights.items():
-        if m not in products:
-            raise ArgumentError(f"no product at node {m!r}")
-        if not _is_exact(w):
-            raise ArgumentError(f"weight {w!r} at node {m!r} is not an int or a Fraction")
-    values = [products[m] for m in weights]
-    return _combine(values, [_scaled(list(weights.values()))])[0]
 
 
 def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
@@ -482,8 +459,8 @@ def _residual_template(kind: str, n: int, i: int, j: int):
     j = i + 2) identity over a symbolic alpha, as (``_template`` of its
     residual over the base alpha, degree in m of its node product).  The
     residual is the target (``_cubic_target``, or the g rows of
-    ``_special_rows``) minus ``node_combination`` of the node product
-    ``_node_terms`` set at each node (``_at_node``) with the weights.
+    ``_special_rows``) minus the weights' combination (``_combine``) of the
+    node product ``_node_terms`` set at each node (``_at_node``).
 
     Evaluation at alpha is a ring map that keeps distinct rows distinct, so
     the residual at alpha is that of the per-alpha computation, term by
@@ -496,10 +473,8 @@ def _residual_template(kind: str, n: int, i: int, j: int):
     else:
         target, weights = _special_operator("g", alpha, i), QUARTIC_WEIGHTS
     product = _node_terms(kind, n, i, j)
-    products = {
-        m: TensorOperator._from_kernel(_at_node(product, m), rank=n, laurent=True) for m in weights
-    }
-    residual = (target - node_combination(products, weights)).terms
+    (combined,) = _combine([_at_node(product, m) for m in weights], [_scaled(weights.values())])
+    residual = accumulate(dict(target.terms), ((key, -c) for key, c in combined.items()))
     degree = max((e[-1] for c in product.values() if type(c) is Poly for e in c.terms), default=0)
     return _template(residual, alpha), degree
 
@@ -607,9 +582,17 @@ def interpolate_coefficients(values, nodes):
     node tuple and kept as integer rows over a common denominator.  Each
     monomial's values over the nodes form one vector; every row is applied
     to it in integers and the survivors are divided once, so each
-    coefficient is built as one operator.
+    coefficient is built as one Laurent-mode operator.
     """
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")
     # checked before the memo: (0.0, 1.0) would hit the entry of (0, 1)
-    return _combine(values, _interpolation_rows(_checked_nodes(nodes)))
+    rows = _interpolation_rows(_checked_nodes(nodes))
+    ranks = {v.rank for v in values}
+    if len(ranks) != 1:
+        raise StructureError(f"node products differ in rank: {sorted(ranks)}")
+    (rank,) = ranks
+    return [
+        TensorOperator._from_kernel(terms, rank=rank, laurent=True)
+        for terms in _combine([v.terms for v in values], rows)
+    ]

@@ -135,6 +135,23 @@ def test_quartic_index_out_of_range_names_the_index(capsys):
         check_eq_quartic(4, i_list=[3])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # index 0 is an index given, not an absent one
+        (("eq-quartic", "--n", "4", "--i", "0"), "index 0 out of range 1..2"),
+        (("eq-cubic", "--n", "3", "--i", "0", "--j", "1"), "index 0 out of range 1..3"),
+        # one index of a pair does not select a pair
+        (("eq-cubic", "--n", "3", "--i", "1"), "eq-cubic needs both --i and --j"),
+        (("eq-cubic", "--n", "3", "--j", "2"), "eq-cubic needs both --i and --j"),
+    ],
+)
+def test_identity_index_flags_are_read_as_given(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert message in err and "Traceback" not in err
+
+
 def test_simplicity_under_an_empty_generator_set_exits_2(capsys):
     # at rank 1 there is no L[i,j], and a set that cannot act gives no
     # evidence either way; a closure under it is no verdict and still runs

@@ -16,12 +16,9 @@ from weylmod.suites import check_iota_hom
 from weylmod.tensorop import (
     SPECIAL_KINDS,
     TensorOperator,
-    _combine,
-    _scaled,
     cubic_identity_residual,
     interpolate_coefficients,
     iota_hom_residual,
-    node_combination,
     quartic_identity_residual,
     shen_iota,
     special_operator,
@@ -277,17 +274,6 @@ def test_a_wrong_normal_ordering_rule_fails_the_checks():
 
 
 @PROPERTY
-@given(valued_nodes(), st.data())
-def test_node_combination_matches_fraction_oracle(case, data):
-    nodes, values = case
-    products = dict(zip(nodes, values))
-    weights = {m: data.draw(st.one_of(st.just(0), coeffs)) for m in nodes}
-    out = node_combination(products, weights)
-    assert out == oracles.node_combination(products, weights)
-    assert out.laurent
-
-
-@PROPERTY
 @given(valued_nodes())
 def test_interpolation_matches_fraction_oracle(case):
     nodes, values = case
@@ -324,9 +310,6 @@ def test_combination_rank_mismatch(case, extra):
     values = [*values[:-1], odd]
     with pytest.raises(StructureError):
         interpolate_coefficients(values, nodes)
-    products = dict(zip(nodes, values))
-    with pytest.raises(StructureError):
-        node_combination(products, {m: 1 for m in nodes})
 
 
 @PROPERTY
@@ -358,10 +341,10 @@ def _assert_well_formed(op):
 def test_kernel_built_operators_pass_the_public_checks(n, data):
     a, b = data.draw(operators(n)), data.draw(operators(n))
     x, y = data.draw(fields(n)), data.draw(fields(n))
-    weights = [data.draw(st.one_of(st.just(0), coeffs)) for _ in range(2)]
+    nodes = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
     built = [a * b, b * a, a + b, a - b, a - a, -a, shen_iota(x), shen_iota(y),
              shen_iota(x) * shen_iota(y), iota_hom_residual(x, y),
-             *_combine([a, b], [_scaled(weights), _scaled([1, -1])])]
+             *interpolate_coefficients([a, b], nodes)]
     # the special operators need three coordinates
     rank = data.draw(st.integers(3, 5))
     alpha = tuple(data.draw(st.integers(-3, 4)) for _ in range(rank))

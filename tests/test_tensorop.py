@@ -722,21 +722,6 @@ def test_residual_templates_on_a_wider_window(data):
     assert residual(alpha, *args) == oracle(alpha, *args)
 
 
-def test_every_residual_template_has_no_rows():
-    # the all-alpha certificate: evaluation keeps distinct rows distinct,
-    # so a template with no rows is a residual that is zero at every alpha,
-    # and the node product has degree 3 (cubic) or 4 (quartic) in m, below
-    # the node count, so the weights read its m^3 coefficient
-    tensorop._residual_template.cache_clear()
-    cases = [("cubic", n, i, j, 3) for n in range(2, 6)
-             for i, j in itertools.permutations(range(1, n + 1), 2)]
-    cases += [("quartic", n, i, i + 2, 4) for n in range(3, 6) for i in range(1, n - 1)]
-    for kind, n, i, j, degree in cases:
-        template, got = tensorop._residual_template(kind, n, i, j)
-        assert template[1] == () and got == degree, (kind, n, i, j)
-    assert len(cases) == tensorop._residual_template.cache_info().currsize == 46
-
-
 def _raised(fn, *args):
     with pytest.raises(Exception) as info:
         fn(*args)
@@ -803,16 +788,12 @@ def test_inexact_nodes_and_weights_are_refused():
          "interpolation node 0.0 is not an int or a Fraction"),
         (interpolation_matrix, ((True, 2),),
          "interpolation node True is not an int or a Fraction"),
-        (tensorop.node_combination, ({0: op}, {0: 0.5}),
-         "weight 0.5 at node 0 is not an int or a Fraction"),
-        (tensorop.node_combination, ({0: op}, {1: 1}), "no product at node 1"),
     ]
     for fn, args, message in cases:
         assert _raised(fn, *args) == (ArgumentError, message)
-    # int and Fraction nodes and weights keep working
+    # int and Fraction nodes keep working
     half = Fraction(1, 2)
     assert interpolate_coefficients([op, op], [half, 1])[1].is_zero()
-    assert tensorop.node_combination({half: op, 2: op}, {half: half, 2: 1}) == op * Fraction(3, 2)
 
 
 def test_templates_are_built_on_first_use_only():
