@@ -226,10 +226,25 @@ def _suite_options(args):
     }
 
 
+# the flags without a default, and the suites that read each: any other
+# suite would ignore it, so it is refused there
+_FLAG_READERS = {
+    "deg": ("iota-hom", "all"),
+    "alpha_window": ("eq-cubic", "eq-quartic"),
+    "i": ("eq-cubic", "eq-quartic"),
+    "j": ("eq-cubic",),
+    "seed": ("derham", "all"),
+}
+
+
 def cmd_verify(args) -> int:
     n = args.n
     if n < 2:
         raise ArgumentError("rank must be at least 2")
+    for dest, readers in _FLAG_READERS.items():
+        if getattr(args, dest) is not None and args.suite not in readers:
+            flag = "--" + dest.replace("_", "-")
+            raise ArgumentError(f"verify {args.suite} does not read {flag}")
     if args.suite == "all":
         # the sizes are all's own; --lambda and --margin pass through
         shift, margin = args.lam, args.margin

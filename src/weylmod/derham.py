@@ -18,6 +18,7 @@ every integer alpha and every P at that (n, i, r).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 
 from .errors import ArgumentError
@@ -50,22 +51,20 @@ def wedge_degree(M: SLModule) -> int:
 
 @lru_cache(maxsize=16)
 def _derham_table(n: int, r: int):
-    """The de Rham map from degree r in the table format of
-    ``weightmod._action_table``: per source label, one entry
-    (0, e_l, {target label: sign}, 1) per l outside the label, for the term
-    d_l p (x) e_l wedge v, the sign moving e_l to its sorted place.  Built
-    once per (n, r) and shared: treat it as read-only."""
+    """The de Rham map from degree r as an ``weightmod._action_table`` term
+    map: one entry ((0, e_l), (source label, target label)): sign per
+    source label and l outside it, for the term d_l p (x) e_l wedge v, the
+    sign moving e_l to its sorted place.  Built once per (n, r) and shared:
+    treat it as read-only."""
     index = {lab: pos for pos, lab in enumerate(wedge_module(n, r + 1).labels)}
     zero = mi_zero(n)
-    table = []
-    for label in wedge_module(n, r).labels:
-        entries = []
+    table = {}
+    for src, label in enumerate(wedge_module(n, r).labels):
         for l in range(1, n + 1):
             hit = wedge_insert(l, label)
             if hit is not None:
                 sign, dst = hit
-                entries.append((zero, mi_unit(l, n), {index[dst]: sign}, 1))
-        table.append(entries)
+                table[((zero, mi_unit(l, n)), (src, index[dst]))] = sign
     return table
 
 
@@ -283,17 +282,17 @@ def _failing_sources(P, table, sources):
 
     Every image term is keyed by its source as well, so one accumulation
     serves the whole list: a source fails exactly when one of its image
-    terms survives.  A source whose integer row is empty is killed on every
-    key and costs nothing, and when every row is empty nothing is walked.
+    terms survives.  A source without an integer row is killed on every
+    key and costs nothing, and when there are no rows nothing is walked.
     """
     rows, _ = _integer_rows(P, table)
-    if not any(rows):
+    if not rows:
         return set()
 
     def images():
         for key, midxs in sources:
             for midx in midxs:
-                row = rows[midx]
+                row = rows.get(midx)
                 if row:
                     for lab, c in _row_image(P, key, row):
                         yield (key, midx, lab), c
@@ -302,19 +301,21 @@ def _failing_sources(P, table, sources):
 
 
 def _after_derham(table, n: int, r: int):
-    """The table of an operator on degree r composed after the de Rham map
-    from degree r - 1, per source label.  The map only appends a derivative
-    factor on the right, so the two-step action equals the action of the
-    composed monomials exactly."""
-    return [
-        [
-            (t_exp, tuple(g + u for g, u in zip(d_exp, d_l)), mvec, c * sign)
-            for _, d_l, pvec, _ in entries
-            for dst, sign in pvec.items()
-            for t_exp, d_exp, mvec, c in table[dst]
-        ]
-        for entries in _derham_table(n, r - 1)
-    ]
+    """The term map of an operator on degree r composed after the de Rham
+    map from degree r - 1.  The map only appends a derivative factor on the
+    right, so the two-step action equals the action of the composed
+    monomials exactly."""
+    by_src = {}
+    for (mono, (src, dst)), c in table.items():
+        by_src.setdefault(src, []).append((mono, dst, c))
+    return accumulate(
+        {},
+        (
+            (((t_exp, tuple(map(add, d_exp, d_l))), (src, dst)), c * sign)
+            for ((_, d_l), (src, mid)), sign in _derham_table(n, r - 1).items()
+            for (t_exp, d_exp), dst, c in by_src.get(mid, ())
+        ),
+    )
 
 
 def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
@@ -347,43 +348,20 @@ def _lemma_template(check: str, n: int, i: int, r: int):
     kernels on the n symbols of ``terms.Poly``: g - u through
     ``_action_table`` (check "g-equals-u"), or h through ``_action_table``
     after the de Rham map from degree r - 1 (``_after_derham``, check
-    "h-annihilates").  The entries are merged per (source index, Weyl
-    monomial, target index) and kept as ``tensorop._template`` over the
-    base alpha, the pair (source index, target index) as its tag.
+    "h-annihilates").  The table is kept as ``tensorop._template`` over the
+    base alpha, its (source index, target index) pairs as the tags.
 
     Evaluation at alpha is a ring map that keeps distinct rows distinct, so
-    the table at alpha is that of the per-alpha operator, entry by entry
-    after merging, which is all ``_integer_rows`` reads.  No rows prove
-    the lemma for every integer alpha and every P at (n, i, r).
+    ``_evaluated`` at alpha is the table of the per-alpha operator.  No rows
+    prove the lemma for every integer alpha and every P at (n, i, r).
     """
     alpha = Poly.symbols(n)
     wedge = wedge_module(n, r)
     if check == "g-equals-u":
         op = _special_operator("g", alpha, i) - _special_operator("u", alpha, i)
-        table = _action_table(op, wedge)
-    else:
-        table = _after_derham(_action_table(_special_operator("h", alpha, i), wedge), n, r)
-    merged = accumulate(
-        {},
-        (
-            (((t_exp, d_exp), (src, dst)), c * mc)
-            for src, entries in enumerate(table)
-            for t_exp, d_exp, mvec, c in entries
-            for dst, mc in mvec.items()
-        ),
-    )
-    return _template(merged, alpha)
-
-
-def _lemma_table(check: str, alpha, i: int, r: int, size: int):
-    """The ``_action_table`` of a lemma's operator at alpha, over ``size``
-    source indices, read off ``_lemma_template``: one entry
-    (t_exp, d_exp, {dst: coeff}, 1) per term."""
-    table = [[] for _ in range(size)]
-    terms = _evaluated(_lemma_template(check, len(alpha), i, r), alpha, alpha)
-    for ((t_exp, d_exp), (src, dst)), c in terms.items():
-        table[src].append((t_exp, d_exp, {dst: c}, 1))
-    return table
+        return _template(_action_table(op, wedge), alpha)
+    table = _action_table(_special_operator("h", alpha, i), wedge)
+    return _template(_after_derham(table, n, r), alpha)
 
 
 def _lemma_args(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox) -> tuple:
@@ -415,7 +393,7 @@ def _verify_lemma(check: str, alpha, i: int, P: WeightModuleP, r: int,
     alpha = _lemma_args(alpha, i, P, r, key_box)
     offset = _SOURCE_OFFSET[check]
     source = wedge_module(P.rank, r - offset)
-    table = _lemma_table(check, alpha, i, r, source.dim)
+    table = _evaluated(_lemma_template(check, P.rank, i, r), alpha, alpha)
     sources, checked = _lemma_sources(P, r - offset, key_box, bool(offset))
     return _lemma_report(check, alpha, i, P, r, table, sources, checked, source.labels)
 

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 from .derham import (
+    ambient_labels,
     partial_span,
     pi,
     pi_kernel,
@@ -364,15 +365,8 @@ def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
         bound = math.comb(n, r)
         for name, P in standard_profiles(n, shift).items():
             for mu in itertools.product(range(-radius, radius + 1), repeat=n):
-                count = sum(
-                    1
-                    for midx in range(M.dim)
-                    if P.supports_key(
-                        tuple(m - wt for m, wt in zip(mu, M.weights[midx]))
-                    )
-                )
                 checked += 1
-                if count > bound:
+                if len(ambient_labels(P, M, mu)) > bound:
                     failures.append({"profile": name, "r": r, "mu": list(mu)})
     return _record("bounded-multiplicity", {"n": n, "radius": radius}, checked, failures)
 

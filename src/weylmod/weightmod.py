@@ -231,12 +231,6 @@ class SLModule:
     def dim(self) -> int:
         return len(self.labels)
 
-    def apply_gen(self, i: int, j: int, vec: dict) -> dict:
-        cols = self.matrices[(i, j)]
-        return accumulate(
-            {}, ((dst, c * m) for src, c in vec.items() for dst, m in cols[src])
-        )
-
     def apply_pbw(self, pmono, vec: dict) -> dict:
         """Apply a PBW monomial, rightmost factor first.
 
@@ -408,7 +402,7 @@ def _lowering_closure(psi, n: int) -> SLModule:
     while queue:
         vec = queue.pop()
         for i in range(1, n):
-            low = ambient.apply_gen(i + 1, i, vec)
+            low = ambient.apply_pbw((((i + 1, i), 1),), vec)
             if not low:
                 continue
             w = _common_weight(ambient, low)
@@ -436,7 +430,7 @@ def _lowering_closure(psi, n: int) -> SLModule:
             cols = [[] for _ in flat_rows]
             for src, row in enumerate(flat_rows):
                 vec = {idx: c for idx, c in enumerate(row) if c != 0}
-                image = ambient.apply_gen(i, j, vec)
+                image = ambient.apply_pbw((((i, j), 1),), vec)
                 if not image:
                     continue
                 w = _common_weight(ambient, image)
@@ -541,79 +535,60 @@ def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False
 
 
 # Every operator on F(P, M) goes through one pipeline: ``_action_table``
-# applies the U(gl_n) part once per (term, m-index), ``_integer_rows``
-# merges the entries per Weyl monomial over one common denominator,
-# ``_row_image`` evaluates a row on a key in ints, and ``_block_columns``
-# gathers those images over a whole weight block.
+# tabulates it as a term map with the U(gl_n) part applied once per
+# (term, m-index), ``_integer_rows`` scales that map to ints over one common
+# denominator, ``_row_image`` evaluates a row on a key in ints, and
+# ``_block_columns`` gathers those images over a whole weight block.
 
 
 def _action_table(op: TensorOperator, M: SLModule, midxs=None):
-    """Per m-index list of (t_exp, d_exp, m-image, coeff): the action of op
-    on F(P, M) with the PBW part applied once per term.
-
-    Only the m-indices in ``midxs`` (default all) get entries; the others
-    get an empty list.
+    """The action of op on F(P, M) as a term map
+    {((t_exp, d_exp), (src, dst)): coeff}, coeff being that of
+    t^t_exp d^d_exp (x) (basis vector src of M -> basis vector dst),
+    collected by ``accumulate``: the entries of one Weyl monomial and index
+    pair are merged and those that cancel are gone.  The PBW part is
+    applied once per (term, src), for the m-indices src in ``midxs``
+    (default all).
     """
-    table = []
-    for midx in range(M.dim):
-        entries = []
-        if midxs is None or midx in midxs:
-            for ((t_exp, d_exp), pmono), c in op.terms.items():
-                mvec = M.apply_pbw(pmono, {midx: 1})
-                if mvec:
-                    entries.append((t_exp, d_exp, mvec, c))
-        table.append(entries)
-    return table
+    srcs = range(M.dim) if midxs is None else midxs
+    return accumulate(
+        {},
+        (
+            ((mono, (src, dst)), c * mc)
+            for (mono, pmono), c in op.terms.items()
+            for src in srcs
+            for dst, mc in M.apply_pbw(pmono, {src: 1}).items()
+        ),
+    )
 
 
 def _integer_rows(module_p: WeightModuleP, table):
-    """(rows, den): the table as integer rows over one common denominator.
+    """(rows, den): an ``_action_table`` term map as integer rows over one
+    common denominator.
 
-    ``rows[midx]`` lists (t_exp, d_exp, {dst: coeff}): the entries of one
-    Weyl monomial summed, and the monomials whose sum cancels dropped (a
-    monomial sends a key to the same key and coefficient whatever entry it
-    comes from).  Each coeff is the exact sum times den / prod_l q_l^(g_l),
-    den being the lcm over the table, so coeff times the numerator from
+    ``rows[src]`` is a tuple of ((t_exp, d_exp), {dst: coeff}) pairs, one
+    per Weyl monomial with an entry from src; a source with no entry has no
+    row.  Each coeff is the table's times den / prod_l q_l^(g_l), den being
+    the lcm over the table, so coeff times the numerator from
     ``_scaled_monomial_on_key`` is den times the exact image coefficient.
     """
     qs = [q for _, q, _ in module_p.lines]
-    merged = []
-    den = 1
-    for entries in table:
-        by_mono = {}
-        for t_exp, d_exp, mvec, c in entries:
-            accumulate(
-                by_mono.setdefault((t_exp, d_exp), {}),
-                ((dst, c * mc) for dst, mc in mvec.items()),
-            )
-        row = []
-        for (t_exp, d_exp), terms in by_mono.items():
-            if terms:
-                q_g = prod(q**g for q, g in zip(qs, d_exp))
-                den = lcm(den, *(q_g * c.denominator for c in terms.values()))
-                row.append((t_exp, d_exp, q_g, terms))
-        merged.append(row)
-    rows = [
-        [
-            (
-                t_exp,
-                d_exp,
-                {
-                    dst: c.numerator * (den // q_g) // c.denominator
-                    for dst, c in terms.items()
-                },
-            )
-            for t_exp, d_exp, q_g, terms in row
-        ]
-        for row in merged
+    entries = [
+        (src, mono, dst, c, prod(q**g for q, g in zip(qs, mono[1])))
+        for (mono, (src, dst)), c in table.items()
     ]
-    return rows, den
+    den = lcm(*(q_g * c.denominator for *_, c, q_g in entries))
+    rows = {}
+    for src, mono, dst, c, q_g in entries:
+        scaled = c.numerator * (den // q_g) // c.denominator
+        rows.setdefault(src, {}).setdefault(mono, {})[dst] = scaled
+    return {src: tuple(row.items()) for src, row in rows.items()}, den
 
 
 def _row_image(module_p: WeightModuleP, key, row):
     """((new key, dst), coeff) terms of one integer row on the basis vector
     at key; their sum is den times the image of that basis vector."""
-    for t_exp, d_exp, terms in row:
+    for (t_exp, d_exp), terms in row:
         hit = _scaled_monomial_on_key(module_p, key, t_exp, d_exp)
         if hit is not None:
             num, new_key = hit
@@ -630,7 +605,7 @@ def _block_columns(module_p: WeightModuleP, rows, labels, slots):
     cols = []
     for key, midx in labels:
         col = []
-        for lab, c in accumulate({}, _row_image(module_p, key, rows[midx])).items():
+        for lab, c in accumulate({}, _row_image(module_p, key, rows.get(midx, ()))).items():
             pos = slots.get(lab)
             if pos is None:
                 raise StructureError("generator action left its weight block")
@@ -649,7 +624,7 @@ def _rows_on_terms(module_m: SLModule, rows, den, w: FVector) -> FVector:
         (
             (lab, cv * c)
             for (key, midx), cv in w.terms.items()
-            for lab, c in _row_image(module_p, key, rows[midx])
+            for lab, c in _row_image(module_p, key, rows.get(midx, ()))
         ),
     )
     if den != 1:

@@ -35,18 +35,21 @@ def basis_vector(P, key):
 def check_commutators(M):
     """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on every basis vector
     of the gl_n-module M."""
+    def act(i, j, vec):
+        return M.apply_pbw((((i, j), 1),), vec)
+
     idx = range(1, M.rank + 1)
     for i, j, k, l in itertools.product(idx, repeat=4):
         for src in range(M.dim):
             vec = {src: 1}
-            lhs = M.apply_gen(i, j, M.apply_gen(k, l, vec))
-            swapped = M.apply_gen(k, l, M.apply_gen(i, j, vec))
+            lhs = act(i, j, act(k, l, vec))
+            swapped = act(k, l, act(i, j, vec))
             accumulate(lhs, ((d, -c) for d, c in swapped.items()))
             rhs = {}
             if j == k:
-                accumulate(rhs, M.apply_gen(i, l, vec).items())
+                accumulate(rhs, act(i, l, vec).items())
             if l == i:
-                negated = M.apply_gen(k, j, vec)
+                negated = act(k, j, vec)
                 accumulate(rhs, ((d, -c) for d, c in negated.items()))
             if lhs != rhs:
                 return False

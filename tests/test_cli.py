@@ -152,6 +152,23 @@ def test_identity_index_flags_are_read_as_given(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eq-quartic", "--n", "4", "--j", "3"), "--j"),
+        (("iota-hom", "--n", "2", "--i", "1"), "--i"),
+        (("all", "--n", "2", "--alpha-window=0..1"), "--alpha-window"),
+        (("derham", "--n", "2", "--deg", "2"), "--deg"),
+    ],
+)
+def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
+    # a flag without a default that the suite would ignore is refused, so
+    # a report never looks as if it honoured it
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert f"verify {argv[0]} does not read {flag}" in err and "Traceback" not in err
+
+
 def test_simplicity_under_an_empty_generator_set_exits_2(capsys):
     # at rank 1 there is no L[i,j], and a set that cannot act gives no
     # evidence either way; a closure under it is no verdict and still runs

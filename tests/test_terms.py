@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylmod.cli import main
-from weylmod.derham import pi, pi_image
+from weylmod.derham import _after_derham, pi, pi_image
 from weylmod.errors import StructureError
 from weylmod.exprparse import VectorLiteral
-from weylmod.indices import TruncationBox
+from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator
@@ -28,7 +28,14 @@ from weylmod.ugl import (
     _seq_from_mono,
     pbw_product,
 )
-from weylmod.weightmod import FVector, WeightModuleP, make_wedge_module, tensor_act
+from weylmod.weightmod import (
+    FVector,
+    WeightModuleP,
+    _action_table,
+    make_hw_module,
+    make_wedge_module,
+    tensor_act,
+)
 from weylmod.weyl import WeylElement
 
 DATA = Path(__file__).parent / "data"
@@ -250,6 +257,44 @@ def test_tensor_product_is_associative():
         for _ in range(4):
             a, b, c = (random_tensor(rng, n, 2, laurent) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+def _table_sum(a, b):
+    return accumulate(dict(a), b.items())
+
+
+def test_action_tables_add_like_their_operators():
+    # an action table is a term map: the table of S + T is the collected
+    # sum of the two tables on wedge and highest-weight modules, and so is
+    # the table after the de Rham map; the pair (S, T - S) makes the terms
+    # of S cancel in the sum.  The terms share two Weyl monomials t^b d_1
+    # and t^b d_2, so entries of distinct PBW monomials meet at one key of
+    # a table, and d_2 after t^b d_1 meets d_1 after t^b d_2
+    rng = random.Random(29)
+    n = 3
+    wedges = [make_wedge_module(n, r) for r in range(n + 1)]
+    modules = wedges + [make_hw_module(psi, n) for psi in ((1, 1), (2, 0))]
+    composed = 0
+    for _ in range(6):
+        t_exp = random_weyl_monomial(rng, n)[0]
+        monos = [(t_exp, mi_unit(l, n)) for l in (1, 2)]
+        S, T = (
+            TensorOperator(n, {
+                (rng.choice(monos), random_pbw_monomial(rng, n)): random_coeff(rng)
+                for _ in range(4)
+            })
+            for _ in range(2)
+        )
+        for A, B in ((S, T), (S, T - S)):
+            for M in modules:
+                tables = [_action_table(op, M) for op in (A, B)]
+                assert _action_table(A + B, M) == _table_sum(*tables), M
+            for r in range(1, n + 1):
+                tables = [_after_derham(_action_table(op, wedges[r]), n, r) for op in (A, B)]
+                total = _after_derham(_action_table(A + B, wedges[r]), n, r)
+                assert total == _table_sum(*tables), r
+                composed += bool(total)
+    assert composed
 
 
 @st.composite

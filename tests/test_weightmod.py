@@ -218,10 +218,10 @@ def test_fourier_consistency_of_twisted_module():
 def test_wedge_module_examples():
     M = make_wedge_module(3, 2)
     idx = M.labels.index((2, 3))
-    out = M.apply_gen(1, 2, {idx: 1})
+    out = M.apply_pbw((((1, 2), 1),), {idx: 1})
     assert out == {M.labels.index((1, 3)): 1}
     idx13 = M.labels.index((1, 3))
-    assert M.apply_gen(1, 2, {idx13: 1}) == {}
+    assert M.apply_pbw((((1, 2), 1),), {idx13: 1}) == {}
     for n in range(2, 5):
         for r in range(n + 1):
             W = make_wedge_module(n, r)
@@ -234,7 +234,7 @@ def test_wedge_module_examples():
 def test_wedge_sign():
     M = make_wedge_module(3, 2)
     # E_31 on e_1 ^ e_2 = e_3 ^ e_2 = -(e_2 ^ e_3)
-    out = M.apply_gen(3, 1, {M.labels.index((1, 2)): 1})
+    out = M.apply_pbw((((3, 1), 1),), {M.labels.index((1, 2)): 1})
     assert out == {M.labels.index((2, 3)): -1}
 
 
