@@ -226,14 +226,25 @@ def _suite_options(args):
     }
 
 
-# the flags without a default, and the suites that read each: any other
-# suite would ignore it, so it is refused there
+# the flags that some suite does not read, each parsed with default None,
+# and the suites that read it: any other suite would ignore it, so it is
+# refused there
 _FLAG_READERS = {
     "deg": ("iota-hom", "all"),
     "alpha_window": ("eq-cubic", "eq-quartic"),
     "i": ("eq-cubic", "eq-quartic"),
     "j": ("eq-cubic",),
     "seed": ("derham", "all"),
+    "count": ("derham",),
+    "delta_window": ("g-u", "h-ln"),
+    "key_radius": ("g-u", "h-ln"),
+    "margin": ("unique-submodule", "delta-p", "all"),
+    "lam": ("g-u", "h-ln", "derham", "delta-p", "bounded", "all"),
+}
+
+# the defaults of those flags that have one, filled in once they are checked
+_FLAG_DEFAULTS = {
+    "count": 100, "delta_window": 2, "key_radius": 3, "margin": 2, "lam": DEFAULT_SHIFT,
 }
 
 
@@ -243,8 +254,11 @@ def cmd_verify(args) -> int:
         raise ArgumentError("rank must be at least 2")
     for dest, readers in _FLAG_READERS.items():
         if getattr(args, dest) is not None and args.suite not in readers:
-            flag = "--" + dest.replace("_", "-")
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
             raise ArgumentError(f"verify {args.suite} does not read {flag}")
+    for dest, default in _FLAG_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.suite == "all":
         # the sizes are all's own; --lambda and --margin pass through
         shift, margin = args.lam, args.margin
@@ -416,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha-window", default=None, help="e.g. --alpha-window=-2..3")
     v.add_argument("--i", type=int, default=None)
     v.add_argument("--j", type=int, default=None)
-    v.add_argument("--delta-window", type=int, default=2)
-    v.add_argument("--key-radius", type=int, default=3)
-    v.add_argument("--count", type=int, default=100)
-    v.add_argument("--margin", type=int, default=2)
+    v.add_argument("--delta-window", type=int, default=None)
+    v.add_argument("--key-radius", type=int, default=None)
+    v.add_argument("--count", type=int, default=None)
+    v.add_argument("--margin", type=int, default=None)
     v.add_argument("--seed", type=int, default=None,
                    help="override SHENWEYL_SEED for sampled checks")
-    v.add_argument("--lambda", dest="lam", type=parse_rational, default=DEFAULT_SHIFT,
+    v.add_argument("--lambda", dest="lam", type=parse_rational, default=None,
                    help="shift for Laurent factors in the standard profiles")
     v.set_defaults(fn=cmd_verify)
 

@@ -189,11 +189,12 @@ class ClosureReport:
     read, since most callers only read ``reached_target``.
     """
 
-    def __init__(self, box, blocks, labels, target_dims=None, reached_target=None,
-                 applications=0):
+    def __init__(self, box, blocks, engine, bound=None, target_dims=None,
+                 reached_target=None, applications=0):
         self.box = box
         self._blocks = blocks
-        self._labels = labels
+        self._engine = engine
+        self._bound = bound
         self.target_dims = target_dims
         self.reached_target = reached_target
         self.applications = applications
@@ -205,7 +206,7 @@ class ClosureReport:
 
     @cached_property
     def ambient_dims(self):
-        return {w: len(labels) for w, labels in self._labels.items()}
+        return {w: len(labels) for w, labels in self._engine.ambient.labels.items()}
 
     @cached_property
     def classification(self) -> str:
@@ -223,11 +224,7 @@ class ClosureReport:
     def first_unreached(self):
         if self.target_dims is None or self.reached_target:
             return None
-        blocks = self._blocks
-        for w in sorted(self.target_dims):
-            if (blocks[w].dim if w in blocks else 0) < self.target_dims[w]:
-                return w
-        return None
+        return _first_short(self._blocks, self.target_dims)
 
     def to_json_obj(self):
         obj = {
@@ -253,7 +250,7 @@ class ClosureReport:
 
 def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             _mod: GradedSubspace | None = None, _bound: GradedSubspace | None = None,
-            _certified=None) -> ClosureReport:
+            _settled=None) -> ClosureReport:
     """Least in-box subspace containing the seeds and closed under the
     generators whose application stays inside the outer box.
 
@@ -273,11 +270,22 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     itself trusts the bound to be closed, so only exact submodules
     (``pi_image``, ``partial_span``) are passed.
 
-    The private ``_certified`` maps a weight to seed vectors (integer block
-    coordinates, reduced modulo ``_mod``) whose closures reached
-    ``target_dims``.  The least fixed point that contains one of them
-    contains its closure as well, so the closure counts as reached and
-    stops once a block it grows contains one.
+    The private ``_settled`` maps a weight to (seed, report) pairs of
+    earlier closures: the seed's integer block coordinates, reduced modulo
+    ``_mod``, and its closure's report.  Write C(s) for the least fixed
+    point containing s.  Once a growing block contains a settled seed s1,
+    C(s1) lies in the closure, so the search stops there:
+
+    - if s1's report reached the same ``target_dims``, so does this
+      closure, which counts as reached (a certificate);
+    - if s1's report ran to its fixed point over the same engine, under the
+      same ``_bound`` unless this closure has none (so the tripwire has
+      checked its blocks), and its blocks contain every seed, then the
+      closure lies in C(s1) as well: it is C(s1), and the report returns
+      those blocks, with the same dims and ``first_unreached``.
+
+    A report that stopped early exposes only ``reached_target``; it is
+    never reused as a fixed point.
     """
     seeds = list(seeds)
     if not seeds:
@@ -293,22 +301,36 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         # a window weight without a block has room 0
         room = dict.fromkeys(labels, 0)
         room.update((w, block.dim) for w, block in _bound.blocks.items())
-    certified = _certified or {}
+    settled = _settled or {}
     blocks: dict = {}
     queue: deque = deque()
     deficit = sum(target_dims.values()) if target_dims else None
-    hit_certificate = False
+    done = deficit == 0
+    settler = None  # the settled report that settles this closure
+    parts = []  # (weight, dense) of every seed, reduced modulo _mod
+
+    def reduced(w, dense):
+        # a weight without a block in mod has dimension 0 there
+        block = _mod.blocks.get(w) if _mod is not None else None
+        return block.reduce(dense) if block is not None else dense
+
+    def settles(report):
+        if report._engine is not engine:
+            return False
+        if report.reached_target:
+            return report.target_dims == target_dims
+        if _bound is not None and report._bound is not _bound:
+            return False
+        held = report._blocks
+        return all(held[w].contains(dense) if w in held else not any(dense)
+                   for w, dense in parts)
 
     def insert(w, dense):
-        nonlocal deficit, hit_certificate
+        # dense is already reduced modulo _mod
+        nonlocal deficit, done, settler
         basis = blocks.get(w)
         if basis is None:
             basis = blocks[w] = RowBasis(len(labels[w]))
-        # a weight without a block in mod or _bound has dimension 0 there
-        if _mod is not None:
-            block = _mod.blocks.get(w)
-            if block is not None:
-                dense = block.reduce(dense)
         before = basis.dim
         if not basis.insert(dense):
             return
@@ -319,20 +341,23 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         room[w] -= 1
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1
-        if w in certified and any(basis.contains(c) for c in certified[w]):
-            hit_certificate = True
+            done = not deficit
+        if not done:
+            for seed, report in settled.get(w, ()):
+                if basis.contains(seed) and settles(report):
+                    done, settler = True, report
+                    break
         queue.append((w, dense))
 
     for seed in seeds:
-        parts = engine.ambient.to_dense(seed)
-        if parts is None:
+        split = engine.ambient.to_dense(seed)
+        if split is None:
             raise ArgumentError("seed is not a vector of the box window")
-        for w, dense in parts.items():
-            insert(w, clear_denominators(dense))
+        parts += ((w, reduced(w, clear_denominators(d))) for w, d in split.items())
+    for w, dense in parts:
+        insert(w, dense)
     applications = 0
-    while queue:
-        if target_dims is not None and (deficit == 0 or hit_certificate):
-            break
+    while queue and not done:
         w, vec = queue.popleft()
         support = [pos for pos, c in enumerate(vec) if c != 0]
         for gi, target in engine.moves(w):
@@ -346,14 +371,29 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                     dense[dst] += x * m
             applications += 1
             if any(dense):
-                insert(target, dense)
+                insert(target, reduced(target, dense))
+                if done:
+                    break
     reached = None
-    if target_dims is not None:
-        reached = hit_certificate or not deficit
+    if settler is not None and not settler.reached_target:
+        # the closure is the settler's fixed point
+        blocks = settler._blocks
+        if target_dims is not None:
+            reached = _first_short(blocks, target_dims) is None
+    elif target_dims is not None:
+        reached = settler is not None or not deficit
     return ClosureReport(
-        box, blocks, labels,
+        box, blocks, engine, _bound,
         target_dims=target_dims, reached_target=reached, applications=applications,
     )
+
+
+def _first_short(blocks, target_dims):
+    """The least target weight whose block is below its target, or None."""
+    for w in sorted(target_dims):
+        if (blocks[w].dim if w in blocks else 0) < target_dims[w]:
+            return w
+    return None
 
 
 def _classify(box, dims, ambient) -> str:
@@ -392,9 +432,15 @@ def evidence_simplicity(
     of ``sub``, closed with ``sub`` as their bound, and, where the ambient
     is the whole module, by the basis vectors outside ``mod`` that complete
     them: the image rows are the seeds that expose non-simplicity, since
-    their closures stay inside the image.  A seed whose closure reached the
-    target certifies every later closure that comes to contain it (see
-    ``closure``).
+    their closures stay inside the image.
+
+    Every closure settles later ones (``closure``'s ``_settled``): a seed
+    whose closure reached the target certifies every later closure that
+    comes to contain it, and a later seed that lies in an earlier FAIL
+    closure C(s1) has C(s1) itself as its closure once its search comes to
+    contain s1, since then each closure contains the other.  The image rows
+    of F(P, wedge^r) nearly always close to one subspace, so all but the
+    first stop early and report that closure's dims.
     """
     n = module_p.rank
     if gens is None:
@@ -452,11 +498,11 @@ def evidence_simplicity(
                 seeds.append((FVector.basis(module_p, module_m, key, midx), w, pos, None))
     results = []
     overall = True
-    certified = {}  # weight -> seeds whose closures reached the target
+    settled = {}  # weight -> (seed, report) of every earlier closure
     for seed, w, pos, bound in seeds:
         report = closure(
             [seed], gens, box, target_dims=target,
-            _mod=mod, _bound=bound, _certified=certified,
+            _mod=mod, _bound=bound, _settled=settled,
         )
         ok = bool(report.reached_target)
         overall = overall and ok
@@ -464,13 +510,12 @@ def evidence_simplicity(
         if ambient == "F":
             entry["kind"] = "basis" if bound is None else "submodule-row"
         entry["pass"] = ok
-        if ok:
-            # every seed lies in the one weight block w
-            dense = clear_denominators(engine.ambient.to_dense(seed)[w])
-            if mod is not None:
-                dense = mod.blocks[w].reduce(dense)
-            certified.setdefault(w, []).append(dense)
-        else:
+        # every seed lies in the one weight block w
+        dense = clear_denominators(engine.ambient.to_dense(seed)[w])
+        if mod is not None:
+            dense = mod.blocks[w].reduce(dense)
+        settled.setdefault(w, []).append((dense, report))
+        if not ok:
             first = report.first_unreached()
             entry["firstUnreached"] = list(first) if first else None
             entry["closureDims"] = report.total_dim()

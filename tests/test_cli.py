@@ -159,11 +159,17 @@ def test_identity_index_flags_are_read_as_given(capsys, argv, message):
         (("iota-hom", "--n", "2", "--i", "1"), "--i"),
         (("all", "--n", "2", "--alpha-window=0..1"), "--alpha-window"),
         (("derham", "--n", "2", "--deg", "2"), "--deg"),
+        # flags with a default are refused the same way
+        (("iota-hom", "--n", "2", "--count", "5"), "--count"),
+        (("eq-cubic", "--n", "2", "--key-radius", "9"), "--key-radius"),
+        (("derham", "--n", "2", "--delta-window", "1"), "--delta-window"),
+        (("bounded", "--n", "2", "--margin", "1"), "--margin"),
+        (("unique-submodule", "--n", "2", "--lambda", "1/3"), "--lambda"),
     ],
 )
 def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
-    # a flag without a default that the suite would ignore is refused, so
-    # a report never looks as if it honoured it
+    # a flag that the suite would ignore is refused, so a report never
+    # looks as if it honoured it
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and not out
     assert f"verify {argv[0]} does not read {flag}" in err and "Traceback" not in err

@@ -464,14 +464,15 @@ PRUNING_CASES = [
 
 
 def _recorded_evidence(monkeypatch, P, M, ambient, box, r):
-    """The evidence report and the (seeds, mod, bound) of every closure it
-    ran."""
+    """The evidence report and the (seeds, mod, bound, report) of every
+    closure it ran."""
     calls = []
     pruned = structure.closure
 
     def recording(seeds, gens, box, **kw):
-        calls.append((seeds, kw.get("_mod"), kw.get("_bound")))
-        return pruned(seeds, gens, box, **kw)
+        report = pruned(seeds, gens, box, **kw)
+        calls.append((seeds, kw.get("_mod"), kw.get("_bound"), report))
+        return report
 
     with monkeypatch.context() as patch:
         patch.setattr(structure, "closure", recording)
@@ -497,7 +498,7 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
     # full closures (no target, no certificate) have the same dims at every
     # weight, with the window bound alone and with the submodule bound
     sample = calls[:: max(1, len(calls) // 6)] + calls[-1:]
-    for seeds, mod, bound in sample:
+    for seeds, mod, bound, _ in sample:
         want = oracles.closure(seeds, gens, box, _mod=mod).dims
         assert closure(seeds, gens, box, _mod=mod).dims == want
         if bound is not None:
@@ -509,7 +510,7 @@ def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
     # image, the basis seeds stop at the first certified seed
     _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
     gens = GeneratorSet.default(3)
-    seeds, mod, bound = calls[0]
+    seeds, mod, bound, _ = calls[0]
     assert bound is not None and mod is None
     pruned = closure(seeds, gens, _CUBE3, _bound=bound)
     plain = closure(seeds, gens, _CUBE3)
@@ -517,11 +518,11 @@ def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
     assert pruned.applications < plain.applications
     window = GradedSubspace(_A3, make_wedge_module(3, 1), _CUBE3)
     target = {w: len(window.labels[w]) for w in _CUBE3.inner_keys()}
-    basis = [s for s, _, b in calls if b is None]
+    basis = [s for s, _, b, _ in calls if b is None]
     first = closure(basis[0], gens, _CUBE3, target_dims=target)
     assert first.reached_target
     ((w, dense),) = window.to_dense(basis[0][0]).items()
-    later = closure(basis[-1], gens, _CUBE3, target_dims=target, _certified={w: [dense]})
+    later = closure(basis[-1], gens, _CUBE3, target_dims=target, _settled={w: [(dense, first)]})
     alone = closure(basis[-1], gens, _CUBE3, target_dims=target)
     assert later.reached_target and alone.reached_target
     assert later.applications < alone.applications
@@ -531,8 +532,10 @@ def test_certificate_stopped_report_reads_as_reached():
     gens = GeneratorSet.default(2)
     target = {w: 1 for w in _CUBE2.inner_keys()}
     seed = FVector.basis(_A2, make_wedge_module(2, 0), (2, 1), 0)
+    first = closure([seed], gens, _CUBE2, target_dims=target)
+    assert first.reached_target and first.applications > 0
     # the seed is its own certificate: the closure stops before any move
-    report = closure([seed], gens, _CUBE2, target_dims=target, _certified={(2, 1): [[1]]})
+    report = closure([seed], gens, _CUBE2, target_dims=target, _settled={(2, 1): [([1], first)]})
     assert report.applications == 0 and report.total_dim() == 1
     assert report.reached_target is True
     assert report.first_unreached() is None
@@ -576,6 +579,67 @@ def test_quotient_certificates_compare_modulo_the_kernel(monkeypatch):
     assert repeats and all(a == 0 for a in repeats)
 
 
+def test_image_rows_settle_on_the_first_image_closure(monkeypatch):
+    # F(A2, wedge^1): the four image rows close to one subspace, so each
+    # later row stops once its closure holds an earlier row and reads that
+    # row's fixed point, with the dims and verdict of the plain search
+    gens = GeneratorSet.default(2)
+    _, calls = _recorded_evidence(monkeypatch, _A2, make_wedge_module(2, 1), "F", _CUBE2, None)
+    rows = [(seeds, report) for seeds, _, bound, report in calls if bound is not None]
+    assert len(rows) == 4
+    for seeds, report in rows:
+        want = oracles.closure(seeds, gens, _CUBE2, target_dims=report.target_dims)
+        assert report.reached_target is want.reached_target is False
+        assert report.dims == want.dims
+        assert report.first_unreached() == want.first_unreached()
+    first = rows[0][1].applications
+    assert all(report.applications < first for _, report in rows[1:])
+
+
+def test_a_fixed_point_without_the_seed_is_not_reused(monkeypatch):
+    # F(A3, wedge^1): the basis seed's closure comes to hold the image row,
+    # but the row's fixed point (the image) does not hold the basis seed,
+    # so it is not the basis seed's closure
+    _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
+    (row, _, bound, fixed), (basis, _, _, reached) = calls[:2]
+    assert bound is not None and fixed.reached_target is False and reached.reached_target
+    ((w, dense),) = bound.to_dense(row[0]).items()
+    assert not bound.contains(basis[0])
+    gens = GeneratorSet.default(3)
+    report = closure(basis, gens, _CUBE3, _settled={w: [(dense, fixed)]})
+    assert report._blocks[w].contains(dense)
+    assert report.dims == oracles.closure(basis, gens, _CUBE3).dims
+    assert report.total_dim() > fixed.total_dim()
+
+
+def test_an_early_stopped_report_is_not_a_fixed_point():
+    # a closure that stopped at its target holds part of its fixed point:
+    # it settles no closure without that target
+    gens = GeneratorSet.default(2)
+    target = {w: 1 for w in _CUBE2.inner_keys()}
+    seed = FVector.basis(_A2, make_wedge_module(2, 0), (2, 1), 0)
+    early = closure([seed], gens, _CUBE2, target_dims=target)
+    full = closure([seed], gens, _CUBE2)
+    assert early.reached_target and early.total_dim() < full.total_dim()
+    settled = {(2, 1): [([1], early)]}
+    assert closure([seed], gens, _CUBE2, _settled=settled).dims == full.dims
+    # a window block is one-dimensional, so a target of 2 is never reached
+    unreachable = {w: 2 for w in _CUBE2.inner_keys()}
+    report = closure([seed], gens, _CUBE2, target_dims=unreachable, _settled=settled)
+    assert report.reached_target is False and report.dims == full.dims
+
+
+def test_a_fixed_point_over_another_box_is_not_reused():
+    # a settled report belongs to the engine of its inputs: the seed's
+    # fixed point in a smaller box is not its closure in _CUBE2
+    gens = GeneratorSet.default(2)
+    seed = FVector.basis(_A2, make_wedge_module(2, 0), (2, 1), 0)
+    small = closure([seed], gens, TruncationBox((0, 0), (3, 3), margin=1))
+    full = closure([seed], gens, _CUBE2)
+    assert small.total_dim() < full.total_dim()
+    assert closure([seed], gens, _CUBE2, _settled={(2, 1): [([1], small)]}).dims == full.dims
+
+
 def test_a_wrong_bound_raises():
     gens = GeneratorSet.default(2)
     wedge1 = make_wedge_module(2, 1)
@@ -598,10 +662,22 @@ def test_a_wrong_bound_raises():
     assert widened.contains(basis_seed)
     with pytest.raises(StructureError, match="left its bound"):
         closure([basis_seed], gens, _CUBE2, _bound=widened)
+    # the seed's fixed point without a bound is not reused under another
+    # bound, whose tripwire still sees the closure leave it
+    free = closure([basis_seed], gens, _CUBE2)
+    with pytest.raises(StructureError, match="left its bound"):
+        closure([basis_seed], gens, _CUBE2, _bound=widened, _settled={w: [(dense, free)]})
     # the image itself bounds its own seeds
     seed = image.basis_vectors((2, 1))[0]
     bounded = closure([seed], gens, _CUBE2, _bound=image)
     assert bounded.dims == closure([seed], gens, _CUBE2).dims
+    # and its fixed point, built under the image, is reused under the image
+    # and under no bound
+    ((v, row),) = image.to_dense(seed).items()
+    settled = {v: [(row, bounded)]}
+    for again in (closure([seed], gens, _CUBE2, _bound=image, _settled=settled),
+                  closure([seed], gens, _CUBE2, _settled=settled)):
+        assert again.applications == 0 and again.dims == bounded.dims
 
 
 def test_a_weight_without_a_block_reads_as_dimension_zero():
