@@ -11,21 +11,30 @@ kernel and derivative spans (values: each ``GradedSubspace`` is built once
 from its blocks, with a block at every window weight, which the closure
 reads directly) and the lemma source lists.  The operator lemmas read
 their action table off one template per (lemma, n, i, r) over a symbolic
-alpha (``_lemma_template``): a template with no rows proves the lemma for
-every integer alpha and every P at that (n, i, r).
+alpha (``_lemma_template``), and the equivariance of the de Rham maps is
+one template per (n, i, r) over a symbolic field exponent
+(``_equivariance_template``): a template with no rows proves its statement
+for every integer exponent and every P at that (n, i, r), and is read,
+never evaluated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from types import MappingProxyType
 
 from .errors import ArgumentError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, kernel
 from .terms import Poly, accumulate
-from .tensorop import _evaluated, _special_args, _special_operator, _template
+from .tensorop import (
+    _evaluated,
+    _special_args,
+    _special_operator,
+    _symbolic_field,
+    _template,
+    shen_iota,
+)
 from .weightmod import (
     FVector,
     SLModule,
@@ -36,6 +45,7 @@ from .weightmod import (
     _row_image,
     _rows_on_terms,
     _scaled_monomial_on_key,
+    compose,
     make_wedge_module as wedge_module,
     tensor_act,  # noqa: F401  (part of this namespace; perfbench/tracer.py wraps it here)
     wedge_insert,
@@ -283,11 +293,11 @@ def _failing_sources(P, table, sources):
     Every image term is keyed by its source as well, so one accumulation
     serves the whole list: a source fails exactly when one of its image
     terms survives.  A source without an integer row is killed on every
-    key and costs nothing, and when there are no rows nothing is walked.
+    key and costs nothing, and an empty table builds no rows at all.
     """
-    rows, _ = _integer_rows(P, table)
-    if not rows:
+    if not table:
         return set()
+    rows, _ = _integer_rows(P, table)
 
     def images():
         for key, midxs in sources:
@@ -298,24 +308,6 @@ def _failing_sources(P, table, sources):
                         yield (key, midx, lab), c
 
     return {(key, midx) for key, midx, _ in accumulate({}, images())}
-
-
-def _after_derham(table, n: int, r: int):
-    """The term map of an operator on degree r composed after the de Rham
-    map from degree r - 1.  The map only appends a derivative factor on the
-    right, so the two-step action equals the action of the composed
-    monomials exactly."""
-    by_src = {}
-    for (mono, (src, dst)), c in table.items():
-        by_src.setdefault(src, []).append((mono, dst, c))
-    return accumulate(
-        {},
-        (
-            (((t_exp, tuple(map(add, d_exp, d_l))), (src, dst)), c * sign)
-            for ((_, d_l), (src, mid)), sign in _derham_table(n, r - 1).items()
-            for (t_exp, d_exp), dst, c in by_src.get(mid, ())
-        ),
-    )
 
 
 def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
@@ -347,7 +339,7 @@ def _lemma_template(check: str, n: int, i: int, r: int):
     symbolic alpha, built once per (check, n, i, r) by the library's own
     kernels on the n symbols of ``terms.Poly``: g - u through
     ``_action_table`` (check "g-equals-u"), or h through ``_action_table``
-    after the de Rham map from degree r - 1 (``_after_derham``, check
+    composed after the de Rham map from degree r - 1 (``compose``, check
     "h-annihilates").  The table is kept as ``tensorop._template`` over the
     base alpha, its (source index, target index) pairs as the tags.
 
@@ -361,7 +353,54 @@ def _lemma_template(check: str, n: int, i: int, r: int):
         op = _special_operator("g", alpha, i) - _special_operator("u", alpha, i)
         return _template(_action_table(op, wedge), alpha)
     table = _action_table(_special_operator("h", alpha, i), wedge)
-    return _template(_after_derham(table, n, r), alpha)
+    return _template(compose(table, _derham_table(n, r - 1)), alpha)
+
+
+@lru_cache(maxsize=128)
+def _equivariance_template(n: int, i: int, r: int):
+    """pi o iota(X) - iota(X) o pi on F(P, wedge^r) for X = t^a d_i over a
+    symbolic a, built once per (n, i, r) by the library's own kernels on
+    the n symbols of ``terms.Poly``: ``shen_iota`` of the field, its
+    ``_action_table`` on wedge^r and wedge^(r+1), and ``compose`` with the
+    de Rham tables on either side.  Kept as ``tensorop._template`` over
+    the base a, as ``_lemma_template`` is.
+
+    No rows prove that the de Rham map from degree r intertwines every
+    Laurent monomial field t^a d_i, so every field of S_n by linearity, on
+    every P at (n, r): d is a map of W_n-modules on forms (A. N. Rudakov,
+    Math. USSR Izv. 8, 1974; G. Y. Shen, Sci. Sinica A 29, 1986).
+    """
+    a = Poly.symbols(n)
+    iota = shen_iota(_symbolic_field(n, {(a, mi_unit(i, n)): 1}))
+    after = compose(_derham_table(n, r), _action_table(iota, wedge_module(n, r)))
+    before = compose(_action_table(iota, wedge_module(n, r + 1)), _derham_table(n, r))
+    return _template(accumulate(after, ((key, -c) for key, c in before.items())), a)
+
+
+def _table_image(table, module_m: SLModule, w: FVector) -> FVector:
+    """The image of w under a term map of ``_action_table``'s shape, a
+    vector of F(w.module_p, module_m); an empty table gives zero with no
+    row work."""
+    if not table:
+        return FVector._from_kernel({}, module_p=w.module_p, module_m=module_m)
+    rows, den = _integer_rows(w.module_p, table)
+    return _rows_on_terms(module_m, rows, den, w)
+
+
+def _equivariance_image(x, w: FVector) -> FVector:
+    """pi(x w) - x pi(w) for a field x on w over wedge^r, read off the
+    templates of (n, i, r) at the i of each term c t^a d_i of x: every
+    template with rows is evaluated at a, scaled by c, summed, and applied
+    to w.  When every template read is empty, so is the image, and no row
+    is built."""
+    n = w.module_p.rank
+    r = wedge_degree(w.module_m)
+    table = {}
+    for (a, d_exp), c in x.element.terms.items():
+        template = _equivariance_template(n, d_exp.index(1) + 1, r)
+        if template[1]:
+            accumulate(table, ((key, c * v) for key, v in _evaluated(template, a, a).items()))
+    return _table_image(table, wedge_module(n, r + 1), w)
 
 
 def _lemma_args(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox) -> tuple:
@@ -393,7 +432,8 @@ def _verify_lemma(check: str, alpha, i: int, P: WeightModuleP, r: int,
     alpha = _lemma_args(alpha, i, P, r, key_box)
     offset = _SOURCE_OFFSET[check]
     source = wedge_module(P.rank, r - offset)
-    table = _evaluated(_lemma_template(check, P.rank, i, r), alpha, alpha)
+    template = _lemma_template(check, P.rank, i, r)
+    table = _evaluated(template, alpha, alpha) if template[1] else {}
     sources, checked = _lemma_sources(P, r - offset, key_box, bool(offset))
     return _lemma_report(check, alpha, i, P, r, table, sources, checked, source.labels)
 

@@ -126,7 +126,8 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     The residual is bilinear in (x, y), so it is the sum over the term
     pairs (c1 t^a d_i, c2 t^b d_j) of c1 c2 times the template of (n, i, j)
     evaluated at (a, b) (``_iota_template``).  Evaluation is a ring map, so
-    the sum is the residual of the direct computation, term by term.  The
+    the sum is the residual of the direct computation, term by term.  A
+    pair whose template has no rows adds nothing and is not evaluated.  The
     exponents are ints: ``WeylElement`` refuses any other.
     """
     if x.rank != y.rank:
@@ -137,9 +138,10 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     for (a, g), c1 in x.element.terms.items():
         i = g.index(1) + 1
         for b, j, c2 in right:
-            base = c1 * c2
-            values = _evaluated(_iota_template(n, i, j), a + b, tuple(map(add, a, b)))
-            accumulate(terms, ((key, base * c) for key, c in values.items()))
+            template = _iota_template(n, i, j)
+            if template[1]:
+                values = _evaluated(template, a + b, tuple(map(add, a, b)))
+                accumulate(terms, ((key, c1 * c2 * c) for key, c in values.items()))
     return TensorOperator._from_kernel(terms, rank=n, laurent=x.laurent or y.laurent)
 
 
@@ -400,8 +402,9 @@ def _node_product(kind: str, alpha, i: int, j: int, m: int) -> TensorOperator:
 
 def _at(template, alpha) -> TensorOperator:
     """The Laurent-mode operator of a template over the base alpha,
-    evaluated at alpha (``_evaluated``)."""
-    terms = _evaluated(template, alpha, alpha)
+    evaluated at alpha (``_evaluated``); a template with no rows is the
+    zero operator, with no evaluation."""
+    terms = _evaluated(template, alpha, alpha) if template[1] else {}
     return TensorOperator._from_kernel(terms, rank=len(alpha), laurent=True)
 
 

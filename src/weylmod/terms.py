@@ -222,6 +222,8 @@ class Poly:
         return None
 
     def __add__(self, other):
+        if other == 0:
+            return self
         items = self._items(other)
         if items is None:
             return NotImplemented

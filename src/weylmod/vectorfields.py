@@ -36,14 +36,6 @@ class VectorField:
     def laurent(self) -> bool:
         return self.element.laurent
 
-    def components(self):
-        """Coefficient polynomials f_1..f_n with self = sum f_i d_i."""
-        out = [dict() for _ in range(self.rank)]
-        for (t_exp, d_exp), coeff in self.element.terms.items():
-            i = d_exp.index(1)
-            out[i][(t_exp, mi_zero(self.rank))] = coeff
-        return [WeylElement(self.rank, terms, self.element.laurent) for terms in out]
-
     def __add__(self, other: VectorField) -> VectorField:
         return VectorField(self.element + other.element)
 

@@ -25,6 +25,7 @@ from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
 from .terms import TermMap, accumulate
 from .vectorfields import VectorField, is_divergence_free
+from .weyl import _monomial_product
 
 POLY = "poly"
 TWIST = "twist"
@@ -536,9 +537,10 @@ def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False
 
 # Every operator on F(P, M) goes through one pipeline: ``_action_table``
 # tabulates it as a term map with the U(gl_n) part applied once per
-# (term, m-index), ``_integer_rows`` scales that map to ints over one common
-# denominator, ``_row_image`` evaluates a row on a key in ints, and
-# ``_block_columns`` gathers those images over a whole weight block.
+# (term, m-index), ``compose`` multiplies two such maps, ``_integer_rows``
+# scales a map to ints over one common denominator, ``_row_image``
+# evaluates a row on a key in ints, and ``_block_columns`` gathers those
+# images over a whole weight block.
 
 
 def _action_table(op: TensorOperator, M: SLModule, midxs=None):
@@ -558,6 +560,27 @@ def _action_table(op: TensorOperator, M: SLModule, midxs=None):
             for (mono, pmono), c in op.terms.items()
             for src in srcs
             for dst, mc in M.apply_pbw(pmono, {src: 1}).items()
+        ),
+    )
+
+
+def compose(second, first):
+    """The term map of the operator ``second`` after ``first``, both term
+    maps of ``_action_table``'s shape: an entry t^b1 d^g1 (x) (src -> mid)
+    of first and one t^b2 d^g2 (x) (mid -> dst) of second give the
+    normal-ordered product t^b2 d^g2 * t^b1 d^g1
+    (``weyl._monomial_product``) (x) (src -> dst), collected once.  The
+    exponents and coefficients may be symbols."""
+    by_src = {}
+    for ((b2, g2), (mid, dst)), c2 in second.items():
+        by_src.setdefault(mid, []).append((b2, g2, dst, c2))
+    return accumulate(
+        {},
+        (
+            ((mono, (src, dst)), c2 * c1 * c)
+            for ((b1, g1), (src, mid)), c1 in first.items()
+            for b2, g2, dst, c2 in by_src.get(mid, ())
+            for mono, c in _monomial_product(b2, g2, b1, g1)
         ),
     )
 

@@ -68,12 +68,13 @@ def _monomial_product(b1, g1, b2, g2):
     """The normal-ordered (monomial, coeff) pairs of t^b1 d^g1 * t^b2 d^g2:
     the one product rule of the library.  d^g1 t^b2 is expanded by
     ``_d_on_t``, and every term keeps the outer t^b1 and d^g2.  The first
-    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1."""
+    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1, built without
+    a subtraction."""
     t_sum = tuple(map(add, b1, b2))
     d_sum = tuple(map(add, g1, g2))
-    return [
+    return [((t_sum, d_sum), 1)] + [
         ((tuple(map(sub, t_sum, k)), tuple(map(sub, d_sum, k))), coeff)
-        for coeff, k in _d_on_t(g1, b2)
+        for coeff, k in _d_on_t(g1, b2)[1:]
     ]
 
 
@@ -201,39 +202,8 @@ class WeylElement(WeylTerms):
 
     # -- queries ------------------------------------------------------------
 
-    def is_polynomial_in_t(self) -> bool:
-        return all(all(g == 0 for g in d_exp) for _, d_exp in self.terms)
-
     def d_degrees(self):
         return [sum(d_exp) for _, d_exp in self.terms]
-
-    def apply_poly(self, p: WeylElement) -> WeylElement:
-        """Natural action on a polynomial: t multiplies, d differentiates.
-
-        ``p`` must be a polynomial in t (no derivative factors, exponents
-        >= 0).  This is the brute-force oracle for the product: it never goes
-        through the normal-ordering expansion used by ``__mul__``.
-        """
-        if self.laurent:
-            raise DomainError("laurent-mode operator cannot act on polynomials")
-        self._check_same(p)
-        if p.laurent or not p.is_polynomial_in_t():
-            raise DomainError("operand is not a polynomial in t")
-        zero = mi_zero(self.rank)
-
-        def images():
-            for (beta, gamma), c in self.terms.items():
-                for (mu, _), cp in p.terms.items():
-                    coeff = c * cp
-                    for m, g in zip(mu, gamma):
-                        coeff *= falling(m, g)
-                        if coeff == 0:
-                            break
-                    if coeff != 0:
-                        exp = tuple(m - g + b for m, g, b in zip(mu, gamma, beta))
-                        yield (exp, zero), coeff
-
-        return WeylElement(self.rank, accumulate({}, images()), laurent=False)
 
     # -- formatting ---------------------------------------------------------
 

@@ -1,16 +1,20 @@
 """Independent reference implementations that the tests compare against."""
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from functools import partial
 
-from weylmod import structure, tensorop
-from weylmod.derham import _after_derham
+from operator import add
+
+from weylmod import structure, suites, tensorop
+from weylmod.derham import _derham_table, pi
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.indices import falling, mi_add, mi_sub, mi_unit, mi_zero
 from weylmod.linalg import RowBasis as IntRowBasis, rref
 from weylmod.suites import MAX_FAILURES
+from weylmod.structure import GeneratorSet
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
 from weylmod.ugl import E
@@ -155,11 +159,110 @@ def derham(w):
     return FVector(P, target, out)
 
 
+def after_derham(table, n, r):
+    """The term map of an operator on degree r composed after the de Rham
+    map from degree r - 1, by appending the derivative factor d_l on the
+    right of each monomial: the special case that the library's general
+    ``weightmod.compose`` replaced."""
+    by_src = {}
+    for (mono, (src, dst)), c in table.items():
+        by_src.setdefault(src, []).append((mono, dst, c))
+    return accumulate(
+        {},
+        (
+            (((t_exp, tuple(map(add, d_exp, d_l))), (src, dst)), c * sign)
+            for ((_, d_l), (src, mid)), sign in _derham_table(n, r - 1).items()
+            for (t_exp, d_exp), dst, c in by_src.get(mid, ())
+        ),
+    )
+
+
+def check_derham(n, count=100, seed=None, shift=suites.DEFAULT_SHIFT):
+    """The derham report by direct computation: pi(pi(w)) on each sampled
+    vector, and pi after each default generator's action against the
+    action after pi (``GeneratorSet.act``), where the library reads both
+    off tables.  It draws the library's samples in the library's order
+    (``suites._random_fvector``), so the two reports must be equal."""
+    rng = random.Random(suites.get_seed(seed))
+    failures = []
+    checked = 0
+    profiles = suites.standard_profiles(n, shift)
+    for k in range(n - 1):
+        M = make_wedge_module(n, k)
+        for _ in range(count):
+            P = profiles[rng.choice(sorted(profiles))]
+            w = suites._random_fvector(rng, P, M)
+            checked += 1
+            if not pi(pi(w)).is_zero():
+                failures.append({"kind": "composite", "k": k})
+    kernel_expect = {"poly": 1, "laurent": 0, "one-twist": 0}
+    for name, P in profiles.items():
+        total = suites.pi_kernel(P, 0, suites._profile_key_box(P, 3)).total_dim()
+        checked += 1
+        if total != kernel_expect[name]:
+            failures.append({"kind": "kernel", "profile": name, "dim": total})
+    gens = GeneratorSet.default(n)
+    for k in range(n - 1):
+        M = make_wedge_module(n, k)
+        for name, P in profiles.items():
+            for _ in range(3):
+                w = suites._random_fvector(rng, P, M, nterms=2, radius=2)
+                for gi, g in enumerate(gens.members):
+                    checked += 1
+                    if pi(gens.act(gi, w)) != gens.act(gi, pi(w)):
+                        failures.append({"kind": "equivariance", "k": k, "gen": g.name})
+    return {
+        "check": "derham",
+        "params": {"n": n, "count": count, "seed": suites.get_seed(seed)},
+        "checked": checked,
+        "failures": failures[:MAX_FAILURES],
+        "pass": checked > 0 and not failures,
+    }
+
+
+def is_polynomial_in_t(p):
+    """Whether the Weyl element p has no derivative factor."""
+    return all(not any(d_exp) for _, d_exp in p.terms)
+
+
+def apply_poly(a, p):
+    """The natural action of the Weyl element a on the polynomial p: t
+    multiplies, d differentiates.  ``p`` must be a polynomial in t (no
+    derivative factor, exponents >= 0).  This is the brute-force oracle
+    for the product: it never goes through the normal-ordering expansion
+    of ``WeylElement.__mul__``."""
+    if a.laurent:
+        raise DomainError("laurent-mode operator cannot act on polynomials")
+    a._check_same(p)
+    if p.laurent or not is_polynomial_in_t(p):
+        raise DomainError("operand is not a polynomial in t")
+    zero = mi_zero(a.rank)
+    out = {}
+    for (beta, gamma), c in a.terms.items():
+        for (mu, _), cp in p.terms.items():
+            coeff = c * cp
+            for m, g in zip(mu, gamma):
+                coeff *= falling(m, g)
+            if coeff:
+                exp = tuple(m - g + b for m, g, b in zip(mu, gamma, beta))
+                out[(exp, zero)] = out.get((exp, zero), 0) + coeff
+    return WeylElement(a.rank, out, laurent=False)
+
+
+def components(x):
+    """The coefficient polynomials f_1..f_n of the field x = sum f_i d_i."""
+    n = x.rank
+    out = [{} for _ in range(n)]
+    for (t_exp, d_exp), coeff in x.element.terms.items():
+        out[d_exp.index(1)][(t_exp, mi_zero(n))] = coeff
+    return [WeylElement(n, terms, x.laurent) for terms in out]
+
+
 def lemma_table(check, alpha, i, r):
     """The action table of an operator lemma's operator at one alpha, built
     per alpha: ``special_operator`` (read from ``weylmod.tensorop`` at call
     time), g - u or h, ``demote``, ``_action_table`` on the r-th exterior
-    power and, for h, ``_after_derham``.  This is the path that the
+    power and, for h, ``after_derham``.  This is the path that the
     library's one symbolic table per (check, n, i, r) replaced."""
     n = len(alpha)
     wedge = make_wedge_module(n, r)
@@ -167,7 +270,7 @@ def lemma_table(check, alpha, i, r):
         op = tensorop.special_operator("g", alpha, i) - tensorop.special_operator("u", alpha, i)
         return _action_table(op.demote(), wedge)
     h = tensorop.special_operator("h", alpha, i)
-    return _after_derham(_action_table(h.demote(), wedge), n, r)
+    return after_derham(_action_table(h.demote(), wedge), n, r)
 
 
 def wedge_sort(word):
@@ -231,8 +334,8 @@ def bracket(x, y):
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
     laurent = x.laurent or y.laurent
-    fs = x.components()
-    gs = y.components()
+    fs = components(x)
+    gs = components(y)
     terms = {}
     for i in range(n):
         acc = WeylElement.zero(n, laurent)

@@ -10,7 +10,10 @@ residual (or table) that is zero at every integer alpha:
 - residual: the cubic and quartic interpolation identities at n <= 5,
   whose node products have degree 3 (cubic) or 4 (quartic) in m, below the
   node count, so the weights read their m^3 coefficient;
-- lemma: g = u and h o pi = 0 at n <= 6, for every P.
+- lemma: g = u and h o pi = 0 at n <= 6, for every P;
+- equivariance: pi o iota(X) = iota(X) o pi on F(P, wedge^r) for X =
+  t^a d_i at every (i, r), r = 0..n-1, and n = 2..6, so for every field of
+  S_n and every P at those n, by linearity.
 
 ``FAMILIES`` is read by the test and by the CI step that logs each
 family's case count, row count and build time.
@@ -40,6 +43,10 @@ FAMILIES = {
          for check in ("g-equals-u", "h-annihilates")
          for i in range(1, n - 1) for r in range(2, n)],
     ),
+    "equivariance": (
+        derham._equivariance_template,
+        [((n, i, r), None) for n in range(2, 7) for i in range(1, n + 1) for r in range(n)],
+    ),
 }
 
 
@@ -55,7 +62,9 @@ def built(family):
         yield template[1], degree
 
 
-@pytest.mark.parametrize("family, count", [("iota", 54), ("residual", 46), ("lemma", 60)])
+@pytest.mark.parametrize(
+    "family, count", [("iota", 54), ("residual", 46), ("lemma", 60), ("equivariance", 90)]
+)
 def test_every_template_has_no_rows(family, count):
     builder, cases = FAMILIES[family]
     for (args, degree), got in zip(cases, built(family), strict=True):

@@ -11,7 +11,7 @@ import pytest
 from weylmod import tensorop
 from weylmod.derham import (
     GradedSubspace,
-    _after_derham,
+    _derham_table,
     _failing_sources,
     _lemma_report,
     _lemma_sources,
@@ -36,6 +36,7 @@ from weylmod.weightmod import (
     FVector,
     WeightModuleP,
     _action_table,
+    compose,
     make_wedge_module,
     sn_act,
     tensor_act,
@@ -323,7 +324,7 @@ def test_operator_after_derham_matches_the_two_step_oracle():
              + tensor(WeylElement.monomial((0, 0, 1, 0), (0, 0, 0, 0), Fraction(2, 3)),
                       E(3, 4, n) * E(4, 1, n)))
     for op in (h, other):
-        composite = _after_derham(_action_table(op, wedge2), n, 2)
+        composite = compose(_action_table(op, wedge2), _derham_table(n, 1))
         for P, box in LEMMA_PROFILES.values():
             sources = [(key, tuple(range(wedge1.dim))) for key in box.keys()]
             expected = {

@@ -67,6 +67,7 @@ def test_every_memo_is_bounded():
         "weylmod.derham.partial_span",
         "weylmod.derham._lemma_sources",
         "weylmod.derham._lemma_template",
+        "weylmod.derham._equivariance_template",
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
         "weylmod.structure._member_rows",
@@ -83,8 +84,10 @@ def test_every_memo_is_bounded():
     # node products they are read off
     for name in ("_residual_template", "_node_terms"):
         assert memos[f"weylmod.tensorop.{name}"].cache_parameters()["maxsize"] >= 46
-    # one the 60 lemma templates of n <= 6
+    # one the 60 lemma templates of n <= 6, and one the 90 equivariance
+    # templates
     assert memos["weylmod.derham._lemma_template"].cache_parameters()["maxsize"] >= 60
+    assert memos["weylmod.derham._equivariance_template"].cache_parameters()["maxsize"] >= 90
     # and one the rows of the 192 members at n = 4 on 3 profiles x 4 wedges
     rows = memos["weylmod.structure._member_rows"]
     assert rows.cache_parameters()["maxsize"] >= 192 * 3 * 4
@@ -143,26 +146,24 @@ def test_suite_actions_cold_equal_warm():
     assert cold == warm and all(report["pass"] for report in cold)
 
 
-def test_derham_builds_each_generator_action_once(monkeypatch):
-    # the equivariance loop acts through the set: shen_iota runs once per
-    # (member, P, M) that it reaches, not once per action
+def test_derham_reads_one_template_per_index_and_degree(monkeypatch):
+    # the equivariance loop reads templates: shen_iota runs once per
+    # (i, r) template over a symbolic exponent, and no member's action rows
+    # are built
     calls = []
 
     def counted(x):
         calls.append(x)
         return weylmod.tensorop.shen_iota(x)
 
-    for module in (structure, weightmod):
+    for module in (derham, structure, weightmod):
         monkeypatch.setattr(module, "shen_iota", counted)
     clear_memos()
     n = 3
     assert suites.check_derham(n)["pass"]
-    # three profiles, each over the exterior powers 0..n-1
-    per_member = len(suites.standard_profiles(n)) * n
-    counts = Counter(map(id, calls))
-    assert calls and max(counts.values()) <= per_member
-    assert len(counts) == len(GeneratorSet.default(n))
-    assert len(calls) == structure._member_rows.cache_info().misses
+    # every index at the degrees 0..n-2 that the loop reaches
+    assert len(calls) == derham._equivariance_template.cache_info().currsize == n * (n - 1)
+    assert structure._member_rows.cache_info().currsize == 0
     clear_memos()
 
 

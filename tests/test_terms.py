@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylmod.cli import main
-from weylmod.derham import _after_derham, pi, pi_image
+from weylmod.derham import _derham_table, pi, pi_image
 from weylmod.errors import StructureError
 from weylmod.exprparse import VectorLiteral
 from weylmod.indices import TruncationBox, mi_unit
@@ -32,6 +32,7 @@ from weylmod.weightmod import (
     FVector,
     WeightModuleP,
     _action_table,
+    compose,
     make_hw_module,
     make_wedge_module,
     tensor_act,
@@ -266,7 +267,7 @@ def _table_sum(a, b):
 def test_action_tables_add_like_their_operators():
     # an action table is a term map: the table of S + T is the collected
     # sum of the two tables on wedge and highest-weight modules, and so is
-    # the table after the de Rham map; the pair (S, T - S) makes the terms
+    # the table composed after the de Rham map; the pair (S, T - S) makes the terms
     # of S cancel in the sum.  The terms share two Weyl monomials t^b d_1
     # and t^b d_2, so entries of distinct PBW monomials meet at one key of
     # a table, and d_2 after t^b d_1 meets d_1 after t^b d_2
@@ -290,8 +291,9 @@ def test_action_tables_add_like_their_operators():
                 tables = [_action_table(op, M) for op in (A, B)]
                 assert _action_table(A + B, M) == _table_sum(*tables), M
             for r in range(1, n + 1):
-                tables = [_after_derham(_action_table(op, wedges[r]), n, r) for op in (A, B)]
-                total = _after_derham(_action_table(A + B, wedges[r]), n, r)
+                pi_r = _derham_table(n, r - 1)
+                tables = [compose(_action_table(op, wedges[r]), pi_r) for op in (A, B)]
+                total = compose(_action_table(A + B, wedges[r]), pi_r)
                 assert total == _table_sum(*tables), r
                 composed += bool(total)
     assert composed

@@ -48,8 +48,8 @@ def test_mul_euler_square():
     assert prod == expected
     for k in range(7):
         p = oracles.t_power((k,))
-        assert prod.apply_poly(p) == k * k * p
-        assert e.apply_poly(e.apply_poly(p)) == k * k * p
+        assert oracles.apply_poly(prod, p) == k * k * p
+        assert oracles.apply_poly(e, oracles.apply_poly(e, p)) == k * k * p
 
 
 def test_mul_d2_t2():
@@ -61,7 +61,7 @@ def test_mul_d2_t2():
     assert prod == expected
     for k in range(7):
         p = oracles.t_power((k,))
-        assert prod.apply_poly(p) == (k + 1) * (k + 2) * p
+        assert oracles.apply_poly(prod, p) == (k + 1) * (k + 2) * p
 
 
 def test_non_int_exponents_are_refused():
@@ -111,18 +111,18 @@ def test_laurent_mode_contagion():
 
 def test_apply_poly_examples():
     op = t(1, 2) ** 2 * d(1, 2) - 2 * t(1, 2) * t(2, 2) * d(2, 2)
-    assert d(1, 2).apply_poly(t(1, 2) ** 2) == 2 * t(1, 2)
-    assert op.apply_poly(t(2, 2)) == -2 * t(1, 2) * t(2, 2)
+    assert oracles.apply_poly(d(1, 2), t(1, 2) ** 2) == 2 * t(1, 2)
+    assert oracles.apply_poly(op, t(2, 2)) == -2 * t(1, 2) * t(2, 2)
     rng = random.Random(7)
     for _ in range(10):
         a = random_element(rng, 2)
-        assert a.apply_poly(WeylElement.zero(2)).is_zero()
+        assert oracles.apply_poly(a, WeylElement.zero(2)).is_zero()
 
 
 def test_apply_poly_rejects_laurent():
     a = oracles.t_power((-1,))
     with pytest.raises(DomainError):
-        a.apply_poly(WeylElement.one(1))
+        oracles.apply_poly(a, WeylElement.one(1))
 
 
 def test_mul_associative_random():
@@ -150,14 +150,14 @@ def test_action_is_module_homomorphism():
         a = random_element(rng, 2, deg=2, nterms=2)
         b = random_element(rng, 2, deg=2, nterms=2)
         p = random_poly(rng, 2, deg=3, nterms=3)
-        assert (a * b).apply_poly(p) == a.apply_poly(b.apply_poly(p))
+        assert oracles.apply_poly(a * b, p) == oracles.apply_poly(a, oracles.apply_poly(b, p))
     # derivative degree up to 3 reaches more of the normal-ordering table
     for n in (1, 2, 3):
         for _ in range(10):
             a = random_element(rng, n, deg=3, nterms=2)
             b = random_element(rng, n, deg=3, nterms=2)
             p = random_poly(rng, n, deg=4, nterms=3)
-            assert (a * b).apply_poly(p) == a.apply_poly(b.apply_poly(p))
+            assert oracles.apply_poly(a * b, p) == oracles.apply_poly(a, oracles.apply_poly(b, p))
 
 
 def _check_table(gamma, beta):
