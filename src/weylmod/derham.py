@@ -185,14 +185,6 @@ class GradedSubspace:
             for w, dense in parts.items()
         )
 
-    def basis_vectors(self, weight):
-        labels = self.labels.get(weight, ())
-        return [
-            FVector._from_kernel({lab: c for lab, c in zip(labels, row) if c != 0},
-                                 module_p=self.module_p, module_m=self.module_m)
-            for row in self._rows(weight)
-        ]
-
     def to_json_obj(self):
         return {
             "moduleP": repr(self.module_p),

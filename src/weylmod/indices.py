@@ -97,11 +97,12 @@ class TruncationBox:
     bounds by ``margin``.  Closure computations apply generators only when the
     result stays inside the outer box and judge completeness on the inner box.
 
-    A box is immutable and hashes on (lower, upper, margin), so the
-    per-profile memos of ``derham`` and ``structure`` key on it directly.
+    A box is immutable and hashes on (lower, upper, margin), once, at
+    construction, so the per-profile memos of ``derham`` and ``structure``
+    key on it directly.
     """
 
-    __slots__ = ("lower", "upper", "margin", "inner_lower", "inner_upper")
+    __slots__ = ("lower", "upper", "margin", "inner_lower", "inner_upper", "_hash")
 
     def __init__(self, lower: MultiIndex, upper: MultiIndex, margin: int = 0):
         lower = tuple(lower)
@@ -122,6 +123,7 @@ class TruncationBox:
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "inner_lower", inner_lo)
         object.__setattr__(self, "inner_upper", inner_hi)
+        object.__setattr__(self, "_hash", hash((lower, upper, margin)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncationBox is immutable")
@@ -155,7 +157,7 @@ class TruncationBox:
         )
 
     def __hash__(self) -> int:
-        return hash((self.lower, self.upper, self.margin))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"TruncationBox({self.lower}, {self.upper}, margin={self.margin})"

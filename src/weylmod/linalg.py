@@ -78,6 +78,12 @@ class RowBasis:
         return len(self._rows)
 
     @property
+    def primitive_rows(self):
+        """The stored primitive integer rows, in pivot order: shared, so
+        treat them as read-only."""
+        return self._rows
+
+    @property
     def rows(self):
         """The reduced row echelon form of the span (Fraction entries)."""
         return [

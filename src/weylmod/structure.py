@@ -294,14 +294,14 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
     if _bound is None:
-        room = dict(engine.capacity)
+        room = _Room(engine.capacity.__getitem__)
     else:
+        # ``_window`` shares one mapping per (P, M, box), so the keys are
+        # compared only when the mappings differ
         if (_bound.module_p != engine.module_p or _bound.module_m is not engine.module_m
-                or _bound.labels.keys() != labels.keys()):
+                or (_bound.labels is not labels and _bound.labels.keys() != labels.keys())):
             raise StructureError("the bound is not a subspace of the closure's window")
-        # a window weight without a block has room 0
-        room = dict.fromkeys(labels, 0)
-        room.update((w, block.dim) for w, block in _bound.blocks.items())
+        room = _Room(_bound.dim_at)
     settled = _settled or {}
     blocks: dict = {}
     queue: deque = deque()
@@ -389,6 +389,22 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     )
 
 
+class _Room(dict):
+    """weight -> how far a closure block may still grow there, filled on
+    first read from ``fill(weight)``, so a closure sets up only the
+    weights it reaches."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, w):
+        left = self[w] = self._fill(w)
+        return left
+
+
 def _first_short(blocks, target_dims):
     """The least target weight whose block is below its target, or None."""
     for w in sorted(target_dims):
@@ -429,11 +445,13 @@ def evidence_simplicity(
     Each ambient is read as (M, sub, mod): ``sub`` is the canonical
     submodule (the ambient itself for Ln and deltaP, the de Rham image for
     F over an exterior power below the top degree) and ``mod`` the kernel a
-    quotient is taken by.  Each inner weight is seeded by the echelon rows
-    of ``sub``, closed with ``sub`` as their bound, and, where the ambient
-    is the whole module, by the basis vectors outside ``mod`` that complete
-    them: the image rows are the seeds that expose non-simplicity, since
-    their closures stay inside the image.
+    quotient is taken by.  Each inner weight is seeded by the primitive
+    integer echelon rows of ``sub``, closed with ``sub`` as their bound,
+    and, where the ambient is the whole module, by the basis vectors
+    outside ``mod`` that complete them: the image rows are the seeds that
+    expose non-simplicity, since their closures stay inside the image.
+    Every seed is kept in its integer block coordinates, which also key
+    the settled table.
 
     Every closure settles later ones (``closure``'s ``_settled``): a seed
     whose closure reached the target certifies every later closure that
@@ -479,28 +497,30 @@ def evidence_simplicity(
     if not any(target.values()):
         raise ArgumentError("ambient space is empty on the inner box")
 
-    seeds = []  # (seed, weight, index, bound)
+    seeds = []  # (integer block coordinates, weight, index, bound)
     for w in inner:
-        labels = engine.ambient.labels[w]
-        taken = RowBasis(len(labels))
-        if sub is not None:
-            # sub has the engine's window, so its echelon rows are
-            # coordinates over these labels
-            for pos, vec in enumerate(sub.basis_vectors(w)):
-                seeds.append((vec, w, pos, sub))
-            for row in sub.blocks[w].rows:
-                taken.insert(row)
+        # sub has the engine's window, so its primitive echelon rows are
+        # coordinates over the labels at w
+        rows = sub.blocks[w].primitive_rows if sub is not None else []
+        seeds += ((row, w, pos, sub) for pos, row in enumerate(rows))
         if not whole:
             continue
-        for pos, (key, midx) in enumerate(labels):
-            dense = [0] * len(labels)
+        ncols = len(engine.ambient.labels[w])
+        taken = RowBasis(ncols)
+        for row in rows:
+            taken.insert(row)
+        for pos in range(ncols):
+            dense = [0] * ncols
             dense[pos] = 1
             if (mod is None or any(mod.blocks[w].reduce(dense))) and taken.insert(dense):
-                seeds.append((FVector.basis(module_p, module_m, key, midx), w, pos, None))
+                seeds.append((dense, w, pos, None))
     results = []
     overall = True
     settled = {}  # weight -> (seed, report) of every earlier closure
-    for seed, w, pos, bound in seeds:
+    for dense, w, pos, bound in seeds:
+        labels = engine.ambient.labels[w]
+        seed = FVector._from_kernel({lab: c for lab, c in zip(labels, dense) if c},
+                                    module_p=module_p, module_m=module_m)
         report = closure(
             [seed], gens, box, target_dims=target,
             _mod=mod, _bound=bound, _settled=settled,
@@ -512,7 +532,6 @@ def evidence_simplicity(
             entry["kind"] = "basis" if bound is None else "submodule-row"
         entry["pass"] = ok
         # every seed lies in the one weight block w
-        dense = clear_denominators(engine.ambient.to_dense(seed)[w])
         if mod is not None:
             dense = mod.blocks[w].reduce(dense)
         settled.setdefault(w, []).append((dense, report))

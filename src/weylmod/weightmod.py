@@ -82,9 +82,13 @@ class Factor:
 
 
 class WeightModuleP:
-    """A simple weight module presented as a product of coordinate factors."""
+    """A simple weight module presented as a product of coordinate factors.
 
-    __slots__ = ("rank", "factors", "lines")
+    A profile is identified by its ``lines``: equal profiles have equal
+    lines, and the memos keyed by a profile hash it once, at construction.
+    """
+
+    __slots__ = ("rank", "factors", "lines", "_hash", "_text")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -103,6 +107,9 @@ class WeightModuleP:
             ]
         )
         object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_hash", hash(lines))
+        # the text is built on first use (``__repr__``)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightModuleP is immutable")
@@ -123,13 +130,22 @@ class WeightModuleP:
         return all(f.supports(k) for f, k in zip(self.factors, key))
 
     def __eq__(self, other):
-        return isinstance(other, WeightModuleP) and self.factors == other.factors
+        # a factor's kind and exact shift are its line (kind, q, p)
+        return isinstance(other, WeightModuleP) and self.lines == other.lines
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def __repr__(self):
-        return "[" + ",".join(repr(f) for f in self.factors) + "]"
+        text = self._text
+        if text is None:
+            # Factor's text, read off the lines: a Laurent shift is p/q
+            text = "[" + ",".join(
+                f"laurent({p}/{q})" if kind == LAURENT else kind
+                for kind, q, p in self.lines
+            ) + "]"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def parse_module_descriptor(text: str) -> WeightModuleP:

@@ -36,6 +36,18 @@ def basis_vector(P, key):
     return FVector.basis(P, make_wedge_module(P.rank, 0), key, 0)
 
 
+def basis_vectors(space, weight):
+    """The vectors of a ``GradedSubspace``'s reduced echelon rows at weight
+    (Fraction entries, unit pivots), built through the checked
+    constructor; none where the space has no block."""
+    labels = space.labels.get(weight, ())
+    block = space.blocks.get(weight)
+    return [
+        FVector(space.module_p, space.module_m, {lab: c for lab, c in zip(labels, row) if c})
+        for row in (block.rows if block else [])
+    ]
+
+
 def check_commutators(M):
     """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on every basis vector
     of the gl_n-module M."""

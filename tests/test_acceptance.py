@@ -6,6 +6,8 @@ exact rational arithmetic, so the only tolerance anywhere is zero.
 
 import time
 
+import oracles
+
 from weylmod.indices import TruncationBox
 from weylmod.structure import (
     GeneratorSet,
@@ -169,7 +171,7 @@ def test_criterion_9_simplicity_evidence():
             image = pi_image(A, r, abox)
             gens = GeneratorSet.default(n)
             seed_weight = tuple(failing[0]["weight"])
-            seed = image.basis_vectors(seed_weight)[0]
+            seed = oracles.basis_vectors(image, seed_weight)[0]
             rep = closure([seed], gens, abox)
             for w, dim in rep.dims.items():
                 assert dim <= image.dim_at(w)

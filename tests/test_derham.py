@@ -180,7 +180,7 @@ def test_pi_image_inside_pi_kernel():
             image = pi_image(P, r, box)
             kernel = pi_kernel(P, r, box)
             for w in box.keys():
-                for vec in image.basis_vectors(w):
+                for vec in oracles.basis_vectors(image, w):
                     assert kernel.contains(vec)
 
 
@@ -521,7 +521,7 @@ def test_submodule_preservation_operator():
         op = term if op is None else op + term
     g = special_operator("g", alpha, i)
     for w in [(1, 1, 1), (2, 1, 1), (1, 2, 2)]:
-        for vec in image.basis_vectors(w):
+        for vec in oracles.basis_vectors(image, w):
             lhs = tensor_act(op.demote(), vec, allow_laurent=True)
             assert lhs == tensor_act((-1 * g).demote(), vec, allow_laurent=True)
 
@@ -542,7 +542,7 @@ def test_kernel_gap_is_invariant():
                 gens.append(g.demote())
     checked = 0
     for w in box.keys():
-        for vec in kernel.basis_vectors(w):
+        for vec in oracles.basis_vectors(kernel, w):
             for x in gens:
                 out = sn_act(x, vec)
                 if not out.is_zero():
@@ -569,7 +569,7 @@ def test_a_window_with_no_blocks_is_the_zero_space():
     for w in box.keys():
         for key, midx in window.labels[w]:
             assert not window.contains(FVector.basis(A, wedge1, key, midx))
-        assert window.basis_vectors(w) == []
+        assert oracles.basis_vectors(window, w) == []
     # the report lists every window weight, as a space with blocks does
     obj = window.to_json_obj()
     image = pi_image(A, 1, box).to_json_obj()

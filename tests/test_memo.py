@@ -25,7 +25,7 @@ from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inventory
 from weylmod.tensorop import TensorOperator
-from weylmod.weightmod import FVector, SLModule, WeightModuleP, make_wedge_module
+from weylmod.weightmod import Factor, FVector, SLModule, WeightModuleP, make_wedge_module
 
 # the one memo that must keep every entry: vectors over an exterior power
 # compare their module by identity
@@ -325,6 +325,78 @@ def test_memos_are_keyed_by_p():
     assert not halves[0].contains(
         oracles.derham(FVector.basis(thirds[0].module_p, wedge1, (1, 0, 0), 1))
     )
+
+
+# one factor per way to give a line: the Laurent shift 1/2 four ways
+_FACTORS = [
+    Factor("poly"),
+    Factor("twist"),
+    Factor("laurent"),
+    Factor("laurent", Fraction(1, 2)),
+    Factor("laurent", Fraction(2, 4)),
+    Factor("laurent", "1/2"),
+    Factor("laurent", 3 / 2),
+    Factor("laurent", -1 / 2),
+]
+
+
+def test_profile_identity_is_factor_by_factor():
+    # single lines and every mixed pair: P == Q and hash(P) == hash(Q)
+    # exactly when the factors agree one by one (a kinds-only key would
+    # make laurent(1/2) and laurent(3/2) collide)
+    grid = [[f] for f in _FACTORS] + [[f, g] for f in _FACTORS for g in _FACTORS]
+    profiles = [(factors, WeightModuleP(factors)) for factors in grid]
+    for factors, P in profiles:
+        for others, Q in profiles:
+            same = len(factors) == len(others) and all(
+                f.kind == g.kind and f.shift == g.shift for f, g in zip(factors, others)
+            )
+            assert (P == Q) is same, (P, Q)
+            assert (hash(P) == hash(Q)) is same, (P, Q)
+    # the text is built once and kept, and reads as the factors do
+    for factors, P in profiles:
+        text = "[" + ",".join(repr(f) for f in factors) + "]"
+        assert repr(P) == text and repr(P) is repr(P)
+
+
+def test_box_identity_is_its_bounds_and_margin():
+    bounds = [((0, 0), (4, 4)), ((0, 0), (4, 5)), ((-1, 0), (4, 4))]
+    boxes = [((lo, hi, m), TruncationBox(list(lo), list(hi), m))
+             for lo, hi in bounds for m in (0, 1)]
+    for key, box in boxes:
+        for other, again in boxes:
+            assert (box == again) is (key == other)
+            assert (hash(box) == hash(again)) is (key == other)
+        assert TruncationBox(*key) == box and hash(TruncationBox(*key)) == hash(box)
+
+
+def test_equal_profiles_and_boxes_share_one_entry():
+    # separately built but equal profiles and boxes hit the entry the first
+    # built; a profile that differs in one shift never does
+    def profile(shift):
+        return WeightModuleP([Factor("laurent", shift), Factor("poly"), Factor("twist")])
+
+    def box():
+        return TruncationBox([-1, 0, -3], [1, 2, -1])
+
+    wedge2 = make_wedge_module(3, 2)
+    gens = GeneratorSet.default(3)
+    memos = [
+        (pi_image, lambda P, B: pi_image(P, 2, B)),
+        (derham._lemma_sources, lambda P, B: derham._lemma_sources(P, 1, B, True)),
+        (structure._engine, lambda P, B: structure._engine(P, wedge2, gens, B, None)),
+    ]
+    clear_memos()
+    for memo, build in memos:
+        before = memo.cache_info()
+        first = build(profile(Fraction(1, 2)), box())
+        for shift in (Fraction(2, 4), "1/2", 1 / 2):
+            assert build(profile(shift), box()) is first
+        info = memo.cache_info()
+        assert (info.misses - before.misses, info.hits - before.hits) == (1, 3)
+        for shift in (Fraction(3, 2), Fraction(-1, 2)):
+            assert build(profile(shift), box()) is not first
+        assert memo.cache_info().misses == info.misses + 2
 
 
 def test_memos_are_keyed_by_margin():

@@ -8,7 +8,7 @@ import pytest
 
 from weylmod.derham import GradedSubspace, partial_span, pi_image, pi_kernel
 from weylmod.errors import ArgumentError, DomainError, StructureError
-from weylmod import structure, suites
+from weylmod import derham, structure, suites
 from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import (
@@ -264,7 +264,7 @@ def test_submodule_certificates():
     delta = partial_span(A, box)
     for subspace in (image, kernel, delta):
         for w in box.keys():
-            for vec in subspace.basis_vectors(w):
+            for vec in oracles.basis_vectors(subspace, w):
                 for g in gens.members:
                     target = tuple(a + b for a, b in zip(w, g.shift))
                     if not box.contains(target):
@@ -281,7 +281,7 @@ def test_closure_stays_inside_image_submodule():
     box = TruncationBox((0, 0), (5, 5), margin=2)
     gens = GeneratorSet.default(n)
     image = pi_image(A, 1, box)
-    seed = image.basis_vectors((2, 2))[0]
+    seed = oracles.basis_vectors(image, (2, 2))[0]
     report = closure([seed], gens, box)
     for w in box.keys():
         assert report.dims[w] <= image.dim_at(w)
@@ -477,6 +477,10 @@ def _recorded_evidence(monkeypatch, P, M, ambient, box, r):
     with monkeypatch.context() as patch:
         patch.setattr(structure, "closure", recording)
         report = evidence_simplicity(P, M, ambient, box, r=r)
+    # one closure per reported seed, each through ``structure.closure``: an
+    # evidence that bypassed the name would record none, and swapping the
+    # name for the oracle would compare the evidence with itself
+    assert len(calls) == len(report["seeds"])
     return report, calls
 
 
@@ -503,6 +507,50 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
         assert closure(seeds, gens, box, _mod=mod).dims == want
         if bound is not None:
             assert closure(seeds, gens, box, _mod=mod, _bound=bound).dims == want
+
+
+@pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
+def test_lazy_room_gives_the_reports_of_an_eager_one(monkeypatch, case):
+    # a closure fills its room on first read; room filled at every window
+    # weight up front (a plain dict that refuses any other weight) gives the
+    # same reports closure by closure
+    P, M, ambient, box, r = case
+    lazy, lazy_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+
+    class EagerRoom(dict):
+        def __init__(self, fill):
+            super().__init__((w, fill(w)) for w in box.keys())
+
+    monkeypatch.setattr(structure, "_Room", EagerRoom)
+    eager, eager_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    assert eager == lazy
+    assert len(eager_calls) == len(lazy_calls)
+    for (*_, want), (*_, got) in zip(eager_calls, lazy_calls):
+        assert got.applications == want.applications
+        assert got.reached_target == want.reached_target
+        assert got.first_unreached() == want.first_unreached()
+        assert got.dims == want.dims
+
+
+def test_a_bound_over_an_equal_window_is_accepted():
+    # the closure compares a bound's window with its own by identity first,
+    # and by its weights only when the two mappings differ
+    gens = GeneratorSet.default(2)
+    wedge1 = make_wedge_module(2, 1)
+    image = pi_image(_A2, 1, _CUBE2)
+    seed = oracles.basis_vectors(image, (2, 1))[0]
+    want = closure([seed], gens, _CUBE2, _bound=image)
+    derham._window.cache_clear()
+    rebuilt = GradedSubspace(_A2, wedge1, _CUBE2, image.blocks)
+    engine = structure._engine(_A2, wedge1, gens, _CUBE2, None)
+    assert rebuilt.labels is not engine.ambient.labels
+    assert rebuilt.labels == engine.ambient.labels
+    got = closure([seed], gens, _CUBE2, _bound=rebuilt)
+    assert got.dims == want.dims and got.applications == want.applications
+    # a bound over another window of the same P and M is refused
+    other = TruncationBox((0, 0), (4, 4), margin=1)
+    with pytest.raises(StructureError, match="not a subspace of the closure's window"):
+        closure([seed], gens, _CUBE2, _bound=GradedSubspace(_A2, wedge1, other))
 
 
 def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
@@ -668,7 +716,7 @@ def test_a_wrong_bound_raises():
     with pytest.raises(StructureError, match="left its bound"):
         closure([basis_seed], gens, _CUBE2, _bound=widened, _settled={w: [(dense, free)]})
     # the image itself bounds its own seeds
-    seed = image.basis_vectors((2, 1))[0]
+    seed = oracles.basis_vectors(image, (2, 1))[0]
     bounded = closure([seed], gens, _CUBE2, _bound=image)
     assert bounded.dims == closure([seed], gens, _CUBE2).dims
     # and its fixed point, built under the image, is reused under the image

@@ -7,17 +7,19 @@ from fractions import Fraction
 from functools import partial
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylmod import structure
 from weylmod.cli import main
-from weylmod.derham import _derham_table, pi, pi_image
+from weylmod.derham import _derham_table, pi
 from weylmod.errors import StructureError
 from weylmod.exprparse import VectorLiteral
 from weylmod.indices import TruncationBox, mi_unit
-from weylmod.structure import GeneratorSet
+from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator
 from weylmod.terms import Poly, accumulate
@@ -187,13 +189,29 @@ def test_operation_results_are_adopted(monkeypatch, case):
             combine(a, other)
 
 
+def evidence_seeds(P, box):
+    """The seed vectors that ``evidence_simplicity`` on F(P, wedge^1) hands
+    to its closures: the image rows and the basis vectors that complete
+    them."""
+    seeds = []
+    closure = structure.closure
+
+    def recording(some, *args, **kw):
+        seeds.extend(some)
+        return closure(some, *args, **kw)
+
+    with mock.patch.object(structure, "closure", recording):
+        evidence_simplicity(P, make_wedge_module(P.rank, 1), "F", box)
+    return seeds
+
+
 def kernel_calls(rng, n=3):
     """(name, call) pairs, each call returning the vectors that one module
-    kernel builds (``pi``, ``tensor_act``, ``GeneratorSet.act`` or
-    ``basis_vectors``) from seeded inputs over the three standard profiles,
-    built beforehand."""
+    kernel builds (``pi``, ``tensor_act``, ``GeneratorSet.act`` or the
+    seeds of ``evidence_simplicity``) from seeded inputs over the three
+    standard profiles, built beforehand."""
     gens = GeneratorSet.default(n)
-    box = TruncationBox((-1,) * n, (2,) * n)
+    evidence_box = TruncationBox((-3, -3), (3, 3), margin=1)
     calls = []
     for name, P in standard_profiles(n).items():
         for r in range(n):
@@ -204,9 +222,8 @@ def kernel_calls(rng, n=3):
                 (f"tensor_act {name} {r}", lambda op=op, v=v: [tensor_act(op, v)]),
                 (f"act {gi} {name} {r}", lambda gi=gi, v=v: [gens.act(gi, v)]),
             ]
-        space = pi_image(P, 1, box)
-        calls += [(f"basis_vectors {name} {w}", partial(space.basis_vectors, w))
-                  for w in sorted(space.blocks)]
+    for name, P in standard_profiles(2).items():
+        calls.append((f"evidence {name}", partial(evidence_seeds, P, evidence_box)))
     return calls
 
 
@@ -225,7 +242,7 @@ def test_kernel_built_vectors_are_adopted_and_equal_checked_ones(monkeypatch):
     results = [(name, v) for name, call in calls for v in call()]
     assert checked == []
     kinds = {name.split()[0] for name, v in results if not v.is_zero()}
-    assert kinds == {"pi", "tensor_act", "act", "basis_vectors"}
+    assert kinds == {"pi", "tensor_act", "act", "evidence"}
     for name, v in results:
         assert type(v) is FVector, name
         again = FVector(v.module_p, v.module_m, v.terms)
