@@ -20,6 +20,7 @@ never evaluated.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -449,6 +450,9 @@ def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: b
     profile; with ``spanning`` only those whose de Rham image is not zero,
     since a vector whose image is zero spans nothing to check.
 
+    P supports a key line by line, so its keys in the box are the product
+    of each line's supported range, in the box's lexicographic order.
+
     The image of p (x) v has one term per l outside the label of v, so it
     is nonzero exactly when the set of l whose d_l does not kill the key is
     not inside the label.  On a supported key, d_l kills the key or not by
@@ -458,7 +462,10 @@ def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: b
     """
     n = P.rank
     labels = wedge_module(n, r).labels
-    keys = tuple(key for key in key_box.keys() if P.supports_key(key))
+    keys = tuple(itertools.product(*(
+        [k for k in range(lo, hi + 1) if f.supports(k)]
+        for f, lo, hi in zip(P.factors, key_box.lower, key_box.upper)
+    )))
     if not spanning:
         midxs = tuple(range(len(labels)))
         return tuple((key, midxs) for key in keys), len(keys) * len(midxs)

@@ -122,6 +122,8 @@ class ClosureEngine:
 
     ``capacity[w]`` is the dimension of the window at w, less that of
     ``mod`` for a quotient: no closure block at w grows beyond it.
+    ``inward[w]`` counts the moves of weight w into the inner box, which
+    ``moves(w)`` lists first.
     """
 
     def __init__(
@@ -135,6 +137,7 @@ class ClosureEngine:
         self.module_p = module_p
         self.module_m = module_m
         self.gens = gens.members
+        self.box = box
         self.ambient = GradedSubspace(module_p, module_m, box)
         self.capacity = {
             w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
@@ -142,18 +145,23 @@ class ClosureEngine:
         }
         self._matrices = {}
         self._moves = {}
+        self.inward = {}
 
     def moves(self, w):
         """The (generator index, target weight) pairs of weight w whose
-        target lies in the window, listed once per weight."""
+        target lies in the window, listed once per weight: the ``inward[w]``
+        moves whose target lies in the inner box first, then the outward
+        ones, each part in generator order."""
         hit = self._moves.get(w)
         if hit is None:
-            labels = self.ambient.labels
-            hit = self._moves[w] = []
+            labels, inner = self.ambient.labels, self.box.contains_inner
+            inward, outward = [], []
             for gi, g in enumerate(self.gens):
                 target = tuple(map(add, w, g.shift))
                 if target in labels:
-                    hit.append((gi, target))
+                    (inward if inner(target) else outward).append((gi, target))
+            hit = self._moves[w] = inward + outward
+            self.inward[w] = len(inward)
         return hit
 
     def matrix(self, gi: int, w):
@@ -258,6 +266,18 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     ``target_dims`` (weight -> dim over the inner box) stops the closure
     once every listed block is full; the report is honest either way.
 
+    The search is goal-directed.  A queued vector meets its moves into the
+    inner box (``engine.moves`` lists them first) as soon as it is
+    dequeued; its outward moves wait in a FIFO, and when no vector is
+    queued the oldest of them resume, up to the first application that
+    grows the closure, whose new vector then goes first.  Every inserted
+    vector still meets every move, and a move is skipped only where its
+    target block has no room, which only shrinks, so a closure that runs
+    out of work ends at the same fixed point in any order; blocks only
+    grow toward it, so whether the target is reached does not depend on
+    the order either.  Only the partial blocks of a reached report and
+    ``applications`` do.
+
     The closure runs on the shared engine of its inputs (``_engine``), the
     private ``_mod`` included: a submodule over the window, modulo which
     the closure of a quotient is taken.
@@ -334,7 +354,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             basis = blocks[w] = RowBasis(len(labels[w]))
         before = basis.dim
         if not basis.insert(dense):
-            return
+            return False
         if _bound is not None:
             block = _bound.blocks.get(w)
             if block is None or any(block.reduce(dense)):
@@ -349,6 +369,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                     done, settler = True, report
                     break
         queue.append((w, dense))
+        return True
 
     for seed in seeds:
         split = engine.ambient.to_dense(seed)
@@ -358,10 +379,21 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     for w, dense in parts:
         insert(w, dense)
     applications = 0
-    while queue and not done:
-        w, vec = queue.popleft()
-        support = [pos for pos, c in enumerate(vec) if c != 0]
-        for gi, target in engine.moves(w):
+    outward: deque = deque()  # (w, vec, support, the rest of its outward moves)
+    while not done:
+        if queue:
+            # a fresh vector: its inward moves now, its outward ones queued
+            w, vec = queue.popleft()
+            support = [pos for pos, c in enumerate(vec) if c != 0]
+            moves, inward = engine.moves(w), engine.inward[w]
+            outward.append((w, vec, support, itertools.islice(moves, inward, None)))
+            step, resumed = moves[:inward], False
+        elif outward:
+            w, vec, support, step = outward[0]
+            resumed = True
+        else:
+            break
+        for gi, target in step:
             if not room[target]:
                 continue
             cols = engine.matrix(gi, w)
@@ -371,10 +403,12 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                 for dst, m in cols[pos]:
                     dense[dst] += x * m
             applications += 1
-            if any(dense):
-                insert(target, reduced(target, dense))
-                if done:
-                    break
+            # resumed outward moves stop at a growth, so its vector goes first
+            if any(dense) and insert(target, reduced(target, dense)) and (resumed or done):
+                break
+        else:
+            if resumed:
+                outward.popleft()
     reached = None
     if settler is not None and not settler.reached_target:
         # the closure is the settler's fixed point

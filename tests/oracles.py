@@ -687,11 +687,12 @@ def _op_h(alpha, i, n, beta):
 
 class ClosureOracle:
     """What ``closure`` below found: the dimension at every weight of the
-    window, and the target verdict."""
+    window, the target verdict and the number of moves it applied."""
 
-    def __init__(self, dims, target_dims):
+    def __init__(self, dims, target_dims, applications):
         self.dims = dims
         self.target_dims = target_dims
+        self.applications = applications
         self.reached_target = None
         if target_dims is not None:
             self.reached_target = all(dims[w] >= t for w, t in target_dims.items())
@@ -737,6 +738,7 @@ def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     for seed in seeds:
         for w, dense in engine.ambient.to_dense(seed).items():
             insert(w, dense)
+    applications = 0
     while queue and not (target_dims and deficit == 0):
         w, vec = queue.popleft()
         for gi, target in engine.moves(w):
@@ -745,5 +747,6 @@ def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
             for pos, x in enumerate(vec):
                 for dst, m in cols[pos]:
                     dense[dst] += x * m
+            applications += 1
             insert(target, dense)
-    return ClosureOracle({w: b.dim for w, b in blocks.items()}, target_dims)
+    return ClosureOracle({w: b.dim for w, b in blocks.items()}, target_dims, applications)

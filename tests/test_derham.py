@@ -505,6 +505,41 @@ def test_derham_sources_match_the_per_label_rule():
     assert dropped["poly", 1] > 0 and dropped["one-twist", 2] > 0
 
 
+def test_lemma_source_keys_are_the_supported_keys_in_box_order():
+    # the keys are built from each line's supported range: they must be the
+    # box's keys that P supports, in the box's order, also where a box
+    # straddles the support edges at 0 and -1; the edges are spelled out
+    # here, apart from ``Factor.supports``
+    edge = {"poly": lambda k: k >= 0, "twist": lambda k: k <= -1, "laurent": lambda k: True}
+    poly, twist, laurent = Factor("poly"), Factor("twist"), Factor("laurent", Fraction(1, 3))
+    profiles = [
+        [poly, poly, poly], [twist, twist, twist], [laurent] * 3,
+        [twist, poly, laurent], [poly, laurent, twist],
+    ]
+    boxes = [
+        TruncationBox((-2, -1, 0), (1, 2, 3)),
+        TruncationBox((-1, -1, -1), (0, 0, 0)),
+        TruncationBox((0, -3, -2), (2, -1, 1)),
+    ]
+    for factors in profiles:
+        P = WeightModuleP(factors)
+        for box in boxes:
+            want = [key for key in box.keys()
+                    if all(edge[f.kind](k) for f, k in zip(factors, key))]
+            for r in (0, 1, 2):
+                sources, checked = _lemma_sources(P, r, box, False)
+                assert [key for key, _ in sources] == want, (P, box, r)
+                assert checked == len(want) * len(make_wedge_module(3, r).labels)
+                spanning, _ = _lemma_sources(P, r, box, True)
+                keys = [key for key, _ in spanning]
+                assert keys == [key for key in want if key in set(keys)], (P, box, r)
+    # a box where one line has no supported key has no source
+    for factors, box in (([poly, twist, laurent], TruncationBox((-3, 0, 0), (-1, 1, 1))),
+                         ([twist, poly, poly], TruncationBox((0, 0, 0), (2, 2, 2)))):
+        for spanning in (False, True):
+            assert _lemma_sources(WeightModuleP(factors), 1, box, spanning) == ((), 0)
+
+
 def test_submodule_preservation_operator():
     # sum_s (d_s t^beta) (x) E_(s,i+2) E_(i,i+1) acts as -g on image vectors
     n = 3

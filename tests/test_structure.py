@@ -1,5 +1,6 @@
 """Submodule closure, simplicity evidence, and the subquotient inventory."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -746,17 +747,66 @@ def test_a_weight_without_a_block_reads_as_dimension_zero():
 
 
 def test_move_lists_stay_in_the_window():
+    # the moves into the inner box come first, then the outward ones, each
+    # part in generator order, and ``inward`` counts the first part
     gens = GeneratorSet.default(3)
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
-    for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4)]:
+    for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4), (1, 2, 3)]:
         moves = engine.moves(w)
         assert moves is engine.moves(w)
-        expected = [
+        window = [
             (gi, tuple(a + b for a, b in zip(w, g.shift)))
             for gi, g in enumerate(gens.members)
             if _CUBE3.contains(tuple(a + b for a, b in zip(w, g.shift)))
         ]
-        assert moves == expected
+        inward = [m for m in window if _CUBE3.contains_inner(m[1])]
+        outward = [m for m in window if not _CUBE3.contains_inner(m[1])]
+        assert moves == inward + outward
+        assert engine.inward[w] == len(inward)
+    # (1, 2, 3) has moves on both sides of the split
+    assert 0 < engine.inward[(1, 2, 3)] < len(engine.moves((1, 2, 3)))
+
+
+def _outer_seeds(P, M, box, weights):
+    """The basis vectors of the window at the given weights, none of them
+    in the inner box."""
+    labels = GradedSubspace(P, M, box).labels
+    assert all(labels[w] and not box.contains_inner(w) for w in weights)
+    return [FVector.basis(P, M, key, midx) for w in weights for key, midx in labels[w]]
+
+
+def test_closures_from_outside_the_inner_box_reach_the_fixed_point():
+    # a seed outside the inner box moves mostly outward: its closure, with
+    # no target, has the dims of the breadth-first search only if every
+    # vector's outward moves resume after each growth they cause
+    cases = []
+    for n in (2, 3):
+        # the box of ``check_unique_submodule(n)``, seeded at its corners
+        box = TruncationBox((0,) * n, (5,) * n, margin=2)
+        corners = list(itertools.product((0, 5), repeat=n))
+        cases.append((WeightModuleP.polynomial(n), make_wedge_module(n, 0), box, corners))
+    cases.append((_A3, make_wedge_module(3, 1), _CUBE3, [(1, 0, 0), (4, 1, 0), (3, 4, 4)]))
+    for P, M, box, weights in cases:
+        gens = GeneratorSet.default(P.rank)
+        for seed in _outer_seeds(P, M, box, weights):
+            report = closure([seed], gens, box)
+            assert report.dims == oracles.closure([seed], gens, box).dims, seed
+
+
+def test_pass_seeds_reach_the_target_in_fewer_applications(monkeypatch):
+    # F(A3, wedge^1): each basis seed's closure fills the inner box with
+    # fewer applications than the breadth-first search takes
+    _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
+    gens = GeneratorSet.default(3)
+    window = GradedSubspace(_A3, make_wedge_module(3, 1), _CUBE3)
+    target = {w: len(window.labels[w]) for w in _CUBE3.inner_keys()}
+    basis = [seeds for seeds, _, bound, _ in calls if bound is None]
+    assert len(basis) == 2
+    for seeds in basis:
+        report = closure(seeds, gens, _CUBE3, target_dims=target)
+        plain = oracles.closure(seeds, gens, _CUBE3, target_dims=target)
+        assert report.reached_target and plain.reached_target
+        assert report.applications < plain.applications
 
 
 def test_image_submodule_is_cyclic_at_n4():
