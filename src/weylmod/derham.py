@@ -456,16 +456,18 @@ def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: b
     The image of p (x) v has one term per l outside the label of v, so it
     is nonzero exactly when the set of l whose d_l does not kill the key is
     not inside the label.  On a supported key, d_l kills the key or not by
-    k_l alone (the other lines keep their keys), so the live k values of
-    each line are tabulated once over the box: n x box-width evaluations,
-    not n per key.
+    k_l alone (the other lines keep their keys), so each line's supported
+    k values are flagged live or not once: n x box-width evaluations, not
+    n per key.  A key's tuple of flags is then the matching item of the
+    product of the lines' flags, and keys the label indices it leaves.
     """
     n = P.rank
     labels = wedge_module(n, r).labels
-    keys = tuple(itertools.product(*(
+    ranges = [
         [k for k in range(lo, hi + 1) if f.supports(k)]
         for f, lo, hi in zip(P.factors, key_box.lower, key_box.upper)
-    )))
+    ]
+    keys = tuple(itertools.product(*ranges))
     if not spanning:
         midxs = tuple(range(len(labels)))
         return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
@@ -473,23 +475,22 @@ def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: b
         return (), 0
     zero = mi_zero(n)
     base = keys[0]
-    live_ks = []
-    for l in range(1, n + 1):
+    flags = []  # per line, whether d_l leaves each supported k alive
+    for l, ks in enumerate(ranges, 1):
         e_l = mi_unit(l, n)
-        live = set()
-        for k in range(key_box.lower[l - 1], key_box.upper[l - 1] + 1):
-            key = base[: l - 1] + (k,) + base[l:]
-            if _scaled_monomial_on_key(P, key, zero, e_l):
-                live.add(k)
-        live_ks.append(live)
-    kept = {}  # live set -> the label indices it leaves a nonzero image on
+        flags.append([
+            bool(_scaled_monomial_on_key(P, base[: l - 1] + (k,) + base[l:], zero, e_l))
+            for k in ks
+        ])
+    kept = {}  # per-line flags -> the label indices they leave a nonzero image on
     sources = []
-    for key in keys:
-        live = frozenset(l for l, ks in enumerate(live_ks, 1) if key[l - 1] in ks)
+    # the flags of a key are its lines' flags, in the order of the keys
+    for key, live in zip(keys, itertools.product(*flags)):
         midxs = kept.get(live)
         if midxs is None:
+            lines = {l for l, alive in enumerate(live, 1) if alive}
             midxs = kept[live] = tuple(
-                midx for midx, label in enumerate(labels) if not live.issubset(label)
+                midx for midx, label in enumerate(labels) if not lines.issubset(label)
             )
         if midxs:
             sources.append((key, midxs))

@@ -123,7 +123,8 @@ class ClosureEngine:
     ``capacity[w]`` is the dimension of the window at w, less that of
     ``mod`` for a quotient: no closure block at w grows beyond it.
     ``inward[w]`` counts the moves of weight w into the inner box, which
-    ``moves(w)`` lists first.
+    ``moves(w)`` lists first.  The move lists are shared by every engine
+    over the same generator shifts and box (``_move_lists``).
     """
 
     def __init__(
@@ -144,14 +145,14 @@ class ClosureEngine:
             for w, labels in self.ambient.labels.items()
         }
         self._matrices = {}
-        self._moves = {}
-        self.inward = {}
+        self._moves, self.inward = _move_lists(tuple(g.shift for g in self.gens), box)
 
     def moves(self, w):
         """The (generator index, target weight) pairs of weight w whose
         target lies in the window, listed once per weight: the ``inward[w]``
         moves whose target lies in the inner box first, then the outward
-        ones, each part in generator order."""
+        ones, each part in generator order.  The window keys every weight
+        of the box, so the lists depend on the shifts and the box alone."""
         hit = self._moves.get(w)
         if hit is None:
             labels, inner = self.ambient.labels, self.box.contains_inner
@@ -179,6 +180,14 @@ class ClosureEngine:
                 self.module_p, rows, self.ambient.labels[w], self.ambient.slots[target]
             )
         return cols
+
+
+@lru_cache(maxsize=16)
+def _move_lists(shifts: tuple, box: TruncationBox):
+    """(moves, inward): the per-weight move lists and inward counts of
+    ``ClosureEngine.moves`` for the generator shifts on the box, filled on
+    first use by every engine over them and read by all."""
+    return {}, {}
 
 
 @lru_cache(maxsize=1)

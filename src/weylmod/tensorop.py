@@ -13,6 +13,7 @@ below the node count in m prove the identity for every integer alpha.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -126,23 +127,38 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     The residual is bilinear in (x, y), so it is the sum over the term
     pairs (c1 t^a d_i, c2 t^b d_j) of c1 c2 times the template of (n, i, j)
     evaluated at (a, b) (``_iota_template``).  Evaluation is a ring map, so
-    the sum is the residual of the direct computation, term by term.  A
-    pair whose template has no rows adds nothing and is not evaluated.  The
+    the sum is the residual of the direct computation, term by term.  Only
+    the pairs whose template has rows add anything, and those templates
+    are read off the live table of the rank (``_iota_live``): an empty
+    table is the zero operator, with no loop over the term pairs.  The
     exponents are ints: ``WeylElement`` refuses any other.
     """
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
-    right = [(b, g.index(1) + 1, c) for (b, g), c in y.element.terms.items()]
+    live = _iota_live(n)
     terms = {}
-    for (a, g), c1 in x.element.terms.items():
-        i = g.index(1) + 1
-        for b, j, c2 in right:
-            template = _iota_template(n, i, j)
-            if template[1]:
-                values = _evaluated(template, a + b, tuple(map(add, a, b)))
-                accumulate(terms, ((key, c1 * c2 * c) for key, c in values.items()))
+    if live:
+        right = [(b, g.index(1) + 1, c) for (b, g), c in y.element.terms.items()]
+        for (a, g), c1 in x.element.terms.items():
+            i = g.index(1) + 1
+            for b, j, c2 in right:
+                template = live.get((i, j))
+                if template is not None:
+                    values = _evaluated(template, a + b, tuple(map(add, a, b)))
+                    accumulate(terms, ((key, c1 * c2 * c) for key, c in values.items()))
     return TensorOperator._from_kernel(terms, rank=n, laurent=x.laurent or y.laurent)
+
+
+@lru_cache(maxsize=16)
+def _iota_live(n: int) -> dict:
+    """The iota templates of rank n that have rows, as {(i, j): template},
+    built once per rank from ``_iota_template`` over all n^2 pairs and
+    shared: treat it as read-only.  The residual is bilinear, so an empty
+    table proves iota a homomorphism on every pair of fields of rank n."""
+    pairs = itertools.product(range(1, n + 1), repeat=2)
+    templates = {(i, j): _iota_template(n, i, j) for i, j in pairs}
+    return {pair: template for pair, template in templates.items() if template[1]}
 
 
 @lru_cache(maxsize=256)

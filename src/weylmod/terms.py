@@ -33,6 +33,10 @@ from .errors import StructureError
 
 SCALARS = (int, Fraction)
 
+# bound once: every adoption makes a bare instance and sets its slots
+_new = object.__new__
+_set_slot = object.__setattr__
+
 
 def accumulate(out: dict, pairs) -> dict:
     """Add every (key, coeff) pair into ``out``, dropping keys that cancel.
@@ -85,9 +89,10 @@ class TermMap:
     _sort_key = staticmethod(itemgetter(0))
 
     def _set(self, terms: dict, **fields) -> None:
+        """Set the fields and terms of an ``__init__`` that checked them."""
         for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "terms", terms)
+            _set_slot(self, name, value)
+        _set_slot(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -100,8 +105,10 @@ class TermMap:
         """The element over ``terms`` and ``fields`` that a kernel of this
         library built: valid by construction, so it is adopted as it is,
         without ``__init__``.  The one constructor that skips the check."""
-        element = object.__new__(cls)
-        element._set(terms, **fields)
+        element = _new(cls)
+        for name, value in fields.items():
+            _set_slot(element, name, value)
+        _set_slot(element, "terms", terms)
         return element
 
     def _like(self, terms: dict, other=None):

@@ -71,9 +71,11 @@ def test_every_memo_is_bounded():
         "weylmod.structure._default_generators",
         "weylmod.structure._engine",
         "weylmod.structure._member_rows",
+        "weylmod.structure._move_lists",
         "weylmod.tensorop._node_terms",
         "weylmod.tensorop._node_template",
         "weylmod.tensorop._iota_template",
+        "weylmod.tensorop._iota_live",
         "weylmod.tensorop._residual_template",
         IDENTITY_MEMO,
     ):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylmod import derham, tensorop, weyl
+from test_memo import clear_memos
+from weylmod import tensorop, weyl
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.suites import check_iota_hom
 from weylmod.tensorop import (
@@ -182,23 +183,19 @@ def _commuting_rule(b1, g1, b2, g2):
 
 @contextmanager
 def _wrong_kernel(name, wrong, modules=(tensorop,)):
-    """``<module>.<name>`` replaced by wrong in each of modules.  The iota,
-    node, residual, lemma and equivariance templates are built by the library's kernels
-    and weights, so their memos are cleared inside the patch and again
-    before it is lifted."""
-    memos = (tensorop._iota_template, tensorop._node_terms, tensorop._node_template,
-             tensorop._residual_template, derham._lemma_template,
-             derham._equivariance_template)
-    with pytest.MonkeyPatch.context() as patch:
-        for module in modules:
-            patch.setattr(module, name, wrong)
-        for memo in memos:
-            memo.cache_clear()
-        try:
+    """``<module>.<name>`` replaced by wrong in each of modules.  The
+    library's memos (its templates among them) are built by its kernels
+    and weights, so every one is cleared (``test_memo.clear_memos``) before
+    the patch is set and again once it is lifted, when each memo is back
+    under its own name."""
+    clear_memos()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, name, wrong)
             yield
-        finally:
-            for memo in memos:
-                memo.cache_clear()
+    finally:
+        clear_memos()
 
 
 @PROPERTY

@@ -767,6 +767,23 @@ def test_move_lists_stay_in_the_window():
     assert 0 < engine.inward[(1, 2, 3)] < len(engine.moves((1, 2, 3)))
 
 
+def test_engines_over_one_box_share_their_move_lists():
+    # the moves depend on the generator shifts and the box alone, so an
+    # engine over another P or M reads the lists that the first one built
+    gens = GeneratorSet.default(3)
+    structure._move_lists.cache_clear()
+    first = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
+    w = (1, 2, 3)
+    moves = first.moves(w)
+    for P, r in ((_A3, 2), (WeightModuleP.twisted(3), 1)):
+        other = ClosureEngine(P, make_wedge_module(3, r), gens, _CUBE3)
+        assert other.moves(w) is moves and other.inward[w] == first.inward[w]
+    assert structure._move_lists.cache_info()[:2] == (2, 1)
+    # another box has lists of its own
+    box = TruncationBox((0,) * 3, (3,) * 3, margin=1)
+    assert ClosureEngine(_A3, make_wedge_module(3, 1), gens, box).moves(w) != moves
+
+
 def _outer_seeds(P, M, box, weights):
     """The basis vectors of the window at the given weights, none of them
     in the inner box."""

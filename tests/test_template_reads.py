@@ -21,6 +21,7 @@ import pytest
 from test_derham import LEMMA_PROFILES
 from test_memo import clear_memos
 from weylmod import derham, structure, suites, tensorop, weightmod, weyl
+from weylmod.errors import StructureError
 from weylmod.derham import _derham_table, _equivariance_image, _equivariance_template, pi
 from weylmod.indices import mi_zero
 from weylmod.structure import GeneratorSet
@@ -66,15 +67,16 @@ def _counted(module, name, counts):
 @contextmanager
 def _patched(patches):
     """Each (module, name, value) set, with every library memo cleared
-    inside the patch and again before it is lifted."""
-    with pytest.MonkeyPatch.context() as patch:
-        for module, name, value in patches:
-            patch.setattr(module, name, value)
-        clear_memos()
-        try:
+    before the patches are set and again once they are lifted, when each
+    memo is back under its own name."""
+    clear_memos()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name, value in patches:
+                patch.setattr(module, name, value)
             yield
-        finally:
-            clear_memos()
+    finally:
+        clear_memos()
 
 
 # -- the short cuts ----------------------------------------------------------
@@ -96,6 +98,37 @@ def test_iota_pairs_with_empty_templates_are_not_evaluated():
     assert residual == TensorOperator(3, {(((3, 1, 2), (0, 0, 0)), ()): 1,
                                           (((2, 2, 0), (0, 0, 0)), ()): 1})
     assert not report["pass"] and report["residual_terms"] == report["checked"]
+
+
+def test_iota_reads_a_live_pair_at_its_term_pairs_only():
+    # a one-row template at (i, j) = (1, 2) alone: the table of rank 3 holds
+    # that pair, and the residual evaluates it at the term pairs
+    # (t^a d_1, t^b d_2), c1 c2 t^(a+b) (x) 1 each, and at no other pair
+    honest = tensorop._iota_template
+    x = (monomial_field((1, 0, 2), 1, 2) + monomial_field((0, 1, 0), 3)
+         + monomial_field((0, 0, 1), 1, -1))
+    y = monomial_field((2, 1, 0), 2, 3) + monomial_field((0, 2, 1), 1)
+
+    def one_pair(n, i, j):
+        return _one_row(n, ()) if (i, j) == (1, 2) else honest(n, i, j)
+
+    counts = {}
+    with _patched([(tensorop, "_iota_template", one_pair)]):
+        assert tensorop._iota_live(3) == {(1, 2): _one_row(3, ())}
+        with _counted(tensorop, "_evaluated", counts):
+            residual = iota_hom_residual(x, y)
+    assert counts == {"_evaluated": 2}
+    assert residual == TensorOperator(3, {(((3, 1, 2), (0, 0, 0)), ()): 6,
+                                          (((2, 1, 1), (0, 0, 0)), ()): -3})
+    assert iota_hom_residual(x, y).is_zero()
+
+
+def test_iota_rank_mismatch_is_refused_before_the_table_is_read():
+    counts = {}
+    with _counted(tensorop, "_iota_live", counts):
+        with pytest.raises(StructureError, match="rank mismatch: 2 vs 3"):
+            iota_hom_residual(monomial_field((0, 1), 1), monomial_field((0, 0, 1), 1))
+    assert counts == {}
 
 
 def test_identities_read_empty_templates_without_evaluating_them():

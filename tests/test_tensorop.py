@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_memo import clear_memos
 from test_properties import _wrong_kernel
 from weylmod import suites, tensorop
 from weylmod.errors import ArgumentError, StructureError
@@ -140,6 +141,9 @@ def test_iota_template_on_sums_the_zero_field_and_mixed_modes():
         (0, 0, -2), 1, 7, laurent=True
     )
     zero = VectorField(WeylElement.zero(n))
+    # every residual at n = 3 is the zero operator of the empty live table,
+    # Laurent when either field is
+    assert tensorop._iota_live(n) == {}
     for a, b in [(x, y), (y, x), (x, x), (y, y), (x, zero), (zero, y), (zero, zero)]:
         got = iota_hom_residual(a, b)
         assert got == oracles.iota_hom_residual(a, b)
@@ -171,12 +175,12 @@ def test_iota_template_rows_are_a_plus_b_plus_an_offset(monkeypatch):
         return VectorField(WeylElement._from_kernel(terms, rank=x.rank, laurent=True))
 
     x = monomial_field((0, 1), 1)
-    tensorop._iota_template.cache_clear()
+    clear_memos()
     monkeypatch.setattr(tensorop, "bracket", doubled_exponent)
     with pytest.raises(StructureError, match="integer offset"):
         iota_hom_residual(x, x)
     monkeypatch.undo()
-    tensorop._iota_template.cache_clear()
+    clear_memos()
     assert iota_hom_residual(x, x).is_zero()
 
 
@@ -809,12 +813,16 @@ def test_templates_are_built_on_first_use_only():
         "tensorop.cubic_m_product((0, 1), 1, 2, 3)\n"
         "assert tensorop._node_template.cache_info().currsize == 1\n"
         "assert builds == [('cubic', 2, 1, 2)]\n"
+        # the first iota residual at a rank builds the table of that rank
+        # from its n^2 pair templates; a second call builds nothing
         "assert tensorop._iota_template.cache_info().currsize == 0\n"
         "x, y = monomial_field((1, 0), 1), monomial_field((0, 2), 2)\n"
         "assert tensorop.iota_hom_residual(x, y).is_zero()\n"
-        "assert tensorop._iota_template.cache_info().currsize == 1\n"
-        "tensorop.iota_hom_residual(y, x + y)\n"
-        "assert tensorop._iota_template.cache_info().currsize == 3\n"
+        "assert tensorop._iota_template.cache_info().currsize == 4\n"
+        "assert tensorop._iota_live.cache_info().currsize == 1\n"
+        "assert tensorop.iota_hom_residual(y, x + y).is_zero()\n"
+        "assert tensorop._iota_template.cache_info().currsize == 4\n"
+        "assert tensorop._iota_live.cache_info()[:2] == (1, 1)\n"
         "assert tensorop._residual_template.cache_info().currsize == 0\n"
         "assert tensorop.cubic_identity_residual((0, 1), 1, 2).is_zero()\n"
         "assert tensorop.quartic_identity_residual((1, 0, 2), 1).is_zero()\n"

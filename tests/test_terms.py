@@ -189,6 +189,31 @@ def test_operation_results_are_adopted(monkeypatch, case):
             combine(a, other)
 
 
+@pytest.mark.parametrize(
+    "case",
+    range(5),
+    ids=["WeylElement", "UglElement", "TensorOperator", "FVector", "VectorLiteral"],
+)
+def test_adopted_elements_equal_checked_ones(case):
+    # _from_kernel sets every slot that the checked constructor sets, and
+    # nothing else, and its element is as immutable
+    build, terms, _ = adoption_cases()[case]
+    checked = build(terms)
+    cls = type(checked)
+    slots = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
+    fields = {name: getattr(checked, name) for name in slots if name != "terms"}
+    adopted = cls._from_kernel(dict(checked.terms), **fields)
+    assert type(adopted) is cls and adopted == checked
+    assert not hasattr(adopted, "__dict__")
+    for name in slots:
+        assert getattr(adopted, name) == getattr(checked, name), name
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(adopted, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(checked, name, None)
+    assert set(fields) >= set(cls._fields) and "terms" in slots
+
+
 def evidence_seeds(P, box):
     """The seed vectors that ``evidence_simplicity`` on F(P, wedge^1) hands
     to its closures: the image rows and the basis vectors that complete
