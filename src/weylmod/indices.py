@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 from typing import Iterator
 
 from .errors import ArgumentError, StructureError
@@ -133,10 +134,12 @@ class TruncationBox:
         return len(self.lower)
 
     def contains(self, key: MultiIndex) -> bool:
-        return mi_geq(key, self.lower) and mi_geq(self.upper, key)
+        check_rank(key, self.lower)
+        return all(map(le, self.lower, key)) and all(map(le, key, self.upper))
 
     def contains_inner(self, key: MultiIndex) -> bool:
-        return mi_geq(key, self.inner_lower) and mi_geq(self.inner_upper, key)
+        check_rank(key, self.inner_lower)
+        return all(map(le, self.inner_lower, key)) and all(map(le, key, self.inner_upper))
 
     def keys(self) -> Iterator[MultiIndex]:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]

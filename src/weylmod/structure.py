@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import add
 
 from .errors import ArgumentError, StructureError
@@ -108,23 +108,27 @@ def _default_generators(n: int, cap: int) -> GeneratorSet:
 def _member_rows(member: Generator, module_p: WeightModuleP, module_m: SLModule):
     """The integer rows of the member's ``shen_iota`` on F(P, M) and their
     common denominator (``weightmod._integer_rows``), shared: treat them as
-    read-only.  The default set at n = 4 on three profiles and four exterior
-    powers is 2,304 entries (192 members, 3 P, 4 M)."""
+    read-only.  ``verify all --n 4`` fills 224 entries, all of them
+    delta-p's (unique-submodule reads 122 of them; de Rham reads templates
+    and fills none), and a seed-1 closure-evidence benchmark pass 184, each
+    case run twice."""
     op = _acting_form(shen_iota(member.field), module_p)
     return _integer_rows(module_p, _action_table(op, module_m))
 
 
 class ClosureEngine:
     """The ambient window of the box (a ``GradedSubspace`` with no
-    blocks), with cached per-weight move lists and per-(generator, weight)
+    blocks), with per-weight tables and cached per-(generator, weight)
     action matrices, the latter assembled from the members' rows in
     ``_member_rows``.
 
     ``capacity[w]`` is the dimension of the window at w, less that of
     ``mod`` for a quotient: no closure block at w grows beyond it.
-    ``inward[w]`` counts the moves of weight w into the inner box, which
-    ``moves(w)`` lists first.  The move lists are shared by every engine
-    over the same generator shifts and box (``_move_lists``).
+    ``moves[w]`` is (moves, inward) (``_moves_at``), read from the move
+    table that every engine over the same generator shifts and box shares
+    (``_move_lists``).  Both tables fill a weight on its first read, and
+    neither fill refers to the engine, so an evicted engine is freed by
+    reference counting alone.
     """
 
     def __init__(
@@ -140,34 +144,16 @@ class ClosureEngine:
         self.gens = gens.members
         self.box = box
         self.ambient = GradedSubspace(module_p, module_m, box)
-        self.capacity = {
-            w: len(labels) - (mod.dim_at(w) if mod is not None else 0)
-            for w, labels in self.ambient.labels.items()
-        }
+        labels = self.ambient.labels
+        self.capacity = _Table(
+            lambda w: len(labels[w]) - (mod.dim_at(w) if mod is not None else 0)
+        )
         self._matrices = {}
-        self._moves, self.inward = _move_lists(tuple(g.shift for g in self.gens), box)
-
-    def moves(self, w):
-        """The (generator index, target weight) pairs of weight w whose
-        target lies in the window, listed once per weight: the ``inward[w]``
-        moves whose target lies in the inner box first, then the outward
-        ones, each part in generator order.  The window keys every weight
-        of the box, so the lists depend on the shifts and the box alone."""
-        hit = self._moves.get(w)
-        if hit is None:
-            labels, inner = self.ambient.labels, self.box.contains_inner
-            inward, outward = [], []
-            for gi, g in enumerate(self.gens):
-                target = tuple(map(add, w, g.shift))
-                if target in labels:
-                    (inward if inner(target) else outward).append((gi, target))
-            hit = self._moves[w] = inward + outward
-            self.inward[w] = len(inward)
-        return hit
+        self.moves = _move_lists(tuple(g.shift for g in self.gens), box)
 
     def matrix(self, gi: int, w):
-        """The columns of generator gi at weight w, for a move listed by
-        ``moves(w)``: column j lists (position, coeff) pairs, the image of
+        """The columns of generator gi at weight w, for a move listed in
+        ``moves[w]``: column j lists (position, coeff) pairs, the image of
         basis vector j times the denominator of the member's rows.  A
         closure is a span, so one nonzero scale per block changes nothing
         it computes, and its arithmetic stays in ints."""
@@ -184,10 +170,24 @@ class ClosureEngine:
 
 @lru_cache(maxsize=16)
 def _move_lists(shifts: tuple, box: TruncationBox):
-    """(moves, inward): the per-weight move lists and inward counts of
-    ``ClosureEngine.moves`` for the generator shifts on the box, filled on
-    first use by every engine over them and read by all."""
-    return {}, {}
+    """The move table of the generator shifts on the box, shared by every
+    engine over them: weight -> (moves, inward), filled on first read
+    (``_moves_at``)."""
+    return _Table(partial(_moves_at, shifts, box))
+
+
+def _moves_at(shifts, box, w):
+    """(moves, inward) at weight w: the (generator index, target) pairs
+    whose target lies in the box, the ``inward`` ones whose target lies in
+    the inner box first, then the outward ones, each part in generator
+    order.  The window keys every weight of the box, so these are the
+    moves within the window."""
+    inward, outward = [], []
+    for gi, shift in enumerate(shifts):
+        target = tuple(map(add, w, shift))
+        if box.contains(target):
+            (inward if box.contains_inner(target) else outward).append((gi, target))
+    return inward + outward, len(inward)
 
 
 @lru_cache(maxsize=1)
@@ -323,14 +323,14 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
     if _bound is None:
-        room = _Room(engine.capacity.__getitem__)
+        room = _Table(engine.capacity.__getitem__)
     else:
         # ``_window`` shares one mapping per (P, M, box), so the keys are
         # compared only when the mappings differ
         if (_bound.module_p != engine.module_p or _bound.module_m is not engine.module_m
                 or (_bound.labels is not labels and _bound.labels.keys() != labels.keys())):
             raise StructureError("the bound is not a subspace of the closure's window")
-        room = _Room(_bound.dim_at)
+        room = _Table(_bound.dim_at)
     settled = _settled or {}
     blocks: dict = {}
     queue: deque = deque()
@@ -394,7 +394,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             # a fresh vector: its inward moves now, its outward ones queued
             w, vec = queue.popleft()
             support = [pos for pos, c in enumerate(vec) if c != 0]
-            moves, inward = engine.moves(w), engine.inward[w]
+            moves, inward = engine.moves[w]
             outward.append((w, vec, support, itertools.islice(moves, inward, None)))
             step, resumed = moves[:inward], False
         elif outward:
@@ -432,10 +432,10 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     )
 
 
-class _Room(dict):
-    """weight -> how far a closure block may still grow there, filled on
-    first read from ``fill(weight)``, so a closure sets up only the
-    weights it reaches."""
+class _Table(dict):
+    """weight -> value, filled on first read from ``fill(weight)``, so a
+    table sets up only the weights it is asked for: a closure's room, an
+    engine's capacity and the shared move tables."""
 
     __slots__ = ("_fill",)
 
@@ -444,8 +444,8 @@ class _Room(dict):
         self._fill = fill
 
     def __missing__(self, w):
-        left = self[w] = self._fill(w)
-        return left
+        value = self[w] = self._fill(w)
+        return value
 
 
 def _first_short(blocks, target_dims):

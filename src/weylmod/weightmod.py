@@ -34,80 +34,73 @@ LAURENT = "laurent"
 DEFAULT_SHIFT = Fraction(1, 2)
 
 
-class Factor:
-    """One coordinate factor of a weight module."""
+class Factor(tuple):
+    """One coordinate factor of a weight module, stored as its line
+    (kind, q, p): the true t exponent of key k is (q k + p) / q, so a
+    Laurent line has shift lambda = p / q and every other line q = 1,
+    p = 0.  A factor compares and hashes as that tuple."""
 
-    __slots__ = ("kind", "shift")
+    __slots__ = ()
 
-    def __init__(self, kind: str, shift=None):
+    def __new__(cls, kind: str, shift=None):
         if kind not in (POLY, TWIST, LAURENT):
             raise ArgumentError(f"unknown factor kind {kind!r}")
         if kind == LAURENT:
             shift = Fraction(shift if shift is not None else DEFAULT_SHIFT)
             if shift.denominator == 1:
                 raise StructureError("laurent shift must not be an integer")
-        elif shift is not None:
+            return super().__new__(cls, (kind, shift.denominator, shift.numerator))
+        if shift is not None:
             raise ArgumentError(f"{kind} factor takes no shift")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "shift", shift)
+        return super().__new__(cls, (kind, 1, 0))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Factor is immutable")
+    @property
+    def kind(self) -> str:
+        return self[0]
+
+    @property
+    def shift(self):
+        """The Laurent shift lambda, None off a Laurent line."""
+        kind, q, p = self
+        return Fraction(p, q) if kind == LAURENT else None
 
     def supports(self, k: int) -> bool:
-        if self.kind == POLY:
+        kind = self[0]
+        if kind == POLY:
             return k >= 0
-        if self.kind == TWIST:
+        if kind == TWIST:
             return k <= -1
         return True
 
     def exponent(self, k: int):
         """The true t exponent of basis key k (lambda + k on a Laurent line)."""
-        return k + self.shift if self.kind == LAURENT else k
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Factor)
-            and self.kind == other.kind
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.shift))
+        return k + self.shift if self[0] == LAURENT else k
 
     def __repr__(self):
-        if self.kind == LAURENT:
-            return f"laurent({self.shift})"
-        return self.kind
+        kind, q, p = self
+        return f"laurent({p}/{q})" if kind == LAURENT else kind
 
 
 class WeightModuleP:
     """A simple weight module presented as a product of coordinate factors.
 
-    A profile is identified by its ``lines``: equal profiles have equal
-    lines, and the memos keyed by a profile hash it once, at construction.
+    A profile is identified by its factors, each its line (kind, q, p), so
+    equal profiles compare equal as tuples of lines, and the memos keyed by
+    a profile hash it once, at construction.
     """
 
-    __slots__ = ("rank", "factors", "lines", "_hash", "_text")
+    __slots__ = ("rank", "factors", "_hash", "_text")
 
     def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise ArgumentError("need at least one factor")
+        for f in factors:
+            if not isinstance(f, Factor):
+                raise ArgumentError(f"profile factor {f!r} is not a Factor")
         object.__setattr__(self, "rank", len(factors))
         object.__setattr__(self, "factors", factors)
-        # (kind, q, p) per factor: the true exponent of key k is (q k + p) / q,
-        # so lambda = p / q on a Laurent line and q = 1, p = 0 elsewhere
-        lines = tuple(
-            [
-                (f.kind, f.shift.denominator, f.shift.numerator)
-                if f.kind == LAURENT
-                else (f.kind, 1, 0)
-                for f in factors
-            ]
-        )
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "_hash", hash(lines))
+        object.__setattr__(self, "_hash", hash(factors))
         # the text is built on first use (``__repr__``)
         object.__setattr__(self, "_text", None)
 
@@ -130,8 +123,7 @@ class WeightModuleP:
         return all(f.supports(k) for f, k in zip(self.factors, key))
 
     def __eq__(self, other):
-        # a factor's kind and exact shift are its line (kind, q, p)
-        return isinstance(other, WeightModuleP) and self.lines == other.lines
+        return isinstance(other, WeightModuleP) and self.factors == other.factors
 
     def __hash__(self):
         return self._hash
@@ -139,11 +131,7 @@ class WeightModuleP:
     def __repr__(self):
         text = self._text
         if text is None:
-            # Factor's text, read off the lines: a Laurent shift is p/q
-            text = "[" + ",".join(
-                f"laurent({p}/{q})" if kind == LAURENT else kind
-                for kind, q, p in self.lines
-            ) + "]"
+            text = "[" + ",".join(map(repr, self.factors)) + "]"
             object.__setattr__(self, "_text", text)
         return text
 
@@ -203,7 +191,7 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
     """
     num = 1
     out = []
-    for (kind, q, p), k, b, g in zip(module.lines, key, t_exp, d_exp):
+    for (kind, q, p), k, b, g in zip(module.factors, key, t_exp, d_exp):
         new = k - g + b
         if kind == POLY and new < 0 or kind == TWIST and new > -1:
             return None
@@ -611,7 +599,7 @@ def _integer_rows(module_p: WeightModuleP, table):
     the lcm over the table, so coeff times the numerator from
     ``_scaled_monomial_on_key`` is den times the exact image coefficient.
     """
-    qs = [q for _, q, _ in module_p.lines]
+    qs = [q for _, q, _ in module_p.factors]
     entries = [
         (src, mono, dst, c, prod(q**g for q, g in zip(qs, mono[1])))
         for (mono, (src, dst)), c in table.items()

@@ -741,7 +741,7 @@ def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     applications = 0
     while queue and not (target_dims and deficit == 0):
         w, vec = queue.popleft()
-        for gi, target in engine.moves(w):
+        for gi, target in engine.moves[w][0]:
             cols = engine.matrix(gi, w)
             dense = [0] * len(labels[target])
             for pos, x in enumerate(vec):

@@ -1,7 +1,9 @@
 """The per-profile memos: bounded, keyed by every input they depend on, and
 invisible in every report."""
 
+import gc
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import weylmod  # the package import loads every library module
 from test_derham import LEMMA_PROFILES
 from test_structure import PRUNING_CASES
 from weylmod import derham, structure, suites, weightmod
+from weylmod.errors import ArgumentError, StructureError
 from weylmod.derham import (
     GradedSubspace,
     partial_span,
@@ -359,6 +362,78 @@ def test_profile_identity_is_factor_by_factor():
     for factors, P in profiles:
         text = "[" + ",".join(repr(f) for f in factors) + "]"
         assert repr(P) == text and repr(P) is repr(P)
+
+
+def test_a_factor_is_its_line():
+    # a factor is the tuple (kind, q, p), so equal lines compare and hash
+    # equal however the shift was spelt, and a profile keys on those tuples
+    half = ("laurent", 2, 1)
+    spelt = [Factor("laurent")] + [
+        Factor("laurent", shift) for shift in (Fraction(1, 2), Fraction(2, 4), "1/2", 1 / 2)
+    ]
+    for f in spelt:
+        assert f == half and hash(f) == hash(half)
+    assert Factor("poly") == ("poly", 1, 0) and Factor("twist") == ("twist", 1, 0)
+    assert WeightModuleP(spelt[:2]).factors == (half, half)
+    # what a factor reads, as before it was a tuple
+    poly, twist = Factor("poly"), Factor("twist")
+    assert (poly.kind, poly.shift, repr(poly)) == ("poly", None, "poly")
+    assert (twist.kind, twist.shift, repr(twist)) == ("twist", None, "twist")
+    assert [poly.supports(k) for k in (-1, 0)] == [False, True]
+    assert [twist.supports(k) for k in (-1, 0)] == [True, False]
+    assert poly.exponent(3) == 3 and twist.exponent(-2) == -2
+    assert type(poly.exponent(3)) is int
+    for shift, text in ((Fraction(1, 2), "laurent(1/2)"), (Fraction(-7, 5), "laurent(-7/5)")):
+        lam = Factor("laurent", shift)
+        assert lam.kind == "laurent" and repr(lam) == text
+        assert type(lam.shift) is Fraction and lam.shift == shift
+        assert all(lam.supports(k) for k in (-5, -1, 0, 5))
+        assert lam.exponent(3) == 3 + shift and type(lam.exponent(3)) is Fraction
+    with pytest.raises(AttributeError):
+        poly.kind = "twist"
+
+
+def test_outside_factors_are_refused():
+    with pytest.raises(ArgumentError, match="unknown factor kind 'line'"):
+        Factor("line")
+    for kind in ("poly", "twist"):
+        with pytest.raises(ArgumentError, match=f"{kind} factor takes no shift"):
+            Factor(kind, Fraction(1, 2))
+    for shift in (2, Fraction(4, 2), "-3"):
+        with pytest.raises(StructureError, match="laurent shift must not be an integer"):
+            Factor("laurent", shift)
+    # a profile takes factors only: a bare factor, a plain line and a kind
+    # name are not factors, though the first two iterate and compare alike
+    for factors in (Factor("poly"), [("poly", 1, 0)], ["poly"], [Factor("poly"), "twist"]):
+        with pytest.raises(ArgumentError, match="is not a Factor"):
+            WeightModuleP(factors)
+
+
+def test_an_evicted_engine_is_freed_by_reference_counting():
+    # no table of an engine refers back to it (its capacity and the shared
+    # move table fill from the window, mod, the shifts and the box), so an
+    # engine that leaves the one-entry memo is freed with the cycle collector
+    # off, whether or not it takes a quotient
+    P, box = WeightModuleP.polynomial(2), TruncationBox((0, 0), (4, 4), margin=1)
+    gens = GeneratorSet.default(2)
+    wedge1 = make_wedge_module(2, 1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for ambient, mod in (("F", None), ("quotient", pi_kernel(P, 1, box))):
+            structure._engine.cache_clear()
+            evidence_simplicity(P, wedge1, ambient, box, r=1)
+            engine = structure._engine(P, wedge1, gens, box, mod)
+            assert structure._engine.cache_info().hits > 0
+            assert engine.capacity and engine.moves and engine._matrices
+            ref = weakref.ref(engine)
+            del engine
+            # evicted by the engine of another module
+            structure._engine(P, make_wedge_module(2, 0), gens, box, None)
+            assert ref() is None, ambient
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_box_identity_is_its_bounds_and_margin():

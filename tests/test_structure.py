@@ -71,7 +71,7 @@ def test_engine_columns_are_scaled_tensor_act_columns():
         engine = ClosureEngine(P, M, gens, box)
         weights = sorted(box.inner_keys())[::3]
         for w in weights:
-            for gi, target in engine.moves(w):
+            for gi, target in engine.moves[w][0]:
                 g = gens.members[gi]
                 cols = engine.matrix(gi, w)
                 assert cols is engine.matrix(gi, w)
@@ -101,7 +101,7 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     traced = ClosureEngine.matrix
 
     def matrix(engine, gi, w):
-        asked.append((gi, w, engine.moves(w)))
+        asked.append((gi, w, engine.moves[w][0]))
         return traced(engine, gi, w)
 
     monkeypatch.setattr(ClosureEngine, "matrix", matrix)
@@ -512,18 +512,24 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
 
 @pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
 def test_lazy_room_gives_the_reports_of_an_eager_one(monkeypatch, case):
-    # a closure fills its room on first read; room filled at every window
-    # weight up front (a plain dict that refuses any other weight) gives the
-    # same reports closure by closure
+    # a closure fills its room, and an engine its capacity and move tables,
+    # on first read; tables filled at every window weight up front (a plain
+    # dict that refuses any other weight) give the same reports closure by
+    # closure
     P, M, ambient, box, r = case
     lazy, lazy_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
 
-    class EagerRoom(dict):
+    class EagerTable(dict):
         def __init__(self, fill):
             super().__init__((w, fill(w)) for w in box.keys())
 
-    monkeypatch.setattr(structure, "_Room", EagerRoom)
+    monkeypatch.setattr(structure, "_Table", EagerTable)
+    structure._engine.cache_clear()
+    structure._move_lists.cache_clear()
     eager, eager_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    # later tests start from lazily filled tables
+    structure._engine.cache_clear()
+    structure._move_lists.cache_clear()
     assert eager == lazy
     assert len(eager_calls) == len(lazy_calls)
     for (*_, want), (*_, got) in zip(eager_calls, lazy_calls):
@@ -752,8 +758,8 @@ def test_move_lists_stay_in_the_window():
     gens = GeneratorSet.default(3)
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4), (1, 2, 3)]:
-        moves = engine.moves(w)
-        assert moves is engine.moves(w)
+        moves, inward_count = engine.moves[w]
+        assert moves is engine.moves[w][0]
         window = [
             (gi, tuple(a + b for a, b in zip(w, g.shift)))
             for gi, g in enumerate(gens.members)
@@ -762,9 +768,10 @@ def test_move_lists_stay_in_the_window():
         inward = [m for m in window if _CUBE3.contains_inner(m[1])]
         outward = [m for m in window if not _CUBE3.contains_inner(m[1])]
         assert moves == inward + outward
-        assert engine.inward[w] == len(inward)
+        assert inward_count == len(inward)
     # (1, 2, 3) has moves on both sides of the split
-    assert 0 < engine.inward[(1, 2, 3)] < len(engine.moves((1, 2, 3)))
+    moves, inward_count = engine.moves[(1, 2, 3)]
+    assert 0 < inward_count < len(moves)
 
 
 def test_engines_over_one_box_share_their_move_lists():
@@ -774,14 +781,14 @@ def test_engines_over_one_box_share_their_move_lists():
     structure._move_lists.cache_clear()
     first = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     w = (1, 2, 3)
-    moves = first.moves(w)
+    moves, inward = first.moves[w]
     for P, r in ((_A3, 2), (WeightModuleP.twisted(3), 1)):
         other = ClosureEngine(P, make_wedge_module(3, r), gens, _CUBE3)
-        assert other.moves(w) is moves and other.inward[w] == first.inward[w]
+        assert other.moves[w][0] is moves and other.moves[w][1] == inward
     assert structure._move_lists.cache_info()[:2] == (2, 1)
     # another box has lists of its own
     box = TruncationBox((0,) * 3, (3,) * 3, margin=1)
-    assert ClosureEngine(_A3, make_wedge_module(3, 1), gens, box).moves(w) != moves
+    assert ClosureEngine(_A3, make_wedge_module(3, 1), gens, box).moves[w][0] != moves
 
 
 def _outer_seeds(P, M, box, weights):
