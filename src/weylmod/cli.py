@@ -316,7 +316,7 @@ def cmd_derham(args) -> int:
         value = _read_vector("--input", args.input, n)
         image = pi(value.bind(P))
         return _print_json({"input": str(value), "image": format_vector(image)})
-    box = parse_box(args.box or "-3..3", n, args.margin)
+    box = parse_box(args.box or "-3..3", n)
     if args.action == "gen-ln":
         space = pi_image(P, args.r, box)
     elif args.action == "gen-ln-tilde":
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("--r", type=int, default=1)
     dr.add_argument("--input", default=None, help="vector expression for pi")
     dr.add_argument("--box", default=None, help="e.g. --box=-3..5")
-    dr.add_argument("--margin", type=int, default=0)
     dr.set_defaults(fn=cmd_derham)
 
     st = sub.add_parser("structure", help="closures, simplicity evidence, inventory",

@@ -389,7 +389,7 @@ def _equivariance_image(x, w: FVector) -> FVector:
     n = w.module_p.rank
     r = wedge_degree(w.module_m)
     table = {}
-    for (a, d_exp), c in x.element.terms.items():
+    for (a, d_exp), c in x.terms.items():
         template = _equivariance_template(n, d_exp.index(1) + 1, r)
         if template[1]:
             accumulate(table, ((key, c * v) for key, v in _evaluated(template, a, a).items()))

@@ -129,6 +129,9 @@ class TruncationBox:
     def __setattr__(self, name, value):
         raise AttributeError("TruncationBox is immutable")
 
+    def __reduce__(self):
+        return TruncationBox, (self.lower, self.upper, self.margin)
+
     @property
     def rank(self) -> int:
         return len(self.lower)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache, partial
-from operator import add
+from operator import add, sub
 
 from .errors import ArgumentError, StructureError
 from .derham import (
@@ -42,14 +42,18 @@ from .weightmod import (
 
 
 class Generator:
-    """A named divergence-free generator with its weight shift."""
+    """A named divergence-free generator with its weight shift, the common
+    weight a - e_i of the terms t^a d_i of its field."""
 
     __slots__ = ("name", "field", "shift")
 
-    def __init__(self, name: str, field: VectorField, shift):
+    def __init__(self, name: str, field: VectorField):
+        shifts = {tuple(map(sub, t_exp, d_exp)) for t_exp, d_exp in field.terms}
+        if len(shifts) != 1:
+            raise ArgumentError(f"generator {name} needs a nonzero field of one weight")
         self.name = name
         self.field = field
-        self.shift = tuple(shift)
+        (self.shift,) = shifts
 
 
 class GeneratorSet:
@@ -100,7 +104,7 @@ def _default_generators(n: int, cap: int) -> GeneratorSet:
             if field.is_zero():
                 continue
             name = f"L[{i},{j};(" + ",".join(str(a) for a in alpha) + ")]"
-            members.append(Generator(name, field, alpha))
+            members.append(Generator(name, field))
     return GeneratorSet(members)
 
 

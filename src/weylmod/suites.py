@@ -372,8 +372,20 @@ def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT)
                    checked, failures)
 
 
+def _line_count(P, mu, r: int) -> int:
+    """The multiplicity of weight mu in F(P, wedge^r) line by line: the
+    label (mu - e_S, S) is in it when each line l supports (s_l) its key,
+    so it is the x^r coefficient of prod_l (s_l(mu_l) + s_l(mu_l - 1) x)."""
+    coeffs = [1]
+    for f, m in zip(P.factors, mu):
+        here, lowered = f.supports(m), f.supports(m - 1)
+        coeffs = [here * c + lowered * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs[r]
+
+
 def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
-    """Weight multiplicities of F(P, wedge^r) stay below the binomial bound."""
+    """Weight multiplicities of F(P, wedge^r) stay below the binomial bound
+    and match the line-by-line count ``_line_count``."""
     failures = []
     checked = 0
     for r in range(n + 1):
@@ -382,7 +394,8 @@ def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
         for name, P in standard_profiles(n, shift).items():
             for mu in itertools.product(range(-radius, radius + 1), repeat=n):
                 checked += 1
-                if len(ambient_labels(P, M, mu)) > bound:
+                count = len(ambient_labels(P, M, mu))
+                if count > bound or count != _line_count(P, mu, r):
                     failures.append({"profile": name, "r": r, "mu": list(mu)})
     return _record("bounded-multiplicity", {"n": n, "radius": radius}, checked, failures)
 

@@ -110,7 +110,7 @@ def shen_iota(x: VectorField) -> TensorOperator:
     zero = mi_zero(n)
 
     def images():
-        for (t_exp, d_exp), coeff in x.element.terms.items():
+        for (t_exp, d_exp), coeff in x.terms.items():
             i = d_exp.index(1) + 1
             yield ((t_exp, d_exp), ()), coeff
             for s, a_s in enumerate(t_exp, 1):
@@ -139,8 +139,8 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     live = _iota_live(n)
     terms = {}
     if live:
-        right = [(b, g.index(1) + 1, c) for (b, g), c in y.element.terms.items()]
-        for (a, g), c1 in x.element.terms.items():
+        right = [(b, g.index(1) + 1, c) for (b, g), c in y.terms.items()]
+        for (a, g), c1 in x.terms.items():
             i = g.index(1) + 1
             for b, j, c2 in right:
                 template = live.get((i, j))
@@ -460,7 +460,7 @@ def _right_terms(kind: str, n: int, i: int, j: int, m) -> dict:
 
 def _symbolic_field(n: int, terms: dict) -> VectorField:
     """The Laurent-mode field of a term map whose exponents may be symbols."""
-    return VectorField(WeylElement._from_kernel(terms, rank=n, laurent=True))
+    return VectorField._from_kernel(terms, rank=n, laurent=True)
 
 
 def _at_node(product: dict, m: int) -> dict:

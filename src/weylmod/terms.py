@@ -1,9 +1,9 @@
 """Sparse term maps: the one data structure behind every algebra element.
 
 A term map sends hashable monomials to nonzero exact coefficients.  The
-element classes (Weyl algebra, U(gl_n), tensor operators, the module
-vector of F(P, M), and the parser's unbound vector literal) derive from
-``TermMap`` and keep only what is their own: their context fields
+element classes (Weyl algebra, vector fields, U(gl_n), tensor operators,
+the module vector of F(P, M), and the parser's unbound vector literal)
+derive from ``TermMap`` and keep only what is their own: their context fields
 (``_fields``), the check of outside input in ``__init__``, a sort key, the
 text of one monomial, and their product or action.  A weight module P has
 no vector class of its own: it is F(P, wedge^0).

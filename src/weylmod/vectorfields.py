@@ -8,65 +8,36 @@ from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import check_index, check_integer_exponents, mi_unit, mi_units, mi_zero
-from .terms import accumulate
-from .weyl import WeylElement
+from .terms import TermMap, accumulate
+from .weyl import WeylElement, WeylTerms
 
 
-class VectorField:
-    """Degree-one Weyl element together with the vector-field operations."""
+class VectorField(WeylTerms):
+    """A Weyl element of derivative degree one, as a term map of its own:
+    it shares the monomials, text and JSON of ``WeylElement``, and its only
+    product is by a scalar (the product of two fields leaves the fields)."""
 
-    __slots__ = ("element",)
+    __slots__ = ()
 
     def __init__(self, element: WeylElement):
+        """Adopts the map, rank and mode of a checked element whose every
+        monomial has derivative degree one."""
         for _, d_exp in element.terms:
             if sum(d_exp) != 1:
                 raise StructureError(
                     "vector field monomials must have derivative degree one"
                 )
-        object.__setattr__(self, "element", element)
+        self._set(element.terms, rank=element.rank, laurent=element.laurent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
-
-    @property
-    def rank(self) -> int:
-        return self.element.rank
+    _weyl = staticmethod(WeylElement._weyl)
+    _text = staticmethod(WeylElement._text)
+    _json_fields = staticmethod(WeylElement._json_fields)
+    __mul__ = TermMap.__mul__
 
     @property
-    def laurent(self) -> bool:
-        return self.element.laurent
-
-    def __add__(self, other: VectorField) -> VectorField:
-        return VectorField(self.element + other.element)
-
-    def __sub__(self, other: VectorField) -> VectorField:
-        return VectorField(self.element - other.element)
-
-    def __neg__(self) -> VectorField:
-        return VectorField(-self.element)
-
-    def __mul__(self, scalar) -> VectorField:
-        return VectorField(self.element * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, VectorField):
-            return self.element == other.element
-        return NotImplemented
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return self.element.is_zero()
-
-    def demote(self) -> VectorField:
-        return VectorField(self.element.demote())
-
-    def __str__(self) -> str:
-        return str(self.element)
-
-    __repr__ = __str__
+    def element(self) -> WeylElement:
+        """The field as a Weyl element, over the same map."""
+        return WeylElement._from_kernel(self.terms, rank=self.rank, laurent=self.laurent)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -82,7 +53,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
     n = x.rank
     units = mi_units(n)
-    right = [(b, g.index(1), c) for (b, g), c in y.element.terms.items()]
+    right = [(b, g.index(1), c) for (b, g), c in y.terms.items()]
 
     def lowered(a, b, k):
         exp = [p + q for p, q in zip(a, b)]
@@ -90,7 +61,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         return tuple(exp)
 
     def terms():
-        for (a, g), c1 in x.element.terms.items():
+        for (a, g), c1 in x.terms.items():
             i = g.index(1)
             for b, j, c2 in right:
                 if b[i]:
@@ -100,7 +71,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
     laurent = x.laurent or y.laurent
     # kernel-built: the symbolic iota templates bracket over Poly exponents
-    return VectorField(WeylElement._from_kernel(accumulate({}, terms()), rank=n, laurent=laurent))
+    return VectorField._from_kernel(accumulate({}, terms()), rank=n, laurent=laurent)
 
 
 def divergence(x: VectorField) -> WeylElement:
@@ -111,7 +82,7 @@ def divergence(x: VectorField) -> WeylElement:
     zero = mi_zero(x.rank)
 
     def terms():
-        for (a, g), c in x.element.terms.items():
+        for (a, g), c in x.terms.items():
             i = g.index(1)
             if a[i]:
                 yield (a[:i] + (a[i] - 1,) + a[i + 1:], zero), c * a[i]
@@ -149,7 +120,7 @@ def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
                 raise DomainError(
                     f"alpha={alpha} yields a Laurent monomial in polynomial mode"
                 )
-    return VectorField(WeylElement(len(alpha), terms, laurent))
+    return VectorField._from_kernel(terms, rank=len(alpha), laurent=laurent)
 
 
 def check_L_args(i: int, j: int, alpha) -> tuple:

@@ -80,6 +80,10 @@ class Factor(tuple):
         kind, q, p = self
         return f"laurent({p}/{q})" if kind == LAURENT else kind
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not the bare line
+        return Factor, (self.kind, self.shift)
+
 
 class WeightModuleP:
     """A simple weight module presented as a product of coordinate factors.
@@ -106,6 +110,9 @@ class WeightModuleP:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightModuleP is immutable")
+
+    def __reduce__(self):
+        return WeightModuleP, (self.factors,)
 
     @classmethod
     def polynomial(cls, n: int) -> WeightModuleP:

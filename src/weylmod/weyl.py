@@ -90,7 +90,8 @@ def _product_terms(a: WeylElement, b: WeylElement):
 class WeylTerms(TermMap):
     """Term map of a rank whose keys carry a Weyl monomial (tExp, dExp),
     read off a key by ``_weyl``: the base of ``WeylElement`` and
-    ``tensorop.TensorOperator``, which multiply by their ``_product_terms``.
+    ``tensorop.TensorOperator``, which multiply by their ``_product_terms``,
+    and of ``vectorfields.VectorField``, which only scales.
     ``laurent=True`` admits negative t exponents; the mode flag is
     bookkeeping, left out of ``_fields`` (and so of ``==``), and a sum or
     product is Laurent when either operand is.
@@ -132,7 +133,7 @@ class WeylTerms(TermMap):
 
     @classmethod
     def zero(cls, rank: int, laurent: bool = False):
-        return cls(rank, {}, laurent)
+        return cls._from_kernel({}, rank=rank, laurent=laurent)
 
     def __mul__(self, other):
         if isinstance(other, SCALARS):

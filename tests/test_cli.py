@@ -237,6 +237,16 @@ def test_malformed_module_descriptor_exits_2(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, P
 
 
+def test_derham_takes_no_margin(capsys):
+    # the de Rham spaces never read the inner box, so the flag is gone
+    base = ["derham", "gen-ln", "--P", "[poly,poly]", "--r", "1", "--box", "0..6"]
+    code, out, err = run_cli(capsys, *base, "--margin", "1")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --margin 1" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and json.loads(out)["space"]
+
+
 def test_vector_value_errors_exit_2(capsys):
     for text, message in (
         ("E[1,2] + e[1]", "cannot treat UglElement as a module vector"),

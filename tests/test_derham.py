@@ -8,7 +8,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from weylmod import tensorop
+from weylmod import suites, tensorop
 from weylmod.derham import (
     GradedSubspace,
     _derham_table,
@@ -27,7 +27,7 @@ from weylmod.errors import ArgumentError
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.linalg import RowBasis
 from weylmod.structure import subquotient_inventory
-from weylmod.suites import check_g_u, check_h_ln
+from weylmod.suites import check_bounded_multiplicity, check_g_u, check_h_ln
 from weylmod.tensorop import special_operator, tensor
 from weylmod.ugl import E
 from weylmod.vectorfields import L_op
@@ -643,3 +643,14 @@ def test_windows_and_key_boxes_refuse_another_rank():
             message = f"the key box has rank {box.rank}, but P has rank 3"
             with pytest.raises(ArgumentError, match=message):
                 lemma((2, 0, -1), 1, P3, 2, box)
+
+
+def test_bounded_multiplicity_fails_on_a_dropped_label(monkeypatch):
+    # each multiplicity is compared with a count taken line by line, which
+    # shares no loop with ambient_labels, so a window short of one label
+    # fails the suite
+    assert check_bounded_multiplicity(2)["pass"]
+    real = suites.ambient_labels
+    monkeypatch.setattr(suites, "ambient_labels", lambda P, M, mu: real(P, M, mu)[1:])
+    result = check_bounded_multiplicity(2)
+    assert not result["pass"] and result["failures"]

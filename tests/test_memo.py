@@ -1,7 +1,9 @@
 """The per-profile memos: bounded, keyed by every input they depend on, and
 invisible in every report."""
 
+import copy
 import gc
+import pickle
 import sys
 import weakref
 from collections import Counter
@@ -391,6 +393,31 @@ def test_a_factor_is_its_line():
         assert lam.exponent(3) == 3 + shift and type(lam.exponent(3)) is Fraction
     with pytest.raises(AttributeError):
         poly.kind = "twist"
+
+
+def test_profiles_and_boxes_copy_and_pickle():
+    # a copy, a deep copy and a pickle round trip go through the public
+    # constructors, so each gives an equal object with an equal hash, and a
+    # memo keyed by the original serves it
+    values = [
+        *_FACTORS,
+        Factor("poly"),
+        Factor("twist"),
+        WeightModuleP.polynomial(2),
+        WeightModuleP([Factor("twist"), Factor("laurent", Fraction(-7, 5))]),
+        TruncationBox((0,), (1,)),
+        TruncationBox((-3, 0), (5, 4), margin=1),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value, value
+            assert hash(twin) == hash(value) and repr(twin) == repr(value), value
+    P, M, box = WeightModuleP.polynomial(2), make_wedge_module(2, 1), TruncationBox((0, 0), (3, 3))
+    derham._window.cache_clear()
+    window = derham._window(P, M, box)
+    for twin_p, twin_box in ((copy.copy(P), copy.deepcopy(box)), pickle.loads(pickle.dumps((P, box)))):
+        assert derham._window(twin_p, M, twin_box) is window
+    assert derham._window.cache_info().misses == 1
 
 
 def test_outside_factors_are_refused():

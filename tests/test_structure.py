@@ -42,6 +42,22 @@ def test_default_generator_set():
         assert all(-1 <= s <= 1 for s in g.shift)
 
 
+def test_generator_reads_its_shift_off_its_field():
+    # the shift of L[i,j;alpha] is alpha, the weight a - e_i of each of
+    # its terms t^a d_i
+    for n, cap in itertools.product((2, 3, 4), (0, 1, 2)):
+        for g in GeneratorSet.default(n, cap).members:
+            alpha = tuple(int(a) for a in g.name.split("(")[1].rstrip(")]").split(","))
+            assert g.shift == alpha, g.name
+    assert Generator("x", L_op(1, 2, (-2, 0), laurent=True)).shift == (-2, 0)
+    # a zero field has no weight, and a sum of two weights has two
+    zero = L_op(1, 2, (0, 0)) * 0
+    mixed = L_op(1, 2, (0, 0)) + L_op(1, 2, (1, 0))
+    for field in (zero, mixed):
+        with pytest.raises(ArgumentError, match="one weight"):
+            Generator("z", field)
+
+
 def test_engine_columns_are_scaled_tensor_act_columns():
     # each cached block is the matrix of the direct action (the oracle)
     # times the denominator of the member's rows, with every entry an int
@@ -145,12 +161,14 @@ def test_engine_keeps_the_action_errors():
     # a Laurent field that does not demote cannot act on the module
     # (GeneratorSet itself already refuses it, so it is put in afterwards)
     laurent = GeneratorSet([])
-    laurent.members = [Generator("x", L_op(1, 2, (-2, 0), laurent=True), (-2, 0))]
+    laurent.members = [Generator("x", L_op(1, 2, (-2, 0), laurent=True))]
     engine = ClosureEngine(A, triv, laurent, box)
     with pytest.raises(DomainError):
         engine.matrix(0, (3, 2))
-    # a generator whose recorded shift is wrong leaves its weight block
-    wrong = GeneratorSet([Generator("y", L_op(1, 2, (0, 0)), (1, 0))])
+    # a generator whose shift is overwritten with a wrong one leaves its
+    # weight block
+    wrong = GeneratorSet([Generator("y", L_op(1, 2, (0, 0)))])
+    wrong.members[0].shift = (1, 0)
     engine = ClosureEngine(A, triv, wrong, box)
     with pytest.raises(StructureError, match="left its weight block"):
         engine.matrix(0, (2, 1))

@@ -30,6 +30,7 @@ from weylmod.ugl import (
     _seq_from_mono,
     pbw_product,
 )
+from weylmod.vectorfields import VectorField
 from weylmod.weightmod import (
     FVector,
     WeightModuleP,
@@ -101,11 +102,16 @@ def element_samples(rng):
     tens = random_tensor(rng, n, nterms=6, laurent=True).terms
     keys = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
     fvec = {(k, rng.randrange(M.dim)): random_coeff(rng) for k in keys}
+    field = {
+        (random_weyl_monomial(rng, n, True)[0], mi_unit(rng.randint(1, n), n)): random_coeff(rng)
+        for _ in range(6)
+    }
     return [
         (lambda t: WeylElement(n, t, laurent=True), weyl),
         (lambda t: UglElement(n, t), ugl),
         (lambda t: TensorOperator(n, t, laurent=True), tens),
         (lambda t: FVector(P, M, t), fvec),
+        (lambda t: VectorField(WeylElement(n, t, laurent=True)), field),
     ]
 
 
@@ -141,16 +147,16 @@ def adoption_cases():
         UglElement.one(n - 1),
         TensorOperator.one(n - 1),
         FVector(WeightModuleP.laurent(n), make_wedge_module(n, 2)),
+        VectorField.zero(n - 1),
         VectorLiteral(n - 1, {}),
     ]
     return [(build, terms, other) for (build, terms), other in zip(samples, others)]
 
 
-@pytest.mark.parametrize(
-    "case",
-    range(5),
-    ids=["WeylElement", "UglElement", "TensorOperator", "FVector", "VectorLiteral"],
-)
+CLASSES = ["WeylElement", "UglElement", "TensorOperator", "FVector", "VectorField", "VectorLiteral"]
+
+
+@pytest.mark.parametrize("case", range(len(CLASSES)), ids=CLASSES)
 def test_operation_results_are_adopted(monkeypatch, case):
     # __init__ checks outside input once; a sum, difference, negation or
     # scaling of valid elements adopts its collected map, keeping the type
@@ -163,8 +169,9 @@ def test_operation_results_are_adopted(monkeypatch, case):
     checked = []
 
     def counted(self, *args, **options):
-        # a term map handed to __init__ is checked term by term
-        if any(isinstance(x, dict) for x in (*args, *options.values())):
+        # a term map handed to __init__, as a dict or in a checked element,
+        # is checked term by term
+        if any(isinstance(x, (dict, WeylElement)) for x in (*args, *options.values())):
             checked.append(args)
         init(self, *args, **options)
 
@@ -189,11 +196,7 @@ def test_operation_results_are_adopted(monkeypatch, case):
             combine(a, other)
 
 
-@pytest.mark.parametrize(
-    "case",
-    range(5),
-    ids=["WeylElement", "UglElement", "TensorOperator", "FVector", "VectorLiteral"],
-)
+@pytest.mark.parametrize("case", range(len(CLASSES)), ids=CLASSES)
 def test_adopted_elements_equal_checked_ones(case):
     # _from_kernel sets every slot that the checked constructor sets, and
     # nothing else, and its element is as immutable

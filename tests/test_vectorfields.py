@@ -38,6 +38,63 @@ def test_degree_invariant_enforced():
         VectorField(d(1, 2) * d(2, 2))
 
 
+def random_mode_field(rng, n, laurent, nterms=3):
+    """A field of up to nterms terms with coefficients in -2..2 (zeros
+    dropped) and, in Laurent mode, t exponents from -1, so that some
+    fields demote and some do not."""
+    lo = -1 if laurent else 0
+    terms = {
+        (tuple(rng.randint(lo, 2) for _ in range(n)), mi_unit(rng.randint(1, n), n)):
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        for _ in range(rng.randint(0, nterms))
+    }
+    return VectorField(WeylElement(n, terms, laurent))
+
+
+def test_field_operations_agree_with_its_element():
+    # a field is a term map of its own: its text, equality, zero test,
+    # demotion, sums, differences and scalar multiples are those of its
+    # Weyl element, and it keeps the field type and mode
+    rng = random.Random(20261019)
+    demoted = set()
+    for n, laurent in itertools.product((2, 3), (False, True)):
+        for _ in range(25):
+            x, y = random_mode_field(rng, n, laurent), random_mode_field(rng, n, laurent)
+            ex, ey = x.element, y.element
+            assert type(ex) is WeylElement and ex.terms == x.terms
+            assert (ex.rank, ex.laurent) == (x.rank, x.laurent)
+            assert str(x) == str(ex) and repr(x) == repr(ex)
+            assert (x == y) == (ex == ey) and x == VectorField(ex)
+            assert x.is_zero() == ex.is_zero() and (x - x).is_zero()
+            low = x.demote()
+            assert type(low) is VectorField and low.element == ex.demote()
+            assert low.laurent == ex.demote().laurent
+            demoted.add((laurent, low.laurent))
+            pairs = [(x + y, ex + ey), (x - y, ex - ey), (-x, -ex)]
+            for c in (0, 2, Fraction(-1, 3)):
+                pairs += [(c * x, c * ex), (x * c, ex * c)]
+            for field, element in pairs:
+                assert type(field) is VectorField and field.element == element
+                assert field.laurent == element.laurent and str(field) == str(element)
+    # Laurent fields that demote and fields that stay Laurent both occur
+    assert demoted == {(False, False), (True, False), (True, True)}
+
+
+def test_field_products_and_mixed_sums_are_refused():
+    x, y = L_op(1, 2, (1, 0)), monomial_field((0, 2), 1)
+    with pytest.raises(TypeError):
+        x * y
+    with pytest.raises(TypeError):
+        x * t(1, 2)
+    # a field and a Weyl element are term maps of different classes
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b + a):
+        with pytest.raises(StructureError, match="cannot combine"):
+            combine(x, t(1, 2))
+    with pytest.raises(StructureError, match="cannot combine"):
+        t(1, 2) * x
+    assert x != x.element and x.element != x
+
+
 def test_bracket_examples():
     n = 2
     x = VectorField(d(1, n))
