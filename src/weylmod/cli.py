@@ -37,7 +37,6 @@ from .tensorop import TensorOperator, from_weyl
 from .ugl import UglElement
 from .vectorfields import VectorField
 from .weightmod import (
-    DEFAULT_SHIFT,
     WeightModuleP,
     make_hw_module,
     make_wedge_module,
@@ -204,26 +203,28 @@ def _finish_one(check, args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+# the keyword a suite reads a flag into, where it is not the flag's own name
+_KEYWORDS = {"delta_window": "delta_hi", "lam": "shift"}
+
+
+def _given(args, *dests):
+    """The keyword arguments of those flags among ``dests`` that were given."""
+    return {_KEYWORDS.get(d, d): getattr(args, d) for d in dests if getattr(args, d) is not None}
+
+
 def _suite_options(args):
-    """The keyword arguments each named suite reads from the command line,
-    besides the rank."""
-    lo, hi = parse_window(args.alpha_window or "-2..3")
+    """The keyword arguments the named suite reads from the command line,
+    besides the rank: the flags given only, so each default is the suite's
+    own."""
+    options = _given(args, "deg", "seed", "count", "delta_window", "key_radius", "margin", "lam")
+    if args.alpha_window is not None:
+        options["lo"], options["hi"] = parse_window(args.alpha_window)
     i, j = args.i, args.j
     if args.suite == "eq-cubic" and (i is None) != (j is None):
         raise ArgumentError("eq-cubic needs both --i and --j")
-    lemma = {"delta_hi": args.delta_window, "key_radius": args.key_radius,
-             "shift": args.lam}
-    return {
-        "iota-hom": {"deg": 4 if args.deg is None else args.deg},
-        "eq-cubic": {"lo": lo, "hi": hi, "pairs": None if i is None else [(i, j)]},
-        "eq-quartic": {"lo": lo, "hi": hi, "i_list": None if i is None else [i]},
-        "g-u": lemma,
-        "h-ln": lemma,
-        "derham": {"count": args.count, "seed": args.seed, "shift": args.lam},
-        "unique-submodule": {"margin": args.margin},
-        "delta-p": {"margin": args.margin, "shift": args.lam},
-        "bounded": {"shift": args.lam},
-    }
+    if i is not None:
+        options.update({"pairs": [(i, j)]} if args.suite == "eq-cubic" else {"i_list": [i]})
+    return options
 
 
 # the flags that some suite does not read, each parsed with default None,
@@ -242,11 +243,6 @@ _FLAG_READERS = {
     "lam": ("g-u", "h-ln", "derham", "delta-p", "bounded", "all"),
 }
 
-# the defaults of those flags that have one, filled in once they are checked
-_FLAG_DEFAULTS = {
-    "count": 100, "delta_window": 2, "key_radius": 3, "margin": 2, "lam": DEFAULT_SHIFT,
-}
-
 
 def cmd_verify(args) -> int:
     n = args.n
@@ -256,27 +252,25 @@ def cmd_verify(args) -> int:
         if getattr(args, dest) is not None and args.suite not in readers:
             flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
             raise ArgumentError(f"verify {args.suite} does not read {flag}")
-    for dest, default in _FLAG_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
     if args.suite == "all":
-        # the sizes are all's own; --lambda and --margin pass through
-        shift, margin = args.lam, args.margin
+        # the sizes are all's own; --seed, --lambda and --margin pass on
+        # when given
+        shift = _given(args, "lam")
         tasks = [
             ("iota-hom", {"n": n, "deg": 3 if args.deg is None else args.deg}),
             ("eq-cubic", {"n": n, "lo": -1, "hi": 2}),
-            ("derham", {"n": n, "count": 25, "seed": args.seed, "shift": shift}),
-            ("unique-submodule", {"n": n, "margin": margin}),
-            ("delta-p", {"n": n, "margin": margin, "shift": shift}),
-            ("bounded", {"n": n, "shift": shift}),
+            ("derham", {"n": n, "count": 25, **_given(args, "seed", "lam")}),
+            ("unique-submodule", {"n": n, **_given(args, "margin")}),
+            ("delta-p", {"n": n, **_given(args, "margin", "lam")}),
+            ("bounded", {"n": n, **shift}),
         ]
         if n >= 3:
-            lemma = {"n": n, "delta_hi": 1, "key_radius": 2, "shift": shift}
+            lemma = {"n": n, "delta_hi": 1, "key_radius": 2, **shift}
             tasks.insert(2, ("eq-quartic", {"n": n, "lo": -1, "hi": 2}))
             tasks.append(("g-u", lemma))
             tasks.append(("h-ln", lemma))
     else:
-        tasks = [(args.suite, {"n": n, **_suite_options(args)[args.suite]})]
+        tasks = [(args.suite, {"n": n, **_suite_options(args)})]
     report = run_suite(tasks, jobs=args.jobs, timings=args.timings)
     empty = [
         c["check"] for c in report["checks"] if "error" not in c and not c["checked"]

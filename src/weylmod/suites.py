@@ -94,7 +94,7 @@ def _monomial_fields(n: int, deg: int):
     ]
 
 
-def check_iota_hom(n: int, deg: int):
+def check_iota_hom(n: int, deg: int = 4):
     """Residual of the embedding on all monomial field pairs up to degree."""
     fields = _monomial_fields(n, deg)
     failures = []

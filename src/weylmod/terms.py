@@ -70,6 +70,12 @@ def power_text(name: str, exps) -> list:
     ]
 
 
+def _adopt(cls, terms: dict, slots: dict):
+    """The term map of class ``cls`` over ``terms`` and ``slots``, adopted:
+    what ``TermMap.__reduce__`` hands to copy and pickle."""
+    return cls._from_kernel(terms, **slots)
+
+
 class TermMap:
     """Immutable sparse map from monomials to nonzero exact coefficients.
 
@@ -96,6 +102,13 @@ class TermMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle by adoption: the map and every slot, fields or
+        not (``WeylTerms.laurent`` is no field)."""
+        names = [n for klass in type(self).__mro__ for n in getattr(klass, "__slots__", ())]
+        slots = {n: getattr(self, n) for n in names if n != "terms"}
+        return _adopt, (type(self), self.terms, slots)
 
     def _context(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -2,11 +2,14 @@
 
 A PBW monomial is a product of matrix units E_ij in the canonical order:
 lowering generators (i > j) first, then diagonal ones, then raising
-generators (i < j), each block sorted lexicographically by (i, j).  Products
-are rewritten to this form by adjacent transpositions with commutator
-insertion; rewriting terminates because each insertion lowers the filtration
-degree.  The rewriting memo is filled idempotently, so concurrent readers
-are safe.
+generators (i < j), each block sorted lexicographically by (i, j).  A
+product is built by multiplying a normal monomial on the left by one matrix
+unit at a time: a unit that does not follow the first factor is prepended
+or raises its exponent, and any other unit g moves past that factor h by
+g h = h g + [g, h].  Every recursive step lowers the filtration degree of
+the product, so the recursion is as deep as the right monomial is long.
+The nontrivial left products are kept in a memo of fixed size that evicts
+its oldest entry first.
 """
 
 from __future__ import annotations
@@ -26,72 +29,57 @@ def _gen_key(g):
     return (block, i, j)
 
 
-def _mono_from_seq(seq):
-    mono = []
-    for g in seq:
-        if mono and mono[-1][0] == g:
-            mono[-1] = (g, mono[-1][1] + 1)
-        else:
-            mono.append((g, 1))
-    return tuple(mono)
-
-
-def _seq_from_mono(mono):
-    seq = []
-    for g, e in mono:
-        seq.extend([g] * e)
-    return tuple(seq)
-
-
+# (matrix unit, normal monomial) -> {normal monomial: integer coefficient}
 _NORMAL_CACHE: dict = {}
+_NORMAL_CACHE_SIZE = 8192
 
 
-def _normalize_seq(seq):
-    """Rewrite a generator word into {normal monomial: integer coefficient}."""
-    cached = _NORMAL_CACHE.get(seq)
+def _left_mul(g, mono):
+    """The product E_g * mono as {normal monomial: integer coefficient},
+    a shared map that callers only read."""
+    if not mono:
+        return {((g, 1),): 1}
+    h, e = mono[0]
+    if g == h:
+        return {((g, e + 1),) + mono[1:]: 1}
+    if _gen_key(g) < _gen_key(h):
+        return {((g, 1),) + mono: 1}
+    cached = _NORMAL_CACHE.get((g, mono))
     if cached is not None:
         return cached
-    spot = None
-    for k in range(len(seq) - 1):
-        if _gen_key(seq[k]) > _gen_key(seq[k + 1]):
-            spot = k
-            break
-    if spot is None:
-        result = {_mono_from_seq(seq): 1}
-    else:
-        (a, b), (c, e) = seq[spot], seq[spot + 1]
-        swapped = seq[:spot] + (seq[spot + 1], seq[spot]) + seq[spot + 2:]
-        result = dict(_normalize_seq(swapped))
-        # [E_ab, E_ce] = delta_bc E_ae - delta_ea E_cb
-        corrections = []
-        if b == c:
-            corrections.append((1, (a, e)))
-        if e == a:
-            corrections.append((-1, (c, b)))
-        for coeff, gen in corrections:
-            sub = _normalize_seq(seq[:spot] + (gen,) + seq[spot + 2:])
-            accumulate(result, ((mono, coeff * c2) for mono, c2 in sub.items()))
-    _NORMAL_CACHE[seq] = result
+    # g h tail = h (g tail) + [g, h] tail
+    tail = (((h, e - 1),) if e > 1 else ()) + mono[1:]
+    result = _left_mul_all(h, _left_mul(g, tail))
+    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+    (a, b), (c, d) = g, h
+    if b == c:
+        accumulate(result, _left_mul((a, d), tail).items())
+    if d == a:
+        accumulate(result, ((m, -c2) for m, c2 in _left_mul((c, b), tail).items()))
+    if len(_NORMAL_CACHE) >= _NORMAL_CACHE_SIZE:
+        del _NORMAL_CACHE[next(iter(_NORMAL_CACHE))]
+    _NORMAL_CACHE[(g, mono)] = result
     return result
+
+
+def _left_mul_all(g, combo):
+    """E_g * combo, a map {normal monomial: coefficient}, as a new map."""
+    out = {}
+    for mono, c in combo.items():
+        accumulate(out, ((m, c * c2) for m, c2 in _left_mul(g, mono).items()))
+    return out
 
 
 @lru_cache(maxsize=4096)
 def pbw_product(m1, m2):
     """The product of two PBW monomials as a tuple of (normal monomial,
-    integer coeff) pairs, read from a bounded memo.
-
-    When the last factor of m1 already precedes (or equals) the first factor
-    of m2 in canonical order, the product is the concatenation with the
-    touching powers merged; otherwise the joined word is rewritten.
-    """
-    if not m1 or not m2:
-        return ((m1 + m2, 1),)
-    (g1, e1), (g2, e2) = m1[-1], m2[0]
-    if g1 == g2:
-        return ((m1[:-1] + ((g1, e1 + e2),) + m2[1:], 1),)
-    if _gen_key(g1) < _gen_key(g2):
-        return ((m1 + m2, 1),)
-    return tuple(_normalize_seq(_seq_from_mono(m1) + _seq_from_mono(m2)).items())
+    integer coeff) pairs, read from a bounded memo: the units of m1 are
+    multiplied into m2 on the left, last unit first."""
+    result = {m2: 1}
+    for g, e in reversed(m1):
+        for _ in range(e):
+            result = _left_mul_all(g, result)
+    return tuple(result.items())
 
 
 def pbw_text(mono) -> str:

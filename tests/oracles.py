@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from operator import add
 
@@ -17,7 +17,7 @@ from weylmod.suites import MAX_FAILURES
 from weylmod.structure import GeneratorSet
 from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import accumulate
-from weylmod.ugl import E
+from weylmod.ugl import E, _gen_key
 from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weightmod import FVector, _action_table, make_wedge_module
 from weylmod.weyl import WeylElement
@@ -544,6 +544,44 @@ def nullspace(rows, ncols):
             vec[pc] = -Fraction(reduced[r][fc])
         basis.append(vec)
     return basis
+
+
+def word_of(mono):
+    """A PBW monomial as its word of matrix units, each repeated by its
+    exponent."""
+    return tuple(g for g, e in mono for _ in range(e))
+
+
+def _mono_of(word):
+    mono = []
+    for g in word:
+        if mono and mono[-1][0] == g:
+            mono[-1] = (g, mono[-1][1] + 1)
+        else:
+            mono.append((g, 1))
+    return tuple(mono)
+
+
+@cache
+def normalize_word(word):
+    """A word of matrix units in PBW normal form, {normal monomial: integer
+    coefficient}, by rewriting the whole word: the first adjacent pair out
+    of canonical order is swapped, and its commutator inserted in its place
+    ([E_ab, E_ce] = delta_bc E_ae - delta_ea E_cb).  The unbounded memo
+    holds every word met, so keep the words short."""
+    spot = next(
+        (k for k in range(len(word) - 1) if _gen_key(word[k]) > _gen_key(word[k + 1])), None
+    )
+    if spot is None:
+        return {_mono_of(word): 1}
+    (a, b), (c, e) = word[spot], word[spot + 1]
+    head, rest = word[:spot], word[spot + 2:]
+    result = dict(normalize_word(head + ((c, e), (a, b)) + rest))
+    corrections = ([(1, (a, e))] if b == c else []) + ([(-1, (c, b))] if e == a else [])
+    for coeff, gen in corrections:
+        sub = normalize_word(head + (gen,) + rest)
+        accumulate(result, ((mono, coeff * c2) for mono, c2 in sub.items()))
+    return result
 
 
 def in_usl(u):

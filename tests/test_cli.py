@@ -10,6 +10,7 @@ from weylmod import cli
 from weylmod.cli import main, parse_box, parse_window
 from weylmod.errors import ArgumentError
 from weylmod.suites import (
+    SUITES,
     check_eq_cubic,
     check_eq_quartic,
     check_g_u,
@@ -173,6 +174,20 @@ def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and not out
     assert f"verify {argv[0]} does not read {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_defaults_are_the_suites_own(capsys, suite, n):
+    # a flag not given is not passed on, so verify without flags reports
+    # what the suite reports at its keyword defaults
+    code, out, err = run_cli(capsys, "verify", suite, "--n", str(n))
+    expected = cli.run_suite([(suite, {"n": n})])
+    if not expected["checks"][0]["checked"]:
+        # eq-quartic, g-u and h-ln need n >= 3
+        assert code == 2 and not out and "leaves nothing to check" in err
+        return
+    assert code == 0 and out == cli.emit(expected, "json") + "\n"
 
 
 def test_simplicity_under_an_empty_generator_set_exits_2(capsys):

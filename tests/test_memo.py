@@ -15,7 +15,7 @@ import pytest
 import weylmod  # the package import loads every library module
 from test_derham import LEMMA_PROFILES
 from test_structure import PRUNING_CASES
-from weylmod import derham, structure, suites, weightmod
+from weylmod import derham, structure, suites, ugl, weightmod
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.derham import (
     GradedSubspace,
@@ -58,6 +58,7 @@ def clear_memos():
     for name, memo in _memos().items():
         if name != IDENTITY_MEMO:
             memo.cache_clear()
+    ugl._NORMAL_CACHE.clear()
 
 
 def test_every_memo_is_bounded():
@@ -99,6 +100,21 @@ def test_every_memo_is_bounded():
     rows = memos["weylmod.structure._member_rows"]
     assert rows.cache_parameters()["maxsize"] >= 192 * 3 * 4
     assert make_wedge_module(3, 1) is make_wedge_module(3, 1)
+
+
+def test_the_straightening_memo_is_bounded():
+    # the left products of U(gl_n) live in a plain dict of fixed size, keyed
+    # by (matrix unit, normal monomial): E12^16 E21^16 meets more distinct
+    # left products than it holds, and the oldest are evicted
+    size = ugl._NORMAL_CACHE_SIZE
+    clear_memos()
+    product = ugl.pbw_product((((1, 2), 16),), (((2, 1), 16),))
+    assert len(product) == 968
+    assert len(ugl._NORMAL_CACHE) == size
+    for g, mono in ugl._NORMAL_CACHE:
+        assert len(g) == 2 and ugl.UglElement(2, {mono: 1}).terms == {mono: 1}
+    clear_memos()
+    assert not ugl._NORMAL_CACHE
 
 
 _A2 = WeightModuleP.polynomial(2)

@@ -1,7 +1,9 @@
 """The shared sparse-term kernel: insertion order never shows, products agree
 with their reference paths, and reports keep their bytes."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import partial
@@ -9,6 +11,7 @@ from math import prod
 from pathlib import Path
 from unittest import mock
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,20 +20,14 @@ from weylmod import structure
 from weylmod.cli import main
 from weylmod.derham import _derham_table, pi
 from weylmod.errors import StructureError
-from weylmod.exprparse import VectorLiteral
+from weylmod.exprparse import VectorLiteral, parse_expr
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
-from weylmod.tensorop import TensorOperator
+from weylmod.tensorop import TensorOperator, shen_iota
 from weylmod.terms import Poly, accumulate
-from weylmod.ugl import (
-    UglElement,
-    _gen_key,
-    _normalize_seq,
-    _seq_from_mono,
-    pbw_product,
-)
-from weylmod.vectorfields import VectorField
+from weylmod.ugl import E, UglElement, _gen_key, pbw_product
+from weylmod.vectorfields import L_op, VectorField
 from weylmod.weightmod import (
     FVector,
     WeightModuleP,
@@ -40,7 +37,7 @@ from weylmod.weightmod import (
     make_wedge_module,
     tensor_act,
 )
-from weylmod.weyl import WeylElement
+from weylmod.weyl import WeylElement, t
 
 DATA = Path(__file__).parent / "data"
 
@@ -278,18 +275,57 @@ def test_kernel_built_vectors_are_adopted_and_equal_checked_ones(monkeypatch):
         assert v.module_m is again.module_m, name
 
 
+def test_term_maps_copy_and_pickle():
+    # a copy, a deep copy and a pickle round trip adopt the map and every
+    # slot, so the twin keeps the mode that == does not compare
+    values = [
+        t(1, 2),
+        WeylElement(2, {((-1, 0), (0, 1)): Fraction(1, 2)}, laurent=True),
+        L_op(1, 2, (0, 0)),
+        VectorField(WeylElement(2, {((-1, 2), (1, 0)): 3}, laurent=True)),
+        E(1, 2, 2),
+        shen_iota(L_op(1, 2, (0, 0))),
+        parse_expr("t[1]^2*t[2]^-1 (x) e[1]^e[3]", 3),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value, value
+            assert getattr(twin, "laurent", None) is getattr(value, "laurent", None), value
+            assert repr(twin) == repr(value)
+    # a module vector copies, sharing its modules; SLModule compares by
+    # identity, so a deep copy or a pickle, which would build a new
+    # module, is refused
+    vector = FVector.basis(WeightModuleP.polynomial(2), make_wedge_module(2, 1), (1, 0), 0)
+    twin = copy.copy(vector)
+    assert twin == vector and twin.module_m is vector.module_m
+    with pytest.raises(AttributeError, match="SLModule is immutable"):
+        copy.deepcopy(vector)
+    with pytest.raises(AttributeError, match="SLModule is immutable"):
+        pickle.loads(pickle.dumps(vector))
+
+
 def test_pbw_product_matches_word_rewriting():
     rng = random.Random(43)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(200):
             m1 = random_pbw_monomial(rng, n)
             m2 = random_pbw_monomial(rng, n)
-            word = _seq_from_mono(m1) + _seq_from_mono(m2)
             product = pbw_product(m1, m2)
             # a shared read-only tuple of pairs, one per monomial
             assert type(product) is tuple
             assert len({mono for mono, _ in product}) == len(product)
-            assert dict(product) == _normalize_seq(word)
+            assert dict(product) == oracles.normalize_word(
+                oracles.word_of(m1) + oracles.word_of(m2)
+            )
+
+
+def test_raising_powers_times_lowering_powers_match_word_rewriting():
+    # E12^k E21^k moves every raising unit past every lowering one: the
+    # deepest straightening of a product of two powers
+    for k in range(1, 9):
+        raising, lowering = ((((1, 2), k),), (((2, 1), k),))
+        expected = oracles.normalize_word(((1, 2),) * k + ((2, 1),) * k)
+        assert dict(pbw_product(raising, lowering)) == expected, k
 
 
 def test_pbw_product_cache_is_bounded():
