@@ -27,7 +27,7 @@ from types import MappingProxyType
 from .errors import ArgumentError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, kernel
-from .terms import Poly, accumulate
+from .terms import Frozen, Poly, accumulate
 from .tensorop import (
     _evaluated,
     _special_args,
@@ -125,7 +125,7 @@ def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
     return MappingProxyType(labels), MappingProxyType(slots)
 
 
-class GradedSubspace:
+class GradedSubspace(Frozen):
     """Weight-indexed family of echelonized subspaces of a tensor module,
     fixed at construction.
 
@@ -137,15 +137,17 @@ class GradedSubspace:
     anew, as ``GradedSubspace(P, M, box, {**space.blocks, w: block})``.
     """
 
+    __slots__ = ("module_p", "module_m", "labels", "slots", "blocks")
+
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox,
                  blocks=None):
-        self.module_p = module_p
-        self.module_m = module_m
-        self.labels, self.slots = _window(module_p, module_m, box)
-        self.blocks = MappingProxyType(dict(blocks or {}))
-        for w, block in self.blocks.items():
-            if w not in self.labels or block.ncols != len(self.labels[w]):
+        labels, slots = _window(module_p, module_m, box)
+        blocks = MappingProxyType(dict(blocks or {}))
+        for w, block in blocks.items():
+            if w not in labels or block.ncols != len(labels[w]):
                 raise ArgumentError(f"the block at weight {list(w)} does not fit the window")
+        self._freeze(module_p=module_p, module_m=module_m, labels=labels, slots=slots,
+                     blocks=blocks)
 
     def dim_at(self, weight) -> int:
         block = self.blocks.get(weight)

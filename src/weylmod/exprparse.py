@@ -82,7 +82,7 @@ class VectorLiteral(TermMap):
     _fields = ("rank",)
 
     def __init__(self, rank: int, terms):
-        self._set({k: c for k, c in terms.items() if c != 0}, rank=rank)
+        self._freeze(terms={k: c for k, c in terms.items() if c != 0}, rank=rank)
 
     def bind(self, module_p: WeightModuleP, module_m: SLModule | None = None) -> FVector:
         """Attach the literal to concrete modules, validating support."""

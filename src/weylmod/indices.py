@@ -15,6 +15,7 @@ from operator import le
 from typing import Iterator
 
 from .errors import ArgumentError, StructureError
+from .terms import Frozen
 
 Scalar = Fraction
 
@@ -91,7 +92,7 @@ def binomial(m: int, k: int) -> int:
     return out
 
 
-class TruncationBox:
+class TruncationBox(Frozen):
     """Inclusive integer window on weight keys with a safety margin.
 
     The outer box is [lower, upper] componentwise; the inner box shrinks both
@@ -119,15 +120,8 @@ class TruncationBox:
             raise ArgumentError(
                 f"empty inner box: lower={lower} upper={upper} margin={margin}"
             )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "inner_lower", inner_lo)
-        object.__setattr__(self, "inner_upper", inner_hi)
-        object.__setattr__(self, "_hash", hash((lower, upper, margin)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationBox is immutable")
+        self._freeze(lower=lower, upper=upper, margin=margin, inner_lower=inner_lo,
+                     inner_upper=inner_hi, _hash=hash((lower, upper, margin)))
 
     def __reduce__(self):
         return TruncationBox, (self.lower, self.upper, self.margin)

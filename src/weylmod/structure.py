@@ -61,6 +61,8 @@ class GeneratorSet:
 
     The constructor checks divergence once; every member then acts through
     its rows in ``_member_rows``, built once per (member, P, M).
+    ``reach[s]`` is (raises, lowers): whether some member's shift is
+    positive, and whether some member's is negative, in coordinate s.
     """
 
     def __init__(self, members):
@@ -69,6 +71,7 @@ class GeneratorSet:
             if not is_divergence_free(g.field):
                 raise StructureError(f"generator {g.name} has nonzero divergence")
         self.members = members
+        self.reach = tuple((max(c) > 0, min(c) < 0) for c in zip(*(g.shift for g in members)))
 
     def act(self, gi: int, v: FVector) -> FVector:
         """Member gi acting on v, as ``sn_act`` of its field does."""
@@ -514,6 +517,11 @@ def evidence_simplicity(
     if not gens.members:
         # a set that cannot act fails every seed, which is no evidence
         raise ArgumentError("the generator set is empty")
+    # Ln, deltaP and quotient fix M to an exterior power
+    degree = {"Ln": r, "deltaP": 0, "quotient": r}.get(ambient)
+    if None not in (degree, module_m) and module_m is not make_wedge_module(n, degree):
+        raise ArgumentError(f"ambient {ambient} fixes M to wedge({n},{degree}), "
+                            f"not {module_m.name}")
     sub = mod = None
     if ambient == "F":
         if module_m is None:
@@ -543,6 +551,12 @@ def evidence_simplicity(
     target = {w: engine.capacity[w] if whole else sub.dim_at(w) for w in inner}
     if not any(target.values()):
         raise ArgumentError("ambient space is empty on the inner box")
+    # where no member raises (or lowers) a coordinate along which the target
+    # weights differ, the lowest (or highest) seeds fail, which is no evidence
+    for s, (raises, lowers) in enumerate(gens.reach):
+        if not (raises and lowers) and len({w[s] for w, d in target.items() if d}) > 1:
+            raise ArgumentError(f"no generator {'lowers' if raises else 'raises'} "
+                                f"coordinate {s + 1}, so no seed reaches every target weight")
 
     seeds = []  # (integer block coordinates, weight, index, bound)
     for w in inner:

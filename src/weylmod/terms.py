@@ -12,7 +12,9 @@ Every term map has one adoption rule.  ``__init__`` checks input from
 outside the program; ``TermMap._from_kernel`` adopts a map that a kernel
 of this library built (an operation on valid operands, an action, a
 template evaluation), valid by construction, without calling
-``__init__``.  ``_like`` adopts through it.
+``__init__``.  ``_like`` adopts through it.  A term map, like every value of
+the library that keys or fills a memo, is a ``Frozen``: its slots are set
+once and never rebound.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -33,7 +35,7 @@ from .errors import StructureError
 
 SCALARS = (int, Fraction)
 
-# bound once: every adoption makes a bare instance and sets its slots
+# bound once: an adoption makes a bare instance; it and ``_freeze`` set slots
 _new = object.__new__
 _set_slot = object.__setattr__
 
@@ -76,7 +78,24 @@ def _adopt(cls, terms: dict, slots: dict):
     return cls._from_kernel(terms, **slots)
 
 
-class TermMap:
+class Frozen:
+    """Base of the library's values: each sets its slots through ``_freeze``
+    (in ``__init__``, or a lazily built one on first use) and refuses every
+    other rebinding or deletion."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields) -> None:
+        for name, value in fields.items():
+            _set_slot(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class TermMap(Frozen):
     """Immutable sparse map from monomials to nonzero exact coefficients.
 
     Subclasses declare ``_fields``, the names of the fields two operands
@@ -93,15 +112,6 @@ class TermMap:
 
     # orders (key, coeff) items for output; keys are unique, so by key
     _sort_key = staticmethod(itemgetter(0))
-
-    def _set(self, terms: dict, **fields) -> None:
-        """Set the fields and terms of an ``__init__`` that checked them."""
-        for name, value in fields.items():
-            _set_slot(self, name, value)
-        _set_slot(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         """Copy and pickle by adoption: the map and every slot, fields or
@@ -209,7 +219,7 @@ class TermMap:
         return not self.terms
 
 
-class Poly:
+class Poly(Frozen):
     """Exact polynomial in the symbols a_1..a_n, as a coefficient.
 
     Terms map exponent tuples (one entry per symbol) to nonzero int or
@@ -223,11 +233,7 @@ class Poly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(frozenset(terms.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._freeze(terms=terms, _hash=hash(frozenset(terms.items())))
 
     @staticmethod
     def symbols(n: int) -> tuple:

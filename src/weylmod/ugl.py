@@ -121,7 +121,7 @@ class UglElement(TermMap):
                 if any(a >= b for a, b in zip(keys, keys[1:])):
                     raise StructureError(f"monomial not in canonical order: {mono}")
                 cleaned[tuple(mono)] = coeff
-        self._set(cleaned, rank=rank)
+        self._freeze(terms=cleaned, rank=rank)
 
     @classmethod
     def zero(cls, rank: int) -> UglElement:

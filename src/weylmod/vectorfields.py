@@ -27,7 +27,7 @@ class VectorField(WeylTerms):
                 raise StructureError(
                     "vector field monomials must have derivative degree one"
                 )
-        self._set(element.terms, rank=element.rank, laurent=element.laurent)
+        self._freeze(terms=element.terms, rank=element.rank, laurent=element.laurent)
 
     _weyl = staticmethod(WeylElement._weyl)
     _text = staticmethod(WeylElement._text)

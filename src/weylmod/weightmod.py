@@ -16,6 +16,7 @@ tensor power, with the Weyl dimension formula as an independent check.
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -23,7 +24,7 @@ from math import lcm, prod
 from .errors import ArgumentError, DomainError, StructureError
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
-from .terms import TermMap, accumulate
+from .terms import Frozen, TermMap, accumulate
 from .vectorfields import VectorField, is_divergence_free
 from .weyl import _monomial_product
 
@@ -85,7 +86,7 @@ class Factor(tuple):
         return Factor, (self.kind, self.shift)
 
 
-class WeightModuleP:
+class WeightModuleP(Frozen):
     """A simple weight module presented as a product of coordinate factors.
 
     A profile is identified by its factors, each its line (kind, q, p), so
@@ -102,14 +103,8 @@ class WeightModuleP:
         for f in factors:
             if not isinstance(f, Factor):
                 raise ArgumentError(f"profile factor {f!r} is not a Factor")
-        object.__setattr__(self, "rank", len(factors))
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(factors))
         # the text is built on first use (``__repr__``)
-        object.__setattr__(self, "_text", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightModuleP is immutable")
+        self._freeze(rank=len(factors), factors=factors, _hash=hash(factors), _text=None)
 
     def __reduce__(self):
         return WeightModuleP, (self.factors,)
@@ -139,50 +134,37 @@ class WeightModuleP:
         text = self._text
         if text is None:
             text = "[" + ",".join(map(repr, self.factors)) + "]"
-            object.__setattr__(self, "_text", text)
+            self._freeze(_text=text)
         return text
 
 
 def parse_module_descriptor(text: str) -> WeightModuleP:
     """Parse descriptors like "[poly, twist, laurent(1/2)]", refusing an
-    unbalanced parenthesis and an empty factor."""
+    unbalanced parenthesis and an empty factor.  No factor holds a comma,
+    so every comma ends a factor token."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     if not body.strip():
         raise ArgumentError(f"empty module descriptor {text!r}")
-    factors = []
-    depth = 0
-    piece = ""
-    for ch in body + ",":
-        if ch == "," and depth == 0:
-            token = piece.strip()
-            piece = ""
-            if not token:
-                raise ArgumentError(f"empty factor in module descriptor {text!r}")
-            if token in (POLY, TWIST):
-                factors.append(Factor(token))
-            elif token.startswith("laurent"):
-                inner = token[len("laurent"):].strip()
-                if inner.startswith("(") and inner.endswith(")"):
-                    try:
-                        shift = Fraction(inner[1:-1])
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ArgumentError(f"bad factor token {token!r}") from exc
-                    factors.append(Factor(LAURENT, shift))
-                elif not inner:
-                    factors.append(Factor(LAURENT))
-                else:
-                    raise ArgumentError(f"bad factor token {token!r}")
-            else:
-                raise ArgumentError(f"bad factor token {token!r}")
-        else:
-            depth += (ch == "(") - (ch == ")")
-            if depth < 0:
-                break
-            piece += ch
-    if depth:
+    if body.count("(") != body.count(")"):
         raise ArgumentError(f"unbalanced parentheses in module descriptor {text!r}")
+    factors = []
+    for token in map(str.strip, body.split(",")):
+        if not token:
+            raise ArgumentError(f"empty factor in module descriptor {text!r}")
+        if token in (POLY, TWIST, LAURENT):
+            factors.append(Factor(token))
+            continue
+        kind, _, arg = token.partition("(")
+        shift = None
+        if kind.strip() == LAURENT and arg.endswith(")"):
+            with suppress(ValueError, ZeroDivisionError):
+                shift = Fraction(arg[:-1])
+        if shift is None:
+            raise ArgumentError(f"bad factor token {token!r}")
+        # outside the suppress: an integer shift is Factor's own error
+        factors.append(Factor(LAURENT, shift))
     return WeightModuleP(factors)
 
 
@@ -218,7 +200,7 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
 # ---------------------------------------------------------------------------
 
 
-class SLModule:
+class SLModule(Frozen):
     """Finite-dimensional gl_n-module with exact matrix-unit action.
 
     ``matrices[(i, j)][src]`` lists (dst, coeff) pairs; ``weights[k]`` is the
@@ -229,15 +211,10 @@ class SLModule:
     __slots__ = ("rank", "labels", "weights", "matrices", "central", "name")
 
     def __init__(self, rank, labels, weights, matrices, central, name=""):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "labels", list(labels))
-        object.__setattr__(self, "weights", [tuple(w) for w in weights])
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "name", name or f"module(dim={len(self.labels)})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SLModule is immutable")
+        labels = list(labels)
+        self._freeze(rank=rank, labels=labels, weights=[tuple(w) for w in weights],
+                     matrices=matrices, central=central,
+                     name=name or f"module(dim={len(labels)})")
 
     @property
     def dim(self) -> int:
@@ -283,10 +260,6 @@ def make_wedge_module(n: int, r: int) -> SLModule:
         for j in range(1, n + 1):
             cols = [[] for _ in labels]
             for src, lab in enumerate(labels):
-                if j not in lab:
-                    continue
-                if i != j and i in lab:
-                    continue
                 hit = wedge_replace(lab, j, i)
                 if hit is None:
                     continue
@@ -512,7 +485,7 @@ class FVector(TermMap):
                 if not 0 <= midx < module_m.dim:
                     raise StructureError(f"bad basis index {midx}")
                 cleaned[(key, midx)] = coeff
-        self._set(cleaned, module_p=module_p, module_m=module_m)
+        self._freeze(terms=cleaned, module_p=module_p, module_m=module_m)
 
     @classmethod
     def basis(cls, module_p, module_m, key, label_or_index) -> FVector:

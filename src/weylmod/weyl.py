@@ -121,7 +121,7 @@ class WeylTerms(TermMap):
                         f"negative t exponent {t_exp} in polynomial mode"
                     )
                 cleaned[key] = coeff
-        self._set(cleaned, rank=rank, laurent=laurent)
+        self._freeze(terms=cleaned, rank=rank, laurent=laurent)
 
     def _like(self, terms, other=None):
         laurent = self.laurent or (other is not None and other.laurent)

@@ -117,6 +117,21 @@ def test_negative_gen_cap_exits_2(capsys):
     assert code == 0
 
 
+def test_evidence_that_cannot_decide_exits_2(capsys):
+    # a cap-0 set raises no coordinate, and Ln fixes M to wedge^r: both are
+    # configuration errors rather than FAIL verdicts or evidence for
+    # another module
+    for argv, message in (
+        (["--P", "[poly,poly]", "--M", "hw:2", "--box", "0..5", "--gen-cap", "0"],
+         "no generator raises coordinate 1"),
+        (["--P", "[poly,poly,poly]", "--ambient", "Ln", "--r", "1", "--M", "hw:2,0",
+          "--box", "0..4"], "ambient Ln fixes M to wedge(3,1)"),
+    ):
+        code, out, err = run_cli(capsys, "structure", "simplicity", *argv)
+        assert code == 2 and not out, argv
+        assert message in err and "Traceback" not in err, argv
+
+
 def test_inventory_without_a_degree_exits_2(capsys):
     # the subquotient chain is that of one exterior power: no --r is a
     # configuration error, not a TypeError from the range check

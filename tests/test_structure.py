@@ -365,6 +365,41 @@ def test_evidence_configuration_errors():
         assert str(info.value) == message, ambient
 
 
+def test_evidence_refuses_a_module_the_ambient_does_not_fix():
+    # Ln, deltaP and quotient each act on one exterior power: another M is
+    # refused, not replaced, and that power itself is accepted
+    A2 = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (5, 5), margin=2)
+    for ambient, r, k in (("Ln", 1, 1), ("deltaP", None, 0), ("quotient", 1, 1)):
+        for other in (make_hw_module((2,), 2), make_wedge_module(2, 1 - k)):
+            with pytest.raises(ArgumentError) as info:
+                evidence_simplicity(A2, other, ambient, box, r=r)
+            assert str(info.value) == f"ambient {ambient} fixes M to wedge(2,{k}), not {other.name}"
+        fixed = evidence_simplicity(A2, make_wedge_module(2, k), ambient, box, r=r)
+        assert fixed == evidence_simplicity(A2, None, ambient, box, r=r)
+
+
+def test_evidence_refuses_generators_that_cannot_move_a_coordinate_both_ways():
+    # where the target weights differ along a coordinate that no member
+    # raises (or lowers), the seeds at the lowest (or highest) of them fail
+    # whatever the module: no evidence, so the call is refused
+    A2 = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (5, 5), margin=2)
+    M = make_hw_module((2,), 2)
+    assert evidence_simplicity(A2, M, "F", box)["pass"]
+    capped = GeneratorSet.default(2, 0)
+    assert capped.reach == ((False, True), (False, True))
+    with pytest.raises(ArgumentError, match="^no generator raises coordinate 1,"):
+        evidence_simplicity(A2, M, "F", box, gens=capped)
+    raising = GeneratorSet([g for g in GeneratorSet.default(2).members if min(g.shift) >= 0])
+    assert raising.reach == ((True, False), (True, False))
+    with pytest.raises(ArgumentError, match="^no generator lowers coordinate 1,"):
+        evidence_simplicity(A2, M, "F", box, gens=raising)
+    # an inner box of one weight has nothing to move along: not refused
+    point = TruncationBox((0, 0), (4, 4), margin=2)
+    assert evidence_simplicity(A2, M, "F", point, gens=capped)["check"]
+
+
 def test_inventory_A2_r0():
     A = WeightModuleP.polynomial(2)
     box = TruncationBox((0, 0), (4, 4))

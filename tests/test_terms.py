@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 from weylmod import structure
 from weylmod.cli import main
-from weylmod.derham import _derham_table, pi
+from weylmod.derham import _derham_table, pi, pi_image
 from weylmod.errors import StructureError
 from weylmod.exprparse import VectorLiteral, parse_expr
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator, shen_iota
-from weylmod.terms import Poly, accumulate
+from weylmod.terms import Frozen, Poly, accumulate
 from weylmod.ugl import E, UglElement, _gen_key, pbw_product
 from weylmod.vectorfields import L_op, VectorField
 from weylmod.weightmod import (
@@ -302,6 +302,65 @@ def test_term_maps_copy_and_pickle():
         copy.deepcopy(vector)
     with pytest.raises(AttributeError, match="SLModule is immutable"):
         pickle.loads(pickle.dumps(vector))
+
+
+def _frozen_values():
+    """(value, copy, deepcopy, pickle) for one value of every ``Frozen``
+    class: "equal" where the twin is a value of the same class equal to it,
+    else the refusal's text."""
+    P = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (3, 3), margin=1)
+    field = L_op(1, 2, (0, 0))
+    equal = ("equal",) * 3
+    # a module compares by identity, so it is never rebuilt, nor is a
+    # vector or a space over one except by a shallow copy
+    module = ("AttributeError: SLModule is immutable",) * 3
+    return [
+        (t(1, 2), *equal),
+        (field, *equal),
+        (E(1, 2, 2), *equal),
+        (shen_iota(field), *equal),
+        (parse_expr("t[1]^2*t[2]^-1 (x) e[1]^e[3]", 3), *equal),
+        (FVector.basis(P, make_wedge_module(2, 1), (0, 1), 0), "equal", *module[1:]),
+        (Poly.symbols(2)[0], *("AttributeError: Poly is immutable",) * 3),
+        (P, *equal),
+        (make_wedge_module(2, 1), *module),
+        (make_hw_module((2,), 2), *module),
+        (box, *equal),
+        (pi_image(P, 1, box), "AttributeError: GradedSubspace is immutable", module[1],
+         "TypeError: cannot pickle 'mappingproxy' object"),
+    ]
+
+
+def _twin_outcome(make, value):
+    try:
+        twin = make(value)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "equal" if type(twin) is type(value) and twin == value else repr(twin)
+
+
+def test_frozen_values_refuse_rebinding_and_copy_as_before():
+    # one value per subclass of the one freeze rule, concrete or base
+    rows = _frozen_values()
+    classes, todo = set(), [Frozen]
+    while todo:
+        todo += todo.pop().__subclasses__()
+        classes.update(todo)
+    for cls in classes:
+        assert any(isinstance(row[0], cls) for row in rows), cls
+    for value, *expected in rows:
+        name = type(value).__name__
+        slots = [n for k in type(value).__mro__ for n in getattr(k, "__slots__", ())]
+        before = {n: getattr(value, n) for n in slots}
+        for slot in slots + ["extra"]:
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(value, slot, None)
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                delattr(value, slot)
+        assert all(getattr(value, n) is v for n, v in before.items()), name
+        makers = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+        assert [_twin_outcome(make, value) for make in makers] == expected, name
 
 
 def test_pbw_product_matches_word_rewriting():

@@ -105,6 +105,86 @@ def test_descriptor_refuses_unbalanced_and_empty_factors(text, message):
         parse_module_descriptor(text)
 
 
+_UNBALANCED = (ArgumentError, "unbalanced parentheses in module descriptor {text!r}")
+_EMPTY_FACTOR = (ArgumentError, "empty factor in module descriptor {text!r}")
+_EMPTY = (ArgumentError, "empty module descriptor {text!r}")
+_INTEGER = (StructureError, "laurent shift must not be an integer")
+
+
+def _bad(token):
+    return ArgumentError, f"bad factor token {token!r}"
+
+
+# each descriptor with the text of its profile, or the class and message of
+# its refusal; rows marked "split" read differently before descriptors were
+# split at their commas after one parenthesis count (all ArgumentError then
+# too): ")(" and "[)poly(]" were unbalanced, "laurent(1,2)" the bad token
+# 'laurent(1,2)', "[,laurent(1/2]" an empty factor, "[foo, laurent(]" the
+# bad token 'foo'
+DESCRIPTORS = [
+    ("[poly]", "[poly]"),
+    ("poly", "[poly]"),
+    ("[poly,twist]", "[poly,twist]"),
+    ("poly, twist", "[poly,twist]"),
+    ("[poly, twist, laurent(1/2)]", "[poly,twist,laurent(1/2)]"),
+    ("[ poly , laurent(1/3) ]", "[poly,laurent(1/3)]"),
+    ("[twist, twist, twist]", "[twist,twist,twist]"),
+    ("[laurent]", "[laurent(1/2)]"),
+    ("[laurent(-3/2)]", "[laurent(-3/2)]"),
+    ("[laurent( 1/2 )]", "[laurent(1/2)]"),
+    ("[laurent (1/2)]", "[laurent(1/2)]"),
+    ("[laurent(0.5)]", "[laurent(1/2)]"),
+    ("laurent(1/2),poly", "[laurent(1/2),poly]"),
+    ("[laurent(1/2),laurent(1/2)]", "[laurent(1/2),laurent(1/2)]"),
+    ("[]", _EMPTY),
+    ("", _EMPTY),
+    ("  ", _EMPTY),
+    ("[ ]", _EMPTY),
+    ("[poly,]", _EMPTY_FACTOR),
+    ("[,poly]", _EMPTY_FACTOR),
+    ("[poly,,twist]", _EMPTY_FACTOR),
+    ("[poly, laurent(1/2]", _UNBALANCED),
+    ("[poly, laurent1/2)]", _UNBALANCED),
+    ("[laurent(1/2))]", _UNBALANCED),
+    ("[laurent((1/2)]", _UNBALANCED),
+    ("(", _UNBALANCED),
+    (")", _UNBALANCED),
+    ("[poly)]", _UNBALANCED),
+    ("[laurent(1/2),(]", _UNBALANCED),
+    ("[,laurent(1/2]", _UNBALANCED),  # split
+    ("[foo, laurent(]", _UNBALANCED),  # split
+    (")(", _bad(")(")),  # split
+    ("[)poly(]", _bad(")poly(")),  # split
+    ("laurent(1,2)", _bad("laurent(1")),  # split
+    ("[laurent(1)]", _INTEGER),
+    ("[laurent(0)]", _INTEGER),
+    ("[laurent(-1)]", _INTEGER),
+    ("[laurent(2/0)]", _bad("laurent(2/0)")),
+    ("[laurent(x)]", _bad("laurent(x)")),
+    ("[laurent()]", _bad("laurent()")),
+    ("[laurent((1/2))]", _bad("laurent((1/2))")),
+    ("[laurent(1/2)x]", _bad("laurent(1/2)x")),
+    ("[laurentz]", _bad("laurentz")),
+    ("[LAURENT]", _bad("LAURENT")),
+    ("[foo]", _bad("foo")),
+    ("[poly(1)]", _bad("poly(1)")),
+    ("[(poly)]", _bad("(poly)")),
+    ("[poly]]", _bad("poly]")),
+    ("[[poly]", _bad("[poly")),
+]
+
+
+@pytest.mark.parametrize("text, expected", DESCRIPTORS)
+def test_descriptor_table(text, expected):
+    if isinstance(expected, str):
+        assert repr(parse_module_descriptor(text)) == expected
+        return
+    cls, message = expected
+    with pytest.raises(cls) as info:
+        parse_module_descriptor(text)
+    assert type(info.value) is cls and str(info.value) == message.format(text=text)
+
+
 def weyl_on_p(a, v, allow_laurent=False):
     """The Weyl element a acting on a vector of P = F(P, wedge^0)."""
     return tensor_act(from_weyl(a), v, allow_laurent)
