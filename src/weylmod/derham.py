@@ -134,10 +134,11 @@ class GradedSubspace(Frozen):
     to echelon bases over the positions there; a window weight without a
     block has dimension 0, so ``GradedSubspace(P, M, box)`` is the window
     itself, with no blocks.  A space that differs from another is built
-    anew, as ``GradedSubspace(P, M, box, {**space.blocks, w: block})``.
+    anew, as ``GradedSubspace(P, M, box, {**space.blocks, w: block})``,
+    and so is a copy or a pickle.
     """
 
-    __slots__ = ("module_p", "module_m", "labels", "slots", "blocks")
+    __slots__ = ("module_p", "module_m", "box", "labels", "slots", "blocks")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox,
                  blocks=None):
@@ -146,8 +147,11 @@ class GradedSubspace(Frozen):
         for w, block in blocks.items():
             if w not in labels or block.ncols != len(labels[w]):
                 raise ArgumentError(f"the block at weight {list(w)} does not fit the window")
-        self._freeze(module_p=module_p, module_m=module_m, labels=labels, slots=slots,
-                     blocks=blocks)
+        self._freeze(module_p=module_p, module_m=module_m, box=box, labels=labels,
+                     slots=slots, blocks=blocks)
+
+    def __reduce__(self):
+        return GradedSubspace, (self.module_p, self.module_m, self.box, dict(self.blocks))
 
     def dim_at(self, weight) -> int:
         block = self.blocks.get(weight)

@@ -83,15 +83,6 @@ def falling(x, k: int):
     return out
 
 
-def binomial(m: int, k: int) -> int:
-    if k < 0 or k > m:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (m - j) // (j + 1)
-    return out
-
-
 class TruncationBox(Frozen):
     """Inclusive integer window on weight keys with a safety margin.
 

@@ -235,6 +235,10 @@ class Poly(Frozen):
     def __init__(self, terms: dict):
         self._freeze(terms=terms, _hash=hash(frozenset(terms.items())))
 
+    def __reduce__(self):
+        # through the constructor, which rebuilds the hash in any process
+        return Poly, (self.terms,)
+
     @staticmethod
     def symbols(n: int) -> tuple:
         """The symbols (a_1, ..., a_n)."""

@@ -9,8 +9,9 @@ lambda shift lives in the factor descriptor, so all arithmetic stays exact.
 Finite-dimensional modules carry explicit exact action matrices for every
 matrix unit plus a scalar for the identity matrix.  Fundamental modules are
 exterior powers of the natural module; general dominant weights are realized
-by closing a highest-weight vector under the lowering operators inside a
-tensor power, with the Weyl dimension formula as an independent check.
+by closing a highest-weight vector under the lowering operators on the words
+of a tensor product of exterior powers, with the Weyl dimension formula as an
+independent check.
 """
 
 from __future__ import annotations
@@ -239,6 +240,14 @@ class SLModule(Frozen):
     def __repr__(self):
         return self.name
 
+    def __reduce__(self):
+        # a module compares by identity: only the cached exterior powers,
+        # which every process rebuilds as its own one instance, are copied
+        r = int(self.central)
+        if r == self.central and 0 <= r <= self.rank and self is make_wedge_module(self.rank, r):
+            return make_wedge_module, (self.rank, r)
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
 
 @lru_cache(maxsize=None)
 def make_wedge_module(n: int, r: int) -> SLModule:
@@ -291,41 +300,6 @@ def wedge_replace(label, j: int, i: int):
     return sign * wedge_insert(j, rest)[0], new_label
 
 
-def tensor_module(m1: SLModule, m2: SLModule) -> SLModule:
-    """Tensor product with the Leibniz action of every matrix unit."""
-    if m1.rank != m2.rank:
-        raise StructureError("rank mismatch")
-    n = m1.rank
-    labels = [(a, b) for a in m1.labels for b in m2.labels]
-    weights = [
-        tuple(x + y for x, y in zip(m1.weights[a], m2.weights[b]))
-        for a in range(m1.dim)
-        for b in range(m2.dim)
-    ]
-    matrices = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cols = [[] for _ in labels]
-            c1 = m1.matrices[(i, j)]
-            c2 = m2.matrices[(i, j)]
-            for a in range(m1.dim):
-                for b in range(m2.dim):
-                    src = a * m2.dim + b
-                    for dst, coeff in c1[a]:
-                        cols[src].append((dst * m2.dim + b, coeff))
-                    for dst, coeff in c2[b]:
-                        cols[src].append((a * m2.dim + dst, coeff))
-            matrices[(i, j)] = cols
-    return SLModule(
-        n,
-        labels,
-        weights,
-        matrices,
-        m1.central + m2.central,
-        name=f"{m1.name}(x){m2.name}",
-    )
-
-
 def weyl_dimension(psi, n: int) -> int:
     """Weyl dimension formula for the dominant weight sum psi_k delta_k.
 
@@ -364,92 +338,86 @@ def make_hw_module(psi, n: int) -> SLModule:
 
 def _lowering_closure(psi, n: int) -> SLModule:
     """The simple module of highest weight psi inside a tensor product of
-    exterior powers: start from the product of the wedge highest-weight
-    vectors and close under the lowering generators, echelonizing per
-    weight.  The identity matrix acts by the total tensor degree.
-    Dimension is checked against the Weyl formula.
+    exterior powers, closed on words: a word is one basis index per factor,
+    words are numbered lexicographically (the mixed-radix index of the
+    product's basis), and a vector maps words to coefficients.  A matrix
+    unit acts on a word by the Leibniz rule through each factor's own
+    matrices.  Start from the product of the factors' highest-weight
+    vectors and close under the lowering generators, echelonizing each
+    weight over the words of that weight; a weight vector lives on those
+    words only.  The identity matrix acts by sum_k k psi_k.  Dimension is
+    checked against the Weyl formula.
     """
     expected_dim = weyl_dimension(psi, n)
-    ambient = None
-    for k in range(1, n):
-        for _ in range(psi[k - 1]):
-            wedge = make_wedge_module(n, k)
-            ambient = wedge if ambient is None else tensor_module(ambient, wedge)
+    factors = [make_wedge_module(n, k) for k in range(1, n) for _ in range(psi[k - 1])]
+    words = {}  # weight -> its words, in word order
+    place = {}  # word -> (its weight, its position among those words)
+    for word in itertools.product(*(range(f.dim) for f in factors)):
+        w = tuple(map(sum, zip(*(f.weights[a] for f, a in zip(factors, word)))))
+        at = words.setdefault(w, [])
+        place[word] = (w, len(at))
+        at.append(word)
+
+    def act(i, j, vec):
+        return accumulate({}, (
+            (word[:p] + (dst,) + word[p + 1:], c * m)
+            for word, c in vec.items()
+            for p, f in enumerate(factors)
+            for dst, m in f.matrices[(i, j)][word[p]]
+        ))
+
+    def dense(vec):
+        """(weight, coordinates over the words of that weight) of a weight
+        vector."""
+        w = place[next(iter(vec))][0]
+        row = [0] * len(words[w])
+        for word, c in vec.items():
+            row[place[word][1]] = c
+        return w, row
+
+    def insert(vec) -> bool:
+        w, row = dense(vec)
+        return blocks.setdefault(w, RowBasis(len(row))).insert(row)
+
     # the per-factor highest label (1..k) sits at position 0 of each wedge
-    # basis, so the tensor index of the product of highest vectors is 0
-    highest = {0: Fraction(1)}
-    blocks: dict = {}
-    w0 = _common_weight(ambient, highest)
-    blocks[w0] = RowBasis(ambient.dim)
-    _insert_dense(blocks[w0], highest, ambient.dim)
-    # breadth-first lowering closure
-    queue = [highest]
-    while queue:
-        vec = queue.pop()
+    # basis, so the product of highest vectors is the word of zeros
+    highest = {(0,) * len(factors): Fraction(1)}
+    blocks = {}
+    insert(highest)
+    stack = [highest]
+    while stack:
+        vec = stack.pop()
         for i in range(1, n):
-            low = ambient.apply_pbw((((i + 1, i), 1),), vec)
-            if not low:
-                continue
-            w = _common_weight(ambient, low)
-            basis = blocks.setdefault(w, RowBasis(ambient.dim))
-            if _insert_dense(basis, low, ambient.dim):
-                queue.append(low)
+            low = act(i + 1, i, vec)
+            if low and insert(low):
+                stack.append(low)
     total = sum(b.dim for b in blocks.values())
     if total != expected_dim:
         raise StructureError(
             f"closure found dimension {total}, Weyl formula gives {expected_dim}"
         )
     # canonical basis order: weights descending, then echelon order
-    weight_order = sorted(blocks, reverse=True)
-    flat_rows = []
-    weights = []
-    offsets = {}
-    for w in weight_order:
-        offsets[w] = len(flat_rows)
-        for row in blocks[w].rows:
-            flat_rows.append(row)
-            weights.append(w)
+    flat = [(w, row) for w in sorted(blocks, reverse=True) for row in blocks[w].rows]
+    weights = [w for w, _ in flat]
+    offsets = {w: weights.index(w) for w in blocks}
     matrices = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cols = [[] for _ in flat_rows]
-            for src, row in enumerate(flat_rows):
-                vec = {idx: c for idx, c in enumerate(row) if c != 0}
-                image = ambient.apply_pbw((((i, j), 1),), vec)
-                if not image:
-                    continue
-                w = _common_weight(ambient, image)
-                basis = blocks.get(w)
-                if basis is None:
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        cols = matrices[(i, j)] = []
+        for w, row in flat:
+            image = act(i, j, {words[w][pos]: c for pos, c in enumerate(row) if c != 0})
+            col = []
+            if image:
+                target, coords = dense(image)
+                basis = blocks.get(target)
+                if basis is None or not basis.contains(coords):
                     raise StructureError("closure is not stable under gl action")
-                dense = [0] * ambient.dim
-                for idx, c in image.items():
-                    dense[idx] = c
-                if not basis.contains(dense):
-                    raise StructureError("closure is not stable under gl action")
-                coords = [dense[p] for p in basis.pivots]
-                for k, c in enumerate(coords):
-                    if c != 0:
-                        cols[src].append((offsets[w] + k, c))
-            matrices[(i, j)] = cols
-    labels = [f"v{k}" for k in range(len(flat_rows))]
-    central = ambient.central
+                col = [(offsets[target] + k, coords[p])
+                       for k, p in enumerate(basis.pivots) if coords[p] != 0]
+            cols.append(col)
+    labels = [f"v{k}" for k in range(len(flat))]
+    central = Fraction(sum(k * p for k, p in enumerate(psi, 1)))
     name = "V(" + "+".join(f"{p}d{k+1}" for k, p in enumerate(psi) if p) + f",{n})"
     return SLModule(n, labels, weights, matrices, central, name=name)
-
-
-def _common_weight(module: SLModule, vec: dict):
-    weights = {module.weights[idx] for idx in vec}
-    if len(weights) != 1:
-        raise StructureError("vector is not a weight vector")
-    return next(iter(weights))
-
-
-def _insert_dense(basis: RowBasis, vec: dict, ncols: int) -> bool:
-    dense = [0] * ncols
-    for idx, c in vec.items():
-        dense[idx] = c
-    return basis.insert(dense)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 from operator import add, sub
 
 from .errors import DomainError, StructureError
-from .indices import binomial, check_integer_exponents, falling, mi_zero
+from .indices import check_integer_exponents, falling, mi_zero
 from .terms import SCALARS, Poly, TermMap, accumulate, power_text
 
 
@@ -55,12 +56,12 @@ def _normal_order_table(gamma, beta):
 
 @lru_cache(maxsize=512)
 def _coord_choices(g, b):
-    """The (k, binomial(g, k) * falling(b, k)) pairs of d^g t^b in one
+    """The (k, comb(g, k) * falling(b, k)) pairs of d^g t^b in one
     coordinate, zeros left out.  A ``Poly`` b keeps every k <= g: its
     falling factorial is a nonzero polynomial, which vanishes at an integer
     exactly where an int b leaves k out (0 <= b < k)."""
     top = g if isinstance(b, Poly) or b < 0 else min(g, b)
-    choices = ((k, binomial(g, k) * falling(b, k)) for k in range(top + 1))
+    choices = ((k, comb(g, k) * falling(b, k)) for k in range(top + 1))
     return tuple((k, c) for k, c in choices if c != 0)
 
 

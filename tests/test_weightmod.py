@@ -1,5 +1,6 @@
 """Weight modules, exterior powers, highest-weight closures, tensor actions."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,9 @@ from functools import partial
 import oracles
 import pytest
 
+from weylmod import weightmod
 from weylmod.errors import ArgumentError, DomainError, StructureError
+from weylmod.linalg import RowBasis
 from weylmod.tensorop import TensorOperator, from_weyl, shen_iota, tensor
 from weylmod.ugl import E, _gen_key
 from weylmod.vectorfields import L_op, VectorField, bracket
@@ -397,6 +400,63 @@ def test_hw_module_bigger_example():
     M = make_hw_module((1, 1), 3)
     assert M.dim == 8
     assert oracles.check_commutators(M)
+
+
+# (psi, n) -> sha256 of repr((labels, weights, sorted matrices, central,
+# name)) of make_hw_module(psi, n), recorded from the closure inside the
+# whole tensor-product module that the closure on words replaced
+HW_DIGESTS = {
+    ((2,), 2): "14297b4968f043c727d6c71d77ae4800107d2457c168d19b1c6240bb1dac88ab",
+    ((3,), 2): "60519d5762e5d3fadb05dd88d1642bdbcf2132500c1399e4e102e0f45b42a034",
+    ((1, 1), 3): "8c9bfc1e276b0276311c9815940ca1e1f6f7fc43d0d52e441ee537747e90bb0a",
+    ((2, 0), 3): "ca8c0a272571bcd10ddab37f4e891c180a26e7f6d6138b986d0c8a8671b2f0e1",
+    ((0, 2), 3): "d47dfc91d752735b62ada063d47528022af050464f597d72a5d51e326924e20c",
+    ((2, 1), 3): "ed540f03dba5ab3480172225f4d10d0708b6b75feffdf32b82c6180a865b7959",
+    ((2, 2), 3): "696d4025c3f23a641a9c7b1d634b02cde29240ab99747e6997fed2a932c56ea6",
+    ((3, 2), 3): "bb372adab820082aeaca5d31eefc870e6e8ae9d399db936aa519b9099385c4e7",
+    ((2, 1, 0), 4): "342e36460c4b5f17b5aed6f8b9a8395b8c0530560f407e146599e68cbcf02c78",
+    ((1, 0, 1), 4): "61b7c949348450484417dcc1e1a0c3a68650ca4b5325c4943e4e7f5a1b2ca29a",
+    ((1, 1, 1), 4): "e5de0e39b775616aa981ccfc4f615d04c9b39d8d4d9139fdc4c0966474deb3ab",
+    ((2, 1, 1), 4): "dcff81ca905b44e86a2c9ead4e799a049c801021d6e12423bf65227eb6eea567",
+    ((2, 2, 0), 4): "ecae67c6523a01e442ce4002e0a67eeb63428ea3c665eebd8f128aef55170e8d",
+    ((1, 0, 0, 1), 5): "3dbcfcd5aaefa92b94d30d5897b47afd133c6d472402c6d8b011b37587e91133",
+    ((2, 0, 0, 0), 5): "806a4464af67b63df00b2fff2bfffa3a55732066067c00325bdfcbdd81d3ad16",
+}
+
+
+def _module_digest(M) -> str:
+    data = (M.labels, M.weights, sorted(M.matrices.items()), M.central, M.name)
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "psi, n", list(HW_DIGESTS), ids=[f"psi{''.join(map(str, psi))}-n{n}" for psi, n in HW_DIGESTS]
+)
+def test_hw_modules_keep_their_bytes(psi, n):
+    # the closure on words gives the modules of the closure inside the
+    # tensor-product module, byte for byte; the gl_n relations are checked
+    # independently of both
+    M = make_hw_module(psi, n)
+    assert M.dim == weyl_dimension(psi, n)
+    assert oracles.check_commutators(M)
+    assert _module_digest(M) == HW_DIGESTS[psi, n]
+
+
+class _NothingContained(RowBasis):
+    def contains(self, vec):
+        return False
+
+
+def test_hw_closure_refusals_keep_their_type_and_text(monkeypatch):
+    # a dimension other than the Weyl formula's, and an image outside the
+    # closure, are each refused as a StructureError
+    with monkeypatch.context() as patch:
+        patch.setattr(weightmod, "weyl_dimension", lambda psi, n: 4)
+        with pytest.raises(StructureError, match="^closure found dimension 3, Weyl formula gives 4$"):
+            _lowering_closure((2,), 2)
+    monkeypatch.setattr(weightmod, "RowBasis", _NothingContained)
+    with pytest.raises(StructureError, match="^closure is not stable under gl action$"):
+        _lowering_closure((2,), 2)
 
 
 def test_hw_module_rejects_bad_weight():
