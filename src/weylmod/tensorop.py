@@ -9,15 +9,21 @@ per (n, i, j) over a symbolic alpha and a symbolic node m; setting m gives
 the product at each node, evaluated per alpha, and the identity's residual
 over the same symbols, so a template with no rows and a product of degree
 below the node count in m prove the identity for every integer alpha.
+
+A template with rows, and each set of interpolation rows, carries one
+straight-line evaluator compiled with it (``_template_kernel``,
+``_row_kernel``), the only code that evaluates it.  The generated source
+holds no constant but the repr of an exact int; every other constant is
+bound by name in the evaluator's namespace (``_literal``).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .errors import ArgumentError, StructureError
 from .indices import (
@@ -318,39 +324,88 @@ def _scaled(weights):
     return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
-def _combine(values, rows):
-    """One term map per (numerators, D) row: the sum of numerators[t] *
-    values[t] over the term maps values, divided by D.
+def _combine(values, row_set):
+    """One term map per (numerators, D) row of a ``_row_set``: the sum of
+    numerators[t] * values[t] over the term maps values, divided by D, as
+    computed by the row set's compiled evaluator (``_row_kernel``)."""
+    return row_set[1](values)
 
-    Each monomial's coefficients over the values are gathered into one
-    vector, every row is applied to it in integers, and only the survivors
-    are divided by D, so a term that cancels never builds a Fraction.
+
+def _row_set(rows: tuple):
+    """Rows of (integer numerators, D), all of one width, with the
+    evaluator compiled from them: (rows, kernel)."""
+    return rows, _row_kernel(rows)
+
+
+def _row_kernel(rows: tuple):
+    """The straight-line evaluator g(values) of (numerators, D) rows.
+
+    It gathers each monomial's coefficients over the term maps values once,
+    into locals (0 where a map lacks the monomial), computes every row as
+    an inline integer combination with its zero numerators left out, and
+    divides only the nonzero totals by D, exactly: an int when
+    D divides, a ``Fraction`` otherwise, total / D for a non-int total.  A
+    term that cancels never builds a Fraction.  Returns one term map per
+    row, each in the order the monomials first appear in values.
     """
-    width = len(values)
-    vectors = {}
-    for t, value in enumerate(values):
-        for key, c in value.items():
-            vec = vectors.get(key)
-            if vec is None:
-                vectors[key] = vec = [0] * width
-            vec[t] = c
-    out = []
-    for nums, den in rows:
-        terms = {}
-        for key, vec in vectors.items():
-            total = sum(map(mul, nums, vec))
-            if total:
-                terms[key] = _divide(total, den)
-        out.append(terms)
-    return out
+    constants = {"Fraction": Fraction, "int": int, "type": type}
+    lit = partial(_literal, constants=constants)
+    width = len(rows[0][0])
+    maps = [f"v{t}" for t in range(width)]
+    coeffs = [f"c{t}" for t in range(width)]
+    outs = [f"r{k}" for k in range(len(rows))]
+    lines = [
+        "def g(values):",
+        f"    ({', '.join(maps)},) = values",
+        *(f"    get{t} = v{t}.get" for t in range(width)),
+        *(f"    {out} = {{}}" for out in outs),
+        f"    for key in {{{', '.join('**' + v for v in maps)}}}:",
+        f"        ({', '.join(coeffs)},) = {', '.join(f'get{t}(key, 0)' for t in range(width))},",
+    ]
+    for out, (nums, den) in zip(outs, rows):
+        total = " + ".join(_times(lit(num), c) for num, c in zip(nums, coeffs) if num)
+        if not total:
+            continue
+        d = lit(den)
+        lines += [f"        total = {total}", "        if total:"]
+        if d == "1":
+            lines.append(f"            {out}[key] = total")
+        else:
+            lines += [
+                "            if type(total) is int:",
+                f"                {out}[key] = Fraction(total, {d}) if total % {d} else total // {d}",
+                "            else:",
+                f"                {out}[key] = total / {d}",
+            ]
+    lines.append(f"    return [{', '.join(outs)}]")
+    return _kernel(lines, constants, "g")
 
 
-def _divide(total, den):
-    """total / den, kept an int when den divides it."""
-    if type(total) is int:
-        q, r = divmod(total, den)
-        return Fraction(total, den) if r else q
-    return total / den
+def _times(scale: str, value: str) -> str:
+    """The source of scale * value, with a scale of 1 or -1 left implicit."""
+    if scale == "1":
+        return value
+    return f"-{value}" if scale == "(-1)" else f"{scale} * {value}"
+
+
+def _literal(x, constants: dict) -> str:
+    """The source of the constant x in a generated kernel.  Only an exact
+    int enters the source, as its repr (parenthesized when negative); any
+    other value is bound by a fresh name in constants, the kernel's
+    namespace, so no outside text is ever compiled."""
+    if type(x) is int:
+        return repr(x) if x >= 0 else f"({x!r})"
+    name = f"k{len(constants)}"
+    constants[name] = x
+    return name
+
+
+def _kernel(lines, constants: dict, name: str):
+    """The function ``name`` that the source lines define, compiled once
+    with constants as its namespace."""
+    namespace = dict(constants)
+    exec(compile("\n".join(lines) + "\n", f"<{name} kernel>", "exec"), namespace)
+    return namespace[name]
 
 
 def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
@@ -492,14 +547,16 @@ def _residual_template(kind: str, n: int, i: int, j: int):
     else:
         target, weights = _special_operator("g", alpha, i), QUARTIC_WEIGHTS
     product = _node_terms(kind, n, i, j)
-    (combined,) = _combine([_at_node(product, m) for m in weights], [_scaled(weights.values())])
+    row_set = _row_set((_scaled(weights.values()),))
+    (combined,) = _combine([_at_node(product, m) for m in weights], row_set)
     residual = accumulate(dict(target.terms), ((key, -c) for key, c in combined.items()))
     degree = max((e[-1] for c in product.values() if type(c) is Poly for e in c.terms), default=0)
     return _template(residual, alpha), degree
 
 
 def _template(product: dict, base):
-    """A collected term map over symbolic exponents as (parts, rows).
+    """A collected term map over symbolic exponents as (parts, rows,
+    kernel).
 
     The keys are ((t_exp, d_exp), tag): the tag, a PBW monomial for an
     operator, is opaque here and carried through unchanged (the operator
@@ -511,6 +568,9 @@ def _template(product: dict, base):
     (offset, d_exp, tag, part index, scale).  A t exponent of any other
     shape (an entry without its symbols, or with a multiple of them) would
     let two rows meet at some point, so it raises ``StructureError``.
+    The kernel is the template's compiled evaluator (``_template_kernel``),
+    built once with the template; a template with no rows gets the shared
+    ``_no_terms``, and nothing is compiled for it.
     """
     parts = {}
     rows = []
@@ -520,33 +580,78 @@ def _template(product: dict, base):
             raise StructureError(f"t exponent {t_exp} is not {base} plus an integer offset")
         scale, part = _primitive(coeff)
         rows.append((offset, d_exp, tag, parts.setdefault(part, len(parts)), scale))
-    return tuple(parts), tuple(rows)
+    parts, rows = tuple(parts), tuple(rows)
+    return parts, rows, _template_kernel(parts, rows) if rows else _no_terms
+
+
+def _no_terms(point, base) -> dict:
+    """The evaluator of a template with no rows: zero at every point."""
+    return {}
+
+
+# the part of a constant coefficient: its value is the row's scale
+_CONSTANT_PART = ((1, ()),)
+
+
+def _template_kernel(parts, rows):
+    """The straight-line evaluator f(point, base) of a template with rows.
+
+    It reads the symbols the parts use from point and the base entries
+    into locals, evaluates each primitive part once as one expression,
+    builds the t exponent tuple of each distinct offset once, and fills
+    the term map row by row, in row order, skipping a row whose part is
+    zero (a constant part is never zero, and its row's value is its
+    scale).  Ints enter the source as literals, every other constant
+    (d exponents, tags, ``Fraction`` scales) by name (``_literal``).
+    """
+    constants = {}
+    lit = partial(_literal, constants=constants)
+    symbols = sorted({s for part in parts for _, powers in part for s, _ in powers})
+    bases = [f"b{s}" for s in range(len(rows[0][0]))]
+    lines = ["def f(point, base):"]
+    lines += [f"    p{s} = point[{s}]" for s in symbols]
+    lines.append(f"    ({', '.join(bases)},) = base")
+    for index, part in enumerate(parts):
+        if part != _CONSTANT_PART:
+            terms = (
+                (lit(c), "*".join(f"p{s}" if e == 1 else f"p{s}**{lit(e)}" for s, e in powers))
+                for c, powers in part
+            )
+            expr = " + ".join(_times(c, product) if product else c for c, product in terms)
+            lines.append(f"    v{index} = {expr}")
+    tuples = {}
+    for offset, *_ in rows:
+        if offset not in tuples:
+            tuples[offset] = name = f"t{len(tuples)}"
+            entries = [b if o == 0 else f"{b} + {lit(o)}" for b, o in zip(bases, offset)]
+            lines.append(f"    {name} = ({', '.join(entries)},)")
+    lines.append("    terms = {}")
+    guard = None
+    for offset, d_exp, tag, index, scale in rows:
+        key = f"({tuples[offset]}, {lit(d_exp)}), {lit(tag)}"
+        if parts[index] == _CONSTANT_PART:
+            guard = None
+            lines.append(f"    terms[{key}] = {lit(scale)}")
+            continue
+        if guard != index:
+            guard = index
+            lines.append(f"    if v{index}:")
+        lines.append(f"        terms[{key}] = {_times(lit(scale), f'v{index}')}")
+    lines.append("    return terms")
+    return _kernel(lines, constants, "f")
 
 
 def _evaluated(template, point, base) -> dict:
     """The term map of a ``_template`` with the symbols set to the ints of
-    point and the base to base; rows whose coefficient vanishes there are
-    left out, and each row's opaque tag is its key's second slot.
+    point and the base to base, computed by the template's kernel; rows
+    whose coefficient vanishes there are left out, and each row's opaque
+    tag is its key's second slot.
 
     Distinct rows have distinct offsets or distinct (d_exp, tag), so
     they stay distinct at every point, and the terms are exactly those of
     the same kernels run on the integer exponents.
     """
-    parts, rows = template
-    values = []
-    for part in parts:
-        value = 0
-        for c, powers in part:
-            for s, e in powers:
-                c *= point[s] ** e
-            value += c
-        values.append(value)
-    terms = {}
-    for offset, d_exp, tag, index, scale in rows:
-        c = values[index]
-        if c:
-            terms[((tuple(map(add, base, offset)), d_exp), tag)] = scale * c
-    return terms
+    return template[2](point, base)
 
 
 def _primitive(coeff):
@@ -587,9 +692,10 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
 
 @lru_cache(maxsize=64)
 def _interpolation_rows(nodes: tuple):
-    """The rows of ``interpolation_matrix(nodes)``, each as its integer
-    numerators over its common denominator; cached per node tuple."""
-    return tuple(_scaled(row) for row in interpolation_matrix(nodes))
+    """The ``_row_set`` of ``interpolation_matrix(nodes)``, each row as its
+    integer numerators over its common denominator; cached per node
+    tuple."""
+    return _row_set(tuple(_scaled(row) for row in interpolation_matrix(nodes)))
 
 
 def interpolate_coefficients(values, nodes):

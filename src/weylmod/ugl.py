@@ -3,18 +3,21 @@
 A PBW monomial is a product of matrix units E_ij in the canonical order:
 lowering generators (i > j) first, then diagonal ones, then raising
 generators (i < j), each block sorted lexicographically by (i, j).  A
-product is built by multiplying a normal monomial on the left by one matrix
-unit at a time: a unit that does not follow the first factor is prepended
-or raises its exponent, and any other unit g moves past that factor h by
-g h = h g + [g, h].  Every recursive step lowers the filtration degree of
-the product, so the recursion is as deep as the right monomial is long.
-The nontrivial left products are kept in a memo of fixed size that evicts
-its oldest entry first.
+product is built by multiplying a normal monomial on the left by matrix
+units: a power that does not follow the first factor is prepended or
+raises its exponent, and any other unit g moves past that whole factor h^e
+in one step, g h^e = sum_k C(e, k) h^(e-k) D^k(g) with D(x) = [x, h],
+which has at most three terms for h off the diagonal.  That step recurses
+only into the factors after h^e and into products of lower filtration
+degree, so a long power costs no recursion depth.  The nontrivial left
+products are kept in a memo of fixed size that evicts its oldest entry
+first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .errors import DomainError, StructureError
 from .indices import check_index
@@ -47,19 +50,55 @@ def _left_mul(g, mono):
     cached = _NORMAL_CACHE.get((g, mono))
     if cached is not None:
         return cached
-    # g h tail = h (g tail) + [g, h] tail
-    tail = (((h, e - 1),) if e > 1 else ()) + mono[1:]
-    result = _left_mul_all(h, _left_mul(g, tail))
-    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
-    (a, b), (c, d) = g, h
-    if b == c:
-        accumulate(result, _left_mul((a, d), tail).items())
-    if d == a:
-        accumulate(result, ((m, -c2) for m, c2 in _left_mul((c, b), tail).items()))
+    # g h^e = sum_k C(e, k) h^(e-k) D^k(g) with D(x) = [x, h]: right and
+    # left multiplication by h differ by D, and the two commute.  D^k(g) is
+    # a combination of units: zero past k = 2 when h is off the diagonal, a
+    # multiple of g when h is diagonal.
+    rest = mono[1:]
+    result = {}
+    term = {g: 1}
+    for k in range(e + 1):
+        if not term:
+            break
+        scale = comb(e, k)
+        for u, c in term.items():
+            for m, c2 in _left_mul(u, rest).items():
+                power = _left_mul_power(h, e - k, m)
+                accumulate(result, ((m2, scale * c * c2 * c3) for m2, c3 in power.items()))
+        term = _bracket(term, h)
     if len(_NORMAL_CACHE) >= _NORMAL_CACHE_SIZE:
         del _NORMAL_CACHE[next(iter(_NORMAL_CACHE))]
     _NORMAL_CACHE[(g, mono)] = result
     return result
+
+
+def _left_mul_power(h, e, mono):
+    """E_h^e * mono as {normal monomial: integer coefficient}: a power that
+    merges with the first factor or precedes it is written down, any other
+    is multiplied in one unit at a time."""
+    if e == 0:
+        return {mono: 1}
+    if not mono or _gen_key(h) < _gen_key(mono[0][0]):
+        return {((h, e),) + mono: 1}
+    if mono[0][0] == h:
+        return {((h, mono[0][1] + e),) + mono[1:]: 1}
+    combo = {mono: 1}
+    for _ in range(e):
+        combo = _left_mul_all(h, combo)
+    return combo
+
+
+def _bracket(combo, h):
+    """[x, E_h] for x a combination {unit: coefficient} of matrix units,
+    by [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    c, d = h
+    pairs = []
+    for (a, b), coeff in combo.items():
+        if b == c:
+            pairs.append(((a, d), coeff))
+        if d == a:
+            pairs.append(((c, b), -coeff))
+    return accumulate({}, pairs)
 
 
 def _left_mul_all(g, combo):
@@ -73,12 +112,14 @@ def _left_mul_all(g, combo):
 @lru_cache(maxsize=4096)
 def pbw_product(m1, m2):
     """The product of two PBW monomials as a tuple of (normal monomial,
-    integer coeff) pairs, read from a bounded memo: the units of m1 are
-    multiplied into m2 on the left, last unit first."""
+    integer coeff) pairs, read from a bounded memo: the powers of m1 are
+    multiplied into m2 on the left, last factor first."""
     result = {m2: 1}
     for g, e in reversed(m1):
-        for _ in range(e):
-            result = _left_mul_all(g, result)
+        out = {}
+        for mono, c in result.items():
+            accumulate(out, ((m, c * c2) for m, c2 in _left_mul_power(g, e, mono).items()))
+        result = out
     return tuple(result.items())
 
 

@@ -6,7 +6,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache, partial
 
-from operator import add
+from operator import add, mul
 
 from weylmod import structure, suites, tensorop
 from weylmod.derham import _derham_table, pi
@@ -527,6 +527,60 @@ def interpolate_coefficients(values, nodes):
     inv = invert([[m**k for k in range(len(nodes))] for m in nodes])
     products = dict(enumerate(values))
     return [node_combination(products, dict(enumerate(row))) for row in inv]
+
+
+def evaluated(template, point, base):
+    """A ``tensorop._template`` evaluated by walking its parts and rows:
+    each part summed term by term at point, each row with a nonzero part
+    keyed by base + its offset and valued scale * part.  The reference for
+    the template's compiled kernel."""
+    parts, rows, _ = template
+    values = []
+    for part in parts:
+        value = 0
+        for c, powers in part:
+            for s, e in powers:
+                c *= point[s] ** e
+            value += c
+        values.append(value)
+    terms = {}
+    for offset, d_exp, tag, index, scale in rows:
+        c = values[index]
+        if c:
+            terms[((tuple(map(add, base, offset)), d_exp), tag)] = scale * c
+    return terms
+
+
+def combine(values, rows):
+    """One term map per (numerators, D) row: each monomial's coefficients
+    over the term maps values gathered into one vector, every row applied
+    to it as a dot product and the nonzero totals divided by D (``divide``).
+    The reference for the compiled kernel of ``tensorop._row_set``."""
+    width = len(values)
+    vectors = {}
+    for t, value in enumerate(values):
+        for key, c in value.items():
+            vec = vectors.get(key)
+            if vec is None:
+                vectors[key] = vec = [0] * width
+            vec[t] = c
+    out = []
+    for nums, den in rows:
+        terms = {}
+        for key, vec in vectors.items():
+            total = sum(map(mul, nums, vec))
+            if total:
+                terms[key] = divide(total, den)
+        out.append(terms)
+    return out
+
+
+def divide(total, den):
+    """total / den, kept an int when den divides it."""
+    if type(total) is int:
+        q, r = divmod(total, den)
+        return Fraction(total, den) if r else q
+    return total / den
 
 
 def nullspace(rows, ncols):

@@ -104,12 +104,12 @@ def test_every_memo_is_bounded():
 
 def test_the_straightening_memo_is_bounded():
     # the left products of U(gl_n) live in a plain dict of fixed size, keyed
-    # by (matrix unit, normal monomial): E12^16 E21^16 meets more distinct
+    # by (matrix unit, normal monomial): E12^20 E21^20 meets more distinct
     # left products than it holds, and the oldest are evicted
     size = ugl._NORMAL_CACHE_SIZE
     clear_memos()
-    product = ugl.pbw_product((((1, 2), 16),), (((2, 1), 16),))
-    assert len(product) == 968
+    product = ugl.pbw_product((((1, 2), 20),), (((2, 1), 20),))
+    assert len(product) == 1770
     assert len(ugl._NORMAL_CACHE) == size
     for g, mono in ugl._NORMAL_CACHE:
         assert len(g) == 2 and ugl.UglElement(2, {mono: 1}).terms == {mono: 1}

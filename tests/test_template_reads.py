@@ -46,8 +46,9 @@ from weylmod.weightmod import _action_table, compose, make_wedge_module
 
 
 def _one_row(n, tag):
-    """A template of one row: the constant 1 times t^base d^0, tagged."""
-    return ((((1, ()),),), ((mi_zero(n), mi_zero(n), tag, 0, 1),))
+    """A template of one row: the constant 1 times t^base d^0, tagged, built
+    (with its kernel) by ``tensorop._template`` over the base alpha."""
+    return tensorop._template({((Poly.symbols(n), mi_zero(n)), tag): 1}, Poly.symbols(n))
 
 
 @contextmanager
@@ -114,7 +115,8 @@ def test_iota_reads_a_live_pair_at_its_term_pairs_only():
 
     counts = {}
     with _patched([(tensorop, "_iota_template", one_pair)]):
-        assert tensorop._iota_live(3) == {(1, 2): _one_row(3, ())}
+        live = tensorop._iota_live(3)
+        assert {pair: template[1] for pair, template in live.items()} == {(1, 2): _one_row(3, ())[1]}
         with _counted(tensorop, "_evaluated", counts):
             residual = iota_hom_residual(x, y)
     assert counts == {"_evaluated": 2}

@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from weylmod.errors import DomainError
-from weylmod.ugl import E, UglElement, in_usl
+from weylmod.ugl import E, UglElement, in_usl, pbw_product
 
 
 def identity_matrix(n):
@@ -54,6 +54,19 @@ def test_commutator_relations_all_pairs():
             if l == i:
                 rhs = rhs - E(k, j, n)
             assert lhs == rhs, (i, j, k, l)
+
+
+def test_a_unit_moves_past_a_long_power_in_closed_form():
+    # E12 E21^e = E21^e E12 + e E21^(e-1) (E11 - E22) - e (e - 1) E21^(e-1):
+    # one step per power, so no recursion level per unit of the exponent
+    e = 3000
+    lowering = (((2, 1), e),)
+    assert dict(pbw_product((((1, 2), 1),), lowering)) == {
+        (((2, 1), e), ((1, 2), 1)): 1,
+        (((2, 1), e - 1), ((1, 1), 1)): e,
+        (((2, 1), e - 1), ((2, 2), 1)): -e,
+        (((2, 1), e - 1),): -8_997_000,
+    }
 
 
 def test_mul_associative_random():
