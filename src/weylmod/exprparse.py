@@ -308,6 +308,8 @@ def _mul(a, b):
 
 def _power(base, k: int, pos: int):
     if isinstance(base, SCALARS):
+        if k < 0 and not base:
+            raise ParseError("zero has no negative power", pos)
         return Fraction(base) ** k
     if isinstance(base, VectorLiteral):
         raise ParseError("wedge labels join with ^e[...], not powers", pos)

@@ -35,7 +35,7 @@ from .indices import (
     mi_units,
     mi_zero,
 )
-from .terms import SCALARS, Poly, accumulate
+from .terms import SCALARS, Poly, TermMap, accumulate
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import VectorField, _L_terms, bracket, check_L_args
 from .weyl import WeylElement, WeylTerms, _d_on_t, _monomial_product
@@ -68,7 +68,7 @@ class TensorOperator(WeylTerms):
 
     # perfbench's tracer wraps these two in each class's own namespace
     __init__ = WeylTerms.__init__
-    __mul__ = WeylTerms.__mul__
+    __mul__ = TermMap.__mul__
 
     _weyl = staticmethod(itemgetter(0))
     _product_terms = staticmethod(_product_terms)
@@ -324,21 +324,10 @@ def _scaled(weights):
     return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
-def _combine(values, row_set):
-    """One term map per (numerators, D) row of a ``_row_set``: the sum of
-    numerators[t] * values[t] over the term maps values, divided by D, as
-    computed by the row set's compiled evaluator (``_row_kernel``)."""
-    return row_set[1](values)
-
-
-def _row_set(rows: tuple):
-    """Rows of (integer numerators, D), all of one width, with the
-    evaluator compiled from them: (rows, kernel)."""
-    return rows, _row_kernel(rows)
-
-
 def _row_kernel(rows: tuple):
-    """The straight-line evaluator g(values) of (numerators, D) rows.
+    """The straight-line evaluator g(values) of (integer numerators, D)
+    rows, all of one width: one term map per row, the sum of
+    numerators[t] * values[t] over the term maps values, divided by D.
 
     It gathers each monomial's coefficients over the term maps values once,
     into locals (0 where a map lacks the monomial), computes every row as
@@ -533,8 +522,8 @@ def _residual_template(kind: str, n: int, i: int, j: int):
     j = i + 2) identity over a symbolic alpha, as (``_template`` of its
     residual over the base alpha, degree in m of its node product).  The
     residual is the target (``_cubic_target``, or the g rows of
-    ``_special_rows``) minus the weights' combination (``_combine``) of the
-    node product ``_node_terms`` set at each node (``_at_node``).
+    ``_special_rows``) minus the weights' combination (``_row_kernel``) of
+    the node product ``_node_terms`` set at each node (``_at_node``).
 
     Evaluation at alpha is a ring map that keeps distinct rows distinct, so
     the residual at alpha is that of the per-alpha computation, term by
@@ -547,8 +536,8 @@ def _residual_template(kind: str, n: int, i: int, j: int):
     else:
         target, weights = _special_operator("g", alpha, i), QUARTIC_WEIGHTS
     product = _node_terms(kind, n, i, j)
-    row_set = _row_set((_scaled(weights.values()),))
-    (combined,) = _combine([_at_node(product, m) for m in weights], row_set)
+    combine = _row_kernel((_scaled(weights.values()),))
+    (combined,) = combine([_at_node(product, m) for m in weights])
     residual = accumulate(dict(target.terms), ((key, -c) for key, c in combined.items()))
     degree = max((e[-1] for c in product.values() if type(c) is Poly for e in c.terms), default=0)
     return _template(residual, alpha), degree
@@ -692,10 +681,11 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
 
 @lru_cache(maxsize=64)
 def _interpolation_rows(nodes: tuple):
-    """The ``_row_set`` of ``interpolation_matrix(nodes)``, each row as its
-    integer numerators over its common denominator; cached per node
-    tuple."""
-    return _row_set(tuple(_scaled(row) for row in interpolation_matrix(nodes)))
+    """The rows of ``interpolation_matrix(nodes)``, each as its integer
+    numerators over its common denominator, with their compiled evaluator:
+    (rows, ``_row_kernel(rows)``), cached per node tuple."""
+    rows = tuple(_scaled(row) for row in interpolation_matrix(nodes))
+    return rows, _row_kernel(rows)
 
 
 def interpolate_coefficients(values, nodes):
@@ -712,12 +702,12 @@ def interpolate_coefficients(values, nodes):
     if len(values) != len(nodes) or not values:
         raise ArgumentError("need one value per node")
     # checked before the memo: (0.0, 1.0) would hit the entry of (0, 1)
-    rows = _interpolation_rows(_checked_nodes(nodes))
+    _, combine = _interpolation_rows(_checked_nodes(nodes))
     ranks = {v.rank for v in values}
     if len(ranks) != 1:
         raise StructureError(f"node products differ in rank: {sorted(ranks)}")
     (rank,) = ranks
     return [
         TensorOperator._from_kernel(terms, rank=rank, laurent=True)
-        for terms in _combine([v.terms for v in values], rows)
+        for terms in combine([v.terms for v in values])
     ]

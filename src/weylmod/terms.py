@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 
 SCALARS = (int, Fraction)
 
@@ -103,7 +103,10 @@ class TermMap(Frozen):
     and provide ``_text(mono)`` (the text of one monomial, empty for the
     unit).  ``_like`` adopts the collected map of an operation on valid
     operands through ``_from_kernel``, without calling ``__init__``, which
-    checks outside input.
+    checks outside input.  A class with a product defines
+    ``_product_terms(a, b)``, the (monomial, coeff) pairs of a * b before
+    collection, and its unit ``one(*context)``; ``*`` and ``**`` are then
+    the ones below.
     """
 
     __slots__ = ("terms",)
@@ -198,10 +201,27 @@ class TermMap(Frozen):
         # a nonzero scalar keeps every coefficient nonzero
         return self._like({k: c * scalar for k, c in self.terms.items()} if scalar else {})
 
-    def __mul__(self, scalar):
-        if not isinstance(scalar, SCALARS):
+    _product_terms = None
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return self._scale(other)
+        if self._product_terms is None:
             return NotImplemented
-        return self._scale(scalar)
+        self._check_same(other)
+        return self._like(accumulate({}, self._product_terms(self, other)), other)
+
+    def __pow__(self, k: int):
+        """The k-fold product, from the class's unit ``one`` in the fields
+        of self; a class without a product has no powers."""
+        if self._product_terms is None:
+            return NotImplemented
+        if k < 0:
+            raise DomainError("negative powers are not defined")
+        out = self._like(self.one(*self._context()).terms)
+        for _ in range(k):
+            out = out * self
+        return out
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, SCALARS):

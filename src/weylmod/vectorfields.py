@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import check_index, check_integer_exponents, mi_unit, mi_units, mi_zero
-from .terms import TermMap, accumulate
+from .terms import accumulate
 from .weyl import WeylElement, WeylTerms
 
 
@@ -32,7 +32,6 @@ class VectorField(WeylTerms):
     _weyl = staticmethod(WeylElement._weyl)
     _text = staticmethod(WeylElement._text)
     _json_fields = staticmethod(WeylElement._json_fields)
-    __mul__ = TermMap.__mul__
 
     @property
     def element(self) -> WeylElement:

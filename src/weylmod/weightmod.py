@@ -381,7 +381,7 @@ def _lowering_closure(psi, n: int) -> SLModule:
 
     # the per-factor highest label (1..k) sits at position 0 of each wedge
     # basis, so the product of highest vectors is the word of zeros
-    highest = {(0,) * len(factors): Fraction(1)}
+    highest = {(0,) * len(factors): 1}
     blocks = {}
     insert(highest)
     stack = [highest]
@@ -396,14 +396,17 @@ def _lowering_closure(psi, n: int) -> SLModule:
         raise StructureError(
             f"closure found dimension {total}, Weyl formula gives {expected_dim}"
         )
-    # canonical basis order: weights descending, then echelon order
-    flat = [(w, row) for w in sorted(blocks, reverse=True) for row in blocks[w].rows]
-    weights = [w for w, _ in flat]
+    # canonical basis order: weights descending, then echelon order; a basis
+    # vector is the primitive integer row over its pivot entry lead, so the
+    # matrix pass acts in integers and divides once per matrix entry
+    flat = [(w, row, row[p]) for w in sorted(blocks, reverse=True)
+            for row, p in zip(blocks[w].primitive_rows, blocks[w].pivots)]
+    weights = [w for w, _, _ in flat]
     offsets = {w: weights.index(w) for w in blocks}
     matrices = {}
     for i, j in itertools.product(range(1, n + 1), repeat=2):
         cols = matrices[(i, j)] = []
-        for w, row in flat:
+        for w, row, lead in flat:
             image = act(i, j, {words[w][pos]: c for pos, c in enumerate(row) if c != 0})
             col = []
             if image:
@@ -411,7 +414,7 @@ def _lowering_closure(psi, n: int) -> SLModule:
                 basis = blocks.get(target)
                 if basis is None or not basis.contains(coords):
                     raise StructureError("closure is not stable under gl action")
-                col = [(offsets[target] + k, coords[p])
+                col = [(offsets[target] + k, Fraction(coords[p], lead))
                        for k, p in enumerate(basis.pivots) if coords[p] != 0]
             cols.append(col)
     labels = [f"v{k}" for k in range(len(flat))]

@@ -16,7 +16,7 @@ from operator import add, sub
 
 from .errors import DomainError, StructureError
 from .indices import check_integer_exponents, falling, mi_zero
-from .terms import SCALARS, Poly, TermMap, accumulate, power_text
+from .terms import Poly, TermMap, accumulate, power_text
 
 
 def _d_on_t(gamma, beta):
@@ -91,8 +91,9 @@ def _product_terms(a: WeylElement, b: WeylElement):
 class WeylTerms(TermMap):
     """Term map of a rank whose keys carry a Weyl monomial (tExp, dExp),
     read off a key by ``_weyl``: the base of ``WeylElement`` and
-    ``tensorop.TensorOperator``, which multiply by their ``_product_terms``,
-    and of ``vectorfields.VectorField``, which only scales.
+    ``tensorop.TensorOperator``, which define ``_product_terms`` (``*`` and
+    ``**`` are ``TermMap``'s), and of ``vectorfields.VectorField``, which
+    only scales.
     ``laurent=True`` admits negative t exponents; the mode flag is
     bookkeeping, left out of ``_fields`` (and so of ``==``), and a sum or
     product is Laurent when either operand is.
@@ -136,12 +137,6 @@ class WeylTerms(TermMap):
     def zero(cls, rank: int, laurent: bool = False):
         return cls._from_kernel({}, rank=rank, laurent=laurent)
 
-    def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self._scale(other)
-        self._check_same(other)
-        return self._like(accumulate({}, self._product_terms(self, other)), other)
-
     def demote(self):
         """Polynomial-mode copy when every t exponent allows it, else self."""
         if not self.laurent:
@@ -169,7 +164,7 @@ class WeylElement(WeylTerms):
 
     # perfbench's tracer wraps these two in each class's own namespace
     __init__ = WeylTerms.__init__
-    __mul__ = WeylTerms.__mul__
+    __mul__ = TermMap.__mul__
 
     @staticmethod
     def _weyl(key):
@@ -191,16 +186,6 @@ class WeylElement(WeylTerms):
         if laurent is None:
             laurent = any(b < 0 for b in t_exp)
         return cls(len(t_exp), {(t_exp, d_exp): coeff}, laurent)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __pow__(self, k: int) -> WeylElement:
-        if k < 0:
-            raise DomainError("negative powers are not defined")
-        out = WeylElement.one(self.rank, self.laurent)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- queries ------------------------------------------------------------
 

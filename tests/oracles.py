@@ -555,7 +555,7 @@ def combine(values, rows):
     """One term map per (numerators, D) row: each monomial's coefficients
     over the term maps values gathered into one vector, every row applied
     to it as a dot product and the nonzero totals divided by D (``divide``).
-    The reference for the compiled kernel of ``tensorop._row_set``."""
+    The reference for the compiled evaluator ``tensorop._row_kernel``."""
     width = len(values)
     vectors = {}
     for t, value in enumerate(values):

@@ -241,6 +241,22 @@ def test_parse_errors_name_their_position_once(capsys):
     assert err == "error: zero denominator (at position 7)\n"
 
 
+def test_zero_to_a_negative_power_is_a_parse_error(capsys):
+    # these raised ZeroDivisionError, a traceback and exit 1
+    p = ["--P", "[poly,poly]"]
+    for argv, pos in (
+        (["parse", "0^-1", "--n", "1"], 1),
+        (["parse", "(1-1)^-2", "--n", "1"], 5),
+        (["derham", "pi", *p, "--input", "t[1] + 0^-1"], 8),
+        (["act", "--op", "t[1]", "--vector", "0^-1", *p], 1),
+        (["structure", "closure", *p, "--seed", "(1-1)^-2", "--box", "0..5"], 5),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err == f"error: zero has no negative power (at position {pos})\n", argv
+    assert run_cli(capsys, "parse", "0^2", "--n", "1")[0] == 0
+
+
 @pytest.mark.parametrize(
     "text, form",
     [

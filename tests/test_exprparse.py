@@ -117,6 +117,9 @@ def test_negative_power_rules():
         parse_expr("d[1]^-1", 1)
     with pytest.raises(ParseError):
         parse_expr("(t[1]+t[2])^-1", 2)
+    # a tensor operator has powers in the library, not in the grammar
+    with pytest.raises(ParseError, match="cannot raise this value to a power"):
+        parse_expr("(t[1] (x) E[1,2])^2", 2)
 
 
 def test_type_errors():

@@ -186,12 +186,12 @@ def test_row_kernels_equal_the_loop_and_the_matrix(seed):
     keys = [("m", k) for k in range(8)]
     for _ in range(40):
         nodes = _random_nodes(rng)
-        row_set = tensorop._interpolation_rows(nodes)
+        rows, combine = tensorop._interpolation_rows(nodes)
         values = [_random_value(rng, keys) for _ in nodes]
-        got = tensorop._combine(values, row_set)
-        assert got == oracles.combine(values, row_set[0]), nodes
+        got = combine(values)
+        assert got == oracles.combine(values, rows), nodes
         assert [list(terms) for terms in got] == [
-            list(terms) for terms in oracles.combine(values, row_set[0])
+            list(terms) for terms in oracles.combine(values, rows)
         ]
         assert got == _matrix_combination(interpolation_matrix(nodes), values), nodes
 
@@ -200,9 +200,9 @@ def test_row_kernels_keep_exact_quotients():
     # an int total that D divides stays an int, one it does not becomes a
     # Fraction, and a Poly total is divided as a Poly
     a = Poly.symbols(1)[0]
-    row_set = tensorop._row_set((((1, 1), 2), ((1, -1), 1)))
-    sums, diffs = tensorop._combine([{"x": 3, "y": 2, "z": a}, {"x": 1, "y": -2, "z": a}], row_set)
+    combine = tensorop._row_kernel((((1, 1), 2), ((1, -1), 1)))
+    sums, diffs = combine([{"x": 3, "y": 2, "z": a}, {"x": 1, "y": -2, "z": a}])
     assert sums == {"x": 2, "z": a} and type(sums["x"]) is int
     assert diffs == {"x": 2, "y": 4} and type(diffs["y"]) is int
-    (halves,) = tensorop._combine([{"x": 3}], tensorop._row_set((((1,), 2),)))
+    (halves,) = tensorop._row_kernel((((1,), 2),))([{"x": 3}])
     assert halves == {"x": Fraction(3, 2)}

@@ -2,8 +2,10 @@
 with their reference paths, and reports keep their bytes."""
 
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -17,16 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylmod
 from weylmod import structure
 from weylmod.cli import main
 from weylmod.derham import GradedSubspace, _derham_table, pi, pi_image
-from weylmod.errors import StructureError
+from weylmod.errors import DomainError, StructureError
 from weylmod.exprparse import VectorLiteral, parse_expr
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator, shen_iota
-from weylmod.terms import Frozen, Poly, accumulate
+from weylmod.terms import Frozen, Poly, TermMap, accumulate
 from weylmod.ugl import E, UglElement, _gen_key, pbw_product
 from weylmod.vectorfields import L_op, VectorField
 from weylmod.weightmod import (
@@ -213,6 +216,83 @@ def test_adopted_elements_equal_checked_ones(case):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(checked, name, None)
     assert set(fields) >= set(cls._fields) and "terms" in slots
+
+
+POWER_CASES = ["weyl-polynomial", "weyl-laurent", "tensor-polynomial", "tensor-laurent", "ugl"]
+
+
+def _power_samples(rng):
+    """(two-term element, its unit) for every class with a product, in the
+    order of POWER_CASES; the tensor operators' factors are kept small, so
+    a fifth power stays cheap."""
+    n = 2
+
+    def weyl(laurent):
+        terms = {random_weyl_monomial(rng, n, laurent): random_coeff(rng) for _ in range(2)}
+        return WeylElement(n, terms, laurent)
+
+    def tensor(laurent):
+        def mono():
+            t_exp = tuple(rng.randint(-1 if laurent else 0, 1) for _ in range(n))
+            return (t_exp, tuple(rng.randint(0, 1) for _ in range(n))), random_pbw_monomial(rng, n, 1)
+
+        return TensorOperator(n, {mono(): random_coeff(rng) for _ in range(2)}, laurent)
+
+    ugl = UglElement(n, {random_pbw_monomial(rng, n, 2): random_coeff(rng) for _ in range(2)})
+    return [
+        (weyl(False), WeylElement.one(n)),
+        (weyl(True), WeylElement.one(n, True)),
+        (tensor(False), TensorOperator.one(n)),
+        (tensor(True), TensorOperator.one(n, True)),
+        (ugl, UglElement.one(n)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(POWER_CASES)), ids=POWER_CASES)
+def test_powers_are_the_k_fold_product(case):
+    # TermMap.__pow__ is the one power loop of every class with a product
+    rng = random.Random(61)
+    for _ in range(3):
+        x, one = _power_samples(rng)[case]
+        product = one
+        for k in range(6):
+            power = x**k
+            assert type(power) is type(x) and power == product, k
+            assert getattr(power, "laurent", None) == getattr(x, "laurent", None), k
+            product = product * x
+        with pytest.raises(DomainError, match="negative powers"):
+            x ** -1
+
+
+@pytest.mark.parametrize("name", ["VectorField", "FVector", "VectorLiteral"])
+def test_classes_without_a_product_refuse_products_and_powers(name):
+    build, terms, _ = adoption_cases()[CLASSES.index(name)]
+    a = build(terms)
+    assert a * 2 == 2 * a == a + a
+    for refused in (lambda: a * a, lambda: a ** 0, lambda: a ** 2):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            refused()
+
+
+def test_only_term_map_defines_the_product_and_the_power():
+    # every other class binds at most the alias, which perfbench's tracer
+    # wraps in the class's own namespace
+    for info in pkgutil.iter_modules(weylmod.__path__, "weylmod."):
+        importlib.import_module(info.name)
+    seen, todo = [], list(TermMap.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    ours = {cls for cls in seen if cls.__module__.startswith("weylmod.")}
+    assert {WeylElement, UglElement, TensorOperator, FVector, VectorField, VectorLiteral} <= ours
+    aliased = set()
+    for cls in ours:
+        assert "__pow__" not in vars(cls), cls
+        if "__mul__" in vars(cls):
+            assert vars(cls)["__mul__"] is TermMap.__mul__, cls
+            aliased.add(cls)
+    assert aliased == {WeylElement, UglElement, TensorOperator}
 
 
 def evidence_seeds(P, box):
