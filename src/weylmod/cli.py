@@ -474,11 +474,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an exact value may have more digits than the interpreter's int-string
+    # limit allows (a limit that Python before 3.10.7 does not have)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ArgumentError, DomainError, StructureError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import ArgumentError, StructureError
 from .indices import check_index, mi_zero
 from .tensorop import tensor
-from .terms import SCALARS, TermMap, accumulate, power_text
+from .terms import SCALARS, TermMap, accumulate, pair_terms, power_text
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
@@ -271,19 +271,21 @@ def _wedge(a: VectorLiteral, b: VectorLiteral) -> VectorLiteral:
     for v in (a, b):
         if any(any(key) for key, _ in v.terms):
             raise StructureError("only bare wedge labels join with ^")
-    terms = {}
-    for (key, wa), ca in a.terms.items():
-        for (_, label), c in b.terms.items():
-            c *= ca
-            for x in reversed(wa):
-                hit = wedge_insert(x, label)
-                if hit is None:
-                    break
-                sign, label = hit
-                c *= sign
-            else:
-                accumulate(terms, [((key, label), c)])
-    return a._like(terms)
+    return a._like(accumulate({}, pair_terms(a.terms, b.terms, _wedge_labels)))
+
+
+def _wedge_labels(m1, m2):
+    """The monomial rule of ``_wedge``: the labels of m1 inserted into that
+    of m2, last first, with their signs; no term where a label repeats."""
+    (key, wa), (_, label) = m1, m2
+    sign = 1
+    for x in reversed(wa):
+        hit = wedge_insert(x, label)
+        if hit is None:
+            return ()
+        s, label = hit
+        sign *= s
+    return (((key, label), sign),)
 
 
 def _add(a, b, sign: int, rank: int):
@@ -342,16 +344,12 @@ def _tensor_join(a, b, rank: int):
     # vector side: polynomial part (x) wedge labels
     if isinstance(b, VectorLiteral):
         left = _coerce_literal(a, rank)
-        terms = {}
-        for (k1, w1), c1 in left.terms.items():
-            if w1:
-                raise StructureError("left tensor factor already has labels")
-            for (k2, w2), c2 in b.terms.items():
-                if any(k2):
-                    raise StructureError("right tensor factor must be a label")
-                key = (k1, w1 + w2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return VectorLiteral(rank, terms)
+        if any(w1 for _, w1 in left.terms):
+            raise StructureError("left tensor factor already has labels")
+        if any(any(k2) for k2, _ in b.terms):
+            raise StructureError("right tensor factor must be a label")
+        pairs = pair_terms(left.terms, b.terms, lambda m1, m2: (((m1[0], m2[1]), 1),))
+        return VectorLiteral(rank, dict(pairs))
     raise StructureError(
         f"cannot tensor {type(a).__name__} with {type(b).__name__}"
     )

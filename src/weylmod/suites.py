@@ -267,6 +267,8 @@ def check_derham(n: int, count: int = 100, seed=None, shift=DEFAULT_SHIFT):
     samples are drawn as they always were, so the report counts them; an
     empty table passes a sample with no row work.
     """
+    if count < 0:
+        raise ArgumentError(f"count must be at least 0, got {count}")
     rng = random.Random(get_seed(seed))
     failures = []
     checked = 0

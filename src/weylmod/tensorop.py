@@ -35,24 +35,18 @@ from .indices import (
     mi_units,
     mi_zero,
 )
-from .terms import SCALARS, Poly, TermMap, accumulate
+from .terms import SCALARS, Poly, TermMap, accumulate, pair_terms
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import VectorField, _L_terms, bracket, check_L_args
 from .weyl import WeylElement, WeylTerms, _d_on_t, _monomial_product
 
 
-def _product_terms(a: TensorOperator, b: TensorOperator):
-    """The (monomial, coeff) pairs of a * b before collection: the Weyl
-    factors normal-order through ``weyl._monomial_product``, the PBW
-    factors through pbw_product."""
-    for ((b1, g1), p1), c1 in a.terms.items():
-        for ((b2, g2), p2), c2 in b.terms.items():
-            base = c1 * c2
-            pbw = pbw_product(p1, p2)
-            for wmono, wcoeff in _monomial_product(b1, g1, b2, g2):
-                wbase = base * wcoeff
-                for pmono, pcoeff in pbw:
-                    yield (wmono, pmono), wbase * pcoeff
+def _operator_product(m1, m2):
+    """The monomial rule of ``TensorOperator``: the Weyl factors multiply
+    by ``weyl._monomial_product``, the PBW factors by ``pbw_product``."""
+    (w1, p1), (w2, p2) = m1, m2
+    pbw = pbw_product(p1, p2)
+    return [((w, p), wc * pc) for w, wc in _monomial_product(w1, w2) for p, pc in pbw]
 
 
 class TensorOperator(WeylTerms):
@@ -71,7 +65,7 @@ class TensorOperator(WeylTerms):
     __mul__ = TermMap.__mul__
 
     _weyl = staticmethod(itemgetter(0))
-    _product_terms = staticmethod(_product_terms)
+    _monomial_product = staticmethod(_operator_product)
 
     @classmethod
     def one(cls, rank: int, laurent: bool = False) -> TensorOperator:
@@ -94,9 +88,7 @@ def tensor(a: WeylElement, u: UglElement) -> TensorOperator:
     two valid operands, so its map is adopted."""
     if a.rank != u.rank:
         raise StructureError(f"rank mismatch: {a.rank} vs {u.rank}")
-    terms = {
-        (wmono, pmono): wc * pc for wmono, wc in a.terms.items() for pmono, pc in u.terms.items()
-    }
+    terms = dict(pair_terms(a.terms, u.terms, lambda w, p: (((w, p), 1),)))
     return TensorOperator._from_kernel(terms, rank=a.rank, laurent=a.laurent)
 
 
@@ -141,19 +133,20 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     """
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
-    n = x.rank
+    n, laurent = x.rank, x.laurent or y.laurent
     live = _iota_live(n)
-    terms = {}
-    if live:
-        right = [(b, g.index(1) + 1, c) for (b, g), c in y.terms.items()]
-        for (a, g), c1 in x.terms.items():
-            i = g.index(1) + 1
-            for b, j, c2 in right:
-                template = live.get((i, j))
-                if template is not None:
-                    values = _evaluated(template, a + b, tuple(map(add, a, b)))
-                    accumulate(terms, ((key, c1 * c2 * c) for key, c in values.items()))
-    return TensorOperator._from_kernel(terms, rank=n, laurent=x.laurent or y.laurent)
+    if not live:
+        return TensorOperator._from_kernel({}, rank=n, laurent=laurent)
+
+    def residual(m1, m2):
+        (a, g), (b, h) = m1, m2
+        template = live.get((g.index(1) + 1, h.index(1) + 1))
+        if template is None:
+            return ()
+        return _evaluated(template, a + b, tuple(map(add, a, b))).items()
+
+    terms = accumulate({}, pair_terms(x.terms, y.terms, residual))
+    return TensorOperator._from_kernel(terms, rank=n, laurent=laurent)
 
 
 @lru_cache(maxsize=16)
@@ -171,18 +164,19 @@ def _iota_live(n: int) -> dict:
 def _iota_template(n: int, i: int, j: int):
     """The residual iota([x, y]) + iota(y) iota(x) - iota(x) iota(y) of
     x = t^a d_i and y = t^b d_j over symbolic exponents, built once by the
-    library's own kernels: ``bracket``, ``shen_iota`` and ``_product_terms``
-    in both orders, on the 2n symbols (a, b) of ``terms.Poly``, with
-    ``_d_on_t`` over a symbolic beta.  Returns ``_template`` of the
-    residual over the base a + b: zero rows when iota is a homomorphism.
+    library's own kernels: ``bracket``, ``shen_iota`` and
+    ``_operator_product`` in both orders, on the 2n symbols (a, b) of
+    ``terms.Poly``, with ``_d_on_t`` over a symbolic beta.  Returns
+    ``_template`` of the residual over the base a + b: zero rows when iota
+    is a homomorphism.
     """
     symbols = Poly.symbols(2 * n)
     a, b = symbols[:n], symbols[n:]
     x = _symbolic_field(n, {(a, mi_unit(i, n)): 1})
     y = _symbolic_field(n, {(b, mi_unit(j, n)): 1})
-    ix, iy = shen_iota(x), shen_iota(y)
-    terms = accumulate(dict(shen_iota(bracket(x, y)).terms), _product_terms(iy, ix))
-    accumulate(terms, ((mono, -c) for mono, c in _product_terms(ix, iy)))
+    ix, iy = shen_iota(x).terms, shen_iota(y).terms
+    terms = accumulate(dict(shen_iota(bracket(x, y)).terms), pair_terms(iy, ix, _operator_product))
+    accumulate(terms, ((mono, -c) for mono, c in pair_terms(ix, iy, _operator_product)))
     return _template(terms, tuple(map(add, a, b)))
 
 
@@ -478,16 +472,16 @@ def _node_template(kind: str, n: int, i: int, j: int, m: int):
 def _node_terms(kind: str, n: int, i: int, j: int) -> dict:
     """The node product of (kind, n, i, j) over the n + 1 symbols of
     ``terms.Poly``, alpha and the node m last, built by ``shen_iota`` and
-    ``_product_terms`` from the factors (``_left_terms``, ``_right_terms``).
-    Its t exponents are alpha plus integers: m only enters the coefficients.
-    Built once per case and shared by ``_node_template`` and
+    ``_operator_product`` from the factors (``_left_terms``,
+    ``_right_terms``).  Its t exponents are alpha plus integers: m only
+    enters the coefficients.  Built once per case and shared by ``_node_template`` and
     ``_residual_template``: treat it as read-only.
     """
     symbols = Poly.symbols(n + 1)
     alpha, m = symbols[:n], symbols[n]
-    left = _symbolic_field(n, _left_terms(i, j, alpha, m))
-    right = _symbolic_field(n, _right_terms(kind, n, i, j, m))
-    return accumulate({}, _product_terms(shen_iota(left), shen_iota(right)))
+    left = shen_iota(_symbolic_field(n, _left_terms(i, j, alpha, m)))
+    right = shen_iota(_symbolic_field(n, _right_terms(kind, n, i, j, m)))
+    return accumulate({}, pair_terms(left.terms, right.terms, _operator_product))
 
 
 def _left_terms(i: int, j: int, alpha, m) -> dict:

@@ -62,6 +62,18 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def pair_terms(a: dict, b: dict, rule):
+    """The (monomial, coeff) pairs of the product of the term maps a and b,
+    before collection: the one loop over every pair of their terms.  For
+    each (m1, c1) of a, then each (m2, c2) of b, each (mono, c) of
+    ``rule(m1, m2)`` gives (mono, c1 * c2 * c), in that order."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            base = c1 * c2
+            for mono, c in rule(m1, m2):
+                yield mono, base * c
+
+
 def power_text(name: str, exps) -> list:
     """The factors ``name[i]^e`` of a multi-index (1-based), zero exponents
     left out and an exponent of 1 not written."""
@@ -103,10 +115,10 @@ class TermMap(Frozen):
     and provide ``_text(mono)`` (the text of one monomial, empty for the
     unit).  ``_like`` adopts the collected map of an operation on valid
     operands through ``_from_kernel``, without calling ``__init__``, which
-    checks outside input.  A class with a product defines
-    ``_product_terms(a, b)``, the (monomial, coeff) pairs of a * b before
-    collection, and its unit ``one(*context)``; ``*`` and ``**`` are then
-    the ones below.
+    checks outside input.  A class with a product defines its monomial
+    rule ``_monomial_product(m1, m2)``, the (monomial, coeff) pairs of
+    m1 * m2, and its unit ``one(*context)``; ``*`` and ``**`` are then the
+    ones below, every pair of terms multiplied by ``pair_terms``.
     """
 
     __slots__ = ("terms",)
@@ -201,20 +213,21 @@ class TermMap(Frozen):
         # a nonzero scalar keeps every coefficient nonzero
         return self._like({k: c * scalar for k, c in self.terms.items()} if scalar else {})
 
-    _product_terms = None
+    _monomial_product = None
 
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             return self._scale(other)
-        if self._product_terms is None:
+        rule = self._monomial_product
+        if rule is None:
             return NotImplemented
         self._check_same(other)
-        return self._like(accumulate({}, self._product_terms(self, other)), other)
+        return self._like(accumulate({}, pair_terms(self.terms, other.terms, rule)), other)
 
     def __pow__(self, k: int):
         """The k-fold product, from the class's unit ``one`` in the fields
         of self; a class without a product has no powers."""
-        if self._product_terms is None:
+        if self._monomial_product is None:
             return NotImplemented
         if k < 0:
             raise DomainError("negative powers are not defined")
@@ -295,11 +308,7 @@ class Poly(Frozen):
             return Poly({e: c * other for e, c in self.terms.items()}) if other else 0
         if not isinstance(other, Poly):
             return NotImplemented
-        pairs = (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )
+        pairs = pair_terms(self.terms, other.terms, lambda e1, e2: ((tuple(map(add, e1, e2)), 1),))
         return _collected(accumulate({}, pairs))
 
     __rmul__ = __mul__

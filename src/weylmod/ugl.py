@@ -73,18 +73,21 @@ def _left_mul(g, mono):
 
 
 def _left_mul_power(h, e, mono):
-    """E_h^e * mono as {normal monomial: integer coefficient}: a power that
-    merges with the first factor or precedes it is written down, any other
-    is multiplied in one unit at a time."""
+    """E_h^e * mono as {normal monomial: integer coefficient}, a map that
+    callers only read: a power that merges with the first factor or
+    precedes it is written down, a single unit is ``_left_mul``, and any
+    other power is multiplied in one unit at a time."""
     if e == 0:
         return {mono: 1}
     if not mono or _gen_key(h) < _gen_key(mono[0][0]):
         return {((h, e),) + mono: 1}
     if mono[0][0] == h:
         return {((h, mono[0][1] + e),) + mono[1:]: 1}
+    if e == 1:
+        return _left_mul(h, mono)
     combo = {mono: 1}
     for _ in range(e):
-        combo = _left_mul_all(h, combo)
+        combo = _left_mul_all(h, 1, combo)
     return combo
 
 
@@ -101,11 +104,12 @@ def _bracket(combo, h):
     return accumulate({}, pairs)
 
 
-def _left_mul_all(g, combo):
-    """E_g * combo, a map {normal monomial: coefficient}, as a new map."""
+def _left_mul_all(g, e, combo):
+    """E_g^e * combo, a map {normal monomial: coefficient}, as a new map:
+    the one left fold, each monomial multiplied by ``_left_mul_power``."""
     out = {}
     for mono, c in combo.items():
-        accumulate(out, ((m, c * c2) for m, c2 in _left_mul(g, mono).items()))
+        accumulate(out, ((m, c * c2) for m, c2 in _left_mul_power(g, e, mono).items()))
     return out
 
 
@@ -116,10 +120,7 @@ def pbw_product(m1, m2):
     multiplied into m2 on the left, last factor first."""
     result = {m2: 1}
     for g, e in reversed(m1):
-        out = {}
-        for mono, c in result.items():
-            accumulate(out, ((m, c * c2) for m, c2 in _left_mul_power(g, e, mono).items()))
-        result = out
+        result = _left_mul_all(g, e, result)
     return tuple(result.items())
 
 
@@ -175,14 +176,7 @@ class UglElement(TermMap):
     # perfbench's tracer wraps this in the class's own namespace
     __mul__ = TermMap.__mul__
 
-    @staticmethod
-    def _product_terms(a: UglElement, b: UglElement):
-        """The (monomial, coeff) pairs of a * b before collection."""
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                base = c1 * c2
-                for mono, c in pbw_product(m1, m2):
-                    yield mono, base * c
+    _monomial_product = staticmethod(pbw_product)
 
     _text = staticmethod(pbw_text)
 

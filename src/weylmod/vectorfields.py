@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import check_index, check_integer_exponents, mi_unit, mi_units, mi_zero
-from .terms import accumulate
+from .terms import accumulate, pair_terms
 from .weyl import WeylElement, WeylTerms
 
 
@@ -44,33 +44,32 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
         [t^a d_i, t^b d_j] = b_i t^(a+b-e_i) d_j - a_j t^(a+b-e_j) d_i
 
-    (d_i = d/dt_i), summed over every pair of terms in one pass.  It agrees
+    (d_i = d/dt_i), as the monomial rule of ``pair_terms``.  It agrees
     with the commutator x*y - y*x in the Weyl algebra, whose second-order
     terms cancel.
     """
     if x.rank != y.rank:
         raise StructureError(f"rank mismatch: {x.rank} vs {y.rank}")
-    n = x.rank
-    units = mi_units(n)
-    right = [(b, g.index(1), c) for (b, g), c in y.terms.items()]
+    units = mi_units(x.rank)
 
     def lowered(a, b, k):
         exp = [p + q for p, q in zip(a, b)]
         exp[k] -= 1
         return tuple(exp)
 
-    def terms():
-        for (a, g), c1 in x.terms.items():
-            i = g.index(1)
-            for b, j, c2 in right:
-                if b[i]:
-                    yield (lowered(a, b, i), units[j]), c1 * c2 * b[i]
-                if a[j]:
-                    yield (lowered(a, b, j), units[i]), -c1 * c2 * a[j]
+    def monomial_bracket(m1, m2):
+        (a, g), (b, h) = m1, m2
+        i, j = g.index(1), h.index(1)
+        out = []
+        if b[i]:
+            out.append(((lowered(a, b, i), units[j]), b[i]))
+        if a[j]:
+            out.append(((lowered(a, b, j), units[i]), -a[j]))
+        return out
 
-    laurent = x.laurent or y.laurent
+    terms = accumulate({}, pair_terms(x.terms, y.terms, monomial_bracket))
     # kernel-built: the symbolic iota templates bracket over Poly exponents
-    return VectorField._from_kernel(accumulate({}, terms()), rank=n, laurent=laurent)
+    return VectorField._from_kernel(terms, rank=x.rank, laurent=x.laurent or y.laurent)
 
 
 def divergence(x: VectorField) -> WeylElement:

@@ -527,15 +527,15 @@ def compose(second, first):
     (``weyl._monomial_product``) (x) (src -> dst), collected once.  The
     exponents and coefficients may be symbols."""
     by_src = {}
-    for ((b2, g2), (mid, dst)), c2 in second.items():
-        by_src.setdefault(mid, []).append((b2, g2, dst, c2))
+    for (w2, (mid, dst)), c2 in second.items():
+        by_src.setdefault(mid, []).append((w2, dst, c2))
     return accumulate(
         {},
         (
             ((mono, (src, dst)), c2 * c1 * c)
-            for ((b1, g1), (src, mid)), c1 in first.items()
-            for b2, g2, dst, c2 in by_src.get(mid, ())
-            for mono, c in _monomial_product(b2, g2, b1, g1)
+            for (w1, (src, mid)), c1 in first.items()
+            for w2, dst, c2 in by_src.get(mid, ())
+            for mono, c in _monomial_product(w2, w1)
         ),
     )
 

@@ -65,12 +65,13 @@ def _coord_choices(g, b):
     return tuple((k, c) for k, c in choices if c != 0)
 
 
-def _monomial_product(b1, g1, b2, g2):
-    """The normal-ordered (monomial, coeff) pairs of t^b1 d^g1 * t^b2 d^g2:
-    the one product rule of the library.  d^g1 t^b2 is expanded by
-    ``_d_on_t``, and every term keeps the outer t^b1 and d^g2.  The first
-    pair is the k = 0 term t^(b1+b2) d^(g1+g2) with coeff 1, built without
-    a subtraction."""
+def _monomial_product(m1, m2):
+    """The normal-ordered (monomial, coeff) pairs of the product of the
+    monomials m1 = t^b1 d^g1 and m2 = t^b2 d^g2: the one product rule of
+    the library.  d^g1 t^b2 is expanded by ``_d_on_t``, and every term
+    keeps the outer t^b1 and d^g2.  The first pair is the k = 0 term
+    t^(b1+b2) d^(g1+g2) with coeff 1, built without a subtraction."""
+    (b1, g1), (b2, g2) = m1, m2
     t_sum = tuple(map(add, b1, b2))
     d_sum = tuple(map(add, g1, g2))
     return [((t_sum, d_sum), 1)] + [
@@ -79,21 +80,12 @@ def _monomial_product(b1, g1, b2, g2):
     ]
 
 
-def _product_terms(a: WeylElement, b: WeylElement):
-    """The (monomial, coeff) pairs of a * b before collection."""
-    for (b1, g1), c1 in a.terms.items():
-        for (b2, g2), c2 in b.terms.items():
-            base = c1 * c2
-            for mono, coeff in _monomial_product(b1, g1, b2, g2):
-                yield mono, base * coeff
-
-
 class WeylTerms(TermMap):
     """Term map of a rank whose keys carry a Weyl monomial (tExp, dExp),
     read off a key by ``_weyl``: the base of ``WeylElement`` and
-    ``tensorop.TensorOperator``, which define ``_product_terms`` (``*`` and
-    ``**`` are ``TermMap``'s), and of ``vectorfields.VectorField``, which
-    only scales.
+    ``tensorop.TensorOperator``, which define ``_monomial_product`` (``*``
+    and ``**`` are ``TermMap``'s), and of ``vectorfields.VectorField``,
+    which only scales.
     ``laurent=True`` admits negative t exponents; the mode flag is
     bookkeeping, left out of ``_fields`` (and so of ``==``), and a sum or
     product is Laurent when either operand is.
@@ -170,7 +162,7 @@ class WeylElement(WeylTerms):
     def _weyl(key):
         return key
 
-    _product_terms = staticmethod(_product_terms)
+    _monomial_product = staticmethod(_monomial_product)
 
     # -- constructors -------------------------------------------------------
 
@@ -232,7 +224,7 @@ def fourier(a: WeylElement) -> WeylElement:
         for (beta, gamma), c in a.terms.items():
             base = c * (-1 if sum(gamma) % 2 else 1)
             # the image of the monomial is (+/-) d^beta t^gamma
-            for mono, coeff in _monomial_product(zero, beta, gamma, zero):
+            for mono, coeff in _monomial_product((zero, beta), (gamma, zero)):
                 yield mono, base * coeff
 
     return WeylElement._from_kernel(accumulate({}, images()), rank=a.rank, laurent=False)

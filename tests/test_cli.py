@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, exit codes, output formats."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +256,45 @@ def test_zero_to_a_negative_power_is_a_parse_error(capsys):
         assert code == 2 and not out, argv
         assert err == f"error: zero has no negative power (at position {pos})\n", argv
     assert run_cli(capsys, "parse", "0^2", "--n", "1")[0] == 0
+
+
+def _digits(value: int) -> str:
+    """str(value), with the interpreter's int-string limit, where it has
+    one, lifted for the call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_values_past_the_int_string_limit_print_in_full(capsys):
+    # these exited 1 with a ValueError traceback: the value, or the literal
+    # in tokenize, has more digits than the int-string limit allows; the
+    # command lifts the limit and restores it, also when it fails
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    sevens = (10**5000 - 1) // 9 * 7
+    for text, value in (("2^20000", 2**20000), (_digits(sevens), sevens)):
+        code, out, err = run_cli(capsys, "parse", text, "--n", "1")
+        assert code == 0 and not err
+        report = json.loads(out)
+        assert report["value"] == report["canonical"] == _digits(value)
+    assert len(_digits(2**20000)) == 6021
+    assert run_cli(capsys, "parse", "1/0", "--n", "1")[0] == 2
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_negative_derham_count_exits_2(capsys):
+    # it exited 0, reporting "count": -1 with no composite sample drawn
+    code, out, err = run_cli(capsys, "verify", "derham", "--n", "2", "--count", "-1")
+    assert code == 2 and not out
+    assert err == "error: count must be at least 0, got -1\n"
+    code, out, _ = run_cli(capsys, "verify", "derham", "--n", "2", "--count", "0")
+    assert code == 0 and json.loads(out)["checks"][0]["params"]["count"] == 0
 
 
 @pytest.mark.parametrize(

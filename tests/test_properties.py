@@ -175,24 +175,26 @@ def _doubled_iota_terms(x):
     return TensorOperator._from_kernel(terms, rank=op.rank, laurent=op.laurent)
 
 
-def _commuting_rule(b1, g1, b2, g2):
-    """The monomial product rule cut to its k = 0 term t^(b1+b2) d^(g1+g2),
-    as if t and d commuted."""
-    return _monomial_product(b1, g1, b2, g2)[:1]
+def _commuting_rule(m1, m2):
+    """The monomial product rule of m1 = t^b1 d^g1 and m2 = t^b2 d^g2 cut
+    to its k = 0 term t^(b1+b2) d^(g1+g2), as if t and d commuted."""
+    return _monomial_product(m1, m2)[:1]
 
 
 @contextmanager
 def _wrong_kernel(name, wrong, modules=(tensorop,)):
-    """``<module>.<name>`` replaced by wrong in each of modules.  The
-    library's memos (its templates among them) are built by its kernels
-    and weights, so every one is cleared (``test_memo.clear_memos``) before
-    the patch is set and again once it is lifted, when each memo is back
-    under its own name."""
+    """``<owner>.<name>`` replaced by wrong in each module of modules, and
+    by wrong as a static method in each class there.  The library's memos
+    (its templates among them) are built by its kernels and weights, so
+    every one is cleared (``test_memo.clear_memos``) before the patch is set
+    and again once it is lifted, when each memo is back under its own
+    name."""
     clear_memos()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            for module in modules:
-                patch.setattr(module, name, wrong)
+            for owner in modules:
+                value = staticmethod(wrong) if isinstance(owner, type) else wrong
+                patch.setattr(owner, name, value)
             yield
     finally:
         clear_memos()
@@ -257,14 +259,15 @@ def test_wrong_iota_coefficient_fails_the_identities():
 
 
 def test_a_wrong_normal_ordering_rule_fails_the_checks():
-    # every product goes through one monomial rule; the closed-form bracket
-    # and the polynomial action do not, so they catch a wrong rule
+    # every product goes through one monomial rule, bound on WeylElement
+    # and read by the operator rule of tensorop; the closed-form bracket and
+    # the polynomial action do not, so they catch a wrong rule
     a = WeylElement.monomial((0,), (2,))
     b = WeylElement.monomial((2,), (1,))
     p = oracles.t_power((3,))
     assert oracles.apply_poly(a * b, p) == oracles.apply_poly(a, oracles.apply_poly(b, p))
     assert check_iota_hom(2, 2)["pass"]
-    with _wrong_kernel("_monomial_product", _commuting_rule, (weyl, tensorop)):
+    with _wrong_kernel("_monomial_product", _commuting_rule, (weyl, tensorop, WeylElement)):
         assert oracles.apply_poly(a * b, p) != oracles.apply_poly(a, oracles.apply_poly(b, p))
         report = check_iota_hom(2, 2)
         assert not report["pass"] and report["residual_terms"] > 0

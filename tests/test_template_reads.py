@@ -264,9 +264,9 @@ def _flipped_first_sign(n, r):
     return table
 
 
-def _shifted_d_product(b1, g1, b2, g2):
+def _shifted_d_product(m1, m2):
     """The monomial product with one more d_1 on every term but the first."""
-    first, *rest = weyl._monomial_product(b1, g1, b2, g2)
+    first, *rest = weyl._monomial_product(m1, m2)
     return [first] + [((t_exp, (d_exp[0] + 1, *d_exp[1:])), c) for (t_exp, d_exp), c in rest]
 
 

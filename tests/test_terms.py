@@ -1,6 +1,7 @@
 """The shared sparse-term kernel: insertion order never shows, products agree
 with their reference paths, and reports keep their bytes."""
 
+import ast
 import copy
 import importlib
 import itertools
@@ -29,7 +30,7 @@ from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator, shen_iota
-from weylmod.terms import Frozen, Poly, TermMap, accumulate
+from weylmod.terms import Frozen, Poly, TermMap, accumulate, pair_terms
 from weylmod.ugl import E, UglElement, _gen_key, pbw_product
 from weylmod.vectorfields import L_op, VectorField
 from weylmod.weightmod import (
@@ -293,6 +294,103 @@ def test_only_term_map_defines_the_product_and_the_power():
             assert vars(cls)["__mul__"] is TermMap.__mul__, cls
             aliased.add(cls)
     assert aliased == {WeylElement, UglElement, TensorOperator}
+
+
+def test_pair_terms_multiplies_every_pair_in_rule_order():
+    # (m1, c1) of a, then (m2, c2) of b, then each (mono, c) of rule(m1, m2)
+    # gives (mono, c1 * c2 * c), uncollected; a rule may give no term
+    def rule(m1, m2):
+        return () if (m1, m2) == ("y", "v") else [(m1 + m2, 1), ("z", 11)]
+
+    a = {"x": 2, "y": Fraction(1, 3)}
+    b = {"u": 5, "v": -7}
+    assert list(pair_terms(a, b, rule)) == [
+        ("xu", 10), ("z", 110),
+        ("xv", -14), ("z", -154),
+        ("yu", Fraction(5, 3)), ("z", Fraction(55, 3)),
+    ]
+    assert list(pair_terms({}, b, rule)) == list(pair_terms(a, {}, rule)) == []
+
+
+SRC = Path(weylmod.__file__).parent
+
+
+def _is_terms_items(node) -> bool:
+    """Whether node is the call ``<x>.terms.items()``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "items"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "terms"
+    )
+
+
+def _term_loops(nodes) -> list:
+    """The loops and comprehension clauses over ``<x>.terms.items()`` in
+    nodes and below them."""
+    return [
+        sub
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.For, ast.comprehension)) and _is_terms_items(sub.iter)
+    ]
+
+
+def nested_term_loops(source: str) -> list:
+    """The lines of the loops over ``<x>.terms.items()`` that hold a second
+    one: in the body of a for statement, or in a later clause or the
+    element of a comprehension.  The product of two term maps is
+    ``terms.pair_terms``, the one loop over every pair of terms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For):
+            loops = [(node, node.body)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            tail = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            clauses = node.generators
+            loops = [(c, c.ifs + clauses[k + 1:] + tail) for k, c in enumerate(clauses)]
+        else:
+            continue
+        if any(_is_terms_items(loop.iter) and _term_loops(inner) for loop, inner in loops):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_nested_term_loops():
+    source = (
+        "for k, c in a.terms.items():\n"
+        "    for j, d in b.terms.items():\n"
+        "        pass\n"
+        "pairs = [(k, j) for k, c in a.terms.items() for j, d in b.terms.items()]\n"
+        "for k, c in a.terms.items():\n"
+        "    total = {j: d for j, d in b.terms.items()}\n"
+        "for k, c in a.terms.items():\n"
+        "    for j, d in right:\n"
+        "        pass\n"
+        "pairs = [(k, j) for k, c in a.items() for j, d in b.items()]\n"
+        "pairs = [(k, c) for k, c in a.terms.items()]\n"
+    )
+    assert nested_term_loops(source) == [1, 4, 5]
+
+
+def test_every_product_of_two_term_maps_goes_through_pair_terms():
+    # no module loops over the terms of one map inside a loop over those of
+    # another, and no class states a product of whole maps: each states
+    # only its monomial rule
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := nested_term_loops(path.read_text()))
+    }
+    assert found == {}
+    defined = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "_product_terms" in {getattr(node, a, None) for a in ("name", "id", "attr")}
+    ]
+    assert defined == []
 
 
 def evidence_seeds(P, box):
