@@ -17,12 +17,13 @@ and products are the term maps' own ``+``, ``-`` and ``*``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ArgumentError, StructureError
 from .indices import check_index, mi_zero
 from .tensorop import tensor
-from .terms import SCALARS, TermMap, accumulate, pair_terms, power_text
+from .terms import SCALARS, RankTerms, accumulate, pair_terms, power_text
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op, VectorField
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
@@ -67,6 +68,13 @@ def tokenize(text: str):
                     out.append(("number", Fraction(m.group("number")), pos))
                 except ZeroDivisionError:
                     raise ParseError("zero denominator", pos) from None
+                except ValueError:
+                    # only past the interpreter's int-string limit, which
+                    # exists wherever this can raise (cli.main lifts it)
+                    limit = sys.get_int_max_str_digits()
+                    raise ParseError(
+                        f"literal longer than the int-string limit of {limit} digits", pos
+                    ) from None
             else:
                 out.append(("op", m.group("op"), pos))
         pos = m.end()
@@ -74,12 +82,10 @@ def tokenize(text: str):
     return out
 
 
-class VectorLiteral(TermMap):
+class VectorLiteral(RankTerms):
     """Unbound module vector: {(key tuple, wedge tuple): coeff}."""
 
-    __slots__ = ("rank",)
-
-    _fields = ("rank",)
+    __slots__ = ()
 
     def __init__(self, rank: int, terms):
         self._freeze(terms={k: c for k, c in terms.items() if c != 0}, rank=rank)

@@ -9,12 +9,17 @@ text of one monomial, and their product or action.  A weight module P has
 no vector class of its own: it is F(P, wedge^0).
 
 Every term map has one adoption rule.  ``__init__`` checks input from
-outside the program; ``TermMap._from_kernel`` adopts a map that a kernel
-of this library built (an operation on valid operands, an action, a
-template evaluation), valid by construction, without calling
-``__init__``.  ``_like`` adopts through it.  A term map, like every value of
-the library that keys or fills a memo, is a ``Frozen``: its slots are set
-once and never rebound.
+outside the program, each coefficient through ``check_coefficient``;
+``_from_kernel`` adopts a map that a kernel of this library built (an
+operation on valid operands, an action, a template evaluation), valid by
+construction, without calling ``__init__``.  There is one ``_from_kernel``
+per slot layout, its slots named parameters set through their member
+descriptors: ``RankTerms`` (rank), ``weyl.WeylTerms`` (rank, mode) and
+``weightmod.FVector`` (the two modules); about 0.5 µs an adoption, half
+the cost of a keyword loop over the slots (``BENCH_named_slots.json``).
+``_like``, copy and pickle adopt through it.  A term map, like every value
+of the library that keys or fills a memo, is a ``Frozen``: its slots are
+set once and never rebound.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -31,13 +36,22 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .errors import DomainError, StructureError
+from .errors import ArgumentError, DomainError, StructureError
 
 SCALARS = (int, Fraction)
 
-# bound once: an adoption makes a bare instance; it and ``_freeze`` set slots
+# bound once: an adoption makes a bare instance and sets each slot through
+# its member descriptor (``_set_terms`` and the setters after each layout);
+# ``_freeze`` sets slots by name
 _new = object.__new__
 _set_slot = object.__setattr__
+
+
+def check_coefficient(coeff) -> None:
+    """Refuse a coefficient of outside input that is not an int or a
+    Fraction (a float, a str, a bool): exact stays exact."""
+    if type(coeff) is bool or not isinstance(coeff, SCALARS):
+        raise ArgumentError(f"coefficient {coeff!r} is not an int or a Fraction")
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -84,10 +98,11 @@ def power_text(name: str, exps) -> list:
     ]
 
 
-def _adopt(cls, terms: dict, slots: dict):
-    """The term map of class ``cls`` over ``terms`` and ``slots``, adopted:
-    what ``TermMap.__reduce__`` hands to copy and pickle."""
-    return cls._from_kernel(terms, **slots)
+def _adopt(cls, terms: dict, slots: tuple):
+    """The term map of class ``cls`` over ``terms`` and the values of its
+    other slots, adopted: what ``TermMap.__reduce__`` hands to copy and
+    pickle."""
+    return cls._from_kernel(terms, *slots)
 
 
 class Frozen:
@@ -113,9 +128,11 @@ class TermMap(Frozen):
     Subclasses declare ``_fields``, the names of the fields two operands
     must share (their values, ``_context()``, are also compared by ``==``),
     and provide ``_text(mono)`` (the text of one monomial, empty for the
-    unit).  ``_like`` adopts the collected map of an operation on valid
-    operands through ``_from_kernel``, without calling ``__init__``, which
-    checks outside input.  A class with a product defines its monomial
+    unit).  Each slot layout defines the one adoption constructor
+    ``_from_kernel(terms, *slots)``, its parameters in the order of the
+    layout's ``__slots__``.  ``_like`` adopts the collected map of an
+    operation on valid operands through it, without calling ``__init__``,
+    which checks outside input.  A class with a product defines its monomial
     rule ``_monomial_product(m1, m2)``, the (monomial, coeff) pairs of
     m1 * m2, and its unit ``one(*context)``; ``*`` and ``**`` are then the
     ones below, every pair of terms multiplied by ``pair_terms``.
@@ -129,30 +146,20 @@ class TermMap(Frozen):
     _sort_key = staticmethod(itemgetter(0))
 
     def __reduce__(self):
-        """Copy and pickle by adoption: the map and every slot, fields or
-        not (``WeylTerms.laurent`` is no field)."""
+        """Copy and pickle by adoption: the map and every other slot,
+        fields or not (``WeylTerms.laurent`` is no field), in the order of
+        ``_from_kernel``'s parameters."""
         names = [n for klass in type(self).__mro__ for n in getattr(klass, "__slots__", ())]
-        slots = {n: getattr(self, n) for n in names if n != "terms"}
+        slots = tuple(getattr(self, n) for n in names if n != "terms")
         return _adopt, (type(self), self.terms, slots)
 
     def _context(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
-    @classmethod
-    def _from_kernel(cls, terms: dict, **fields):
-        """The element over ``terms`` and ``fields`` that a kernel of this
-        library built: valid by construction, so it is adopted as it is,
-        without ``__init__``.  The one constructor that skips the check."""
-        element = _new(cls)
-        for name, value in fields.items():
-            _set_slot(element, name, value)
-        _set_slot(element, "terms", terms)
-        return element
-
     def _like(self, terms: dict, other=None):
         """A new element with the fields of self over ``terms``, the
         collected map of an operation with ``other``, adopted as it is."""
-        return self._from_kernel(terms, **{name: getattr(self, name) for name in self._fields})
+        return self._from_kernel(terms, *self._context())
 
     def _check_same(self, other) -> None:
         if type(other) is not type(self):
@@ -250,6 +257,31 @@ class TermMap(Frozen):
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+_set_terms = TermMap.terms.__set__
+
+
+class RankTerms(TermMap):
+    """Term map over a rank alone: the slot layout of ``ugl.UglElement``
+    and of the parser's ``VectorLiteral``."""
+
+    __slots__ = ("rank",)
+
+    _fields = ("rank",)
+
+    @classmethod
+    def _from_kernel(cls, terms: dict, rank: int):
+        """The element over ``terms`` that a kernel of this library built:
+        valid by construction, so it is adopted as it is, without
+        ``__init__``."""
+        element = _new(cls)
+        _set_terms(element, terms)
+        _set_rank(element, rank)
+        return element
+
+
+_set_rank = RankTerms.rank.__set__
 
 
 class Poly(Frozen):

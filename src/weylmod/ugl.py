@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import StructureError
 from .indices import check_index
-from .terms import TermMap, accumulate
+from .terms import RankTerms, TermMap, accumulate, check_coefficient
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
 
@@ -139,30 +139,32 @@ def _mono_sort(item):
     return tuple((_gen_key(g), e) for g, e in mono)
 
 
-class UglElement(TermMap):
+class UglElement(RankTerms):
     """Sparse element of U(gl_n) in PBW normal form.
 
     Text and JSON list the monomials in the order of their generator keys.
     """
 
-    __slots__ = ("rank",)
+    __slots__ = ()
 
-    _fields = ("rank",)
     _sort_key = staticmethod(_mono_sort)
 
     def __init__(self, rank: int, terms=None):
+        """Checks outside input: int or Fraction coefficients, and every
+        monomial, also under a zero coefficient: factors in range with
+        positive exponents, in canonical order."""
         cleaned = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
+                check_coefficient(coeff)
                 for (i, j), e in mono:
                     if not (1 <= i <= rank and 1 <= j <= rank) or e <= 0:
                         raise StructureError(f"bad PBW factor E[{i},{j}]^{e}")
                 keys = [_gen_key(g) for g, _ in mono]
                 if any(a >= b for a, b in zip(keys, keys[1:])):
                     raise StructureError(f"monomial not in canonical order: {mono}")
-                cleaned[tuple(mono)] = coeff
+                if coeff:
+                    cleaned[tuple(mono)] = coeff
         self._freeze(terms=cleaned, rank=rank)
 
     @classmethod

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import check_index, check_integer_exponents, mi_unit, mi_units, mi_zero
 from .terms import accumulate, pair_terms
-from .weyl import WeylElement, WeylTerms
+from .weyl import WeylElement, WeylTerms, _checked_monomial
 
 
 class VectorField(WeylTerms):
@@ -152,9 +152,8 @@ def _L_terms(i: int, j: int, alpha) -> dict:
 
 
 def monomial_field(t_exp, i: int, coeff=1, laurent=None) -> VectorField:
-    """The field coeff * t^exp * d/dt_i, 1-based i."""
+    """The field coeff * t^exp * d/dt_i, 1-based i: the index checked, then
+    the one monomial (``weyl._checked_monomial``), whose derivative degree
+    is one by construction."""
     t_exp = tuple(t_exp)
-    n = len(t_exp)
-    return VectorField(
-        WeylElement.monomial(t_exp, mi_unit(i, n), coeff, laurent)
-    )
+    return _checked_monomial(VectorField, t_exp, mi_unit(i, len(t_exp)), coeff, laurent)

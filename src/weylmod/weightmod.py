@@ -25,7 +25,7 @@ from math import lcm, prod
 from .errors import ArgumentError, DomainError, StructureError
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
-from .terms import Frozen, TermMap, accumulate
+from .terms import Frozen, TermMap, _new, _set_terms, accumulate, check_coefficient
 from .vectorfields import VectorField, is_divergence_free
 from .weyl import _monomial_product
 
@@ -439,15 +439,15 @@ class FVector(TermMap):
     _fields = ("module_p", "module_m")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):
-        """Checks outside input: factors of one rank, keys of that length
-        in the support of P, and basis indices of M."""
+        """Checks outside input: factors of one rank, int or Fraction
+        coefficients, and every key, also under a zero coefficient: of the
+        rank's length, in the support of P, with a basis index of M."""
         if module_p.rank != module_m.rank:
             raise StructureError("rank mismatch between the two factors")
         cleaned = {}
         if terms:
             for (key, midx), coeff in terms.items():
-                if coeff == 0:
-                    continue
+                check_coefficient(coeff)
                 key = tuple(key)
                 if len(key) != module_p.rank:
                     raise StructureError(f"key {key} has length {len(key)}, P has rank {module_p.rank}")
@@ -455,8 +455,18 @@ class FVector(TermMap):
                     raise StructureError(f"key {key} outside the support")
                 if not 0 <= midx < module_m.dim:
                     raise StructureError(f"bad basis index {midx}")
-                cleaned[(key, midx)] = coeff
+                if coeff:
+                    cleaned[(key, midx)] = coeff
         self._freeze(terms=cleaned, module_p=module_p, module_m=module_m)
+
+    @classmethod
+    def _from_kernel(cls, terms: dict, module_p: WeightModuleP, module_m: SLModule):
+        """Adopts a kernel-built map, as ``terms.RankTerms._from_kernel``."""
+        vector = _new(cls)
+        _set_terms(vector, terms)
+        _set_module_p(vector, module_p)
+        _set_module_m(vector, module_m)
+        return vector
 
     @classmethod
     def basis(cls, module_p, module_m, key, label_or_index) -> FVector:
@@ -475,6 +485,10 @@ class FVector(TermMap):
     def _text(self, mono):
         key, midx = mono
         return f"t^{key}(x){self.module_m.labels[midx]}"
+
+
+_set_module_p = FVector.module_p.__set__
+_set_module_m = FVector.module_m.__set__
 
 
 def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False):

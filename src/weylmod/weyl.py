@@ -15,8 +15,8 @@ from math import comb
 from operator import add, sub
 
 from .errors import DomainError, StructureError
-from .indices import check_integer_exponents, falling, mi_zero
-from .terms import Poly, TermMap, accumulate, power_text
+from .indices import check_integer_exponents, falling, mi_unit, mi_zero
+from .terms import Poly, TermMap, _new, _set_terms, accumulate, check_coefficient, power_text
 
 
 def _d_on_t(gamma, beta):
@@ -96,26 +96,27 @@ class WeylTerms(TermMap):
     _fields = ("rank",)
 
     def __init__(self, rank: int, terms=None, laurent: bool = False):
-        """Checks outside input: monomials of length rank, int exponents,
-        no negative d exponent, no negative t exponent in polynomial mode."""
+        """Checks outside input: int or Fraction coefficients, and every
+        key, also under a zero coefficient, by ``_check_key``."""
+        # a None mode is polynomial here; to _check_key it means "read it off"
+        laurent = bool(laurent)
         cleaned = {}
         if terms:
             for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                t_exp, d_exp = self._weyl(key)
-                if len(t_exp) != rank or len(d_exp) != rank:
-                    raise StructureError("monomial rank does not match element rank")
-                check_integer_exponents(t_exp)
-                check_integer_exponents(d_exp)
-                if any(g < 0 for g in d_exp):
-                    raise StructureError(f"negative derivative exponent in {d_exp}")
-                if not laurent and any(b < 0 for b in t_exp):
-                    raise StructureError(
-                        f"negative t exponent {t_exp} in polynomial mode"
-                    )
-                cleaned[key] = coeff
+                check_coefficient(coeff)
+                _check_key(*self._weyl(key), rank, laurent)
+                if coeff:
+                    cleaned[key] = coeff
         self._freeze(terms=cleaned, rank=rank, laurent=laurent)
+
+    @classmethod
+    def _from_kernel(cls, terms: dict, rank: int, laurent: bool):
+        """Adopts a kernel-built map, as ``terms.RankTerms._from_kernel``."""
+        element = _new(cls)
+        _set_terms(element, terms)
+        _set_rank(element, rank)
+        _set_laurent(element, laurent)
+        return element
 
     def _like(self, terms, other=None):
         laurent = self.laurent or (other is not None and other.laurent)
@@ -143,6 +144,40 @@ class WeylTerms(TermMap):
             "mode": self.mode,
             "terms": self._json_terms(self._json_fields),
         }
+
+
+_set_rank = WeylTerms.rank.__set__
+_set_laurent = WeylTerms.laurent.__set__
+
+
+def _check_key(t_exp, d_exp, rank: int, laurent) -> bool:
+    """The check of one Weyl monomial of outside input: exponents of
+    length rank, all ints, no negative d exponent, and no negative t
+    exponent in polynomial mode.  Returns the mode: ``laurent``, or when
+    it is None, whether some t exponent is negative."""
+    if len(t_exp) != rank or len(d_exp) != rank:
+        raise StructureError("monomial rank does not match element rank")
+    check_integer_exponents(t_exp)
+    check_integer_exponents(d_exp)
+    if any(g < 0 for g in d_exp):
+        raise StructureError(f"negative derivative exponent in {d_exp}")
+    negative = any(b < 0 for b in t_exp)
+    if laurent is None:
+        return negative
+    if negative and not laurent:
+        raise StructureError(f"negative t exponent {t_exp} in polynomial mode")
+    return laurent
+
+
+def _checked_monomial(cls, t_exp: tuple, d_exp: tuple, coeff, laurent):
+    """coeff * t^t_exp d^d_exp as an element of the Weyl term map class
+    ``cls``: its coefficient and its one key checked as ``__init__`` checks
+    each, then adopted.  The mode, when ``laurent`` is None, is Laurent
+    exactly when some t exponent is negative."""
+    check_coefficient(coeff)
+    laurent = _check_key(t_exp, d_exp, len(t_exp), laurent)
+    terms = {(t_exp, d_exp): coeff} if coeff else {}
+    return cls._from_kernel(terms, rank=len(t_exp), laurent=laurent)
 
 
 class WeylElement(WeylTerms):
@@ -173,11 +208,8 @@ class WeylElement(WeylTerms):
 
     @classmethod
     def monomial(cls, t_exp, d_exp, coeff=1, laurent=None) -> WeylElement:
-        t_exp = tuple(t_exp)
-        d_exp = tuple(d_exp)
-        if laurent is None:
-            laurent = any(b < 0 for b in t_exp)
-        return cls(len(t_exp), {(t_exp, d_exp): coeff}, laurent)
+        """coeff * t^t_exp d^d_exp, checked once (``_checked_monomial``)."""
+        return _checked_monomial(cls, tuple(t_exp), tuple(d_exp), coeff, laurent)
 
     # -- queries ------------------------------------------------------------
 
@@ -198,14 +230,12 @@ class WeylElement(WeylTerms):
 
 def t(i: int, n: int) -> WeylElement:
     """The generator t_i, 1-based."""
-    exp = tuple(1 if k == i - 1 else 0 for k in range(n))
-    return WeylElement.monomial(exp, mi_zero(n))
+    return WeylElement._from_kernel({(mi_unit(i, n), mi_zero(n)): 1}, rank=n, laurent=False)
 
 
 def d(i: int, n: int) -> WeylElement:
     """The derivative generator, 1-based."""
-    exp = tuple(1 if k == i - 1 else 0 for k in range(n))
-    return WeylElement.monomial(mi_zero(n), exp)
+    return WeylElement._from_kernel({(mi_zero(n), mi_unit(i, n)): 1}, rank=n, laurent=False)
 
 
 def fourier(a: WeylElement) -> WeylElement:

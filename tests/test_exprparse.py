@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import oracles
@@ -120,6 +121,24 @@ def test_negative_power_rules():
     # a tensor operator has powers in the library, not in the grammar
     with pytest.raises(ParseError, match="cannot raise this value to a power"):
         parse_expr("(t[1] (x) E[1,2])^2", 2)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_a_literal_past_the_int_string_limit_is_a_parse_error():
+    # called outside cli.main, which lifts the limit, this raised a bare
+    # ValueError from Fraction in tokenize
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text, pos in (("7" * 5000, 0), ("t[1] + 1/" + "7" * 5000, 7)):
+            with pytest.raises(ParseError) as info:
+                parse_expr(text, 1)
+            assert str(info.value) == (
+                f"literal longer than the int-string limit of 4300 digits (at position {pos})"
+            )
+        assert parse_expr("7" * 4300, 1) == int("7" * 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_type_errors():

@@ -24,15 +24,15 @@ import weylmod
 from weylmod import structure
 from weylmod.cli import main
 from weylmod.derham import GradedSubspace, _derham_table, pi, pi_image
-from weylmod.errors import DomainError, StructureError
+from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.exprparse import VectorLiteral, parse_expr
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
 from weylmod.tensorop import TensorOperator, shen_iota
-from weylmod.terms import Frozen, Poly, TermMap, accumulate, pair_terms
+from weylmod.terms import Frozen, Poly, RankTerms, TermMap, accumulate, pair_terms
 from weylmod.ugl import E, UglElement, _gen_key, pbw_product
-from weylmod.vectorfields import L_op, VectorField
+from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weightmod import (
     FVector,
     WeightModuleP,
@@ -42,7 +42,7 @@ from weylmod.weightmod import (
     make_wedge_module,
     tensor_act,
 )
-from weylmod.weyl import WeylElement, t
+from weylmod.weyl import WeylElement, WeylTerms, d, t
 
 DATA = Path(__file__).parent / "data"
 
@@ -198,25 +198,101 @@ def test_operation_results_are_adopted(monkeypatch, case):
             combine(a, other)
 
 
+def _library_term_maps():
+    """Every subclass of ``TermMap`` that the library defines, found by
+    walking ``__subclasses__`` once every module is imported."""
+    for info in pkgutil.iter_modules(weylmod.__path__, "weylmod."):
+        importlib.import_module(info.name)
+    seen, todo = [], list(TermMap.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return {cls for cls in seen if cls.__module__.startswith("weylmod.")}
+
+
+def test_each_slot_layout_has_one_adoption_constructor():
+    # the concrete term maps are the classes of adoption_cases, and each
+    # adopts through the one _from_kernel of its slot layout
+    ours = _library_term_maps()
+    concrete = {cls for cls in ours if not ours & set(cls.__subclasses__())}
+    assert sorted(cls.__name__ for cls in concrete) == sorted(CLASSES)
+    layouts = {cls for cls in ours | {TermMap} if "_from_kernel" in vars(cls)}
+    assert layouts == {RankTerms, WeylTerms, FVector}
+    for cls in concrete:
+        (owner,) = [k for k in cls.__mro__ if "_from_kernel" in vars(k)]
+        assert owner in layouts, cls
+
+
 @pytest.mark.parametrize("case", range(len(CLASSES)), ids=CLASSES)
 def test_adopted_elements_equal_checked_ones(case):
-    # _from_kernel sets every slot that the checked constructor sets, and
-    # nothing else, and its element is as immutable
+    # _from_kernel takes the other slots by name or in the order of the
+    # MRO's __slots__; it sets every slot that the checked constructor
+    # sets, and nothing else, its element is as immutable, and copy and
+    # pickle adopt it again
     build, terms, _ = adoption_cases()[case]
     checked = build(terms)
     cls = type(checked)
     slots = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
     fields = {name: getattr(checked, name) for name in slots if name != "terms"}
-    adopted = cls._from_kernel(dict(checked.terms), **fields)
-    assert type(adopted) is cls and adopted == checked
-    assert not hasattr(adopted, "__dict__")
+    by_name = cls._from_kernel(dict(checked.terms), **fields)
+    in_order = cls._from_kernel(dict(checked.terms), *fields.values())
+    twins = [copy.copy(by_name), pickle.loads(pickle.dumps(in_order))]
+    for adopted in (by_name, in_order, *twins):
+        assert type(adopted) is cls and adopted == checked
+        assert not hasattr(adopted, "__dict__")
+        for name in slots:
+            assert getattr(adopted, name) == getattr(checked, name), name
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(adopted, name, None)
     for name in slots:
-        assert getattr(adopted, name) == getattr(checked, name), name
-        with pytest.raises(AttributeError, match="immutable"):
-            setattr(adopted, name, None)
         with pytest.raises(AttributeError, match="immutable"):
             setattr(checked, name, None)
     assert set(fields) >= set(cls._fields) and "terms" in slots
+
+
+def test_outside_input_is_exact_and_checked_under_zero_coefficients():
+    # a float, str or bool coefficient is refused by every constructor of
+    # outside input, which also checks a key whose coefficient is 0; all
+    # of these were accepted
+    P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 1)
+    z = (0, 0)
+    weyl_key, pbw_key, vector_key = (z, z), (((1, 2), 1),), (z, 0)
+    builders = [
+        lambda c: monomial_field((1, 0), 1, c),
+        lambda c: WeylElement.monomial((1, 0), z, c),
+        lambda c: WeylElement(2, {weyl_key: c}),
+        lambda c: TensorOperator(2, {(weyl_key, pbw_key): c}),
+        lambda c: UglElement(2, {pbw_key: c}),
+        lambda c: FVector(P, M, {vector_key: c}),
+    ]
+    for build, c in itertools.product(builders, (0.5, "x", True, False)):
+        with pytest.raises(ArgumentError, match=f"^coefficient {c!r} is not an int or a Fraction$"):
+            build(c)
+    for build in builders:
+        assert build(0).is_zero() and build(Fraction(-3, 2)) == Fraction(-3, 2) * build(1)
+    bad_keys = [
+        (lambda: monomial_field((0.5, 0), 1, 0), ArgumentError),
+        (lambda: WeylElement.monomial((-1, 0), z, 0, laurent=False), StructureError),
+        (lambda: WeylElement(2, {((0, 0), (0, -1)): 0}), StructureError),
+        (lambda: TensorOperator(2, {(((0.5, 0), z), pbw_key): 0}), ArgumentError),
+        (lambda: UglElement(2, {(((1, 2), 1), ((2, 1), 1)): 0}), StructureError),
+        (lambda: FVector(P, M, {((-1, 0), 0): 0}), StructureError),
+        (lambda: FVector(P, M, {(z, 2): Fraction(0)}), StructureError),
+    ]
+    for build, error in bad_keys:
+        with pytest.raises(error):
+            build()
+
+
+def test_generators_check_their_index():
+    # t and d adopt their monomial; an index out of range, which gave the
+    # constant 1, is refused
+    assert t(2, 3) == WeylElement(3, {((0, 1, 0), (0, 0, 0)): 1})
+    assert d(2, 3) == WeylElement(3, {((0, 0, 0), (0, 1, 0)): 1})
+    for gen, i in itertools.product((t, d), (0, 4, True)):
+        with pytest.raises(ArgumentError):
+            gen(i, 3)
 
 
 POWER_CASES = ["weyl-polynomial", "weyl-laurent", "tensor-polynomial", "tensor-laurent", "ugl"]
@@ -278,14 +354,7 @@ def test_classes_without_a_product_refuse_products_and_powers(name):
 def test_only_term_map_defines_the_product_and_the_power():
     # every other class binds at most the alias, which perfbench's tracer
     # wraps in the class's own namespace
-    for info in pkgutil.iter_modules(weylmod.__path__, "weylmod."):
-        importlib.import_module(info.name)
-    seen, todo = [], list(TermMap.__subclasses__())
-    while todo:
-        cls = todo.pop()
-        seen.append(cls)
-        todo.extend(cls.__subclasses__())
-    ours = {cls for cls in seen if cls.__module__.startswith("weylmod.")}
+    ours = _library_term_maps()
     assert {WeylElement, UglElement, TensorOperator, FVector, VectorField, VectorLiteral} <= ours
     aliased = set()
     for cls in ours:

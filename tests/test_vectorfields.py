@@ -38,6 +38,50 @@ def test_degree_invariant_enforced():
         VectorField(d(1, 2) * d(2, 2))
 
 
+def _outcome(build):
+    """(class, terms, mode) of what build() returns, or the type of the
+    exception it raises."""
+    try:
+        value = build()
+    except Exception as exc:
+        return type(exc)
+    return type(value), value.terms, value.laurent
+
+
+def _inferred_mode(t_exp, laurent):
+    """The mode of a monomial constructor: laurent, or when it is None,
+    whether some (int) t exponent is negative."""
+    if laurent is None:
+        return any(type(b) is int and b < 0 for b in t_exp)
+    return laurent
+
+
+def test_one_check_monomials_match_the_checked_constructors():
+    # monomial_field and WeylElement.monomial check their one key once and
+    # adopt; the oracle is the checked path through __init__ (and, for a
+    # field, VectorField's degree check), value and mode or exception type
+    n = 2
+    exps = [(0, 0), (2, 1), (-1, 0), (1, -2), (Fraction(1, 2), 0), (0.5, 0), ("1", 0), (1, 2, 0)]
+    coeffs = [0, 1, Fraction(-3, 2), 0.5, "1", True]
+    indices = [1, 2, 0, 3, True, 1.0]
+    checked, refused = 0, set()
+    for e, c, laurent in itertools.product(exps, coeffs, [None, True, False]):
+        mode = _inferred_mode(e, laurent)
+        for i in indices:
+            got = _outcome(lambda: monomial_field(e, i, c, laurent))
+            want = _outcome(lambda: VectorField(WeylElement(len(e), {(e, mi_unit(i, len(e))): c}, mode)))
+            assert got == want, (e, i, c, laurent)
+            checked += 1
+            refused.add(got if isinstance(got, type) else None)
+        for g in [(0, 1), (2, 0), (0, -1), (Fraction(1, 2), 0), (1,)]:
+            got = _outcome(lambda: WeylElement.monomial(e, g, c, laurent))
+            want = _outcome(lambda: WeylElement(len(e), {(e, g): c}, mode))
+            assert got == want, (e, g, c, laurent)
+            checked += 1
+            refused.add(got if isinstance(got, type) else None)
+    assert refused == {None, ArgumentError, StructureError} and checked == 1584
+
+
 def random_mode_field(rng, n, laurent, nterms=3):
     """A field of up to nterms terms with coefficients in -2..2 (zeros
     dropped) and, in Laurent mode, t exponents from -1, so that some
