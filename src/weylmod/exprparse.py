@@ -228,7 +228,6 @@ class _Parser:
         try:
             if name in ("t", "d"):
                 i = int(args)
-                check_index(i, n)
                 return t(i, n) if name == "t" else d(i, n)
             if name == "E":
                 i, j = (int(p) for p in args.split(","))

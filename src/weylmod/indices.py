@@ -53,9 +53,9 @@ def mi_unit(i: int, n: int) -> MultiIndex:
 
 
 def check_integer_exponents(alpha) -> None:
-    """Refuse a Fraction, float or other non-int exponent: exact stays exact."""
+    """Refuse a bool, Fraction, float or other non-int exponent: exact stays exact."""
     for a in alpha:
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise ArgumentError(f"exponent {a!r} in {tuple(alpha)} is not an integer")
 
 

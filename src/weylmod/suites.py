@@ -37,14 +37,13 @@ from .tensorop import (
     CUBIC_NODES,
     QUARTIC_NODES,
     _at,
-    _cubic_args,
     _left_terms,
     _residual_template,
     _right_terms,
     _special_args,
     iota_hom_residual,
 )
-from .vectorfields import monomial_field
+from .vectorfields import check_L_args, monomial_field
 from .weightmod import (
     DEFAULT_SHIFT,
     POLY,
@@ -163,7 +162,7 @@ def check_eq_cubic(n: int, lo: int = -2, hi: int = 3, pairs=None):
     """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2."""
     if pairs is None:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    cases = [((i, j), j, _cubic_args(_lower_bound(n, i, j), i, j)) for i, j in pairs]
+    cases = [((i, j), j, check_L_args(j, i, _lower_bound(n, i, j))) for i, j in pairs]
     return _check_identity("cubic", n, lo, hi, cases, CUBIC_NODES)
 
 

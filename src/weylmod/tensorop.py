@@ -67,6 +67,13 @@ class TensorOperator(WeylTerms):
     _weyl = staticmethod(itemgetter(0))
     _monomial_product = staticmethod(_operator_product)
 
+    @staticmethod
+    def _check_key(key, rank: int, laurent: bool) -> None:
+        """A key of outside input, checked as its Weyl and PBW factors are."""
+        wmono, pmono = key
+        WeylElement._check_key(wmono, rank, laurent)
+        UglElement._check_key(pmono, rank)
+
     @classmethod
     def one(cls, rank: int, laurent: bool = False) -> TensorOperator:
         z = mi_zero(rank)
@@ -399,20 +406,7 @@ def cubic_m_product(alpha, i: int, j: int, m: int) -> TensorOperator:
 
 def cubic_target(alpha, i: int, j: int) -> TensorOperator:
     """t^(alpha+e_j-2e_i) (x) E_ij^2, the left side of the cubic identity."""
-    return _cubic_target(_cubic_args(alpha, i, j), i, j)
-
-
-def _cubic_args(alpha, i: int, j: int) -> tuple:
-    """The argument checks of ``cubic_target``: distinct indices in range,
-    j checked first, and integer exponents.  They include those of the
-    node products (``check_L_args``).  Returns alpha as a tuple."""
-    alpha = tuple(alpha)
-    if i == j:
-        raise ArgumentError("indices must differ")
-    check_index(j, len(alpha))
-    check_index(i, len(alpha))
-    check_integer_exponents(alpha)
-    return alpha
+    return _cubic_target(check_L_args(j, i, alpha), i, j)
 
 
 def _cubic_target(alpha, i: int, j: int) -> TensorOperator:
@@ -428,10 +422,10 @@ def cubic_identity_residual(alpha, i: int, j: int) -> TensorOperator:
 
     Zero for every integer alpha; the right-hand side is the fixed rational
     combination CUBIC_WEIGHTS of the products at m = 0, 1, 2, 3.  The
-    arguments get the checks of the target (``_cubic_args``); the residual
-    is read off ``_residual_template``.
+    arguments get the checks of the target (``check_L_args(j, i, alpha)``);
+    the residual is read off ``_residual_template``.
     """
-    alpha = _cubic_args(alpha, i, j)
+    alpha = check_L_args(j, i, alpha)
     return _at(_residual_template("cubic", len(alpha), i, j)[0], alpha)
 
 

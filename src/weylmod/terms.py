@@ -4,22 +4,23 @@ A term map sends hashable monomials to nonzero exact coefficients.  The
 element classes (Weyl algebra, vector fields, U(gl_n), tensor operators,
 the module vector of F(P, M), and the parser's unbound vector literal)
 derive from ``TermMap`` and keep only what is their own: their context fields
-(``_fields``), the check of outside input in ``__init__``, a sort key, the
-text of one monomial, and their product or action.  A weight module P has
-no vector class of its own: it is F(P, wedge^0).
+(``_fields``), the check of one key, a sort key, the text of one monomial,
+and their product or action.  A weight module P has no vector class of its
+own: it is F(P, wedge^0).
 
-Every term map has one adoption rule.  ``__init__`` checks input from
-outside the program, each coefficient through ``check_coefficient``;
-``_from_kernel`` adopts a map that a kernel of this library built (an
-operation on valid operands, an action, a template evaluation), valid by
-construction, without calling ``__init__``.  There is one ``_from_kernel``
-per slot layout, its slots named parameters set through their member
-descriptors: ``RankTerms`` (rank), ``weyl.WeylTerms`` (rank, mode) and
-``weightmod.FVector`` (the two modules); about 0.5 µs an adoption, half
-the cost of a keyword loop over the slots (``BENCH_named_slots.json``).
-``_like``, copy and pickle adopt through it.  A term map, like every value
-of the library that keys or fills a memo, is a ``Frozen``: its slots are
-set once and never rebound.
+Every term map has one adoption rule.  ``__init__`` checks outside input
+by ``TermMap._checked_terms``, the one loop over it, each key by the check
+that its class states once as ``_check_key`` (of a Weyl monomial, a PBW
+monomial, both, or a label of F(P, M)).  ``_from_kernel`` adopts a map
+that a kernel of this library built (an operation on valid operands, an
+action, a template evaluation), valid by construction, without calling
+``__init__``.  There is one ``_from_kernel`` per slot layout, its slots
+named parameters set through their member descriptors: ``RankTerms``
+(rank), ``weyl.WeylTerms`` (rank, mode) and ``weightmod.FVector`` (the
+two modules); about 0.5 µs an adoption, half the cost of a keyword loop
+over the slots (``BENCH_named_slots.json``).  ``_like``, copy and pickle
+adopt through it.  A term map, like every library value that keys or
+fills a memo, is a ``Frozen``: its slots are set once, never rebound.
 
 ``Poly`` is the one coefficient that is not a number: an exact polynomial
 in the symbols of a multi-index, for products built once over a symbolic
@@ -28,11 +29,13 @@ exponent and evaluated per exponent.
 Terms are stored in the order they were produced.  Dict equality ignores
 that order, so the canonical order is imposed only where text leaves the
 program: the one text writer ``TermMap.__repr__`` and the one JSON term
-writer ``TermMap._json_terms`` iterate ``sorted_items()``.
+writer ``TermMap._json_terms`` iterate ``sorted_items()``, and take the text
+of each coefficient from ``coefficient_text``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, itemgetter
 
@@ -52,6 +55,16 @@ def check_coefficient(coeff) -> None:
     Fraction (a float, a str, a bool): exact stays exact."""
     if type(coeff) is bool or not isinstance(coeff, SCALARS):
         raise ArgumentError(f"coefficient {coeff!r} is not an int or a Fraction")
+
+
+def coefficient_text(coeff) -> str:
+    """The text of one coefficient, for every text writer: past the
+    int-string limit, which ``cli.main`` lifts, a ``StructureError``."""
+    try:
+        return str(coeff)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise StructureError(f"coefficient past the int-string limit of {limit} digits") from None
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -98,13 +111,6 @@ def power_text(name: str, exps) -> list:
     ]
 
 
-def _adopt(cls, terms: dict, slots: tuple):
-    """The term map of class ``cls`` over ``terms`` and the values of its
-    other slots, adopted: what ``TermMap.__reduce__`` hands to copy and
-    pickle."""
-    return cls._from_kernel(terms, *slots)
-
-
 class Frozen:
     """Base of the library's values: each sets its slots through ``_freeze``
     (in ``__init__``, or a lazily built one on first use) and refuses every
@@ -146,15 +152,27 @@ class TermMap(Frozen):
     _sort_key = staticmethod(itemgetter(0))
 
     def __reduce__(self):
-        """Copy and pickle by adoption: the map and every other slot,
-        fields or not (``WeylTerms.laurent`` is no field), in the order of
-        ``_from_kernel``'s parameters."""
+        """Copy and pickle by adoption, through the class's ``_from_kernel``:
+        the map and every other slot, fields or not (``WeylTerms.laurent``
+        is no field), in the order of its parameters."""
         names = [n for klass in type(self).__mro__ for n in getattr(klass, "__slots__", ())]
         slots = tuple(getattr(self, n) for n in names if n != "terms")
-        return _adopt, (type(self), self.terms, slots)
+        return type(self)._from_kernel, (self.terms, *slots)
 
     def _context(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _checked_terms(self, terms, *context) -> dict:
+        """Outside input ``terms``, checked by the one loop over such input:
+        each coefficient by ``check_coefficient``, each key, also under a
+        zero coefficient, by ``_check_key(key, *context)``; zeros dropped."""
+        cleaned = {}
+        for key, coeff in (terms or {}).items():
+            check_coefficient(coeff)
+            self._check_key(key, *context)
+            if coeff:
+                cleaned[key] = coeff
+        return cleaned
 
     def _like(self, terms: dict, other=None):
         """A new element with the fields of self over ``terms``, the
@@ -186,21 +204,18 @@ class TermMap(Frozen):
         parts = []
         for mono, c in self.sorted_items():
             text = self._text(mono)
-            if not text:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(text)
-            elif c == -1:
-                parts.append(f"-{text}")
+            if text and c in (1, -1):
+                parts.append(text if c == 1 else f"-{text}")
             else:
-                parts.append(f"{c}*{text}")
+                coeff = coefficient_text(c)
+                parts.append(f"{coeff}*{text}" if text else coeff)
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def _json_terms(self, fields) -> list:
         """The JSON term records in canonical order: the dict
         ``fields(mono)`` followed by the exact coefficient as a string."""
         return [
-            {**fields(mono), "coeff": str(Fraction(c))}
+            {**fields(mono), "coeff": coefficient_text(c)}
             for mono, c in self.sorted_items()
         ]
 
@@ -370,7 +385,7 @@ class Poly(Frozen):
         for exps, c in sorted(self.terms.items()):
             factors = [f"a{s}^{e}" if e > 1 else f"a{s}" for s, e in enumerate(exps, 1) if e]
             if c != 1 or not factors:
-                factors.insert(0, str(c))
+                factors.insert(0, coefficient_text(c))
             parts.append("*".join(factors))
         return f"Poly({' + '.join(parts)})"
 

@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import StructureError
 from .indices import check_index
-from .terms import RankTerms, TermMap, accumulate, check_coefficient
+from .terms import RankTerms, TermMap, accumulate
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
 
@@ -150,22 +150,19 @@ class UglElement(RankTerms):
     _sort_key = staticmethod(_mono_sort)
 
     def __init__(self, rank: int, terms=None):
-        """Checks outside input: int or Fraction coefficients, and every
-        monomial, also under a zero coefficient: factors in range with
-        positive exponents, in canonical order."""
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                check_coefficient(coeff)
-                for (i, j), e in mono:
-                    if not (1 <= i <= rank and 1 <= j <= rank) or e <= 0:
-                        raise StructureError(f"bad PBW factor E[{i},{j}]^{e}")
-                keys = [_gen_key(g) for g, _ in mono]
-                if any(a >= b for a, b in zip(keys, keys[1:])):
-                    raise StructureError(f"monomial not in canonical order: {mono}")
-                if coeff:
-                    cleaned[tuple(mono)] = coeff
-        self._freeze(terms=cleaned, rank=rank)
+        """Checks outside input by ``_checked_terms`` and ``_check_key``."""
+        self._freeze(terms=self._checked_terms(terms, rank), rank=rank)
+
+    @staticmethod
+    def _check_key(mono, rank: int) -> None:
+        """The check of one PBW monomial of outside input: factors in range
+        with positive exponents, in canonical order."""
+        for (i, j), e in mono:
+            if not (1 <= i <= rank and 1 <= j <= rank) or e <= 0:
+                raise StructureError(f"bad PBW factor E[{i},{j}]^{e}")
+        keys = [_gen_key(g) for g, _ in mono]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise StructureError(f"monomial not in canonical order: {mono}")
 
     @classmethod
     def zero(cls, rank: int) -> UglElement:

@@ -29,7 +29,6 @@ class VectorField(WeylTerms):
                 )
         self._freeze(terms=element.terms, rank=element.rank, laurent=element.laurent)
 
-    _weyl = staticmethod(WeylElement._weyl)
     _text = staticmethod(WeylElement._text)
     _json_fields = staticmethod(WeylElement._json_fields)
 

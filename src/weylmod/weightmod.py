@@ -25,7 +25,7 @@ from math import lcm, prod
 from .errors import ArgumentError, DomainError, StructureError
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
-from .terms import Frozen, TermMap, _new, _set_terms, accumulate, check_coefficient
+from .terms import Frozen, TermMap, _new, _set_terms, accumulate
 from .vectorfields import VectorField, is_divergence_free
 from .weyl import _monomial_product
 
@@ -439,25 +439,24 @@ class FVector(TermMap):
     _fields = ("module_p", "module_m")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):
-        """Checks outside input: factors of one rank, int or Fraction
-        coefficients, and every key, also under a zero coefficient: of the
-        rank's length, in the support of P, with a basis index of M."""
+        """Checks outside input: factors of one rank, then the map by
+        ``_checked_terms``, each label by ``_check_key``."""
         if module_p.rank != module_m.rank:
             raise StructureError("rank mismatch between the two factors")
-        cleaned = {}
-        if terms:
-            for (key, midx), coeff in terms.items():
-                check_coefficient(coeff)
-                key = tuple(key)
-                if len(key) != module_p.rank:
-                    raise StructureError(f"key {key} has length {len(key)}, P has rank {module_p.rank}")
-                if not module_p.supports_key(key):
-                    raise StructureError(f"key {key} outside the support")
-                if not 0 <= midx < module_m.dim:
-                    raise StructureError(f"bad basis index {midx}")
-                if coeff:
-                    cleaned[(key, midx)] = coeff
+        cleaned = self._checked_terms(terms, module_p, module_m)
         self._freeze(terms=cleaned, module_p=module_p, module_m=module_m)
+
+    @staticmethod
+    def _check_key(label, module_p: WeightModuleP, module_m: SLModule) -> None:
+        """The check of one label (key, m-index) of outside input: a key of
+        the rank's length in the support of P, and a basis index of M."""
+        key, midx = label
+        if len(key) != module_p.rank:
+            raise StructureError(f"key {key} has length {len(key)}, P has rank {module_p.rank}")
+        if not module_p.supports_key(key):
+            raise StructureError(f"key {key} outside the support")
+        if not 0 <= midx < module_m.dim:
+            raise StructureError(f"bad basis index {midx}")
 
     @classmethod
     def _from_kernel(cls, terms: dict, module_p: WeightModuleP, module_m: SLModule):

@@ -80,9 +80,30 @@ def _monomial_product(m1, m2):
     ]
 
 
+def _check_key(mono, rank: int, laurent) -> bool:
+    """The check of one Weyl monomial (t_exp, d_exp) of outside input:
+    exponents of length rank, all ints, no negative d exponent, and no
+    negative t exponent in polynomial mode.  Returns the mode: ``laurent``,
+    or when it is None, whether some t exponent is negative."""
+    t_exp, d_exp = mono
+    if len(t_exp) != rank or len(d_exp) != rank:
+        raise StructureError("monomial rank does not match element rank")
+    check_integer_exponents(t_exp)
+    check_integer_exponents(d_exp)
+    if any(g < 0 for g in d_exp):
+        raise StructureError(f"negative derivative exponent in {d_exp}")
+    negative = any(b < 0 for b in t_exp)
+    if laurent is None:
+        return negative
+    if negative and not laurent:
+        raise StructureError(f"negative t exponent {t_exp} in polynomial mode")
+    return laurent
+
+
 class WeylTerms(TermMap):
     """Term map of a rank whose keys carry a Weyl monomial (tExp, dExp),
-    read off a key by ``_weyl``: the base of ``WeylElement`` and
+    read off by ``_weyl`` and checked by ``_check_key``, both of a bare
+    monomial unless overridden: the base of ``WeylElement`` and
     ``tensorop.TensorOperator``, which define ``_monomial_product`` (``*``
     and ``**`` are ``TermMap``'s), and of ``vectorfields.VectorField``,
     which only scales.
@@ -95,18 +116,17 @@ class WeylTerms(TermMap):
 
     _fields = ("rank",)
 
+    @staticmethod
+    def _weyl(key):
+        return key
+
+    _check_key = staticmethod(_check_key)
+
     def __init__(self, rank: int, terms=None, laurent: bool = False):
-        """Checks outside input: int or Fraction coefficients, and every
-        key, also under a zero coefficient, by ``_check_key``."""
+        """Checks outside input by ``_checked_terms`` and ``_check_key``."""
         # a None mode is polynomial here; to _check_key it means "read it off"
         laurent = bool(laurent)
-        cleaned = {}
-        if terms:
-            for key, coeff in terms.items():
-                check_coefficient(coeff)
-                _check_key(*self._weyl(key), rank, laurent)
-                if coeff:
-                    cleaned[key] = coeff
+        cleaned = self._checked_terms(terms, rank, laurent)
         self._freeze(terms=cleaned, rank=rank, laurent=laurent)
 
     @classmethod
@@ -150,32 +170,13 @@ _set_rank = WeylTerms.rank.__set__
 _set_laurent = WeylTerms.laurent.__set__
 
 
-def _check_key(t_exp, d_exp, rank: int, laurent) -> bool:
-    """The check of one Weyl monomial of outside input: exponents of
-    length rank, all ints, no negative d exponent, and no negative t
-    exponent in polynomial mode.  Returns the mode: ``laurent``, or when
-    it is None, whether some t exponent is negative."""
-    if len(t_exp) != rank or len(d_exp) != rank:
-        raise StructureError("monomial rank does not match element rank")
-    check_integer_exponents(t_exp)
-    check_integer_exponents(d_exp)
-    if any(g < 0 for g in d_exp):
-        raise StructureError(f"negative derivative exponent in {d_exp}")
-    negative = any(b < 0 for b in t_exp)
-    if laurent is None:
-        return negative
-    if negative and not laurent:
-        raise StructureError(f"negative t exponent {t_exp} in polynomial mode")
-    return laurent
-
-
 def _checked_monomial(cls, t_exp: tuple, d_exp: tuple, coeff, laurent):
     """coeff * t^t_exp d^d_exp as an element of the Weyl term map class
-    ``cls``: its coefficient and its one key checked as ``__init__`` checks
-    each, then adopted.  The mode, when ``laurent`` is None, is Laurent
-    exactly when some t exponent is negative."""
+    ``cls``: its coefficient and its one key checked as ``_checked_terms``
+    checks each, then adopted.  The mode, when ``laurent`` is None, is
+    Laurent exactly when some t exponent is negative."""
     check_coefficient(coeff)
-    laurent = _check_key(t_exp, d_exp, len(t_exp), laurent)
+    laurent = _check_key((t_exp, d_exp), len(t_exp), laurent)
     terms = {(t_exp, d_exp): coeff} if coeff else {}
     return cls._from_kernel(terms, rank=len(t_exp), laurent=laurent)
 
@@ -192,10 +193,6 @@ class WeylElement(WeylTerms):
     # perfbench's tracer wraps these two in each class's own namespace
     __init__ = WeylTerms.__init__
     __mul__ = TermMap.__mul__
-
-    @staticmethod
-    def _weyl(key):
-        return key
 
     _monomial_product = staticmethod(_monomial_product)
 

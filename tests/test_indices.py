@@ -9,6 +9,7 @@ from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import (
     TruncationBox,
     check_index,
+    check_integer_exponents,
     falling,
     mi_add,
     mi_geq,
@@ -16,7 +17,8 @@ from weylmod.indices import (
 )
 from weylmod.tensorop import cubic_identity_residual, cubic_m_product, special_operator
 from weylmod.ugl import E
-from weylmod.vectorfields import L_op
+from weylmod.vectorfields import L_op, monomial_field
+from weylmod.weyl import WeylElement
 
 
 def test_scalar_exactness():
@@ -65,6 +67,24 @@ def test_indices_must_be_ints():
         with pytest.raises(ArgumentError) as info:
             fn(*args)
         assert str(info.value) == message, (fn.__name__, args)
+
+
+def test_exponents_must_be_ints_not_bools():
+    # a bool is an int, so an exponent True was accepted and kept in the
+    # key (monomial_field((True, 0), 1) wrote "true" in its JSON); it is
+    # refused as check_index and check_coefficient refuse a bool
+    cases = [
+        (check_integer_exponents, ((True, 0),), "exponent True in (True, 0) is not an integer"),
+        (monomial_field, ((True, 0), 1), "exponent True in (True, 0) is not an integer"),
+        (WeylElement, (2, {((True, 0), (0, 0)): 1}), "exponent True in (True, 0) is not an integer"),
+        (WeylElement, (2, {((0, 0), (0, False)): 0}), "exponent False in (0, False) is not an integer"),
+        (L_op, (1, 2, (False, 0)), "exponent False in (False, 0) is not an integer"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ArgumentError) as info:
+            fn(*args)
+        assert str(info.value) == message, (fn.__name__, args)
+    check_integer_exponents((0, -3, 2))
 
 
 def test_mi_add_rank_mismatch():

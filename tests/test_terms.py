@@ -3,16 +3,19 @@ with their reference paths, and reports keep their bytes."""
 
 import ast
 import copy
+import inspect
 import importlib
 import itertools
 import pickle
 import pkgutil
 import random
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from math import prod
 from pathlib import Path
+from textwrap import dedent
 from unittest import mock
 
 import oracles
@@ -251,38 +254,105 @@ def test_adopted_elements_equal_checked_ones(case):
     assert set(fields) >= set(cls._fields) and "terms" in slots
 
 
-def test_outside_input_is_exact_and_checked_under_zero_coefficients():
-    # a float, str or bool coefficient is refused by every constructor of
-    # outside input, which also checks a key whose coefficient is 0; all
-    # of these were accepted
+# a PBW monomial that U(gl_2) refuses, with the refusal: a factor out of
+# range, an exponent of 0, and two factors out of canonical order
+BAD_PBW = {
+    "out-of-range": ((((3, 1), 1),), "bad PBW factor E[3,1]^1"),
+    "zero-exponent": ((((1, 2), 0),), "bad PBW factor E[1,2]^0"),
+    "non-canonical": (
+        (((1, 2), 1), ((2, 1), 1)),
+        "monomial not in canonical order: (((1, 2), 1), ((2, 1), 1))",
+    ),
+}
+
+
+def checked_constructors():
+    """Per constructor of outside input: build(key, c), the element c * key
+    at rank 2, a valid key, and (malformed key, error) pairs."""
     P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 1)
     z = (0, 0)
-    weyl_key, pbw_key, vector_key = (z, z), (((1, 2), 1),), (z, 0)
-    builders = [
-        lambda c: monomial_field((1, 0), 1, c),
-        lambda c: WeylElement.monomial((1, 0), z, c),
-        lambda c: WeylElement(2, {weyl_key: c}),
-        lambda c: TensorOperator(2, {(weyl_key, pbw_key): c}),
-        lambda c: UglElement(2, {pbw_key: c}),
-        lambda c: FVector(P, M, {vector_key: c}),
+    weyl, pbw = (z, z), (((1, 2), 1),)
+    bad_weyl = [
+        ((z, (0, -1)), StructureError),
+        (((-1, 0), z), StructureError),
+        (((0.5, 0), z), ArgumentError),
+        (((True, 0), z), ArgumentError),
+        ((z, (0,)), StructureError),
     ]
-    for build, c in itertools.product(builders, (0.5, "x", True, False)):
+    bad_pbw = [(mono, StructureError) for mono, _ in BAD_PBW.values()]
+    return {
+        "WeylElement": (lambda key, c: WeylElement(2, {key: c}), weyl, bad_weyl),
+        "WeylElement.monomial": (
+            lambda key, c: WeylElement.monomial(*key, c, laurent=False), weyl, bad_weyl,
+        ),
+        "monomial_field": (
+            lambda t_exp, c: monomial_field(t_exp, 1, c, laurent=False),
+            (1, 0),
+            [((-1, 0), StructureError), ((0.5, 0), ArgumentError), ((True, 0), ArgumentError)],
+        ),
+        "TensorOperator": (
+            lambda key, c: TensorOperator(2, {key: c}),
+            (weyl, pbw),
+            [((w, pbw), error) for w, error in bad_weyl] + [((weyl, p), e) for p, e in bad_pbw],
+        ),
+        "UglElement": (lambda key, c: UglElement(2, {key: c}), pbw, bad_pbw),
+        "FVector": (
+            lambda key, c: FVector(P, M, {key: c}),
+            (z, 0),
+            [(((-1, 0), 0), StructureError), ((z, 2), StructureError),
+             (((0, 0, 0), 0), StructureError)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(checked_constructors()))
+def test_checked_constructors_are_exact_and_check_keys_under_zero(name):
+    # every constructor of outside input refuses a float, str or bool
+    # coefficient, and checks every key, also one whose coefficient is 0
+    build, key, bad_keys = checked_constructors()[name]
+    for c in (0.5, "x", True, False):
         with pytest.raises(ArgumentError, match=f"^coefficient {c!r} is not an int or a Fraction$"):
-            build(c)
-    for build in builders:
-        assert build(0).is_zero() and build(Fraction(-3, 2)) == Fraction(-3, 2) * build(1)
-    bad_keys = [
-        (lambda: monomial_field((0.5, 0), 1, 0), ArgumentError),
-        (lambda: WeylElement.monomial((-1, 0), z, 0, laurent=False), StructureError),
-        (lambda: WeylElement(2, {((0, 0), (0, -1)): 0}), StructureError),
-        (lambda: TensorOperator(2, {(((0.5, 0), z), pbw_key): 0}), ArgumentError),
-        (lambda: UglElement(2, {(((1, 2), 1), ((2, 1), 1)): 0}), StructureError),
-        (lambda: FVector(P, M, {((-1, 0), 0): 0}), StructureError),
-        (lambda: FVector(P, M, {(z, 2): Fraction(0)}), StructureError),
-    ]
-    for build, error in bad_keys:
+            build(key, c)
+    assert build(key, 0).is_zero() and build(key, Fraction(-3, 2)) == Fraction(-3, 2) * build(key, 1)
+    for (bad, error), c in itertools.product(bad_keys, (0, 1)):
         with pytest.raises(error):
-            build()
+            build(bad, c)
+
+
+@pytest.mark.parametrize("case", list(BAD_PBW))
+def test_tensor_operators_refuse_every_pbw_half_that_ugl_refuses(case):
+    # a tensor-operator key was checked on its Weyl half only, so each of
+    # these was accepted (E[3,1] printed at rank 2); its PBW half now gets
+    # UglElement's check, with the same refusal
+    mono, message = BAD_PBW[case]
+    z = (0, 0)
+    builds = [lambda c: UglElement(2, {mono: c}), lambda c: TensorOperator(2, {((z, z), mono): c})]
+    for build, c in itertools.product(builds, (0, 1)):
+        with pytest.raises(StructureError) as info:
+            build(c)
+        assert type(info.value) is StructureError and str(info.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_text_writers_name_the_int_string_limit():
+    # outside cli.main, which lifts the limit, str and to_json_obj raised a
+    # bare ValueError on a coefficient past it; the one coefficient writer
+    # raises a StructureError that names the limit, as tokenize does
+    limit = sys.get_int_max_str_digits()
+    texts = ["2^20000*t[1]", "2^20000 + t[1]", "2^20000*E[1,1]", "2^20000*t[1] (x) E[1,1]"]
+    values = [parse_expr(text, 1) for text in texts]
+    sys.set_int_max_str_digits(4300)
+    try:
+        for value, write in itertools.product(values, (str, lambda v: v.to_json_obj())):
+            with pytest.raises(StructureError) as info:
+                write(value)
+            assert str(info.value) == "coefficient past the int-string limit of 4300 digits"
+        sys.set_int_max_str_digits(0)
+        digits = str(2**20000)
+        assert str(values[0]) == f"{digits}*t[1]" and str(values[1]) == f"{digits} + t[1]"
+        assert values[2].to_json_obj()["terms"][0]["coeff"] == digits
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_generators_check_their_index():
@@ -460,6 +530,42 @@ def test_every_product_of_two_term_maps_goes_through_pair_terms():
         if "_product_terms" in {getattr(node, a, None) for a in ("name", "id", "attr")}
     ]
     assert defined == []
+
+
+def name_users(source: str, name: str) -> list:
+    """The innermost enclosing function of every use of ``name`` in the
+    source, a call or any other read (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if name in {getattr(node, "id", None), getattr(node, "attr", None)}:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_outside_input_goes_through_one_loop():
+    # check_coefficient is used by the one loop over outside input and by
+    # the one-monomial path only, and no checked constructor has a loop of
+    # its own: each hands its map to that loop, which checks each key by the
+    # class's _check_key
+    source = "def f():\n    def g():\n        check(1)\n    return check\ncheck(2)\n"
+    assert name_users(source, "check") == ["g", "f", None]
+    users = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner in name_users(path.read_text(), "check_coefficient")
+    ]
+    assert users == [("terms.py", "_checked_terms"), ("weyl.py", "_checked_monomial")]
+    for init in (WeylTerms.__init__, UglElement.__init__, FVector.__init__):
+        tree = ast.parse(dedent(inspect.getsource(init)))
+        loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert loops == [] and "'_checked_terms'" in ast.dump(tree), init.__qualname__
 
 
 def evidence_seeds(P, box):
