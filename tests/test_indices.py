@@ -73,12 +73,14 @@ def test_exponents_must_be_ints_not_bools():
     # a bool is an int, so an exponent True was accepted and kept in the
     # key (monomial_field((True, 0), 1) wrote "true" in its JSON); it is
     # refused as check_index and check_coefficient refuse a bool
+    true = "exponent True in (True, 0) is not an integer"
+    false = "exponent False in (0, False) is not an integer"
     cases = [
-        (check_integer_exponents, ((True, 0),), "exponent True in (True, 0) is not an integer"),
-        (monomial_field, ((True, 0), 1), "exponent True in (True, 0) is not an integer"),
-        (WeylElement, (2, {((True, 0), (0, 0)): 1}), "exponent True in (True, 0) is not an integer"),
-        (WeylElement, (2, {((0, 0), (0, False)): 0}), "exponent False in (0, False) is not an integer"),
-        (L_op, (1, 2, (False, 0)), "exponent False in (False, 0) is not an integer"),
+        (check_integer_exponents, ((True, 0),), true),
+        (monomial_field, ((True, 0), 1), true),
+        (WeylElement, (2, {((True, 0), (0, 0)): 1}), true),
+        (WeylElement, (2, {((0, 0), (0, False)): 0}), false),
+        (L_op, (1, 2, (0, False)), false),
     ]
     for fn, args, message in cases:
         with pytest.raises(ArgumentError) as info:
