@@ -21,12 +21,12 @@ never evaluated.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ArgumentError
 from .indices import TruncationBox, mi_unit, mi_zero
 from .linalg import RowBasis, kernel
+from .memo import bounded
 from .terms import Frozen, Poly, accumulate
 from .tensorop import (
     _evaluated,
@@ -60,7 +60,7 @@ def wedge_degree(M: SLModule) -> int:
     return r
 
 
-@lru_cache(maxsize=16)
+@bounded(16)
 def _derham_table(n: int, r: int):
     """The de Rham map from degree r as an ``weightmod._action_table`` term
     map: one entry ((0, e_l), (source label, target label)): sign per
@@ -79,7 +79,7 @@ def _derham_table(n: int, r: int):
     return table
 
 
-@lru_cache(maxsize=32)
+@bounded(32)
 def _derham_rows(P: WeightModuleP, r: int):
     """The integer rows of ``_derham_table(n, r)`` on P and their common
     denominator, built once per (P, r) and shared by every caller: treat
@@ -108,7 +108,7 @@ def ambient_labels(P: WeightModuleP, M: SLModule, weight):
     return tuple((key, midx) for midx, key in enumerate(keys) if P.supports_key(key))
 
 
-@lru_cache(maxsize=8)
+@bounded(8)
 def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
     """(labels, slots) of F(P, M) over the weights of the box: ``labels[w]``
     is the tuple of basis labels (key, m-index) at weight w and
@@ -211,7 +211,7 @@ class GradedSubspace(Frozen):
         }
 
 
-@lru_cache(maxsize=4)
+@bounded(4)
 def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     """Echelonized span of the de Rham images inside degree r, with a block
     at every window weight; memoised per (P, r, box).
@@ -239,7 +239,7 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     return GradedSubspace(P, M, box, blocks)
 
 
-@lru_cache(maxsize=4)
+@bounded(4)
 def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     """Kernel of the degree-r de Rham map, weight block by weight block,
     with a block at every window weight; memoised per (P, r, box).
@@ -262,7 +262,7 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     return GradedSubspace(P, M, box, blocks)
 
 
-@lru_cache(maxsize=4)
+@bounded(4)
 def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     """Span of the images of the plain derivative operators inside P, with
     a block at every window weight; memoised per (P, box).  Each weight
@@ -332,7 +332,7 @@ def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
     }
 
 
-@lru_cache(maxsize=64)
+@bounded(64)
 def _lemma_template(check: str, n: int, i: int, r: int):
     """The action table of a lemma's operator on F(P, wedge^r) over a
     symbolic alpha, built once per (check, n, i, r) by the library's own
@@ -355,7 +355,7 @@ def _lemma_template(check: str, n: int, i: int, r: int):
     return _template(compose(table, _derham_table(n, r - 1)), alpha)
 
 
-@lru_cache(maxsize=128)
+@bounded(128)
 def _equivariance_template(n: int, i: int, r: int):
     """pi o iota(X) - iota(X) o pi on F(P, wedge^r) for X = t^a d_i over a
     symbolic a, built once per (n, i, r) by the library's own kernels on
@@ -449,7 +449,7 @@ def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: Trunc
     return _verify_lemma("h-annihilates", alpha, i, P, r, key_box)
 
 
-@lru_cache(maxsize=64)
+@bounded(64)
 def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: bool):
     """(sources, count): the basis vectors of F(P, wedge^r) over the keys of
     the box that P supports, as (key, midxs) pairs, listed once per

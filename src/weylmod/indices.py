@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from operator import le
 from typing import Iterator
 
 from .errors import ArgumentError, StructureError
+from .memo import bounded
 from .terms import Frozen
 
 Scalar = Fraction
@@ -31,19 +31,19 @@ def mi_zero(n: int) -> MultiIndex:
     return (0,) * n
 
 
-@lru_cache(maxsize=16)
+@bounded(16)
 def mi_units(n: int) -> tuple:
     """The unit vectors (e_1, ..., e_n), built once per rank."""
     return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
-def check_index(i, hi: int) -> None:
-    """Refuse an index that is not an int in 1..hi.  A bool, float or
+def check_index(i, hi: int, lo: int = 1) -> None:
+    """Refuse an index that is not an int in lo..hi.  A bool, float or
     Fraction is refused even when it equals an int in range."""
     if isinstance(i, bool) or not isinstance(i, int):
         raise ArgumentError(f"index {i!r} is not an integer")
-    if not 1 <= i <= hi:
-        raise ArgumentError(f"index {i} out of range 1..{hi}")
+    if not lo <= i <= hi:
+        raise ArgumentError(f"index {i} out of range {lo}..{hi}")
 
 
 def mi_unit(i: int, n: int) -> MultiIndex:

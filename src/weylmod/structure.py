@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from operator import add, sub
 
 from .errors import ArgumentError, StructureError
@@ -23,6 +23,7 @@ from .derham import (
 )
 from .indices import TruncationBox
 from .linalg import RowBasis, clear_denominators
+from .memo import bounded
 from .tensorop import shen_iota
 from .vectorfields import L_op, VectorField, is_divergence_free
 from .weightmod import (
@@ -97,7 +98,7 @@ class GeneratorSet:
         return _default_generators(n, cap)
 
 
-@lru_cache(maxsize=8)
+@bounded(8)
 def _default_generators(n: int, cap: int) -> GeneratorSet:
     members = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -111,7 +112,7 @@ def _default_generators(n: int, cap: int) -> GeneratorSet:
     return GeneratorSet(members)
 
 
-@lru_cache(maxsize=4096)
+@bounded(4096)
 def _member_rows(member: Generator, module_p: WeightModuleP, module_m: SLModule):
     """The integer rows of the member's ``shen_iota`` on F(P, M) and their
     common denominator (``weightmod._integer_rows``), shared: treat them as
@@ -175,7 +176,7 @@ class ClosureEngine:
         return cols
 
 
-@lru_cache(maxsize=16)
+@bounded(16)
 def _move_lists(shifts: tuple, box: TruncationBox):
     """The move table of the generator shifts on the box, shared by every
     engine over them: weight -> (moves, inward), filled on first read
@@ -197,7 +198,7 @@ def _moves_at(shifts, box, w):
     return inward + outward, len(inward)
 
 
-@lru_cache(maxsize=1)
+@bounded(1)
 def _engine(module_p, module_m, gens, box, mod=None) -> ClosureEngine:
     """The closure engine of (P, M, gens, box, mod), shared by every
     closure over those inputs and by evidence_simplicity.  Its tables, move

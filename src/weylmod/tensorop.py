@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 
@@ -35,6 +35,7 @@ from .indices import (
     mi_units,
     mi_zero,
 )
+from .memo import bounded
 from .terms import SCALARS, Poly, TermMap, accumulate, pair_terms
 from .ugl import UglElement, pbw_json, pbw_product, pbw_text
 from .vectorfields import VectorField, _L_terms, bracket, check_L_args
@@ -156,7 +157,7 @@ def iota_hom_residual(x: VectorField, y: VectorField) -> TensorOperator:
     return TensorOperator._from_kernel(terms, rank=n, laurent=laurent)
 
 
-@lru_cache(maxsize=16)
+@bounded(16)
 def _iota_live(n: int) -> dict:
     """The iota templates of rank n that have rows, as {(i, j): template},
     built once per rank from ``_iota_template`` over all n^2 pairs and
@@ -167,16 +168,13 @@ def _iota_live(n: int) -> dict:
     return {pair: template for pair, template in templates.items() if template[1]}
 
 
-@lru_cache(maxsize=256)
 def _iota_template(n: int, i: int, j: int):
     """The residual iota([x, y]) + iota(y) iota(x) - iota(x) iota(y) of
-    x = t^a d_i and y = t^b d_j over symbolic exponents, built once by the
-    library's own kernels: ``bracket``, ``shen_iota`` and
-    ``_operator_product`` in both orders, on the 2n symbols (a, b) of
-    ``terms.Poly``, with ``_d_on_t`` over a symbolic beta.  Returns
-    ``_template`` of the residual over the base a + b: zero rows when iota
-    is a homomorphism.
-    """
+    x = t^a d_i and y = t^b d_j over symbolic exponents, by ``bracket``,
+    ``shen_iota`` and ``_operator_product`` in both orders on the 2n symbols
+    (a, b) of ``terms.Poly``, with ``_d_on_t`` over a symbolic beta.  Returns
+    ``_template`` of the residual over the base a + b (zero rows when iota
+    is a homomorphism); not memoised, as ``_iota_live`` keeps what is read."""
     symbols = Poly.symbols(2 * n)
     a, b = symbols[:n], symbols[n:]
     x = _symbolic_field(n, {(a, mi_unit(i, n)): 1})
@@ -456,13 +454,13 @@ def _at(template, alpha) -> TensorOperator:
     return TensorOperator._from_kernel(terms, rank=len(alpha), laurent=True)
 
 
-@lru_cache(maxsize=256)
+@bounded(256)
 def _node_template(kind: str, n: int, i: int, j: int, m: int):
     """``_template`` of the node product of (kind, n, i, j) at m over alpha."""
     return _template(_at_node(_node_terms(kind, n, i, j), m), Poly.symbols(n + 1)[:n])
 
 
-@lru_cache(maxsize=64)
+@bounded(64)
 def _node_terms(kind: str, n: int, i: int, j: int) -> dict:
     """The node product of (kind, n, i, j) over the n + 1 symbols of
     ``terms.Poly``, alpha and the node m last, built by ``shen_iota`` and
@@ -504,7 +502,7 @@ def _at_node(product: dict, m: int) -> dict:
     )
 
 
-@lru_cache(maxsize=64)
+@bounded(64)
 def _residual_template(kind: str, n: int, i: int, j: int):
     """The cubic (kind "cubic", indices i, j) or quartic (kind "quartic",
     j = i + 2) identity over a symbolic alpha, as (``_template`` of its
@@ -667,7 +665,7 @@ def quartic_identity_residual(alpha, i: int) -> TensorOperator:
     return _at(_residual_template("quartic", len(alpha), i, i + 2)[0], alpha)
 
 
-@lru_cache(maxsize=64)
+@bounded(64)
 def _interpolation_rows(nodes: tuple):
     """The rows of ``interpolation_matrix(nodes)``, each as its integer
     numerators over its common denominator, with their compiled evaluator:

@@ -16,11 +16,11 @@ first.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
+from math import comb, inf
 
-from .errors import StructureError
+from .errors import ArgumentError, StructureError
 from .indices import check_index
+from .memo import bounded, register
 from .terms import RankTerms, TermMap, accumulate
 
 # monomials are tuples of ((i, j), exponent) pairs in canonical order
@@ -33,7 +33,7 @@ def _gen_key(g):
 
 
 # (matrix unit, normal monomial) -> {normal monomial: integer coefficient}
-_NORMAL_CACHE: dict = {}
+_NORMAL_CACHE: dict = register(f"{__name__}._NORMAL_CACHE", {})
 _NORMAL_CACHE_SIZE = 8192
 
 
@@ -113,7 +113,7 @@ def _left_mul_all(g, e, combo):
     return out
 
 
-@lru_cache(maxsize=4096)
+@bounded(4096)
 def pbw_product(m1, m2):
     """The product of two PBW monomials as a tuple of (normal monomial,
     integer coeff) pairs, read from a bounded memo: the powers of m1 are
@@ -155,11 +155,15 @@ class UglElement(RankTerms):
 
     @staticmethod
     def _check_key(mono, rank: int) -> None:
-        """The check of one PBW monomial of outside input: factors in range
-        with positive exponents, in canonical order."""
+        """The check of one PBW monomial of outside input: int indices in
+        range and int exponents >= 1 by ``check_index``, in canonical order."""
         for (i, j), e in mono:
-            if not (1 <= i <= rank and 1 <= j <= rank) or e <= 0:
-                raise StructureError(f"bad PBW factor E[{i},{j}]^{e}")
+            try:
+                check_index(i, rank)
+                check_index(j, rank)
+                check_index(e, inf)
+            except ArgumentError as error:
+                raise StructureError(f"bad PBW factor E[{i},{j}]^{e}") from error
         keys = [_gen_key(g) for g, _ in mono]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise StructureError(f"monomial not in canonical order: {mono}")

@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .errors import ArgumentError, DomainError, StructureError
+from .indices import check_index, check_integer_exponents
 from .linalg import RowBasis
 from .tensorop import TensorOperator, shen_iota
 from .terms import Frozen, TermMap, _new, _set_terms, accumulate
@@ -253,9 +254,9 @@ class SLModule(Frozen):
 def make_wedge_module(n: int, r: int) -> SLModule:
     """The r-th exterior power of the natural module, with I acting as r.
 
-    Cached so the same (n, r) always yields the same instance; vectors over
-    the same exterior power then compare by module identity.  Treat the
-    returned module as read-only.
+    Cached without bound and outside ``weylmod.memo``, never cleared: the
+    same (n, r) always yields the same instance, and vectors over an
+    exterior power compare by module identity.  Treat it as read-only.
     """
     if not 0 <= r <= n:
         raise ArgumentError(f"wedge degree {r} out of range 0..{n}")
@@ -448,15 +449,18 @@ class FVector(TermMap):
 
     @staticmethod
     def _check_key(label, module_p: WeightModuleP, module_m: SLModule) -> None:
-        """The check of one label (key, m-index) of outside input: a key of
-        the rank's length in the support of P, and a basis index of M."""
+        """The check of one label (key, m-index) of outside input: an int key
+        of the rank's length in the support of P, and an int basis index of M."""
         key, midx = label
         if len(key) != module_p.rank:
             raise StructureError(f"key {key} has length {len(key)}, P has rank {module_p.rank}")
+        check_integer_exponents(key)
         if not module_p.supports_key(key):
             raise StructureError(f"key {key} outside the support")
-        if not 0 <= midx < module_m.dim:
-            raise StructureError(f"bad basis index {midx}")
+        try:
+            check_index(midx, module_m.dim - 1, lo=0)
+        except ArgumentError as error:
+            raise StructureError(f"bad basis index {midx}") from error
 
     @classmethod
     def _from_kernel(cls, terms: dict, module_p: WeightModuleP, module_m: SLModule):

@@ -10,12 +10,12 @@ operation allocates a fresh element, so sharing across threads is safe.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 from operator import add, sub
 
 from .errors import DomainError, StructureError
 from .indices import check_integer_exponents, falling, mi_unit, mi_zero
+from .memo import bounded
 from .terms import Poly, TermMap, _new, _set_terms, accumulate, check_coefficient, power_text
 
 
@@ -37,7 +37,7 @@ def _d_on_t(gamma, beta):
     return _normal_order_table(gamma, beta)
 
 
-@lru_cache(maxsize=4096)
+@bounded(4096)
 def _normal_order_table(gamma, beta):
     """The (coeff, k) expansion of d^gamma t^beta for gamma != 0.
 
@@ -54,7 +54,7 @@ def _normal_order_table(gamma, beta):
     return tuple(out)
 
 
-@lru_cache(maxsize=512)
+@bounded(512)
 def _coord_choices(g, b):
     """The (k, comb(g, k) * falling(b, k)) pairs of d^g t^b in one
     coordinate, zeros left out.  A ``Poly`` b keeps every k <= g: its

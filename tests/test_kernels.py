@@ -18,8 +18,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from test_memo import clear_memos
-from weylmod import tensorop
+from weylmod import memo, tensorop
 from weylmod.tensorop import CUBIC_NODES, QUARTIC_NODES, interpolation_matrix
 from weylmod.terms import Poly
 
@@ -35,13 +34,13 @@ def _compiled_sources():
         sources.append("\n".join(lines))
         return honest(lines, constants, name)
 
-    clear_memos()
+    memo.clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tensorop, "_kernel", recording)
             yield sources
     finally:
-        clear_memos()
+        memo.clear()
 
 
 def _only_int_literals(source):

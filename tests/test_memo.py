@@ -1,13 +1,18 @@
 """The per-profile memos: bounded, keyed by every input they depend on, and
 invisible in every report."""
 
+import ast
+import contextlib
 import copy
+import functools
 import gc
+import importlib
+import io
 import pickle
-import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -15,7 +20,7 @@ import pytest
 import weylmod  # the package import loads every library module
 from test_derham import LEMMA_PROFILES
 from test_structure import PRUNING_CASES
-from weylmod import derham, structure, suites, ugl, weightmod
+from weylmod import cli, derham, memo, structure, suites, tensorop, ugl, weightmod
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.derham import (
     GradedSubspace,
@@ -32,74 +37,111 @@ from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inv
 from weylmod.tensorop import TensorOperator
 from weylmod.weightmod import Factor, FVector, SLModule, WeightModuleP, make_wedge_module
 
-# the one memo that must keep every entry: vectors over an exterior power
-# compare their module by identity
-IDENTITY_MEMO = "weylmod.weightmod.make_wedge_module"
+SRC = Path(weylmod.__file__).parent
 
-
-def _memos():
-    """Every ``functools.lru_cache`` memo of the library, by qualified name:
-    module-level functions and the methods of its classes."""
-    found = {}
-    for name, module in sorted(sys.modules.items()):
-        if module is None or not (name == "weylmod" or name.startswith("weylmod.")):
-            continue
-        for obj in list(vars(module).values()):
-            candidates = [obj]
-            if isinstance(obj, type) and obj.__module__ == name:
-                candidates = [getattr(v, "__func__", v) for v in vars(obj).values()]
-            for c in candidates:
-                if hasattr(c, "cache_info") and getattr(c, "__module__", None) == name:
-                    found[f"{name}.{c.__qualname__}"] = c
-    return found
-
-
-def clear_memos():
-    for name, memo in _memos().items():
-        if name != IDENTITY_MEMO:
-            memo.cache_clear()
-    ugl._NORMAL_CACHE.clear()
+# every registered memo at its size
+SIZES = {
+    "weylmod.indices.mi_units": 16,
+    "weylmod.weyl._normal_order_table": 4096,
+    "weylmod.weyl._coord_choices": 512,
+    "weylmod.ugl.pbw_product": 4096,
+    "weylmod.ugl._NORMAL_CACHE": ugl._NORMAL_CACHE_SIZE,
+    "weylmod.tensorop._iota_live": 16,
+    "weylmod.tensorop._node_template": 256,
+    "weylmod.tensorop._node_terms": 64,
+    "weylmod.tensorop._residual_template": 64,
+    "weylmod.tensorop._interpolation_rows": 64,
+    "weylmod.derham._derham_table": 16,
+    "weylmod.derham._derham_rows": 32,
+    "weylmod.derham._window": 8,
+    "weylmod.derham.pi_image": 4,
+    "weylmod.derham.pi_kernel": 4,
+    "weylmod.derham.partial_span": 4,
+    "weylmod.derham._lemma_sources": 64,
+    "weylmod.derham._lemma_template": 64,
+    "weylmod.derham._equivariance_template": 128,
+    "weylmod.structure._default_generators": 8,
+    "weylmod.structure._member_rows": 4096,
+    "weylmod.structure._move_lists": 16,
+    "weylmod.structure._engine": 1,
+}
 
 
 def test_every_memo_is_bounded():
-    memos = _memos()
-    for name in (
-        "weylmod.indices.mi_units",
-        "weylmod.derham._derham_table",
-        "weylmod.derham._derham_rows",
-        "weylmod.derham._window",
-        "weylmod.derham.pi_image",
-        "weylmod.derham.pi_kernel",
-        "weylmod.derham.partial_span",
-        "weylmod.derham._lemma_sources",
-        "weylmod.derham._lemma_template",
-        "weylmod.derham._equivariance_template",
-        "weylmod.structure._default_generators",
-        "weylmod.structure._engine",
-        "weylmod.structure._member_rows",
-        "weylmod.structure._move_lists",
-        "weylmod.tensorop._node_terms",
-        "weylmod.tensorop._node_template",
-        "weylmod.tensorop._iota_template",
-        "weylmod.tensorop._iota_live",
-        "weylmod.tensorop._residual_template",
-        IDENTITY_MEMO,
-    ):
-        assert name in memos, name
-    unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
-    assert unbounded == [IDENTITY_MEMO]
+    assert sorted(memo._MEMOS) == sorted(SIZES)
+    for name, cached in memo._MEMOS.items():
+        # the module calls the very object that is registered
+        module, _, attr = name.rpartition(".")
+        assert getattr(importlib.import_module(module), attr) is cached, name
+        if name == "weylmod.ugl._NORMAL_CACHE":
+            assert type(cached) is dict
+            continue
+        # a bare lru_cache at its size, with no layer around it
+        assert type(cached) is functools._lru_cache_wrapper, name
+        assert cached.cache_parameters()["maxsize"] == SIZES[name], name
+        assert not hasattr(cached.__wrapped__, "cache_info"), name
     # one memo holds the 46 residual templates of n <= 5, and one the 46
     # node products they are read off
     for name in ("_residual_template", "_node_terms"):
-        assert memos[f"weylmod.tensorop.{name}"].cache_parameters()["maxsize"] >= 46
+        assert SIZES[f"weylmod.tensorop.{name}"] >= 46
     # one the 60 lemma templates of n <= 6, and one the 90 equivariance
     # templates
-    assert memos["weylmod.derham._lemma_template"].cache_parameters()["maxsize"] >= 60
-    assert memos["weylmod.derham._equivariance_template"].cache_parameters()["maxsize"] >= 90
+    assert SIZES["weylmod.derham._lemma_template"] >= 60
+    assert SIZES["weylmod.derham._equivariance_template"] >= 90
     # and one the rows of the 192 members at n = 4 on 3 profiles x 4 wedges
-    rows = memos["weylmod.structure._member_rows"]
-    assert rows.cache_parameters()["maxsize"] >= 192 * 3 * 4
-    assert make_wedge_module(3, 1) is make_wedge_module(3, 1)
+    assert SIZES["weylmod.structure._member_rows"] >= 192 * 3 * 4
+    # the iota pair templates are read through the live table of their rank
+    assert not hasattr(tensorop._iota_template, "cache_info")
+
+
+def test_lru_cache_is_used_by_the_registry_and_the_wedge_memo_only():
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and "lru_cache" in (
+                getattr(node, "id", None), getattr(node, "attr", None)
+            ):
+                users.setdefault(path.name, []).append(node.lineno)
+    assert sorted(users) == ["memo.py", "weightmod.py"]
+    assert len(users["weightmod.py"]) == 1
+    # the one bare lru_cache decorates make_wedge_module, unbounded
+    (wedge,) = [node for node in ast.walk(ast.parse((SRC / "weightmod.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.decorator_list
+                and "lru_cache" in ast.unparse(node.decorator_list[0])]
+    assert wedge.name == "make_wedge_module"
+    assert make_wedge_module.cache_parameters()["maxsize"] is None
+    assert "weylmod.weightmod.make_wedge_module" not in {name for name, *_ in memo.stats()}
+
+
+def test_clearing_keeps_the_exterior_powers():
+    # vectors over an exterior power compare their module by identity
+    wedge = make_wedge_module(3, 1)
+    memo.clear()
+    assert make_wedge_module(3, 1) is wedge
+    assert all(entries == 0 for _, entries, *_ in memo.stats())
+
+
+def test_stats_repeat_after_clearing():
+    # every verdict of verify all is read off memos; cleared between two
+    # runs in one process, the second fills them exactly as the first did
+    def run():
+        memo.clear()
+        out = io.StringIO()
+        for n in (2, 3, 4):
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["verify", "all", "--n", str(n)]) == 0
+        return out.getvalue(), memo.stats()
+
+    first, second = run(), run()
+    assert first == second
+    stats = first[1]
+    assert [name for name, *_ in stats] == sorted(SIZES)
+    assert sum(entries for _, entries, *_ in stats) > 0
+    for name, entries, hits, misses in stats:
+        if name == "weylmod.ugl._NORMAL_CACHE":
+            assert (hits, misses) == (None, None)
+        else:
+            assert entries <= misses, name
 
 
 def test_the_straightening_memo_is_bounded():
@@ -107,13 +149,13 @@ def test_the_straightening_memo_is_bounded():
     # by (matrix unit, normal monomial): E12^20 E21^20 meets more distinct
     # left products than it holds, and the oldest are evicted
     size = ugl._NORMAL_CACHE_SIZE
-    clear_memos()
+    memo.clear()
     product = ugl.pbw_product((((1, 2), 20),), (((2, 1), 20),))
     assert len(product) == 1770
     assert len(ugl._NORMAL_CACHE) == size
     for g, mono in ugl._NORMAL_CACHE:
         assert len(g) == 2 and ugl.UglElement(2, {mono: 1}).terms == {mono: 1}
-    clear_memos()
+    memo.clear()
     assert not ugl._NORMAL_CACHE
 
 
@@ -137,7 +179,7 @@ def _cold_and_warm(calls):
     once (so each is served by warm memos, from itself or its neighbours)."""
     cold = []
     for fn, args in calls:
-        clear_memos()
+        memo.clear()
         cold.append(fn(*args))
     for fn, args in calls:
         fn(*args)
@@ -181,13 +223,13 @@ def test_derham_reads_one_template_per_index_and_degree(monkeypatch):
 
     for module in (derham, structure, weightmod):
         monkeypatch.setattr(module, "shen_iota", counted)
-    clear_memos()
+    memo.clear()
     n = 3
     assert suites.check_derham(n)["pass"]
     # every index at the degrees 0..n-2 that the loop reaches
     assert len(calls) == derham._equivariance_template.cache_info().currsize == n * (n - 1)
     assert structure._member_rows.cache_info().currsize == 0
-    clear_memos()
+    memo.clear()
 
 
 def test_lemma_cold_equals_warm():
@@ -234,7 +276,7 @@ def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
     assert all(lemma(*args)["pass"] for lemma in lemmas)
     assert counts == Counter()
     # the counters see the work of a cold build
-    clear_memos()
+    memo.clear()
     assert verify_g_equals_u(*args)["pass"]
     assert counts["apply_pbw"] > 0 and counts["TensorOperator"] > 0
 
@@ -284,7 +326,7 @@ def test_memoised_spaces_are_values_and_grown_spaces_are_new():
     box = TruncationBox((0, 0), (4, 4))
     twisted = WeightModuleP.twisted(2)
     tbox = TruncationBox((-4, -4), (-1, -1))
-    clear_memos()
+    memo.clear()
     spaces = [
         (pi_image, (_A2, 1, box)),
         (pi_kernel, (_A2, 1, box)),
@@ -325,7 +367,7 @@ def test_memos_are_keyed_by_p():
     wedge1 = make_wedge_module(3, 1)
     wedge2 = make_wedge_module(3, 2)
     gens = GeneratorSet.default(3)
-    clear_memos()
+    memo.clear()
     seen = []
     for shift in (Fraction(1, 2), Fraction(1, 3)):
         P = WeightModuleP.laurent(3, shift)
@@ -501,22 +543,22 @@ def test_equal_profiles_and_boxes_share_one_entry():
 
     wedge2 = make_wedge_module(3, 2)
     gens = GeneratorSet.default(3)
-    memos = [
+    builds = [
         (pi_image, lambda P, B: pi_image(P, 2, B)),
         (derham._lemma_sources, lambda P, B: derham._lemma_sources(P, 1, B, True)),
         (structure._engine, lambda P, B: structure._engine(P, wedge2, gens, B, None)),
     ]
-    clear_memos()
-    for memo, build in memos:
-        before = memo.cache_info()
+    memo.clear()
+    for cached, build in builds:
+        before = cached.cache_info()
         first = build(profile(Fraction(1, 2)), box())
         for shift in (Fraction(2, 4), "1/2", 1 / 2):
             assert build(profile(shift), box()) is first
-        info = memo.cache_info()
+        info = cached.cache_info()
         assert (info.misses - before.misses, info.hits - before.hits) == (1, 3)
         for shift in (Fraction(3, 2), Fraction(-1, 2)):
             assert build(profile(shift), box()) is not first
-        assert memo.cache_info().misses == info.misses + 2
+        assert cached.cache_info().misses == info.misses + 2
 
 
 def test_memos_are_keyed_by_margin():
@@ -537,7 +579,7 @@ def test_memos_are_keyed_by_margin():
         lambda box: derham._lemma_sources(_A3, 1, box, True),
         lambda box: derham._lemma_sources(_A3, 2, box, False),
     ]
-    clear_memos()
+    memo.clear()
     for build in builds:
         first = build(narrow)
         assert build(narrow) is first
@@ -551,7 +593,7 @@ def test_hw_module_of_a_fundamental_weight_shares_the_engine():
     # hw:e_r is the exterior power itself, so its evidence reuses the
     # engine that wedge:r built, once for the evidence and once per closure
     box = TruncationBox((0,) * 3, (4,) * 3, margin=2)
-    clear_memos()
+    memo.clear()
     evidence_simplicity(_A3, make_wedge_module(3, 1), "F", box)
     before = structure._engine.cache_info()
     report = evidence_simplicity(_A3, weylmod.make_hw_module((1, 0), 3), "F", box)

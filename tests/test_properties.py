@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_memo import clear_memos
-from weylmod import tensorop, weyl
+from weylmod import memo, tensorop, weyl
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.suites import check_iota_hom
 from weylmod.tensorop import (
@@ -186,10 +185,9 @@ def _wrong_kernel(name, wrong, modules=(tensorop,)):
     """``<owner>.<name>`` replaced by wrong in each module of modules, and
     by wrong as a static method in each class there.  The library's memos
     (its templates among them) are built by its kernels and weights, so
-    every one is cleared (``test_memo.clear_memos``) before the patch is set
-    and again once it is lifted, when each memo is back under its own
-    name."""
-    clear_memos()
+    every one is cleared (``memo.clear``) before the patch is set and
+    again once it is lifted."""
+    memo.clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             for owner in modules:
@@ -197,7 +195,7 @@ def _wrong_kernel(name, wrong, modules=(tensorop,)):
                 patch.setattr(owner, name, value)
             yield
     finally:
-        clear_memos()
+        memo.clear()
 
 
 @PROPERTY

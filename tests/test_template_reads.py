@@ -19,8 +19,7 @@ import oracles
 import pytest
 
 from test_derham import LEMMA_PROFILES
-from test_memo import clear_memos
-from weylmod import derham, structure, suites, tensorop, weightmod, weyl
+from weylmod import derham, memo, structure, suites, tensorop, weightmod, weyl
 from weylmod.errors import StructureError
 from weylmod.derham import _derham_table, _equivariance_image, _equivariance_template, pi
 from weylmod.indices import mi_zero
@@ -68,16 +67,16 @@ def _counted(module, name, counts):
 @contextmanager
 def _patched(patches):
     """Each (module, name, value) set, with every library memo cleared
-    before the patches are set and again once they are lifted, when each
-    memo is back under its own name."""
-    clear_memos()
+    (``memo.clear``) before the patches are set and again once they are
+    lifted."""
+    memo.clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             for module, name, value in patches:
                 patch.setattr(module, name, value)
             yield
     finally:
-        clear_memos()
+        memo.clear()
 
 
 # -- the short cuts ----------------------------------------------------------

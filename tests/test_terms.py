@@ -255,10 +255,15 @@ def test_adopted_elements_equal_checked_ones(case):
 
 
 # a PBW monomial that U(gl_2) refuses, with the refusal: a factor out of
-# range, an exponent of 0, and two factors out of canonical order
+# range, an exponent of 0, a float exponent, a bool or float index (the
+# rules of check_index and check_integer_exponents), and two factors out of
+# canonical order
 BAD_PBW = {
     "out-of-range": ((((3, 1), 1),), "bad PBW factor E[3,1]^1"),
     "zero-exponent": ((((1, 2), 0),), "bad PBW factor E[1,2]^0"),
+    "float-exponent": ((((1, 2), 1.5),), "bad PBW factor E[1,2]^1.5"),
+    "bool-index": ((((True, 2), 1),), "bad PBW factor E[True,2]^1"),
+    "float-index": ((((1, 2.0), 1),), "bad PBW factor E[1,2.0]^1"),
     "non-canonical": (
         (((1, 2), 1), ((2, 1), 1)),
         "monomial not in canonical order: (((1, 2), 1), ((2, 1), 1))",
@@ -303,6 +308,11 @@ def checked_constructors():
                 (((-1, 0), 0), StructureError),
                 ((z, 2), StructureError),
                 (((0, 0, 0), 0), StructureError),
+                # a bool or float basis index or key entry
+                ((z, True), StructureError),
+                ((z, 0.0), StructureError),
+                (((0.5, 0), 0), ArgumentError),
+                (((True, 0), 0), ArgumentError),
             ],
         ),
     }
