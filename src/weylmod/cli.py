@@ -9,6 +9,7 @@ configuration; wall times are only included with --timings.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -37,7 +38,6 @@ from .tensorop import TensorOperator, from_weyl
 from .ugl import UglElement
 from .vectorfields import VectorField
 from .weightmod import (
-    WeightModuleP,
     make_hw_module,
     make_wedge_module,
     parse_module_descriptor,
@@ -163,22 +163,15 @@ def emit(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     lines = ["check\tpass\tdetail"]
-    for c in report.get("checks", [report]):
-        detail = []
-        for key in ("checked", "cases", "polynomialWitnesses"):
-            if key in c:
-                detail.append(f"{key}={c[key]}")
+    for c in report["checks"]:
+        detail = [f"{key}={c[key]}" for key in ("checked", "cases", "polynomialWitnesses")
+                  if key in c]
         if c.get("failures"):
             detail.append(f"failures={len(c['failures'])}")
-        lines.append(
-            "\t".join(
-                [c.get("check", "?"), "ok" if c.get("pass") else "FAIL", ",".join(detail)]
-            )
-        )
-    if "summary" in report:
-        s = report["summary"]
-        lines.append(f"summary\t{'ok' if report['pass'] else 'FAIL'}\t"
-                     f"passed={s['passed']}/{s['total']}")
+        status = "ok" if c.get("pass") else "FAIL"
+        lines.append("\t".join([c.get("check", "?"), status, ",".join(detail)]))
+    s, status = report["summary"], "ok" if report["pass"] else "FAIL"
+    lines.append(f"summary\t{status}\tpassed={s['passed']}/{s['total']}")
     return "\n".join(lines)
 
 
@@ -188,107 +181,72 @@ def _print_json(obj) -> int:
     return 0
 
 
-def _finish(report, args) -> int:
-    print(emit(report, args.format))
-    if "pass" in report:
-        return 0 if report["pass"] else 1
-    return 0
-
-
-def _finish_one(check, args) -> int:
-    """Emit a single check as a one-check report."""
-    return _finish(_report([check]), args)
+def _finish(report, fmt: str) -> int:
+    print(emit(report, fmt))
+    return 0 if report["pass"] else 1
 
 
 # -- verify ------------------------------------------------------------------
 
 
-# the keyword a suite reads a flag into, where it is not the flag's own name
-_KEYWORDS = {"delta_window": "delta_hi", "lam": "shift"}
-
-
-def _given(args, *dests):
-    """The keyword arguments of those flags among ``dests`` that were given."""
-    return {_KEYWORDS.get(d, d): getattr(args, d) for d in dests if getattr(args, d) is not None}
-
-
-def _suite_options(args):
-    """The keyword arguments the named suite reads from the command line,
-    besides the rank: the flags given only, so each default is the suite's
-    own."""
-    options = _given(args, "deg", "seed", "count", "delta_window", "key_radius", "margin", "lam")
-    if args.alpha_window is not None:
-        options["lo"], options["hi"] = parse_window(args.alpha_window)
-    i, j = args.i, args.j
-    if args.suite == "eq-cubic" and (i is None) != (j is None):
-        raise ArgumentError("eq-cubic needs both --i and --j")
-    if i is not None:
-        options.update({"pairs": [(i, j)]} if args.suite == "eq-cubic" else {"i_list": [i]})
-    return options
-
-
-# the flags that some suite does not read, each parsed with default None,
-# and the suites that read it: any other suite would ignore it, so it is
-# refused there
-_FLAG_READERS = {
-    "deg": ("iota-hom", "all"),
-    "alpha_window": ("eq-cubic", "eq-quartic"),
-    "i": ("eq-cubic", "eq-quartic"),
-    "j": ("eq-cubic",),
-    "seed": ("derham", "all"),
-    "count": ("derham",),
-    "delta_window": ("g-u", "h-ln"),
-    "key_radius": ("g-u", "h-ln"),
-    "margin": ("unique-submodule", "delta-p", "all"),
-    "lam": ("g-u", "h-ln", "derham", "delta-p", "bounded", "all"),
+# each flag of a single suite and the suite keywords it fills: a suite
+# reads the flag when its signature names one of them
+_FLAG_KEYWORDS = {
+    "alpha_window": ("lo", "hi"), "delta_window": ("delta_hi",), "i": ("pairs", "i_list"),
+    "j": ("pairs",), "lam": ("shift",),
+    **{flag: (flag,) for flag in ("count", "deg", "key_radius", "margin", "seed")},
 }
 
+# the flags that each suite reads, worked out once from its signature;
+# all reads its own four and passes each on to the suites that read it
+_SUITE_FLAGS = {
+    name: frozenset(flag for flag, keywords in _FLAG_KEYWORDS.items()
+                    if set(keywords) & set(inspect.signature(suite).parameters))
+    for name, suite in SUITES.items()
+}
+_SUITE_FLAGS["all"] = frozenset(("deg", "seed", "margin", "lam"))
 
-def cmd_verify(args) -> int:
-    n = args.n
+# the suites of verify all in report order, each at all's own sizes and
+# from the least rank at which it checks something
+_ALL = (
+    ("iota-hom", {"deg": 3}, 2), ("eq-cubic", {"lo": -1, "hi": 2}, 2),
+    ("eq-quartic", {"lo": -1, "hi": 2}, 3), ("derham", {"count": 25}, 2),
+    ("unique-submodule", {}, 2), ("delta-p", {}, 2), ("bounded", {}, 2),
+    ("g-u", {"delta_hi": 1, "key_radius": 2}, 3), ("h-ln", {"delta_hi": 1, "key_radius": 2}, 3),
+)
+
+
+def _suite_options(suite, flags):
+    """The keyword arguments that those given flags that the suite reads
+    fill, so each default is the suite's own."""
+    flags = {f: v for f, v in flags.items() if f in _SUITE_FLAGS[suite]}
+    if suite == "eq-cubic" and ("i" in flags) != ("j" in flags):
+        raise ArgumentError("eq-cubic needs both --i and --j")
+    options = {}
+    if "alpha_window" in flags:
+        options["lo"], options["hi"] = parse_window(flags.pop("alpha_window"))
+    if "i" in flags:
+        i, j = flags.pop("i"), flags.pop("j", None)
+        options.update({"pairs": [(i, j)]} if suite == "eq-cubic" else {"i_list": [i]})
+    return {**options, **{_FLAG_KEYWORDS[f][0]: v for f, v in flags.items()}}
+
+
+def verify(suite, n=2, jobs=1, timings=False, format="json", **flags):
+    """Run one suite, or every suite at all's sizes, on the keywords that
+    the given suite flags fill."""
     if n < 2:
         raise ArgumentError("rank must be at least 2")
-    for dest, readers in _FLAG_READERS.items():
-        if getattr(args, dest) is not None and args.suite not in readers:
-            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-            raise ArgumentError(f"verify {args.suite} does not read {flag}")
-    if args.suite == "all":
-        # the sizes are all's own; --seed, --lambda and --margin pass on
-        # when given
-        shift = _given(args, "lam")
-        tasks = [
-            ("iota-hom", {"n": n, "deg": 3 if args.deg is None else args.deg}),
-            ("eq-cubic", {"n": n, "lo": -1, "hi": 2}),
-            ("derham", {"n": n, "count": 25, **_given(args, "seed", "lam")}),
-            ("unique-submodule", {"n": n, **_given(args, "margin")}),
-            ("delta-p", {"n": n, **_given(args, "margin", "lam")}),
-            ("bounded", {"n": n, **shift}),
-        ]
-        if n >= 3:
-            lemma = {"n": n, "delta_hi": 1, "key_radius": 2, **shift}
-            tasks.insert(2, ("eq-quartic", {"n": n, "lo": -1, "hi": 2}))
-            tasks.append(("g-u", lemma))
-            tasks.append(("h-ln", lemma))
-    else:
-        tasks = [(args.suite, {"n": n, **_suite_options(args)})]
-    report = run_suite(tasks, jobs=args.jobs, timings=args.timings)
-    empty = [
-        c["check"] for c in report["checks"] if "error" not in c and not c["checked"]
-    ]
+    runs = [(name, sizes) for name, sizes, rank in _ALL if n >= rank] if suite == "all" \
+        else [(suite, {})]
+    tasks = [(name, {"n": n, **sizes, **_suite_options(name, flags)}) for name, sizes in runs]
+    report = run_suite(tasks, jobs=jobs, timings=timings)
+    empty = [c["check"] for c in report["checks"] if "error" not in c and not c["checked"]]
     if empty:
-        raise ArgumentError(
-            f"the configuration leaves nothing to check in {', '.join(empty)}"
-        )
-    return _finish(report, args)
+        raise ArgumentError(f"the configuration leaves nothing to check in {', '.join(empty)}")
+    return _finish(report, format)
 
 
 # -- derham ------------------------------------------------------------------
-
-
-def _module_from_args(args) -> WeightModuleP:
-    if not args.P:
-        raise ArgumentError("this command needs --P, e.g. --P [poly,poly]")
-    return parse_module_descriptor(args.P)
 
 
 def _read_vector(flag: str, text: str, n: int) -> VectorLiteral:
@@ -301,73 +259,73 @@ def _read_vector(flag: str, text: str, n: int) -> VectorLiteral:
         raise ArgumentError(f"{flag} {text!r} is not a module vector: {exc}") from exc
 
 
-def cmd_derham(args) -> int:
-    P = _module_from_args(args)
-    n = P.rank
-    if args.action == "pi":
-        if not args.input:
-            raise ArgumentError("pi needs --input")
-        value = _read_vector("--input", args.input, n)
-        image = pi(value.bind(P))
-        return _print_json({"input": str(value), "image": format_vector(image)})
-    box = parse_box(args.box or "-3..3", n)
-    if args.action == "gen-ln":
-        space = pi_image(P, args.r, box)
-    elif args.action == "gen-ln-tilde":
-        space = pi_kernel(P, args.r, box)
-    elif args.action == "delta-p":
-        space = partial_span(P, box)
-    else:
-        raise ArgumentError(f"unknown derham action {args.action!r}")
-    return _print_json({"space": space.to_json_obj()})
+def derham_pi(P, input):
+    P = parse_module_descriptor(P)
+    value = _read_vector("--input", input, P.rank)
+    return _print_json({"input": str(value), "image": format_vector(pi(value.bind(P)))})
+
+
+def derham_gen_ln(P, r=1, box="-3..3"):
+    P = parse_module_descriptor(P)
+    return _print_json({"space": pi_image(P, r, parse_box(box, P.rank)).to_json_obj()})
+
+
+def derham_gen_ln_tilde(P, r=1, box="-3..3"):
+    P = parse_module_descriptor(P)
+    return _print_json({"space": pi_kernel(P, r, parse_box(box, P.rank)).to_json_obj()})
+
+
+def derham_delta_p(P, box="-3..3"):
+    P = parse_module_descriptor(P)
+    return _print_json({"space": partial_span(P, parse_box(box, P.rank)).to_json_obj()})
 
 
 # -- structure ---------------------------------------------------------------
 
 
-def cmd_structure(args) -> int:
-    P = _module_from_args(args)
+def structure_closure(P, seed, box="0..5", margin=2, gen_cap=1, format="json"):
+    P = parse_module_descriptor(P)
     n = P.rank
-    box = parse_box(args.box or "0..5", n, args.margin)
-    if args.action == "closure":
-        if not args.seed:
-            raise ArgumentError("closure needs --seed")
-        if args.format != "json":
-            raise ArgumentError("closure prints a JSON report only; drop --format")
-        gens = GeneratorSet.default(n, cap=args.gen_cap)
-        seeds = []
-        module_m = None
-        for text in args.seed:
-            vec = _read_vector("--seed", text, n).bind(P, module_m)
-            module_m = vec.module_m
-            seeds.append(vec)
-        return _print_json({"closure": closure(seeds, gens, box).to_json_obj()})
-    if args.action == "simplicity":
-        gens = GeneratorSet.default(n, cap=args.gen_cap)
-        module_m = parse_finite_module(args.M, n) if args.M else None
-        report = evidence_simplicity(
-            P, module_m, args.ambient, box, r=args.r, gens=gens
-        )
-        return _finish_one(report, args)
-    if args.action == "inventory":
-        if args.r is None:
-            raise ArgumentError("inventory needs --r")
-        return _finish_one(subquotient_inventory(P, args.r, box), args)
-    raise ArgumentError(f"unknown structure action {args.action!r}")
+    box = parse_box(box, n, margin)
+    if format != "json":
+        raise ArgumentError("closure prints a JSON report only; drop --format")
+    gens = GeneratorSet.default(n, cap=gen_cap)
+    seeds, module_m = [], None
+    for text in seed:
+        seeds.append(_read_vector("--seed", text, n).bind(P, module_m))
+        module_m = seeds[-1].module_m
+    return _print_json({"closure": closure(seeds, gens, box).to_json_obj()})
+
+
+def structure_simplicity(P, M=None, ambient="F", r=None, box="0..5", margin=2,
+                         gen_cap=1, format="json"):
+    P = parse_module_descriptor(P)
+    n = P.rank
+    box = parse_box(box, n, margin)
+    gens = GeneratorSet.default(n, cap=gen_cap)
+    module_m = parse_finite_module(M, n) if M else None
+    report = evidence_simplicity(P, module_m, ambient, box, r=r, gens=gens)
+    return _finish(_report([report]), format)
+
+
+def structure_inventory(P, r, box="0..5", margin=0, format="json"):
+    P = parse_module_descriptor(P)
+    report = subquotient_inventory(P, r, parse_box(box, P.rank, margin))
+    return _finish(_report([report]), format)
 
 
 # -- act and parse -----------------------------------------------------------
 
 
-def cmd_act(args) -> int:
-    P = _module_from_args(args)
+def _operands(P, op, vector):
+    """The rank, the operator expression and the vector of an act."""
+    P = parse_module_descriptor(P)
     n = P.rank
-    op_value = parse_expr(args.op, n)
-    vec = _read_vector("--vector", args.vector, n).bind(P)
-    if args.via_iota:
-        if not isinstance(op_value, WeylElement):
-            raise ArgumentError("--via-iota needs a vector-field expression")
-        return _print_json({"result": format_vector(sn_act(VectorField(op_value), vec))})
+    return n, parse_expr(op, n), _read_vector("--vector", vector, n).bind(P)
+
+
+def act(P, op, vector, allow_laurent=False):
+    n, op_value, vec = _operands(P, op, vector)
     if isinstance(op_value, WeylElement):
         op = from_weyl(op_value)
     elif isinstance(op_value, TensorOperator):
@@ -376,12 +334,19 @@ def cmd_act(args) -> int:
         op = TensorOperator.one(n) * op_value
     else:
         raise ArgumentError("--op must be an operator expression")
-    out = tensor_act(op, vec, allow_laurent=args.allow_laurent)
+    out = tensor_act(op, vec, allow_laurent=allow_laurent)
     return _print_json({"result": format_vector(out)})
 
 
-def cmd_parse(args) -> int:
-    value = parse_expr(args.expr, args.n)
+def act_via_iota(P, op, vector):
+    _, field, vec = _operands(P, op, vector)
+    if not isinstance(field, WeylElement):
+        raise ArgumentError("--via-iota needs a vector-field expression")
+    return _print_json({"result": format_vector(sn_act(VectorField(field), vec))})
+
+
+def parse(expr, n=None):
+    value = parse_expr(expr, n)
     if isinstance(value, (int, Fraction)):
         kind, text, obj = "scalar", str(value), str(value)
     elif isinstance(value, WeylElement):
@@ -402,85 +367,116 @@ def cmd_parse(args) -> int:
 # -- argument wiring ---------------------------------------------------------
 
 
+# the function that runs each command by its action: the first argument of
+# derham and structure, --via-iota for act; verify runs one function for
+# every suite
+_ACTIONS = {
+    "derham": {"pi": derham_pi, "gen-ln": derham_gen_ln,
+               "gen-ln-tilde": derham_gen_ln_tilde, "delta-p": derham_delta_p},
+    "structure": {"closure": structure_closure, "simplicity": structure_simplicity,
+                  "inventory": structure_inventory},
+    "act": {None: act, "--via-iota": act_via_iota},
+    "parse": {None: parse},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's type, choices and help.  A flag that is not given stays
+    out of the namespace (sub-parsers do not inherit the parent's
+    ``argument_default``), so its default and whether it is required are
+    stated by the signature of the function that reads it."""
+    given_only = {"argument_default": argparse.SUPPRESS}
     # --format applies to the commands that emit check reports
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("json", "tsv"), default="json")
+    formatted = argparse.ArgumentParser(add_help=False, **given_only)
+    formatted.add_argument("--format", choices=("json", "tsv"))
     parser = argparse.ArgumentParser(
         prog="weylmod",
         description="Exact verification suite for divergence-free vector "
         "field modules over Weyl algebras",
+        **given_only,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a named verification suite",
-                       parents=[formatted])
-    v.add_argument("--jobs", type=positive_int, default=1)
+                       parents=[formatted], **given_only)
+    v.add_argument("--jobs", type=positive_int)
     v.add_argument("--timings", action="store_true",
                    help="include wall times (breaks byte determinism)")
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--deg", type=int, default=None)
-    v.add_argument("--alpha-window", default=None, help="e.g. --alpha-window=-2..3")
-    v.add_argument("--i", type=int, default=None)
-    v.add_argument("--j", type=int, default=None)
-    v.add_argument("--delta-window", type=int, default=None)
-    v.add_argument("--key-radius", type=int, default=None)
-    v.add_argument("--count", type=int, default=None)
-    v.add_argument("--margin", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None,
-                   help="override SHENWEYL_SEED for sampled checks")
-    v.add_argument("--lambda", dest="lam", type=parse_rational, default=None,
+    for flag in ("--n", "--deg", "--i", "--j", "--delta-window", "--key-radius", "--count",
+                 "--margin"):
+        v.add_argument(flag, type=int)
+    v.add_argument("--alpha-window", help="e.g. --alpha-window=-2..3")
+    v.add_argument("--seed", type=int, help="override SHENWEYL_SEED for sampled checks")
+    v.add_argument("--lambda", dest="lam", type=parse_rational,
                    help="shift for Laurent factors in the standard profiles")
-    v.set_defaults(fn=cmd_verify)
 
-    dr = sub.add_parser("derham", help="de Rham maps and graded subspaces")
-    dr.add_argument("action", choices=("pi", "gen-ln", "gen-ln-tilde", "delta-p"))
-    dr.add_argument("--P", required=True, help='module descriptor, e.g. "[poly,poly]"')
-    dr.add_argument("--r", type=int, default=1)
-    dr.add_argument("--input", default=None, help="vector expression for pi")
-    dr.add_argument("--box", default=None, help="e.g. --box=-3..5")
-    dr.set_defaults(fn=cmd_derham)
+    dr = sub.add_parser("derham", help="de Rham maps and graded subspaces", **given_only)
+    dr.add_argument("action", choices=_ACTIONS["derham"])
+    dr.add_argument("--P", help='module descriptor, e.g. "[poly,poly]"')
+    dr.add_argument("--r", type=int)
+    dr.add_argument("--input", help="vector expression for pi")
+    dr.add_argument("--box", help="e.g. --box=-3..5")
 
     st = sub.add_parser("structure", help="closures, simplicity evidence, inventory",
-                        parents=[formatted])
-    st.add_argument("action", choices=("closure", "simplicity", "inventory"))
-    st.add_argument("--P", "--module", dest="P", required=True)
-    st.add_argument("--M", default=None, help="wedge:r or hw:a1,a2,...")
-    st.add_argument("--r", type=int, default=None)
-    st.add_argument("--ambient", choices=("F", "Ln", "deltaP", "quotient"), default="F")
+                        parents=[formatted], **given_only)
+    st.add_argument("action", choices=_ACTIONS["structure"])
+    st.add_argument("--P", "--module", dest="P")
+    st.add_argument("--M", help="wedge:r or hw:a1,a2,...")
+    for flag in ("--r", "--margin", "--gen-cap"):
+        st.add_argument(flag, type=int)
+    st.add_argument("--ambient", choices=("F", "Ln", "deltaP", "quotient"))
     st.add_argument("--seed", action="append", help="seed vector expression")
-    st.add_argument("--box", default=None)
-    st.add_argument("--margin", type=int, default=2)
-    st.add_argument("--gen-cap", type=int, default=1)
-    st.set_defaults(fn=cmd_structure)
+    st.add_argument("--box")
 
-    ac = sub.add_parser("act", help="apply an operator to a module vector")
-    ac.add_argument("--op", required=True)
-    ac.add_argument("--vector", required=True)
-    ac.add_argument("--P", required=True)
-    ac.add_argument("--via-iota", action="store_true",
+    ac = sub.add_parser("act", help="apply an operator to a module vector", **given_only)
+    ac.add_argument("--op")
+    ac.add_argument("--vector")
+    ac.add_argument("--P")
+    ac.add_argument("--via-iota", dest="action", action="store_const", const="--via-iota",
                     help="treat --op as a vector field and act through iota")
     ac.add_argument("--allow-laurent", action="store_true")
-    ac.set_defaults(fn=cmd_act)
 
-    pa = sub.add_parser("parse", help="parse and canonicalize an expression")
+    pa = sub.add_parser("parse", help="parse and canonicalize an expression", **given_only)
     pa.add_argument("expr")
-    pa.add_argument("--n", type=int, default=None)
-    pa.set_defaults(fn=cmd_parse)
+    pa.add_argument("--n", type=int)
     return parser
 
 
+def _flag(dest: str) -> str:
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def _call(label: str, fn, given: dict, reads=frozenset()):
+    """Run fn on the given flags: a flag that neither its signature nor
+    ``reads`` names, or a parameter without a default that is not given,
+    is a configuration error."""
+    params = inspect.signature(fn).parameters
+    for dest in sorted(given, key=_flag):
+        if dest not in params and dest not in reads:
+            raise ArgumentError(f"{label} does not read {_flag(dest)}")
+    for dest, param in params.items():
+        if param.default is param.empty and param.kind is not param.VAR_KEYWORD \
+                and dest not in given:
+            raise ArgumentError(f"{label} needs {_flag(dest)}")
+    return fn(**given)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
     # an exact value may have more digits than the interpreter's int-string
     # limit allows (a limit that Python before 3.10.7 does not have)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.fn(args)
+        if command == "verify":
+            suite = given["suite"]
+            return _call(f"verify {suite}", verify, given, _SUITE_FLAGS[suite])
+        action = given.pop("action", None)
+        label = f"{command} {action}" if action else command
+        return _call(label, _ACTIONS[command][action], given)
     except (ArgumentError, DomainError, StructureError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
 """Command-line behavior: determinism, exit codes, output formats."""
 
+import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -192,6 +194,100 @@ def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
     assert f"verify {argv[0]} does not read {flag}" in err and "Traceback" not in err
 
 
+def _actions():
+    """(command, action words, function, {dest: parser action}) of every
+    command but verify, whose suites read their flags through one table."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, actions in cli._ACTIONS.items():
+        flags = {
+            a.dest: a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "action")
+        }
+        for action, fn in actions.items():
+            yield command, (action,) if action else (), fn, flags
+
+
+# a valid value of every flag that the tests below pass
+_VALUES = {
+    "P": "[poly,poly]", "M": "wedge:1", "r": "1", "ambient": "F", "seed": "t[1]",
+    "gen_cap": "1", "box": "0..3", "margin": "0", "input": "t[1]", "format": "json",
+    "op": "L[1,2;(1,0)]", "vector": "t[1]*t[2]", "n": "2",
+}
+
+
+def _argv(flag_action, dest):
+    return flag_action.option_strings[:1] + ([] if flag_action.nargs == 0 else [_VALUES[dest]])
+
+
+def _needed(fn, flags, but=None):
+    params = inspect.signature(fn).parameters.values()
+    return [
+        word for p in params
+        if p.default is p.empty and p.name in flags and p.name != but
+        for word in _argv(flags[p.name], p.name)
+    ]
+
+
+_UNREAD = [
+    pytest.param(command, words, fn, flags, dest, id=" ".join((command, *words, dest)))
+    for command, words, fn, flags in _actions()
+    for dest in flags if dest not in inspect.signature(fn).parameters
+]
+_REQUIRED = [
+    pytest.param(command, words, fn, flags, p.name, id=" ".join((command, *words, p.name)))
+    for command, words, fn, flags in _actions()
+    for p in inspect.signature(fn).parameters.values()
+    if p.default is p.empty and p.name in flags
+]
+
+
+def test_the_unread_flags_are_the_ones_each_action_ignored():
+    # on the parser, each of these flags was accepted by an action that
+    # never read it, and the command printed the same bytes without it
+    assert sorted(p.id for p in _UNREAD) == sorted([
+        "derham pi r", "derham pi box", "derham gen-ln input",
+        "derham gen-ln-tilde input", "derham delta-p r", "derham delta-p input",
+        "structure closure M", "structure closure r", "structure closure ambient",
+        "structure simplicity seed", "structure inventory M",
+        "structure inventory ambient", "structure inventory seed",
+        "structure inventory gen_cap", "act --via-iota allow_laurent",
+    ])
+
+
+@pytest.mark.parametrize("command, words, fn, flags, dest", _UNREAD)
+def test_an_action_refuses_a_flag_its_function_does_not_name(
+    capsys, command, words, fn, flags, dest
+):
+    argv = [command, *words, *_needed(fn, flags), *_argv(flags[dest], dest)]
+    code, out, err = run_cli(capsys, *argv)
+    flag = flags[dest].option_strings[0]
+    assert code == 2 and not out, argv
+    assert err == f"error: {' '.join((command, *words))} does not read {flag}\n", argv
+
+
+@pytest.mark.parametrize("command, words, fn, flags, dest", _REQUIRED)
+def test_an_action_needs_each_parameter_without_a_default(
+    capsys, command, words, fn, flags, dest
+):
+    argv = [command, *words, *_needed(fn, flags, but=dest)]
+    code, out, err = run_cli(capsys, *argv)
+    flag = flags[dest].option_strings[0]
+    assert code == 2 and not out, argv
+    assert err == f"error: {' '.join((command, *words))} needs {flag}\n", argv
+
+
+def test_inventory_reads_the_outer_box_only(capsys):
+    # the inventory's default margin is 0: with 2 the 0..3 box was refused
+    # for an empty inner box, which the inventory never reads
+    argv = ["structure", "inventory", "--P", "[poly,poly]", "--r", "1"]
+    code, out, err = run_cli(capsys, *argv, "--box", "0..3")
+    assert code == 0 and json.loads(out)["pass"] and not err
+    default = run_cli(capsys, *argv, "--box", "0..5")
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--box", "0..5", "--margin", "2") == default
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_defaults_are_the_suites_own(capsys, suite, n):
@@ -209,8 +305,8 @@ def test_verify_defaults_are_the_suites_own(capsys, suite, n):
 def test_simplicity_under_an_empty_generator_set_exits_2(capsys):
     # at rank 1 there is no L[i,j], and a set that cannot act gives no
     # evidence either way; a closure under it is no verdict and still runs
-    base = ["--P", "[poly]", "--M", "wedge:0", "--box", "0..5"]
-    code, out, err = run_cli(capsys, "structure", "simplicity", *base)
+    base = ["--P", "[poly]", "--box", "0..5"]
+    code, out, err = run_cli(capsys, "structure", "simplicity", *base, "--M", "wedge:0")
     assert code == 2 and not out
     assert "generator set is empty" in err and "Traceback" not in err
     code, _, _ = run_cli(capsys, "structure", "closure", *base, "--seed", "t[1]")
