@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "--margin"):
         v.add_argument(flag, type=int)
     v.add_argument("--alpha-window", help="e.g. --alpha-window=-2..3")
-    v.add_argument("--seed", type=int, help="override SHENWEYL_SEED for sampled checks")
+    v.add_argument("--seed", type=int, help="the seed of sampled checks")
     v.add_argument("--lambda", dest="lam", type=parse_rational,
                    help="shift for Laurent factors in the standard profiles")
 

@@ -55,7 +55,7 @@ from .weightmod import (
 
 def wedge_degree(M: SLModule) -> int:
     r = int(M.central)
-    if M is not wedge_module(M.rank, r):
+    if M != wedge_module(M.rank, r):
         raise ArgumentError("module is not an exterior power")
     return r
 
@@ -171,7 +171,7 @@ class GradedSubspace(Frozen):
         """{weight: dense coordinates} of v, in the order its weights first
         occur, or None when v is not a vector of the window: a term lies
         outside it, or v is over other modules."""
-        if v.module_p != self.module_p or v.module_m is not self.module_m:
+        if v.module_p != self.module_p or v.module_m != self.module_m:
             return None
         parts = {}
         for lab, c in v.terms.items():

@@ -1,5 +1,5 @@
-"""The one memo registry.  ``make_wedge_module`` keeps a bare ``lru_cache``
-outside it, never cleared: exterior powers compare by identity."""
+"""The one memo registry: every memo of the library is registered here,
+emptied by ``clear`` and counted by ``stats``."""
 
 from functools import lru_cache
 

@@ -335,7 +335,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     else:
         # ``_window`` shares one mapping per (P, M, box), so the keys are
         # compared only when the mappings differ
-        if (_bound.module_p != engine.module_p or _bound.module_m is not engine.module_m
+        if (_bound.module_p != engine.module_p or _bound.module_m != engine.module_m
                 or (_bound.labels is not labels and _bound.labels.keys() != labels.keys())):
             raise StructureError("the bound is not a subspace of the closure's window")
         room = _Table(_bound.dim_at)
@@ -489,9 +489,9 @@ def evidence_simplicity(
     weight, the closure must reach the full inner-box span of the ambient.
 
     ``ambient`` is one of "F", "Ln", "deltaP", "quotient" (the quotient of F
-    by the kernel submodule at degree r).  Basis-seed cyclicity is necessary
-    but weaker than simplicity: arbitrary-vector seeds are not enumerated,
-    and the report says so.
+    by the kernel submodule at degree r); F and deltaP read no r.
+    Basis-seed cyclicity is necessary but weaker than simplicity:
+    arbitrary-vector seeds are not enumerated, and the report says so.
 
     Each ambient is read as (M, sub, mod): ``sub`` is the canonical
     submodule (the ambient itself for Ln and deltaP, the de Rham image for
@@ -518,9 +518,11 @@ def evidence_simplicity(
     if not gens.members:
         # a set that cannot act fails every seed, which is no evidence
         raise ArgumentError("the generator set is empty")
+    if r is not None and ambient in ("F", "deltaP"):
+        raise ArgumentError(f"ambient {ambient} reads no r")
     # Ln, deltaP and quotient fix M to an exterior power
     degree = {"Ln": r, "deltaP": 0, "quotient": r}.get(ambient)
-    if None not in (degree, module_m) and module_m is not make_wedge_module(n, degree):
+    if None not in (degree, module_m) and module_m != make_wedge_module(n, degree):
         raise ArgumentError(f"ambient {ambient} fixes M to wedge({n},{degree}), "
                             f"not {module_m.name}")
     sub = mod = None
@@ -528,7 +530,7 @@ def evidence_simplicity(
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
         for k in range(n):
-            if module_m is make_wedge_module(n, k):
+            if module_m == make_wedge_module(n, k):
                 sub = partial_span(module_p, box) if k == 0 else pi_image(module_p, k, box)
                 break
     elif ambient == "Ln":

@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import check_index, check_integer_exponents
 from .linalg import RowBasis
+from .memo import bounded
 from .tensorop import TensorOperator, shen_iota
 from .terms import Frozen, TermMap, _new, _set_terms, accumulate
 from .vectorfields import VectorField, is_divergence_free
@@ -203,20 +203,33 @@ def _scaled_monomial_on_key(module: WeightModuleP, key, t_exp, d_exp):
 
 
 class SLModule(Frozen):
-    """Finite-dimensional gl_n-module with exact matrix-unit action.
-
-    ``matrices[(i, j)][src]`` lists (dst, coeff) pairs; ``weights[k]`` is the
-    tuple of diagonal eigenvalues of basis vector k; ``central`` is the
+    """Finite-dimensional gl_n-module with exact matrix-unit action:
+    ``matrices[(i, j)][src]`` lists (dst, coeff) pairs, ``weights[k]`` is the
+    tuple of diagonal eigenvalues of basis vector k and ``central`` the
     scalar action of the identity matrix.
+
+    A module is the value of ``source``, the factory call that built it,
+    ``(make_wedge_module, (n, r))`` or ``(make_hw_module, (psi, n))``: it
+    compares, hashes (once, at construction), copies and pickles as that
+    call.  Construction is deterministic, so equal sources give equal labels,
+    weights and matrices, and the memos keyed by M (``derham._window``,
+    ``structure._member_rows``, ``_engine``) may share an entry across them.
     """
 
-    __slots__ = ("rank", "labels", "weights", "matrices", "central", "name")
+    __slots__ = ("rank", "labels", "weights", "matrices", "central", "name", "source", "_hash")
 
-    def __init__(self, rank, labels, weights, matrices, central, name=""):
-        labels = list(labels)
-        self._freeze(rank=rank, labels=labels, weights=[tuple(w) for w in weights],
-                     matrices=matrices, central=central,
-                     name=name or f"module(dim={len(labels)})")
+    def __init__(self, rank, labels, weights, matrices, central, name, source):
+        self._freeze(rank=rank, labels=labels, weights=weights, matrices=matrices,
+                     central=central, name=name, source=source, _hash=hash(source))
+
+    def __eq__(self, other):
+        return isinstance(other, SLModule) and self.source == other.source
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return self.source
 
     @property
     def dim(self) -> int:
@@ -241,23 +254,10 @@ class SLModule(Frozen):
     def __repr__(self):
         return self.name
 
-    def __reduce__(self):
-        # a module compares by identity: only the cached exterior powers,
-        # which every process rebuilds as its own one instance, are copied
-        r = int(self.central)
-        if r == self.central and 0 <= r <= self.rank and self is make_wedge_module(self.rank, r):
-            return make_wedge_module, (self.rank, r)
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
-
-@lru_cache(maxsize=None)
+@bounded(64)
 def make_wedge_module(n: int, r: int) -> SLModule:
-    """The r-th exterior power of the natural module, with I acting as r.
-
-    Cached without bound and outside ``weylmod.memo``, never cleared: the
-    same (n, r) always yields the same instance, and vectors over an
-    exterior power compare by module identity.  Treat it as read-only.
-    """
+    """The r-th exterior power of the natural module, I acting as r; shared, read-only."""
     if not 0 <= r <= n:
         raise ArgumentError(f"wedge degree {r} out of range 0..{n}")
     labels = [tuple(c) for c in itertools.combinations(range(1, n + 1), r)]
@@ -276,7 +276,8 @@ def make_wedge_module(n: int, r: int) -> SLModule:
                 sign, new_lab = hit
                 cols[src].append((index[new_lab], sign))
             matrices[(i, j)] = cols
-    return SLModule(n, labels, weights, matrices, Fraction(r), name=f"wedge({n},{r})")
+    return SLModule(n, labels, weights, matrices, Fraction(r), f"wedge({n},{r})",
+                    (make_wedge_module, (n, r)))
 
 
 def wedge_insert(l: int, label):
@@ -325,9 +326,8 @@ def make_hw_module(psi, n: int) -> SLModule:
 
     The exterior powers are the wedge modules themselves: psi = 0 gives
     ``make_wedge_module(n, 0)`` and psi = e_r gives ``make_wedge_module(n,
-    r)``, one object per exterior power, so every check that recognises an
-    exterior power by identity sees it.  Every other psi is built by
-    ``_lowering_closure``.
+    r)``, so every check that recognises an exterior power sees it.  Every
+    other psi is built by ``_lowering_closure``.
     """
     psi = tuple(psi)
     weyl_dimension(psi, n)  # validates psi
@@ -421,7 +421,7 @@ def _lowering_closure(psi, n: int) -> SLModule:
     labels = [f"v{k}" for k in range(len(flat))]
     central = Fraction(sum(k * p for k, p in enumerate(psi, 1)))
     name = "V(" + "+".join(f"{p}d{k+1}" for k, p in enumerate(psi) if p) + f",{n})"
-    return SLModule(n, labels, weights, matrices, central, name=name)
+    return SLModule(n, labels, weights, matrices, central, name, (make_hw_module, (psi, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,6 @@ class FVector(TermMap):
 
     __slots__ = ("module_p", "module_m")
 
-    # SLModule compares by identity
     _fields = ("module_p", "module_m")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, terms=None):

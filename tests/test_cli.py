@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from weylmod import cli
+from weylmod import cli, suites
 from weylmod.cli import main, parse_box, parse_window
 from weylmod.errors import ArgumentError
+from weylmod.structure import evidence_simplicity
 from weylmod.suites import (
     SUITES,
     check_eq_cubic,
@@ -20,6 +21,7 @@ from weylmod.suites import (
     check_h_ln,
     check_iota_hom,
 )
+from weylmod.weightmod import make_wedge_module, parse_module_descriptor
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +135,22 @@ def test_evidence_that_cannot_decide_exits_2(capsys):
         code, out, err = run_cli(capsys, "structure", "simplicity", *argv)
         assert code == 2 and not out, argv
         assert message in err and "Traceback" not in err, argv
+
+
+def test_ambients_that_read_no_degree_refuse_one(capsys):
+    # F and deltaP read no r: it is refused, by the library and on the
+    # command line, not echoed into a report
+    P, box = parse_module_descriptor("[poly,poly]"), parse_box("0..3", 2, margin=1)
+    for ambient, module_m, flags in (("F", make_wedge_module(2, 1), ["--M", "wedge:1"]),
+                                     ("deltaP", None, [])):
+        with pytest.raises(ArgumentError, match=f"ambient {ambient} reads no r"):
+            evidence_simplicity(P, module_m, ambient, box, r=1)
+        code, out, err = run_cli(
+            capsys, "structure", "simplicity", "--P", "[poly,poly]", *flags,
+            "--ambient", ambient, "--r", "1", "--box", "0..3", "--margin", "1",
+        )
+        assert code == 2 and not out, ambient
+        assert f"ambient {ambient} reads no r" in err and "Traceback" not in err, ambient
 
 
 def test_inventory_without_a_degree_exits_2(capsys):
@@ -486,14 +504,25 @@ def test_reports_are_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_seed_changes_sampling_not_verdict(capsys, monkeypatch):
-    monkeypatch.setenv("SHENWEYL_SEED", "123")
-    code1, out1, _ = run_cli(capsys, "verify", "derham", "--n", "2", "--count", "5")
-    monkeypatch.setenv("SHENWEYL_SEED", "456")
-    code2, out2, _ = run_cli(capsys, "verify", "derham", "--n", "2", "--count", "5")
+def test_seed_changes_sampling_not_verdict(capsys):
+    args = ["verify", "derham", "--n", "2", "--count", "5"]
+    code1, out1, _ = run_cli(capsys, *args, "--seed", "123")
+    code2, out2, _ = run_cli(capsys, *args, "--seed", "456")
     assert code1 == code2 == 0
     assert json.loads(out1)["checks"][0]["params"]["seed"] == 123
     assert json.loads(out2)["checks"][0]["params"]["seed"] == 456
+
+
+def test_the_environment_sets_no_seed(capsys, monkeypatch):
+    # the seed is read from argv only: a malformed SHENWEYL_SEED is not read,
+    # so the report is the one of the unset run, not a crashed check
+    args = ["verify", "derham", "--n", "2", "--count", "5"]
+    monkeypatch.delenv("SHENWEYL_SEED", raising=False)
+    want = run_cli(capsys, *args)
+    monkeypatch.setenv("SHENWEYL_SEED", "abc")
+    assert run_cli(capsys, *args) == want
+    assert want[0] == 0
+    assert json.loads(want[1])["checks"][0]["params"]["seed"] == suites.DEFAULT_SEED
 
 
 def test_tsv_format(capsys):

@@ -35,7 +35,14 @@ from weylmod.indices import TruncationBox
 from weylmod.linalg import RowBasis
 from weylmod.structure import GeneratorSet, evidence_simplicity, subquotient_inventory
 from weylmod.tensorop import TensorOperator
-from weylmod.weightmod import Factor, FVector, SLModule, WeightModuleP, make_wedge_module
+from weylmod.weightmod import (
+    Factor,
+    FVector,
+    SLModule,
+    WeightModuleP,
+    make_hw_module,
+    make_wedge_module,
+)
 
 SRC = Path(weylmod.__file__).parent
 
@@ -46,6 +53,7 @@ SIZES = {
     "weylmod.weyl._coord_choices": 512,
     "weylmod.ugl.pbw_product": 4096,
     "weylmod.ugl._NORMAL_CACHE": ugl._NORMAL_CACHE_SIZE,
+    "weylmod.weightmod.make_wedge_module": 64,
     "weylmod.tensorop._iota_live": 16,
     "weylmod.tensorop._node_template": 256,
     "weylmod.tensorop._node_terms": 64,
@@ -88,13 +96,15 @@ def test_every_memo_is_bounded():
     # templates
     assert SIZES["weylmod.derham._lemma_template"] >= 60
     assert SIZES["weylmod.derham._equivariance_template"] >= 90
-    # and one the rows of the 192 members at n = 4 on 3 profiles x 4 wedges
+    # one the 45 exterior powers of n <= 8, and one the rows of the 192
+    # members at n = 4 on 3 profiles x 4 wedges
+    assert SIZES["weylmod.weightmod.make_wedge_module"] >= 45
     assert SIZES["weylmod.structure._member_rows"] >= 192 * 3 * 4
     # the iota pair templates are read through the live table of their rank
     assert not hasattr(tensorop._iota_template, "cache_info")
 
 
-def test_lru_cache_is_used_by_the_registry_and_the_wedge_memo_only():
+def test_lru_cache_is_used_by_the_registry_only():
     users = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -102,23 +112,48 @@ def test_lru_cache_is_used_by_the_registry_and_the_wedge_memo_only():
                 getattr(node, "id", None), getattr(node, "attr", None)
             ):
                 users.setdefault(path.name, []).append(node.lineno)
-    assert sorted(users) == ["memo.py", "weightmod.py"]
-    assert len(users["weightmod.py"]) == 1
-    # the one bare lru_cache decorates make_wedge_module, unbounded
-    (wedge,) = [node for node in ast.walk(ast.parse((SRC / "weightmod.py").read_text()))
-                if isinstance(node, ast.FunctionDef) and node.decorator_list
-                and "lru_cache" in ast.unparse(node.decorator_list[0])]
-    assert wedge.name == "make_wedge_module"
-    assert make_wedge_module.cache_parameters()["maxsize"] is None
-    assert "weylmod.weightmod.make_wedge_module" not in {name for name, *_ in memo.stats()}
+    assert sorted(users) == ["memo.py"]
 
 
 def test_clearing_keeps_the_exterior_powers():
-    # vectors over an exterior power compare their module by identity
+    # a module is the value of its factory call: the exterior power rebuilt
+    # after clearing equals the one built before, and vectors over the two add
+    P = WeightModuleP.polynomial(3)
     wedge = make_wedge_module(3, 1)
+    old = FVector.basis(P, wedge, (1, 0, 0), 0)
     memo.clear()
-    assert make_wedge_module(3, 1) is wedge
     assert all(entries == 0 for _, entries, *_ in memo.stats())
+    rebuilt = make_wedge_module(3, 1)
+    assert rebuilt is not wedge
+    assert rebuilt == wedge and hash(rebuilt) == hash(wedge)
+    new = FVector.basis(P, rebuilt, (0, 1, 0), 1)
+    assert (old + new).terms == {((1, 0, 0), 0): 1, ((0, 1, 0), 1): 1}
+    assert old + new == new + old
+
+
+def test_rebuilt_modules_are_equal_and_share_memo_entries():
+    # two calls of one factory give one value: the vectors over them add,
+    # a closure takes a seed over either, and the memos keyed by M do not
+    # grow on the second
+    first, second = make_hw_module((2,), 2), make_hw_module((2,), 2)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != make_hw_module((3,), 2) and first != make_wedge_module(2, 1)
+    P, box = WeightModuleP.polynomial(2), TruncationBox((0, 0), (4, 4), margin=1)
+    u, v = FVector.basis(P, first, (1, 0), 0), FVector.basis(P, second, (1, 0), 0)
+    assert u == v and (u + v).terms == {((1, 0), 0): 2}
+    gens = GeneratorSet.default(2)
+
+    def entries():
+        stats = {name: entries for name, entries, *_ in memo.stats()}
+        return stats["weylmod.derham._window"], stats["weylmod.structure._member_rows"]
+
+    memo.clear()
+    want = structure.closure([u], gens, box)
+    filled = entries()
+    got = structure.closure([v], gens, box)
+    assert got.dims == want.dims and got.applications == want.applications
+    assert entries() == filled and all(filled)
 
 
 def test_stats_repeat_after_clearing():
@@ -505,9 +540,9 @@ def test_an_evicted_engine_is_freed_by_reference_counting():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for ambient, mod in (("F", None), ("quotient", pi_kernel(P, 1, box))):
+        for ambient, mod, r in (("F", None, None), ("quotient", pi_kernel(P, 1, box), 1)):
             structure._engine.cache_clear()
-            evidence_simplicity(P, wedge1, ambient, box, r=1)
+            evidence_simplicity(P, wedge1, ambient, box, r=r)
             engine = structure._engine(P, wedge1, gens, box, mod)
             assert structure._engine.cache_info().hits > 0
             assert engine.capacity and engine.moves and engine._matrices

@@ -662,40 +662,40 @@ def test_term_maps_copy_and_pickle():
             assert type(twin) is type(value) and twin == value, value
             assert getattr(twin, "laurent", None) is getattr(value, "laurent", None), value
             assert repr(twin) == repr(value)
-    # a module vector copies, sharing its modules; SLModule compares by
-    # identity, so an exterior power copies and loads as its own cached
-    # instance, and a deep copy or a pickle over any other module, which
-    # would build a new module, is refused
+    # a module is the value of its factory call, and copies and loads as
+    # that call: a module and a vector over it copy, deep-copy and pickle to
+    # equal values, over an exterior power and over any other module
     P = WeightModuleP.polynomial(2)
-    vector = FVector.basis(P, make_wedge_module(2, 1), (1, 0), 0)
-    for twin in (copy.copy(vector), copy.deepcopy(vector), pickle.loads(pickle.dumps(vector))):
-        assert twin == vector and twin.module_m is vector.module_m
-    vector = FVector.basis(P, make_hw_module((2,), 2), (1, 0), 0)
-    twin = copy.copy(vector)
-    assert twin == vector and twin.module_m is vector.module_m
-    with pytest.raises(AttributeError, match="SLModule is immutable"):
-        copy.deepcopy(vector)
-    with pytest.raises(AttributeError, match="SLModule is immutable"):
-        pickle.loads(pickle.dumps(vector))
+    for module in (make_wedge_module(2, 1), make_hw_module((2,), 2)):
+        vector = FVector.basis(P, module, (1, 0), 0)
+        for value in (module, vector):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value, value
+                assert repr(twin) == repr(value), value
+        assert hash(pickle.loads(pickle.dumps(module))) == hash(module)
 
 
 def _dims_and_vector(space, vector):
     return space.dims(), vector
 
 
-def test_spaces_and_vectors_over_wedges_reach_a_worker_process():
-    # a space and a vector over an exterior power go to a worker and back
-    # through the pool that ``cli.run_suite`` uses; each side loads the
-    # exterior power as its own cached instance, so the returned vector
-    # equals the sent one (modules compare by identity)
+def test_spaces_and_vectors_reach_a_worker_process():
+    # a space and a vector go to a worker and back through the pool that
+    # ``cli.run_suite`` uses; each side rebuilds a module from its factory
+    # call, so the returned vector equals the sent one, over an exterior
+    # power and over any other module
     P = WeightModuleP.polynomial(2)
     box = TruncationBox((0, 0), (3, 3), margin=1)
     space = pi_image(P, 1, box)
-    vector = FVector.basis(P, make_wedge_module(2, 1), (1, 2), 1)
+    window = GradedSubspace(P, make_hw_module((2,), 2), box)
+    pairs = [(space, FVector.basis(P, make_wedge_module(2, 1), (1, 2), 1)),
+             (window, FVector.basis(P, make_hw_module((2,), 2), (1, 2), 1))]
     with ProcessPoolExecutor(max_workers=1) as pool:
-        dims, twin = pool.submit(_dims_and_vector, space, vector).result()
-    assert dims == space.dims() and sum(dims.values()) > 0
-    assert twin == vector and twin.module_m is vector.module_m
+        for sent, vector in pairs:
+            dims, twin = pool.submit(_dims_and_vector, sent, vector).result()
+            assert dims == sent.dims() and twin == vector
+    assert sum(space.dims().values()) > 0
     # a shallow copy is a new space that shares the read-only blocks
     shallow = copy.copy(space)
     assert shallow is not space and shallow.blocks.keys() == space.blocks.keys()
@@ -710,9 +710,8 @@ def _frozen_values():
     box = TruncationBox((0, 0), (3, 3), margin=1)
     field = L_op(1, 2, (0, 0))
     equal = ("equal",) * 3
-    # a module compares by identity, so only an exterior power, the one
-    # cached instance per (n, r), is copied (as itself); any other module is
-    # never rebuilt
+    # a module copies as its factory call, so every module copies to an
+    # equal one
     return [
         (t(1, 2), *equal),
         (field, *equal),
@@ -723,7 +722,7 @@ def _frozen_values():
         (Poly.symbols(2)[0], *equal),
         (P, *equal),
         (make_wedge_module(2, 1), *equal),
-        (make_hw_module((2,), 2), *("AttributeError: SLModule is immutable",) * 3),
+        (make_hw_module((2,), 2), *equal),
         (box, *equal),
         (pi_image(P, 1, box), *equal),
     ]
@@ -734,7 +733,7 @@ def _same(twin, value) -> bool:
     are over the same modules and box with the same blocks."""
     if isinstance(value, GradedSubspace):
         return (twin.module_p, twin.box) == (value.module_p, value.box) and (
-            twin.module_m is value.module_m and twin.to_json_obj() == value.to_json_obj()
+            twin.module_m == value.module_m and twin.to_json_obj() == value.to_json_obj()
         )
     return twin == value
 
