@@ -3,17 +3,16 @@ and their tensor modules."""
 
 from .errors import ArgumentError, DomainError, StructureError
 from .indices import TruncationBox, Scalar
-from .weyl import WeylElement, fourier
+from .weyl import WeylElement
 from .vectorfields import (
     L_op,
     VectorField,
     bracket,
     divergence,
-    has_constant_divergence,
     is_divergence_free,
     monomial_field,
 )
-from .ugl import E, UglElement, in_usl
+from .ugl import E, UglElement
 from .tensorop import (
     TensorOperator,
     cubic_identity_residual,
@@ -51,7 +50,7 @@ from .structure import (
     evidence_simplicity,
     subquotient_inventory,
 )
-from .exprparse import parse_expr, parse_vector_field
+from .exprparse import parse_expr
 
 __version__ = "0.1.0"
 
@@ -62,17 +61,14 @@ __all__ = [
     "TruncationBox",
     "Scalar",
     "WeylElement",
-    "fourier",
     "L_op",
     "VectorField",
     "bracket",
     "divergence",
-    "has_constant_divergence",
     "is_divergence_free",
     "monomial_field",
     "E",
     "UglElement",
-    "in_usl",
     "TensorOperator",
     "cubic_identity_residual",
     "interpolate_coefficients",
@@ -103,5 +99,4 @@ __all__ = [
     "evidence_simplicity",
     "subquotient_inventory",
     "parse_expr",
-    "parse_vector_field",
 ]

@@ -25,7 +25,7 @@ from .indices import check_index, mi_zero
 from .tensorop import tensor
 from .terms import SCALARS, RankTerms, accumulate, pair_terms, power_text
 from .ugl import E as ugl_E, UglElement
-from .vectorfields import L_op, VectorField
+from .vectorfields import L_op
 from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
 from .weyl import WeylElement, d, t
 
@@ -389,9 +389,3 @@ def parse_expr(text: str, n: int | None = None):
         raise ParseError("trailing input", pos)
     return value
 
-
-def parse_vector_field(text: str, n: int | None = None) -> VectorField:
-    value = parse_expr(text, n)
-    if not isinstance(value, WeylElement):
-        raise ArgumentError("expression is not a vector field")
-    return VectorField(value)

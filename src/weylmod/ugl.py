@@ -196,25 +196,3 @@ def E(i: int, j: int, n: int) -> UglElement:
     check_index(j, n)
     return UglElement(n, {(((i, j), 1),): 1})
 
-
-def in_usl(u: UglElement) -> bool:
-    """Whether u lies in the subalgebra U(sl_n) of U(gl_n).
-
-    Each PBW monomial is (lowering)(Cartan)(raising) with a commutative
-    Cartan part, a polynomial in E_11..E_nn.  In the coordinates h_k =
-    E_kk - E_(k+1)(k+1) and the central I = sum_i E_ii, U(gl_n) is
-    U(sl_n)[I], so u lies in U(sl_n) exactly when no Cartan part depends on
-    I.  The derivation sum_i d/dE_ii kills every h_k and sends I to n: it is
-    n d/dI, and u lies in U(sl_n) exactly when it kills u.
-    """
-    derived = {}
-    for mono, coeff in u.terms.items():
-        accumulate(
-            derived,
-            (
-                (mono[:k] + (((g, e - 1),) if e > 1 else ()) + mono[k + 1:], coeff * e)
-                for k, (g, e) in enumerate(mono)
-                if g[0] == g[1]
-            ),
-        )
-    return not derived

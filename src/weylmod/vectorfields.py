@@ -92,12 +92,6 @@ def is_divergence_free(x: VectorField) -> bool:
     return divergence(x).is_zero()
 
 
-def has_constant_divergence(x: VectorField) -> bool:
-    div = divergence(x)
-    zero = mi_zero(x.rank)
-    return all(key == (zero, zero) for key in div.terms)
-
-
 def L_op(i: int, j: int, alpha, laurent: bool = False) -> VectorField:
     """The divergence-free generator attached to (i, j, alpha):
 

@@ -75,10 +75,6 @@ class Factor(tuple):
             return k <= -1
         return True
 
-    def exponent(self, k: int):
-        """The true t exponent of basis key k (lambda + k on a Laurent line)."""
-        return k + self.shift if self[0] == LAURENT else k
-
     def __repr__(self):
         kind, q, p = self
         return f"laurent({p}/{q})" if kind == LAURENT else kind
@@ -210,8 +206,9 @@ class SLModule(Frozen):
 
     A module is the value of ``source``, the factory call that built it,
     ``(make_wedge_module, (n, r))`` or ``(make_hw_module, (psi, n))``: it
-    compares, hashes (once, at construction), copies and pickles as that
-    call.  Construction is deterministic, so equal sources give equal labels,
+    compares, hashes (once, at construction) and pickles as that call, and
+    a copy or deep copy of the immutable module is the module itself.
+    Construction is deterministic, so equal sources give equal labels,
     weights and matrices, and the memos keyed by M (``derham._window``,
     ``structure._member_rows``, ``_engine``) may share an entry across them.
     """
@@ -230,6 +227,12 @@ class SLModule(Frozen):
 
     def __reduce__(self):
         return self.source
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def dim(self) -> int:
@@ -480,9 +483,6 @@ class FVector(TermMap):
 
     def weight_of(self, key, midx):
         return tuple(k + w for k, w in zip(key, self.module_m.weights[midx]))
-
-    def weights(self):
-        return sorted({self.weight_of(key, midx) for key, midx in self.terms})
 
     def _text(self, mono):
         key, midx = mono

@@ -13,10 +13,10 @@ import itertools
 from math import comb
 from operator import add, sub
 
-from .errors import DomainError, StructureError
+from .errors import StructureError
 from .indices import check_integer_exponents, falling, mi_unit, mi_zero
 from .memo import bounded
-from .terms import Poly, TermMap, _new, _set_terms, accumulate, check_coefficient, power_text
+from .terms import Poly, TermMap, _new, _set_terms, check_coefficient, power_text
 
 
 def _d_on_t(gamma, beta):
@@ -234,24 +234,3 @@ def d(i: int, n: int) -> WeylElement:
     """The derivative generator, 1-based."""
     return WeylElement._from_kernel({(mi_zero(n), mi_unit(i, n)): 1}, rank=n, laurent=False)
 
-
-def fourier(a: WeylElement) -> WeylElement:
-    """Algebra automorphism with t_i -> d_i and d_i -> -t_i.
-
-    Extended multiplicatively on monomials and re-normal-ordered, so
-    fourier(a*b) == fourier(a)*fourier(b) and the fourth power is the
-    identity.
-    """
-    if a.laurent:
-        raise DomainError("fourier is defined on polynomial-mode elements")
-
-    zero = mi_zero(a.rank)
-
-    def images():
-        for (beta, gamma), c in a.terms.items():
-            base = c * (-1 if sum(gamma) % 2 else 1)
-            # the image of the monomial is (+/-) d^beta t^gamma
-            for mono, coeff in _monomial_product((zero, beta), (gamma, zero)):
-                yield mono, base * coeff
-
-    return WeylElement._from_kernel(accumulate({}, images()), rank=a.rank, laurent=False)

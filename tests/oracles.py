@@ -20,7 +20,7 @@ from weylmod.terms import accumulate
 from weylmod.ugl import E, _gen_key
 from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weightmod import FVector, _action_table, make_wedge_module
-from weylmod.weyl import WeylElement
+from weylmod.weyl import WeylElement, _monomial_product
 
 
 def t_power(t_exp, coeff=1, laurent=None):
@@ -34,6 +34,39 @@ def basis_vector(P, key):
     """The basis vector of the weight module P = F(P, wedge^0) at key, which
     must lie in its support."""
     return FVector.basis(P, make_wedge_module(P.rank, 0), key, 0)
+
+
+def exponent(factor, k):
+    """The true t exponent of basis key k on a line of P: lambda + k on a
+    Laurent line, else k."""
+    return k if factor.shift is None else k + factor.shift
+
+
+def weights(v):
+    """The sorted distinct weights of an ``FVector``'s terms."""
+    return sorted({v.weight_of(key, midx) for key, midx in v.terms})
+
+
+def fourier(a):
+    """Algebra automorphism with t_i -> d_i and d_i -> -t_i.
+
+    Extended multiplicatively on monomials and re-normal-ordered, so
+    fourier(a*b) == fourier(a)*fourier(b) and the fourth power is the
+    identity.
+    """
+    if a.laurent:
+        raise DomainError("fourier is defined on polynomial-mode elements")
+
+    zero = mi_zero(a.rank)
+
+    def images():
+        for (beta, gamma), c in a.terms.items():
+            base = c * (-1 if sum(gamma) % 2 else 1)
+            # the image of the monomial is (+/-) d^beta t^gamma
+            for mono, coeff in _monomial_product((zero, beta), (gamma, zero)):
+                yield mono, base * coeff
+
+    return WeylElement._from_kernel(accumulate({}, images()), rank=a.rank, laurent=False)
 
 
 def basis_vectors(space, weight):
@@ -102,7 +135,8 @@ def monomial_on_key(P, key, t_exp, d_exp):
     coeff = 1
     out = []
     for f, k, b, g in zip(P.factors, key, t_exp, d_exp):
-        c = falling(f.exponent(k), g)
+        # the true exponent: lambda + k on a Laurent line
+        c = falling(k + f.shift if f.kind == "laurent" else k, g)
         if c == 0:
             return None
         new = k - g + b

@@ -780,9 +780,11 @@ def test_cli_output_bytes(capsys):
     # classes shared one text and JSON writer, and inventories and evidence
     # in every ambient, generated before the layer table and the one
     # ambient rule of the structure checks, and one report per single-suite
-    # verify command, generated before the suites shared one check record
+    # verify command, generated before the suites shared one check record,
+    # and the closure, plain act, delta-p, parenthesized and refused parse
+    # outputs, generated before the reach test of tests/test_reach.py
     cases = json.loads((CLI_DATA / "commands.json").read_text())
-    assert len(cases) == 48
+    assert len(cases) == 61
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"], case["name"]

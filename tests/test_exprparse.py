@@ -17,7 +17,6 @@ from weylmod.exprparse import (
     format_vector,
     infer_rank,
     parse_expr,
-    parse_vector_field,
 )
 from weylmod.tensorop import tensor
 from weylmod.ugl import E, UglElement
@@ -38,13 +37,6 @@ def test_parse_weyl_examples():
     assert parse_expr("d[1]*t[1]", 1) == t(1, 1) * d(1, 1) + WeylElement.one(1)
     assert parse_expr("L[1,2;(-1,-1)]", 2) == WeylElement.zero(2)
     assert parse_expr("L[1,2;(1,0)]", 2) == L_op(1, 2, (1, 0)).element
-
-
-def test_parse_vector_field_kind():
-    field = parse_vector_field("t[1]^2*d[1] - 2*t[1]*t[2]*d[2]", 2)
-    assert field == L_op(1, 2, (1, 0))
-    with pytest.raises(ArgumentError):
-        parse_vector_field("e[1]", 2)
 
 
 def test_parse_ugl():

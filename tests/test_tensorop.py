@@ -39,7 +39,7 @@ from weylmod.tensorop import (
     tensor,
 )
 from weylmod.terms import Poly, accumulate
-from weylmod.ugl import E, UglElement, in_usl
+from weylmod.ugl import E, UglElement
 from weylmod.vectorfields import L_op, VectorField, monomial_field
 from weylmod.weyl import WeylElement, d, t
 
@@ -232,7 +232,7 @@ def test_iota_of_generators_lands_in_usl():
                 for (wmono, pmono), coeff in image.terms.items():
                     cofactors.setdefault(wmono, {})[pmono] = coeff
                 for part in cofactors.values():
-                    assert in_usl(UglElement(n, part))
+                    assert oracles.in_usl(UglElement(n, part))
 
 
 def test_special_operator_f_at_zero():

@@ -710,8 +710,8 @@ def _frozen_values():
     box = TruncationBox((0, 0), (3, 3), margin=1)
     field = L_op(1, 2, (0, 0))
     equal = ("equal",) * 3
-    # a module copies as its factory call, so every module copies to an
-    # equal one
+    # a module copies as itself and pickles as its factory call, so every
+    # module copies to an equal one
     return [
         (t(1, 2), *equal),
         (field, *equal),

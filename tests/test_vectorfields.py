@@ -15,7 +15,6 @@ from weylmod.vectorfields import (
     VectorField,
     bracket,
     divergence,
-    has_constant_divergence,
     is_divergence_free,
     monomial_field,
 )
@@ -198,8 +197,6 @@ def test_membership_examples():
     assert is_divergence_free(L_op(1, 2, (1, 0)))
     assert not is_divergence_free(VectorField(t(1, 2) * d(1, 2)))
     assert is_divergence_free(VectorField(d(1, 2)))
-    assert has_constant_divergence(VectorField(t(1, 2) * d(1, 2)))
-    assert not has_constant_divergence(VectorField(t(1, 2) ** 2 * d(1, 2)))
 
 
 def test_L_op_examples():

@@ -13,7 +13,7 @@ from weylmod.tensorop import TensorOperator, tensor
 from weylmod.terms import Poly
 from weylmod.ugl import E
 from weylmod.vectorfields import monomial_field
-from weylmod.weyl import WeylElement, d, fourier, t
+from weylmod.weyl import WeylElement, d, t
 
 
 def random_element(rng, n, deg=3, laurent=False, nterms=3):
@@ -234,13 +234,13 @@ def test_normal_order_canonical():
 
 
 def test_fourier_generators():
-    assert fourier(t(1, 2)) == d(1, 2)
-    assert fourier(d(1, 2)) == -t(1, 2)
+    assert oracles.fourier(t(1, 2)) == d(1, 2)
+    assert oracles.fourier(d(1, 2)) == -t(1, 2)
 
 
 def test_fourier_euler():
     e = t(1, 1) * d(1, 1)
-    assert fourier(e) == -e - WeylElement.one(1)
+    assert oracles.fourier(e) == -e - WeylElement.one(1)
 
 
 def test_fourier_is_automorphism():
@@ -248,15 +248,15 @@ def test_fourier_is_automorphism():
     for _ in range(10):
         a = random_element(rng, 2, deg=2, nterms=2)
         b = random_element(rng, 2, deg=2, nterms=2)
-        assert fourier(a * b) == fourier(a) * fourier(b)
+        assert oracles.fourier(a * b) == oracles.fourier(a) * oracles.fourier(b)
 
 
 def test_fourier_order_four():
     for n in (1, 2):
         for gen in [t(i, n) for i in range(1, n + 1)] + [d(i, n) for i in range(1, n + 1)]:
-            twice = fourier(fourier(gen))
+            twice = oracles.fourier(oracles.fourier(gen))
             assert twice == -gen
-            assert fourier(fourier(twice)) == gen
+            assert oracles.fourier(oracles.fourier(twice)) == gen
 
 
 def test_json_round_trip():
