@@ -23,6 +23,7 @@ from .exprparse import (
     ParseError,
     VectorLiteral,
     _coerce_literal,
+    _coerce_operator,
     format_vector,
     parse_expr,
 )
@@ -34,7 +35,7 @@ from .structure import (
     subquotient_inventory,
 )
 from .suites import SUITES
-from .tensorop import TensorOperator, from_weyl
+from .tensorop import TensorOperator
 from .ugl import UglElement
 from .vectorfields import VectorField
 from .weightmod import (
@@ -189,56 +190,37 @@ def _finish(report, fmt: str) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-# each flag of a single suite and the suite keywords it fills: a suite
-# reads the flag when its signature names one of them
-_FLAG_KEYWORDS = {
-    "alpha_window": ("lo", "hi"), "delta_window": ("delta_hi",), "i": ("pairs", "i_list"),
-    "j": ("pairs",), "lam": ("shift",),
-    **{flag: (flag,) for flag in ("count", "deg", "key_radius", "margin", "seed")},
-}
-
-# the flags that each suite reads, worked out once from its signature;
-# all reads its own four and passes each on to the suites that read it
-_SUITE_FLAGS = {
-    name: frozenset(flag for flag, keywords in _FLAG_KEYWORDS.items()
-                    if set(keywords) & set(inspect.signature(suite).parameters))
-    for name, suite in SUITES.items()
-}
-_SUITE_FLAGS["all"] = frozenset(("deg", "seed", "margin", "lam"))
+# the flags that each suite reads: the parameters of its signature, each
+# under the dest of its flag; all reads its own four and passes each on to
+# the suites that read it
+_SUITE_FLAGS = {name: frozenset(inspect.signature(suite).parameters)
+                for name, suite in SUITES.items()}
+_SUITE_FLAGS["all"] = frozenset(("deg", "seed", "margin", "shift"))
 
 # the suites of verify all in report order, each at all's own sizes and
 # from the least rank at which it checks something
 _ALL = (
-    ("iota-hom", {"deg": 3}, 2), ("eq-cubic", {"lo": -1, "hi": 2}, 2),
-    ("eq-quartic", {"lo": -1, "hi": 2}, 3), ("derham", {"count": 25}, 2),
+    ("iota-hom", {"deg": 3}, 2), ("eq-cubic", {"alpha_window": (-1, 2)}, 2),
+    ("eq-quartic", {"alpha_window": (-1, 2)}, 3), ("derham", {"count": 25}, 2),
     ("unique-submodule", {}, 2), ("delta-p", {}, 2), ("bounded", {}, 2),
-    ("g-u", {"delta_hi": 1, "key_radius": 2}, 3), ("h-ln", {"delta_hi": 1, "key_radius": 2}, 3),
+    ("g-u", {"delta_window": 1, "key_radius": 2}, 3),
+    ("h-ln", {"delta_window": 1, "key_radius": 2}, 3),
 )
 
 
-def _suite_options(suite, flags):
-    """The keyword arguments that those given flags that the suite reads
-    fill, so each default is the suite's own."""
-    flags = {f: v for f, v in flags.items() if f in _SUITE_FLAGS[suite]}
-    if suite == "eq-cubic" and ("i" in flags) != ("j" in flags):
-        raise ArgumentError("eq-cubic needs both --i and --j")
-    options = {}
-    if "alpha_window" in flags:
-        options["lo"], options["hi"] = parse_window(flags.pop("alpha_window"))
-    if "i" in flags:
-        i, j = flags.pop("i"), flags.pop("j", None)
-        options.update({"pairs": [(i, j)]} if suite == "eq-cubic" else {"i_list": [i]})
-    return {**options, **{_FLAG_KEYWORDS[f][0]: v for f, v in flags.items()}}
-
-
 def verify(suite, n=2, jobs=1, timings=False, format="json", **flags):
-    """Run one suite, or every suite at all's sizes, on the keywords that
-    the given suite flags fill."""
+    """Run one suite, or every suite at all's sizes, on the given flags
+    that it reads, so each default is the suite's own."""
     if n < 2:
         raise ArgumentError("rank must be at least 2")
+    if "alpha_window" in flags:
+        flags["alpha_window"] = parse_window(flags["alpha_window"])
     runs = [(name, sizes) for name, sizes, rank in _ALL if n >= rank] if suite == "all" \
         else [(suite, {})]
-    tasks = [(name, {"n": n, **sizes, **_suite_options(name, flags)}) for name, sizes in runs]
+    tasks = [
+        (name, {"n": n, **sizes, **{f: v for f, v in flags.items() if f in _SUITE_FLAGS[name]}})
+        for name, sizes in runs
+    ]
     report = run_suite(tasks, jobs=jobs, timings=timings)
     empty = [c["check"] for c in report["checks"] if "error" not in c and not c["checked"]]
     if empty:
@@ -326,13 +308,8 @@ def _operands(P, op, vector):
 
 def act(P, op, vector, allow_laurent=False):
     n, op_value, vec = _operands(P, op, vector)
-    if isinstance(op_value, WeylElement):
-        op = from_weyl(op_value)
-    elif isinstance(op_value, TensorOperator):
-        op = op_value
-    elif isinstance(op_value, (int, Fraction)):
-        op = TensorOperator.one(n) * op_value
-    else:
+    op = _coerce_operator(op_value, n)
+    if not isinstance(op, TensorOperator):
         raise ArgumentError("--op must be an operator expression")
     out = tensor_act(op, vec, allow_laurent=allow_laurent)
     return _print_json({"result": format_vector(out)})
@@ -408,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument(flag, type=int)
     v.add_argument("--alpha-window", help="e.g. --alpha-window=-2..3")
     v.add_argument("--seed", type=int, help="the seed of sampled checks")
-    v.add_argument("--lambda", dest="lam", type=parse_rational,
+    v.add_argument("--lambda", dest="shift", type=parse_rational,
                    help="shift for Laurent factors in the standard profiles")
 
     dr = sub.add_parser("derham", help="de Rham maps and graded subspaces", **given_only)
@@ -444,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag(dest: str) -> str:
-    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+    return "--lambda" if dest == "shift" else "--" + dest.replace("_", "-")
 
 
 def _call(label: str, fn, given: dict, reads=frozenset()):

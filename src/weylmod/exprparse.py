@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, StructureError
 from .indices import check_index, mi_zero
-from .tensorop import tensor
+from .tensorop import TensorOperator, from_weyl, tensor
 from .terms import SCALARS, RankTerms, accumulate, pair_terms, power_text
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op
@@ -270,6 +270,17 @@ def _coerce_literal(v, rank: int) -> VectorLiteral:
     return VectorLiteral(rank, {(t_exp, ()): c for (t_exp, _), c in v.terms.items()})
 
 
+def _coerce_operator(v, rank: int):
+    """v in Weyl (x) U(gl), the one promotion of operators: a scalar c is c
+    times the unit and a Weyl element a is from_weyl(a) = a (x) 1; any
+    other value is returned as it is."""
+    if isinstance(v, SCALARS):
+        return TensorOperator.one(rank) * v
+    if isinstance(v, WeylElement):
+        return from_weyl(v)
+    return v
+
+
 def _wedge(a: VectorLiteral, b: VectorLiteral) -> VectorLiteral:
     """a ^ b for two vectors of bare wedge labels (every key the unit),
     term by term as e_a1 ^ (e_a2 ^ (... ^ label))."""
@@ -296,6 +307,8 @@ def _wedge_labels(m1, m2):
 def _add(a, b, sign: int, rank: int):
     if isinstance(a, VectorLiteral) or isinstance(b, VectorLiteral):
         a, b = _coerce_literal(a, rank), _coerce_literal(b, rank)
+    elif isinstance(a, TensorOperator) or isinstance(b, TensorOperator):
+        a, b = _coerce_operator(a, rank), _coerce_operator(b, rank)
     elif isinstance(a, SCALARS) and not isinstance(b, SCALARS):
         a = type(b).one(rank) * a
     elif isinstance(b, SCALARS) and not isinstance(a, SCALARS):

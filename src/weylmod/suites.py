@@ -102,8 +102,8 @@ def check_iota_hom(n: int, deg: int = 4):
                    residual_terms=residual_terms)
 
 
-def _check_identity(kind, n, lo, hi, cases, nodes):
-    """One interpolation identity over every alpha in the window.
+def _check_identity(kind, n, alpha_window, cases, nodes):
+    """One interpolation identity over every alpha in the window (lo, hi).
 
     ``cases`` lists (index args, j, lower bound on alpha); the callers give
     each case the argument checks of the public residual function once, on
@@ -116,6 +116,7 @@ def _check_identity(kind, n, lo, hi, cases, nodes):
     depend on alpha, so they are checked once per case.  A template with
     no rows is zero at every alpha, so it is read once and not evaluated.
     """
+    lo, hi = alpha_window
     failures = []
     checked = residual_terms = membership_checked = 0
     for args, j, lower in cases:
@@ -151,22 +152,26 @@ def _lower_bound(n: int, i: int, j: int):
     return mi_sub(tuple(2 * x for x in mi_unit(i, n)), mi_unit(j, n))
 
 
-def check_eq_cubic(n: int, lo: int = -2, hi: int = 3, pairs=None):
-    """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2."""
-    if pairs is None:
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    cases = [((i, j), j, check_L_args(j, i, _lower_bound(n, i, j))) for i, j in pairs]
-    return _check_identity("cubic", n, lo, hi, cases, CUBIC_NODES)
+def check_eq_cubic(n: int, alpha_window=(-2, 3), i=None, j=None):
+    """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2, on the
+    pair (i, j) or, when neither is given, on every pair."""
+    if (i is None) != (j is None):
+        raise ArgumentError("eq-cubic needs both --i and --j")
+    pairs = [(i, j)] if i is not None else [
+        (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
+    ]
+    cases = [((a, b), b, check_L_args(b, a, _lower_bound(n, a, b))) for a, b in pairs]
+    return _check_identity("cubic", n, alpha_window, cases, CUBIC_NODES)
 
 
-def check_eq_quartic(n: int, lo: int = -2, hi: int = 3, i_list=None):
-    """The five-point identity recovering the g operator."""
-    if i_list is None:
-        i_list = list(range(1, n - 1))
-    for i in i_list:
-        check_index(i, n - 2)
-    cases = [((i,), i + 2, _special_args("g", _lower_bound(n, i, i + 2), i)) for i in i_list]
-    return _check_identity("quartic", n, lo, hi, cases, QUARTIC_NODES)
+def check_eq_quartic(n: int, alpha_window=(-2, 3), i=None):
+    """The five-point identity recovering the g operator, at the index i
+    or, when it is not given, at every index."""
+    indices = [i] if i is not None else range(1, n - 1)
+    for a in indices:
+        check_index(a, n - 2)
+    cases = [((a,), a + 2, _special_args("g", _lower_bound(n, a, a + 2), a)) for a in indices]
+    return _check_identity("quartic", n, alpha_window, cases, QUARTIC_NODES)
 
 
 def standard_profiles(n: int, shift=DEFAULT_SHIFT):
@@ -185,18 +190,16 @@ def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
     return TruncationBox(lower, upper)
 
 
-def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
-    """Run one operator lemma over every profile, degree, index and alpha in
-    the admissible window."""
-    if profiles is None:
-        profiles = standard_profiles(n, shift)
+def _check_lemma(check, lemma, n, delta_window, key_radius, shift):
+    """Run one operator lemma over every standard profile, degree, index and
+    alpha in the admissible window."""
     sub = []
-    for name, P in profiles.items():
+    for name, P in standard_profiles(n, shift).items():
         key_box = _profile_key_box(P, key_radius)
         for r in range(2, n):
             for i in range(1, n - 1):
                 base = _lower_bound(n, i, i + 2)
-                for delta in itertools.product(range(delta_hi + 1), repeat=n):
+                for delta in itertools.product(range(delta_window + 1), repeat=n):
                     alpha = tuple(b + d for b, d in zip(base, delta))
                     report = lemma(alpha, i, P, r, key_box)
                     if not report["checked"]:
@@ -216,25 +219,23 @@ def _check_lemma(check, lemma, n, delta_hi, key_radius, profiles, shift):
                         }
                     )
     return _record(
-        check, {"n": n, "deltaWindow": delta_hi, "keyRadius": key_radius},
+        check, {"n": n, "deltaWindow": delta_window, "keyRadius": key_radius},
         sum(s["checked"] for s in sub), [s for s in sub if not s["pass"]],
         cases=len(sub),
     )
 
 
-def check_g_u(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
-              shift=DEFAULT_SHIFT):
+def check_g_u(n: int, delta_window: int = 2, key_radius: int = 3, shift=DEFAULT_SHIFT):
     """g = u on every p (x) v over the admissible alpha window."""
     return _check_lemma(
-        "g-equals-u", verify_g_equals_u, n, delta_hi, key_radius, profiles, shift
+        "g-equals-u", verify_g_equals_u, n, delta_window, key_radius, shift
     )
 
 
-def check_h_ln(n: int, delta_hi: int = 2, key_radius: int = 3, profiles=None,
-               shift=DEFAULT_SHIFT):
+def check_h_ln(n: int, delta_window: int = 2, key_radius: int = 3, shift=DEFAULT_SHIFT):
     """h annihilates the de Rham image over the admissible alpha window."""
     return _check_lemma(
-        "h-annihilates", verify_h_annihilates, n, delta_hi, key_radius, profiles, shift
+        "h-annihilates", verify_h_annihilates, n, delta_window, key_radius, shift
     )
 
 
@@ -298,9 +299,10 @@ def check_derham(n: int, count: int = 100, seed: int = DEFAULT_SEED, shift=DEFAU
                    checked, failures)
 
 
-def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int = 3):
-    """The polynomial module: constants close to a line, anything else fills
-    the inner box."""
+def check_unique_submodule(n: int, margin: int = 2):
+    """The polynomial module over the box 0..5: constants close to a line,
+    any other monomial of degree at most 3 fills the inner box."""
+    side, max_deg = 5, 3
     A = WeightModuleP.polynomial(n)
     triv = make_wedge_module(n, 0)
     box = TruncationBox((0,) * n, (side,) * n, margin=margin)
@@ -325,10 +327,11 @@ def check_unique_submodule(n: int, side: int = 5, margin: int = 2, max_deg: int 
                    checked, failures)
 
 
-def check_delta_p(n: int, radius: int = 6, margin: int = 2, shift=DEFAULT_SHIFT):
+def check_delta_p(n: int, margin: int = 2, shift=DEFAULT_SHIFT):
     """Graded dimensions of the derivative span per profile against their
-    closed form, plus simplicity evidence for the twisted profile and the
-    containment S_n p in deltaP."""
+    closed form over keys within radius 6, plus simplicity evidence for the
+    twisted profile and the containment S_n p in deltaP."""
+    radius = 6
     profiles = standard_profiles(n, shift)
     AF = WeightModuleP.twisted(n)
     tbox = TruncationBox((-radius,) * n, (-1,) * n, margin=margin)
@@ -377,9 +380,11 @@ def _line_count(P, mu, r: int) -> int:
     return coeffs[r]
 
 
-def check_bounded_multiplicity(n: int, radius: int = 2, shift=DEFAULT_SHIFT):
-    """Weight multiplicities of F(P, wedge^r) stay below the binomial bound
-    and match the line-by-line count ``_line_count``."""
+def check_bounded_multiplicity(n: int, shift=DEFAULT_SHIFT):
+    """Weight multiplicities of F(P, wedge^r) at every weight within radius
+    2 stay below the binomial bound and match the line-by-line count
+    ``_line_count``."""
+    radius = 2
     failures = []
     checked = 0
     for r in range(n + 1):

@@ -56,7 +56,7 @@ def test_criterion_2_cubic_identity():
     total = 0
     witnesses = 0
     for n in (2, 3, 4):
-        result = check_eq_cubic(n, lo=-2, hi=3)
+        result = check_eq_cubic(n, alpha_window=(-2, 3))
         assert result["pass"], result["failures"]
         total += result["checked"]
         witnesses += result["polynomialWitnesses"]
@@ -72,7 +72,7 @@ def test_criterion_3_quartic_identity():
     total = 0
     witnesses = 0
     for n in (3, 4, 5):
-        result = check_eq_quartic(n, lo=-2, hi=3)
+        result = check_eq_quartic(n, alpha_window=(-2, 3))
         assert result["pass"], result["failures"]
         total += result["checked"]
         witnesses += result["polynomialWitnesses"]
@@ -86,7 +86,7 @@ def test_criterion_4_g_equals_u():
     started = time.monotonic()
     total = 0
     for n in (3, 4):
-        result = check_g_u(n, delta_hi=2, key_radius=3)
+        result = check_g_u(n, delta_window=2, key_radius=3)
         assert result["pass"], result["failures"]
         total += result["checked"]
     elapsed = time.monotonic() - started
@@ -97,7 +97,7 @@ def test_criterion_5_h_annihilates_image():
     started = time.monotonic()
     total = 0
     for n in (3, 4):
-        result = check_h_ln(n, delta_hi=2, key_radius=3)
+        result = check_h_ln(n, delta_window=2, key_radius=3)
         assert result["pass"], result["failures"]
         total += result["checked"]
     elapsed = time.monotonic() - started
@@ -119,7 +119,7 @@ def test_criterion_7_unique_proper_submodule():
     started = time.monotonic()
     total = 0
     for n in (2, 3):
-        result = check_unique_submodule(n, side=5, margin=2, max_deg=3)
+        result = check_unique_submodule(n, margin=2)
         assert result["pass"], result["failures"]
         total += result["checked"]
     elapsed = time.monotonic() - started
@@ -223,7 +223,7 @@ def test_criterion_11_bounded_multiplicity():
     started = time.monotonic()
     total = 0
     for n in (2, 3, 4):
-        result = check_bounded_multiplicity(n, radius=2)
+        result = check_bounded_multiplicity(n)
         assert result["pass"], result["failures"]
         total += result["checked"]
     elapsed = time.monotonic() - started

@@ -96,7 +96,7 @@ def test_empty_configurations_fail():
     # r in 2..n-1 at n = 2
     for report in (
         check_iota_hom(2, -1),
-        check_eq_cubic(2, lo=2, hi=1),
+        check_eq_cubic(2, alpha_window=(2, 1)),
         check_eq_quartic(2),
         check_g_u(2),
         check_h_ln(2),
@@ -169,7 +169,7 @@ def test_quartic_index_out_of_range_names_the_index(capsys):
     assert code == 2 and not out
     assert "index 2 out of range 1..1" in err
     with pytest.raises(ArgumentError, match=r"index 3 out of range 1\.\.2"):
-        check_eq_quartic(4, i_list=[3])
+        check_eq_quartic(4, i=3)
 
 
 @pytest.mark.parametrize(
@@ -212,9 +212,22 @@ def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, argv, flag):
     assert f"verify {argv[0]} does not read {flag}" in err and "Traceback" not in err
 
 
+def test_a_suite_reads_its_flags_under_their_dests():
+    # every flag of verify but its own is a parameter of some suite, and
+    # every suite parameter but n is such a flag, so no table maps one to
+    # the other
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices["verify"]._actions
+             if a.option_strings and a.dest != "help"}
+    params = set().union(*(inspect.signature(s).parameters for s in SUITES.values()))
+    assert dests - {"n", "jobs", "timings", "format"} == params - {"n"}
+
+
 def _actions():
     """(command, action words, function, {dest: parser action}) of every
-    command but verify, whose suites read their flags through one table."""
+    command but verify, whose suites name their flags' dests in their
+    signatures (``test_a_suite_reads_its_flags_under_their_dests``)."""
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for command, actions in cli._ACTIONS.items():
@@ -729,6 +742,21 @@ def test_vector_flags_read_one_grammar(capsys):
         assert code == 2 and not out, flag
         assert f"{flag} 'E[1,2]' is not a module vector: " in err, flag
         assert "Traceback" not in err, flag
+
+
+def test_act_reads_a_scalar_or_weyl_summand_as_a_tensor_1(capsys):
+    # the operand is promoted as the parser promotes a summand: both orders
+    # print the bytes of the (x) 1 spelling; a bare U(gl) element or vector
+    # is still no operator
+    base = ["act", "--vector", "t[1]", "--P", "[poly,poly]", "--op"]
+    spelled = run_cli(capsys, *base, "t[1]*d[2] (x) E[2,1] + 2*d[1] (x) 1")
+    assert spelled[0] == 0 and json.loads(spelled[1])["result"]
+    for op in ("t[1]*d[2] (x) E[2,1] + 2*d[1]", "2*d[1] + t[1]*d[2] (x) E[2,1]"):
+        assert run_cli(capsys, *base, op) == spelled, op
+    for op in ("E[1,2]", "e[1]"):
+        code, out, err = run_cli(capsys, *base, op)
+        assert code == 2 and not out, op
+        assert err == "error: --op must be an operator expression\n", op
 
 
 def test_act_vector_with_derivative_exits_2(capsys):

@@ -465,13 +465,14 @@ def test_lemma_tables_match_the_per_alpha_oracle(wrong):
     }[wrong]
 
 
-def test_lemma_suite_rejects_a_case_that_checked_nothing():
+def test_lemma_suite_rejects_a_case_that_checked_nothing(monkeypatch):
     # on the poly profile at key radius 0 the only key is 0, which every d_l
     # kills: the h cases check nothing, which is a bad box, not a failure
     profiles = {"poly": WeightModuleP.polynomial(3)}
+    monkeypatch.setattr(suites, "standard_profiles", lambda n, shift: profiles)
     with pytest.raises(ArgumentError, match="leaves nothing to check"):
-        check_h_ln(3, delta_hi=0, key_radius=0, profiles=profiles)
-    assert check_g_u(3, delta_hi=0, key_radius=0, profiles=profiles)["pass"]
+        check_h_ln(3, delta_window=0, key_radius=0)
+    assert check_g_u(3, delta_window=0, key_radius=0)["pass"]
 
 
 def test_derham_sources_match_the_per_label_rule():

@@ -48,6 +48,15 @@ def test_parse_tensor_operator():
     got = parse_expr("t[1] (x) E[1,2] + 1 (x) E[2,1]", 2)
     expected = tensor(t(1, 2), E(1, 2, 2)) + tensor(WeylElement.one(2), E(2, 1, 2))
     assert got == expected
+    # a scalar or a Weyl summand beside a tensor operator is promoted to
+    # Weyl (x) U(gl), in either order; a Weyl summand was refused with
+    # "cannot combine TensorOperator with WeylElement"
+    spelled = parse_expr("t[1]*d[2] (x) E[2,1] + 2*d[1] (x) 1", 2)
+    for text in ("t[1]*d[2] (x) E[2,1] + 2*d[1]", "2*d[1] + t[1]*d[2] (x) E[2,1]"):
+        assert parse_expr(text, 2) == spelled, text
+    assert parse_expr("3 - t[1] (x) E[1,2]", 2) == parse_expr("3 (x) 1 - t[1] (x) E[1,2]", 2)
+    with pytest.raises(StructureError, match="cannot combine UglElement with TensorOperator"):
+        parse_expr("E[1,2] + t[1] (x) E[1,2]", 2)
 
 
 def test_parse_module_vector():

@@ -496,15 +496,15 @@ def test_degree_certificate_catches_a_tampered_product(kind):
     # a term that vanishes at every node leaves the identity's residual at
     # zero, but raises the product's degree in m, so no alpha is certified
     n, j, check = (2, 2, check_eq_cubic) if kind == "cubic" else (3, 3, check_eq_quartic)
-    assert check(n, lo=0, hi=1)["pass"]
+    assert check(n, alpha_window=(0, 1))["pass"]
     with _wrong_kernel("_node_terms", _tampered_node_terms):
-        report = check(n, lo=0, hi=1)
+        report = check(n, alpha_window=(0, 1))
         residual, degree = tensorop._residual_template(kind, n, 1, j)
     assert residual[1] == () and degree == (4 if kind == "cubic" else 5)
     assert not report["pass"]
     assert report["residual_terms"] == 0
     assert len(report["failures"]) == report["checked"] == 8
-    assert check(n, lo=0, hi=1)["pass"]
+    assert check(n, alpha_window=(0, 1))["pass"]
 
 
 @pytest.mark.parametrize(
@@ -516,7 +516,7 @@ def test_identity_suites_match_the_per_alpha_oracle(kind, n, lo, hi):
     check = check_eq_cubic if kind == "cubic" else check_eq_quartic
 
     def compared(extra=None):
-        report = check(n, lo, hi)
+        report = check(n, alpha_window=(lo, hi))
         assert report == oracles.check_identity(kind, n, lo, hi, extra)
         return report
 
@@ -649,17 +649,17 @@ def test_membership_check_fails_below_the_lower_bound(kind, n, lo, hi, monkeypat
     # m e_i + e_j) d_j, is Laurent, so each of them fails, and only they
     i, j = 1, (2 if kind == "cubic" else 3)
     check = check_eq_cubic if kind == "cubic" else check_eq_quartic
-    args = {"pairs": [(i, j)]} if kind == "cubic" else {"i_list": [i]}
+    args = {"i": i, "j": j} if kind == "cubic" else {"i": i}
     fields = {"i": i, "j": j} if kind == "cubic" else {"i": i}
     honest = suites._lower_bound
 
     def one_step_lower(n, i, j):
         return mi_sub(honest(n, i, j), mi_unit(i, n))
 
-    assert check(n, lo, hi, **args)["pass"]
+    assert check(n, alpha_window=(lo, hi), **args)["pass"]
     lower = one_step_lower(n, i, j)
     monkeypatch.setattr(suites, "_lower_bound", one_step_lower)
-    report = check(n, lo, hi, **args)
+    report = check(n, alpha_window=(lo, hi), **args)
     window = itertools.product(range(lo, hi + 1), repeat=n)
     above = [a for a in window if all(x >= y for x, y in zip(a, lower))]
     failing = [{"alpha": list(a), **fields} for a in above if a[i - 1] == 1]
@@ -835,7 +835,7 @@ def test_templates_are_built_on_first_use_only():
         # the suite reads the residual template of (n, i, j) and its degree
         # certificate, which the public residual function built
         "from weylmod.suites import check_eq_cubic\n"
-        "assert check_eq_cubic(2, 0, 1, pairs=[(1, 2)])['pass']\n"
+        "assert check_eq_cubic(2, alpha_window=(0, 1), i=1, j=2)['pass']\n"
         "assert tensorop._residual_template.cache_info().currsize == 2\n"
         "assert len(builds) == 3\n"
         # a lemma call builds the template of its (lemma, n, i, r) only
