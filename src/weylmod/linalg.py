@@ -99,6 +99,8 @@ class RowBasis:
         normalised: elimination cross-multiplies and never divides.
         """
         vec = clear_denominators(vec)
+        if not self._rows:
+            return vec
         for row, p in zip(self._rows, self.pivots):
             f = vec[p]
             if f:
@@ -114,8 +116,10 @@ class RowBasis:
 
     def insert(self, vec) -> bool:
         res = self.reduce(vec)
-        lead = next((c for c, x in enumerate(res) if x), None)
-        if lead is None:
+        for lead, x in enumerate(res):
+            if x:
+                break
+        else:
             return False
         g = gcd(*res)
         if res[lead] < 0:

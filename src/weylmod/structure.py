@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property, partial
-from operator import add, sub
+from functools import cached_property
+from math import prod
+from operator import add, getitem, mul, sub
 
 from .errors import ArgumentError, StructureError
 from .derham import (
@@ -126,17 +127,19 @@ def _member_rows(member: Generator, module_p: WeightModuleP, module_m: SLModule)
 
 class ClosureEngine:
     """The ambient window of the box (a ``GradedSubspace`` with no
-    blocks), with per-weight tables and cached per-(generator, weight)
-    action matrices, the latter assembled from the members' rows in
+    blocks), with tables by weight number and cached per-(generator, weight
+    number) action matrices, the latter assembled from the members' rows in
     ``_member_rows``.
 
-    ``capacity[w]`` is the dimension of the window at w, less that of
-    ``mod`` for a quotient: no closure block at w grows beyond it.
-    ``moves[w]`` is (moves, inward) (``_moves_at``), read from the move
-    table that every engine over the same generator shifts and box shares
-    (``_move_lists``).  Both tables fill a weight on its first read, and
-    neither fill refers to the engine, so an evicted engine is freed by
-    reference counting alone.
+    The engine numbers the box weights in ``box.keys()`` order:
+    ``weights[i]`` is weight number i and ``number[w]`` its number.
+    ``sizes[i]`` is the dimension of the window at weight i, and
+    ``capacity[i]`` that less the dimension of ``mod`` for a quotient: no
+    closure block at i grows beyond it.  ``moves[i]`` is (inward, outward),
+    read from the move table that every engine over the same generator
+    shifts and box shares (``_move_lists``), and filled on its first read by
+    a function of the shifts and the box alone, so an evicted engine is
+    freed by reference counting alone.
     """
 
     def __init__(
@@ -152,25 +155,29 @@ class ClosureEngine:
         self.gens = gens.members
         self.box = box
         self.ambient = GradedSubspace(module_p, module_m, box)
-        labels = self.ambient.labels
-        self.capacity = _Table(
-            lambda w: len(labels[w]) - (mod.dim_at(w) if mod is not None else 0)
+        self.weights, self.number, self.moves = _move_lists(
+            tuple(g.shift for g in self.gens), box
         )
+        labels = self.ambient.labels
+        self.sizes = [len(labels[w]) for w in self.weights]
+        self.capacity = list(self.sizes) if mod is None else [
+            size - mod.dim_at(w) for size, w in zip(self.sizes, self.weights)
+        ]
         self._matrices = {}
-        self.moves = _move_lists(tuple(g.shift for g in self.gens), box)
 
-    def matrix(self, gi: int, w):
-        """The columns of generator gi at weight w, for a move listed in
-        ``moves[w]``: column j lists (position, coeff) pairs, the image of
+    def matrix(self, gi: int, i: int):
+        """The columns of generator gi at weight number i, for a move listed
+        in ``moves[i]``: column j lists (position, coeff) pairs, the image of
         basis vector j times the denominator of the member's rows.  A
         closure is a span, so one nonzero scale per block changes nothing
         it computes, and its arithmetic stays in ints."""
-        cols = self._matrices.get((gi, w))
+        cols = self._matrices.get((gi, i))
         if cols is None:
             g = self.gens[gi]
             rows, _ = _member_rows(g, self.module_p, self.module_m)
+            w = self.weights[i]
             target = tuple(map(add, w, g.shift))
-            cols = self._matrices[gi, w] = _block_columns(
+            cols = self._matrices[gi, i] = _block_columns(
                 self.module_p, rows, self.ambient.labels[w], self.ambient.slots[target]
             )
         return cols
@@ -178,24 +185,51 @@ class ClosureEngine:
 
 @bounded(16)
 def _move_lists(shifts: tuple, box: TruncationBox):
-    """The move table of the generator shifts on the box, shared by every
-    engine over them: weight -> (moves, inward), filled on first read
-    (``_moves_at``)."""
-    return _Table(partial(_moves_at, shifts, box))
+    """(weights, number, moves): the box weights numbered in ``box.keys()``
+    order, weight -> number, and the move table of the generator shifts on
+    the box, shared by every engine over them.
 
+    ``moves[i]`` is (inward, outward), filled on first read: the (generator
+    index, target number) pairs whose target lies in the inner box, then
+    those whose target lies in the box but not the inner box, each in
+    generator order.  The window keys every weight of the box, so these are
+    the moves within the window.  Each distinct shift is placed once per
+    weight: its target lies in the (inner) box where each coordinate lies
+    in the (inner) box's range, and those coordinate comparisons are made
+    once per (coordinate, value, shift) up front.  A target's number is the
+    source number plus the shift's row-major offset in the numbering.
+    """
+    weights = tuple(box.keys())
+    number = {w: i for i, w in enumerate(weights)}
+    kinds = {}  # distinct shift -> its index, in order of first use
+    kind = [kinds.setdefault(shift, len(kinds)) for shift in shifts]
+    ranges = list(zip(box.lower, box.upper, box.inner_lower, box.inner_upper))
+    # row-major: the last coordinate varies fastest
+    strides = [prod(hi - lo + 1 for lo, hi, *_ in ranges[s + 1:]) for s in range(box.rank)]
+    offsets = [sum(map(mul, d, strides)) for d in kinds]
 
-def _moves_at(shifts, box, w):
-    """(moves, inward) at weight w: the (generator index, target) pairs
-    whose target lies in the box, the ``inward`` ones whose target lies in
-    the inner box first, then the outward ones, each part in generator
-    order.  The window keys every weight of the box, so these are the
-    moves within the window."""
-    inward, outward = [], []
-    for gi, shift in enumerate(shifts):
-        target = tuple(map(add, w, shift))
-        if box.contains(target):
-            (inward if box.contains_inner(target) else outward).append((gi, target))
-    return inward + outward, len(inward)
+    def place(x, lo, hi, inner_lo, inner_hi):
+        # 0 outside the range, 2 inside the inner range, 1 between
+        return 0 if not lo <= x <= hi else 2 if inner_lo <= x <= inner_hi else 1
+
+    # places[s][x - lower[s]][k]: the place of coordinate s of the target
+    # of distinct shift k from a weight whose coordinate s is x
+    places = [
+        [tuple(place(x + d[s], *r) for d in kinds) for x in range(r[0], r[1] + 1)]
+        for s, r in enumerate(ranges)
+    ]
+
+    def moves_at(i):
+        # a target's place is the least place of its coordinates
+        rows = map(getitem, places, map(sub, weights[i], box.lower))
+        where = list(map(min, zip(*rows)))
+        targets = [i + offset for offset in offsets]
+        return tuple(
+            [(gi, targets[k]) for gi, k in enumerate(kind) if where[k] == part]
+            for part in (2, 1)
+        )
+
+    return weights, number, _Table(moves_at)
 
 
 @bounded(1)
@@ -283,9 +317,12 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     ``target_dims`` (weight -> dim over the inner box) stops the closure
     once every listed block is full; the report is honest either way.
 
-    The search is goal-directed.  A queued vector meets its moves into the
-    inner box (``engine.moves`` lists them first) as soon as it is
-    dequeued; its outward moves wait in a FIFO, and when no vector is
+    The search runs on the engine's weight numbers: the room of each block
+    (``room[i]``, how far block i may still grow), the blocks and the queued
+    vectors are keyed by number, and the report gets its blocks keyed by
+    weight.  The search is goal-directed.  A queued vector meets its moves
+    into the inner box (the first list of ``engine.moves[i]``) as soon as it
+    is dequeued; its outward moves wait in a FIFO, and when no vector is
     queued the oldest of them resume, up to the first application that
     grows the closure, whose new vector then goes first.  Every inserted
     vector still meets every move, and a move is skipped only where its
@@ -330,17 +367,21 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         raise ArgumentError("need at least one seed")
     engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
+    weights, sizes, moves = engine.weights, engine.sizes, engine.moves
     if _bound is None:
-        room = _Table(engine.capacity.__getitem__)
+        room = list(engine.capacity)
     else:
         # ``_window`` shares one mapping per (P, M, box), so the keys are
         # compared only when the mappings differ
         if (_bound.module_p != engine.module_p or _bound.module_m != engine.module_m
                 or (_bound.labels is not labels and _bound.labels.keys() != labels.keys())):
             raise StructureError("the bound is not a subspace of the closure's window")
-        room = _Table(_bound.dim_at)
+        # a window weight without a block has dimension 0
+        room = [0] * len(weights)
+        for w, block in _bound.blocks.items():
+            room[engine.number[w]] = block.dim
     settled = _settled or {}
-    blocks: dict = {}
+    blocks: dict = {}  # weight number -> RowBasis
     queue: deque = deque()
     deficit = sum(target_dims.values()) if target_dims else None
     done = deficit == 0
@@ -363,20 +404,21 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         return all(held[w].contains(dense) if w in held else not any(dense)
                    for w, dense in parts)
 
-    def insert(w, dense):
+    def insert(i, dense):
         # dense is already reduced modulo _mod
         nonlocal deficit, done, settler
-        basis = blocks.get(w)
+        basis = blocks.get(i)
         if basis is None:
-            basis = blocks[w] = RowBasis(len(labels[w]))
+            basis = blocks[i] = RowBasis(sizes[i])
         before = basis.dim
         if not basis.insert(dense):
             return False
+        w = weights[i]
         if _bound is not None:
             block = _bound.blocks.get(w)
             if block is None or any(block.reduce(dense)):
                 raise StructureError(f"the closure left its bound at weight {list(w)}")
-        room[w] -= 1
+        room[i] -= 1
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1
             done = not deficit
@@ -385,7 +427,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                 if basis.contains(seed) and settles(report):
                     done, settler = True, report
                     break
-        queue.append((w, dense))
+        queue.append((i, dense))
         return True
 
     for seed in seeds:
@@ -394,34 +436,35 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             raise ArgumentError("seed is not a vector of the box window")
         parts += ((w, reduced(w, clear_denominators(d))) for w, d in split.items())
     for w, dense in parts:
-        insert(w, dense)
+        insert(engine.number[w], dense)
     applications = 0
-    outward: deque = deque()  # (w, vec, support, the rest of its outward moves)
+    outward: deque = deque()  # (i, vec, support, the rest of its outward moves)
     while not done:
         if queue:
             # a fresh vector: its inward moves now, its outward ones queued
-            w, vec = queue.popleft()
+            i, vec = queue.popleft()
             support = [pos for pos, c in enumerate(vec) if c != 0]
-            moves, inward = engine.moves[w]
-            outward.append((w, vec, support, itertools.islice(moves, inward, None)))
-            step, resumed = moves[:inward], False
+            step, rest = moves[i]
+            outward.append((i, vec, support, iter(rest)))
+            resumed = False
         elif outward:
-            w, vec, support, step = outward[0]
+            i, vec, support, step = outward[0]
             resumed = True
         else:
             break
         for gi, target in step:
             if not room[target]:
                 continue
-            cols = engine.matrix(gi, w)
-            dense = [0] * len(labels[target])
+            cols = engine.matrix(gi, i)
+            dense = [0] * sizes[target]
             for pos in support:
                 x = vec[pos]
                 for dst, m in cols[pos]:
                     dense[dst] += x * m
             applications += 1
             # resumed outward moves stop at a growth, so its vector goes first
-            if any(dense) and insert(target, reduced(target, dense)) and (resumed or done):
+            if any(dense) and insert(target, reduced(weights[target], dense)) and (
+                    resumed or done):
                 break
         else:
             if resumed:
@@ -432,8 +475,10 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         blocks = settler._blocks
         if target_dims is not None:
             reached = _first_short(blocks, target_dims) is None
-    elif target_dims is not None:
-        reached = settler is not None or not deficit
+    else:
+        blocks = {weights[i]: basis for i, basis in blocks.items()}
+        if target_dims is not None:
+            reached = settler is not None or not deficit
     return ClosureReport(
         box, blocks, engine, _bound,
         target_dims=target_dims, reached_target=reached, applications=applications,
@@ -441,9 +486,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
 
 
 class _Table(dict):
-    """weight -> value, filled on first read from ``fill(weight)``, so a
-    table sets up only the weights it is asked for: a closure's room, an
-    engine's capacity and the shared move tables."""
+    """weight number -> value, filled on first read from ``fill(number)``,
+    so a shared move table sets up only the weights that closures reach."""
 
     __slots__ = ("_fill",)
 
@@ -451,8 +495,8 @@ class _Table(dict):
         super().__init__()
         self._fill = fill
 
-    def __missing__(self, w):
-        value = self[w] = self._fill(w)
+    def __missing__(self, i):
+        value = self[i] = self._fill(i)
         return value
 
 
@@ -551,7 +595,7 @@ def evidence_simplicity(
     engine = _engine(module_p, module_m, gens, box, mod)
     whole = ambient in ("F", "quotient")
     inner = list(box.inner_keys())
-    target = {w: engine.capacity[w] if whole else sub.dim_at(w) for w in inner}
+    target = {w: engine.capacity[engine.number[w]] if whole else sub.dim_at(w) for w in inner}
     if not any(target.values()):
         raise ArgumentError("ambient space is empty on the inner box")
     # where no member raises (or lowers) a coordinate along which the target

@@ -835,15 +835,29 @@ class ClosureOracle:
         return None
 
 
+def moves(gens, box, w):
+    """(inward, outward) at weight w, read off the box directly: the
+    (generator index, target weight) pairs whose target lies in the inner
+    box, then those whose target lies in the box but not the inner box,
+    each in generator order."""
+    inward, outward = [], []
+    for gi, g in enumerate(gens.members):
+        target = tuple(map(add, w, g.shift))
+        if box.contains(target):
+            (inward if box.contains_inner(target) else outward).append((gi, target))
+    return inward, outward
+
+
 def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     """The closure as a plain breadth-first search, without saturation
     pruning or seed certificates: every queued vector meets every move of
-    its weight, through the block columns of the shared engine of the
-    inputs (which ``test_engine_columns_are_scaled_tensor_act_columns``
-    checks against ``tensor_act``).  It takes the arguments of
-    ``structure.closure``, stops as it does once ``target_dims`` is full,
-    and ignores its private bound and certificates, so it can stand in for
-    it inside ``evidence_simplicity``."""
+    its weight (``moves`` above, inward ones first), through the block
+    columns of the shared engine of the inputs (which
+    ``test_engine_columns_are_scaled_tensor_act_columns`` checks against
+    ``tensor_act``).  It takes the arguments of ``structure.closure``, stops
+    as it does once ``target_dims`` is full, and ignores its private bound
+    and certificates, so it can stand in for it inside
+    ``evidence_simplicity``."""
     engine = structure._engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
     labels = engine.ambient.labels
     blocks = {w: IntRowBasis(len(labs)) for w, labs in labels.items()}
@@ -867,8 +881,9 @@ def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     applications = 0
     while queue and not (target_dims and deficit == 0):
         w, vec = queue.popleft()
-        for gi, target in engine.moves[w][0]:
-            cols = engine.matrix(gi, w)
+        inward, outward = moves(gens, box, w)
+        for gi, target in inward + outward:
+            cols = engine.matrix(gi, engine.number[w])
             dense = [0] * len(labels[target])
             for pos, x in enumerate(vec):
                 for dst, m in cols[pos]:

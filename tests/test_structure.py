@@ -87,14 +87,15 @@ def test_engine_columns_are_scaled_tensor_act_columns():
         engine = ClosureEngine(P, M, gens, box)
         weights = sorted(box.inner_keys())[::3]
         for w in weights:
-            for gi, target in engine.moves[w][0]:
+            i = engine.number[w]
+            for gi, t in itertools.chain(*engine.moves[i]):
                 g = gens.members[gi]
-                cols = engine.matrix(gi, w)
-                assert cols is engine.matrix(gi, w)
+                cols = engine.matrix(gi, i)
+                assert cols is engine.matrix(gi, i)
                 assert len(cols) == len(engine.ambient.labels[w])
                 scale = structure._member_rows(g, P, M)[1]
                 scales.add(scale)
-                slots = engine.ambient.slots[target]
+                slots = engine.ambient.slots[engine.weights[t]]
                 for (key, midx), col in zip(engine.ambient.labels[w], cols):
                     assert all(type(c) is int and c for _, c in col)
                     image = oracles.tensor_act(
@@ -116,9 +117,9 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     asked = []
     traced = ClosureEngine.matrix
 
-    def matrix(engine, gi, w):
-        asked.append((gi, w, engine.moves[w][0]))
-        return traced(engine, gi, w)
+    def matrix(engine, gi, i):
+        asked.append((gi, i, engine.moves[i]))
+        return traced(engine, gi, i)
 
     monkeypatch.setattr(ClosureEngine, "matrix", matrix)
     structure._engine.cache_clear()
@@ -127,7 +128,7 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     engine = structure._engine(P, M, gens, box, None)
     built = dict(engine._matrices)
     assert built and asked
-    assert all(gi in dict(moves) for gi, _, moves in asked)
+    assert all(gi in dict(inward + outward) for gi, _, (inward, outward) in asked)
     hits = structure._engine.cache_info().hits
     second = closure(seeds, gens, box)
     info = structure._engine.cache_info()
@@ -164,14 +165,14 @@ def test_engine_keeps_the_action_errors():
     laurent.members = [Generator("x", L_op(1, 2, (-2, 0), laurent=True))]
     engine = ClosureEngine(A, triv, laurent, box)
     with pytest.raises(DomainError):
-        engine.matrix(0, (3, 2))
+        engine.matrix(0, engine.number[(3, 2)])
     # a generator whose shift is overwritten with a wrong one leaves its
     # weight block
     wrong = GeneratorSet([Generator("y", L_op(1, 2, (0, 0)))])
     wrong.members[0].shift = (1, 0)
     engine = ClosureEngine(A, triv, wrong, box)
     with pytest.raises(StructureError, match="left its weight block"):
-        engine.matrix(0, (2, 1))
+        engine.matrix(0, engine.number[(2, 1)])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -564,17 +565,17 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
-def test_lazy_room_gives_the_reports_of_an_eager_one(monkeypatch, case):
-    # a closure fills its room, and an engine its capacity and move tables,
-    # on first read; tables filled at every window weight up front (a plain
-    # dict that refuses any other weight) give the same reports closure by
-    # closure
+def test_lazy_move_table_gives_the_reports_of_an_eager_one(monkeypatch, case):
+    # the shared move table fills a weight number on its first read; a
+    # table filled at every number of the box up front (a plain dict that
+    # refuses any other key) gives the same reports closure by closure
     P, M, ambient, box, r = case
     lazy, lazy_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    size = len(list(box.keys()))
 
     class EagerTable(dict):
         def __init__(self, fill):
-            super().__init__((w, fill(w)) for w in box.keys())
+            super().__init__((i, fill(i)) for i in range(size))
 
     monkeypatch.setattr(structure, "_Table", EagerTable)
     structure._engine.cache_clear()
@@ -611,6 +612,27 @@ def test_a_bound_over_an_equal_window_is_accepted():
     other = TruncationBox((0, 0), (4, 4), margin=1)
     with pytest.raises(StructureError, match="not a subspace of the closure's window"):
         closure([seed], gens, _CUBE2, _bound=GradedSubspace(_A2, wedge1, other))
+
+
+def test_the_search_order_keeps_its_closure_and_application_counts(monkeypatch):
+    # the closure layer's work counters that CI prints: the closures run and
+    # the applications summed over them, by the F evidence over the small
+    # cubes and by check_unique_submodule(4); a change to the move order or
+    # to the skips shows here first
+    for P, r, box, want in ((_A2, 1, _CUBE2, (8, 52)), (_A3, 1, _CUBE3, (3, 156)),
+                            (_A3, 2, _CUBE3, (3, 388))):
+        M = make_wedge_module(P.rank, r)
+        _, calls = _recorded_evidence(monkeypatch, P, M, "F", box, None)
+        assert (len(calls), sum(report.applications for *_, report in calls)) == want, r
+    reports = []
+
+    def recording(*args, **kw):
+        reports.append(closure(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "closure", recording)
+    assert suites.check_unique_submodule(4)["pass"]
+    assert (len(reports), sum(report.applications for report in reports)) == (35, 2071)
 
 
 def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
@@ -807,41 +829,75 @@ def test_a_weight_without_a_block_reads_as_dimension_zero():
 
 def test_move_lists_stay_in_the_window():
     # the moves into the inner box come first, then the outward ones, each
-    # part in generator order, and ``inward`` counts the first part
+    # part in generator order, and a second read gives the same lists
     gens = GeneratorSet.default(3)
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4), (1, 2, 3)]:
-        moves, inward_count = engine.moves[w]
-        assert moves is engine.moves[w][0]
+        i = engine.number[w]
+        inward, outward = engine.moves[i]
+        assert engine.moves[i][0] is inward and engine.moves[i][1] is outward
         window = [
             (gi, tuple(a + b for a, b in zip(w, g.shift)))
             for gi, g in enumerate(gens.members)
             if _CUBE3.contains(tuple(a + b for a, b in zip(w, g.shift)))
         ]
-        inward = [m for m in window if _CUBE3.contains_inner(m[1])]
-        outward = [m for m in window if not _CUBE3.contains_inner(m[1])]
-        assert moves == inward + outward
-        assert inward_count == len(inward)
+        assert [(gi, engine.weights[t]) for gi, t in inward] == [
+            m for m in window if _CUBE3.contains_inner(m[1])
+        ]
+        assert [(gi, engine.weights[t]) for gi, t in outward] == [
+            m for m in window if not _CUBE3.contains_inner(m[1])
+        ]
     # (1, 2, 3) has moves on both sides of the split
-    moves, inward_count = engine.moves[(1, 2, 3)]
-    assert 0 < inward_count < len(moves)
+    inward, outward = engine.moves[engine.number[(1, 2, 3)]]
+    assert inward and outward
+
+
+def test_numbered_move_table_is_the_direct_enumeration():
+    # at every weight of _CUBE3 and at sampled weights of an n = 4 box, the
+    # numbered table lists the moves that the box itself gives, inward ones
+    # first, each part in generator order; a target number maps back to the
+    # source weight plus the generator's shift
+    n4 = TruncationBox((0,) * 4, (5,) * 4, margin=2)
+    for box in (_CUBE3, n4):
+        gens = GeneratorSet.default(box.rank)
+        weights, number, moves = structure._move_lists(
+            tuple(g.shift for g in gens.members), box
+        )
+        assert weights == tuple(box.keys())
+        assert all(number[w] == i for i, w in enumerate(weights))
+        sample = weights if box is _CUBE3 else weights[::37]
+        assert len(sample) > 30
+        for w in sample:
+            i = number[w]
+            numbered = [[(gi, weights[t]) for gi, t in part] for part in moves[i]]
+            assert numbered == list(oracles.moves(gens, box, w)), w
+            for part in moves[i]:
+                for gi, t in part:
+                    shift = gens.members[gi].shift
+                    assert weights[t] == tuple(a + b for a, b in zip(w, shift))
 
 
 def test_engines_over_one_box_share_their_move_lists():
     # the moves depend on the generator shifts and the box alone, so an
-    # engine over another P or M reads the lists that the first one built
+    # engine over another P or M reads the numbering and the lists that the
+    # first one built
     gens = GeneratorSet.default(3)
     structure._move_lists.cache_clear()
     first = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     w = (1, 2, 3)
-    moves, inward = first.moves[w]
+    i = first.number[w]
+    inward, outward = first.moves[i]
     for P, r in ((_A3, 2), (WeightModuleP.twisted(3), 1)):
         other = ClosureEngine(P, make_wedge_module(3, r), gens, _CUBE3)
-        assert other.moves[w][0] is moves and other.moves[w][1] == inward
+        assert other.weights is first.weights and other.number is first.number
+        assert other.moves[i][0] is inward and other.moves[i][1] is outward
     assert structure._move_lists.cache_info()[:2] == (2, 1)
     # another box has lists of its own
     box = TruncationBox((0,) * 3, (3,) * 3, margin=1)
-    assert ClosureEngine(_A3, make_wedge_module(3, 1), gens, box).moves[w][0] != moves
+    other = ClosureEngine(_A3, make_wedge_module(3, 1), gens, box)
+    assert other.weights != first.weights
+    moved = [[(gi, other.weights[t]) for gi, t in part] for part in other.moves[other.number[w]]]
+    assert moved != [[(gi, first.weights[t]) for gi, t in part] for part in (inward, outward)]
 
 
 def _outer_seeds(P, M, box, weights):
