@@ -110,45 +110,40 @@ def ambient_labels(P: WeightModuleP, M: SLModule, weight):
 
 @bounded(8)
 def _window(P: WeightModuleP, M: SLModule, box: TruncationBox):
-    """(labels, slots) of F(P, M) over the weights of the box: ``labels[w]``
-    is the tuple of basis labels (key, m-index) at weight w and
-    ``slots[w]`` maps each to its position.  Built once per (P, M, box) and
-    shared, read-only, by every subspace and closure engine over it."""
+    """The labels of F(P, M) over the weights of the box, a read-only
+    mapping: ``labels[w]`` is the tuple of basis labels (key, m-index) at
+    weight w, and a label's position is its index there.  Built once per
+    (P, M, box) and shared by every subspace and closure engine over it."""
     for what, rank in (("the box", box.rank), ("M", M.rank)):
         if rank != P.rank:
             raise ArgumentError(f"{what} has rank {rank}, but P has rank {P.rank}")
-    labels = {}
-    slots = {}
-    for w in box.keys():
-        labs = labels[w] = ambient_labels(P, M, w)
-        slots[w] = MappingProxyType({lab: pos for pos, lab in enumerate(labs)})
-    return MappingProxyType(labels), MappingProxyType(slots)
+    return MappingProxyType({w: ambient_labels(P, M, w) for w in box.keys()})
 
 
 class GradedSubspace(Frozen):
     """Weight-indexed family of echelonized subspaces of a tensor module,
     fixed at construction.
 
-    ``labels`` and ``slots`` are the shared window of (P, M, box) (see
-    ``_window``), and ``blocks`` is a read-only mapping from window weights
-    to echelon bases over the positions there; a window weight without a
-    block has dimension 0, so ``GradedSubspace(P, M, box)`` is the window
-    itself, with no blocks.  A space that differs from another is built
-    anew, as ``GradedSubspace(P, M, box, {**space.blocks, w: block})``,
-    and so is a copy or a pickle.
+    ``labels`` is the shared window of (P, M, box) (see ``_window``), and
+    ``blocks`` is a read-only mapping from window weights to echelon bases
+    over the label positions there; a window weight without a block has
+    dimension 0, so ``GradedSubspace(P, M, box)`` is the window itself,
+    with no blocks.  A space that differs from another is built anew, as
+    ``GradedSubspace(P, M, box, {**space.blocks, w: block})``, and so is a
+    copy or a pickle.
     """
 
-    __slots__ = ("module_p", "module_m", "box", "labels", "slots", "blocks")
+    __slots__ = ("module_p", "module_m", "box", "labels", "blocks")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox,
                  blocks=None):
-        labels, slots = _window(module_p, module_m, box)
+        labels = _window(module_p, module_m, box)
         blocks = MappingProxyType(dict(blocks or {}))
         for w, block in blocks.items():
             if w not in labels or block.ncols != len(labels[w]):
                 raise ArgumentError(f"the block at weight {list(w)} does not fit the window")
         self._freeze(module_p=module_p, module_m=module_m, box=box, labels=labels,
-                     slots=slots, blocks=blocks)
+                     blocks=blocks)
 
     def __reduce__(self):
         return GradedSubspace, (self.module_p, self.module_m, self.box, dict(self.blocks))
@@ -176,13 +171,13 @@ class GradedSubspace(Frozen):
         parts = {}
         for lab, c in v.terms.items():
             w = v.weight_of(*lab)
-            pos = self.slots.get(w, {}).get(lab)
-            if pos is None:
+            labels = self.labels.get(w, ())
+            if lab not in labels:
                 return None
             dense = parts.get(w)
             if dense is None:
-                dense = parts[w] = [0] * len(self.labels[w])
-            dense[pos] = c
+                dense = parts[w] = [0] * len(labels)
+            dense[labels.index(lab)] = c
         return parts
 
     def contains(self, v: FVector) -> bool:
@@ -226,11 +221,11 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
     source, M = wedge_module(n, r - 1), wedge_module(n, r)
     rows, _ = _derham_rows(P, r - 1)
-    labels, slots = _window(P, M, box)
+    labels = _window(P, M, box)
     blocks = {}
     for w in box.keys():
         block = blocks[w] = RowBasis(len(labels[w]))
-        for col in _block_columns(P, rows, ambient_labels(P, source, w), slots[w]):
+        for col in _block_columns(P, rows, ambient_labels(P, source, w), labels[w]):
             if col:
                 dense = [0] * block.ncols
                 for pos, c in col:
@@ -253,11 +248,10 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     M = wedge_module(n, r)
     rows, _ = _derham_rows(P, r)
-    labels, _ = _window(P, M, box)
-    target_labels, target_slots = _window(P, wedge_module(n, r + 1), box)
+    targets = _window(P, wedge_module(n, r + 1), box)
     blocks = {
-        w: kernel(_block_columns(P, rows, labs, target_slots[w]), len(target_labels[w]))
-        for w, labs in labels.items()
+        w: kernel(_block_columns(P, rows, labs, targets[w]), len(targets[w]))
+        for w, labs in _window(P, M, box).items()
     }
     return GradedSubspace(P, M, box, blocks)
 
@@ -270,9 +264,8 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     some d_l reaches its weight with a nonzero ``_scaled_monomial_on_key``."""
     n = P.rank
     M = wedge_module(n, 0)
-    labels, _ = _window(P, M, box)
     zero = mi_zero(n)
-    blocks = {w: RowBasis(len(labs)) for w, labs in labels.items()}
+    blocks = {w: RowBasis(len(labs)) for w, labs in _window(P, M, box).items()}
     for w in box.keys():
         if not P.supports_key(w):
             continue

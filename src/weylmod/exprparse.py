@@ -392,11 +392,15 @@ def infer_rank(text: str) -> int:
 
 def parse_expr(text: str, n: int | None = None):
     """Parse an expression; returns a Fraction, WeylElement, UglElement,
-    TensorOperator, or VectorLiteral."""
+    TensorOperator, or VectorLiteral.  An expression nested deeper than the
+    interpreter's recursion limit allows is a ``ParseError``."""
     if n is None:
         n = infer_rank(text)
     parser = _Parser(tokenize(text), n)
-    value = parser.parse_sum()
+    try:
+        value = parser.parse_sum()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)

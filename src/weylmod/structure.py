@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from operator import add, getitem, mul, sub
 
@@ -135,11 +135,11 @@ class ClosureEngine:
     ``weights[i]`` is weight number i and ``number[w]`` its number.
     ``sizes[i]`` is the dimension of the window at weight i, and
     ``capacity[i]`` that less the dimension of ``mod`` for a quotient: no
-    closure block at i grows beyond it.  ``moves[i]`` is (inward, outward),
-    read from the move table that every engine over the same generator
-    shifts and box shares (``_move_lists``), and filled on its first read by
-    a function of the shifts and the box alone, so an evicted engine is
-    freed by reference counting alone.
+    closure block at i grows beyond it.  ``moves(i)`` is (inward, outward),
+    read from the cached move function that every engine over the same
+    generator shifts and box shares (``_move_lists``), a function of the
+    shifts and the box alone, so an evicted engine is freed by reference
+    counting alone.
     """
 
     def __init__(
@@ -167,7 +167,7 @@ class ClosureEngine:
 
     def matrix(self, gi: int, i: int):
         """The columns of generator gi at weight number i, for a move listed
-        in ``moves[i]``: column j lists (position, coeff) pairs, the image of
+        in ``moves(i)``: column j lists (position, coeff) pairs, the image of
         basis vector j times the denominator of the member's rows.  A
         closure is a span, so one nonzero scale per block changes nothing
         it computes, and its arithmetic stays in ints."""
@@ -176,9 +176,9 @@ class ClosureEngine:
             g = self.gens[gi]
             rows, _ = _member_rows(g, self.module_p, self.module_m)
             w = self.weights[i]
-            target = tuple(map(add, w, g.shift))
+            labels = self.ambient.labels
             cols = self._matrices[gi, i] = _block_columns(
-                self.module_p, rows, self.ambient.labels[w], self.ambient.slots[target]
+                self.module_p, rows, labels[w], labels[tuple(map(add, w, g.shift))]
             )
         return cols
 
@@ -186,13 +186,14 @@ class ClosureEngine:
 @bounded(16)
 def _move_lists(shifts: tuple, box: TruncationBox):
     """(weights, number, moves): the box weights numbered in ``box.keys()``
-    order, weight -> number, and the move table of the generator shifts on
-    the box, shared by every engine over them.
+    order, weight -> number, and the move function of the generator shifts
+    on the box, shared by every engine over them.
 
-    ``moves[i]`` is (inward, outward), filled on first read: the (generator
-    index, target number) pairs whose target lies in the inner box, then
-    those whose target lies in the box but not the inner box, each in
-    generator order.  The window keys every weight of the box, so these are
+    ``moves(i)`` is (inward, outward), cached from its first call, so only
+    the weights that closures reach are set up: the (generator index,
+    target number) pairs whose target lies in the inner box, then those
+    whose target lies in the box but not the inner box, each in generator
+    order.  The window keys every weight of the box, so these are
     the moves within the window.  Each distinct shift is placed once per
     weight: its target lies in the (inner) box where each coordinate lies
     in the (inner) box's range, and those coordinate comparisons are made
@@ -229,7 +230,7 @@ def _move_lists(shifts: tuple, box: TruncationBox):
             for part in (2, 1)
         )
 
-    return weights, number, _Table(moves_at)
+    return weights, number, cache(moves_at)
 
 
 @bounded(1)
@@ -321,7 +322,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     (``room[i]``, how far block i may still grow), the blocks and the queued
     vectors are keyed by number, and the report gets its blocks keyed by
     weight.  The search is goal-directed.  A queued vector meets its moves
-    into the inner box (the first list of ``engine.moves[i]``) as soon as it
+    into the inner box (the first list of ``engine.moves(i)``) as soon as it
     is dequeued; its outward moves wait in a FIFO, and when no vector is
     queued the oldest of them resume, up to the first application that
     grows the closure, whose new vector then goes first.  Every inserted
@@ -444,7 +445,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             # a fresh vector: its inward moves now, its outward ones queued
             i, vec = queue.popleft()
             support = [pos for pos, c in enumerate(vec) if c != 0]
-            step, rest = moves[i]
+            step, rest = moves(i)
             outward.append((i, vec, support, iter(rest)))
             resumed = False
         elif outward:
@@ -483,21 +484,6 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         box, blocks, engine, _bound,
         target_dims=target_dims, reached_target=reached, applications=applications,
     )
-
-
-class _Table(dict):
-    """weight number -> value, filled on first read from ``fill(number)``,
-    so a shared move table sets up only the weights that closures reach."""
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self._fill = fill
-
-    def __missing__(self, i):
-        value = self[i] = self._fill(i)
-        return value
 
 
 def _first_short(blocks, target_dims):

@@ -248,14 +248,27 @@ class TermMap(Frozen):
 
     def __pow__(self, k: int):
         """The k-fold product, from the class's unit ``one`` in the fields
-        of self; a class without a product has no powers."""
+        of self; a class without a product has no powers.
+
+        The base is squared while its square has one term, so a power of
+        t[1] or E[1,2] takes about 2 log2(k) products.  Any other power is
+        the k-fold loop over the base reached, since a product by a small
+        base costs less than squaring a large power."""
         if self._monomial_product is None:
             return NotImplemented
         if k < 0:
             raise DomainError("negative powers are not defined")
         out = self._like(self.one(*self._context()).terms)
+        base = self
+        while k > 1 and len(base.terms) == 1:
+            square = base * base
+            if len(square.terms) != 1:
+                break
+            if k & 1:
+                out = out * base
+            base, k = square, k >> 1
         for _ in range(k):
-            out = out * self
+            out = out * base
         return out
 
     def __rmul__(self, scalar):

@@ -590,12 +590,15 @@ def _row_image(module_p: WeightModuleP, key, row):
                 yield (new_key, dst), c * num
 
 
-def _block_columns(module_p: WeightModuleP, rows, labels, slots):
+def _block_columns(module_p: WeightModuleP, rows, labels, targets):
     """The images of the basis vectors ``labels`` of one weight block under
     integer rows, one column per label: the (position, coeff) pairs of the
-    nonzero image terms, positioned by ``slots``, the label positions of
-    the target block.  Each coeff is the rows' common denominator times the
-    exact one."""
+    nonzero image terms, a position being the image label's index in
+    ``targets``, the labels of the target block.  Each coeff is the rows'
+    common denominator times the exact one.  Every caller keeps the
+    columns (``ClosureEngine.matrix``, the memoised ``pi_image`` and
+    ``pi_kernel``), so the label positions are worked out once per call."""
+    slots = {lab: pos for pos, lab in enumerate(targets)}
     cols = []
     for key, midx in labels:
         col = []

@@ -8,6 +8,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
+from weylmod.cli import main
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.exprparse import (
     ParseError,
@@ -162,6 +163,22 @@ def test_error_position():
         assert exc.pos == 7
     else:
         raise AssertionError("expected a parse error")
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error(capsys):
+    # as deep as the recursion limit, parentheses, unary minus signs and
+    # wedge joins are refused with a message, not a RecursionError; the
+    # CLI exits 2 with it
+    deep = sys.getrecursionlimit()
+    texts = ["(" * deep + "t[1]" + ")" * deep, "-" * deep + "t[1]", "e[1]^" * deep + "e[1]"]
+    for text in texts:
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expr(text, 1)
+    assert parse_expr("(" * 50 + "-" * 50 + "t[1]" + ")" * 50, 1) == t(1, 1)
+    for text in ("(" * 200 + "t[1]" + ")" * 200, texts[0]):
+        assert main(["parse", text, "--n", "1"]) == 2
+        out = capsys.readouterr()
+        assert not out.out and "error: expression is nested too deeply" in out.err
 
 
 def test_rank_checks():

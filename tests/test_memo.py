@@ -557,7 +557,7 @@ def test_an_evicted_engine_is_freed_by_reference_counting():
             evidence_simplicity(P, wedge1, ambient, box, r=r)
             engine = structure._engine(P, wedge1, gens, box, mod)
             assert structure._engine.cache_info().hits > 0
-            assert engine.capacity and engine.moves and engine._matrices
+            assert engine.capacity and engine.moves.cache_info().currsize and engine._matrices
             ref = weakref.ref(engine)
             del engine
             # evicted by the engine of another module

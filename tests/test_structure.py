@@ -88,20 +88,20 @@ def test_engine_columns_are_scaled_tensor_act_columns():
         weights = sorted(box.inner_keys())[::3]
         for w in weights:
             i = engine.number[w]
-            for gi, t in itertools.chain(*engine.moves[i]):
+            for gi, t in itertools.chain(*engine.moves(i)):
                 g = gens.members[gi]
                 cols = engine.matrix(gi, i)
                 assert cols is engine.matrix(gi, i)
                 assert len(cols) == len(engine.ambient.labels[w])
                 scale = structure._member_rows(g, P, M)[1]
                 scales.add(scale)
-                slots = engine.ambient.slots[engine.weights[t]]
+                targets = engine.ambient.labels[engine.weights[t]]
                 for (key, midx), col in zip(engine.ambient.labels[w], cols):
                     assert all(type(c) is int and c for _, c in col)
                     image = oracles.tensor_act(
                         shen_iota(g.field), FVector.basis(P, M, key, midx)
                     )
-                    expected = {slots[lab]: c * scale for lab, c in image.terms.items()}
+                    expected = {targets.index(lab): c * scale for lab, c in image.terms.items()}
                     assert dict(col) == expected, (P, M.name, w, g.name, key, midx)
     # the Laurent blocks carry a denominator, the others do not
     assert 1 in scales and any(s % 5 == 0 for s in scales)
@@ -118,7 +118,7 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     traced = ClosureEngine.matrix
 
     def matrix(engine, gi, i):
-        asked.append((gi, i, engine.moves[i]))
+        asked.append((gi, i, engine.moves(i)))
         return traced(engine, gi, i)
 
     monkeypatch.setattr(ClosureEngine, "matrix", matrix)
@@ -566,18 +566,17 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
 
 @pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
 def test_lazy_move_table_gives_the_reports_of_an_eager_one(monkeypatch, case):
-    # the shared move table fills a weight number on its first read; a
+    # the shared move function fills a weight number on its first call; a
     # table filled at every number of the box up front (a plain dict that
     # refuses any other key) gives the same reports closure by closure
     P, M, ambient, box, r = case
     lazy, lazy_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
     size = len(list(box.keys()))
 
-    class EagerTable(dict):
-        def __init__(self, fill):
-            super().__init__((i, fill(i)) for i in range(size))
+    def eager(fill):
+        return {i: fill(i) for i in range(size)}.__getitem__
 
-    monkeypatch.setattr(structure, "_Table", EagerTable)
+    monkeypatch.setattr(structure, "cache", eager)
     structure._engine.cache_clear()
     structure._move_lists.cache_clear()
     eager, eager_calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
@@ -834,8 +833,8 @@ def test_move_lists_stay_in_the_window():
     engine = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     for w in [(0, 0, 0), (2, 2, 2), (4, 0, 4), (1, 2, 3)]:
         i = engine.number[w]
-        inward, outward = engine.moves[i]
-        assert engine.moves[i][0] is inward and engine.moves[i][1] is outward
+        inward, outward = engine.moves(i)
+        assert engine.moves(i)[0] is inward and engine.moves(i)[1] is outward
         window = [
             (gi, tuple(a + b for a, b in zip(w, g.shift)))
             for gi, g in enumerate(gens.members)
@@ -848,7 +847,7 @@ def test_move_lists_stay_in_the_window():
             m for m in window if not _CUBE3.contains_inner(m[1])
         ]
     # (1, 2, 3) has moves on both sides of the split
-    inward, outward = engine.moves[engine.number[(1, 2, 3)]]
+    inward, outward = engine.moves(engine.number[(1, 2, 3)])
     assert inward and outward
 
 
@@ -869,9 +868,9 @@ def test_numbered_move_table_is_the_direct_enumeration():
         assert len(sample) > 30
         for w in sample:
             i = number[w]
-            numbered = [[(gi, weights[t]) for gi, t in part] for part in moves[i]]
+            numbered = [[(gi, weights[t]) for gi, t in part] for part in moves(i)]
             assert numbered == list(oracles.moves(gens, box, w)), w
-            for part in moves[i]:
+            for part in moves(i):
                 for gi, t in part:
                     shift = gens.members[gi].shift
                     assert weights[t] == tuple(a + b for a, b in zip(w, shift))
@@ -886,17 +885,17 @@ def test_engines_over_one_box_share_their_move_lists():
     first = ClosureEngine(_A3, make_wedge_module(3, 1), gens, _CUBE3)
     w = (1, 2, 3)
     i = first.number[w]
-    inward, outward = first.moves[i]
+    inward, outward = first.moves(i)
     for P, r in ((_A3, 2), (WeightModuleP.twisted(3), 1)):
         other = ClosureEngine(P, make_wedge_module(3, r), gens, _CUBE3)
         assert other.weights is first.weights and other.number is first.number
-        assert other.moves[i][0] is inward and other.moves[i][1] is outward
+        assert other.moves(i)[0] is inward and other.moves(i)[1] is outward
     assert structure._move_lists.cache_info()[:2] == (2, 1)
     # another box has lists of its own
     box = TruncationBox((0,) * 3, (3,) * 3, margin=1)
     other = ClosureEngine(_A3, make_wedge_module(3, 1), gens, box)
     assert other.weights != first.weights
-    moved = [[(gi, other.weights[t]) for gi, t in part] for part in other.moves[other.number[w]]]
+    moved = [[(gi, other.weights[t]) for gi, t in part] for part in other.moves(other.number[w])]
     assert moved != [[(gi, first.weights[t]) for gi, t in part] for part in (inward, outward)]
 
 

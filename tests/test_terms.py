@@ -32,7 +32,7 @@ from weylmod.exprparse import VectorLiteral, parse_expr
 from weylmod.indices import TruncationBox, mi_unit
 from weylmod.structure import GeneratorSet, evidence_simplicity
 from weylmod.suites import _random_fvector, standard_profiles
-from weylmod.tensorop import TensorOperator, shen_iota
+from weylmod.tensorop import TensorOperator, shen_iota, tensor
 from weylmod.terms import Frozen, Poly, RankTerms, TermMap, accumulate, pair_terms
 from weylmod.ugl import E, UglElement, _gen_key, pbw_product
 from weylmod.vectorfields import L_op, VectorField, monomial_field
@@ -411,18 +411,43 @@ def _power_samples(rng):
 
 @pytest.mark.parametrize("case", range(len(POWER_CASES)), ids=POWER_CASES)
 def test_powers_are_the_k_fold_product(case):
-    # TermMap.__pow__ is the one power loop of every class with a product
+    # TermMap.__pow__ is the one power rule of every class with a product,
+    # on a sample and on its first term alone, which it squares while the
+    # square has one term
     rng = random.Random(61)
     for _ in range(3):
         x, one = _power_samples(rng)[case]
-        product = one
-        for k in range(6):
-            power = x**k
-            assert type(power) is type(x) and power == product, k
-            assert getattr(power, "laurent", None) == getattr(x, "laurent", None), k
-            product = product * x
+        for base in (x, x._like(dict([next(iter(x.terms.items()))]))):
+            product = one
+            for k in range(9):
+                power = base**k
+                assert type(power) is type(x) and power == product, (base, k)
+                assert getattr(power, "laurent", None) == getattr(x, "laurent", None), k
+                product = product * base
         with pytest.raises(DomainError, match="negative powers"):
             x ** -1
+
+
+def test_a_power_of_a_generator_takes_logarithmically_many_products(monkeypatch):
+    # t[1], E[1,2] and their tensor are squared 40 times for k = 2^40 (and
+    # multiplied at most 40 more times for 2^41 - 1), exactly
+    n, k = 2, 1 << 40
+    weyl = WeylElement.monomial((k, 0), (0, 0))
+    ugl = UglElement(n, {(((1, 2), k),): 1})
+    cases = [(t(1, n), weyl), (E(1, 2, n), ugl), (tensor(t(1, n), E(1, 2, n)), tensor(weyl, ugl))]
+    for base, want in cases:
+        cls = type(base)
+        products = []
+
+        def counted(a, b, mul=cls.__mul__):
+            products.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        assert base**k == want
+        assert 40 <= len(products) <= 2 * 41, base
+        products.clear()
+        assert len((base ** (2 * k - 1)).terms) == 1 and 40 <= len(products) <= 2 * 41, base
 
 
 @pytest.mark.parametrize("name", ["VectorField", "FVector", "VectorLiteral"])
