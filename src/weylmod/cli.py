@@ -19,14 +19,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, StructureError
 from .derham import partial_span, pi, pi_image, pi_kernel
-from .exprparse import (
-    ParseError,
-    VectorLiteral,
-    _coerce_literal,
-    _coerce_operator,
-    format_vector,
-    parse_expr,
-)
+from .exprparse import ParseError, VectorLiteral, _lift, parse_expr
 from .indices import TruncationBox
 from .structure import (
     GeneratorSet,
@@ -236,7 +229,7 @@ def _read_vector(flag: str, text: str, n: int) -> VectorLiteral:
     polynomials and wedge labels read as vectors too."""
     value = parse_expr(text, n)
     try:
-        return _coerce_literal(value, n)
+        return _lift(value, VectorLiteral, n)
     except StructureError as exc:
         raise ArgumentError(f"{flag} {text!r} is not a module vector: {exc}") from exc
 
@@ -244,7 +237,7 @@ def _read_vector(flag: str, text: str, n: int) -> VectorLiteral:
 def derham_pi(P, input):
     P = parse_module_descriptor(P)
     value = _read_vector("--input", input, P.rank)
-    return _print_json({"input": str(value), "image": format_vector(pi(value.bind(P)))})
+    return _print_json({"input": str(value), "image": str(pi(value.bind(P)))})
 
 
 def derham_gen_ln(P, r=1, box="-3..3"):
@@ -308,18 +301,18 @@ def _operands(P, op, vector):
 
 def act(P, op, vector, allow_laurent=False):
     n, op_value, vec = _operands(P, op, vector)
-    op = _coerce_operator(op_value, n)
+    op = _lift(op_value, TensorOperator, n)
     if not isinstance(op, TensorOperator):
         raise ArgumentError("--op must be an operator expression")
     out = tensor_act(op, vec, allow_laurent=allow_laurent)
-    return _print_json({"result": format_vector(out)})
+    return _print_json({"result": str(out)})
 
 
 def act_via_iota(P, op, vector):
     _, field, vec = _operands(P, op, vector)
     if not isinstance(field, WeylElement):
         raise ArgumentError("--via-iota needs a vector-field expression")
-    return _print_json({"result": format_vector(sn_act(VectorField(field), vec))})
+    return _print_json({"result": str(sn_act(VectorField(field), vec))})
 
 
 def parse(expr, n=None):

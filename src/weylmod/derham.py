@@ -79,14 +79,6 @@ def _derham_table(n: int, r: int):
     return table
 
 
-@bounded(32)
-def _derham_rows(P: WeightModuleP, r: int):
-    """The integer rows of ``_derham_table(n, r)`` on P and their common
-    denominator, built once per (P, r) and shared by every caller: treat
-    them as read-only."""
-    return _integer_rows(P, _derham_table(P.rank, r))
-
-
 def pi(w: FVector) -> FVector:
     """The de Rham map p (x) v -> sum_l d_l(p) (x) e_l wedge v.
 
@@ -98,8 +90,7 @@ def pi(w: FVector) -> FVector:
     r = wedge_degree(w.module_m)
     if r > n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
-    rows, den = _derham_rows(P, r)
-    return _rows_on_terms(wedge_module(n, r + 1), rows, den, w)
+    return _table_image(_derham_table(n, r), wedge_module(n, r + 1), w)
 
 
 def ambient_labels(P: WeightModuleP, M: SLModule, weight):
@@ -220,7 +211,7 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     if not 1 <= r <= n:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
     source, M = wedge_module(n, r - 1), wedge_module(n, r)
-    rows, _ = _derham_rows(P, r - 1)
+    rows, _ = _integer_rows(P, _derham_table(n, r - 1))
     labels = _window(P, M, box)
     blocks = {}
     for w in box.keys():
@@ -247,7 +238,7 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     M = wedge_module(n, r)
-    rows, _ = _derham_rows(P, r)
+    rows, _ = _integer_rows(P, _derham_table(n, r))
     targets = _window(P, wedge_module(n, r + 1), box)
     blocks = {
         w: kernel(_block_columns(P, rows, labs, targets[w]), len(targets[w]))

@@ -11,7 +11,8 @@ monomials only (Laurent keys).
 Every value is a scalar (int or Fraction) or a term map: a WeylElement, a
 UglElement, a TensorOperator (Weyl part tensor U(gl) part), or an unbound
 module-vector literal that a command later binds to concrete modules.  Sums
-and products are the term maps' own ``+``, ``-`` and ``*``.
+and products are the term maps' own ``+``, ``-`` and ``*``, on operands
+promoted by one rule, ``_lift``.  Every value prints in this grammar.
 """
 
 from __future__ import annotations
@@ -19,14 +20,17 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import ArgumentError, StructureError
 from .indices import check_index, mi_zero
 from .tensorop import TensorOperator, from_weyl, tensor
-from .terms import SCALARS, RankTerms, accumulate, pair_terms, power_text
+from .terms import SCALARS, RankTerms, accumulate, pair_terms
 from .ugl import E as ugl_E, UglElement
 from .vectorfields import L_op
-from .weightmod import FVector, SLModule, WeightModuleP, make_wedge_module, wedge_insert
+from .weightmod import (
+    FVector, SLModule, WeightModuleP, make_wedge_module, vector_text, wedge_insert,
+)
 from .weyl import WeylElement, d, t
 
 
@@ -110,26 +114,12 @@ class VectorLiteral(RankTerms):
             terms[(key, index[wedge])] = c
         return FVector(module_p, module_m, terms)
 
+    @classmethod
+    def one(cls, rank: int) -> VectorLiteral:
+        return cls(rank, {(mi_zero(rank), ()): 1})
+
     def _text(self, mono) -> str:
-        # the unit key is empty text, so a constant prints as its
-        # coefficient; beside a wedge label it stays 1, as in 1 (x) e[1]
-        key, wedge = mono
-        body = "*".join(power_text("t", key))
-        if wedge:
-            body = f"{body or 1} (x) " + "^".join(f"e[{x}]" for x in wedge)
-        return body
-
-
-def format_vector(v: FVector) -> str:
-    """Grammar-form text for a module vector over an exterior power."""
-    lit = VectorLiteral(
-        v.module_p.rank,
-        {
-            (key, tuple(v.module_m.labels[midx])): c
-            for (key, midx), c in v.terms.items()
-        },
-    )
-    return str(lit)
+        return vector_text(*mono)
 
 
 class _Parser:
@@ -151,35 +141,24 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    # precedence: sum < tensor < product < unary < power < atom
-    def parse_sum(self):
-        value = self.parse_tensor()
+    # precedence: the binary levels of _BINARY, loosest first, then unary <
+    # power < atom
+    def parse_binary(self, level: int = 0):
+        """One binary level: a left-associative chain over operands of the
+        next level, unary ones at the last."""
+        if level == len(_BINARY) - 1:
+            operand = self.parse_unary
+        else:
+            operand = partial(self.parse_binary, level + 1)
+        joins = _BINARY[level]
+        value = operand()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_tensor()
-                value = _add(value, rhs, 1 if val == "+" else -1, self.rank)
-            else:
+            # only op and tensor tokens carry text
+            join = joins.get(self.peek()[1])
+            if join is None:
                 return value
-
-    def parse_tensor(self):
-        value = self.parse_product()
-        while self.peek()[0] == "tensor":
             self.next()
-            rhs = self.parse_product()
-            value = _tensor_join(value, rhs, self.rank)
-        return value
-
-    def parse_product(self):
-        value = self.parse_unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                value = _mul(value, self.parse_unary())
-            else:
-                return value
+            value = join(value, operand(), self.rank)
 
     def parse_unary(self):
         kind, val, _ = self.peek()
@@ -215,7 +194,7 @@ class _Parser:
         if kind == "number":
             return val
         if kind == "op" and val == "(":
-            inner = self.parse_sum()
+            inner = self.parse_binary()
             self.expect_op(")")
             return inner
         if kind == "gen":
@@ -256,28 +235,22 @@ class _Parser:
         raise ParseError(f"unknown generator {name!r}", pos)
 
 
-def _coerce_literal(v, rank: int) -> VectorLiteral:
-    """v as a module vector: a scalar or a derivative-free Weyl polynomial
-    is a vector with no wedge labels."""
-    if isinstance(v, VectorLiteral):
-        return v
-    if isinstance(v, SCALARS):
-        v = WeylElement.one(rank) * v
-    if not isinstance(v, WeylElement):
-        raise StructureError(f"cannot treat {type(v).__name__} as a module vector")
-    if any(any(d_exp) for _, d_exp in v.terms):
-        raise StructureError("module vectors cannot contain derivatives")
-    return VectorLiteral(rank, {(t_exp, ()): c for (t_exp, _), c in v.terms.items()})
-
-
-def _coerce_operator(v, rank: int):
-    """v in Weyl (x) U(gl), the one promotion of operators: a scalar c is c
-    times the unit and a Weyl element a is from_weyl(a) = a (x) 1; any
-    other value is returned as it is."""
-    if isinstance(v, SCALARS):
-        return TensorOperator.one(rank) * v
-    if isinstance(v, WeylElement):
+def _lift(v, cls, rank: int):
+    """v as a value of class cls, the one promotion of mixed operands: a
+    scalar c is c times the unit of cls, and a Weyl element a is
+    from_weyl(a) = a (x) 1 among operators and, without derivatives, a
+    vector with no wedge labels.  A vector is made of nothing else, and
+    any other value is returned as it is, for the operation to refuse."""
+    if isinstance(v, SCALARS) and cls not in SCALARS:
+        return cls.one(rank) * v
+    if cls is TensorOperator and isinstance(v, WeylElement):
         return from_weyl(v)
+    if cls is VectorLiteral and not isinstance(v, VectorLiteral):
+        if not isinstance(v, WeylElement):
+            raise StructureError(f"cannot treat {type(v).__name__} as a module vector")
+        if any(any(d_exp) for _, d_exp in v.terms):
+            raise StructureError("module vectors cannot contain derivatives")
+        return VectorLiteral(rank, {(t_exp, ()): c for (t_exp, _), c in v.terms.items()})
     return v
 
 
@@ -304,16 +277,13 @@ def _wedge_labels(m1, m2):
     return (((key, label), sign),)
 
 
-def _add(a, b, sign: int, rank: int):
-    if isinstance(a, VectorLiteral) or isinstance(b, VectorLiteral):
-        a, b = _coerce_literal(a, rank), _coerce_literal(b, rank)
-    elif isinstance(a, TensorOperator) or isinstance(b, TensorOperator):
-        a, b = _coerce_operator(a, rank), _coerce_operator(b, rank)
-    elif isinstance(a, SCALARS) and not isinstance(b, SCALARS):
-        a = type(b).one(rank) * a
-    elif isinstance(b, SCALARS) and not isinstance(a, SCALARS):
-        b = type(a).one(rank) * b
-    return a + sign * b
+def _add(a, b, rank: int, sign: int = 1):
+    """a + sign * b, both lifted to the first class present of: vector,
+    operator, the other summand's class."""
+    kinds = (type(a), type(b))
+    other = type(b) if isinstance(a, SCALARS) else type(a)
+    cls = next((c for c in (VectorLiteral, TensorOperator) if c in kinds), other)
+    return _lift(a, cls, rank) + sign * _lift(b, cls, rank)
 
 
 def _mul(a, b):
@@ -352,25 +322,34 @@ def _power(base, k: int, pos: int):
 
 
 def _tensor_join(a, b, rank: int):
-    # operator side: Weyl (x) U(gl)
-    if isinstance(a, SCALARS):
-        a = WeylElement.one(rank) * a
-    if isinstance(a, WeylElement) and isinstance(b, UglElement):
-        return tensor(a, b)
-    if isinstance(a, WeylElement) and isinstance(b, SCALARS):
-        return tensor(a, UglElement.one(a.rank) * b)
     # vector side: polynomial part (x) wedge labels
     if isinstance(b, VectorLiteral):
-        left = _coerce_literal(a, rank)
+        left = _lift(a, VectorLiteral, rank)
         if any(w1 for _, w1 in left.terms):
             raise StructureError("left tensor factor already has labels")
         if any(any(k2) for k2, _ in b.terms):
             raise StructureError("right tensor factor must be a label")
         pairs = pair_terms(left.terms, b.terms, lambda m1, m2: (((m1[0], m2[1]), 1),))
         return VectorLiteral(rank, dict(pairs))
+    # operator side: Weyl (x) U(gl)
+    a = _lift(a, WeylElement, rank)
+    if isinstance(a, WeylElement):
+        b = _lift(b, UglElement, rank)
+        if isinstance(b, UglElement):
+            return tensor(a, b)
     raise StructureError(
         f"cannot tensor {type(a).__name__} with {type(b).__name__}"
     )
+
+
+# the binary levels, loosest first (sum < tensor < product): each maps its
+# operator tokens to the join of two operands, and the parser reads a level
+# as a left-associative chain over the next
+_BINARY = (
+    {"+": _add, "-": partial(_add, sign=-1)},
+    {"(x)": _tensor_join},
+    {"*": lambda a, b, rank: _mul(a, b)},
+)
 
 
 def infer_rank(text: str) -> int:
@@ -398,7 +377,7 @@ def parse_expr(text: str, n: int | None = None):
         n = infer_rank(text)
     parser = _Parser(tokenize(text), n)
     try:
-        value = parser.parse_sum()
+        value = parser.parse_binary()
     except RecursionError:
         raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
     kind, _, pos = parser.peek()

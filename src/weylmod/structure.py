@@ -153,7 +153,6 @@ class ClosureEngine:
         self.module_p = module_p
         self.module_m = module_m
         self.gens = gens.members
-        self.box = box
         self.ambient = GradedSubspace(module_p, module_m, box)
         self.weights, self.number, self.moves = _move_lists(
             tuple(g.shift for g in self.gens), box

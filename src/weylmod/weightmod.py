@@ -26,7 +26,7 @@ from .indices import check_index, check_integer_exponents
 from .linalg import RowBasis
 from .memo import bounded
 from .tensorop import TensorOperator, shen_iota
-from .terms import Frozen, TermMap, _new, _set_terms, accumulate
+from .terms import Frozen, TermMap, _new, _set_terms, accumulate, power_text
 from .vectorfields import VectorField, is_divergence_free
 from .weyl import _monomial_product
 
@@ -486,7 +486,21 @@ class FVector(TermMap):
 
     def _text(self, mono):
         key, midx = mono
-        return f"t^{key}(x){self.module_m.labels[midx]}"
+        return vector_text(key, self.module_m.labels[midx])
+
+
+def vector_text(key, label) -> str:
+    """The grammar text of one module-vector monomial, that of every module
+    vector: the key as t powers, then ``(x)`` and the label, a wedge label
+    as ``e[i]^e[j]`` and an ``hw`` label ``v<k>`` as itself.  The unit key
+    is empty text, so a constant prints as its coefficient; beside a label
+    it stays 1, as in ``1 (x) e[1]``."""
+    body = "*".join(power_text("t", key))
+    if label:
+        if not isinstance(label, str):
+            label = "^".join(f"e[{x}]" for x in label)
+        body = f"{body or 1} (x) {label}"
+    return body
 
 
 _set_module_p = FVector.module_p.__set__

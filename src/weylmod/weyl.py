@@ -54,7 +54,6 @@ def _normal_order_table(gamma, beta):
     return tuple(out)
 
 
-@bounded(512)
 def _coord_choices(g, b):
     """The (k, comb(g, k) * falling(b, k)) pairs of d^g t^b in one
     coordinate, zeros left out.  A ``Poly`` b keeps every k <= g: its

@@ -8,21 +8,26 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from weylmod.cli import main
+from weylmod.cli import _read_vector, main
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.exprparse import (
     ParseError,
     VectorLiteral,
-    _coerce_literal,
+    _lift,
     _wedge,
-    format_vector,
     infer_rank,
     parse_expr,
 )
 from weylmod.tensorop import tensor
 from weylmod.ugl import E, UglElement
 from weylmod.vectorfields import L_op
-from weylmod.weightmod import WeightModuleP, make_wedge_module
+from weylmod.weightmod import (
+    FVector,
+    WeightModuleP,
+    make_hw_module,
+    make_wedge_module,
+    parse_module_descriptor,
+)
 from weylmod.weyl import WeylElement, d, t
 
 
@@ -81,15 +86,15 @@ def test_wedge_sign_and_collapse():
 def test_constant_vector_terms_round_trip():
     # a constant term prints as its coefficient, as in Weyl text; beside a
     # wedge label the unit key stays 1.  Vectors are read as the vector
-    # flags read them (``_coerce_literal``)
+    # flags read them (``_lift`` to a vector)
     for text, canonical in (
         ("t[1]^-1*t[2]^2 - 2/3 + e[1]", "t[1]^-1*t[2]^2 - 2/3 + 1 (x) e[1]"),
         ("3 - t[2]", "3 - t[2]"),
         ("-1/3 (x) e[1]^e[2] + 2", "2 - 1/3*1 (x) e[1]^e[2]"),
     ):
-        lit = _coerce_literal(parse_expr(text, 2), 2)
+        lit = _lift(parse_expr(text, 2), VectorLiteral, 2)
         assert str(lit) == canonical
-        assert _coerce_literal(parse_expr(canonical, 2), 2) == lit
+        assert _lift(parse_expr(canonical, 2), VectorLiteral, 2) == lit
 
 
 def test_vector_sums():
@@ -243,12 +248,42 @@ def test_wedge_join_matches_the_permutation_sign():
                     assert got.terms == {((0,) * n, hit[1]): -hit[0]}, (a, b)
 
 
-def test_vector_round_trip():
-    P = WeightModuleP.polynomial(2)
-    wedge1 = make_wedge_module(2, 1)
-    from weylmod.weightmod import FVector
+# the keys drawn on each line: a polynomial line from 0 up, a twisted one
+# below 0, a Laurent one on both sides
+_KEY_RANGES = {"poly": range(0, 3), "twist": range(-3, 0), "laurent": range(-2, 3)}
 
-    vec = FVector(P, wedge1, {((1, 0), 0): Fraction(2, 3), ((0, 2), 1): -1})
-    text = format_vector(vec)
-    lit = parse_expr(text, 2)
-    assert lit.bind(P) == vec
+
+def test_vector_round_trip():
+    # str(v) of every vector over an exterior power reads back to v as
+    # derham pi --input reads it, and a nonzero one also binds to its
+    # exterior power unnamed
+    rng = random.Random(2505)
+    for n in range(1, 5):
+        for name in ("poly", "twist", "laurent(1/2)", "mixed"):
+            factors = ["poly", "twist", "laurent(1/2)", "laurent(-1/3)"][:n] \
+                if name == "mixed" else [name] * n
+            P = parse_module_descriptor("[" + ",".join(factors) + "]")
+            ranges = [_KEY_RANGES[f.kind] for f in P.factors]
+            unit = P.supports_key((0,) * n)
+            for r in range(n + 1):
+                M = make_wedge_module(n, r)
+                zero = FVector(P, M)
+                assert str(zero) == "0"
+                assert _read_vector("--input", "0", n).bind(P, M) == zero
+                for trial in range(6):
+                    terms = {}
+                    if unit and trial == 0:
+                        terms[((0,) * n, rng.randrange(M.dim))] = Fraction(-7, 3)
+                    for _ in range(rng.randint(1, 4)):
+                        key = tuple(rng.choice(rows) for rows in ranges)
+                        coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                        terms[(key, rng.randrange(M.dim))] = coeff
+                    vec = FVector(P, M, terms)
+                    lit = _read_vector("--input", str(vec), n)
+                    assert lit.bind(P, M) == vec, (P, r, str(vec))
+                    assert vec.is_zero() or lit.bind(P) == vec, (P, r, str(vec))
+    # a highest-weight module prints its own labels, v<k>
+    P = WeightModuleP.polynomial(2)
+    M = make_hw_module((2,), 2)
+    vec = FVector(P, M, {((0, 0), 2): 1, ((1, 0), 0): Fraction(-2, 3), ((0, 1), 1): 3})
+    assert str(vec) == "1 (x) v2 + 3*t[2] (x) v1 - 2/3*t[1] (x) v0"

@@ -50,7 +50,6 @@ SRC = Path(weylmod.__file__).parent
 SIZES = {
     "weylmod.indices.mi_units": 16,
     "weylmod.weyl._normal_order_table": 4096,
-    "weylmod.weyl._coord_choices": 512,
     "weylmod.ugl.pbw_product": 4096,
     "weylmod.ugl._NORMAL_CACHE": ugl._NORMAL_CACHE_SIZE,
     "weylmod.weightmod.make_wedge_module": 64,
@@ -60,7 +59,6 @@ SIZES = {
     "weylmod.tensorop._residual_template": 64,
     "weylmod.tensorop._interpolation_rows": 64,
     "weylmod.derham._derham_table": 16,
-    "weylmod.derham._derham_rows": 32,
     "weylmod.derham._window": 8,
     "weylmod.derham.pi_image": 4,
     "weylmod.derham.pi_kernel": 4,
@@ -328,8 +326,8 @@ def test_warm_lemmas_build_no_operator_and_apply_no_pbw(monkeypatch):
 
 
 def test_warm_pi_and_generator_actions_check_no_vector(monkeypatch):
-    # with its rows memoised, pi or a member's action reads the rows and
-    # adopts its image: no vector is checked again
+    # pi or a member's action adopts its image: no vector is checked
+    # again
     n = 3
     gens = GeneratorSet.default(n)
     vectors = [
@@ -343,7 +341,7 @@ def test_warm_pi_and_generator_actions_check_no_vector(monkeypatch):
         return [pi(v) for v in vectors] + [gens.act(gi, v) for gi in (0, 5) for v in vectors]
 
     cold = images()
-    hits = derham._derham_rows.cache_info().hits, structure._member_rows.cache_info().hits
+    hits = structure._member_rows.cache_info().hits
     init = FVector.__init__
     checked = []
 
@@ -353,8 +351,7 @@ def test_warm_pi_and_generator_actions_check_no_vector(monkeypatch):
 
     monkeypatch.setattr(FVector, "__init__", counted)
     assert images() == cold and checked == []
-    assert derham._derham_rows.cache_info().hits == hits[0] + len(vectors)
-    assert structure._member_rows.cache_info().hits == hits[1] + 2 * len(vectors)
+    assert structure._member_rows.cache_info().hits == hits + 2 * len(vectors)
     assert sum(not v.is_zero() for v in cold) > len(cold) // 2
 
 

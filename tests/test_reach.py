@@ -75,7 +75,6 @@ UNREACHED = {
     "terms.Poly.__rsub__": PROTOCOL,
     "terms.Poly.__repr__": PROTOCOL,
     "terms.TermMap._text": "the monomial text that each element class states for repr",
-    "weightmod.FVector._text": PROTOCOL,
     "weightmod.SLModule.__repr__": PROTOCOL,
     "indices.TruncationBox.__repr__": PROTOCOL,
     # the direct box test that the numbered move table is checked against

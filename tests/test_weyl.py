@@ -219,9 +219,8 @@ def test_symbolic_normal_order_table_evaluates_to_the_int_table():
 
 
 def test_normal_order_caches_are_bounded():
-    for cached in (weyl._normal_order_table, weyl._coord_choices):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+    maxsize = weyl._normal_order_table.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_normal_order_canonical():
