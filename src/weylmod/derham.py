@@ -124,7 +124,7 @@ class GradedSubspace(Frozen):
     copy or a pickle.
     """
 
-    __slots__ = ("module_p", "module_m", "box", "labels", "blocks")
+    __slots__ = ("module_p", "module_m", "box", "labels", "blocks", "_by_number")
 
     def __init__(self, module_p: WeightModuleP, module_m: SLModule, box: TruncationBox,
                  blocks=None):
@@ -134,10 +134,23 @@ class GradedSubspace(Frozen):
             if w not in labels or block.ncols != len(labels[w]):
                 raise ArgumentError(f"the block at weight {list(w)} does not fit the window")
         self._freeze(module_p=module_p, module_m=module_m, box=box, labels=labels,
-                     blocks=blocks)
+                     blocks=blocks, _by_number=None)
 
     def __reduce__(self):
         return GradedSubspace, (self.module_p, self.module_m, self.box, dict(self.blocks))
+
+    @property
+    def by_number(self):
+        """(dims, blocks): two tuples over the window weights in window
+        order, which is ``box.keys()`` order and so the closure engine's
+        weight numbering, with the dimension and the block (None where there
+        is none) at each.  Built on first use and kept."""
+        numbered = self._by_number
+        if numbered is None:
+            blocks = tuple(map(self.blocks.get, self.labels))
+            numbered = (tuple(block.dim if block else 0 for block in blocks), blocks)
+            self._freeze(_by_number=numbered)
+        return numbered
 
     def dim_at(self, weight) -> int:
         block = self.blocks.get(weight)

@@ -340,10 +340,18 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     dimension of a subspace known to contain the closure there, since its
     image would add nothing: the window (``engine.capacity``), or the
     private ``_bound``, a submodule over the engine's window that contains
-    the seeds.  Every vector that grows the closure is checked against
-    ``_bound``, and one outside it raises ``StructureError``; the skip
-    itself trusts the bound to be closed, so only exact submodules
-    (``pi_image``, ``partial_span``) are passed.
+    the seeds, read by weight number (``GradedSubspace.by_number``).  Each
+    block is checked against ``_bound`` once: when it fills its room, its
+    rows must be the bound block's (``RowBasis`` rows are reduced,
+    primitive and have positive pivots, so equal spans have equal rows),
+    and each row of a block that never fills is reduced against the bound
+    block before the report is built, also when the search stopped early.
+    Room does not limit the seeds, so a block that they take past the
+    bound's dimension has left the bound at once.  A block outside the
+    bound raises ``StructureError``; the skip itself trusts the bound to be
+    closed, so only exact submodules (``pi_image``, ``partial_span``) are
+    passed.  A bounded closure takes no ``_mod``: the bound's rows are not
+    reduced modulo it.
 
     The private ``_settled`` maps a weight to (seed, report) pairs of
     earlier closures: the seed's integer block coordinates, reduced modulo
@@ -369,17 +377,19 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     labels = engine.ambient.labels
     weights, sizes, moves = engine.weights, engine.sizes, engine.moves
     if _bound is None:
-        room = list(engine.capacity)
+        room, bounds = list(engine.capacity), None
     else:
+        if _mod is not None:
+            raise ArgumentError("a bounded closure cannot be taken modulo a subspace")
         # ``_window`` shares one mapping per (P, M, box), so the keys are
         # compared only when the mappings differ
         if (_bound.module_p != engine.module_p or _bound.module_m != engine.module_m
                 or (_bound.labels is not labels and _bound.labels.keys() != labels.keys())):
             raise StructureError("the bound is not a subspace of the closure's window")
-        # a window weight without a block has dimension 0
-        room = [0] * len(weights)
-        for w, block in _bound.blocks.items():
-            room[engine.number[w]] = block.dim
+        # windows of equal weights come from boxes of one range, which
+        # number their weights alike
+        dims, bounds = _bound.by_number
+        room = list(dims)
     settled = _settled or {}
     blocks: dict = {}  # weight number -> RowBasis
     queue: deque = deque()
@@ -414,11 +424,13 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         if not basis.insert(dense):
             return False
         w = weights[i]
-        if _bound is not None:
-            block = _bound.blocks.get(w)
-            if block is None or any(block.reduce(dense)):
-                raise StructureError(f"the closure left its bound at weight {list(w)}")
         room[i] -= 1
+        if bounds is not None and room[i] <= 0:
+            # a block lies in the bound only while it is no larger than the
+            # bound's block (room does not limit seeds), and once full only
+            # when it is that block
+            if room[i] or basis.primitive_rows != bounds[i].primitive_rows:
+                raise StructureError(f"the closure left its bound at weight {list(w)}")
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1
             done = not deficit
@@ -462,13 +474,22 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                 for dst, m in cols[pos]:
                     dense[dst] += x * m
             applications += 1
+            if not any(dense):
+                continue
+            if _mod is not None:
+                dense = reduced(weights[target], dense)
             # resumed outward moves stop at a growth, so its vector goes first
-            if any(dense) and insert(target, reduced(weights[target], dense)) and (
-                    resumed or done):
+            if insert(target, dense) and (resumed or done):
                 break
         else:
             if resumed:
                 outward.popleft()
+    if bounds is not None:
+        # a block that never filled meets the bound once, row by row
+        for i, basis in blocks.items():
+            if room[i] and any(any(bounds[i].reduce(row)) for row in basis.primitive_rows):
+                raise StructureError(f"the closure left its bound at weight "
+                                     f"{list(weights[i])}")
     reached = None
     if settler is not None and not settler.reached_target:
         # the closure is the settler's fixed point

@@ -826,6 +826,85 @@ def test_a_weight_without_a_block_reads_as_dimension_zero():
         closure([seed], gens, box, _bound=zero)
 
 
+def _with_block(space, w, rows):
+    block = RowBasis(len(space.labels[w]))
+    for row in rows:
+        block.insert(row)
+    return GradedSubspace(space.module_p, space.module_m, space.box, {**space.blocks, w: block})
+
+
+def test_a_filled_block_must_be_the_bound_block():
+    # an image row's closure fills every block of the image; another line
+    # at one weight leaves every room as it was, so only the rows of the
+    # block that fills there can tell the bound is wrong
+    gens = GeneratorSet.default(2)
+    image = pi_image(_A2, 1, _CUBE2)
+    seed = oracles.basis_vectors(image, (2, 1))[0]
+    assert image.blocks[(3, 3)].primitive_rows == [[1, 1]]
+    assert closure([seed], gens, _CUBE2, _bound=image).dims[(3, 3)] == 1
+    swapped = _with_block(image, (3, 3), [[1, -1]])
+    assert swapped.dim_at((3, 3)) == 1
+    with pytest.raises(StructureError, match=r"left its bound at weight \[3, 3\]"):
+        closure([seed], gens, _CUBE2, _bound=swapped)
+
+
+def test_a_block_that_never_fills_is_checked_before_the_report():
+    # a plane in place of the image line [1, 1, 1] at (1, 1, 1) misses that
+    # line: the closure (the image) reaches dimension 1 there, never fills
+    # the room of 2, and fills every other block as the image's
+    gens = GeneratorSet.default(3)
+    image = pi_image(_A3, 1, _CUBE3)
+    seed = oracles.basis_vectors(image, (2, 1, 1))[0]
+    assert image.blocks[(1, 1, 1)].primitive_rows == [[1, 1, 1]]
+    plane = _with_block(image, (1, 1, 1), [[1, 0, 0], [0, 1, 0]])
+    assert plane.contains(seed)
+    with pytest.raises(StructureError, match=r"left its bound at weight \[1, 1, 1\]"):
+        closure([seed], gens, _CUBE3, _bound=plane)
+
+
+def test_a_closure_that_stops_early_still_checks_its_blocks():
+    # a bound whose plane at the seed's weight misses the seed: the seed
+    # leaves room there, and the closure stops at its insert, at a target
+    # or through a certificate, before any move
+    gens = GeneratorSet.default(3)
+    image = pi_image(_A3, 1, _CUBE3)
+    seed = FVector.basis(_A3, make_wedge_module(3, 1), (1, 1, 1), 0)
+    ((w, dense),) = image.to_dense(seed).items()
+    assert w == (2, 1, 1) and dense == [1, 0, 0]
+    bound = _with_block(image, w, [[0, 1, 0], [0, 0, 1]])
+    full = {v: len(image.labels[v]) for v in _CUBE3.inner_keys()}
+    first = closure([seed], gens, _CUBE3, target_dims=full)
+    assert first.reached_target
+    for target, settled in (({w: 1}, None), (full, {w: [(dense, first)]})):
+        stopped = closure([seed], gens, _CUBE3, target_dims=target, _settled=settled)
+        assert stopped.reached_target and stopped.applications == 0
+        with pytest.raises(StructureError, match=r"left its bound at weight \[2, 1, 1\]"):
+            closure([seed], gens, _CUBE3, target_dims=target, _bound=bound, _settled=settled)
+
+
+def test_a_bounded_closure_takes_no_modulus():
+    # the bound's rows are not reduced modulo the kernel, so the two are
+    # never mixed
+    gens = GeneratorSet.default(2)
+    image = pi_image(_A2, 1, _CUBE2)
+    seed = oracles.basis_vectors(image, (2, 1))[0]
+    with pytest.raises(ArgumentError, match="bounded closure cannot be taken modulo"):
+        closure([seed], gens, _CUBE2, _mod=pi_kernel(_A2, 1, _CUBE2), _bound=image)
+
+
+def test_a_space_numbers_its_blocks_as_the_engine_numbers_its_weights():
+    wedge1 = make_wedge_module(2, 1)
+    engine = structure._engine(_A2, wedge1, GeneratorSet.default(2), _CUBE2, None)
+    image = pi_image(_A2, 1, _CUBE2)
+    dims, blocks = image.by_number
+    assert image.by_number is image.by_number
+    assert all(map(lambda w, block: image.blocks[w] is block, engine.weights, blocks))
+    assert dims == tuple(image.dim_at(w) for w in engine.weights) and sum(dims) == 35
+    # a weight without a block reads as None and dimension 0
+    size = len(engine.weights)
+    assert GradedSubspace(_A2, wedge1, _CUBE2).by_number == ((0,) * size, (None,) * size)
+
+
 def test_move_lists_stay_in_the_window():
     # the moves into the inner box come first, then the outward ones, each
     # part in generator order, and a second read gives the same lists
