@@ -2,7 +2,7 @@
 and their tensor modules."""
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import TruncationBox, Scalar
+from .indices import TruncationBox
 from .weyl import WeylElement
 from .vectorfields import (
     L_op,
@@ -59,7 +59,6 @@ __all__ = [
     "DomainError",
     "StructureError",
     "TruncationBox",
-    "Scalar",
     "WeylElement",
     "L_op",
     "VectorField",

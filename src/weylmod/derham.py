@@ -281,44 +281,21 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     return GradedSubspace(P, M, box, blocks)
 
 
-def _failing_sources(P, table, sources):
-    """The basis vectors (key, midx) among ``sources`` that the tabulated
-    operator does not kill; ``sources`` lists (key, midxs) pairs, one basis
-    vector per midx.
-
-    Every image term is keyed by its source as well, so one accumulation
-    serves the whole list: a source fails exactly when one of its image
-    terms survives.  A source without an integer row is killed on every
-    key and costs nothing, and an empty table builds no rows at all.
-    """
-    if not table:
-        return set()
-    rows, _ = _integer_rows(P, table)
-
-    def images():
+def _lemma_report(check, alpha, i, P, r, table, sources, checked, degree):
+    """Report of an operator lemma: the tabulated operator must kill every
+    source basis vector of F(P, wedge^degree), listed as (key, midxs) pairs
+    as in ``_lemma_sources``, ``checked`` of them in all.  An empty table
+    kills them all with no work; otherwise the sources are walked once, in
+    order, and a source fails when one of its image terms survives.  The
+    labels are read for a failing source only."""
+    failures = []
+    if table:
+        rows, _ = _integer_rows(P, table)
         for key, midxs in sources:
             for midx in midxs:
-                row = rows.get(midx)
-                if row:
-                    for lab, c in _row_image(P, key, row):
-                        yield (key, midx, lab), c
-
-    return {(key, midx) for key, midx, _ in accumulate({}, images())}
-
-
-def _lemma_report(check, alpha, i, P, r, table, sources, checked, labels):
-    """Report of an operator lemma: the tabulated operator must kill every
-    source basis vector ((key, midxs) pairs as in ``_failing_sources``,
-    ``checked`` of them in all)."""
-    failing = _failing_sources(P, table, sources)
-    failures = []
-    if failing:
-        failures = [
-            {"key": list(key), "label": str(labels[midx])}
-            for key, midxs in sources
-            for midx in midxs
-            if (key, midx) in failing
-        ]
+                if accumulate({}, _row_image(P, key, rows.get(midx, ()))):
+                    label = wedge_module(P.rank, degree).labels[midx]
+                    failures.append({"key": list(key), "label": str(label)})
     return {
         "check": check,
         "params": {"alpha": list(alpha), "i": i, "P": repr(P), "r": r},
@@ -427,11 +404,10 @@ def _verify_lemma(check: str, alpha, i: int, P: WeightModuleP, r: int,
     degree r less the check's offset."""
     alpha = _lemma_args(alpha, i, P, r, key_box)
     offset = _SOURCE_OFFSET[check]
-    source = wedge_module(P.rank, r - offset)
     template = _lemma_template(check, P.rank, i, r)
     table = _evaluated(template, alpha, alpha) if template[1] else {}
     sources, checked = _lemma_sources(P, r - offset, key_box, bool(offset))
-    return _lemma_report(check, alpha, i, P, r, table, sources, checked, source.labels)
+    return _lemma_report(check, alpha, i, P, r, table, sources, checked, r - offset)
 
 
 def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):

@@ -9,15 +9,12 @@ ambient rank; every operation checks rank compatibility.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import le
 from typing import Iterator
 
 from .errors import ArgumentError, StructureError
 from .memo import bounded
 from .terms import Frozen
-
-Scalar = Fraction
 
 MultiIndex = tuple  # tuple[int, ...]
 
@@ -100,6 +97,9 @@ class TruncationBox(Frozen):
     def __init__(self, lower: MultiIndex, upper: MultiIndex, margin: int = 0):
         lower = tuple(lower)
         upper = tuple(upper)
+        for x in (*lower, *upper, margin):
+            if type(x) is not int:
+                raise ArgumentError(f"box bound or margin {x!r} is not an integer")
         check_rank(lower, upper)
         if margin < 0:
             raise ArgumentError("margin must be nonnegative")

@@ -94,6 +94,8 @@ class GeneratorSet:
         the default margin of 2 covers with room to spare.  Every cap >= 0
         keeps L_ij at alpha = 0; a cap below 0 leaves no nonzero field.
         """
+        if type(cap) is not int:
+            raise ArgumentError(f"generator cap {cap!r} is not an integer")
         if cap < 0:
             raise ArgumentError(f"generator cap {cap} leaves no generator, use a cap >= 0")
         return _default_generators(n, cap)

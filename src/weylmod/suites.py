@@ -192,8 +192,10 @@ def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
 
 def _check_lemma(check, lemma, n, delta_window, key_radius, shift):
     """Run one operator lemma over every standard profile, degree, index and
-    alpha in the admissible window."""
-    sub = []
+    alpha in the admissible window, counting the cases and their checked
+    vectors and recording the failing cases."""
+    failures = []
+    cases = checked = 0
     for name, P in standard_profiles(n, shift).items():
         key_box = _profile_key_box(P, key_radius)
         for r in range(2, n):
@@ -208,20 +210,14 @@ def _check_lemma(check, lemma, n, delta_window, key_radius, shift):
                             f"the configuration leaves nothing to check in {check}"
                             f" on the {name} profile (keyRadius {key_radius})"
                         )
-                    sub.append(
-                        {
-                            "profile": name,
-                            "r": r,
-                            "i": i,
-                            "alpha": list(alpha),
-                            "checked": report["checked"],
-                            "pass": report["pass"],
-                        }
-                    )
+                    cases += 1
+                    checked += report["checked"]
+                    if not report["pass"]:
+                        failures.append({"profile": name, "r": r, "i": i, "alpha": list(alpha),
+                                         "checked": report["checked"], "pass": False})
     return _record(
         check, {"n": n, "deltaWindow": delta_window, "keyRadius": key_radius},
-        sum(s["checked"] for s in sub), [s for s in sub if not s["pass"]],
-        cases=len(sub),
+        checked, failures, cases=cases,
     )
 
 

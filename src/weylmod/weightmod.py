@@ -312,7 +312,7 @@ def weyl_dimension(psi, n: int) -> int:
     partition coordinates lambda_i = sum_(k >= i) psi_k the dimension is
     prod_(i<j) (lambda_i - lambda_j + j - i) / (j - i).
     """
-    if len(psi) != n - 1 or any(p < 0 for p in psi):
+    if len(psi) != n - 1 or any(type(p) is not int or p < 0 for p in psi):
         raise ArgumentError("psi must be n-1 nonnegative integers")
     lam = [sum(psi[k] for k in range(i, n - 1)) for i in range(n)]
     num = 1
@@ -477,8 +477,10 @@ class FVector(TermMap):
     def basis(cls, module_p, module_m, key, label_or_index) -> FVector:
         if isinstance(label_or_index, int):
             midx = label_or_index
-        else:
+        elif label_or_index in module_m.labels:
             midx = module_m.labels.index(label_or_index)
+        else:
+            raise StructureError(f"label {label_or_index} is not a basis label")
         return cls(module_p, module_m, {(tuple(key), midx): 1})
 
     def weight_of(self, key, midx):
@@ -528,22 +530,20 @@ def _acting_form(T: TensorOperator, module_p: WeightModuleP, allow_laurent=False
 # images over a whole weight block.
 
 
-def _action_table(op: TensorOperator, M: SLModule, midxs=None):
+def _action_table(op: TensorOperator, M: SLModule):
     """The action of op on F(P, M) as a term map
     {((t_exp, d_exp), (src, dst)): coeff}, coeff being that of
     t^t_exp d^d_exp (x) (basis vector src of M -> basis vector dst),
     collected by ``accumulate``: the entries of one Weyl monomial and index
     pair are merged and those that cancel are gone.  The PBW part is
-    applied once per (term, src), for the m-indices src in ``midxs``
-    (default all).
+    applied once per (term, src).
     """
-    srcs = range(M.dim) if midxs is None else midxs
     return accumulate(
         {},
         (
             ((mono, (src, dst)), c * mc)
             for (mono, pmono), c in op.terms.items()
-            for src in srcs
+            for src in range(M.dim)
             for dst, mc in M.apply_pbw(pmono, {src: 1}).items()
         ),
     )
@@ -653,9 +653,7 @@ def tensor_act(T: TensorOperator, w: FVector, allow_laurent: bool = False) -> FV
     """
     module_p, module_m = w.module_p, w.module_m
     T = _acting_form(T, module_p, allow_laurent)
-    # only the m-indices of w are tabulated
-    table = _action_table(T, module_m, {midx for _, midx in w.terms})
-    rows, den = _integer_rows(module_p, table)
+    rows, den = _integer_rows(module_p, _action_table(T, module_m))
     return _rows_on_terms(module_m, rows, den, w)
 
 

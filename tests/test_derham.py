@@ -12,7 +12,6 @@ from weylmod import suites, tensorop
 from weylmod.derham import (
     GradedSubspace,
     _derham_table,
-    _failing_sources,
     _lemma_report,
     _lemma_sources,
     _lemma_template,
@@ -299,7 +298,7 @@ def test_lemma_report_names_exactly_the_vectors_not_killed():
         sources = [(key, tuple(range(wedge2.dim))) for key in box.keys()]
         table = _action_table(h, wedge2)
         checked = len(sources) * wedge2.dim
-        report = _lemma_report("h", alpha, 1, P, 2, table, sources, checked, wedge2.labels)
+        report = _lemma_report("h", alpha, 1, P, 2, table, sources, checked, 2)
         expected = [
             {"key": list(key), "label": str(wedge2.labels[midx])}
             for key in box.keys()
@@ -308,6 +307,13 @@ def test_lemma_report_names_exactly_the_vectors_not_killed():
         ]
         assert expected and report["failures"] == expected, repr(P)
         assert not report["pass"] and report["checked"] == checked
+
+
+def _failures(P, table, sources, degree):
+    """The failures of a lemma report on the tabulated operator over the
+    sources, basis vectors of F(P, wedge^degree)."""
+    checked = sum(len(midxs) for _, midxs in sources)
+    return _lemma_report("h", (0,) * P.rank, 1, P, 2, table, sources, checked, degree)["failures"]
 
 
 def test_operator_after_derham_matches_the_two_step_oracle():
@@ -327,27 +333,28 @@ def test_operator_after_derham_matches_the_two_step_oracle():
         composite = compose(_action_table(op, wedge2), _derham_table(n, 1))
         for P, box in LEMMA_PROFILES.values():
             sources = [(key, tuple(range(wedge1.dim))) for key in box.keys()]
-            expected = {
-                (key, midx)
+            expected = [
+                {"key": list(key), "label": str(wedge1.labels[midx])}
                 for key, midxs in sources
                 for midx in midxs
                 if not oracles.tensor_act(
                     op, oracles.derham(FVector.basis(P, wedge1, key, midx))
                 ).is_zero()
-            }
-            assert _failing_sources(P, composite, sources) == expected, repr(P)
+            ]
+            assert _failures(P, composite, sources, 1) == expected, repr(P)
             assert bool(expected) == (op is other), repr(P)
     for P, box in LEMMA_PROFILES.values():
         report = verify_h_annihilates(alpha, 1, P, 2, box)
         assert report["pass"] and report["checked"] > 0
 
 
-def test_failing_sources_cancel_across_derivative_degrees():
+def test_lemma_failures_cancel_across_derivative_degrees():
     # X (t_1 d_1 - lambda_1 - k0) kills exactly the keys with k_1 = k0, but
     # only once monomials of different derivative degree cancel on the key:
     # merging the table per monomial must keep their ratios exact
     rng = random.Random(29)
     k0 = 1
+    label = str(make_wedge_module(2, 0).labels[0])
     for shift in (Fraction(-7, 5), Fraction(5, 3), Fraction(3, 4), Fraction(-1, 3)):
         P = WeightModuleP([Factor("laurent", shift), Factor("poly")])
         euler = WeylElement.monomial((1, 0), (1, 0)) - (shift + k0) * WeylElement.one(2)
@@ -362,17 +369,17 @@ def test_failing_sources_cancel_across_derivative_degrees():
             op = X * euler
             table = {(mono, (0, 0)): c for mono, c in op.terms.items()}
             sources = [((k1, k2), (0,)) for k1 in range(-2, 4) for k2 in range(3)]
-            expected = set()
-            for key, (midx,) in sources:
+            expected = []
+            for key, _ in sources:
                 image = {}
                 for (t_exp, d_exp), c in op.terms.items():
                     hit = oracles.monomial_on_key(P, key, t_exp, d_exp)
                     if hit is not None:
                         image[hit[1]] = image.get(hit[1], 0) + c * hit[0]
                 if any(image.values()):
-                    expected.add((key, midx))
-            assert expected and all(key[0] != k0 for key, _ in expected)
-            assert _failing_sources(P, table, sources) == expected, (shift, op)
+                    expected.append({"key": list(key), "label": label})
+            assert expected and all(f["key"][0] != k0 for f in expected)
+            assert _failures(P, table, sources, 0) == expected, (shift, op)
 
 
 def test_lemma_report_that_checked_nothing_fails():
@@ -448,13 +455,12 @@ def test_lemma_tables_match_the_per_alpha_oracle(wrong):
             expected = oracles.lemma_table(check, alpha, i, r)
             got = tensorop._evaluated(_lemma_template(check, n, i, r), alpha, alpha)
             assert got == expected, (check, alpha, i, r)
-            source = make_wedge_module(n, r if check == "g-equals-u" else r - 1)
             for P, box in LEMMA_PROFILES.values():
                 spanning = check == "h-annihilates"
                 sources, checked = _lemma_sources(P, r - spanning, box, spanning)
                 report = LEMMAS[check](alpha, i, P, r, box)
                 assert report == _lemma_report(
-                    check, alpha, i, P, r, expected, sources, checked, source.labels
+                    check, alpha, i, P, r, expected, sources, checked, r - spanning
                 )
                 if report["failures"]:
                     failed.add(check)
@@ -463,6 +469,38 @@ def test_lemma_tables_match_the_per_alpha_oracle(wrong):
         _drop_first_u_row: {"g-equals-u"},
         _double_first_h_row: {"h-annihilates"},
     }[wrong]
+
+
+def _at_first_index(wrong):
+    """``tensorop._special_rows`` with the rows of wrong at i = 1 only."""
+    return lambda kind, alpha, i: (wrong if i == 1 else _HONEST_ROWS)(kind, alpha, i)
+
+
+@pytest.mark.parametrize("check, suite, wrong", [
+    ("g-equals-u", check_g_u, _drop_first_u_row),
+    ("h-annihilates", check_h_ln, _double_first_h_row),
+])
+def test_lemma_suite_records_exactly_its_failing_cases(check, suite, wrong):
+    # the suite report against a per-case loop over the public lemma: it
+    # lists the failing cases in case order, counts every case, and sums
+    # the checked vectors of every case, failing or not
+    n = 4
+    with _wrong_rows(_at_first_index(wrong)):
+        report = suite(n, delta_window=0, key_radius=1)
+        records = []
+        for name, P in suites.standard_profiles(n, suites.DEFAULT_SHIFT).items():
+            box = suites._profile_key_box(P, 1)
+            for r, i in itertools.product(range(2, n), range(1, n - 1)):
+                alpha = suites._lower_bound(n, i, i + 2)
+                case = LEMMAS[check](alpha, i, P, r, box)
+                records.append({"profile": name, "r": r, "i": i, "alpha": list(alpha),
+                                "checked": case["checked"], "pass": case["pass"]})
+    failing = [record for record in records if not record["pass"]]
+    assert len(records) == 12 and len(failing) == 4
+    assert {record["i"] for record in failing} == {1}
+    assert report["cases"] == len(records) and not report["pass"]
+    assert report["failures"] == failing
+    assert report["checked"] == sum(record["checked"] for record in records)
 
 
 def test_lemma_suite_rejects_a_case_that_checked_nothing(monkeypatch):

@@ -131,6 +131,18 @@ def test_box_basics():
     assert len(list(box.inner_keys())) == 4
 
 
+def test_box_refuses_a_bound_or_margin_that_is_not_an_int():
+    # a float box used to construct and fail later in keys(), and to equal
+    # and hash as the int box in the memos; a bool margin read as 1
+    for lower, upper, margin in (
+        ((0.5, 0), (2, 2), 0), ((0, 0), (2.0, 2), 0), ((True, 0), (2, 2), 0),
+        ((0, 0), (2, 2), True), ((0, 0), (4, 4), 1.0), ((0, 0), (2, 2), Fraction(0)),
+    ):
+        with pytest.raises(ArgumentError, match="is not an integer"):
+            TruncationBox(lower, upper, margin)
+    assert TruncationBox((0, 0), (4, 4), 1).margin == 1
+
+
 def test_box_rejects_empty_inner():
     with pytest.raises(ArgumentError):
         TruncationBox((0, 0), (3, 3), margin=2)

@@ -49,7 +49,6 @@ UNREACHED = {
     "tensorop.quartic_m_product": TEMPLATES,
     "tensorop.special_operator": TEMPLATES,
     # refusal and FAIL branches that only the tests reach
-    "derham._failing_sources.<locals>.images": "a lemma FAIL: no lemma template has rows",
     "terms.Frozen.__setattr__": "refuses a rebinding; no command rebinds a value",
     # copies and pickles, and the memo registry outside a command
     "derham.GradedSubspace.__reduce__": PICKLE,

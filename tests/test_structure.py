@@ -42,6 +42,16 @@ def test_default_generator_set():
         assert all(-1 <= s <= 1 for s in g.shift)
 
 
+def test_default_generators_refuse_a_cap_that_is_not_an_int():
+    # a float cap used to raise a TypeError from range, and a bool cap to
+    # read the memo entry of cap 1
+    for cap in (0.5, 1.0, True, False, Fraction(1)):
+        with pytest.raises(ArgumentError, match="^generator cap .* is not an integer$"):
+            GeneratorSet.default(2, cap)
+    with pytest.raises(ArgumentError, match="^generator cap -1 leaves no generator"):
+        GeneratorSet.default(2, -1)
+
+
 def test_generator_reads_its_shift_off_its_field():
     # the shift of L[i,j;alpha] is alpha, the weight a - e_i of each of
     # its terms t^a d_i

@@ -462,6 +462,21 @@ def test_hw_closure_refusals_keep_their_type_and_text(monkeypatch):
 def test_hw_module_rejects_bad_weight():
     with pytest.raises(ArgumentError):
         make_hw_module((-1, 0), 3)
+    # a bool entry used to build a module named V(Trued1+1d2,3) equal to
+    # V(1d1+1d2,3), and a float one to raise a TypeError
+    for psi, n in (((True, 1), 3), ((1.5,), 2), ((1.0, 0), 3), ((Fraction(1), 0), 3)):
+        for build in (make_hw_module, weyl_dimension):
+            with pytest.raises(ArgumentError, match="^psi must be"):
+                build(psi, n)
+
+
+def test_basis_vector_refuses_a_label_the_module_lacks():
+    A = WeightModuleP.polynomial(3)
+    wedge1 = make_wedge_module(3, 1)
+    assert FVector.basis(A, wedge1, (0, 1, 0), (2,)).terms == {((0, 1, 0), 1): 1}
+    for label in ((1, 2), (4,), "v0"):
+        with pytest.raises(StructureError, match=r"^label .* is not a basis label$"):
+            FVector.basis(A, wedge1, (0, 0, 0), label)
 
 
 def test_tensor_act_examples():
