@@ -283,9 +283,9 @@ def structure_simplicity(P, M=None, ambient="F", r=None, box="0..5", margin=2,
     return _finish(_report([report]), format)
 
 
-def structure_inventory(P, r, box="0..5", margin=0, format="json"):
+def structure_inventory(P, r, box="0..5", format="json"):
     P = parse_module_descriptor(P)
-    report = subquotient_inventory(P, r, parse_box(box, P.rank, margin))
+    report = subquotient_inventory(P, r, parse_box(box, P.rank))
     return _finish(_report([report]), format)
 
 

@@ -9,7 +9,7 @@ Everything that depends only on the profile, (P, r, box) or (P, M, box), is
 built once and kept in a bounded memo: the weight windows, the image,
 kernel and derivative spans (values: each ``GradedSubspace`` is built once
 from its blocks, with a block at every window weight, which the closure
-reads directly) and the lemma source lists.  The operator lemmas read
+reads directly) and the lemma counts.  The operator lemmas read
 their action table off one template per (lemma, n, i, r) over a symbolic
 alpha (``_lemma_template``), and the equivariance of the de Rham maps is
 one template per (n, i, r) over a symbolic field exponent
@@ -21,6 +21,7 @@ never evaluated.
 from __future__ import annotations
 
 import itertools
+import math
 from types import MappingProxyType
 
 from .errors import ArgumentError
@@ -281,20 +282,29 @@ def partial_span(P: WeightModuleP, box: TruncationBox) -> GradedSubspace:
     return GradedSubspace(P, M, box, blocks)
 
 
-def _lemma_report(check, alpha, i, P, r, table, sources, checked, degree):
-    """Report of an operator lemma: the tabulated operator must kill every
-    source basis vector of F(P, wedge^degree), listed as (key, midxs) pairs
-    as in ``_lemma_sources``, ``checked`` of them in all.  An empty table
-    kills them all with no work; otherwise the sources are walked once, in
-    order, and a source fails when one of its image terms survives.  The
-    labels are read for a failing source only."""
+def _key_ranges(P: WeightModuleP, key_box: TruncationBox):
+    """Per line, the keys of the box's range that the line supports; P's
+    keys in the box are their product, in the box's lexicographic order."""
+    return [
+        [k for k in range(lo, hi + 1) if f.supports(k)]
+        for f, lo, hi in zip(P.factors, key_box.lower, key_box.upper)
+    ]
+
+
+def _lemma_report(check, alpha, i, P, r, table, key_box, degree, checked):
+    """Report of an operator lemma: the tabulated operator must kill the
+    ``checked`` basis vectors of ``_lemma_count``.  An empty table kills
+    them with no work; otherwise every supported key of the box and label
+    of wedge^degree is walked once, in order, and fails when an image term
+    survives.  The h table is h after the de Rham map, so it is zero on
+    every vector that map kills."""
     failures = []
     if table:
         rows, _ = _integer_rows(P, table)
-        for key, midxs in sources:
-            for midx in midxs:
+        labels = wedge_module(P.rank, degree).labels
+        for key in itertools.product(*_key_ranges(P, key_box)):
+            for midx, label in enumerate(labels):
                 if accumulate({}, _row_image(P, key, rows.get(midx, ()))):
-                    label = wedge_module(P.rank, degree).labels[midx]
                     failures.append({"key": list(key), "label": str(label)})
     return {
         "check": check,
@@ -392,22 +402,19 @@ def _lemma_args(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox)
     return _special_args("h", alpha, i)
 
 
-# the degree offset of each lemma's sources: g - u acts on F(P, wedge^r)
-# itself, h on the de Rham images of degree r - 1
-_SOURCE_OFFSET = {"g-equals-u": 0, "h-annihilates": 1}
-
-
 def _verify_lemma(check: str, alpha, i: int, P: WeightModuleP, r: int,
                   key_box: TruncationBox):
     """The report of an operator lemma at alpha: its operator, read off
-    ``_lemma_template``, must kill every source of ``_lemma_sources`` in
-    degree r less the check's offset."""
+    ``_lemma_template``, must kill every basis vector over the key box of
+    F(P, wedge^r) for g - u, and of the de Rham images of degree r - 1 for
+    h, counted by ``_lemma_count``."""
     alpha = _lemma_args(alpha, i, P, r, key_box)
-    offset = _SOURCE_OFFSET[check]
+    spanning = check == "h-annihilates"
+    degree = r - spanning
     template = _lemma_template(check, P.rank, i, r)
     table = _evaluated(template, alpha, alpha) if template[1] else {}
-    sources, checked = _lemma_sources(P, r - offset, key_box, bool(offset))
-    return _lemma_report(check, alpha, i, P, r, table, sources, checked, r - offset)
+    checked = _lemma_count(P, degree, key_box, spanning)
+    return _lemma_report(check, alpha, i, P, r, table, key_box, degree, checked)
 
 
 def verify_g_equals_u(alpha, i: int, P: WeightModuleP, r: int, key_box: TruncationBox):
@@ -423,54 +430,28 @@ def verify_h_annihilates(alpha, i: int, P: WeightModuleP, r: int, key_box: Trunc
 
 
 @bounded(64)
-def _lemma_sources(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: bool):
-    """(sources, count): the basis vectors of F(P, wedge^r) over the keys of
-    the box that P supports, as (key, midxs) pairs, listed once per
-    profile; with ``spanning`` only those whose de Rham image is not zero,
-    since a vector whose image is zero spans nothing to check.
-
-    P supports a key line by line, so its keys in the box are the product
-    of each line's supported range, in the box's lexicographic order.
-
-    The image of p (x) v has one term per l outside the label of v, so it
-    is nonzero exactly when the set of l whose d_l does not kill the key is
-    not inside the label.  On a supported key, d_l kills the key or not by
-    k_l alone (the other lines keep their keys), so each line's supported
-    k values are flagged live or not once: n x box-width evaluations, not
-    n per key.  A key's tuple of flags is then the matching item of the
-    product of the lines' flags, and keys the label indices it leaves.
-    """
+def _lemma_count(P: WeightModuleP, r: int, key_box: TruncationBox, spanning: bool) -> int:
+    """The number of basis vectors of F(P, wedge^r) over the keys of the box
+    that P supports, N_l keys on line l (``_key_ranges``); with ``spanning``
+    only of those with a nonzero de Rham image, as the rest span nothing.
+    The image of p (x) v_S is zero when d_l kills p for every l outside S,
+    which on a supported key depends on k_l alone: with K_l killed keys on
+    line l (line l varied on the first supported key), the zero images
+    under S number prod_{l in S} N_l prod_{l not in S} K_l."""
     n = P.rank
+    ranges = _key_ranges(P, key_box)
+    total = math.prod(map(len, ranges))
     labels = wedge_module(n, r).labels
-    ranges = [
-        [k for k in range(lo, hi + 1) if f.supports(k)]
-        for f, lo, hi in zip(P.factors, key_box.lower, key_box.upper)
+    if not spanning or not total:
+        return total * len(labels)
+    base, zero = tuple(ks[0] for ks in ranges), mi_zero(n)
+    killed = [
+        sum(not _scaled_monomial_on_key(P, base[: l - 1] + (k,) + base[l:], zero, mi_unit(l, n))
+            for k in ks)
+        for l, ks in enumerate(ranges, 1)
     ]
-    keys = tuple(itertools.product(*ranges))
-    if not spanning:
-        midxs = tuple(range(len(labels)))
-        return tuple((key, midxs) for key in keys), len(keys) * len(midxs)
-    if not keys:
-        return (), 0
-    zero = mi_zero(n)
-    base = keys[0]
-    flags = []  # per line, whether d_l leaves each supported k alive
-    for l, ks in enumerate(ranges, 1):
-        e_l = mi_unit(l, n)
-        flags.append([
-            bool(_scaled_monomial_on_key(P, base[: l - 1] + (k,) + base[l:], zero, e_l))
-            for k in ks
-        ])
-    kept = {}  # per-line flags -> the label indices they leave a nonzero image on
-    sources = []
-    # the flags of a key are its lines' flags, in the order of the keys
-    for key, live in zip(keys, itertools.product(*flags)):
-        midxs = kept.get(live)
-        if midxs is None:
-            lines = {l for l, alive in enumerate(live, 1) if alive}
-            midxs = kept[live] = tuple(
-                midx for midx, label in enumerate(labels) if not lines.issubset(label)
-            )
-        if midxs:
-            sources.append((key, midxs))
-    return tuple(sources), sum(len(midxs) for _, midxs in sources)
+    return sum(
+        total - math.prod(len(ks) if l in label else dead
+                          for l, (ks, dead) in enumerate(zip(ranges, killed), 1))
+        for label in labels
+    )

@@ -193,11 +193,14 @@ def _profile_key_box(P: WeightModuleP, radius: int) -> TruncationBox:
 def _check_lemma(check, lemma, n, delta_window, key_radius, shift):
     """Run one operator lemma over every standard profile, degree, index and
     alpha in the admissible window, counting the cases and their checked
-    vectors and recording the failing cases."""
+    vectors and recording the failing cases.  The keys are those of the
+    cube [-key_radius, key_radius]^n that each profile supports."""
+    if key_radius < 0:
+        raise ArgumentError(f"--key-radius must be at least 0, got {key_radius}")
+    key_box = TruncationBox((-key_radius,) * n, (key_radius,) * n)
     failures = []
     cases = checked = 0
     for name, P in standard_profiles(n, shift).items():
-        key_box = _profile_key_box(P, key_radius)
         for r in range(2, n):
             for i in range(1, n - 1):
                 base = _lower_bound(n, i, i + 2)

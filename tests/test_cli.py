@@ -282,7 +282,8 @@ def test_the_unread_flags_are_the_ones_each_action_ignored():
         "structure closure M", "structure closure r", "structure closure ambient",
         "structure simplicity seed", "structure inventory M",
         "structure inventory ambient", "structure inventory seed",
-        "structure inventory gen_cap", "act --via-iota allow_laurent",
+        "structure inventory gen_cap", "structure inventory margin",
+        "act --via-iota allow_laurent",
     ])
 
 
@@ -308,15 +309,16 @@ def test_an_action_needs_each_parameter_without_a_default(
     assert err == f"error: {' '.join((command, *words))} needs {flag}\n", argv
 
 
-def test_inventory_reads_the_outer_box_only(capsys):
-    # the inventory's default margin is 0: with 2 the 0..3 box was refused
-    # for an empty inner box, which the inventory never reads
-    argv = ["structure", "inventory", "--P", "[poly,poly]", "--r", "1"]
-    code, out, err = run_cli(capsys, *argv, "--box", "0..3")
+def test_inventory_refuses_a_margin(capsys):
+    # the inventory reads only the outer box, so a margin would change
+    # nothing: the flag is refused, and a small box is valid without it
+    argv = ["structure", "inventory", "--P", "[poly,poly]", "--r", "1", "--box", "0..3"]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["pass"] and not err
-    default = run_cli(capsys, *argv, "--box", "0..5")
-    assert default[0] == 0
-    assert run_cli(capsys, *argv, "--box", "0..5", "--margin", "2") == default
+    for margin in ("0", "2"):
+        code, out, err = run_cli(capsys, *argv, "--margin", margin)
+        assert code == 2 and not out
+        assert err == "error: structure inventory does not read --margin\n"
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -499,14 +501,23 @@ def test_verify_all_reads_lambda_and_margin(capsys, monkeypatch):
 def test_lemma_suite_with_an_empty_case_exits_2(capsys):
     # at key radius 0 the poly key 0 has no de Rham image, so the poly h
     # cases check nothing while the Laurent ones still check something; the
-    # twist key box is empty for both lemmas
-    for suite, message in (("h-ln", "leaves nothing to check"), ("g-u", "empty box")):
+    # twist line supports no key of the cube [0, 0]^n, so the one-twist g
+    # cases check nothing either
+    for suite, profile in (("h-ln", "poly"), ("g-u", "one-twist")):
         code, out, err = run_cli(
             capsys, "verify", suite, "--n", "3", "--delta-window", "0",
             "--key-radius", "0",
         )
         assert code == 2 and not out, suite
-        assert message in err and "Traceback" not in err, suite
+        assert err.startswith("error: the configuration leaves nothing to check"), suite
+        assert err.endswith(f" on the {profile} profile (keyRadius 0)\n"), suite
+
+
+@pytest.mark.parametrize("suite", ["g-u", "h-ln"])
+def test_lemma_suite_refuses_a_negative_key_radius(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--n", "3", "--key-radius", "-1")
+    assert code == 2 and not out
+    assert err == "error: --key-radius must be at least 0, got -1\n"
 
 
 def test_reports_are_byte_deterministic(capsys):

@@ -12,8 +12,9 @@ from weylmod import suites, tensorop
 from weylmod.derham import (
     GradedSubspace,
     _derham_table,
+    _key_ranges,
+    _lemma_count,
     _lemma_report,
-    _lemma_sources,
     _lemma_template,
     partial_span,
     pi,
@@ -295,10 +296,9 @@ def test_lemma_report_names_exactly_the_vectors_not_killed():
     alpha = (2, 0, 0, 0)
     h = special_operator("h", alpha, 1).demote()
     for P, box in LEMMA_PROFILES.values():
-        sources = [(key, tuple(range(wedge2.dim))) for key in box.keys()]
         table = _action_table(h, wedge2)
-        checked = len(sources) * wedge2.dim
-        report = _lemma_report("h", alpha, 1, P, 2, table, sources, checked, 2)
+        checked = len(list(box.keys())) * wedge2.dim
+        report = _lemma_report("h", alpha, 1, P, 2, table, box, 2, checked)
         expected = [
             {"key": list(key), "label": str(wedge2.labels[midx])}
             for key in box.keys()
@@ -309,11 +309,11 @@ def test_lemma_report_names_exactly_the_vectors_not_killed():
         assert not report["pass"] and report["checked"] == checked
 
 
-def _failures(P, table, sources, degree):
+def _failures(P, table, key_box, degree):
     """The failures of a lemma report on the tabulated operator over the
-    sources, basis vectors of F(P, wedge^degree)."""
-    checked = sum(len(midxs) for _, midxs in sources)
-    return _lemma_report("h", (0,) * P.rank, 1, P, 2, table, sources, checked, degree)["failures"]
+    basis vectors of F(P, wedge^degree) at the supported keys of the box."""
+    checked = _lemma_count(P, degree, key_box, False)
+    return _lemma_report("h", (0,) * P.rank, 1, P, 2, table, key_box, degree, checked)["failures"]
 
 
 def test_operator_after_derham_matches_the_two_step_oracle():
@@ -332,16 +332,15 @@ def test_operator_after_derham_matches_the_two_step_oracle():
     for op in (h, other):
         composite = compose(_action_table(op, wedge2), _derham_table(n, 1))
         for P, box in LEMMA_PROFILES.values():
-            sources = [(key, tuple(range(wedge1.dim))) for key in box.keys()]
             expected = [
                 {"key": list(key), "label": str(wedge1.labels[midx])}
-                for key, midxs in sources
-                for midx in midxs
+                for key in box.keys()
+                for midx in range(wedge1.dim)
                 if not oracles.tensor_act(
                     op, oracles.derham(FVector.basis(P, wedge1, key, midx))
                 ).is_zero()
             ]
-            assert _failures(P, composite, sources, 1) == expected, repr(P)
+            assert _failures(P, composite, box, 1) == expected, repr(P)
             assert bool(expected) == (op is other), repr(P)
     for P, box in LEMMA_PROFILES.values():
         report = verify_h_annihilates(alpha, 1, P, 2, box)
@@ -368,9 +367,9 @@ def test_lemma_failures_cancel_across_derivative_degrees():
                 )
             op = X * euler
             table = {(mono, (0, 0)): c for mono, c in op.terms.items()}
-            sources = [((k1, k2), (0,)) for k1 in range(-2, 4) for k2 in range(3)]
+            box = TruncationBox((-2, 0), (3, 2))
             expected = []
-            for key, _ in sources:
+            for key in box.keys():
                 image = {}
                 for (t_exp, d_exp), c in op.terms.items():
                     hit = oracles.monomial_on_key(P, key, t_exp, d_exp)
@@ -379,7 +378,7 @@ def test_lemma_failures_cancel_across_derivative_degrees():
                 if any(image.values()):
                     expected.append({"key": list(key), "label": label})
             assert expected and all(f["key"][0] != k0 for f in expected)
-            assert _failures(P, table, sources, 0) == expected, (shift, op)
+            assert _failures(P, table, box, 0) == expected, (shift, op)
 
 
 def test_lemma_report_that_checked_nothing_fails():
@@ -457,10 +456,10 @@ def test_lemma_tables_match_the_per_alpha_oracle(wrong):
             assert got == expected, (check, alpha, i, r)
             for P, box in LEMMA_PROFILES.values():
                 spanning = check == "h-annihilates"
-                sources, checked = _lemma_sources(P, r - spanning, box, spanning)
+                checked = _lemma_count(P, r - spanning, box, spanning)
                 report = LEMMAS[check](alpha, i, P, r, box)
                 assert report == _lemma_report(
-                    check, alpha, i, P, r, expected, sources, checked, r - spanning
+                    check, alpha, i, P, r, expected, box, r - spanning, checked
                 )
                 if report["failures"]:
                     failed.add(check)
@@ -513,8 +512,13 @@ def test_lemma_suite_rejects_a_case_that_checked_nothing(monkeypatch):
     assert check_g_u(3, delta_window=0, key_radius=0)["pass"]
 
 
+def _live(P, key, l):
+    """Whether d_l leaves the basis vector at key alive, by the oracle."""
+    return oracles.monomial_on_key(P, key, (0,) * P.rank, mi_unit(l, P.rank)) is not None
+
+
 def test_derham_sources_match_the_per_label_rule():
-    # the per-key live set must keep exactly the labels that the per-label
+    # the spanning count must count exactly the labels that the per-label
     # rule keeps: some d_l with l outside the label survives on the key
     n = 4
     dropped = {}
@@ -525,58 +529,66 @@ def test_derham_sources_match_the_per_label_rule():
         keys = [key for key in box.keys() if P.supports_key(key)]
         for r in (1, 2):
             labels = make_wedge_module(n, r).labels
-            expected = [
-                (key, midx)
+            expected = sum(
+                any(_live(P, key, l) for l in range(1, n + 1) if l not in label)
                 for key in keys
-                for midx, label in enumerate(labels)
-                if any(
-                    oracles.monomial_on_key(P, key, (0,) * n, mi_unit(l, n))
-                    is not None
-                    for l in range(1, n + 1)
-                    if l not in label
-                )
-            ]
-            sources, checked = _lemma_sources(P, r, box, True)
-            got = [(key, midx) for key, midxs in sources for midx in midxs]
-            assert got == expected and checked == len(expected), (name, r)
-            dropped[name, r] = len(keys) * len(labels) - len(expected)
+                for label in labels
+            )
+            assert _lemma_count(P, r, box, True) == expected, (name, r)
+            dropped[name, r] = len(keys) * len(labels) - expected
     # the rule has something to drop where poly lines meet their edge
     assert dropped["poly", 1] > 0 and dropped["one-twist", 2] > 0
 
 
-def test_lemma_source_keys_are_the_supported_keys_in_box_order():
-    # the keys are built from each line's supported range: they must be the
-    # box's keys that P supports, in the box's order, also where a box
-    # straddles the support edges at 0 and -1; the edges are spelled out
-    # here, apart from ``Factor.supports``
-    edge = {"poly": lambda k: k >= 0, "twist": lambda k: k <= -1, "laurent": lambda k: True}
-    poly, twist, laurent = Factor("poly"), Factor("twist"), Factor("laurent", Fraction(1, 3))
-    profiles = [
-        [poly, poly, poly], [twist, twist, twist], [laurent] * 3,
-        [twist, poly, laurent], [poly, laurent, twist],
-    ]
-    boxes = [
-        TruncationBox((-2, -1, 0), (1, 2, 3)),
-        TruncationBox((-1, -1, -1), (0, 0, 0)),
-        TruncationBox((0, -3, -2), (2, -1, 1)),
-    ]
-    for factors in profiles:
+# the support edges spelled out apart from ``Factor.supports``
+_EDGE = {"poly": lambda k: k >= 0, "twist": lambda k: k <= -1, "laurent": lambda k: True}
+_POLY, _TWIST, _LAURENT = Factor("poly"), Factor("twist"), Factor("laurent", Fraction(1, 3))
+# five profiles on three boxes that straddle the support edges at 0 and -1,
+# and two boxes where one line has no supported key
+_COUNT_CASES = [
+    (factors, box)
+    for factors in ([_POLY, _POLY, _POLY], [_TWIST, _TWIST, _TWIST], [_LAURENT] * 3,
+                    [_TWIST, _POLY, _LAURENT], [_POLY, _LAURENT, _TWIST])
+    for box in (TruncationBox((-2, -1, 0), (1, 2, 3)),
+                TruncationBox((-1, -1, -1), (0, 0, 0)),
+                TruncationBox((0, -3, -2), (2, -1, 1)))
+] + [
+    ([_POLY, _TWIST, _LAURENT], TruncationBox((-3, 0, 0), (-1, 1, 1))),
+    ([_TWIST, _POLY, _POLY], TruncationBox((0, 0, 0), (2, 2, 2))),
+]
+
+
+def _supported_keys(factors, box):
+    return [key for key in box.keys() if all(_EDGE[f.kind](k) for f, k in zip(factors, key))]
+
+
+def test_key_ranges_are_the_supported_keys_in_box_order():
+    # the product of the lines' ranges must be the box's keys that P
+    # supports, in the box's order, also where a box straddles the edges
+    for factors, box in _COUNT_CASES:
+        keys = list(itertools.product(*_key_ranges(WeightModuleP(factors), box)))
+        assert keys == _supported_keys(factors, box), (factors, box)
+
+
+def test_lemma_count_matches_the_per_key_oracle():
+    # the product formula against a walk over every supported key and
+    # label: every vector, or with ``spanning`` those on which some d_l
+    # with l outside the label survives (poly lines die at their edge 0)
+    dropped = 0
+    for factors, box in _COUNT_CASES:
         P = WeightModuleP(factors)
-        for box in boxes:
-            want = [key for key in box.keys()
-                    if all(edge[f.kind](k) for f, k in zip(factors, key))]
-            for r in (0, 1, 2):
-                sources, checked = _lemma_sources(P, r, box, False)
-                assert [key for key, _ in sources] == want, (P, box, r)
-                assert checked == len(want) * len(make_wedge_module(3, r).labels)
-                spanning, _ = _lemma_sources(P, r, box, True)
-                keys = [key for key, _ in spanning]
-                assert keys == [key for key in want if key in set(keys)], (P, box, r)
-    # a box where one line has no supported key has no source
-    for factors, box in (([poly, twist, laurent], TruncationBox((-3, 0, 0), (-1, 1, 1))),
-                         ([twist, poly, poly], TruncationBox((0, 0, 0), (2, 2, 2)))):
-        for spanning in (False, True):
-            assert _lemma_sources(WeightModuleP(factors), 1, box, spanning) == ((), 0)
+        keys = _supported_keys(factors, box)
+        for r in (0, 1, 2):
+            labels = make_wedge_module(3, r).labels
+            spanning = sum(
+                any(_live(P, key, l) for l in range(1, 4) if l not in label)
+                for key in keys
+                for label in labels
+            )
+            assert _lemma_count(P, r, box, False) == len(keys) * len(labels), (P, box, r)
+            assert _lemma_count(P, r, box, True) == spanning, (P, box, r)
+            dropped += len(keys) * len(labels) - spanning
+    assert dropped > 0
 
 
 def test_submodule_preservation_operator():

@@ -63,7 +63,7 @@ SIZES = {
     "weylmod.derham.pi_image": 4,
     "weylmod.derham.pi_kernel": 4,
     "weylmod.derham.partial_span": 4,
-    "weylmod.derham._lemma_sources": 64,
+    "weylmod.derham._lemma_count": 64,
     "weylmod.derham._lemma_template": 64,
     "weylmod.derham._equivariance_template": 128,
     "weylmod.structure._default_generators": 8,
@@ -426,10 +426,15 @@ def test_memos_are_keyed_by_p():
         assert checked > 0
         seen.append((image, pi_kernel(P, 1, box), partial_span(P, box),
                      derham._window(P, wedge2, box), structure._engine(P, wedge2, gens, box),
-                     derham._lemma_sources(P, 1, box, True), derham._lemma_sources(P, 2, box, False),
                      structure._member_rows(gens.members[0], P, wedge2)))
+        for r, spanning in ((1, True), (2, False)):
+            derham._lemma_count(P, r, box, spanning)
     halves, thirds = seen
     assert all(a is not b for a, b in zip(halves, thirds))
+    # a count is an int, which ``is`` cannot tell apart: each profile's
+    # counts are misses of their own
+    info = derham._lemma_count.cache_info()
+    assert (info.hits, info.misses) == (0, 4)
     assert not halves[0].contains(
         oracles.derham(FVector.basis(thirds[0].module_p, wedge1, (1, 0, 0), 1))
     )
@@ -589,7 +594,7 @@ def test_equal_profiles_and_boxes_share_one_entry():
     gens = GeneratorSet.default(3)
     builds = [
         (pi_image, lambda P, B: pi_image(P, 2, B)),
-        (derham._lemma_sources, lambda P, B: derham._lemma_sources(P, 1, B, True)),
+        (derham._lemma_count, lambda P, B: derham._lemma_count(P, 1, B, True)),
         (structure._engine, lambda P, B: structure._engine(P, wedge2, gens, B, None)),
     ]
     memo.clear()
@@ -597,11 +602,12 @@ def test_equal_profiles_and_boxes_share_one_entry():
         before = cached.cache_info()
         first = build(profile(Fraction(1, 2)), box())
         for shift in (Fraction(2, 4), "1/2", 1 / 2):
-            assert build(profile(shift), box()) is first
+            assert build(profile(shift), box()) == first
+        # the memo's own hits and misses, since a count is an int
         info = cached.cache_info()
         assert (info.misses - before.misses, info.hits - before.hits) == (1, 3)
         for shift in (Fraction(3, 2), Fraction(-1, 2)):
-            assert build(profile(shift), box()) is not first
+            build(profile(shift), box())
         assert cached.cache_info().misses == info.misses + 2
 
 
@@ -620,14 +626,19 @@ def test_memos_are_keyed_by_margin():
         lambda box: partial_span(_A3, box),
         lambda box: derham._window(_A3, wedge1, box),
         lambda box: structure._engine(_A3, wedge1, gens, box),
-        lambda box: derham._lemma_sources(_A3, 1, box, True),
-        lambda box: derham._lemma_sources(_A3, 2, box, False),
     ]
     memo.clear()
     for build in builds:
         first = build(narrow)
         assert build(narrow) is first
         assert build(wide) is not first
+    # a count is an int, which ``is`` cannot tell apart: read the memo's
+    # own hits and misses
+    for r, spanning in ((1, True), (2, False)):
+        for box in (narrow, narrow, wide):
+            derham._lemma_count(_A3, r, box, spanning)
+    info = derham._lemma_count.cache_info()
+    assert (info.hits, info.misses) == (2, 4)
     reports = [evidence_simplicity(_A3, wedge1, "F", box) for box in (narrow, wide)]
     assert [r["params"]["margin"] for r in reports] == [1, 2]
     assert len(reports[0]["seeds"]) > len(reports[1]["seeds"])
