@@ -16,12 +16,7 @@ from math import prod
 from operator import add, getitem, mul, sub
 
 from .errors import ArgumentError, StructureError
-from .derham import (
-    GradedSubspace,
-    partial_span,
-    pi_image,
-    pi_kernel,
-)
+from .derham import GradedSubspace, ambient_labels, partial_span, pi, pi_image, pi_kernel
 from .indices import TruncationBox
 from .linalg import RowBasis, clear_denominators
 from .memo import bounded
@@ -135,23 +130,16 @@ class ClosureEngine:
 
     The engine numbers the box weights in ``box.keys()`` order:
     ``weights[i]`` is weight number i and ``number[w]`` its number.
-    ``sizes[i]`` is the dimension of the window at weight i, and
-    ``capacity[i]`` that less the dimension of ``mod`` for a quotient: no
-    closure block at i grows beyond it.  ``moves(i)`` is (inward, outward),
+    ``sizes[i]`` is the dimension of the window at weight i: no closure
+    block at i grows beyond it.  ``moves(i)`` is (inward, outward),
     read from the cached move function that every engine over the same
     generator shifts and box shares (``_move_lists``), a function of the
     shifts and the box alone, so an evicted engine is freed by reference
     counting alone.
     """
 
-    def __init__(
-        self,
-        module_p: WeightModuleP,
-        module_m: SLModule,
-        gens: GeneratorSet,
-        box: TruncationBox,
-        mod: GradedSubspace | None = None,
-    ):
+    def __init__(self, module_p: WeightModuleP, module_m: SLModule, gens: GeneratorSet,
+                 box: TruncationBox):
         self.module_p = module_p
         self.module_m = module_m
         self.gens = gens.members
@@ -161,9 +149,6 @@ class ClosureEngine:
         )
         labels = self.ambient.labels
         self.sizes = [len(labels[w]) for w in self.weights]
-        self.capacity = list(self.sizes) if mod is None else [
-            size - mod.dim_at(w) for size, w in zip(self.sizes, self.weights)
-        ]
         self._matrices = {}
 
     def matrix(self, gi: int, i: int):
@@ -235,12 +220,12 @@ def _move_lists(shifts: tuple, box: TruncationBox):
 
 
 @bounded(1)
-def _engine(module_p, module_m, gens, box, mod=None) -> ClosureEngine:
-    """The closure engine of (P, M, gens, box, mod), shared by every
+def _engine(module_p, module_m, gens, box) -> ClosureEngine:
+    """The closure engine of (P, M, gens, box), shared by every
     closure over those inputs and by evidence_simplicity.  Its tables, move
     lists and matrices depend on nothing else, so a shared engine changes
     no closure."""
-    return ClosureEngine(module_p, module_m, gens, box, mod=mod)
+    return ClosureEngine(module_p, module_m, gens, box)
 
 
 class ClosureReport:
@@ -311,8 +296,7 @@ class ClosureReport:
 
 
 def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
-            _mod: GradedSubspace | None = None, _bound: GradedSubspace | None = None,
-            _settled=None) -> ClosureReport:
+            _bound: GradedSubspace | None = None, _settled=None) -> ClosureReport:
     """Least in-box subspace containing the seeds and closed under the
     generators whose application stays inside the outer box.
 
@@ -334,13 +318,11 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     the order either.  Only the partial blocks of a reached report and
     ``applications`` do.
 
-    The closure runs on the shared engine of its inputs (``_engine``), the
-    private ``_mod`` included: a submodule over the window, modulo which
-    the closure of a quotient is taken.
+    The closure runs on the shared engine of its inputs (``_engine``).
 
     A generator is not applied where its target block already has the
     dimension of a subspace known to contain the closure there, since its
-    image would add nothing: the window (``engine.capacity``), or the
+    image would add nothing: the window (``engine.sizes``), or the
     private ``_bound``, a submodule over the engine's window that contains
     the seeds, read by weight number (``GradedSubspace.by_number``).  Each
     block is checked against ``_bound`` once: when it fills its room, its
@@ -352,14 +334,13 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     bound's dimension has left the bound at once.  A block outside the
     bound raises ``StructureError``; the skip itself trusts the bound to be
     closed, so only exact submodules (``pi_image``, ``partial_span``) are
-    passed.  A bounded closure takes no ``_mod``: the bound's rows are not
-    reduced modulo it.
+    passed.
 
     The private ``_settled`` maps a weight to (seed, report) pairs of
-    earlier closures: the seed's integer block coordinates, reduced modulo
-    ``_mod``, and its closure's report.  Write C(s) for the least fixed
-    point containing s.  Once a growing block contains a settled seed s1,
-    C(s1) lies in the closure, so the search stops there:
+    earlier closures: the seed's integer block coordinates and its
+    closure's report.  Write C(s) for the least fixed point containing s.
+    Once a growing block contains a settled seed s1, C(s1) lies in the
+    closure, so the search stops there:
 
     - if s1's report reached the same ``target_dims``, so does this
       closure, which counts as reached (a certificate);
@@ -375,14 +356,12 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     seeds = list(seeds)
     if not seeds:
         raise ArgumentError("need at least one seed")
-    engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
+    engine = _engine(seeds[0].module_p, seeds[0].module_m, gens, box)
     labels = engine.ambient.labels
     weights, sizes, moves = engine.weights, engine.sizes, engine.moves
     if _bound is None:
-        room, bounds = list(engine.capacity), None
+        room, bounds = list(sizes), None
     else:
-        if _mod is not None:
-            raise ArgumentError("a bounded closure cannot be taken modulo a subspace")
         # ``_window`` shares one mapping per (P, M, box), so the keys are
         # compared only when the mappings differ
         if (_bound.module_p != engine.module_p or _bound.module_m != engine.module_m
@@ -398,12 +377,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     deficit = sum(target_dims.values()) if target_dims else None
     done = deficit == 0
     settler = None  # the settled report that settles this closure
-    parts = []  # (weight, dense) of every seed, reduced modulo _mod
-
-    def reduced(w, dense):
-        # a weight without a block in mod has dimension 0 there
-        block = _mod.blocks.get(w) if _mod is not None else None
-        return block.reduce(dense) if block is not None else dense
+    parts = []  # (weight, dense) of every seed
 
     def settles(report):
         if report._engine is not engine:
@@ -417,7 +391,6 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
                    for w, dense in parts)
 
     def insert(i, dense):
-        # dense is already reduced modulo _mod
         nonlocal deficit, done, settler
         basis = blocks.get(i)
         if basis is None:
@@ -448,7 +421,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         split = engine.ambient.to_dense(seed)
         if split is None:
             raise ArgumentError("seed is not a vector of the box window")
-        parts += ((w, reduced(w, clear_denominators(d))) for w, d in split.items())
+        parts += ((w, clear_denominators(d)) for w, d in split.items())
     for w, dense in parts:
         insert(engine.number[w], dense)
     applications = 0
@@ -478,8 +451,6 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             applications += 1
             if not any(dense):
                 continue
-            if _mod is not None:
-                dense = reduced(weights[target], dense)
             # resumed outward moves stop at a growth, so its vector goes first
             if insert(target, dense) and (resumed or done):
                 break
@@ -545,16 +516,20 @@ def evidence_simplicity(
     Basis-seed cyclicity is necessary but weaker than simplicity:
     arbitrary-vector seeds are not enumerated, and the report says so.
 
-    Each ambient is read as (M, sub, mod): ``sub`` is the canonical
-    submodule (the ambient itself for Ln and deltaP, the de Rham image for
-    F over an exterior power below the top degree) and ``mod`` the kernel a
-    quotient is taken by.  Each inner weight is seeded by the primitive
-    integer echelon rows of ``sub``, closed with ``sub`` as their bound,
-    and, where the ambient is the whole module, by the basis vectors
-    outside ``mod`` that complete them: the image rows are the seeds that
-    expose non-simplicity, since their closures stay inside the image.
-    Every seed is kept in its integer block coordinates, which also key
-    the settled table.
+    Each ambient is read as (M, sub): ``sub`` is the canonical submodule
+    (the ambient itself for Ln and deltaP, the de Rham image for F over an
+    exterior power below the top degree).  Each inner weight is seeded by
+    the primitive integer echelon rows of ``sub``, closed with ``sub`` as
+    their bound, and, where the ambient is the whole module, by the basis
+    vectors that complete them: the image rows are the seeds that expose
+    non-simplicity, since their closures stay inside the image.
+
+    The de Rham map pi keeps weight and commutes with every generator, so
+    it maps the quotient of F(P, wedge^r) by its kernel onto the image
+    submodule of F(P, wedge^(r+1)): the quotient is read as that image,
+    its seed at index pos being pi of the basis vector of label pos, and a
+    label that pi kills has no seed.  Every seed is kept in its integer
+    block coordinates, which also key the settled table.
 
     Every closure settles later ones (``closure``'s ``_settled``): a seed
     whose closure reached the target certifies every later closure that
@@ -572,12 +547,14 @@ def evidence_simplicity(
         raise ArgumentError("the generator set is empty")
     if r is not None and ambient in ("F", "deltaP"):
         raise ArgumentError(f"ambient {ambient} reads no r")
+    if r is not None and type(r) is not int:
+        raise ArgumentError(f"degree {r!r} is not an integer")
     # Ln, deltaP and quotient fix M to an exterior power
     degree = {"Ln": r, "deltaP": 0, "quotient": r}.get(ambient)
     if None not in (degree, module_m) and module_m != make_wedge_module(n, degree):
         raise ArgumentError(f"ambient {ambient} fixes M to wedge({n},{degree}), "
                             f"not {module_m.name}")
-    sub = mod = None
+    sub = None
     if ambient == "F":
         if module_m is None:
             raise ArgumentError("ambient F needs the finite-dimensional factor")
@@ -597,13 +574,16 @@ def evidence_simplicity(
         if r is None:
             raise ArgumentError("ambient quotient needs r")
         module_m = make_wedge_module(n, r)
-        mod = pi_kernel(module_p, r, box)
+        if r > n - 1:
+            raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
+        sub = pi_image(module_p, r + 1, box)
     else:
         raise ArgumentError(f"unknown ambient kind {ambient!r}")
-    engine = _engine(module_p, module_m, gens, box, mod)
-    whole = ambient in ("F", "quotient")
+    # the closures run over sub's module, wedge^(r+1) for a quotient
+    engine = _engine(module_p, module_m if sub is None else sub.module_m, gens, box)
+    whole = ambient == "F"
     inner = list(box.inner_keys())
-    target = {w: engine.capacity[engine.number[w]] if whole else sub.dim_at(w) for w in inner}
+    target = {w: engine.sizes[engine.number[w]] if whole else sub.dim_at(w) for w in inner}
     if not any(target.values()):
         raise ArgumentError("ambient space is empty on the inner box")
     # where no member raises (or lowers) a coordinate along which the target
@@ -615,6 +595,13 @@ def evidence_simplicity(
 
     seeds = []  # (integer block coordinates, weight, index, bound)
     for w in inner:
+        if ambient == "quotient":
+            # pi of a basis vector lies at w, or is zero and has no block
+            for pos, lab in enumerate(ambient_labels(module_p, module_m, w)):
+                image = pi(FVector._from_kernel({lab: 1}, module_p=module_p, module_m=module_m))
+                seeds += ((clear_denominators(d), w, pos, sub)
+                          for d in engine.ambient.to_dense(image).values())
+            continue
         # sub has the engine's window, so its primitive echelon rows are
         # coordinates over the labels at w
         rows = sub.blocks[w].primitive_rows if sub is not None else []
@@ -628,7 +615,7 @@ def evidence_simplicity(
         for pos in range(ncols):
             dense = [0] * ncols
             dense[pos] = 1
-            if (mod is None or any(mod.blocks[w].reduce(dense))) and taken.insert(dense):
+            if taken.insert(dense):
                 seeds.append((dense, w, pos, None))
     results = []
     overall = True
@@ -636,11 +623,8 @@ def evidence_simplicity(
     for dense, w, pos, bound in seeds:
         labels = engine.ambient.labels[w]
         seed = FVector._from_kernel({lab: c for lab, c in zip(labels, dense) if c},
-                                    module_p=module_p, module_m=module_m)
-        report = closure(
-            [seed], gens, box, target_dims=target,
-            _mod=mod, _bound=bound, _settled=settled,
-        )
+                                    module_p=module_p, module_m=engine.module_m)
+        report = closure([seed], gens, box, target_dims=target, _bound=bound, _settled=settled)
         ok = bool(report.reached_target)
         overall = overall and ok
         entry = {"weight": list(w), "index": pos}
@@ -648,8 +632,6 @@ def evidence_simplicity(
             entry["kind"] = "basis" if bound is None else "submodule-row"
         entry["pass"] = ok
         # every seed lies in the one weight block w
-        if mod is not None:
-            dense = mod.blocks[w].reduce(dense)
         settled.setdefault(w, []).append((dense, report))
         if not ok:
             first = report.first_unreached()
@@ -685,6 +667,8 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
     must match (None for a trivial layer).
     """
     n = module_p.rank
+    if type(r) is not int:
+        raise ArgumentError(f"degree {r!r} is not an integer")
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     all_poly = all(f.kind == POLY for f in module_p.factors)

@@ -258,9 +258,15 @@ class SLModule(Frozen):
         return self.name
 
 
-@bounded(64)
 def make_wedge_module(n: int, r: int) -> SLModule:
     """The r-th exterior power of the natural module, I acting as r; shared, read-only."""
+    if type(n) is not int or type(r) is not int:
+        raise ArgumentError(f"wedge({n!r},{r!r}) needs an integer rank and degree")
+    return _wedge_module(n, r)
+
+
+@bounded(64)
+def _wedge_module(n: int, r: int) -> SLModule:
     if not 0 <= r <= n:
         raise ArgumentError(f"wedge degree {r} out of range 0..{n}")
     labels = [tuple(c) for c in itertools.combinations(range(1, n + 1), r)]

@@ -857,8 +857,10 @@ def closure(seeds, gens, box, target_dims=None, *, _mod=None, **_):
     ``tensor_act``).  It takes the arguments of ``structure.closure``, stops
     as it does once ``target_dims`` is full, and ignores its private bound
     and certificates, so it can stand in for it inside
-    ``evidence_simplicity``."""
-    engine = structure._engine(seeds[0].module_p, seeds[0].module_m, gens, box, _mod)
+    ``evidence_simplicity``.  ``_mod``, a submodule over the window, takes
+    the closure modulo it: the reference for a quotient, which
+    ``structure`` reads through its de Rham image instead."""
+    engine = structure._engine(seeds[0].module_p, seeds[0].module_m, gens, box)
     labels = engine.ambient.labels
     blocks = {w: IntRowBasis(len(labs)) for w, labs in labels.items()}
     queue = deque()

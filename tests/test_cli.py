@@ -153,6 +153,16 @@ def test_ambients_that_read_no_degree_refuse_one(capsys):
         assert f"ambient {ambient} reads no r" in err and "Traceback" not in err, ambient
 
 
+def test_quotient_at_the_top_degree_exits_2(capsys):
+    # F(P, wedge^n) has no de Rham map: the quotient at r = n is refused with
+    # the range of its degree, not that of the image one degree up
+    code, out, err = run_cli(capsys, "structure", "simplicity", "--P", "[poly,poly]",
+                             "--ambient", "quotient", "--r", "2", "--box", "0..4",
+                             "--margin", "1")
+    assert code == 2 and not out
+    assert err == "error: degree 2 out of range 0..1\n"
+
+
 def test_inventory_without_a_degree_exits_2(capsys):
     # the subquotient chain is that of one exterior power: no --r is a
     # configuration error, not a TypeError from the range check
@@ -823,7 +833,7 @@ def test_cli_output_bytes(capsys):
     # and the closure, plain act, delta-p, parenthesized and refused parse
     # outputs, generated before the reach test of tests/test_reach.py
     cases = json.loads((CLI_DATA / "commands.json").read_text())
-    assert len(cases) == 61
+    assert len(cases) == 62
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"], case["name"]

@@ -52,7 +52,7 @@ SIZES = {
     "weylmod.weyl._normal_order_table": 4096,
     "weylmod.ugl.pbw_product": 4096,
     "weylmod.ugl._NORMAL_CACHE": ugl._NORMAL_CACHE_SIZE,
-    "weylmod.weightmod.make_wedge_module": 64,
+    "weylmod.weightmod._wedge_module": 64,
     "weylmod.tensorop._iota_live": 16,
     "weylmod.tensorop._node_template": 256,
     "weylmod.tensorop._node_terms": 64,
@@ -96,7 +96,7 @@ def test_every_memo_is_bounded():
     assert SIZES["weylmod.derham._equivariance_template"] >= 90
     # one the 45 exterior powers of n <= 8, and one the rows of the 192
     # members at n = 4 on 3 profiles x 4 wedges
-    assert SIZES["weylmod.weightmod.make_wedge_module"] >= 45
+    assert SIZES["weylmod.weightmod._wedge_module"] >= 45
     assert SIZES["weylmod.structure._member_rows"] >= 192 * 3 * 4
     # the iota pair templates are read through the live table of their rank
     assert not hasattr(tensorop._iota_template, "cache_info")
@@ -544,26 +544,26 @@ def test_outside_factors_are_refused():
 
 
 def test_an_evicted_engine_is_freed_by_reference_counting():
-    # no table of an engine refers back to it (its capacity and the shared
-    # move table fill from the window, mod, the shifts and the box), so an
+    # no table of an engine refers back to it (its sizes and the shared
+    # move table fill from the window, the shifts and the box), so an
     # engine that leaves the one-entry memo is freed with the cycle collector
-    # off, whether or not it takes a quotient
+    # off, whether it closes F or the de Rham image that reads a quotient
     P, box = WeightModuleP.polynomial(2), TruncationBox((0, 0), (4, 4), margin=1)
     gens = GeneratorSet.default(2)
     wedge1 = make_wedge_module(2, 1)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for ambient, mod, r in (("F", None, None), ("quotient", pi_kernel(P, 1, box), 1)):
+        for ambient, closed, r in (("F", wedge1, None), ("quotient", make_wedge_module(2, 2), 1)):
             structure._engine.cache_clear()
             evidence_simplicity(P, wedge1, ambient, box, r=r)
-            engine = structure._engine(P, wedge1, gens, box, mod)
+            engine = structure._engine(P, closed, gens, box)
             assert structure._engine.cache_info().hits > 0
-            assert engine.capacity and engine.moves.cache_info().currsize and engine._matrices
+            assert engine.sizes and engine.moves.cache_info().currsize and engine._matrices
             ref = weakref.ref(engine)
             del engine
             # evicted by the engine of another module
-            structure._engine(P, make_wedge_module(2, 0), gens, box, None)
+            structure._engine(P, make_wedge_module(2, 0), gens, box)
             assert ref() is None, ambient
     finally:
         if enabled:
@@ -595,7 +595,7 @@ def test_equal_profiles_and_boxes_share_one_entry():
     builds = [
         (pi_image, lambda P, B: pi_image(P, 2, B)),
         (derham._lemma_count, lambda P, B: derham._lemma_count(P, 1, B, True)),
-        (structure._engine, lambda P, B: structure._engine(P, wedge2, gens, B, None)),
+        (structure._engine, lambda P, B: structure._engine(P, wedge2, gens, B)),
     ]
     memo.clear()
     for cached, build in builds:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from weylmod.derham import GradedSubspace, partial_span, pi_image, pi_kernel
+from weylmod.derham import GradedSubspace, partial_span, pi, pi_image, pi_kernel
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod import derham, structure, suites
 from weylmod.indices import TruncationBox
@@ -135,7 +135,7 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     structure._engine.cache_clear()
     first = closure(seeds, gens, box)
     assert structure._engine.cache_info().misses == 1
-    engine = structure._engine(P, M, gens, box, None)
+    engine = structure._engine(P, M, gens, box)
     built = dict(engine._matrices)
     assert built and asked
     assert all(gi in dict(inward + outward) for gi, _, (inward, outward) in asked)
@@ -148,21 +148,27 @@ def test_closure_reuses_the_engine_of_equal_inputs(monkeypatch):
     assert second.dims == first.dims == oracles.closure(seeds, gens, box).dims
 
 
-def test_quotient_closures_through_mod_equal_the_oracle():
-    # modulo the degree-1 kernel of F(A2, wedge^1) and the degree-2 kernel
-    # of F(A3, wedge^2), every basis seed's closure is the plain search's
-    for P, r, box in ((_A2, 1, _CUBE2), (_A3, 2, _CUBE3)):
+def test_quotient_closures_through_pi_equal_the_oracle_modulo_the_kernel():
+    # pi maps F(A2, wedge^1) modulo its degree-1 kernel and F(A3, wedge^2)
+    # modulo its degree-2 kernel onto the image one degree up: the closure
+    # of pi(e) has, weight by weight, the dims of the plain search from the
+    # basis vector e modulo the kernel, all 0 where pi kills e (the sampled
+    # box weights include some with a coordinate 0, where it does)
+    for P, r, box, step in ((_A2, 1, _CUBE2, 5), (_A3, 2, _CUBE3, 17)):
         M = make_wedge_module(P.rank, r)
         kernel = pi_kernel(P, r, box)
         gens = GeneratorSet.default(P.rank)
-        for w in list(box.inner_keys())[::4]:
+        killed = 0
+        for w in list(box.keys())[::step]:
             for key, midx in kernel.labels[w]:
-                seeds = [FVector.basis(P, M, key, midx)]
-                got = closure(seeds, gens, box, _mod=kernel)
-                assert got.dims == oracles.closure(seeds, gens, box, _mod=kernel).dims
-                assert got.total_dim() <= sum(
-                    len(kernel.labels[v]) - kernel.dim_at(v) for v in box.keys()
-                )
+                e = FVector.basis(P, M, key, midx)
+                want = oracles.closure([e], gens, box, _mod=kernel).dims
+                if kernel.contains(e):
+                    killed += 1
+                    assert not any(want.values())
+                    continue
+                assert closure([pi(e)], gens, box).dims == want
+        assert killed, P
 
 
 def test_engine_keeps_the_action_errors():
@@ -376,6 +382,39 @@ def test_evidence_configuration_errors():
         assert str(info.value) == message, ambient
 
 
+def test_quotient_degrees_out_of_range_keep_their_messages():
+    # the quotient is read through pi into wedge^(r+1), which r = n has not:
+    # it is refused with the kernel's range, not the image's, and r = n + 1
+    # and r < 0 with the exterior power's
+    A2 = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    for r, message in ((2, "degree 2 out of range 0..1"),
+                       (3, "wedge degree 3 out of range 0..2"),
+                       (-1, "wedge degree -1 out of range 0..2")):
+        with pytest.raises(ArgumentError) as info:
+            evidence_simplicity(A2, None, "quotient", box, r=r)
+        assert str(info.value) == message, r
+
+
+def test_a_degree_that_is_not_an_int_is_refused():
+    # a bool or a float degree is refused by name, also once the memos hold
+    # the entries of the int it equals, so it is never echoed into a report
+    A2 = WeightModuleP.polynomial(2)
+    box = TruncationBox((0, 0), (4, 4), margin=1)
+    subquotient_inventory(A2, 1, box)
+    for ambient in ("Ln", "quotient"):
+        evidence_simplicity(A2, None, ambient, box, r=1)
+    for r in (True, 1.0, Fraction(1)):
+        message = f"degree {r!r} is not an integer"
+        with pytest.raises(ArgumentError) as info:
+            subquotient_inventory(A2, r, box)
+        assert str(info.value) == message
+        for ambient in ("Ln", "quotient"):
+            with pytest.raises(ArgumentError) as info:
+                evidence_simplicity(A2, None, ambient, box, r=r)
+            assert str(info.value) == message, ambient
+
+
 def test_evidence_refuses_a_module_the_ambient_does_not_fix():
     # Ln, deltaP and quotient each act on one exterior power: another M is
     # refused, not replaced, and that power itself is accepted
@@ -529,14 +568,14 @@ PRUNING_CASES = [
 
 
 def _recorded_evidence(monkeypatch, P, M, ambient, box, r):
-    """The evidence report and the (seeds, mod, bound, report) of every
-    closure it ran."""
+    """The evidence report and the (seeds, bound, report) of every closure
+    it ran."""
     calls = []
     pruned = structure.closure
 
     def recording(seeds, gens, box, **kw):
         report = pruned(seeds, gens, box, **kw)
-        calls.append((seeds, kw.get("_mod"), kw.get("_bound"), report))
+        calls.append((seeds, kw.get("_bound"), report))
         return report
 
     with monkeypatch.context() as patch:
@@ -567,11 +606,11 @@ def test_pruned_closure_matches_the_unpruned_search(monkeypatch, case):
     # full closures (no target, no certificate) have the same dims at every
     # weight, with the window bound alone and with the submodule bound
     sample = calls[:: max(1, len(calls) // 6)] + calls[-1:]
-    for seeds, mod, bound, _ in sample:
-        want = oracles.closure(seeds, gens, box, _mod=mod).dims
-        assert closure(seeds, gens, box, _mod=mod).dims == want
+    for seeds, bound, _ in sample:
+        want = oracles.closure(seeds, gens, box).dims
+        assert closure(seeds, gens, box).dims == want
         if bound is not None:
-            assert closure(seeds, gens, box, _mod=mod, _bound=bound).dims == want
+            assert closure(seeds, gens, box, _bound=bound).dims == want
 
 
 @pytest.mark.parametrize("case", PRUNING_CASES, ids=PRUNING_IDS)
@@ -612,7 +651,7 @@ def test_a_bound_over_an_equal_window_is_accepted():
     want = closure([seed], gens, _CUBE2, _bound=image)
     derham._window.cache_clear()
     rebuilt = GradedSubspace(_A2, wedge1, _CUBE2, image.blocks)
-    engine = structure._engine(_A2, wedge1, gens, _CUBE2, None)
+    engine = structure._engine(_A2, wedge1, gens, _CUBE2)
     assert rebuilt.labels is not engine.ambient.labels
     assert rebuilt.labels == engine.ambient.labels
     got = closure([seed], gens, _CUBE2, _bound=rebuilt)
@@ -649,15 +688,15 @@ def test_saturation_skips_work_and_certificates_cut_pass_seeds(monkeypatch):
     # image, the basis seeds stop at the first certified seed
     _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
     gens = GeneratorSet.default(3)
-    seeds, mod, bound, _ = calls[0]
-    assert bound is not None and mod is None
+    seeds, bound, _ = calls[0]
+    assert bound is not None
     pruned = closure(seeds, gens, _CUBE3, _bound=bound)
     plain = closure(seeds, gens, _CUBE3)
     assert pruned.dims == plain.dims
     assert pruned.applications < plain.applications
     window = GradedSubspace(_A3, make_wedge_module(3, 1), _CUBE3)
     target = {w: len(window.labels[w]) for w in _CUBE3.inner_keys()}
-    basis = [s for s, _, b, _ in calls if b is None]
+    basis = [s for s, b, _ in calls if b is None]
     first = closure(basis[0], gens, _CUBE3, target_dims=target)
     assert first.reached_target
     ((w, dense),) = window.to_dense(basis[0][0]).items()
@@ -699,8 +738,8 @@ def test_certificates_keep_fail_seeds_failing(monkeypatch):
 
 def test_quotient_certificates_compare_modulo_the_kernel(monkeypatch):
     # the two basis seeds at one weight of F(A2, wedge^1)/kernel agree up to
-    # a scalar modulo the kernel, so the second closure starts out holding
-    # the first, certified seed
+    # a scalar modulo the kernel, and so do their de Rham images, so the
+    # second closure starts out holding the first, certified seed
     applications = []
     pruned = structure.closure
 
@@ -724,7 +763,7 @@ def test_image_rows_settle_on_the_first_image_closure(monkeypatch):
     # row's fixed point, with the dims and verdict of the plain search
     gens = GeneratorSet.default(2)
     _, calls = _recorded_evidence(monkeypatch, _A2, make_wedge_module(2, 1), "F", _CUBE2, None)
-    rows = [(seeds, report) for seeds, _, bound, report in calls if bound is not None]
+    rows = [(seeds, report) for seeds, bound, report in calls if bound is not None]
     assert len(rows) == 4
     for seeds, report in rows:
         want = oracles.closure(seeds, gens, _CUBE2, target_dims=report.target_dims)
@@ -740,7 +779,7 @@ def test_a_fixed_point_without_the_seed_is_not_reused(monkeypatch):
     # but the row's fixed point (the image) does not hold the basis seed,
     # so it is not the basis seed's closure
     _, calls = _recorded_evidence(monkeypatch, _A3, make_wedge_module(3, 1), "F", _CUBE3, None)
-    (row, _, bound, fixed), (basis, _, _, reached) = calls[:2]
+    (row, bound, fixed), (basis, _, reached) = calls[:2]
     assert bound is not None and fixed.reached_target is False and reached.reached_target
     ((w, dense),) = bound.to_dense(row[0]).items()
     assert not bound.contains(basis[0])
@@ -821,17 +860,13 @@ def test_a_wrong_bound_raises():
 
 def test_a_weight_without_a_block_reads_as_dimension_zero():
     # spaces built through the constructor hold no block where they are
-    # zero: modulo the zero space the closure is the unmodded one, and the
-    # zero space bounds no seed
+    # zero: the zero space bounds no seed
     P, M = WeightModuleP.polynomial(2), make_wedge_module(2, 0)
     box = TruncationBox((0, 0), (4, 4), margin=1)
     gens = GeneratorSet.default(2)
     seed = FVector.basis(P, M, (1, 1), 0)
     zero = GradedSubspace(P, M, box)
-    plain = closure([seed], gens, box)
-    assert plain.total_dim() == 25
-    modded = closure([seed], gens, box, _mod=zero)
-    assert modded.dims == plain.dims
+    assert closure([seed], gens, box).total_dim() == 25
     with pytest.raises(StructureError, match=r"left its bound at weight \[1, 1\]"):
         closure([seed], gens, box, _bound=zero)
 
@@ -892,19 +927,9 @@ def test_a_closure_that_stops_early_still_checks_its_blocks():
             closure([seed], gens, _CUBE3, target_dims=target, _bound=bound, _settled=settled)
 
 
-def test_a_bounded_closure_takes_no_modulus():
-    # the bound's rows are not reduced modulo the kernel, so the two are
-    # never mixed
-    gens = GeneratorSet.default(2)
-    image = pi_image(_A2, 1, _CUBE2)
-    seed = oracles.basis_vectors(image, (2, 1))[0]
-    with pytest.raises(ArgumentError, match="bounded closure cannot be taken modulo"):
-        closure([seed], gens, _CUBE2, _mod=pi_kernel(_A2, 1, _CUBE2), _bound=image)
-
-
 def test_a_space_numbers_its_blocks_as_the_engine_numbers_its_weights():
     wedge1 = make_wedge_module(2, 1)
-    engine = structure._engine(_A2, wedge1, GeneratorSet.default(2), _CUBE2, None)
+    engine = structure._engine(_A2, wedge1, GeneratorSet.default(2), _CUBE2)
     image = pi_image(_A2, 1, _CUBE2)
     dims, blocks = image.by_number
     assert image.by_number is image.by_number
@@ -1021,7 +1046,7 @@ def test_pass_seeds_reach_the_target_in_fewer_applications(monkeypatch):
     gens = GeneratorSet.default(3)
     window = GradedSubspace(_A3, make_wedge_module(3, 1), _CUBE3)
     target = {w: len(window.labels[w]) for w in _CUBE3.inner_keys()}
-    basis = [seeds for seeds, _, bound, _ in calls if bound is None]
+    basis = [seeds for seeds, bound, _ in calls if bound is None]
     assert len(basis) == 2
     for seeds in basis:
         report = closure(seeds, gens, _CUBE3, target_dims=target)

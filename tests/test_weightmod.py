@@ -10,7 +10,7 @@ from functools import partial
 import oracles
 import pytest
 
-from weylmod import weightmod
+from weylmod import memo, weightmod
 from weylmod.errors import ArgumentError, DomainError, StructureError
 from weylmod.linalg import RowBasis
 from weylmod.tensorop import TensorOperator, from_weyl, shen_iota, tensor
@@ -339,6 +339,21 @@ def test_wedge_insert_and_replace_match_the_permutation_sign():
 def test_wedge_argument_check():
     with pytest.raises(ArgumentError):
         make_wedge_module(3, 4)
+
+
+def test_wedge_module_refuses_a_non_integer_rank_or_degree():
+    # a bool or a float is refused before the memo, so it neither builds a
+    # module named after it nor reads the entry of the int it equals, cold
+    # or once that entry is built
+    odd = [(2, True), (2.0, 1), (2, 1.0), (True, 0), (Fraction(2), 1)]
+    for warm in (False, True):
+        memo.clear()
+        if warm:
+            make_wedge_module(2, 1), make_wedge_module(1, 0)
+        for n, r in odd:
+            with pytest.raises(ArgumentError, match="needs an integer rank and degree"):
+                make_wedge_module(n, r)
+    assert make_wedge_module(2, 1).source == (make_wedge_module, (2, 1))
 
 
 def test_weyl_dimension_oracle():
