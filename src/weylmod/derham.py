@@ -80,6 +80,15 @@ def _derham_table(n: int, r: int):
     return table
 
 
+def _pi_rows(P: WeightModuleP, r: int):
+    """The integer rows of the de Rham map from degree r on P
+    (``_integer_rows`` of ``_derham_table``): each block column they give
+    is pi's times their common denominator, a positive scale that leaves
+    every span and kernel as it is."""
+    rows, _ = _integer_rows(P, _derham_table(P.rank, r))
+    return rows
+
+
 def pi(w: FVector) -> FVector:
     """The de Rham map p (x) v -> sum_l d_l(p) (x) e_l wedge v.
 
@@ -225,7 +234,7 @@ def pi_image(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     if not 1 <= r <= n:
         raise ArgumentError(f"degree {r} out of range 1..{n}")
     source, M = wedge_module(n, r - 1), wedge_module(n, r)
-    rows, _ = _integer_rows(P, _derham_table(n, r - 1))
+    rows = _pi_rows(P, r - 1)
     labels = _window(P, M, box)
     blocks = {}
     for w in box.keys():
@@ -252,7 +261,7 @@ def pi_kernel(P: WeightModuleP, r: int, box: TruncationBox) -> GradedSubspace:
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     M = wedge_module(n, r)
-    rows, _ = _integer_rows(P, _derham_table(n, r))
+    rows = _pi_rows(P, r)
     targets = _window(P, wedge_module(n, r + 1), box)
     blocks = {
         w: kernel(_block_columns(P, rows, labs, targets[w]), len(targets[w]))

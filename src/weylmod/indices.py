@@ -34,11 +34,16 @@ def mi_units(n: int) -> tuple:
     return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
+def check_int(value, name: str) -> None:
+    """Refuse a value that is not an int, named in the message.  A bool,
+    float or Fraction is refused even when it equals an int."""
+    if type(value) is not int:
+        raise ArgumentError(f"{name} {value!r} is not an integer")
+
+
 def check_index(i, hi: int, lo: int = 1) -> None:
-    """Refuse an index that is not an int in lo..hi.  A bool, float or
-    Fraction is refused even when it equals an int in range."""
-    if isinstance(i, bool) or not isinstance(i, int):
-        raise ArgumentError(f"index {i!r} is not an integer")
+    """Refuse an index that is not an int in lo..hi."""
+    check_int(i, "index")
     if not lo <= i <= hi:
         raise ArgumentError(f"index {i} out of range {lo}..{hi}")
 

@@ -143,7 +143,19 @@ class RowBasis:
         return True
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        if len(self._rows) != 1:
+            return not any(self.reduce(vec))
+        # one row, with entry a at its pivot: vec lies in its span exactly
+        # when a * vec == f * row, f being vec's pivot entry (every 2x2 minor
+        # through the pivot column vanishes), so no residual is built
+        (row,), (p,) = self._rows, self.pivots
+        f = vec[p]
+        if not f:
+            return not any(vec)
+        a = row[p]
+        if a == 1:
+            return list(vec) == [f * y for y in row]
+        return [a * x for x in vec] == [f * y for y in row]
 
 
 def kernel(columns, height: int) -> RowBasis:

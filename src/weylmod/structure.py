@@ -16,8 +16,8 @@ from math import prod
 from operator import add, getitem, mul, sub
 
 from .errors import ArgumentError, StructureError
-from .derham import GradedSubspace, ambient_labels, partial_span, pi, pi_image, pi_kernel
-from .indices import TruncationBox
+from .derham import GradedSubspace, _pi_rows, ambient_labels, partial_span, pi_image, pi_kernel
+from .indices import TruncationBox, check_int
 from .linalg import RowBasis, clear_denominators
 from .memo import bounded
 from .tensorop import shen_iota
@@ -89,8 +89,8 @@ class GeneratorSet:
         the default margin of 2 covers with room to spare.  Every cap >= 0
         keeps L_ij at alpha = 0; a cap below 0 leaves no nonzero field.
         """
-        if type(cap) is not int:
-            raise ArgumentError(f"generator cap {cap!r} is not an integer")
+        check_int(n, "rank")
+        check_int(cap, "generator cap")
         if cap < 0:
             raise ArgumentError(f"generator cap {cap} leaves no generator, use a cap >= 0")
         return _default_generators(n, cap)
@@ -330,6 +330,10 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     primitive and have positive pivots, so equal spans have equal rows),
     and each row of a block that never fills is reduced against the bound
     block before the report is built, also when the search stopped early.
+    Where the bound block is one row, the first vector at that weight is
+    tested for membership in it and the closure holds the bound's own
+    ``RowBasis`` from then on, shared with the report: it is full, so only
+    a seed can reach it again, and such a seed is tested, not inserted.
     Room does not limit the seeds, so a block that they take past the
     bound's dimension has left the bound at once.  A block outside the
     bound raises ``StructureError``; the skip itself trusts the bound to be
@@ -393,19 +397,28 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     def insert(i, dense):
         nonlocal deficit, done, settler
         basis = blocks.get(i)
-        if basis is None:
-            basis = blocks[i] = RowBasis(sizes[i])
-        before = basis.dim
-        if not basis.insert(dense):
-            return False
         w = weights[i]
-        room[i] -= 1
-        if bounds is not None and room[i] <= 0:
-            # a block lies in the bound only while it is no larger than the
-            # bound's block (room does not limit seeds), and once full only
-            # when it is that block
-            if room[i] or basis.primitive_rows != bounds[i].primitive_rows:
+        if basis is None and bounds is not None and room[i] == 1:
+            # a one-row bound block: the vector spans it or leaves the bound,
+            # and the closure holds the bound's own block, full from here on
+            basis = bounds[i]
+            if not basis.contains(dense):
                 raise StructureError(f"the closure left its bound at weight {list(w)}")
+            blocks[i] = basis
+            room[i] = before = 0
+        else:
+            if basis is None:
+                basis = blocks[i] = RowBasis(sizes[i])
+            before = basis.dim
+            if not basis.insert(dense):
+                return False
+            room[i] -= 1
+            if bounds is not None and room[i] <= 0:
+                # a block lies in the bound only while it is no larger than
+                # the bound's block (room does not limit seeds), and once
+                # full only when it is that block
+                if room[i] or basis.primitive_rows != bounds[i].primitive_rows:
+                    raise StructureError(f"the closure left its bound at weight {list(w)}")
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1
             done = not deficit
@@ -423,7 +436,16 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             raise ArgumentError("seed is not a vector of the box window")
         parts += ((w, clear_denominators(d)) for w, d in split.items())
     for w, dense in parts:
-        insert(engine.number[w], dense)
+        # an FVector holds no zero coefficient, so no part is zero
+        i = engine.number[w]
+        held = blocks.get(i)
+        if held is not None and bounds is not None and held is bounds[i]:
+            # a held bound block is full: a seed there lies in it or leaves
+            # the bound, and is never inserted into it
+            if not held.contains(dense):
+                raise StructureError(f"the closure left its bound at weight {list(w)}")
+        else:
+            insert(i, dense)
     applications = 0
     outward: deque = deque()  # (i, vec, support, the rest of its outward moves)
     while not done:
@@ -458,7 +480,8 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             if resumed:
                 outward.popleft()
     if bounds is not None:
-        # a block that never filled meets the bound once, row by row
+        # a block that never filled meets the bound once, row by row (its
+        # bound block has two rows or more: a one-row block is held)
         for i, basis in blocks.items():
             if room[i] and any(any(bounds[i].reduce(row)) for row in basis.primitive_rows):
                 raise StructureError(f"the closure left its bound at weight "
@@ -528,8 +551,12 @@ def evidence_simplicity(
     it maps the quotient of F(P, wedge^r) by its kernel onto the image
     submodule of F(P, wedge^(r+1)): the quotient is read as that image,
     its seed at index pos being pi of the basis vector of label pos, and a
-    label that pi kills has no seed.  Every seed is kept in its integer
-    block coordinates, which also key the settled table.
+    label that pi kills has no seed.  The seeds are read off pi's block
+    columns (``_block_columns`` over the integer de Rham rows, as
+    ``pi_image`` builds its blocks), each a positive multiple of that image;
+    a span and a containment test do not see the scale.  Every seed is
+    kept in its integer block coordinates, which also key the settled
+    table.
 
     Every closure settles later ones (``closure``'s ``_settled``): a seed
     whose closure reached the target certifies every later closure that
@@ -547,8 +574,8 @@ def evidence_simplicity(
         raise ArgumentError("the generator set is empty")
     if r is not None and ambient in ("F", "deltaP"):
         raise ArgumentError(f"ambient {ambient} reads no r")
-    if r is not None and type(r) is not int:
-        raise ArgumentError(f"degree {r!r} is not an integer")
+    if r is not None:
+        check_int(r, "degree")
     # Ln, deltaP and quotient fix M to an exterior power
     degree = {"Ln": r, "deltaP": 0, "quotient": r}.get(ambient)
     if None not in (degree, module_m) and module_m != make_wedge_module(n, degree):
@@ -594,13 +621,20 @@ def evidence_simplicity(
                                 f"coordinate {s + 1}, so no seed reaches every target weight")
 
     seeds = []  # (integer block coordinates, weight, index, bound)
+    if ambient == "quotient":
+        pi_rows = _pi_rows(module_p, r)
     for w in inner:
         if ambient == "quotient":
-            # pi of a basis vector lies at w, or is zero and has no block
-            for pos, lab in enumerate(ambient_labels(module_p, module_m, w)):
-                image = pi(FVector._from_kernel({lab: 1}, module_p=module_p, module_m=module_m))
-                seeds += ((clear_denominators(d), w, pos, sub)
-                          for d in engine.ambient.to_dense(image).values())
+            # column pos of pi's block at w is a positive multiple of pi of
+            # the basis vector of label pos; a label that pi kills has none
+            targets = engine.ambient.labels[w]
+            sources = ambient_labels(module_p, module_m, w)
+            for pos, col in enumerate(_block_columns(module_p, pi_rows, sources, targets)):
+                if col:
+                    dense = [0] * len(targets)
+                    for at, c in col:
+                        dense[at] = c
+                    seeds.append((dense, w, pos, sub))
             continue
         # sub has the engine's window, so its primitive echelon rows are
         # coordinates over the labels at w
@@ -667,8 +701,7 @@ def subquotient_inventory(module_p: WeightModuleP, r: int, box: TruncationBox):
     must match (None for a trivial layer).
     """
     n = module_p.rank
-    if type(r) is not int:
-        raise ArgumentError(f"degree {r!r} is not an integer")
+    check_int(r, "degree")
     if not 0 <= r <= n - 1:
         raise ArgumentError(f"degree {r} out of range 0..{n - 1}")
     all_poly = all(f.kind == POLY for f in module_p.factors)

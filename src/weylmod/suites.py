@@ -25,7 +25,7 @@ from .derham import (
     verify_h_annihilates,
 )
 from .errors import ArgumentError
-from .indices import TruncationBox, check_index, mi_sub, mi_unit
+from .indices import TruncationBox, check_index, check_int, mi_sub, mi_unit
 from .structure import (
     GeneratorSet,
     _delta_dim,
@@ -259,6 +259,8 @@ def check_derham(n: int, count: int = 100, seed: int = DEFAULT_SEED, shift=DEFAU
     samples are drawn as they always were, so the report counts them; an
     empty table passes a sample with no row work.
     """
+    check_int(count, "count")
+    check_int(seed, "seed")
     if count < 0:
         raise ArgumentError(f"count must be at least 0, got {count}")
     rng = random.Random(seed)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import ArgumentError, DomainError, StructureError
-from .indices import check_index, check_integer_exponents
+from .indices import check_index, check_int, check_integer_exponents
 from .linalg import RowBasis
 from .memo import bounded
 from .tensorop import TensorOperator, shen_iota
@@ -109,14 +109,17 @@ class WeightModuleP(Frozen):
 
     @classmethod
     def polynomial(cls, n: int) -> WeightModuleP:
+        check_int(n, "rank")
         return cls([Factor(POLY)] * n)
 
     @classmethod
     def twisted(cls, n: int) -> WeightModuleP:
+        check_int(n, "rank")
         return cls([Factor(TWIST)] * n)
 
     @classmethod
     def laurent(cls, n: int, shift=DEFAULT_SHIFT) -> WeightModuleP:
+        check_int(n, "rank")
         return cls([Factor(LAURENT, shift)] * n)
 
     def supports_key(self, key) -> bool:
@@ -318,6 +321,7 @@ def weyl_dimension(psi, n: int) -> int:
     partition coordinates lambda_i = sum_(k >= i) psi_k the dimension is
     prod_(i<j) (lambda_i - lambda_j + j - i) / (j - i).
     """
+    check_int(n, "rank")
     if len(psi) != n - 1 or any(type(p) is not int or p < 0 for p in psi):
         raise ArgumentError("psi must be n-1 nonnegative integers")
     lam = [sum(psi[k] for k in range(i, n - 1)) for i in range(n)]

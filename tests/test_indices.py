@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylmod import suites
 from weylmod.errors import ArgumentError, StructureError
 from weylmod.indices import (
     TruncationBox,
@@ -16,8 +17,10 @@ from weylmod.indices import (
     mi_unit,
 )
 from weylmod.tensorop import cubic_identity_residual, cubic_m_product, special_operator
+from weylmod.structure import GeneratorSet
 from weylmod.ugl import E
 from weylmod.vectorfields import L_op, monomial_field
+from weylmod.weightmod import WeightModuleP, make_hw_module
 from weylmod.weyl import WeylElement
 
 
@@ -129,6 +132,40 @@ def test_box_basics():
     assert not box.contains_inner((1, 3))
     assert len(list(box.keys())) == 36
     assert len(list(box.inner_keys())) == 4
+
+
+def test_ranks_and_counts_must_be_ints():
+    # each of these calls ended in a TypeError from deep inside, or, given a
+    # bool, ran on the int it equals (a one-line module, an empty generator
+    # set, one de Rham sample); each now refuses the value by name, even
+    # when it equals an int the call accepts
+    derham = suites.check_derham
+    cases = [
+        (WeightModuleP.polynomial, (2.0,), {}, "rank 2.0 is not an integer"),
+        (WeightModuleP.polynomial, (True,), {}, "rank True is not an integer"),
+        (WeightModuleP.twisted, (2.0,), {}, "rank 2.0 is not an integer"),
+        (WeightModuleP.twisted, (True,), {}, "rank True is not an integer"),
+        (WeightModuleP.laurent, (2.0,), {}, "rank 2.0 is not an integer"),
+        (WeightModuleP.laurent, (Fraction(2),), {}, "rank Fraction(2, 1) is not an integer"),
+        (make_hw_module, ((2,), 2.0), {}, "rank 2.0 is not an integer"),
+        (make_hw_module, ((1,), True), {}, "rank True is not an integer"),
+        (GeneratorSet.default, (2.0,), {}, "rank 2.0 is not an integer"),
+        (GeneratorSet.default, (True,), {}, "rank True is not an integer"),
+        (suites.check_unique_submodule, (2.0,), {}, "rank 2.0 is not an integer"),
+        (derham, (2,), {"count": 2.5}, "count 2.5 is not an integer"),
+        (derham, (2,), {"count": True}, "count True is not an integer"),
+        (derham, (2,), {"count": 2, "seed": 1.5}, "seed 1.5 is not an integer"),
+        (derham, (2.0,), {"count": 2}, "rank 2.0 is not an integer"),
+    ]
+    for fn, args, kw, message in cases:
+        with pytest.raises(ArgumentError) as info:
+            fn(*args, **kw)
+        assert str(info.value) == message, (fn.__name__, args, kw)
+    # the ints themselves are accepted
+    assert WeightModuleP.polynomial(2).rank == 2
+    assert make_hw_module((2,), 2).dim == 3
+    assert len(GeneratorSet.default(2)) > 0
+    assert derham(2, count=2)["pass"]
 
 
 def test_box_refuses_a_bound_or_margin_that_is_not_an_int():

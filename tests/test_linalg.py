@@ -164,3 +164,37 @@ def test_row_basis_reduce_stays_integral():
     assert all(type(x) is int for x in residual) and any(residual)
     assert basis.rows == [[1, 0, Fraction(-4, 3)], [0, 1, 2]]
 
+
+
+def test_one_row_contains_is_membership():
+    # a one-row basis answers contains by the 2x2 minors through its pivot,
+    # with no residual: the answer is reduce's, on int and Fraction vectors,
+    # the zero vector, multiples of the row, and vectors that are zero at
+    # the pivot
+    rng = random.Random(61)
+    for trial in range(300):
+        ncols = rng.randint(1, 6)
+        row = [rng.randint(-3, 3) for _ in range(ncols)]
+        if not any(row):
+            continue
+        basis = RowBasis(ncols)
+        basis.insert(row)
+        (p,) = basis.pivots
+        scale = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        vectors = [
+            [0] * ncols,
+            row,
+            [scale * x for x in row],
+            [rng.randint(-3, 3) for _ in range(ncols)],
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)],
+        ]
+        off = [rng.randint(-3, 3) for _ in range(ncols)]
+        off[p] = 0
+        vectors.append(off)
+        nudged = list(row)
+        nudged[rng.randrange(ncols)] += 1
+        vectors.append(nudged)
+        for vec in vectors:
+            assert basis.contains(vec) == (not any(basis.reduce(vec))), (row, vec)
+        assert basis.contains([0] * ncols) and basis.contains(row)
+        assert basis.contains(off) == (not any(off))

@@ -893,6 +893,93 @@ def test_a_filled_block_must_be_the_bound_block():
         closure([seed], gens, _CUBE2, _bound=swapped)
 
 
+_TWIST2 = WeightModuleP.twisted(2)
+_TWIST_BOX = TruncationBox((-6, -6), (-1, -1), margin=2)
+
+# (P, M, ambient, box, r) with the bound of their closures: every block of
+# the F(wedge^1) and deltaP bounds is one row, the Ln bound has larger ones
+HELD_CASES = [
+    ((_A2, make_wedge_module(2, 1), "F", _CUBE2, None), lambda: pi_image(_A2, 1, _CUBE2)),
+    ((_A3, make_wedge_module(3, 1), "F", _CUBE3, None), lambda: pi_image(_A3, 1, _CUBE3)),
+    ((_A3, None, "Ln", _CUBE3, 2), lambda: pi_image(_A3, 2, _CUBE3)),
+    ((_TWIST2, None, "deltaP", _TWIST_BOX, None), lambda: partial_span(_TWIST2, _TWIST_BOX)),
+]
+HELD_IDS = ["F-wedge1-poly2", "F-wedge1-poly3", "Ln-poly3", "deltaP-twisted2"]
+
+
+def _rows_of(space):
+    return {w: ([list(row) for row in block.primitive_rows], list(block.pivots))
+            for w, block in space.blocks.items()}
+
+
+@pytest.mark.parametrize("case, make_bound", HELD_CASES, ids=HELD_IDS)
+def test_closures_hold_the_one_row_blocks_of_their_bound(monkeypatch, case, make_bound):
+    # a closure's block where the bound block is one row is that very
+    # RowBasis, in FAIL reports too, and no evidence run changes a row of
+    # the bound it shares
+    P, M, ambient, box, r = case
+    bound = make_bound()
+    before = _rows_of(bound)
+    report, calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    assert _rows_of(bound) == before
+    held_by_fail = 0
+    for _, used, got in calls:
+        if used is None:
+            continue
+        assert used is bound
+        for w, block in got._blocks.items():
+            if bound.blocks[w].dim == 1:
+                assert block is bound.blocks[w], w
+                held_by_fail += not got.reached_target
+            else:
+                assert block is not bound.blocks[w], w
+    assert held_by_fail or report["pass"]
+
+
+@pytest.mark.parametrize("case, make_bound", HELD_CASES, ids=HELD_IDS)
+def test_held_blocks_give_the_dims_of_the_plain_search(monkeypatch, case, make_bound):
+    # the bounded closures of the evidence against the breadth-first oracle:
+    # the same first_unreached under the evidence target, the same dims at
+    # every weight of a FAIL report, and of the fixed point without a target
+    P, M, ambient, box, r = case
+    gens = GeneratorSet.default(P.rank)
+    _, calls = _recorded_evidence(monkeypatch, P, M, ambient, box, r)
+    target = calls[0][2].target_dims
+    bounded = [(seeds, got) for seeds, used, got in calls if used is not None]
+    assert bounded
+    for seeds, got in bounded:
+        want = oracles.closure(seeds, gens, box, target_dims=target)
+        assert got.reached_target == want.reached_target
+        assert got.first_unreached() == want.first_unreached()
+        if not got.reached_target:
+            assert got.dims == want.dims
+    for seeds, _ in bounded[:3]:
+        assert (closure(seeds, gens, box, _bound=make_bound()).dims
+                == oracles.closure(seeds, gens, box).dims)
+
+
+def test_a_seed_outside_a_held_block_leaves_the_bound():
+    # the image line at (3, 1) is one row: its seed makes the closure hold
+    # that block, and a second seed there is tested against it, not
+    # inserted; a multiple of the row is accepted, the basis vector is not,
+    # in either order
+    gens = GeneratorSet.default(2)
+    image = pi_image(_A2, 1, _CUBE2)
+    basis = FVector.basis(_A2, make_wedge_module(2, 1), (2, 1), 0)
+    ((w, _),) = image.to_dense(basis).items()
+    assert w == (3, 1) and image.blocks[w].dim == 1
+    (row,) = oracles.basis_vectors(image, w)
+    assert not image.contains(basis)
+    alone = closure([row], gens, _CUBE2, _bound=image)
+    assert alone._blocks[w] is image.blocks[w]
+    assert closure([row, 3 * row], gens, _CUBE2, _bound=image).dims == alone.dims
+    for seeds in ([row, basis], [basis, row], [basis]):
+        with pytest.raises(StructureError, match=r"left its bound at weight \[3, 1\]"):
+            closure(seeds, gens, _CUBE2, _bound=image)
+    assert image.blocks[w].primitive_rows == alone._blocks[w].primitive_rows
+    assert image.blocks[w].dim == 1
+
+
 def test_a_block_that_never_fills_is_checked_before_the_report():
     # a plane in place of the image line [1, 1, 1] at (1, 1, 1) misses that
     # line: the closure (the image) reaches dimension 1 there, never fills
