@@ -103,8 +103,7 @@ class TruncationBox(Frozen):
         lower = tuple(lower)
         upper = tuple(upper)
         for x in (*lower, *upper, margin):
-            if type(x) is not int:
-                raise ArgumentError(f"box bound or margin {x!r} is not an integer")
+            check_int(x, "box bound or margin")
         check_rank(lower, upper)
         if margin < 0:
             raise ArgumentError("margin must be nonnegative")

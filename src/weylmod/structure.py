@@ -236,9 +236,9 @@ class ClosureReport:
     read, since most callers only read ``reached_target``.
     """
 
-    def __init__(self, box, blocks, engine, bound=None, target_dims=None,
+    def __init__(self, blocks, engine, bound=None, target_dims=None,
                  reached_target=None, applications=0):
-        self.box = box
+        self.box = engine.ambient.box
         self._blocks = blocks
         self._engine = engine
         self._bound = bound
@@ -324,21 +324,21 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
     dimension of a subspace known to contain the closure there, since its
     image would add nothing: the window (``engine.sizes``), or the
     private ``_bound``, a submodule over the engine's window that contains
-    the seeds, read by weight number (``GradedSubspace.by_number``).  Each
-    block is checked against ``_bound`` once: when it fills its room, its
-    rows must be the bound block's (``RowBasis`` rows are reduced,
-    primitive and have positive pivots, so equal spans have equal rows),
-    and each row of a block that never fills is reduced against the bound
-    block before the report is built, also when the search stopped early.
-    Where the bound block is one row, the first vector at that weight is
-    tested for membership in it and the closure holds the bound's own
-    ``RowBasis`` from then on, shared with the report: it is full, so only
-    a seed can reach it again, and such a seed is tested, not inserted.
-    Room does not limit the seeds, so a block that they take past the
-    bound's dimension has left the bound at once.  A block outside the
-    bound raises ``StructureError``; the skip itself trusts the bound to be
-    closed, so only exact submodules (``pi_image``, ``partial_span``) are
-    passed.
+    the seeds, read by weight number (``GradedSubspace.by_number``).  The
+    skip trusts the bound to be closed, so only exact submodules
+    (``pi_image``, ``partial_span``) are passed, and one rule checks it:
+    every block of the closure lies in the bound's block at its weight, or
+    the closure raises ``StructureError``.  Where the bound block is one
+    row, the closure holds the bound's own ``RowBasis``, shared with the
+    report, from the first vector there, and every vector that reaches it,
+    seed or image, is tested for membership and grows nothing more.  Every
+    other block is checked once after the search, also when it stopped
+    early: a full block must have the bound block's rows (``RowBasis``
+    rows are reduced, primitive and have positive pivots, so equal spans
+    have equal rows), and any other block, one that seeds took past the
+    bound's dimension included (room does not limit the seeds), is reduced
+    row by row against the bound block; a weight without a bound block has
+    dimension 0.
 
     The private ``_settled`` maps a weight to (seed, report) pairs of
     earlier closures: the seed's integer block coordinates and its
@@ -391,34 +391,28 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         if _bound is not None and report._bound is not _bound:
             return False
         held = report._blocks
-        return all(held[w].contains(dense) if w in held else not any(dense)
-                   for w, dense in parts)
+        return all(w in held and held[w].contains(dense) for w, dense in parts)
 
     def insert(i, dense):
         nonlocal deficit, done, settler
         basis = blocks.get(i)
-        w = weights[i]
-        if basis is None and bounds is not None and room[i] == 1:
+        before = 0 if basis is None else basis.dim
+        if bounds is not None and (room[i] == 1 if basis is None else basis is bounds[i]):
             # a one-row bound block: the vector spans it or leaves the bound,
-            # and the closure holds the bound's own block, full from here on
-            basis = bounds[i]
-            if not basis.contains(dense):
-                raise StructureError(f"the closure left its bound at weight {list(w)}")
-            blocks[i] = basis
-            room[i] = before = 0
+            # and the closure holds the bound's own block, which only the
+            # first vector there grows
+            if not bounds[i].contains(dense):
+                raise StructureError(f"the closure left its bound at weight {list(weights[i])}")
+            if basis is not None:
+                return False
+            basis = blocks[i] = bounds[i]
         else:
             if basis is None:
                 basis = blocks[i] = RowBasis(sizes[i])
-            before = basis.dim
             if not basis.insert(dense):
                 return False
-            room[i] -= 1
-            if bounds is not None and room[i] <= 0:
-                # a block lies in the bound only while it is no larger than
-                # the bound's block (room does not limit seeds), and once
-                # full only when it is that block
-                if room[i] or basis.primitive_rows != bounds[i].primitive_rows:
-                    raise StructureError(f"the closure left its bound at weight {list(w)}")
+        room[i] -= 1
+        w = weights[i]
         if deficit and before < target_dims.get(w, 0):
             deficit -= 1
             done = not deficit
@@ -437,15 +431,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         parts += ((w, clear_denominators(d)) for w, d in split.items())
     for w, dense in parts:
         # an FVector holds no zero coefficient, so no part is zero
-        i = engine.number[w]
-        held = blocks.get(i)
-        if held is not None and bounds is not None and held is bounds[i]:
-            # a held bound block is full: a seed there lies in it or leaves
-            # the bound, and is never inserted into it
-            if not held.contains(dense):
-                raise StructureError(f"the closure left its bound at weight {list(w)}")
-        else:
-            insert(i, dense)
+        insert(engine.number[w], dense)
     applications = 0
     outward: deque = deque()  # (i, vec, support, the rest of its outward moves)
     while not done:
@@ -480,10 +466,15 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
             if resumed:
                 outward.popleft()
     if bounds is not None:
-        # a block that never filled meets the bound once, row by row (its
-        # bound block has two rows or more: a one-row block is held)
+        # every block the closure built itself meets the bound once: a full
+        # block is the bound block, any other is reduced against it (a
+        # weight without a bound block starts at room 0, so never reads full)
         for i, basis in blocks.items():
-            if room[i] and any(any(bounds[i].reduce(row)) for row in basis.primitive_rows):
+            bound = bounds[i]
+            if basis is not bound and (
+                basis.primitive_rows != bound.primitive_rows if not room[i]
+                else bound is None or any(any(bound.reduce(row)) for row in basis.primitive_rows)
+            ):
                 raise StructureError(f"the closure left its bound at weight "
                                      f"{list(weights[i])}")
     reached = None
@@ -497,7 +488,7 @@ def closure(seeds, gens: GeneratorSet, box: TruncationBox, target_dims=None, *,
         if target_dims is not None:
             reached = settler is not None or not deficit
     return ClosureReport(
-        box, blocks, engine, _bound,
+        blocks, engine, _bound,
         target_dims=target_dims, reached_target=reached, applications=applications,
     )
 

@@ -88,6 +88,7 @@ def _monomial_fields(n: int, deg: int):
 
 def check_iota_hom(n: int, deg: int = 4):
     """Residual of the embedding on all monomial field pairs up to degree."""
+    check_int(n, "rank")
     fields = _monomial_fields(n, deg)
     failures = []
     checked = 0
@@ -155,6 +156,7 @@ def _lower_bound(n: int, i: int, j: int):
 def check_eq_cubic(n: int, alpha_window=(-2, 3), i=None, j=None):
     """The four-point identity for t^(alpha+e_j-2e_i) (x) E_ij^2, on the
     pair (i, j) or, when neither is given, on every pair."""
+    check_int(n, "rank")
     if (i is None) != (j is None):
         raise ArgumentError("eq-cubic needs both --i and --j")
     pairs = [(i, j)] if i is not None else [
@@ -167,6 +169,7 @@ def check_eq_cubic(n: int, alpha_window=(-2, 3), i=None, j=None):
 def check_eq_quartic(n: int, alpha_window=(-2, 3), i=None):
     """The five-point identity recovering the g operator, at the index i
     or, when it is not given, at every index."""
+    check_int(n, "rank")
     indices = [i] if i is not None else range(1, n - 1)
     for a in indices:
         check_index(a, n - 2)
@@ -195,6 +198,7 @@ def _check_lemma(check, lemma, n, delta_window, key_radius, shift):
     alpha in the admissible window, counting the cases and their checked
     vectors and recording the failing cases.  The keys are those of the
     cube [-key_radius, key_radius]^n that each profile supports."""
+    check_int(n, "rank")
     if key_radius < 0:
         raise ArgumentError(f"--key-radius must be at least 0, got {key_radius}")
     key_box = TruncationBox((-key_radius,) * n, (key_radius,) * n)
@@ -385,6 +389,7 @@ def check_bounded_multiplicity(n: int, shift=DEFAULT_SHIFT):
     """Weight multiplicities of F(P, wedge^r) at every weight within radius
     2 stay below the binomial bound and match the line-by-line count
     ``_line_count``."""
+    check_int(n, "rank")
     radius = 2
     failures = []
     checked = 0

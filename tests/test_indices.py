@@ -137,8 +137,9 @@ def test_box_basics():
 def test_ranks_and_counts_must_be_ints():
     # each of these calls ended in a TypeError from deep inside, or, given a
     # bool, ran on the int it equals (a one-line module, an empty generator
-    # set, one de Rham sample); each now refuses the value by name, even
-    # when it equals an int the call accepts
+    # set, one de Rham sample, a suite report at rank 1) or was refused in
+    # other words; each now refuses the value by name, even when it equals
+    # an int the call accepts
     derham = suites.check_derham
     cases = [
         (WeightModuleP.polynomial, (2.0,), {}, "rank 2.0 is not an integer"),
@@ -156,6 +157,16 @@ def test_ranks_and_counts_must_be_ints():
         (derham, (2,), {"count": True}, "count True is not an integer"),
         (derham, (2,), {"count": 2, "seed": 1.5}, "seed 1.5 is not an integer"),
         (derham, (2.0,), {"count": 2}, "rank 2.0 is not an integer"),
+        (suites.check_iota_hom, (True,), {}, "rank True is not an integer"),
+        (suites.check_iota_hom, (2.0,), {}, "rank 2.0 is not an integer"),
+        (suites.check_eq_cubic, (True,), {}, "rank True is not an integer"),
+        (suites.check_eq_cubic, (2.0,), {}, "rank 2.0 is not an integer"),
+        (suites.check_eq_quartic, (True,), {}, "rank True is not an integer"),
+        (suites.check_eq_quartic, (2.0,), {}, "rank 2.0 is not an integer"),
+        (suites.check_g_u, (2.0,), {}, "rank 2.0 is not an integer"),
+        (suites.check_h_ln, (2.0,), {}, "rank 2.0 is not an integer"),
+        (suites.check_bounded_multiplicity, (True,), {}, "rank True is not an integer"),
+        (suites.check_bounded_multiplicity, (2.0,), {}, "rank 2.0 is not an integer"),
     ]
     for fn, args, kw, message in cases:
         with pytest.raises(ArgumentError) as info:

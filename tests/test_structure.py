@@ -1014,6 +1014,23 @@ def test_a_closure_that_stops_early_still_checks_its_blocks():
             closure([seed], gens, _CUBE3, target_dims=target, _bound=bound, _settled=settled)
 
 
+def test_seeds_that_take_a_block_past_its_bound_leave_the_bound():
+    # a bound of one plane at (1, 1, 1), where the window has three labels:
+    # the first two basis seeds fill that plane, and the third takes the
+    # block past it, though room does not stop a seed; every other weight
+    # has no room, so no move is applied outside (1, 1, 1)
+    gens = GeneratorSet.default(3)
+    wedge1 = make_wedge_module(3, 1)
+    w = (1, 1, 1)
+    plane = _with_block(GradedSubspace(_A3, wedge1, _CUBE3), w, [[1, 0, 0], [0, 1, 0]])
+    seeds = [FVector.basis(_A3, wedge1, *label) for label in plane.labels[w]]
+    assert len(seeds) == 3 and plane.by_number[0].count(0) == len(plane.labels) - 1
+    assert closure(seeds[:2], gens, _CUBE3, _bound=plane).dims[w] == 2
+    for order in (seeds, seeds[::-1]):
+        with pytest.raises(StructureError, match=r"left its bound at weight \[1, 1, 1\]"):
+            closure(order, gens, _CUBE3, _bound=plane)
+
+
 def test_a_space_numbers_its_blocks_as_the_engine_numbers_its_weights():
     wedge1 = make_wedge_module(2, 1)
     engine = structure._engine(_A2, wedge1, GeneratorSet.default(2), _CUBE2)
